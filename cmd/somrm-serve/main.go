@@ -93,7 +93,7 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	prepCache := fs.Int("prepared-cache", 0, "prepared-model cache entries (0 = default 128, negative disables)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve deadline")
 	maxOrder := fs.Int("max-order", 0, "highest accepted moment order (0 = default 12)")
-	sweepWorkers := fs.Int("sweep-workers", 0, "per-solve randomization sweep parallelism: 0 auto, N forces a fused team of N, negative forces the serial reference sweep")
+	sweepWorkers := fs.Int("sweep-workers", 0, "per-solve randomization sweep parallelism: 0 auto (fused kernel at every size; a worker team at 16,384 states and up), N forces a fused team of N, negative selects the serial reference sweep used as the test oracle")
 	matrixFormat := fs.String("matrix-format", "", "sweep matrix storage: auto (default), csr, band, qbd, csr64, or kron (all bitwise identical; server-wide, not per-request)")
 	temporalBlock := fs.Int("temporal-block", 0, "wavefront temporal blocking depth of the sweep: 0 auto, 1 disables, N>=2 forces (bitwise identical; server-wide, not per-request)")
 	sweepTile := fs.Int("sweep-tile", 0, "row-tile width of the fused sweep kernels (0 = built-in default; bitwise neutral)")

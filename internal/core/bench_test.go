@@ -8,8 +8,11 @@ import (
 	"somrm/internal/ctmc"
 )
 
-func benchModel(b *testing.B, n int, shiftNegative bool) *Model {
-	b.Helper()
+// benchModel builds the paper's ON–OFF multiplexer with n-1 sources
+// (α = 4, β = 3, C = n-1, R = 1, σ² = 1), all sources initially OFF;
+// n = 33 is the Table 1 model.
+func benchModel(tb testing.TB, n int, shiftNegative bool) *Model {
+	tb.Helper()
 	up := make([]float64, n-1)
 	down := make([]float64, n-1)
 	for i := range up {
@@ -18,7 +21,7 @@ func benchModel(b *testing.B, n int, shiftNegative bool) *Model {
 	}
 	gen, err := ctmc.NewBirthDeath(up, down)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rates := make([]float64, n)
 	vars := make([]float64, n)
@@ -33,7 +36,7 @@ func benchModel(b *testing.B, n int, shiftNegative bool) *Model {
 	pi[0] = 1
 	m, err := New(gen, rates, vars, pi)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }
@@ -95,8 +98,10 @@ func BenchmarkComposePair(b *testing.B) {
 // GOMAXPROCS). The -blocked variants rerun a kernel with wavefront
 // temporal blocking forced to depth 16 (Options.TemporalBlock), and the
 // workers-W[-blocked] variants sweep fused-team sizes at the production
-// storage policy. The trailing kron-KxM sub-benchmarks sweep matrix-free
-// composed models through the streaming Kronecker-sum operator. Each
+// storage policy. The N32, N2001 and N16383 rows measure the crossover
+// below the parallel threshold (see the loop's comment), and the trailing
+// kron-KxM sub-benchmarks sweep matrix-free composed models through the
+// streaming Kronecker-sum operator. Apart from the cold rows, each
 // model is prepared once so an op measures the sweep, not the per-solve
 // uniformization and CSR assembly it shares across kernels.
 func BenchmarkSweep(b *testing.B) {
@@ -177,6 +182,54 @@ func BenchmarkSweep(b *testing.B) {
 				})
 			}
 		}
+	}
+
+	// Small and mid-size models, below the 16,384-row parallel threshold
+	// (N = 32 is the paper's Table 1 size, 2,001 the midsize serving
+	// shape, 16,383 the last row count the automatic policy runs on one
+	// worker): the serial reference oracle against the inline 1-worker
+	// fused kernel the automatic policy picks here, and a forced 2-worker
+	// team, which measures where the team starts to pay. cold-auto times
+	// the production path from scratch — Prepare (uniformization) plus the
+	// first solve, which pays structure detection and the band conversion.
+	for _, n := range []int{32, 2_001, 16_383} {
+		m := largeTridiagModel(b, n)
+		prep, err := Prepare(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bc := range []struct {
+			name    string
+			workers int
+		}{
+			{"reference", -1},
+			{"fused-1", 1},
+			{"workers-2", 2},
+		} {
+			b.Run(fmt.Sprintf("N%d/%s", n, bc.name), func(b *testing.B) {
+				if max := runtime.GOMAXPROCS(0); bc.workers > max {
+					b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", bc.workers, max)
+				}
+				opts := &Options{SweepWorkers: bc.workers}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := prep.AccumulatedReward(tt, order, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("N%d/cold-auto", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cold, err := Prepare(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cold.AccumulatedReward(tt, order, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 
 	// Matrix-free composed shapes: kron-KxM composes K constant-rate

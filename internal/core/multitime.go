@@ -174,12 +174,14 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		}
 	}
 
-	// The k = 1..G recursion runs on the sweep engine: the fused
-	// persistent-worker kernel when the model is large enough to amortize
-	// the iteration barrier (or the caller forced it), the serial
-	// reference kernel otherwise. Both produce bitwise identical moments,
-	// as does every matrix storage format; the reference path streams the
-	// generic CSR, so it forces csr64 and skips the derived conversions.
+	// The k = 1..G recursion runs on the sweep engine's fused kernel at
+	// every model size: inline as a 1-worker team below 16,384 states, a
+	// persistent GOMAXPROCS worker team at or above it (or the team size
+	// the caller forced). Only SweepWorkers < 0 selects the serial
+	// reference kernel, the oracle the tests compare against. Both produce
+	// bitwise identical moments, as does every matrix storage format; the
+	// reference path streams the generic CSR, so it forces csr64 and
+	// skips the derived conversions.
 	//
 	// Matrix-free models (u.qPrime == nil) always stream the Kronecker-sum
 	// operator; materialized composed models stream it when the caller

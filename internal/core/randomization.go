@@ -31,13 +31,15 @@ type Options struct {
 	// SweepWorkers controls the parallelism of the randomization sweep
 	// (the k = 1..G recursion behind every solve):
 	//
-	//   - 0 (the default) selects automatically: the serial reference
-	//     sweep for small models, the fused persistent worker team with
-	//     GOMAXPROCS workers once the state count can amortize the
-	//     per-iteration barrier (16,384 states and up);
+	//   - 0 (the default) selects automatically: the fused kernel at
+	//     every model size — run inline as a 1-worker team below 16,384
+	//     states, as a persistent team of GOMAXPROCS workers at or above
+	//     it, where the state count amortizes the per-iteration barrier;
 	//   - > 0 forces the fused kernel with exactly that many workers at
 	//     any size (tests and benchmarks use this);
-	//   - < 0 forces the serial reference sweep at any size.
+	//   - < 0 selects the serial reference sweep at any size: the
+	//     unfused oracle the tests compare the fused kernel against, not
+	//     a production mode.
 	//
 	// Every setting produces bitwise identical moments; the knob trades
 	// only wall time and goroutines.
@@ -54,7 +56,7 @@ type Options struct {
 	// models of any size — resolving like auto otherwise), or "csr64"
 	// (the generic CSR baseline). Every format produces bitwise identical
 	// moments; the knob trades only memory traffic. The serial reference
-	// sweep (SweepWorkers < 0 or small models) always streams the generic
+	// oracle (SweepWorkers < 0) ignores it and always streams the generic
 	// CSR, except on matrix-free models where it streams the operator.
 	// Stats.MatrixFormat reports the resolved choice.
 	MatrixFormat string
@@ -161,9 +163,9 @@ type Stats struct {
 	// MatrixFormat is the storage representation the sweep streamed for
 	// the uniformized generator: "band", "qbd", "csr32", "csr64", or
 	// "kron" for the matrix-free Kronecker-sum operator (the serial
-	// reference sweep reports "csr64", or "kron" on matrix-free models).
-	// Empty for solves that never ran a sweep (t = 0, frozen chains,
-	// d = 0).
+	// reference oracle, SweepWorkers < 0, reports "csr64", or "kron" on
+	// matrix-free models). Empty for solves that never ran a sweep
+	// (t = 0, frozen chains, d = 0).
 	MatrixFormat string
 	// TemporalBlock is the wavefront temporal blocking depth the sweep
 	// resolved (see Options.TemporalBlock): 1 for an unblocked sweep, the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +43,47 @@ func largeTridiagModel(tb testing.TB, n int) *Model {
 		tb.Fatal(err)
 	}
 	return m
+}
+
+// TestSolveSmallModelProductionSweep pins the production sweep below the
+// parallel threshold: the paper's Table 1 ON–OFF multiplexer (N = 32
+// sources, 33 states) under default Options runs the inline
+// 1-worker fused kernel on the band storage, unblocked (the state is
+// cache-resident), with the host's SIMD dispatch, and its moments stay
+// bitwise equal to the serial reference oracle (SweepWorkers < 0).
+func TestSolveSmallModelProductionSweep(t *testing.T) {
+	m := benchModel(t, 33, false)
+	times := []float64{0.5, 2}
+	const order = 3
+
+	def, err := m.AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKernel := sparse.KernelScalar
+	if v := os.Getenv("SOMRM_NOSIMD"); sparse.SIMDAvailable() && (v == "" || v == "0") {
+		wantKernel = sparse.KernelAVX2
+	}
+	st := def[0].Stats
+	if st.MatrixFormat != string(sparse.FormatBand) || st.TemporalBlock != 1 || st.SweepKernel != wantKernel {
+		t.Fatalf("default solve: format %q, temporal block %d, kernel %q; want band, 1, %q",
+			st.MatrixFormat, st.TemporalBlock, st.SweepKernel, wantKernel)
+	}
+	ref, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ref[0].Stats.MatrixFormat; got != string(sparse.FormatCSR64) {
+		t.Fatalf("reference oracle streamed %q, want csr64", got)
+	}
+	for idx := range times {
+		for j := 0; j <= order; j++ {
+			if math.Float64bits(def[idx].Moments[j]) != math.Float64bits(ref[idx].Moments[j]) {
+				t.Fatalf("t=%g: moment %d = %x, reference %x", times[idx], j,
+					math.Float64bits(def[idx].Moments[j]), math.Float64bits(ref[idx].Moments[j]))
+			}
+		}
+	}
 }
 
 // TestSweepFusedMatchesReferenceLarge runs the paper-scale shape

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,8 @@ import (
 	"testing/quick"
 
 	"somrm/internal/core"
+	"somrm/internal/models"
+	"somrm/internal/sparse"
 	"somrm/internal/spec"
 )
 
@@ -154,8 +157,27 @@ func TestDiffGeneratorProducesValidModels(t *testing.T) {
 		float64(states)/500, impulses, zeroVar)
 }
 
+// requireBitwise fails unless got matches ref bit for bit, moments and
+// per-state vectors alike.
+func requireBitwise(t *testing.T, label string, times []float64, order int, got, ref []*core.Result) {
+	t.Helper()
+	for k := range times {
+		for j := 0; j <= order; j++ {
+			if math.Float64bits(got[k].Moments[j]) != math.Float64bits(ref[k].Moments[j]) {
+				t.Fatalf("%s t=%g: moment %d = %x, reference %x", label, times[k], j,
+					math.Float64bits(got[k].Moments[j]), math.Float64bits(ref[k].Moments[j]))
+			}
+			for i := range got[k].VectorMoments[j] {
+				if math.Float64bits(got[k].VectorMoments[j][i]) != math.Float64bits(ref[k].VectorMoments[j][i]) {
+					t.Fatalf("%s t=%g: vm[%d][%d] differs bitwise", label, times[k], j, i)
+				}
+			}
+		}
+	}
+}
+
 // TestDiffSweepKernelBitwise is the fused-kernel gate: across the fixed
-// seed corpus, the fused persistent-worker sweep (forced on, single- and
+// seed corpus, the fused persistent-worker sweep (automatic, single- and
 // multi-worker, at every matrix storage format, temporal blocking depth,
 // and SIMD dispatch) must reproduce the serial reference sweep bit for
 // bit — moments and per-state vectors alike. The fused kernel, the
@@ -200,37 +222,115 @@ func TestDiffSweepKernelBitwise(t *testing.T) {
 		// under SOMRM_NOSIMD=1, as one CI arm runs) the two arms
 		// coincide on scalar — the gate still checks every format,
 		// worker count and blocking depth against the reference.
+		// Workers 0 is the production policy: automatic selection, which
+		// at corpus sizes is the inline 1-worker fused team.
 		for _, format := range []string{"auto", "csr", "band", "csr64", "qbd", "kron"} {
 			for _, nosimd := range []bool{false, true} {
 				if nosimd && (format == "csr64" || format == "kron") {
 					continue
 				}
-				for _, workers := range []int{1, 2, 5} {
+				for _, workers := range []int{0, 1, 2, 5} {
 					for _, tblock := range []int{1, 2, 4, 8} {
 						opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8, NoSIMD: nosimd}
+						label := fmt.Sprintf("seed %d format %s nosimd %v workers %d tblock %d", seed, format, nosimd, workers, tblock)
 						fused, err := model.AccumulatedRewardAt(times, order, opts)
 						if err != nil {
-							t.Fatalf("seed %d format %s nosimd %v workers %d tblock %d: fused: %v", seed, format, nosimd, workers, tblock, err)
+							t.Fatalf("%s: fused: %v", label, err)
 						}
-						for k := range times {
-							for j := 0; j <= order; j++ {
-								if math.Float64bits(fused[k].Moments[j]) != math.Float64bits(ref[k].Moments[j]) {
-									t.Fatalf("seed %d format %s nosimd %v workers %d tblock %d t=%g: moment %d = %x, reference %x",
-										seed, format, nosimd, workers, tblock, times[k], j,
-										math.Float64bits(fused[k].Moments[j]), math.Float64bits(ref[k].Moments[j]))
-								}
-								for i := range fused[k].VectorMoments[j] {
-									if math.Float64bits(fused[k].VectorMoments[j][i]) != math.Float64bits(ref[k].VectorMoments[j][i]) {
-										t.Fatalf("seed %d format %s nosimd %v workers %d tblock %d t=%g: vm[%d][%d] differs bitwise",
-											seed, format, nosimd, workers, tblock, times[k], j, i)
-									}
-								}
-							}
-						}
+						requireBitwise(t, label, times, order, fused, ref)
 					}
 				}
 			}
 		}
+	}
+}
+
+// table1Model builds the paper's N = 32 ON–OFF multiplexer (33 states,
+// Table 1 parameters, σ² = 10), optionally with an impulse reward of 0.5
+// on every source turning ON (the i -> i+1 transitions).
+func table1Model(t *testing.T, impulses bool) *core.Model {
+	t.Helper()
+	m, err := models.OnOff(models.PaperSmall(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !impulses {
+		return m
+	}
+	b := sparse.NewBuilder(m.N(), m.N())
+	for i := 0; i+1 < m.N(); i++ {
+		if err := b.Add(i, i+1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err = m.WithImpulses(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDiffSmallModelAutoBitwise gates the production sweep on the small
+// shapes the corpus does not draw: the paper's Table 1 model at order 12
+// (the planar fused kernel, the shape a bounds request solves) and with
+// impulse rewards at order 4. Under automatic worker selection both run
+// the inline 1-worker fused kernel on the band storage and must agree bit
+// for bit with the serial reference sweep.
+func TestDiffSmallModelAutoBitwise(t *testing.T) {
+	times := []float64{0, 0.5, 2}
+	for _, c := range []struct {
+		name     string
+		impulses bool
+		order    int
+	}{
+		{"table1-order12", false, 12},
+		{"table1-impulse-order4", true, 4},
+	} {
+		model := table1Model(t, c.impulses)
+		ref, err := model.AccumulatedRewardAt(times, c.order, &core.Options{SweepWorkers: -1})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		auto, err := model.AccumulatedRewardAt(times, c.order, &core.Options{})
+		if err != nil {
+			t.Fatalf("%s: auto: %v", c.name, err)
+		}
+		if got := auto[1].Stats.MatrixFormat; got != string(sparse.FormatBand) {
+			t.Fatalf("%s: auto solve streamed %q, want the fused band kernel", c.name, got)
+		}
+		requireBitwise(t, c.name, times, c.order, auto, ref)
+	}
+}
+
+// TestDiffCheckpointResumeAutoReference pins checkpoint interchange
+// between the production sweep and the test oracle at small N: a
+// checkpoint captured by the serial reference sweep (planar state, csr64
+// storage) must resume under automatic selection (the fused band kernel,
+// interleaved at order 3) to the bitwise-identical result, and the
+// reverse must hold too.
+func TestDiffCheckpointResumeAutoReference(t *testing.T) {
+	times := []float64{0, 0.4, 1.3}
+	ref := core.Options{SweepWorkers: -1}
+	auto := core.Options{}
+	check := func(label string, model *core.Model, order int) {
+		t.Helper()
+		if err := CheckResumeAcross(model, times, order, ref, auto); err != nil {
+			t.Fatalf("%s reference capture/auto resume: %v", label, err)
+		}
+		if err := CheckResumeAcross(model, times, order, auto, ref); err != nil {
+			t.Fatalf("%s auto capture/reference resume: %v", label, err)
+		}
+	}
+	check("table1 order 3", table1Model(t, false), 3)
+	check("table1 impulse order 4", table1Model(t, true), 4)
+	for seed := 0; seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		sp := Generate(rng)
+		model, err := sp.Build()
+		if err != nil {
+			t.Fatalf("seed %d: build: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d", seed), model, 1+rng.Intn(4))
 	}
 }
 
@@ -282,29 +382,16 @@ func TestDiffComposedSweepBitwise(t *testing.T) {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
 		for _, format := range []string{"auto", "csr", "band", "csr64", "qbd", "kron"} {
-			for _, workers := range []int{1, 2, 5} {
+			for _, workers := range []int{0, 1, 2, 5} {
+				label := fmt.Sprintf("seed %d format %s workers %d", seed, format, workers)
 				got, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: workers, MatrixFormat: format})
 				if err != nil {
-					t.Fatalf("seed %d format %s workers %d: %v", seed, format, workers, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				if format == "kron" && got[1].Stats.MatrixFormat != "kron" {
 					t.Fatalf("seed %d: forced kron on a composed model resolved to %q", seed, got[1].Stats.MatrixFormat)
 				}
-				for k := range times {
-					for j := 0; j <= order; j++ {
-						if math.Float64bits(got[k].Moments[j]) != math.Float64bits(ref[k].Moments[j]) {
-							t.Fatalf("seed %d format %s workers %d t=%g: moment %d = %x, reference %x",
-								seed, format, workers, times[k], j,
-								math.Float64bits(got[k].Moments[j]), math.Float64bits(ref[k].Moments[j]))
-						}
-						for i := range got[k].VectorMoments[j] {
-							if math.Float64bits(got[k].VectorMoments[j][i]) != math.Float64bits(ref[k].VectorMoments[j][i]) {
-								t.Fatalf("seed %d format %s workers %d t=%g: vm[%d][%d] differs bitwise",
-									seed, format, workers, times[k], j, i)
-							}
-						}
-					}
-				}
+				requireBitwise(t, label, times, order, got, ref)
 			}
 		}
 	}

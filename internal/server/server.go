@@ -56,10 +56,11 @@ type Options struct {
 	// MaxBodyBytes bounds the request body (default 8 MiB).
 	MaxBodyBytes int64
 	// SweepWorkers is passed through to the randomization solver
-	// (core.Options.SweepWorkers): 0 picks automatically (serial below the
-	// solver's parallel threshold, a fused worker team above it), > 0
-	// forces a team size, < 0 forces the serial reference sweep. Results
-	// are bitwise identical for every setting. Note the server also runs
+	// (core.Options.SweepWorkers): 0 picks automatically (the fused
+	// kernel at every model size, run inline below 16,384 states and as a
+	// GOMAXPROCS worker team at or above it), > 0 forces a team size, and
+	// < 0 selects the serial reference sweep, the test oracle rather than
+	// a production mode. Results are bitwise identical for every setting. Note the server also runs
 	// Workers solves concurrently; on a machine with C cores, keeping
 	// Workers x SweepWorkers near C avoids oversubscription.
 	SweepWorkers int

@@ -555,6 +555,30 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSmallModelSweepFormatMetric pins the production sweep path at
+// small N as operators see it: a default-configured server solving a
+// 33-state birth-death model (the Table 1 size, far below the parallel
+// threshold) counts the solve under the fused kernel's band storage, not
+// under the csr64 storage of the serial reference oracle.
+func TestSmallModelSweepFormatMetric(t *testing.T) {
+	sp := birthDeathSpec(33)
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	resp, out, raw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: sp, T: 1, Order: 3}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: %d %s", resp.StatusCode, raw)
+	}
+	if out.Stats == nil || out.Stats.MatrixFormat != "band" {
+		t.Errorf("solve stats = %+v, want matrix_format band", out.Stats)
+	}
+	snap := s.metrics.Snapshot()
+	if snap.SweepFormats["band"] != 1 || snap.SweepFormats["csr64"] != 0 {
+		t.Errorf("sweep_formats = %v, want one band sweep and no csr64", snap.SweepFormats)
+	}
+}
+
 func TestCacheKeyNormalization(t *testing.T) {
 	// Same model with permuted transitions and spelled-out defaults must
 	// collide on one cache entry.

@@ -32,9 +32,10 @@ import (
 // Per element, the fused kernel performs exactly the same floating-point
 // operations in exactly the same order as the serial reference sweep
 // (RunReference), so the two agree bit for bit for every worker count.
-// The reference sweep is both the fallback for small matrices — below
-// parallelThreshold rows the barrier cost cannot be amortized — and the
-// oracle the regression tests compare against.
+// The fused kernel is the production path at every model size: below
+// parallelThreshold rows it runs as a 1-worker team inline, with no
+// goroutines and no barrier. The reference sweep is only the oracle the
+// regression and differential tests compare against.
 
 // SweepPlan describes one time point's Poisson accumulation during a
 // sweep. Weight[k] is the Poisson probability of iteration k; only
@@ -62,8 +63,8 @@ type accPair struct {
 // the uniformized generator a, the diagonal first- and second-order
 // reward terms, and optional impulse matrices imp[m-1] applied with
 // coefficient 1/m!. Build one per solve with NewSweep, then execute it
-// with Run (fused, persistent worker team) or RunReference (serial
-// oracle).
+// with Run (fused kernel, the production path) or RunReference (serial
+// test oracle).
 type Sweep struct {
 	a            *CSR     // explicit sweep matrix; nil for operator-backed sweeps
 	op           Operator // matrix-free sweep operator; nil when a is set
@@ -126,15 +127,27 @@ type Sweep struct {
 	active      []accPair
 }
 
+// parallelThreshold is the row count at which automatic worker selection
+// moves from the inline 1-worker fused sweep to a GOMAXPROCS team. The
+// team pays a release and join barrier every iteration to split rows the
+// inline sweep already streams from cache, so small models gain nothing
+// from it: on a 2-core Xeon a 2-worker team is ~40% slower than the
+// inline sweep at 2,001 tridiagonal rows and draws level at 16,383
+// (BenchmarkSweep/N*/{fused-1,workers-2} in internal/core). Above the
+// threshold the sweep is memory-bound and scales with cores. Callers
+// that know better force a team size explicitly.
+const parallelThreshold = 16_384
+
 // PlanWorkers resolves the sweep parallelism knob for a matrix with the
 // given number of rows:
 //
 //   - requested > 0 forces the fused kernel with that many workers
 //     (capped at rows), regardless of size;
-//   - requested == 0 selects automatically: 0 — meaning the caller should
-//     run the serial reference sweep — below parallelThreshold rows, and
-//     a fused team of GOMAXPROCS workers at or above it;
-//   - requested < 0 forces the reference sweep (returns 0).
+//   - requested == 0 selects automatically: the fused kernel at every
+//     size, as a 1-worker team (run inline) below parallelThreshold rows
+//     and a team of GOMAXPROCS workers (capped at rows) at or above it;
+//   - requested < 0 selects the serial reference sweep (returns 0), the
+//     oracle tests compare the fused kernel against.
 //
 // The returned count is 0 for "use RunReference" and >= 1 for "use Run
 // with this team size". Every choice yields bitwise identical results.
@@ -144,7 +157,7 @@ func PlanWorkers(requested, rows int) int {
 	}
 	if requested == 0 {
 		if rows < parallelThreshold {
-			return 0
+			return 1
 		}
 		requested = runtime.GOMAXPROCS(0)
 	}
@@ -339,9 +352,9 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 
 // Format returns the resolved storage format the fused kernels stream:
 // FormatBand, FormatQBD, FormatCSR32, FormatCSR64, or FormatKron for
-// Kronecker-sum operator sweeps. (RunReference always streams the
-// generic CSR — or, for operator sweeps, the operator itself —
-// regardless of this setting.)
+// Kronecker-sum operator sweeps. (The RunReference test oracle always
+// streams the generic CSR — or, for operator sweeps, the operator
+// itself — regardless of this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
 // Scratch4Words returns the float64 count Run would use for its
@@ -1369,8 +1382,9 @@ func (s *Sweep) fuseBlock3Band(lo, hi int, cur4, next4 []float64, active []accPa
 // RunReference executes the sweep with the serial reference kernel: one
 // full-vector pass per term, exactly the operation structure of the
 // original solver loop. It is the oracle the fused kernel is tested
-// against and the production path for matrices too small to amortize the
-// worker barrier.
+// against, not a production path: automatic worker selection runs the
+// fused kernel at every size, and only an explicit negative worker
+// request (see PlanWorkers) reaches this loop.
 func (s *Sweep) RunReference(ctx context.Context, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
 	return s.RunReferenceFrom(ctx, 1, gMax, cur, next, plans, cancelStride)
 }

@@ -337,16 +337,21 @@ func TestSweepWindowClipping(t *testing.T) {
 	}
 }
 
-// TestPlanWorkers pins the parallelism policy: automatic selection stays
-// on the reference sweep below the threshold, moves to a GOMAXPROCS team
-// above it, and explicit requests are honored (capped at rows).
+// TestPlanWorkers pins the parallelism policy: automatic selection runs
+// the fused kernel at every size — a 1-worker team below the threshold, a
+// GOMAXPROCS team (capped at rows) at or above it — explicit requests are
+// honored (capped at rows), and only a negative request selects the
+// reference sweep (0).
 func TestPlanWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		requested, rows, want int
 	}{
-		{0, parallelThreshold - 1, 0},
+		{0, 1, 1},
+		{0, 33, 1},
+		{0, parallelThreshold - 1, 1},
 		{0, parallelThreshold, min(procs, parallelThreshold)},
+		{0, parallelThreshold * 4, procs},
 		{-1, parallelThreshold * 4, 0},
 		{-7, 10, 0},
 		{3, 10, 3},
