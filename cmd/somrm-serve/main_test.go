@@ -20,8 +20,11 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "999.999.999.999:0"}, &sb, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
-	if err := run([]string{"-matrix-format", "nope"}, &sb, nil); err == nil || !strings.Contains(err.Error(), "matrix-format") {
-		t.Errorf("bad -matrix-format accepted: %v", err)
+	// csr64 is only the reference oracle's storage label, not a format.
+	for _, f := range []string{"nope", "csr64"} {
+		if err := run([]string{"-matrix-format", f}, &sb, nil); err == nil || !strings.Contains(err.Error(), "matrix-format") {
+			t.Errorf("-matrix-format %s accepted: %v", f, err)
+		}
 	}
 }
 

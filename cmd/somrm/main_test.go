@@ -44,6 +44,24 @@ func TestRunHappyPath(t *testing.T) {
 	}
 }
 
+// TestRunMatrixFormatFlag: every selectable storage solves the same
+// model; csr64, the reference oracle's storage label, is rejected with
+// an error naming the unsupported format.
+func TestRunMatrixFormatFlag(t *testing.T) {
+	path := writeSpec(t, validSpec)
+	for _, f := range []string{"auto", "csr", "band", "qbd", "kron"} {
+		var sb strings.Builder
+		if err := run([]string{"-model", path, "-order", "3", "-matrix-format", f}, &sb); err != nil {
+			t.Errorf("-matrix-format %s: %v", f, err)
+		}
+	}
+	var sb strings.Builder
+	err := run([]string{"-model", path, "-order", "3", "-matrix-format", "csr64"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `unsupported matrix format "csr64"`) {
+		t.Errorf("-matrix-format csr64: err = %v, want an unsupported-format error", err)
+	}
+}
+
 func TestRunMissingModel(t *testing.T) {
 	var sb strings.Builder
 	if err := run(nil, &sb); err == nil {

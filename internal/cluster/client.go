@@ -181,9 +181,10 @@ func (c *Client) route(ctx context.Context, key string, op func(cl *server.Clien
 	}
 	var lastErr error
 	for _, peer := range cands {
+		stamp := c.members.Stamp(peer)
 		err := op(c.clients[peer])
 		if err == nil {
-			c.members.MarkAlive(peer)
+			c.members.MarkAliveSince(peer, stamp)
 			return nil
 		}
 		if connectionError(err) {

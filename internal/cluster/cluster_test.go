@@ -305,8 +305,8 @@ func TestPeerFillAvoidsDuplicateSolve(t *testing.T) {
 
 	// A hash the owner has never seen is a fill miss and solves locally.
 	cold := &server.SolveRequest{Model: testSpec(1), T: 0.75, Order: 2}
-	if tc.ownerIndex(cold.Model) == nonOwner {
-		cold.Model = testSpec(2) // pick any model the replica does not own
+	for k := 2; tc.ownerIndex(cold.Model) == nonOwner; k++ {
+		cold.Model = testSpec(k) // pick any model the replica does not own
 	}
 	missResp, err := other.Solve(context.Background(), cold)
 	if err != nil {

@@ -17,15 +17,16 @@ type ProbeFunc func(ctx context.Context, url string) error
 // alive (optimistic, so the cluster routes before the first probe round)
 // and are flipped by periodic health probes; callers may also mark a peer
 // down directly on a transport-level failure for faster rerouting — the
-// next successful probe restores it.
+// next successful probe or exchange restores it.
 type Membership struct {
 	mu    sync.Mutex
 	alive map[string]bool
-	// gen counts direct observations (MarkDown/MarkAlive) per peer. A
-	// probe snapshots it before its round-trip and discards its outcome if
-	// the count moved while it was in flight: the direct observation is
-	// fresher, and a slow successful probe must not resurrect a peer that
-	// a request just found dead (or vice versa).
+	// gen counts direct observations (MarkDown/MarkAliveSince) per peer. A
+	// probe — or a routed request, via Stamp and MarkAliveSince —
+	// snapshots it before its round-trip and discards its success if the
+	// count moved while it was in flight: the direct observation is
+	// fresher, and a slow success must not resurrect a peer that a
+	// request just found dead (or a slow probe failure bury one).
 	gen map[string]uint64
 
 	probe    ProbeFunc
@@ -39,7 +40,8 @@ type Membership struct {
 }
 
 // NewMembership builds a table over peers. probe may be nil (liveness
-// then changes only through MarkDown/MarkAlive); interval 0 selects 2s.
+// then changes only through MarkDown/MarkAliveSince); interval 0 selects
+// 2s.
 func NewMembership(peers []string, probe ProbeFunc, interval time.Duration) *Membership {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -137,10 +139,21 @@ func (m *Membership) MarkDown(peer string) {
 	m.mu.Unlock()
 }
 
-// MarkAlive records a peer as live (called on any successful exchange).
-func (m *Membership) MarkAlive(peer string) {
+// Stamp returns peer's observation generation, for a later
+// MarkAliveSince by an exchange that starts now.
+func (m *Membership) Stamp(peer string) uint64 {
 	m.mu.Lock()
-	if _, known := m.alive[peer]; known {
+	defer m.mu.Unlock()
+	return m.gen[peer]
+}
+
+// MarkAliveSince records a peer as live after a successful exchange that
+// began at generation stamp (see Stamp), unless a direct observation
+// landed while the exchange was in flight: a response from before a
+// concurrent MarkDown is stale evidence and must not resurrect the peer.
+func (m *Membership) MarkAliveSince(peer string, stamp uint64) {
+	m.mu.Lock()
+	if _, known := m.alive[peer]; known && m.gen[peer] == stamp {
 		m.alive[peer] = true
 		m.gen[peer]++
 	}

@@ -56,13 +56,13 @@ func TestMembershipManualMarks(t *testing.T) {
 	if m.Alive("http://a") {
 		t.Error("MarkDown must take effect")
 	}
-	m.MarkAlive("http://a")
+	m.MarkAliveSince("http://a", m.Stamp("http://a"))
 	if !m.Alive("http://a") {
-		t.Error("MarkAlive must take effect")
+		t.Error("MarkAliveSince with a current stamp must take effect")
 	}
 
 	// Unknown peers are never adopted: the peer set is static.
-	m.MarkAlive("http://ghost")
+	m.MarkAliveSince("http://ghost", m.Stamp("http://ghost"))
 	if m.Alive("http://ghost") {
 		t.Error("unknown peer must stay dead")
 	}
@@ -72,6 +72,30 @@ func TestMembershipManualMarks(t *testing.T) {
 
 	// Stop without Start must not hang.
 	m.Stop()
+}
+
+// TestMembershipStaleSuccessCannotOverrideMarkDown pins the same
+// generation rule for routed requests: an exchange stamped before a
+// concurrent MarkDown that then succeeds is stale evidence and must
+// leave the peer down, while a success stamped after the MarkDown
+// restores it.
+func TestMembershipStaleSuccessCannotOverrideMarkDown(t *testing.T) {
+	m := NewMembership([]string{"http://a", "http://b"}, nil, 0)
+
+	stamp := m.Stamp("http://a") // a request to a starts
+	m.MarkDown("http://a")       // another request finds a dead meanwhile
+	m.MarkAliveSince("http://a", stamp)
+	if m.Alive("http://a") {
+		t.Fatal("stale success resurrected a peer marked down mid-flight")
+	}
+	if got := m.AliveCount(); got != 1 {
+		t.Fatalf("AliveCount = %d, want 1", got)
+	}
+
+	m.MarkAliveSince("http://a", m.Stamp("http://a"))
+	if !m.Alive("http://a") {
+		t.Fatal("fresh success must restore the peer")
+	}
 }
 
 // TestMembershipStaleProbeCannotOverrideDirectObservation pins the

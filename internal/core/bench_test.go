@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"somrm/internal/ctmc"
+	"somrm/internal/sparse"
 )
 
 // benchModel builds the paper's ON–OFF multiplexer with n-1 sources
@@ -35,6 +36,97 @@ func benchModel(tb testing.TB, n int, shiftNegative bool) *Model {
 	pi := make([]float64, n)
 	pi[0] = 1
 	m, err := New(gen, rates, vars, pi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// rateModel builds an n-state model over the generator whose off-diagonal
+// rates each(i, add) lists for row i (targets outside 0..n-1 are
+// dropped), with mixed-sign drifts (the shift path is active), positive
+// variances, and all mass initially in the middle state. The shape
+// helpers use it to reach the structures the storage policy separates:
+// tridiagonal and pentadiagonal bands, bidiagonal pure-birth chains,
+// dense-block QBDs.
+func rateModel(tb testing.TB, n int, each func(i int, add func(j int, rate float64))) *Model {
+	tb.Helper()
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		var exit float64
+		each(i, func(j int, rate float64) {
+			if j < 0 || j >= n || j == i {
+				return
+			}
+			exit += rate
+			if err := b.Add(i, j, rate); err != nil {
+				tb.Fatal(err)
+			}
+		})
+		if err := b.Add(i, i, -exit); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	gen, err := ctmc.NewGenerator(b.Build())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rates := make([]float64, n)
+	vars := make([]float64, n)
+	for i := range rates {
+		rates[i] = float64(i%7) - 3
+		vars[i] = 0.5 + float64(i%3)
+	}
+	pi := make([]float64, n)
+	pi[n/2] = 1
+	m, err := New(gen, rates, vars, pi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// pentadiagonalModel: a birth-death chain with additional two-step jumps,
+// bandwidth lo = hi = 2.
+func pentadiagonalModel(tb testing.TB, n int) *Model {
+	return rateModel(tb, n, func(i int, add func(int, float64)) {
+		add(i-2, 1)
+		add(i-1, 3)
+		add(i+1, 4)
+		add(i+2, 0.5)
+	})
+}
+
+// pureBirthModel: a pure-birth chain ending in an absorbing state, so the
+// generator is bidiagonal (lo = 0, hi = 1).
+func pureBirthModel(tb testing.TB, n int) *Model {
+	return rateModel(tb, n, func(i int, add func(int, float64)) { add(i+1, 3) })
+}
+
+// denseQBDModel: levels × b states, every phase coupled to every phase of
+// its own and both adjacent levels — block-tridiagonal with dense blocks
+// of size b, bandwidth 2b-1.
+func denseQBDModel(tb testing.TB, levels, b int) *Model {
+	return rateModel(tb, levels*b, func(i int, add func(int, float64)) {
+		base := (i/b - 1) * b
+		for k := 0; k < 3*b; k++ {
+			add(base+k, 0.25+0.5*float64((i+k)%3))
+		}
+	})
+}
+
+// composedDenseModel composes largeTridiagModel(n) with a dense f-state
+// factor (every state reaches every other): the materialized product is
+// block-tridiagonal with level size f, the birth-death factor moving
+// between levels, the dense factor within one.
+func composedDenseModel(tb testing.TB, n, f int) *Model {
+	tb.Helper()
+	dense := rateModel(tb, f, func(i int, add func(int, float64)) {
+		for j := 0; j < f; j++ {
+			add(j, 1+0.25*float64(i+j))
+		}
+	})
+	m, err := Compose(largeTridiagModel(tb, n), dense)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -88,20 +180,20 @@ func BenchmarkComposePair(b *testing.B) {
 // example; constant rates keep qt (and with it G) independent of N.
 // Sub-benchmarks select the kernel via Options.SweepWorkers and the
 // storage engine via Options.MatrixFormat: "reference" is the serial
-// pre-fusion loop on the original 64-bit-index CSR, "fused-single" the
-// fused kernel on one worker at the same storage (isolates the fusion
-// win), "fused-compact" swaps in uint32 column indices, "fused-band"
-// the band/DIA kernel (the chain is tridiagonal, so the sweep loads no
-// indices at all), "fused-qbd" the block-tridiagonal window kernel (the
+// pre-fusion loop on the original 64-bit-index CSR, "fused-compact" the
+// fused kernel on one worker over uint32 column indices, "fused-band"
+// the tridiagonal band kernel (the sweep loads no indices at all), "fused-qbd" the block-tridiagonal window kernel (the
 // chain detects QBD block size 1), and "fused-auto" the production
 // policy (structure detection picks the band kernel here, workers by
 // GOMAXPROCS). The -blocked variants rerun a kernel with wavefront
 // temporal blocking forced to depth 16 (Options.TemporalBlock), and the
 // workers-W[-blocked] variants sweep fused-team sizes at the production
 // storage policy. The N32, N2001 and N16383 rows measure the crossover
-// below the parallel threshold (see the loop's comment), and the trailing
-// kron-KxM sub-benchmarks sweep matrix-free composed models through the
-// streaming Kronecker-sum operator. Apart from the cold rows, each
+// below the parallel threshold (see the loop's comment), the shape-*
+// rows run the storage policy on non-tridiagonal ≈65k-state shapes (see
+// that loop's comment), and the trailing kron-KxM sub-benchmarks sweep
+// matrix-free composed models through the streaming Kronecker-sum
+// operator. Apart from the cold rows, each
 // model is prepared once so an op measures the sweep, not the per-solve
 // uniformization and CSR assembly it shares across kernels.
 func BenchmarkSweep(b *testing.B) {
@@ -123,7 +215,6 @@ func BenchmarkSweep(b *testing.B) {
 			nosimd  bool
 		}{
 			{"reference", -1, "", 0, false},
-			{"fused-single", 1, "csr64", 1, false},
 			{"fused-compact", 1, "csr", 1, false},
 			{"fused-band", 1, "band", 1, false},
 			{"fused-qbd", 1, "qbd", 1, false},
@@ -230,6 +321,49 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+
+	// Non-tridiagonal shapes at ≈65k states, one worker: the storage
+	// policy's auto pick against forced compact CSR and forced QBD.
+	// composed-bd4 composes a 16,383-state birth–death chain with a dense
+	// 4-state factor (materialized: block-tridiagonal, level size 4, a
+	// hair too sparse for auto QBD); qbd-b12 is a dense-block QBD of
+	// 5,461 levels × 12 phases (auto picks QBD); penta is a pentadiagonal
+	// chain of 65,521 states (prime, so no QBD block divides it and auto
+	// picks compact CSR). Before the band storage was narrowed to the
+	// tridiagonal window, auto streamed the first and last through a
+	// scalar wide-band kernel. t is set per shape so qt = 56, as in the
+	// rows above.
+	const shapeQT = 56.0
+	for _, shape := range []struct {
+		name    string
+		m       *Model
+		formats []string
+	}{
+		{"composed-bd4", composedDenseModel(b, 16_383, 4), []string{"auto", "csr", "qbd"}},
+		{"qbd-b12", denseQBDModel(b, 5_461, 12), []string{"auto", "csr", "qbd"}},
+		{"penta", pentadiagonalModel(b, 65_521), []string{"auto", "csr"}},
+	} {
+		prep, err := Prepare(shape.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probe, err := prep.AccumulatedReward(1, order, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shapeT := shapeQT / probe.Stats.Q
+		for _, format := range shape.formats {
+			b.Run(fmt.Sprintf("shape-%s/%s", shape.name, format), func(b *testing.B) {
+				opts := &Options{SweepWorkers: 1, MatrixFormat: format}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := prep.AccumulatedReward(shapeT, order, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 
 	// Matrix-free composed shapes: kron-KxM composes K constant-rate

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -203,21 +204,8 @@ func TestComposeKronFormatBitwise(t *testing.T) {
 			if got[idx].Stats.MatrixFormat != string(sparse.FormatKron) {
 				t.Fatalf("workers %d: format = %q, want kron", workers, got[idx].Stats.MatrixFormat)
 			}
-			for n := 0; n <= order; n++ {
-				if math.Float64bits(got[idx].Moments[n]) != math.Float64bits(ref[idx].Moments[n]) {
-					t.Errorf("workers %d t=%g: m%d = %x, reference %x",
-						workers, times[idx], n, math.Float64bits(got[idx].Moments[n]), math.Float64bits(ref[idx].Moments[n]))
-				}
-				for i := 0; i < joint.N(); i++ {
-					g := got[idx].VectorMoments[n][i]
-					w := ref[idx].VectorMoments[n][i]
-					if math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("workers %d t=%g: V%d[%d] = %x, reference %x",
-							workers, times[idx], n, i, math.Float64bits(g), math.Float64bits(w))
-					}
-				}
-			}
 		}
+		sameResults(t, fmt.Sprintf("workers %d", workers), got, ref)
 	}
 }
 

@@ -180,8 +180,9 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// the caller forced). Only SweepWorkers < 0 selects the serial
 	// reference kernel, the oracle the tests compare against. Both produce
 	// bitwise identical moments, as does every matrix storage format; the
-	// reference path streams the generic CSR, so it forces csr64 and
-	// skips the derived conversions.
+	// reference path streams the generic CSR, so it builds its sweep with
+	// the reference-only csr64 storage label and skips the derived
+	// conversions.
 	//
 	// Matrix-free models (u.qPrime == nil) always stream the Kronecker-sum
 	// operator; materialized composed models stream it when the caller

@@ -46,19 +46,21 @@ type Options struct {
 	SweepWorkers int
 	// MatrixFormat selects the storage representation the fused sweep
 	// kernels stream for the uniformized generator: "auto" (the default;
-	// band for narrow-band matrices like the paper's birth-death models,
-	// then QBD for block-tridiagonal structure, compact-index CSR
-	// otherwise — and always the matrix-free Kronecker-sum operator for
-	// matrix-free composed models), "csr" (force compact-index CSR),
-	// "band" (force the band representation where eligible), "qbd" (force
-	// the block-tridiagonal representation where eligible), "kron" (use
-	// the Kronecker-sum operator when the model carries one — composed
-	// models of any size — resolving like auto otherwise), or "csr64"
-	// (the generic CSR baseline). Every format produces bitwise identical
-	// moments; the knob trades only memory traffic. The serial reference
-	// oracle (SweepWorkers < 0) ignores it and always streams the generic
-	// CSR, except on matrix-free models where it streams the operator.
-	// Stats.MatrixFormat reports the resolved choice.
+	// the tridiagonal band window for birth-death structure like the
+	// paper's models — diagonal and bidiagonal included — then QBD for
+	// block-tridiagonal structure, compact-index CSR otherwise — and
+	// always the matrix-free Kronecker-sum operator for matrix-free
+	// composed models), "csr" (force compact-index CSR), "band" (force the
+	// band window; matrices wider than tridiagonal get compact CSR), "qbd"
+	// (force the block-tridiagonal representation where eligible), or
+	// "kron" (use the Kronecker-sum operator when the model carries one —
+	// composed models of any size — resolving like auto otherwise). Any
+	// other value, "csr64" included, is an ErrBadArgument. Every format
+	// produces bitwise identical moments; the knob trades only memory
+	// traffic. The serial reference oracle (SweepWorkers < 0) ignores it
+	// and always streams the generic CSR, except on matrix-free models
+	// where it streams the operator. Stats.MatrixFormat reports the
+	// resolved choice.
 	MatrixFormat string
 	// TemporalBlock controls wavefront temporal blocking of the fused
 	// sweep: how many consecutive sweep iterations run over each
@@ -161,11 +163,11 @@ type Stats struct {
 	// iteration step, ((m+2) per moment order) * |S|, as in section 7.
 	FlopsPerIteration int64
 	// MatrixFormat is the storage representation the sweep streamed for
-	// the uniformized generator: "band", "qbd", "csr32", "csr64", or
-	// "kron" for the matrix-free Kronecker-sum operator (the serial
-	// reference oracle, SweepWorkers < 0, reports "csr64", or "kron" on
-	// matrix-free models). Empty for solves that never ran a sweep
-	// (t = 0, frozen chains, d = 0).
+	// the uniformized generator: "band", "qbd" or "csr32" for the fused
+	// kernels, or "kron" for the matrix-free Kronecker-sum operator. The
+	// serial reference oracle (SweepWorkers < 0) reports "csr64", the
+	// generic CSR it streams, or "kron" on matrix-free models. Empty for
+	// solves that never ran a sweep (t = 0, frozen chains, d = 0).
 	MatrixFormat string
 	// TemporalBlock is the wavefront temporal blocking depth the sweep
 	// resolved (see Options.TemporalBlock): 1 for an unblocked sweep, the

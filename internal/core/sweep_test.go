@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -19,69 +21,59 @@ import (
 // with it qt and G, stay independent of n), drifts of mixed sign (the
 // shift transformation is active) and positive variances.
 func largeTridiagModel(tb testing.TB, n int) *Model {
-	tb.Helper()
-	up := make([]float64, n-1)
-	down := make([]float64, n-1)
-	for i := range up {
-		up[i] = 3
-		down[i] = 4
-	}
-	gen, err := ctmc.NewBirthDeath(up, down)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rates := make([]float64, n)
-	vars := make([]float64, n)
-	for i := range rates {
-		rates[i] = float64(i%7) - 3 // mixed sign: exercises unshift
-		vars[i] = 0.5 + float64(i%3)
-	}
-	pi := make([]float64, n)
-	pi[n/2] = 1
-	m, err := New(gen, rates, vars, pi)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
+	return rateModel(tb, n, func(i int, add func(int, float64)) {
+		add(i+1, 3)
+		add(i-1, 4)
+	})
 }
 
 // TestSolveSmallModelProductionSweep pins the production sweep below the
-// parallel threshold: the paper's Table 1 ON–OFF multiplexer (N = 32
-// sources, 33 states) under default Options runs the inline
-// 1-worker fused kernel on the band storage, unblocked (the state is
-// cache-resident), with the host's SIMD dispatch, and its moments stay
-// bitwise equal to the serial reference oracle (SweepWorkers < 0).
+// parallel threshold under default Options: the paper's Table 1 ON–OFF
+// multiplexer (N = 32 sources, 33 states) and a bidiagonal pure-birth
+// chain run the inline 1-worker fused kernel on the band window; a
+// pentadiagonal chain and a birth–death chain composed with a dense
+// 4-state factor, outside the window, stream QBD or compact CSR. Each
+// storage has a vector body, so every solve reports the host's SIMD
+// dispatch, runs unblocked (the state is cache-resident), and stays
+// bitwise equal to the serial reference oracle (SweepWorkers < 0), whose
+// csr64 storage is not selectable.
 func TestSolveSmallModelProductionSweep(t *testing.T) {
-	m := benchModel(t, 33, false)
-	times := []float64{0.5, 2}
-	const order = 3
-
-	def, err := m.AccumulatedRewardAt(times, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantKernel := sparse.KernelScalar
 	if v := os.Getenv("SOMRM_NOSIMD"); sparse.SIMDAvailable() && (v == "" || v == "0") {
 		wantKernel = sparse.KernelAVX2
 	}
-	st := def[0].Stats
-	if st.MatrixFormat != string(sparse.FormatBand) || st.TemporalBlock != 1 || st.SweepKernel != wantKernel {
-		t.Fatalf("default solve: format %q, temporal block %d, kernel %q; want band, 1, %q",
-			st.MatrixFormat, st.TemporalBlock, st.SweepKernel, wantKernel)
-	}
-	ref, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ref[0].Stats.MatrixFormat; got != string(sparse.FormatCSR64) {
-		t.Fatalf("reference oracle streamed %q, want csr64", got)
-	}
-	for idx := range times {
-		for j := 0; j <= order; j++ {
-			if math.Float64bits(def[idx].Moments[j]) != math.Float64bits(ref[idx].Moments[j]) {
-				t.Fatalf("t=%g: moment %d = %x, reference %x", times[idx], j,
-					math.Float64bits(def[idx].Moments[j]), math.Float64bits(ref[idx].Moments[j]))
-			}
+	times := []float64{0.5, 2}
+	const order = 3
+	for _, c := range []struct {
+		name     string
+		m        *Model
+		wantBand bool
+	}{
+		{"table1", benchModel(t, 33, false), true},
+		{"bidiagonal", pureBirthModel(t, 64), true},
+		{"pentadiagonal", pentadiagonalModel(t, 64), false},
+		{"composed-bd-x4", composedDenseModel(t, 50, 4), false},
+	} {
+		def, err := c.m.AccumulatedRewardAt(times, order, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		st := def[0].Stats
+		t.Logf("%s: %d states, format %s, kernel %s", c.name, c.m.N(), st.MatrixFormat, st.SweepKernel)
+		if (st.MatrixFormat == string(sparse.FormatBand)) != c.wantBand || st.TemporalBlock != 1 || st.SweepKernel != wantKernel {
+			t.Fatalf("%s: format %q, temporal block %d, kernel %q; want band=%v, 1, %q",
+				c.name, st.MatrixFormat, st.TemporalBlock, st.SweepKernel, c.wantBand, wantKernel)
+		}
+		ref, err := c.m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if got := ref[0].Stats.MatrixFormat; got != string(sparse.FormatCSR64) {
+			t.Fatalf("%s: reference oracle streamed %q, want csr64", c.name, got)
+		}
+		sameResults(t, c.name, def, ref)
+		if _, err := c.m.AccumulatedRewardAt(times, order, &Options{MatrixFormat: "csr64"}); !errors.Is(err, ErrBadArgument) {
+			t.Fatalf("%s: MatrixFormat csr64: err = %v, want ErrBadArgument", c.name, err)
 		}
 	}
 }
@@ -118,7 +110,7 @@ func TestSweepFusedMatchesReferenceLarge(t *testing.T) {
 		{1, "band", "band"},
 		{1, "csr", "csr32"},
 		{3, "csr", "csr32"},
-		{1, "csr64", "csr64"},
+		{1, "qbd", "qbd"},
 	}
 	for _, c := range cases {
 		got, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: c.workers, MatrixFormat: c.format})
@@ -133,18 +125,8 @@ func TestSweepFusedMatchesReferenceLarge(t *testing.T) {
 			if got[idx].Stats.MatVecs != ref[idx].Stats.MatVecs {
 				t.Fatalf("workers %d format %q t=%g: matvecs %d != %d", c.workers, c.format, times[idx], got[idx].Stats.MatVecs, ref[idx].Stats.MatVecs)
 			}
-			for j := 0; j <= order; j++ {
-				if math.Float64bits(got[idx].Moments[j]) != math.Float64bits(ref[idx].Moments[j]) {
-					t.Fatalf("workers %d format %q t=%g: moment %d = %x, reference %x",
-						c.workers, c.format, times[idx], j, math.Float64bits(got[idx].Moments[j]), math.Float64bits(ref[idx].Moments[j]))
-				}
-				for i := 0; i < m.N(); i += 997 { // sampled: full vectors are 4×100k
-					if math.Float64bits(got[idx].VectorMoments[j][i]) != math.Float64bits(ref[idx].VectorMoments[j][i]) {
-						t.Fatalf("workers %d format %q t=%g: vm[%d][%d] differs", c.workers, c.format, times[idx], j, i)
-					}
-				}
-			}
 		}
+		sameResults(t, fmt.Sprintf("workers %d format %q", c.workers, c.format), got, ref)
 	}
 }
 
@@ -160,7 +142,7 @@ func TestPreparedPoolBitwise(t *testing.T) {
 	}
 	const order = 3
 	grids := [][]float64{{0.7}, {0, 0.5, 2}, {3, 0.1}}
-	formats := []string{"auto", "band", "csr", "csr64"}
+	formats := []string{"auto", "band", "csr", "qbd"}
 	for rep := 0; rep < 3; rep++ {
 		for gi, times := range grids {
 			format := formats[(rep+gi)%len(formats)]
@@ -173,15 +155,7 @@ func TestPreparedPoolBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for idx := range times {
-				for j := 0; j <= order; j++ {
-					for i := 0; i < m.N(); i++ {
-						if math.Float64bits(got[idx].VectorMoments[j][i]) != math.Float64bits(want[idx].VectorMoments[j][i]) {
-							t.Fatalf("rep %d grid %d format %s: vm[%d][%d] differs from fresh solve", rep, gi, format, j, i)
-						}
-					}
-				}
-			}
+			sameResults(t, fmt.Sprintf("rep %d grid %d format %s", rep, gi, format), got, want)
 		}
 	}
 }
@@ -201,7 +175,7 @@ func TestSweepCancellationHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formats := []string{"auto", "band", "csr", "csr64"}
+	formats := []string{"auto", "band", "csr", "qbd"}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -20,6 +20,26 @@ import (
 	"somrm/internal/spec"
 )
 
+// newSpec returns an n-state spec without transitions: drift rates
+// uniform in [-rateScale, rateScale], variances exactly zero with
+// probability 0.3 and 0.05 + U·varScale otherwise, and a zero initial
+// vector for the caller to fill.
+func newSpec(rng *rand.Rand, n int, rateScale, varScale float64) *spec.Model {
+	sp := &spec.Model{
+		States:    n,
+		Rates:     make([]float64, n),
+		Variances: make([]float64, n),
+		Initial:   make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		sp.Rates[i] = (rng.Float64()*2 - 1) * rateScale
+		if rng.Float64() >= 0.3 {
+			sp.Variances[i] = 0.05 + rng.Float64()*varScale
+		}
+	}
+	return sp
+}
+
 // Generate returns a random valid model spec drawn from rng: 2–40 states
 // on a ring (for irreducibility) with extra random transitions, drift
 // rates of mixed sign in [-3, 3], variances that are exactly zero with
@@ -29,18 +49,7 @@ import (
 // normalized random vector otherwise.
 func Generate(rng *rand.Rand) *spec.Model {
 	n := 2 + rng.Intn(39)
-	sp := &spec.Model{
-		States:    n,
-		Rates:     make([]float64, n),
-		Variances: make([]float64, n),
-		Initial:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		sp.Rates[i] = (rng.Float64()*2 - 1) * 3
-		if rng.Float64() >= 0.3 {
-			sp.Variances[i] = 0.05 + rng.Float64()*1.5
-		}
-	}
+	sp := newSpec(rng, n, 3, 1.5)
 
 	// Ring backbone keeps every state reachable; extras densify.
 	for i := 0; i < n; i++ {
@@ -98,24 +107,47 @@ func Generate(rng *rand.Rand) *spec.Model {
 	return sp
 }
 
+// GenerateBirthDeath returns a random birth–death spec drawn from rng,
+// the corpus whose uniformized generators fit the tridiagonal band
+// window (Generate's ring backbone makes every model with three or more
+// states wider than tridiagonal). The shape rotates over full
+// birth–death chains (tridiagonal), pure-birth and pure-death chains
+// ending in an absorbing state (bidiagonal), and 2-state chains; sizes
+// run 2–40 states. Drifts, variances and the initial distribution
+// follow Generate, and about half the models carry impulse rewards on
+// existing transitions.
+func GenerateBirthDeath(rng *rand.Rand) *spec.Model {
+	shape := rng.Intn(4)
+	n := 2 + rng.Intn(39)
+	if shape == 3 {
+		n = 2
+	}
+	sp := newSpec(rng, n, 3, 1.5)
+	for i := 0; i+1 < n; i++ {
+		if shape != 2 { // births: all shapes but pure death
+			sp.Transitions = append(sp.Transitions, spec.Transition{From: i, To: i + 1, Rate: 0.2 + rng.Float64()*2.8})
+		}
+		if shape != 1 { // deaths: all shapes but pure birth
+			sp.Transitions = append(sp.Transitions, spec.Transition{From: i + 1, To: i, Rate: 0.2 + rng.Float64()*2.8})
+		}
+	}
+	if rng.Float64() < 0.5 {
+		for _, k := range rng.Perm(len(sp.Transitions))[:1+rng.Intn(len(sp.Transitions))] {
+			tr := sp.Transitions[k]
+			sp.Impulses = append(sp.Impulses, spec.Impulse{From: tr.From, To: tr.To, Reward: rng.Float64()})
+		}
+	}
+	sp.Initial[rng.Intn(n)] = 1
+	return sp
+}
+
 // GenerateComponent returns a random impulse-free component spec for
 // composition tests: 2–10 states on a ring with extra random transitions,
 // mixed-sign drifts and optional zero variances, like Generate but sized
 // so that products of a few components stay solvable.
 func GenerateComponent(rng *rand.Rand) *spec.Model {
 	n := 2 + rng.Intn(9)
-	sp := &spec.Model{
-		States:    n,
-		Rates:     make([]float64, n),
-		Variances: make([]float64, n),
-		Initial:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		sp.Rates[i] = (rng.Float64()*2 - 1) * 2
-		if rng.Float64() >= 0.3 {
-			sp.Variances[i] = 0.05 + rng.Float64()
-		}
-	}
+	sp := newSpec(rng, n, 2, 1)
 	for i := 0; i < n; i++ {
 		sp.Transitions = append(sp.Transitions, spec.Transition{
 			From: i, To: (i + 1) % n, Rate: 0.2 + rng.Float64()*1.8,
@@ -171,17 +203,9 @@ func GenerateComposed(rng *rand.Rand) []*spec.Model {
 // composition is the sum of independent component rewards, so its raw
 // moments are the binomial convolution of the component moments.
 func CheckComposed(comps []*spec.Model, times []float64, order int) error {
-	models := make([]*core.Model, len(comps))
-	for i, sp := range comps {
-		m, err := sp.Build()
-		if err != nil {
-			return fmt.Errorf("component %d build: %w", i, err)
-		}
-		models[i] = m
-	}
-	joint, err := core.ComposeAll(models...)
+	models, joint, err := BuildComposed(comps)
 	if err != nil {
-		return fmt.Errorf("compose: %w", err)
+		return err
 	}
 	jointRes, err := joint.AccumulatedRewardAt(times, order, nil)
 	if err != nil {
@@ -206,6 +230,24 @@ func CheckComposed(comps []*spec.Model, times []float64, order int) error {
 		}
 	}
 	return nil
+}
+
+// BuildComposed builds every component spec and composes the models,
+// returning the components and the joint model.
+func BuildComposed(comps []*spec.Model) ([]*core.Model, *core.Model, error) {
+	models := make([]*core.Model, len(comps))
+	for i, sp := range comps {
+		m, err := sp.Build()
+		if err != nil {
+			return nil, nil, fmt.Errorf("component %d build: %w", i, err)
+		}
+		models[i] = m
+	}
+	joint, err := core.ComposeAll(models...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("compose: %w", err)
+	}
+	return models, joint, nil
 }
 
 // convolve returns the binomial convolution c_n = sum_k C(n,k) a_k b_{n-k},

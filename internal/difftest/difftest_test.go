@@ -176,6 +176,63 @@ func requireBitwise(t *testing.T, label string, times []float64, order int, got,
 	}
 }
 
+// sweepKernelFormats are the matrix formats the kernel gates force:
+// "band" covers the band kernel on every tridiagonal-window model and the
+// compact fallback on the rest; "csr" pins the compact kernels, "auto"
+// whatever the detector picks; "qbd" forces the block-tridiagonal window
+// where a valid block exists (small corpus models always have the
+// degenerate one) and "kron" resolves like auto on explicit
+// non-composed generators — all must stay inside the bitwise contract.
+// The reference oracle's csr64 storage is not selectable; the reference
+// solve every gate compares against covers it.
+var sweepKernelFormats = []string{"auto", "csr", "band", "qbd", "kron"}
+
+// checkSweepKernelBitwise solves model at every sweepKernelFormats
+// format × SIMD dispatch × worker count {0, 1, 2, 5} × temporal block
+// depth {1, 2, 4, 8} and requires each solve to reproduce the serial
+// reference sweep (SweepWorkers: -1) bit for bit.
+//
+// The temporal-block loop forces wavefront blocking depths over a tiny
+// tile so the blocked driver engages on these small models (it still
+// resolves off where the shape is ineligible — impulses, orders other
+// than 3, unbounded reach — which keeps those shapes covered as
+// unblocked runs of the same configurations). Depth 8 with the corpus G
+// makes ragged final groups routine. The SIMD dimension covers both
+// kernel dispatches on capable hosts: NoSIMD=true pins the pure-Go
+// loops, NoSIMD=false lets the AVX2 kernels serve the formats that have
+// one (band, csr, qbd, and whatever auto resolves). kron has no vector
+// kernel, so its forced-scalar arm would re-run the identical code path
+// and is skipped. On hosts without AVX2 (or under SOMRM_NOSIMD=1, as one
+// CI arm runs) the two arms coincide on scalar — the gate still checks
+// every format, worker count and blocking depth against the reference.
+// Workers 0 is the production policy: automatic selection, which at
+// corpus sizes is the inline 1-worker fused team.
+func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times []float64, order int) {
+	t.Helper()
+	ref, err := model.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: -1})
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	for _, format := range sweepKernelFormats {
+		for _, nosimd := range []bool{false, true} {
+			if nosimd && format == "kron" {
+				continue
+			}
+			for _, workers := range []int{0, 1, 2, 5} {
+				for _, tblock := range []int{1, 2, 4, 8} {
+					opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8, NoSIMD: nosimd}
+					label := fmt.Sprintf("%s format %s nosimd %v workers %d tblock %d", name, format, nosimd, workers, tblock)
+					fused, err := model.AccumulatedRewardAt(times, order, opts)
+					if err != nil {
+						t.Fatalf("%s: fused: %v", label, err)
+					}
+					requireBitwise(t, label, times, order, fused, ref)
+				}
+			}
+		}
+	}
+}
+
 // TestDiffSweepKernelBitwise is the fused-kernel gate: across the fixed
 // seed corpus, the fused persistent-worker sweep (automatic, single- and
 // multi-worker, at every matrix storage format, temporal blocking depth,
@@ -192,56 +249,39 @@ func TestDiffSweepKernelBitwise(t *testing.T) {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
 		order := 1 + rng.Intn(4)
-		times := []float64{0, 0.3, 1.7, 4.2}
-		ref, err := model.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: -1})
+		checkSweepKernelBitwise(t, fmt.Sprintf("seed %d", seed), model, []float64{0, 0.3, 1.7, 4.2}, order)
+	}
+}
+
+// TestDiffBirthDeathSweepBitwise runs the fused-kernel gate over the
+// birth–death corpus (GenerateBirthDeath): tridiagonal, bidiagonal and
+// 2-state chains, with and without impulses, at orders 3 (the
+// interleaved band kernel and its AVX2 body) and 12 (the planar band
+// product). Every seed must resolve "band" to the band window — the
+// shapes Generate's ring corpus never reaches — and match the serial
+// reference bit for bit in every configuration.
+func TestDiffBirthDeathSweepBitwise(t *testing.T) {
+	seeds := corpusSize / 2
+	if !testing.Short() {
+		seeds = corpusSize
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		sp := GenerateBirthDeath(rng)
+		model, err := sp.Build()
 		if err != nil {
-			t.Fatalf("seed %d: reference: %v", seed, err)
+			t.Fatalf("seed %d: build: %v", seed, err)
 		}
-		// The "band" request covers the band kernels on every corpus model
-		// that is band-eligible under the forced policy (the generator's
-		// small models qualify via the small-matrix escape hatch) and the
-		// compact fallback on the rest; "csr" pins the compact kernels,
-		// "auto" whatever the detector picks, "csr64" the original layout.
-		// "qbd" forces the block-tridiagonal window where a valid block
-		// exists (small corpus models always have the degenerate one) and
-		// "kron" resolves like auto on explicit non-composed generators —
-		// both must stay inside the bitwise contract.
-		//
-		// The temporal-block loop forces wavefront blocking depths over a
-		// tiny tile so the blocked driver engages on these small models
-		// (it still resolves off where the shape is ineligible — impulses,
-		// orders other than 3, unbounded reach — which keeps those shapes
-		// covered as unblocked runs of the same configurations). Depth 8
-		// with the corpus G makes ragged final groups routine.
-		// The SIMD dimension covers both kernel dispatches on capable
-		// hosts: NoSIMD=true pins the pure-Go loops, NoSIMD=false lets
-		// the AVX2 kernels serve the formats that have one (band, csr,
-		// qbd, and whatever auto resolves). csr64 and kron have no
-		// vector kernel, so their forced-scalar arm would re-run the
-		// identical code path and is skipped. On hosts without AVX2 (or
-		// under SOMRM_NOSIMD=1, as one CI arm runs) the two arms
-		// coincide on scalar — the gate still checks every format,
-		// worker count and blocking depth against the reference.
-		// Workers 0 is the production policy: automatic selection, which
-		// at corpus sizes is the inline 1-worker fused team.
-		for _, format := range []string{"auto", "csr", "band", "csr64", "qbd", "kron"} {
-			for _, nosimd := range []bool{false, true} {
-				if nosimd && (format == "csr64" || format == "kron") {
-					continue
-				}
-				for _, workers := range []int{0, 1, 2, 5} {
-					for _, tblock := range []int{1, 2, 4, 8} {
-						opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8, NoSIMD: nosimd}
-						label := fmt.Sprintf("seed %d format %s nosimd %v workers %d tblock %d", seed, format, nosimd, workers, tblock)
-						fused, err := model.AccumulatedRewardAt(times, order, opts)
-						if err != nil {
-							t.Fatalf("%s: fused: %v", label, err)
-						}
-						requireBitwise(t, label, times, order, fused, ref)
-					}
-				}
-			}
+		order := []int{3, 12}[seed%2]
+		times := []float64{0, 0.3, 1.7}
+		band, err := model.AccumulatedRewardAt(times, order, &core.Options{MatrixFormat: "band"})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if got := band[1].Stats.MatrixFormat; got != "band" {
+			t.Fatalf("seed %d (%d states): forced band resolved to %q", seed, sp.States, got)
+		}
+		checkSweepKernelBitwise(t, fmt.Sprintf("birth-death seed %d (%d states, %d impulses, order %d)", seed, sp.States, len(sp.Impulses), order), model, times, order)
 	}
 }
 
@@ -304,8 +344,8 @@ func TestDiffSmallModelAutoBitwise(t *testing.T) {
 
 // TestDiffCheckpointResumeAutoReference pins checkpoint interchange
 // between the production sweep and the test oracle at small N: a
-// checkpoint captured by the serial reference sweep (planar state, csr64
-// storage) must resume under automatic selection (the fused band kernel,
+// checkpoint captured by the serial reference sweep (planar state, generic
+// CSR storage) must resume under automatic selection (the fused band kernel,
 // interleaved at order 3) to the bitwise-identical result, and the
 // reverse must hold too.
 func TestDiffCheckpointResumeAutoReference(t *testing.T) {
@@ -362,18 +402,9 @@ func TestDiffComposedSweepBitwise(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		comps := GenerateComposed(rng)
-		models := make([]*core.Model, len(comps))
-		for i, sp := range comps {
-			m, err := sp.Build()
-			if err != nil {
-				t.Fatalf("seed %d component %d: %v", seed, i, err)
-			}
-			models[i] = m
-		}
-		joint, err := core.ComposeAll(models...)
+		_, joint, err := BuildComposed(GenerateComposed(rng))
 		if err != nil {
-			t.Fatalf("seed %d: compose: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		order := 1 + rng.Intn(3)
 		times := []float64{0, 0.3, 1.1}
@@ -381,7 +412,7 @@ func TestDiffComposedSweepBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		for _, format := range []string{"auto", "csr", "band", "csr64", "qbd", "kron"} {
+		for _, format := range sweepKernelFormats {
 			for _, workers := range []int{0, 1, 2, 5} {
 				label := fmt.Sprintf("seed %d format %s workers %d", seed, format, workers)
 				got, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: workers, MatrixFormat: format})
@@ -486,7 +517,7 @@ func TestDiffCheckpointResumeBitwise(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		sp := Generate(rng)
 		order := 1 + rng.Intn(4)
-		for _, format := range []string{"auto", "csr", "band", "csr64", "qbd"} {
+		for _, format := range []string{"auto", "csr", "band", "qbd"} {
 			for _, workers := range []int{-1, 1, 3} {
 				opts := core.Options{SweepWorkers: workers, MatrixFormat: format}
 				if workers < 0 && format != "auto" {
@@ -546,18 +577,9 @@ func TestDiffComposedCheckpointResume(t *testing.T) {
 	times := []float64{0, 0.3, 1.1}
 	for seed := 0; seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		comps := GenerateComposed(rng)
-		models := make([]*core.Model, len(comps))
-		for i, sp := range comps {
-			m, err := sp.Build()
-			if err != nil {
-				t.Fatalf("seed %d component %d: %v", seed, i, err)
-			}
-			models[i] = m
-		}
-		joint, err := core.ComposeAll(models...)
+		_, joint, err := BuildComposed(GenerateComposed(rng))
 		if err != nil {
-			t.Fatalf("seed %d: compose: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		order := 1 + rng.Intn(3)
 		for _, format := range []string{"auto", "kron"} {

@@ -124,22 +124,18 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 	}
 
 	vec := int64(n) * 8
-	csr32 := int64(nnz)*(8+4) + int64(n+1)*4 // values + 32-bit cols + row pointers
-	csr64 := int64(nnz)*(8+8) + int64(n+1)*8
-	band := int64(n) * int64(2*bandwidth+1) * 8 // full stencil, present or not
 	var matrix int64
 	switch {
 	case matrixFree:
 		matrix = 0 // factor storage is negligible next to the product vectors
-	case matrixFormat == "band":
-		matrix = band
-	case matrixFormat == "csr64":
-		matrix = csr64
-	case matrixFormat == "csr" || matrixFormat == "qbd":
-		matrix = csr32
+	case bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32":
+		// The tridiagonal window (band, or a 1-phase QBD when forced):
+		// three values per row, no indexes. Only such models get it.
+		matrix = int64(n) * 3 * 8
 	default:
-		// auto: the structure-adaptive engine picks the compact layout.
-		matrix = min(band, csr32)
+		// Compact CSR: values + 32-bit cols + row pointers. A QBD window
+		// is picked only where it streams no more than this.
+		matrix = int64(nnz)*(8+4) + int64(n+1)*4
 	}
 
 	switch method {

@@ -50,9 +50,15 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	if eb < 100*es {
 		t.Fatalf("2500x states should dominate the estimate: small=%d big=%d", es, eb)
 	}
-	// csr64 stores wider indices than csr32.
-	if estimateWorkingSet(big, 0, "csr64") <= estimateWorkingSet(big, 0, "csr") {
-		t.Fatal("csr64 estimate should exceed csr32")
+	// Band storage is charged only inside the tridiagonal window: a forced
+	// band on the pentadiagonal model streams compact CSR and is charged
+	// as such, while a tridiagonal model's band costs less than its CSR.
+	if eb, ec := estimateWorkingSet(big, 0, "band"), estimateWorkingSet(big, 0, "csr"); eb != ec {
+		t.Fatalf("forced band on a pentadiagonal model charged %d, want the csr estimate %d", eb, ec)
+	}
+	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
+	if eb, ec := estimateWorkingSet(tri, 0, ""), estimateWorkingSet(tri, 0, "csr"); eb >= ec {
+		t.Fatalf("tridiagonal band estimate %d should undercut csr %d", eb, ec)
 	}
 	// A matrix-free composed product above the materialization threshold
 	// must not be charged for a materialized matrix.

@@ -334,9 +334,9 @@ func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *Ba
 		// it once per item, not once per grid point.
 		if len(results) > 0 && results[0].Stats.SweepNS > 0 {
 			s.metrics.ObserveSweep(time.Duration(results[0].Stats.SweepNS))
-			s.metrics.ObserveSweepFormat(results[0].Stats.MatrixFormat)
+			s.metrics.SweepFormats.Observe(results[0].Stats.MatrixFormat)
 			s.metrics.ObserveSweepBlocking(results[0].Stats.TemporalBlock)
-			s.metrics.ObserveSweepKernel(results[0].Stats.SweepKernel)
+			s.metrics.SweepKernels.Observe(results[0].Stats.SweepKernel)
 		}
 	case MethodODE:
 		opts := &odesolver.MomentOptions{Steps: item.ODE.Steps}

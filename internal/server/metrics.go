@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -9,8 +10,8 @@ import (
 // latency histogram; the final implicit bucket is +Inf.
 var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// Metrics holds the server's expvar-style counters. All fields are
-// updated atomically and may be read while the server is live.
+// Metrics holds the server's expvar-style counters. All fields are safe
+// for concurrent update and may be read while the server is live.
 type Metrics struct {
 	// Requests counts /v1/solve requests accepted for processing.
 	Requests atomic.Int64
@@ -92,29 +93,24 @@ type Metrics struct {
 	// from draining peers via POST /v1/peer/handoff.
 	HandoffEntries atomic.Int64
 
-	// SweepFormatBand / SweepFormatQBD / SweepFormatCSR32 /
-	// SweepFormatCSR64 / SweepFormatKron count solver executions by the
-	// matrix storage format the randomization sweep streamed
-	// (core.Stats.MatrixFormat) — the label operators watch to confirm
-	// the structure-adaptive engine picked the band or block-tridiagonal
+	// SweepFormats counts solver executions by the matrix storage format
+	// the randomization sweep streamed (core.Stats.MatrixFormat, labels
+	// sweepFormatLabels) — the label operators watch to confirm the
+	// structure-adaptive engine picked the band or block-tridiagonal
 	// kernel for their models, or streamed a composed model matrix-free
-	// through the Kronecker-sum operator.
-	SweepFormatBand  atomic.Int64
-	SweepFormatQBD   atomic.Int64
-	SweepFormatCSR32 atomic.Int64
-	SweepFormatCSR64 atomic.Int64
-	SweepFormatKron  atomic.Int64
+	// through the Kronecker-sum operator. "csr64" counts solves run on the
+	// serial reference oracle.
+	SweepFormats labeledCounter
 	// SweepBlocked counts solver executions whose sweep ran temporally
 	// blocked (core.Stats.TemporalBlock > 1) — the signal operators watch
 	// to confirm wavefront blocking engaged for their models.
 	SweepBlocked atomic.Int64
-	// SweepKernelAVX2 / SweepKernelScalar count solver executions by the
-	// compute kernel the sweep dispatched (core.Stats.SweepKernel) — the
-	// signal operators watch to confirm the vectorized kernels are
+	// SweepKernels counts solver executions by the compute kernel the
+	// sweep dispatched (core.Stats.SweepKernel, labels sweepKernelLabels)
+	// — the signal operators watch to confirm the vectorized kernels are
 	// actually serving solves (a fleet stuck on "scalar" means missing
 	// hardware support or a forgotten SOMRM_NOSIMD/-no-simd switch).
-	SweepKernelAVX2   atomic.Int64
-	SweepKernelScalar atomic.Int64
+	SweepKernels labeledCounter
 
 	// solveLatency tracks end-to-end solve time (queue wait included);
 	// sweepLatency tracks only the randomization sweep inside the solver
@@ -232,22 +228,39 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 	m.sweepLatency.Observe(d)
 }
 
-// ObserveSweepFormat records the matrix storage format one solver
-// execution streamed (core.Stats.MatrixFormat). Unknown or empty labels
-// (solves that never ran a sweep) are ignored.
-func (m *Metrics) ObserveSweepFormat(format string) {
-	switch format {
-	case "band":
-		m.SweepFormatBand.Add(1)
-	case "qbd":
-		m.SweepFormatQBD.Add(1)
-	case "csr32":
-		m.SweepFormatCSR32.Add(1)
-	case "csr64":
-		m.SweepFormatCSR64.Add(1)
-	case "kron":
-		m.SweepFormatKron.Add(1)
+// The label sets the /metrics JSON reports for the labeled counters:
+// every label appears (zeros included), and observations outside the
+// set are never exported.
+var (
+	sweepFormatLabels = []string{"band", "qbd", "csr32", "csr64", "kron"}
+	sweepKernelLabels = []string{"avx2", "scalar"}
+)
+
+// labeledCounter counts events by label. The zero value is ready to use.
+type labeledCounter struct {
+	mu     sync.Mutex
+	counts map[string]int64
+}
+
+// Observe counts one event under label.
+func (c *labeledCounter) Observe(label string) {
+	c.mu.Lock()
+	if c.counts == nil {
+		c.counts = make(map[string]int64)
 	}
+	c.counts[label]++
+	c.mu.Unlock()
+}
+
+// snapshot returns the counts of exactly the given labels.
+func (c *labeledCounter) snapshot(labels []string) map[string]int64 {
+	out := make(map[string]int64, len(labels))
+	c.mu.Lock()
+	for _, l := range labels {
+		out[l] = c.counts[l]
+	}
+	c.mu.Unlock()
+	return out
 }
 
 // ObserveSweepBlocking records whether one solver execution ran its sweep
@@ -256,18 +269,6 @@ func (m *Metrics) ObserveSweepFormat(format string) {
 func (m *Metrics) ObserveSweepBlocking(depth int) {
 	if depth > 1 {
 		m.SweepBlocked.Add(1)
-	}
-}
-
-// ObserveSweepKernel records the compute kernel one solver execution
-// dispatched (core.Stats.SweepKernel). Unknown or empty labels (solves
-// that never ran a sweep) are ignored.
-func (m *Metrics) ObserveSweepKernel(kernel string) {
-	switch kernel {
-	case "avx2":
-		m.SweepKernelAVX2.Add(1)
-	case "scalar":
-		m.SweepKernelScalar.Add(1)
 	}
 }
 
@@ -337,7 +338,8 @@ type MetricsSnapshot struct {
 
 	// SweepFormats counts solver executions by the matrix storage format
 	// the randomization sweep streamed, keyed by the core.Stats label
-	// ("band", "csr32", "csr64").
+	// ("band", "qbd", "csr32", "kron", and "csr64" for the serial
+	// reference oracle).
 	SweepFormats map[string]int64 `json:"sweep_formats"`
 	// SweepBlocked counts solver executions whose randomization sweep ran
 	// with wavefront temporal blocking engaged (depth > 1).
@@ -389,18 +391,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		HandoffEntries: m.HandoffEntries.Load(),
 		BatchItems:     m.BatchItems.snapshot(),
 		SweepPoints:    m.SweepPoints.snapshot(),
-		SweepFormats: map[string]int64{
-			"band":  m.SweepFormatBand.Load(),
-			"qbd":   m.SweepFormatQBD.Load(),
-			"csr32": m.SweepFormatCSR32.Load(),
-			"csr64": m.SweepFormatCSR64.Load(),
-			"kron":  m.SweepFormatKron.Load(),
-		},
-		SweepBlocked: m.SweepBlocked.Load(),
-		SweepKernels: map[string]int64{
-			"avx2":   m.SweepKernelAVX2.Load(),
-			"scalar": m.SweepKernelScalar.Load(),
-		},
+		SweepFormats:   m.SweepFormats.snapshot(sweepFormatLabels),
+		SweepBlocked:   m.SweepBlocked.Load(),
+		SweepKernels:   m.SweepKernels.snapshot(sweepKernelLabels),
 	}
 	snap.SolveLatency = m.solveLatency.snapshot()
 	snap.SweepLatency = m.sweepLatency.snapshot()

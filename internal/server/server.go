@@ -76,12 +76,15 @@ type Options struct {
 	HandoffMax int
 	// MatrixFormat is passed through to the randomization solver
 	// (core.Options.MatrixFormat): "" or "auto" picks the storage
-	// representation per model (band for narrow-band generators, the
-	// block-tridiagonal qbd window for level-structured ones,
-	// compact-index CSR otherwise); "csr", "band", "qbd" and "csr64"
-	// force one, and "kron" streams composed models through the
-	// matrix-free Kronecker-sum operator (matrix-free models always use
-	// it, whatever the setting). Results are bitwise identical for every
+	// representation per model (the tridiagonal band window for
+	// birth-death generators, the block-tridiagonal qbd window for
+	// level-structured ones, compact-index CSR otherwise); "csr", "band"
+	// and "qbd" force one where the structure allows (a band request on
+	// a wider generator gets compact CSR), and "kron" streams composed
+	// models through the matrix-free Kronecker-sum operator (matrix-free
+	// models always use it, whatever the setting). "csr64" is not a
+	// format: it is only the storage label of the SweepWorkers < 0
+	// reference oracle. Results are bitwise identical for every
 	// setting, so the knob is server-wide and deliberately not part of
 	// requests or cache keys.
 	MatrixFormat string
@@ -473,9 +476,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveLatency(time.Since(started))
 		if solved.Stats != nil && solved.Stats.SweepNS > 0 {
 			s.metrics.ObserveSweep(time.Duration(solved.Stats.SweepNS))
-			s.metrics.ObserveSweepFormat(solved.Stats.MatrixFormat)
+			s.metrics.SweepFormats.Observe(solved.Stats.MatrixFormat)
 			s.metrics.ObserveSweepBlocking(solved.Stats.TemporalBlock)
-			s.metrics.ObserveSweepKernel(solved.Stats.SweepKernel)
+			s.metrics.SweepKernels.Observe(solved.Stats.SweepKernel)
 		}
 		return solved, nil
 	})

@@ -126,9 +126,9 @@ type SolverStats struct {
 	SweepNS           int64   `json:"sweep_ns"`
 	FlopsPerIteration int64   `json:"flops_per_iteration"`
 	// MatrixFormat is the storage representation the randomization sweep
-	// streamed ("band", "qbd", "csr32", "csr64", or "kron" for the
-	// matrix-free Kronecker-sum operator); empty for solves that never
-	// ran a sweep.
+	// streamed ("band", "qbd", "csr32", or "kron" for the matrix-free
+	// Kronecker-sum operator; "csr64" when the serial reference oracle
+	// ran it); empty for solves that never ran a sweep.
 	MatrixFormat string `json:"matrix_format,omitempty"`
 	// TemporalBlock is the wavefront temporal blocking depth the sweep
 	// ran with: 1 for an unblocked sweep, the blocked-iteration group

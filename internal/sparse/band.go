@@ -8,21 +8,23 @@ import (
 // This file implements the structure-adaptive storage engine behind the
 // randomization sweep. The paper's flagship example — the ON-OFF
 // multiplexer, 200,001 states — has a tridiagonal birth-death generator,
-// and quasi-birth-death structure is pervasive across realistic Markov
-// reward models. For such matrices the generic CSR kernel wastes half its
-// memory traffic on column indexes (8 bytes of index per 8-byte value) in
-// a loop BENCH_sweep.json shows is memory-bandwidth-bound. Two cheaper
+// and for such matrices the generic CSR kernel wastes half its memory
+// traffic on column indexes (8 bytes of index per 8-byte value) in a loop
+// BENCH_sweep.json shows is memory-bandwidth-bound. Two cheaper
 // representations are derived lazily from the immutable CSR:
 //
-//   - Band (DIA-like): a dense row-major band of width lo+hi+1 holding
-//     values only. The kernel computes column positions instead of
-//     loading them — zero index traffic, sequential value streams, and
-//     (for the interleaved order-3 layout) a fully contiguous gather
-//     window per row.
+//   - Band: the tridiagonal window, three values per row (sub-diagonal,
+//     diagonal, super-diagonal) and no indexes. Every matrix whose
+//     entries satisfy |i-j| <= 1 qualifies; diagonal and bidiagonal
+//     matrices pad the missing cells with zeros. The kernel computes
+//     column positions instead of loading them — zero index traffic, one
+//     sequential value stream, and (for the interleaved order-3 layout) a
+//     fully contiguous 12-value gather window per row that the AVX2 body
+//     retires as three vector loads. Wider bands take QBD or
+//     compact-index CSR instead, which have their own vector bodies.
 //   - Compact-index CSR: the same CSR structure with uint32 column
 //     indexes, halving index traffic for every matrix below 2^32
-//     columns; the generic fallback when the band would waste too many
-//     padded cells.
+//     columns; the general representation.
 //
 // Both are caches on the CSR value: built once under sync.Once, shared by
 // every sweep over the same matrix (core.Prepared reuses the matrix across
@@ -39,43 +41,35 @@ import (
 // finiteness (spec rejects NaN/Inf inputs, core raises ErrOverflow before
 // non-finite moments propagate).
 
-// Band is a dense banded (diagonal-storage) view of a square CSR matrix:
-// Val[i*Width+k] holds entry (i, i-Lo+k). Cells outside the matrix or
-// without a stored CSR entry hold +0.0.
+// Band is the tridiagonal-window view of a square CSR matrix whose
+// stored entries all satisfy |i-j| <= 1: val[i*3+k] holds entry
+// (i, i-1+k). Cells outside the matrix or without a stored CSR entry
+// hold +0.0.
 type Band struct {
-	n      int
-	lo, hi int // bandwidth below/above the diagonal
-	width  int // lo + hi + 1
-	val    []float64
+	n   int
+	val []float64
 }
 
 // N returns the matrix dimension.
 func (b *Band) N() int { return b.n }
 
-// Bounds returns the band's (lo, hi) half-widths.
-func (b *Band) Bounds() (lo, hi int) { return b.lo, b.hi }
-
-// Width returns lo + hi + 1, the stored cells per row.
-func (b *Band) Width() int { return b.width }
-
 // MatVec computes y = b*x with the same per-row ascending-column
 // accumulation order as CSR.MatVec; for finite x the results are bitwise
 // identical (see the padded-zero analysis in the file comment).
-func (b *Band) MatVec(x, y []float64) {
-	n, lo, width := b.n, b.lo, b.width
-	for i := 0; i < n; i++ {
-		row := b.val[i*width : (i+1)*width]
-		base := i - lo
-		k0, k1 := 0, width
-		if base < 0 {
-			k0 = -base
-		}
-		if base+width > n {
-			k1 = n - base
-		}
+func (b *Band) MatVec(x, y []float64) { b.matVecRange(0, b.n, x, y) }
+
+// matVecRange computes y[i] = (b·x)[i] for lo <= i < hi, skipping the
+// window cells that fall outside the matrix at the first and last row.
+func (b *Band) matVecRange(lo, hi int, x, y []float64) {
+	for i := lo; i < hi; i++ {
+		r := b.val[i*3 : i*3+3 : i*3+3]
 		var sum float64
-		for k := k0; k < k1; k++ {
-			sum += row[k] * x[base+k]
+		if i > 0 {
+			sum += r[0] * x[i-1]
+		}
+		sum += r[1] * x[i]
+		if i+1 < b.n {
+			sum += r[2] * x[i+1]
 		}
 		y[i] = sum
 	}
@@ -85,9 +79,9 @@ func (b *Band) MatVec(x, y []float64) {
 func (b *Band) Dense() []float64 {
 	out := make([]float64, b.n*b.n)
 	for i := 0; i < b.n; i++ {
-		for k := 0; k < b.width; k++ {
-			if j := i - b.lo + k; j >= 0 && j < b.n {
-				out[i*b.n+j] = b.val[i*b.width+k]
+		for k := 0; k < 3; k++ {
+			if j := i - 1 + k; j >= 0 && j < b.n {
+				out[i*b.n+j] = b.val[i*3+k]
 			}
 		}
 	}
@@ -164,53 +158,31 @@ func (m *CSR) ColIdx32() []uint32 {
 	return d.col32
 }
 
-// bandCells returns rows*(lo+hi+1), the storage cost of the band
-// representation in float64 cells.
-func (m *CSR) bandCells() int64 {
-	lo, hi := m.Bandwidth()
-	return int64(m.rows) * int64(lo+hi+1)
-}
-
-// Band eligibility thresholds. The automatic policy converts only when
-// the band is narrow and nearly dense inside (padded cells cost real
-// multiplies and real traffic); a forced "band" format is honored up to a
-// much wider band, with an absolute small-matrix escape hatch so tests
-// and tiny models can always exercise the band kernel.
-const (
-	maxAutoBandWidth   = 32
-	maxForcedBandWidth = 512
-	smallBandCells     = 1 << 16
-)
-
-// bandEligible reports whether the band representation should be used for
-// this matrix under the given policy (forced = the caller explicitly
-// requested "band" rather than "auto").
-func (m *CSR) bandEligible(forced bool) bool {
+// bandEligible reports whether the matrix fits the tridiagonal window:
+// square, non-empty, and every stored entry within one column of the
+// diagonal. The window is three cells per row whatever the fill, so no
+// density rule applies — the policy is the same whether "band" was
+// forced or picked automatically.
+func (m *CSR) bandEligible() bool {
 	if m.rows != m.cols || m.rows == 0 {
 		return false
 	}
 	lo, hi := m.Bandwidth()
-	width := lo + hi + 1
-	cells, nnz := m.bandCells(), int64(m.NNZ())
-	if forced {
-		return width <= maxForcedBandWidth && (cells <= 4*nnz || cells <= smallBandCells)
-	}
-	return width <= maxAutoBandWidth && cells <= 2*nnz
+	return lo <= 1 && hi <= 1
 }
 
-// BandRep returns the cached band representation, building it on first
-// call. Callers gate on bandEligible (or accept the O(rows*width) memory
-// cost knowingly); the conversion itself is valid for any square matrix.
+// BandRep returns the cached tridiagonal-window representation, building
+// it on first call, or nil when the matrix is not band-eligible.
 func (m *CSR) BandRep() *Band {
+	if !m.bandEligible() {
+		return nil
+	}
 	d := m.derived()
 	d.bandOnce.Do(func() {
-		lo, hi := m.Bandwidth()
-		width := lo + hi + 1
-		b := &Band{n: m.rows, lo: lo, hi: hi, width: width,
-			val: make([]float64, m.rows*width)}
+		b := &Band{n: m.rows, val: make([]float64, 3*m.rows)}
 		for i := 0; i < m.rows; i++ {
 			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				b.val[i*width+(m.colIdx[p]-i+lo)] = m.val[p]
+				b.val[i*3+(m.colIdx[p]-i+1)] = m.val[p]
 			}
 		}
 		d.band = b

@@ -36,13 +36,13 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() (eax, edx uint32)
 
-// bandTri3AVX2 is the assembly body of fuseBlock3Band's tridiagonal fast
-// path for n rows with no Poisson accumulation: pointers are pre-offset
-// to the first row's band triple (bval), state window (cur, at the row's
-// cur4[i*4]), output (next, at next4[4+i*4]), and order-coupling
-// diagonals. Each lane executes exactly the scalar loop's operation
-// sequence with the same IEEE rounding (vmulpd/vaddpd, never fused), so
-// results are bitwise identical to the Go code.
+// bandTri3AVX2 is the assembly body of fuseBlock3Band for n rows with
+// no Poisson accumulation: pointers are pre-offset to the first row's
+// band triple (bval), state window (cur, at the row's cur4[i*4]), output
+// (next, at next4[4+i*4]), and order-coupling diagonals. Each lane
+// executes exactly the scalar loop's operation sequence with the same
+// IEEE rounding (vmulpd/vaddpd, never fused), so results are bitwise
+// identical to the Go code.
 //
 //go:noescape
 func bandTri3AVX2(n int, bval, cur, next, d1, d2 *float64)

@@ -22,8 +22,8 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	RET
 
 // ROW3 computes one tridiagonal row of the order-3 interleaved sweep into
-// Y6 = [s0 s1 s2 s3], the vector form of the scalar fast path in
-// fuseBlock3Band. Lane j runs the scalar loop's exact operation sequence:
+// Y6 = [s0 s1 s2 s3], the vector form of fuseBlock3Band's scalar loop.
+// Lane j runs the scalar loop's exact operation sequence:
 //
 //	s_j  = 0 + v0*cw[j]          (Y15 is kept zero)
 //	s_j += v1*cw[4+j]

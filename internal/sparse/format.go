@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // MatrixFormat selects the storage representation the randomization sweep
 // streams for its main matrix. Every format produces bitwise identical
@@ -8,27 +11,28 @@ import "fmt"
 type MatrixFormat string
 
 const (
-	// FormatAuto picks the cheapest eligible representation: band for
-	// narrow, nearly dense bands (the paper's birth-death generators),
-	// then QBD for block-tridiagonal matrices whose band is too wide,
-	// otherwise compact-index CSR, otherwise the 64-bit-index CSR.
+	// FormatAuto picks the cheapest representation by structure: band for
+	// tridiagonal-window matrices (the paper's birth-death generators),
+	// then QBD for block-tridiagonal matrices whose dense window pays for
+	// itself, otherwise compact-index CSR.
 	FormatAuto MatrixFormat = "auto"
-	// FormatCSR forces the compact-index CSR: uint32 column indexes
-	// (halving index traffic) whenever the matrix has fewer than 2^32
-	// columns, the 64-bit-index CSR otherwise.
+	// FormatCSR forces the compact-index CSR: uint32 column indexes,
+	// half the index traffic of the generic CSR.
 	FormatCSR MatrixFormat = "csr"
-	// FormatBand forces the band (diagonal-storage) representation, whose
-	// kernel loads values only — no per-entry index loads. Matrices whose
-	// band would be too wide or too padded fall back to FormatCSR; the
-	// effective choice is visible via Sweep.Format.
+	// FormatBand forces the tridiagonal-window representation (three
+	// values per row, no index loads). Matrices with an entry more than
+	// one column off the diagonal fall back to FormatCSR; the effective
+	// choice is visible via Sweep.Format.
 	FormatBand MatrixFormat = "band"
-	// FormatCSR64 forces the original CSR with native int column indexes.
-	// It exists as the benchmarking baseline (the pre-compact kernel) and
-	// as an escape hatch.
+	// FormatCSR64 labels the generic CSR with native int column indexes.
+	// It is not a selectable format (ParseMatrixFormat rejects it): it is
+	// the storage RunReference streams, and the serial reference oracle
+	// (core's SweepWorkers < 0) builds its sweep with it so no derived
+	// representation is converted. Run refuses it.
 	FormatCSR64 MatrixFormat = "csr64"
 	// FormatCSR32 is the resolved name of the compact-index CSR; it is
-	// what Sweep.Format reports when FormatCSR (or FormatAuto) narrowed
-	// the indexes. It is also accepted as an input alias for FormatCSR.
+	// what Sweep.Format reports when FormatCSR (or FormatAuto) picked it.
+	// It is also accepted as an input alias for FormatCSR.
 	FormatCSR32 MatrixFormat = "csr32"
 	// FormatQBD forces the block-tridiagonal (quasi-birth-death) window
 	// representation: dense 3b-cell rows addressed by level, value-only
@@ -45,57 +49,54 @@ const (
 	FormatKron MatrixFormat = "kron"
 )
 
+// ErrUnsupportedFormat reports a matrix format that cannot serve the
+// request: an unknown format name, a matrix whose columns do not fit the
+// compact 32-bit indexes, or Run on the reference-only csr64 storage.
+var ErrUnsupportedFormat = errors.New("sparse: unsupported matrix format")
+
 // ParseMatrixFormat validates a user-facing matrix format string. The
 // empty string means FormatAuto.
 func ParseMatrixFormat(s string) (MatrixFormat, error) {
 	switch f := MatrixFormat(s); f {
 	case "":
 		return FormatAuto, nil
-	case FormatAuto, FormatCSR, FormatBand, FormatCSR64, FormatCSR32, FormatQBD, FormatKron:
+	case FormatAuto, FormatCSR, FormatBand, FormatCSR32, FormatQBD, FormatKron:
 		return f, nil
 	default:
-		return "", fmt.Errorf("sparse: unknown matrix format %q (want auto, csr, band, qbd, kron or csr64)", s)
+		return "", fmt.Errorf("%w %q (want auto, csr, band, qbd or kron)", ErrUnsupportedFormat, s)
 	}
 }
 
 // resolveStorage picks the concrete storage for a sweep over an explicit
-// matrix a: the resolved format (FormatBand, FormatQBD, FormatCSR32 or
-// FormatCSR64) plus the derived representation it streams. Derived
-// representations are cached on the matrix, so repeated sweeps
-// (core.Prepared) convert once.
+// matrix a: the resolved format (FormatBand, FormatQBD, FormatCSR32, or
+// FormatCSR64 for the reference oracle) plus the derived representation
+// it streams. Derived representations are cached on the matrix, so
+// repeated sweeps (core.Prepared) convert once.
 func resolveStorage(a *CSR, format MatrixFormat) (MatrixFormat, *Band, []uint32, *QBD, error) {
-	compact := func() (MatrixFormat, *Band, []uint32, *QBD, error) {
-		if c32 := a.ColIdx32(); c32 != nil {
-			return FormatCSR32, nil, c32, nil, nil
-		}
-		return FormatCSR64, nil, nil, nil, nil
-	}
 	switch format {
-	case "", FormatAuto, FormatKron:
+	case "", FormatAuto, FormatKron, FormatBand:
 		// FormatKron on an explicit matrix means the model had no
-		// matrix-free operator to stream; fall through to auto.
-		if a.bandEligible(false) {
+		// matrix-free operator to stream; it resolves like auto. A forced
+		// band that does not fit the window falls back to compact CSR.
+		if a.bandEligible() {
 			return FormatBand, a.BandRep(), nil, nil, nil
 		}
-		if a.qbdEligible(false) {
+		if format != FormatBand && a.qbdEligible(false) {
 			return FormatQBD, nil, nil, a.QBDRep(), nil
 		}
-		return compact()
-	case FormatCSR, FormatCSR32:
-		return compact()
-	case FormatBand:
-		if a.bandEligible(true) {
-			return FormatBand, a.BandRep(), nil, nil, nil
-		}
-		return compact()
 	case FormatQBD:
 		if a.qbdEligible(true) {
 			return FormatQBD, nil, nil, a.QBDRep(), nil
 		}
-		return compact()
+	case FormatCSR, FormatCSR32:
 	case FormatCSR64:
 		return FormatCSR64, nil, nil, nil, nil
 	default:
-		return "", nil, nil, nil, fmt.Errorf("sparse: unknown matrix format %q", format)
+		return "", nil, nil, nil, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
 	}
+	c32 := a.ColIdx32()
+	if c32 == nil {
+		return "", nil, nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
+	}
+	return FormatCSR32, nil, c32, nil, nil
 }

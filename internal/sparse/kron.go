@@ -390,8 +390,8 @@ func (k *KronSum) MatVecRange(lo, hi int, x, y []float64) {
 	}
 }
 
-// fuseBlock3Kron is fuseBlock3 streaming the Kronecker-sum operator on
-// the interleaved (unpadded) state layout: per product row it walks the
+// fuseBlock3Kron is fuseBlock3Compact streaming the Kronecker-sum operator
+// on the interleaved (unpadded) state layout: per product row it walks the
 // factor sub segments in ascending factor order, the folded diagonal,
 // then the super segments in descending factor order — the ascending
 // column walk of the materialized CSR — with each entry gathering the

@@ -90,14 +90,15 @@ func (q *QBD) RowCost(i int) int64 {
 	return int64(3 * q.b)
 }
 
-// QBD eligibility thresholds, mirroring the band policy: the automatic
-// policy converts only when the 3b-cell window is narrow and pays for
-// itself against the CSR's value+index traffic; a forced "qbd" format is
-// honored up to much larger blocks, with the same small-matrix escape
-// hatch so tests and tiny models can always exercise the QBD kernel.
+// QBD eligibility thresholds: the automatic policy converts only when
+// the 3b-cell window is narrow and pays for itself against the CSR's
+// value+index traffic; a forced "qbd" format is honored up to much larger
+// blocks and more padding, with a small-matrix escape hatch so tests and
+// tiny models can always exercise the QBD kernel.
 const (
 	maxAutoQBDBlock   = 16
 	maxForcedQBDBlock = 256
+	smallQBDCells     = 1 << 16
 )
 
 // qbdCells returns rows*3b, the storage cost of the QBD representation
@@ -164,7 +165,7 @@ func (m *CSR) qbdEligible(forced bool) bool {
 	}
 	cells, nnz := m.qbdCells(b), int64(m.NNZ())
 	if forced {
-		return b <= maxForcedQBDBlock && (cells <= 4*nnz || cells <= smallBandCells)
+		return b <= maxForcedQBDBlock && (cells <= 4*nnz || cells <= smallQBDCells)
 	}
 	return b <= maxAutoQBDBlock && cells <= 2*nnz
 }
@@ -198,7 +199,7 @@ func (m *CSR) QBDRep() *QBD {
 // the dense 3b-cell window (clipped at boundary levels), gathering four
 // interleaved moment values per cell. Padded cells contribute 0.0
 // products, bitwise neutral per band.go; the per-element operation
-// sequence otherwise matches fuseBlock3 exactly.
+// sequence otherwise matches fuseBlock3Compact exactly.
 func (s *Sweep) fuseBlock3QBD(lo, hi int, cur4, next4 []float64, active []accPair) {
 	qb := s.qbd
 	b, w := qb.b, 3*qb.b

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -327,17 +328,9 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 		}
 		a := qbdFixture(t, rng, levels, b)
 		n := a.rows
-		diag1 := make([]float64, n)
-		diag2 := make([]float64, n)
-		for i := range diag1 {
-			diag1[i] = rng.Float64()*2 - 1
-			diag2[i] = rng.Float64()
-		}
+		diag1, diag2 := randDiags(rng, n)
 		gMax := 1 + rng.Intn(30)
-		w := make([]float64, gMax+1)
-		for k := range w {
-			w[k] = rng.Float64()
-		}
+		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
@@ -359,31 +352,14 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 				if fs.Format() != FormatQBD {
 					t.Fatalf("trial %d: forced qbd resolved to %q (n=%d b=%d)", trial, fs.Format(), n, b)
 				}
-				if dirtyScratch {
-					words := fs.Scratch4Words()
-					if words == 0 {
-						continue
-					}
-					scratch := make([]float64, words)
-					for i := range scratch {
-						scratch[i] = math.NaN()
-					}
-					fs.SetScratch4(scratch)
+				if dirtyScratch && !lendDirtyScratch(fs) {
+					continue
 				}
 				cur, next, plans := newRunState(fs, weights, firsts, lasts)
 				if _, err := fs.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
 					t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 				}
-				for j := 0; j <= order; j++ {
-					for i := 0; i < n; i++ {
-						got := plans[0].Acc[j][i]
-						want := refPlans[0].Acc[j][i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d workers %d dirty=%v: acc[%d][%d] = %x, reference %x",
-								trial, workers, dirtyScratch, j, i, math.Float64bits(got), math.Float64bits(want))
-						}
-					}
-				}
+				requireAccBitwise(t, fmt.Sprintf("trial %d workers %d dirty=%v", trial, workers, dirtyScratch), plans, refPlans, order, n)
 			}
 		}
 	}
@@ -401,17 +377,9 @@ func TestSweepOperatorMatchesReference(t *testing.T) {
 		order := rng.Intn(4)
 		a := qbdFixture(t, rng, levels, b)
 		n := a.rows
-		diag1 := make([]float64, n)
-		diag2 := make([]float64, n)
-		for i := range diag1 {
-			diag1[i] = rng.Float64()*2 - 1
-			diag2[i] = rng.Float64()
-		}
+		diag1, diag2 := randDiags(rng, n)
 		gMax := 1 + rng.Intn(20)
-		w := make([]float64, gMax+1)
-		for k := range w {
-			w[k] = rng.Float64()
-		}
+		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
@@ -449,16 +417,7 @@ func TestSweepOperatorMatchesReference(t *testing.T) {
 				if mv != refMV {
 					t.Fatalf("trial %d op %s: matvecs %d != reference %d", trial, name, mv, refMV)
 				}
-				for j := 0; j <= order; j++ {
-					for i := 0; i < n; i++ {
-						got := plans[0].Acc[j][i]
-						want := refPlans[0].Acc[j][i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d op %s workers %d: acc[%d][%d] = %x, reference %x",
-								trial, name, workers, j, i, math.Float64bits(got), math.Float64bits(want))
-						}
-					}
-				}
+				requireAccBitwise(t, fmt.Sprintf("trial %d op %s workers %d", trial, name, workers), plans, refPlans, order, n)
 			}
 		}
 	}

@@ -16,7 +16,8 @@ import "os"
 const (
 	// KernelScalar: the pure-Go loops — no hardware support, a
 	// kill-switch, the serial reference sweep, or a run shape without a
-	// vector body (planar layouts, wide bands, matrix-free operators).
+	// vector body (planar layouts, empty matrices, QBDs without an
+	// interior level, matrix-free operators).
 	KernelScalar = "scalar"
 	// KernelAVX2: the AVX2 assembly kernels served the bulk rows (QBD
 	// boundary levels and partial tiles still use the scalar loops).
@@ -58,18 +59,16 @@ func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
 // when the run shape reaches one of the assembly bodies — the
-// interleaved order-3 layout on a format with a vector kernel
-// (tridiagonal band, non-empty CSR32, or QBD with at least one interior
-// level) and the SIMD gate open.
+// interleaved order-3 layout on a format with a vector kernel (band,
+// non-empty CSR32, or QBD with at least one interior level) and the SIMD
+// gate open.
 func (s *Sweep) resolveKernel(interleaved bool) string {
 	if !interleaved || !s.simd {
 		return KernelScalar
 	}
 	switch s.format {
 	case FormatBand:
-		if s.band.lo == 1 && s.band.hi == 1 {
-			return KernelAVX2
-		}
+		return KernelAVX2
 	case FormatCSR32:
 		if len(s.a.val) > 0 {
 			return KernelAVX2

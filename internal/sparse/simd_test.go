@@ -2,7 +2,7 @@ package sparse
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -13,10 +13,7 @@ import (
 func runOrder3(t *testing.T, s *Sweep, gMax int, wseed int64) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(wseed))
-	w := make([]float64, gMax+1)
-	for k := range w {
-		w[k] = rng.Float64()
-	}
+	w := randWeights(rng, gMax)
 	cur, next, plans := newRunState(s, [][]float64{w}, []int{0}, []int{gMax})
 	if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
 		t.Fatal(err)
@@ -95,8 +92,9 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 
 // TestSweepKernelLabel pins which run shapes the dispatcher labels as
 // served by the vector kernels: exactly the order-3 interleaved layouts
-// with an assembly body (tridiagonal band, non-empty CSR32, QBD with an
-// interior level), scalar for everything else even with the gate open.
+// with an assembly body (band — bidiagonal padded into the window too —
+// non-empty CSR32, QBD with an interior level), scalar for everything
+// else even with the gate open.
 func TestSweepKernelLabel(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no AVX2 support on this host; labels are pinned scalar by TestSweepSIMDKillSwitches")
@@ -128,21 +126,15 @@ func TestSweepKernelLabel(t *testing.T) {
 		want       string
 	}{
 		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, KernelAVX2},
-		{"band-wide", bandedFixture(t, rng, 96, 3, 3), FormatBand, FormatBand, 3, KernelScalar},
+		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, KernelAVX2},
 		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, KernelAVX2},
-		{"csr64", bandedFixture(t, rng, 96, 1, 1), FormatCSR64, FormatCSR64, 3, KernelScalar},
 		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatQBD, FormatQBD, 3, KernelAVX2},
 		{"qbd-two-level", twoLevel, FormatQBD, FormatQBD, 3, KernelScalar},
 		{"planar-order2", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 2, KernelScalar},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d1 := make([]float64, tc.a.rows)
-			d2 := make([]float64, tc.a.rows)
-			for i := range d1 {
-				d1[i] = rng.Float64()*2 - 1
-				d2[i] = rng.Float64()
-			}
+			d1, d2 := randDiags(rng, tc.a.rows)
 			s, err := NewSweepWithFormat(tc.a, d1, d2, nil, tc.order, 1, tc.format)
 			if err != nil {
 				t.Fatal(err)
@@ -183,12 +175,7 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 			a, format = qbdFixture(t, rng, 3+rng.Intn(8), b), FormatQBD
 		}
 		n = a.rows
-		d1 := make([]float64, n)
-		d2 := make([]float64, n)
-		for i := range d1 {
-			d1[i] = rng.Float64()*2 - 1
-			d2[i] = rng.Float64()
-		}
+		d1, d2 := randDiags(rng, n)
 
 		gMax := 4 + rng.Intn(24)
 		nPlans := 1 + rng.Intn(3)
@@ -209,7 +196,7 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 		workers := 1 + rng.Intn(4)
 		tblock := []int{0, 1, 4}[rng.Intn(3)]
 
-		run := func(nosimd bool) ([][][]float64, string) {
+		run := func(nosimd bool) ([]SweepPlan, string) {
 			s, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, format)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -220,30 +207,15 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 			if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
 				t.Fatalf("seed %d nosimd %v: %v", seed, nosimd, err)
 			}
-			accs := make([][][]float64, nPlans)
-			for pi := range plans {
-				accs[pi] = plans[pi].Acc
-			}
-			return accs, s.Kernel()
+			return plans, s.Kernel()
 		}
 
-		simdAccs, simdKernel := run(false)
-		scalarAccs, scalarKernel := run(true)
+		simdPlans, simdKernel := run(false)
+		scalarPlans, scalarKernel := run(true)
 		if scalarKernel != KernelScalar {
 			t.Fatalf("seed %d: forced-scalar run reported kernel %q", seed, scalarKernel)
 		}
-		_ = simdKernel
-		for pi := range simdAccs {
-			for j := range simdAccs[pi] {
-				for i := range simdAccs[pi][j] {
-					got, want := simdAccs[pi][j][i], scalarAccs[pi][j][i]
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("seed %d format %q workers %d tblock %d (simd kernel %q): plan %d acc[%d][%d] = %x, scalar %x",
-							seed, format, workers, tblock, simdKernel, pi, j, i,
-							math.Float64bits(got), math.Float64bits(want))
-					}
-				}
-			}
-		}
+		requireAccBitwise(t, fmt.Sprintf("seed %d format %q workers %d tblock %d (simd kernel %q) vs scalar",
+			seed, format, workers, tblock, simdKernel), simdPlans, scalarPlans, 3, n)
 	}
 }

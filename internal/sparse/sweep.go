@@ -96,11 +96,11 @@ type Sweep struct {
 	simd   bool
 	kernel string
 
-	// Resolved storage (see MatrixFormat): the kernels stream band values,
-	// QBD windows or compact uint32 column indexes instead of the generic
-	// CSR when the structure allows, cutting the memory traffic of this
-	// bandwidth-bound loop; kron streams the matrix-free operator. All
-	// formats are bitwise identical.
+	// Resolved storage (see MatrixFormat): the fused kernels stream the
+	// tridiagonal band window, QBD windows or compact uint32 column
+	// indexes — one interleaved kernel per structure — cutting the memory
+	// traffic of this bandwidth-bound loop; kron streams the matrix-free
+	// operator. All formats are bitwise identical.
 	format MatrixFormat
 	band   *Band    // set when format == FormatBand
 	col32  []uint32 // set when format == FormatCSR32
@@ -121,7 +121,7 @@ type Sweep struct {
 	// Iteration state published by the driver before each barrier release;
 	// the channel synchronization orders these writes before the workers'
 	// reads. cur4/next4 replace cur/next when the run uses the interleaved
-	// order-3 layout (see fuseBlock3).
+	// order-3 layout (see fuseBlock3Compact).
 	cur, next   [][]float64
 	cur4, next4 []float64
 	active      []accPair
@@ -350,20 +350,22 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 	return blocks
 }
 
-// Format returns the resolved storage format the fused kernels stream:
-// FormatBand, FormatQBD, FormatCSR32, FormatCSR64, or FormatKron for
-// Kronecker-sum operator sweeps. (The RunReference test oracle always
-// streams the generic CSR — or, for operator sweeps, the operator
-// itself — regardless of this setting.)
+// Format returns the resolved storage format: FormatBand, FormatQBD or
+// FormatCSR32 for the fused kernels over an explicit matrix, FormatKron
+// for Kronecker-sum operator sweeps, and FormatCSR64 for a sweep built
+// for the reference oracle, which only RunReference may execute. (The
+// RunReference test oracle always streams the generic CSR — or, for
+// operator sweeps, the operator itself — regardless of this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
 // Scratch4Words returns the float64 count Run would use for its
 // interleaved moment-state buffers: 0 when the run shape doesn't use
-// them (order != 3, impulse terms present, or a generic operator without
-// an interleaved kernel), otherwise two buffers of 4 values per state
-// plus the band boundary padding.
+// them (order != 3, impulse terms present, a generic operator without an
+// interleaved kernel, or the reference-only csr64 storage), otherwise
+// two buffers of 4 values per state plus, for the band window, one
+// padding state at each end.
 func (s *Sweep) Scratch4Words() int {
-	if s.order != 3 || len(s.imp) > 0 {
+	if s.order != 3 || len(s.imp) > 0 || s.format == FormatCSR64 {
 		return 0
 	}
 	if s.a == nil && s.kron == nil {
@@ -371,7 +373,7 @@ func (s *Sweep) Scratch4Words() int {
 	}
 	pad := 0
 	if s.format == FormatBand {
-		pad = s.band.lo + s.band.hi
+		pad = 2
 	}
 	return 2 * 4 * (s.rows + pad)
 }
@@ -454,16 +456,15 @@ const (
 func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 	switch s.format {
 	case FormatBand:
-		return s.band.lo, s.band.hi, true
+		// The window kernel reads both neighbours of every row, padded
+		// cells included, so its reach is 1 even for a diagonal matrix.
+		return 1, 1, true
 	case FormatQBD:
 		// A QBD entry couples level i/b only to adjacent levels, so the
 		// scalar reach is at most 2b-1 on both sides.
 		r := 2*s.qbd.b - 1
 		return r, r, true
-	case FormatCSR32, FormatCSR64:
-		if s.a == nil {
-			return 0, 0, false
-		}
+	case FormatCSR32:
 		lo, hi = s.a.Bandwidth()
 		return lo, hi, true
 	}
@@ -559,7 +560,7 @@ func (s *Sweep) exportState(dst [][]float64) {
 	if s.cur4 != nil {
 		base := 0
 		if s.format == FormatBand {
-			base = s.band.lo * 4
+			base = 4 // one leading padding state
 		}
 		for j := range dst {
 			dj := dst[j]
@@ -651,8 +652,13 @@ func (s *Sweep) Run(ctx context.Context, gMax int, cur, next [][]float64, plans 
 // iterations k < first. Because each iteration's floating-point work
 // depends only on the incoming state and its own Poisson weights, a run
 // resumed this way is bitwise identical to the uninterrupted sweep, for
-// every storage format and worker count.
+// every storage format and worker count. A sweep built with the
+// reference-only FormatCSR64 storage has no fused kernel and returns
+// ErrUnsupportedFormat.
 func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
+	if s.a != nil && s.format == FormatCSR64 {
+		return 0, fmt.Errorf("%w: csr64 storage is streamed only by RunReference", ErrUnsupportedFormat)
+	}
 	if err := s.validateRun(cur, next, plans); err != nil {
 		return 0, err
 	}
@@ -668,9 +674,9 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	// whole sweep on the interleaved state layout: cur4[(pad+i)*4+j] holds
 	// moment j of state i, so all four values a matrix entry gathers share
 	// one cache line. With the band format the buffers additionally carry
-	// lo/hi states of zero padding at the ends, so the band kernel's
-	// per-row window never needs boundary clamping: out-of-matrix band
-	// cells multiply padding zeros, which is bitwise neutral (see band.go).
+	// one state of zero padding at each end, so the band kernel's per-row
+	// window never needs boundary clamping: out-of-matrix band cells
+	// multiply padding zeros, which is bitwise neutral (see band.go).
 	// The planar cur/next stay untouched scratch. Generic operators (no
 	// interleaved kernel) report Scratch4Words() == 0 and stay planar.
 	words := s.Scratch4Words()
@@ -690,12 +696,11 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 		if s.format == FormatBand {
 			// Zero the boundary padding (lent scratch arrives dirty); the
 			// data cells are fully (re)written below and by every iteration.
-			base = s.band.lo * 4
-			hi4 := s.band.hi * 4
+			base = 4
 			clear(s.cur4[:base])
-			clear(s.cur4[half-hi4:])
+			clear(s.cur4[half-4:])
 			clear(s.next4[:base])
-			clear(s.next4[half-hi4:])
+			clear(s.next4[half-4:])
 		}
 		for j := 0; j <= 3; j++ {
 			cj := cur[j]
@@ -823,8 +828,6 @@ func (s *Sweep) stepRange(lo, hi int, cur4, next4 []float64, active []accPair) {
 		s.fuseBlock3QBD(lo, hi, cur4, next4, active)
 	case FormatKron:
 		s.fuseBlock3Kron(lo, hi, cur4, next4, active)
-	default:
-		s.fuseBlock3(lo, hi, cur4, next4, active)
 	}
 }
 
@@ -1072,76 +1075,13 @@ func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
 	}
 }
 
-// fuseBlock3 is the register-resident specialization of the fused kernel
-// for the hot shape: moment order 3 (the paper's large example) without
-// impulse matrices. It operates on the interleaved state layout set up by
-// Run — cur4[i*4+j] is moment j of state i — so each matrix entry's four
-// gathered values share one cache line and cost a single bounds check.
-// Each row's four recursion sums live in registers across a single walk
-// of the row's entries — the matrix streams once per iteration instead of
-// order+1 times — and the diagonal corrections and Poisson accumulations
-// are applied before the sums are ever reloaded from memory.
-//
-// Bitwise contract: every output element sees the identical operation
-// sequence as RunReference — per sum, the row products in entry order,
-// then the diag1 term, then the diag2 term; each accumulation multiplies
-// the same stored value. Only work belonging to *different* elements is
-// interleaved, which float64 cannot observe.
-func (s *Sweep) fuseBlock3(lo, hi int, cur4, next4 []float64, active []accPair) {
-	rowPtr, colIdx, val := s.a.rowPtr, s.a.colIdx, s.a.val
-	d1, d2 := s.diag1, s.diag2
-	var w float64
-	var a0, a1, a2, a3 []float64
-	if len(active) == 1 {
-		w = active[0].w
-		a0, a1, a2, a3 = active[0].acc[0], active[0].acc[1], active[0].acc[2], active[0].acc[3]
-	}
-	for i := lo; i < hi; i++ {
-		rv := val[rowPtr[i]:rowPtr[i+1]]
-		rc := colIdx[rowPtr[i]:rowPtr[i+1]]
-		rc = rc[:len(rv)] // bounds-check elimination for rc[p]
-		var s0, s1, s2, s3 float64
-		for p, v := range rv {
-			c4 := rc[p] * 4
-			cv := cur4[c4 : c4+4 : c4+4]
-			s3 += v * cv[3]
-			s2 += v * cv[2]
-			s1 += v * cv[1]
-			s0 += v * cv[0]
-		}
-		civ := cur4[i*4 : i*4+4 : i*4+4]
-		d1i, d2i := d1[i], d2[i]
-		s3 += d1i * civ[2]
-		s3 += d2i * civ[1]
-		s2 += d1i * civ[1]
-		s2 += d2i * civ[0]
-		s1 += d1i * civ[0]
-		nv := next4[i*4 : i*4+4 : i*4+4]
-		nv[0], nv[1], nv[2], nv[3] = s0, s1, s2, s3
-		switch {
-		case a0 != nil:
-			a0[i] += w * s0
-			a1[i] += w * s1
-			a2[i] += w * s2
-			a3[i] += w * s3
-		case len(active) > 1:
-			for _, ap := range active {
-				wp := ap.w
-				ap.acc[0][i] += wp * s0
-				ap.acc[1][i] += wp * s1
-				ap.acc[2][i] += wp * s2
-				ap.acc[3][i] += wp * s3
-			}
-		}
-	}
-}
-
 // productTile computes y[i] = (A·x)[i] for rows [t0, t1) with the resolved
 // storage format. Every arm accumulates the row's in-matrix entries in
 // ascending column order into a sum started at +0.0, so the arms are
-// bitwise interchangeable: the compact arm loads the identical values
-// through narrower indexes, and the band arm's extra in-band zero cells
-// contribute bitwise-neutral 0.0·x products (see band.go).
+// bitwise interchangeable with the reference CSR product: the compact arm
+// loads the identical values through narrower indexes, and the window
+// arms' extra zero cells contribute bitwise-neutral 0.0·x products (see
+// band.go).
 func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
 	if s.a == nil {
 		// Operator-backed sweep: the operator's MatVecRange carries the
@@ -1153,24 +1093,7 @@ func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
 	case FormatQBD:
 		s.qbd.matVecRange(t0, t1, x, y)
 	case FormatBand:
-		bd := s.band
-		n, blo, width, bval := bd.n, bd.lo, bd.width, bd.val
-		for i := t0; i < t1; i++ {
-			row := bval[i*width : (i+1)*width]
-			base := i - blo
-			k0, k1 := 0, width
-			if base < 0 {
-				k0 = -base
-			}
-			if base+width > n {
-				k1 = n - base
-			}
-			var sum float64
-			for k := k0; k < k1; k++ {
-				sum += row[k] * x[base+k]
-			}
-			y[i] = sum
-		}
+		s.band.matVecRange(t0, t1, x, y)
 	case FormatCSR32:
 		rowPtr, col32, val := s.a.rowPtr, s.col32, s.a.val
 		for i := t0; i < t1; i++ {
@@ -1180,22 +1103,29 @@ func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
 			}
 			y[i] = sum
 		}
-	default:
-		rowPtr, colIdx, val := s.a.rowPtr, s.a.colIdx, s.a.val
-		for i := t0; i < t1; i++ {
-			var sum float64
-			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-				sum += val[p] * x[colIdx[p]]
-			}
-			y[i] = sum
-		}
 	}
 }
 
-// fuseBlock3Compact is fuseBlock3 streaming the compact-index columns:
-// identical structure, but each gather address comes from a uint32 load —
-// half the index traffic of the generic kernel in a loop that is
-// memory-bandwidth-bound at the paper's sizes.
+// fuseBlock3Compact is the register-resident specialization of the fused
+// kernel for the hot shape: moment order 3 (the paper's large example)
+// without impulse matrices. It operates on the interleaved state layout
+// set up by Run — cur4[i*4+j] is moment j of state i — so each matrix
+// entry's four gathered values share one cache line and cost a single
+// bounds check.
+// Each row's four recursion sums live in registers across a single walk
+// of the row's entries — the matrix streams once per iteration instead of
+// order+1 times — and the diagonal corrections and Poisson accumulations
+// are applied before the sums are ever reloaded from memory.
+//
+// Bitwise contract: every output element sees the identical operation
+// sequence as RunReference — per sum, the row products in entry order,
+// then the diag1 term, then the diag2 term; each accumulation multiplies
+// the same stored value. Only work belonging to *different* elements is
+// interleaved, which float64 cannot observe.
+//
+// Each gather address comes from a uint32 column load — half the index
+// traffic of the generic CSR in a loop that is memory-bandwidth-bound at
+// the paper's sizes.
 func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []accPair) {
 	rowPtr, val := s.a.rowPtr, s.a.val
 	col32 := s.col32
@@ -1246,18 +1176,24 @@ func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []ac
 	}
 }
 
-// fuseBlock3Band is fuseBlock3 streaming the band representation on the
-// padded interleaved layout Run sets up: row i's state window starts at
-// cur4[i*4] and spans 4·width values — one fully contiguous stretch, zero
-// index loads, zero gathers. The lo/hi padding states at the buffer ends
-// absorb the out-of-matrix band cells, so the row loop has no boundary
-// branches; the padded cells' 0.0·x products are bitwise neutral (see
-// band.go), leaving every output element with exactly the reference
-// operation sequence.
+// fuseBlock3Band is fuseBlock3Compact streaming the tridiagonal band
+// window on the padded interleaved layout Run sets up: row i's three band
+// values and its 12-value state window cur4[i*4 : i*4+12] (states i-1,
+// i, i+1) are fully contiguous — zero index loads, zero gathers — and
+// fully unrolled into straight-line register code. The padding state at
+// each buffer end absorbs the out-of-matrix cells of the first and last
+// row, so the loop has no boundary branches; padded cells' 0.0·x
+// products are bitwise neutral (see band.go), leaving every output
+// element with exactly the reference operation sequence.
+//
+// On AVX2 hardware the 4 moment components run as one vector lane group
+// (band_simd_amd64.s): per lane the assembly executes this loop's exact
+// operation sequence with the same IEEE rounding, so its output is
+// bitwise the scalar loop's. Multi-plan accumulation runs the plain
+// kernel plus tiled per-plan accumulation passes (see accTile3 for why
+// the split is bitwise neutral).
 func (s *Sweep) fuseBlock3Band(lo, hi int, cur4, next4 []float64, active []accPair) {
-	bd := s.band
-	width, bval := bd.width, bd.val
-	pad := bd.lo * 4
+	bval := s.band.val
 	d1, d2 := s.diag1, s.diag2
 	var w float64
 	var a0, a1, a2, a3 []float64
@@ -1265,101 +1201,49 @@ func (s *Sweep) fuseBlock3Band(lo, hi int, cur4, next4 []float64, active []accPa
 		w = active[0].w
 		a0, a1, a2, a3 = active[0].acc[0], active[0].acc[1], active[0].acc[2], active[0].acc[3]
 	}
-	if bd.lo == 1 && bd.hi == 1 {
-		// Tridiagonal fast path (the paper's birth-death generators): three
-		// band values and a 12-value state window per row, fully unrolled
-		// into straight-line register code. Gated on lo==hi==1, not
-		// width==3 — a lo=0,hi=2 band has width 3 but a different
-		// self-moment offset.
-		//
-		// On AVX2 hardware the 4 moment components run as one vector lane
-		// group (band_simd_amd64.s): per lane the assembly executes this
-		// loop's exact operation sequence with the same IEEE rounding, so
-		// its output is bitwise the scalar loop's. Multi-plan accumulation
-		// runs the plain kernel plus tiled per-plan accumulation passes
-		// (see accTile3 for why the split is bitwise neutral).
-		if s.simd && hi > lo {
-			if a0 != nil {
-				bandTri3AccAVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo], &a0[lo], &a1[lo], &a2[lo], &a3[lo], w)
-				return
-			}
-			if len(active) == 0 {
-				bandTri3AVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo])
-				return
-			}
-			for t0 := lo; t0 < hi; t0 += s.tile {
-				t1 := t0 + s.tile
-				if t1 > hi {
-					t1 = hi
-				}
-				bandTri3AVX2(t1-t0, &bval[t0*3], &cur4[t0*4], &next4[4+t0*4], &d1[t0], &d2[t0])
-				s.accTile3(t0, t1, next4, 4, active)
-			}
+	if s.simd && hi > lo {
+		if a0 != nil {
+			bandTri3AccAVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo], &a0[lo], &a1[lo], &a2[lo], &a3[lo], w)
 			return
 		}
-		for i := lo; i < hi; i++ {
-			r := bval[i*3 : i*3+3 : i*3+3]
-			cw := cur4[i*4 : i*4+12 : i*4+12]
-			v0, v1, v2 := r[0], r[1], r[2]
-			var s0, s1, s2, s3 float64
-			s3 += v0 * cw[3]
-			s2 += v0 * cw[2]
-			s1 += v0 * cw[1]
-			s0 += v0 * cw[0]
-			s3 += v1 * cw[7]
-			s2 += v1 * cw[6]
-			s1 += v1 * cw[5]
-			s0 += v1 * cw[4]
-			s3 += v2 * cw[11]
-			s2 += v2 * cw[10]
-			s1 += v2 * cw[9]
-			s0 += v2 * cw[8]
-			d1i, d2i := d1[i], d2[i]
-			s3 += d1i * cw[6]
-			s3 += d2i * cw[5]
-			s2 += d1i * cw[5]
-			s2 += d2i * cw[4]
-			s1 += d1i * cw[4]
-			nv := next4[4+i*4 : 8+i*4 : 8+i*4]
-			nv[0], nv[1], nv[2], nv[3] = s0, s1, s2, s3
-			switch {
-			case a0 != nil:
-				a0[i] += w * s0
-				a1[i] += w * s1
-				a2[i] += w * s2
-				a3[i] += w * s3
-			case len(active) > 1:
-				for _, ap := range active {
-					wp := ap.w
-					ap.acc[0][i] += wp * s0
-					ap.acc[1][i] += wp * s1
-					ap.acc[2][i] += wp * s2
-					ap.acc[3][i] += wp * s3
-				}
+		if len(active) == 0 {
+			bandTri3AVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo])
+			return
+		}
+		for t0 := lo; t0 < hi; t0 += s.tile {
+			t1 := t0 + s.tile
+			if t1 > hi {
+				t1 = hi
 			}
+			bandTri3AVX2(t1-t0, &bval[t0*3], &cur4[t0*4], &next4[4+t0*4], &d1[t0], &d2[t0])
+			s.accTile3(t0, t1, next4, 4, active)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
-		row := bval[i*width : (i+1)*width : (i+1)*width]
-		cw := cur4[i*4 : i*4+4*width]
+		r := bval[i*3 : i*3+3 : i*3+3]
+		cw := cur4[i*4 : i*4+12 : i*4+12]
+		v0, v1, v2 := r[0], r[1], r[2]
 		var s0, s1, s2, s3 float64
-		for k, v := range row {
-			k4 := k * 4
-			cv := cw[k4 : k4+4 : k4+4]
-			s3 += v * cv[3]
-			s2 += v * cv[2]
-			s1 += v * cv[1]
-			s0 += v * cv[0]
-		}
-		civ := cw[pad : pad+4 : pad+4]
+		s3 += v0 * cw[3]
+		s2 += v0 * cw[2]
+		s1 += v0 * cw[1]
+		s0 += v0 * cw[0]
+		s3 += v1 * cw[7]
+		s2 += v1 * cw[6]
+		s1 += v1 * cw[5]
+		s0 += v1 * cw[4]
+		s3 += v2 * cw[11]
+		s2 += v2 * cw[10]
+		s1 += v2 * cw[9]
+		s0 += v2 * cw[8]
 		d1i, d2i := d1[i], d2[i]
-		s3 += d1i * civ[2]
-		s3 += d2i * civ[1]
-		s2 += d1i * civ[1]
-		s2 += d2i * civ[0]
-		s1 += d1i * civ[0]
-		nv := next4[pad+i*4 : pad+i*4+4 : pad+i*4+4]
+		s3 += d1i * cw[6]
+		s3 += d2i * cw[5]
+		s2 += d1i * cw[5]
+		s2 += d2i * cw[4]
+		s1 += d1i * cw[4]
+		nv := next4[4+i*4 : 8+i*4 : 8+i*4]
 		nv[0], nv[1], nv[2], nv[3] = s0, s1, s2, s3
 		switch {
 		case a0 != nil:

@@ -2,33 +2,16 @@ package sparse
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// blockedAccEqual compares two plan sets' accumulators bit for bit.
-func blockedAccEqual(t *testing.T, tag string, got, want []SweepPlan, order, n int) {
-	t.Helper()
-	for pi := range want {
-		for j := 0; j <= order; j++ {
-			for i := 0; i < n; i++ {
-				g, w := got[pi].Acc[j][i], want[pi].Acc[j][i]
-				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("%s: plan %d acc[%d][%d] = %x, reference %x",
-						tag, pi, j, i, math.Float64bits(g), math.Float64bits(w))
-				}
-			}
-		}
-	}
-}
-
 // TestSweepTemporalBlockingBitwise is the temporal-blocking bitwise gate:
-// for banded and block-tridiagonal order-3 families, every temporal block
-// depth × spatial tile × worker count × format must reproduce the serial
-// reference sweep bit for bit — including ragged final groups (gMax not
-// divisible by T) and wavefront-parallel schedules with more blocks than
-// workers.
+// for tridiagonal-window, wider-banded and block-tridiagonal order-3
+// families, every temporal block depth × spatial tile × worker count ×
+// format must reproduce the serial reference sweep bit for bit —
+// including ragged final groups (gMax not divisible by T) and
+// wavefront-parallel schedules with more blocks than workers.
 func TestSweepTemporalBlockingBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	type fixture struct {
@@ -39,27 +22,21 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 	}
 	for trial := 0; trial < 4; trial++ {
 		n := 40 + rng.Intn(80)
-		lo, hi := 1+rng.Intn(3), 1+rng.Intn(3)
-		a, d1, d2 := bandedSweepFixture(t, rng, n, lo, hi, 3)
+		a, d1, d2 := bandedSweepFixture(t, rng, n, rng.Intn(2), rng.Intn(2), 3)
+		wa, wd1, wd2 := bandedSweepFixture(t, rng, n, 2+rng.Intn(2), 1+rng.Intn(3), 3)
 		qn := 4 * (10 + rng.Intn(8))
 		q := qbdFixture(t, rng, qn/4, 4)
-		qd1, qd2 := make([]float64, qn), make([]float64, qn)
-		for i := range qd1 {
-			qd1[i] = rng.Float64()*2 - 1
-			qd2[i] = rng.Float64()
-		}
+		qd1, qd2 := randDiags(rng, qn)
 		fixtures := []fixture{
-			{"band", a, d1, d2, []MatrixFormat{FormatAuto, FormatBand, FormatCSR, FormatCSR64}},
+			{"band", a, d1, d2, []MatrixFormat{FormatAuto, FormatBand, FormatCSR}},
+			{"wide", wa, wd1, wd2, []MatrixFormat{FormatAuto, FormatCSR}},
 			{"qbd", q, qd1, qd2, []MatrixFormat{FormatQBD}},
 		}
 		gMax := 5 + rng.Intn(11) // 5..15: ragged against every T below
 		weights := make([][]float64, 2)
 		firsts, lasts := make([]int, 2), make([]int, 2)
 		for pi := range weights {
-			w := make([]float64, gMax+1)
-			for k := range w {
-				w[k] = rng.Float64()
-			}
+			w := randWeights(rng, gMax)
 			weights[pi] = w
 			firsts[pi] = rng.Intn(gMax)
 			lasts[pi] = firsts[pi] + rng.Intn(gMax+1-firsts[pi])
@@ -101,7 +78,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 								t.Fatalf("trial %d %s %q T=%d: resolved depth %d", trial, fx.name, format, tb, got)
 							}
 							tag := fx.name + "/" + string(format)
-							blockedAccEqual(t, tag, plans, refPlans, 3, rows)
+							requireAccBitwise(t, tag, plans, refPlans, 3, rows)
 						}
 					}
 				}
@@ -123,10 +100,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 		n := 30 + rng.Intn(50)
 		a, d1, d2 := bandedSweepFixture(t, rng, n, 1, 2, order)
 		gMax := 7 + rng.Intn(8)
-		w := make([]float64, gMax+1)
-		for k := range w {
-			w[k] = rng.Float64()
-		}
+		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
@@ -185,7 +159,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 					if want := fullMV - cont.matVecs(completed); mv != want {
 						t.Fatalf("trial %d w=%d polls %d: resumed matvecs %d, want %d", trial, workers, polls, mv, want)
 					}
-					blockedAccEqual(t, "resume", plans, fullPlans, order, n)
+					requireAccBitwise(t, "resume", plans, fullPlans, order, n)
 				}
 			}
 
@@ -215,7 +189,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 				if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
 					t.Fatalf("trial %d w=%d polls %d: blocked resume of unblocked token: %v", trial, workers, polls, err)
 				}
-				blockedAccEqual(t, "cross-resume", plans, fullPlans, order, n)
+				requireAccBitwise(t, "cross-resume", plans, fullPlans, order, n)
 			}
 		}
 	}
@@ -332,10 +306,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	}
 	ps.SetTemporalBlock(8)
 	gMax := 6
-	w := make([]float64, gMax+1)
-	for k := range w {
-		w[k] = rng.Float64()
-	}
+	w := randWeights(rng, gMax)
 	cur, next, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
 	if _, err := ps.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -26,12 +28,7 @@ func randomSweepFixture(t *testing.T, rng *rand.Rand, n, order int, impulses boo
 		}
 	}
 	a := b.Build()
-	diag1 := make([]float64, n)
-	diag2 := make([]float64, n)
-	for i := range diag1 {
-		diag1[i] = rng.Float64()*2 - 1
-		diag2[i] = rng.Float64()
-	}
+	diag1, diag2 := randDiags(rng, n)
 	var imp []*CSR
 	if impulses {
 		for m := 0; m < order; m++ {
@@ -72,6 +69,55 @@ func newRunState(s *Sweep, weights [][]float64, firsts, lasts []int) (cur, next 
 		plans = append(plans, SweepPlan{First: firsts[pi], Last: lasts[pi], Weight: w, Acc: acc})
 	}
 	return cur, next, plans
+}
+
+// randDiags draws the diagonal reward terms of a sweep family: diag1 of
+// mixed sign, diag2 positive.
+func randDiags(rng *rand.Rand, n int) (diag1, diag2 []float64) {
+	diag1 = make([]float64, n)
+	diag2 = make([]float64, n)
+	for i := range diag1 {
+		diag1[i] = rng.Float64()*2 - 1
+		diag2[i] = rng.Float64()
+	}
+	return diag1, diag2
+}
+
+// randWeights draws gMax+1 non-zero Poisson-style weights.
+func randWeights(rng *rand.Rand, gMax int) []float64 {
+	w := make([]float64, gMax+1)
+	for k := range w {
+		w[k] = rng.Float64()
+	}
+	return w
+}
+
+// requireAccBitwise fails unless every plan's accumulators in got match
+// want bit for bit.
+func requireAccBitwise(t *testing.T, tag string, got, want []SweepPlan, order, n int) {
+	t.Helper()
+	for pi := range want {
+		for j := 0; j <= order; j++ {
+			for i := 0; i < n; i++ {
+				g, w := got[pi].Acc[j][i], want[pi].Acc[j][i]
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: plan %d acc[%d][%d] = %x, reference %x",
+						tag, pi, j, i, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// lendDirtyScratch lends s a NaN-filled interleaved scratch buffer, which
+// Run must fully overwrite or zero; false when the run shape has none.
+func lendDirtyScratch(s *Sweep) bool {
+	scratch := make([]float64, s.Scratch4Words())
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
+	s.SetScratch4(scratch)
+	return len(scratch) > 0
 }
 
 // TestSweepFusedMatchesReference is the engine-level bitwise gate: for
@@ -122,18 +168,7 @@ func TestSweepFusedMatchesReference(t *testing.T) {
 			if mv != refMV {
 				t.Fatalf("trial %d workers %d: matvecs %d != reference %d", trial, workers, mv, refMV)
 			}
-			for pi := range plans {
-				for j := 0; j <= order; j++ {
-					for i := 0; i < fs.a.rows; i++ {
-						got := plans[pi].Acc[j][i]
-						want := refPlans[pi].Acc[j][i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d workers %d: plan %d acc[%d][%d] = %x, reference %x",
-								trial, workers, pi, j, i, math.Float64bits(got), math.Float64bits(want))
-						}
-					}
-				}
-			}
+			requireAccBitwise(t, fmt.Sprintf("trial %d workers %d", trial, workers), plans, refPlans, order, fs.a.rows)
 		}
 	}
 }
@@ -144,23 +179,18 @@ func TestSweepFusedMatchesReference(t *testing.T) {
 func bandedSweepFixture(t *testing.T, rng *rand.Rand, n, lo, hi, order int) (*CSR, []float64, []float64) {
 	t.Helper()
 	a := bandedFixture(t, rng, n, lo, hi)
-	diag1 := make([]float64, n)
-	diag2 := make([]float64, n)
-	for i := range diag1 {
-		diag1[i] = rng.Float64()*2 - 1
-		diag2[i] = rng.Float64()
-	}
+	diag1, diag2 := randDiags(rng, n)
 	return a, diag1, diag2
 }
 
 // TestSweepFormatsMatchReference is the storage-engine bitwise gate: for
-// banded matrix families, every storage format (auto, compact, band,
-// csr64) at every worker count must reproduce the serial reference sweep
-// bit for bit — including the order-3 interleaved kernels with both fresh
-// and dirty lent scratch.
+// banded matrix families, every storage format (auto, compact, band) at
+// every worker count must reproduce the serial reference sweep bit for
+// bit — including the order-3 interleaved kernels with both fresh and
+// dirty lent scratch.
 func TestSweepFormatsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	formats := []MatrixFormat{FormatAuto, FormatCSR, FormatBand, FormatCSR64}
+	formats := []MatrixFormat{FormatAuto, FormatCSR, FormatBand}
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(80)
 		lo := rng.Intn(4)
@@ -174,10 +204,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 		gMax := 1 + rng.Intn(30)
 		a, diag1, diag2 := bandedSweepFixture(t, rng, n, lo, hi, order)
 
-		w := make([]float64, gMax+1)
-		for k := range w {
-			w[k] = rng.Float64()
-		}
+		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
@@ -197,35 +224,18 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if format == FormatBand && fs.Format() != FormatBand {
-						t.Fatalf("trial %d: forced band resolved to %q (lo=%d hi=%d n=%d)", trial, fs.Format(), lo, hi, n)
+					if blo, bhi := a.Bandwidth(); format == FormatBand && (fs.Format() == FormatBand) != (blo <= 1 && bhi <= 1) {
+						t.Fatalf("trial %d: forced band resolved to %q (bandwidth lo=%d hi=%d n=%d)", trial, fs.Format(), blo, bhi, n)
 					}
-					if dirtyScratch {
-						if words := fs.Scratch4Words(); words > 0 {
-							scratch := make([]float64, words)
-							for i := range scratch {
-								scratch[i] = math.NaN() // must be fully overwritten or zeroed
-							}
-							fs.SetScratch4(scratch)
-						} else {
-							continue // no interleaved path for this shape
-						}
+					if dirtyScratch && !lendDirtyScratch(fs) {
+						continue // no interleaved path for this shape
 					}
 					cur, next, plans := newRunState(fs, weights, firsts, lasts)
 					if _, err := fs.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
 						t.Fatalf("trial %d format %q workers %d: %v", trial, format, workers, err)
 					}
-					for j := 0; j <= order; j++ {
-						for i := 0; i < n; i++ {
-							got := plans[0].Acc[j][i]
-							want := refPlans[0].Acc[j][i]
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("trial %d format %q (resolved %q) workers %d dirty=%v: acc[%d][%d] = %x, reference %x",
-									trial, format, fs.Format(), workers, dirtyScratch, j, i,
-									math.Float64bits(got), math.Float64bits(want))
-							}
-						}
-					}
+					requireAccBitwise(t, fmt.Sprintf("trial %d format %q (resolved %q) workers %d dirty=%v",
+						trial, format, fs.Format(), workers, dirtyScratch), plans, refPlans, order, n)
 				}
 			}
 		}
@@ -233,8 +243,9 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 }
 
 // TestSweepFormatResolution pins what NewSweep resolves for characteristic
-// shapes: banded matrices stream the band, everything else the compact
-// CSR, and csr64 remains available as the explicit baseline.
+// shapes: tridiagonal matrices stream the band, everything else the
+// compact CSR, and csr64 resolves only as the reference oracle's storage,
+// with no interleaved buffers.
 func TestSweepFormatResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
@@ -261,14 +272,43 @@ func TestSweepFormatResolution(t *testing.T) {
 	if s64.Format() != FormatCSR64 {
 		t.Errorf("forced csr64 format = %q", s64.Format())
 	}
-	if s64.Scratch4Words() != 2*4*300 {
-		t.Errorf("csr64 Scratch4Words = %d, want %d", s64.Scratch4Words(), 2*4*300)
+	if s64.Scratch4Words() != 0 {
+		t.Errorf("csr64 Scratch4Words = %d, want 0", s64.Scratch4Words())
 	}
 
 	// Impulse shapes never use the interleaved buffers.
 	impl := randomSweepFixture(t, rng, 30, 3, true)
 	if impl.Scratch4Words() != 0 {
 		t.Errorf("impulse Scratch4Words = %d, want 0", impl.Scratch4Words())
+	}
+}
+
+// TestSweepRunRejectsCSR64 pins the reference-only contract of the csr64
+// storage: Run and RunFrom refuse it with ErrUnsupportedFormat (there is
+// no fused csr64 kernel, and a silent no-op would leave all-zero
+// accumulators), while RunReference still streams it.
+func TestSweepRunRejectsCSR64(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, order := range []int{2, 3} {
+		a, d1, d2 := bandedSweepFixture(t, rng, 40, 1, 1, order)
+		s, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatCSR64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := []float64{0, 0.5, 0.5}
+		cur, next, plans := newRunState(s, [][]float64{w}, []int{0}, []int{2})
+		if _, err := s.Run(context.Background(), 2, cur, next, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("order %d: Run on csr64: err = %v, want ErrUnsupportedFormat", order, err)
+		}
+		if _, err := s.RunFrom(context.Background(), 2, 2, cur, next, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("order %d: RunFrom on csr64: err = %v, want ErrUnsupportedFormat", order, err)
+		}
+		if _, err := s.RunReference(context.Background(), 2, cur, next, plans, 1); err != nil {
+			t.Errorf("order %d: RunReference on csr64: %v", order, err)
+		}
+		if plans[0].Acc[0][0] == 0 {
+			t.Errorf("order %d: reference run accumulated nothing", order)
+		}
 	}
 }
 
@@ -518,18 +558,15 @@ func TestSweepResumeBitwise(t *testing.T) {
 			a, d1, d2v = f.a, f.diag1, f.diag2
 		}
 
-		w := make([]float64, gMax+1)
-		for k := range w {
-			w[k] = rng.Float64()
-		}
+		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
 		builders := map[string]build{
-			"auto/w1":  func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 1) },
-			"auto/w3":  func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 3) },
-			"csr64/w2": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatCSR64) },
-			"band/w2":  func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatBand) },
+			"auto/w1": func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 1) },
+			"auto/w3": func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 3) },
+			"csr/w2":  func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatCSR) },
+			"band/w2": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatBand) },
 		}
 		for name, mk := range builders {
 			if name == "band/w2" && trial%2 == 0 {
@@ -580,16 +617,7 @@ func TestSweepResumeBitwise(t *testing.T) {
 				if want := fullMV - rs.matVecs(completed); mv != want {
 					t.Fatalf("trial %d %s polls %d: resumed matvecs %d, want %d", trial, name, polls, mv, want)
 				}
-				for j := 0; j <= order; j++ {
-					for i := 0; i < n; i++ {
-						got := plans[0].Acc[j][i]
-						want := fullPlans[0].Acc[j][i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d %s polls %d: acc[%d][%d] = %x, want %x",
-								trial, name, polls, j, i, math.Float64bits(got), math.Float64bits(want))
-						}
-					}
-				}
+				requireAccBitwise(t, fmt.Sprintf("trial %d %s polls %d", trial, name, polls), plans, fullPlans, order, n)
 			}
 
 			// The reference kernel honors the same contract.
@@ -631,13 +659,7 @@ func TestSweepResumeBitwise(t *testing.T) {
 			if _, err := ri.RunReferenceFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j <= order; j++ {
-				for i := 0; i < n; i++ {
-					if math.Float64bits(plans[0].Acc[j][i]) != math.Float64bits(refPlans[0].Acc[j][i]) {
-						t.Fatalf("trial %d %s: reference resume acc[%d][%d] mismatch", trial, name, j, i)
-					}
-				}
-			}
+			requireAccBitwise(t, fmt.Sprintf("trial %d %s: reference resume", trial, name), plans, refPlans, order, n)
 		}
 	}
 }
