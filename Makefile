@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet ci chaos cluster-smoke restart-smoke serve bench bench-server bench-batch bench-persist bench-sweep bench-sweep-smoke bench-check cover experiments fuzz clean
+.PHONY: all build test vet ci chaos cluster-smoke restart-smoke serve bench bench-server bench-batch bench-persist bench-ingest bench-sweep bench-sweep-smoke bench-check cover experiments fuzz clean
 
 all: build test
 
@@ -19,7 +19,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run Fuzz ./internal/spec/ ./internal/specfn/ ./internal/sparse/
+	$(GO) test -run Fuzz ./internal/spec/ ./internal/specfn/ ./internal/sparse/ ./internal/server/
 
 # The resilience gate: chaos suite (fault injection against the real
 # server: injected 503s, truncated responses, forced panics, a full
@@ -62,6 +62,12 @@ bench-batch:
 bench-persist:
 	$(GO) test -bench BenchmarkServerPersist -benchmem -run '^$$' ./internal/server
 
+# The cold-ingest layer costs tracked in BENCHMARKS.md: decode, hash,
+# build and prepare of one 100,001-state ON-OFF spec (the large-cold
+# request shape), each timed on its own.
+bench-ingest:
+	$(GO) test -bench BenchmarkIngest -benchmem -benchtime 10x -run '^$$' ./internal/server
+
 # The randomization-sweep kernel comparison tracked in BENCHMARKS.md:
 # serial reference vs the fused kernel at the paper's large-example shape,
 # recorded as machine-readable JSON (name, ns/op, B/op, allocs/op, cores,
@@ -97,6 +103,9 @@ experiments:
 fuzz:
 	$(GO) test -fuzz FuzzBetaInc -fuzztime 30s ./internal/specfn/
 	$(GO) test -fuzz FuzzParseBuild -fuzztime 30s ./internal/spec/
+	$(GO) test -fuzz FuzzSpecDecode -fuzztime 30s ./internal/spec/
+	$(GO) test -fuzz FuzzCanonicalWriter -fuzztime 30s ./internal/spec/
+	$(GO) test -fuzz FuzzSolveRequestDecode -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzBandRoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzQBDRoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzKronSumMatVec -fuzztime 30s ./internal/sparse/

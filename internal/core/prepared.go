@@ -28,8 +28,11 @@ type Prepared struct {
 	// accumulators, interleaved kernel buffers — tens of MB at the paper's
 	// sizes), so repeated server solves against the same model stop
 	// allocating them. Only non-escaping scratch lives in the arena; see
-	// solveAt.
-	ws sync.Pool
+	// solveAt. The pool is a separate allocation: the runtime keeps every
+	// used pool reachable for up to two GC cycles, and an embedded pool
+	// would keep the whole Prepared — its matrices included — alive that
+	// long after a cache dropped it.
+	ws *sync.Pool
 }
 
 // solveWorkspace is one solve's scratch arena. A workspace is used by at
@@ -65,13 +68,13 @@ func Prepare(m *Model) (*Prepared, error) {
 	}
 	q := m.maxExitRate()
 	if q == 0 {
-		return &Prepared{m: m}, nil
+		return &Prepared{m: m, ws: new(sync.Pool)}, nil
 	}
 	u, err := m.uniformize(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{m: m, u: u}, nil
+	return &Prepared{m: m, u: u, ws: new(sync.Pool)}, nil
 }
 
 // Model returns the underlying model (shared; treat as read-only).

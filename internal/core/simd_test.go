@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"somrm/internal/sparse"
@@ -19,13 +20,16 @@ func TestSolveSweepKernelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The default dispatch is AVX2 where the hardware has it, unless the
+	// SOMRM_NOSIMD kill-switch holds every sweep scalar.
+	killSwitch := os.Getenv("SOMRM_NOSIMD")
 	want := sparse.KernelScalar
-	if sparse.SIMDAvailable() {
+	if sparse.SIMDAvailable() && (killSwitch == "" || killSwitch == "0") {
 		want = sparse.KernelAVX2
 	}
 	if def.Stats.SweepKernel != want {
-		t.Fatalf("Stats.SweepKernel = %q, want %q (SIMDAvailable=%v)",
-			def.Stats.SweepKernel, want, sparse.SIMDAvailable())
+		t.Fatalf("Stats.SweepKernel = %q, want %q (SIMDAvailable=%v, SOMRM_NOSIMD=%q)",
+			def.Stats.SweepKernel, want, sparse.SIMDAvailable(), killSwitch)
 	}
 
 	off, err := m.AccumulatedReward(1.5, 3, &Options{SweepWorkers: 1, NoSIMD: true})

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -166,9 +165,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeBatchRequest(readBody(w, r, s.opts.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -223,7 +221,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					}
 				}
 			}()
-			results[i] = s.solveBatchItem(r.Context(), prep, &req, i)
+			results[i] = s.solveBatchItem(r.Context(), prep, req, i)
 		}(i)
 	}
 	wg.Wait()

@@ -390,9 +390,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSolveRequest(readBody(w, r, s.opts.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -422,7 +421,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Resolve the resume token before dispatch, so a dead token fails fast
 	// with a typed status instead of burning a solve from scratch.
 	if req.ResumeToken != "" {
-		if err := s.resolveResume(&req, key); err != nil {
+		if err := s.resolveResume(req, key); err != nil {
 			s.writeSolveError(w, err)
 			return
 		}
@@ -451,7 +450,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		// Memory admission: refuse work whose estimated solver working set
 		// does not fit the remaining budget, before it can occupy a worker.
-		release, admitErr := s.admit(&req)
+		release, admitErr := s.admit(req)
 		if admitErr != nil {
 			return nil, admitErr
 		}
@@ -460,7 +459,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		var solveErr error
 		if poolErr := s.pool.Do(ctx, func(ctx context.Context) {
 			s.metrics.Solves.Add(1)
-			solved, solveErr = s.solve(ctx, &req)
+			solved, solveErr = s.solve(ctx, req)
 		}); poolErr != nil {
 			return nil, poolErr
 		}
@@ -486,7 +485,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.metrics.DedupShared.Add(1)
 	}
 	if err != nil {
-		if s.writePartial(w, &req, key, err) {
+		if s.writePartial(w, req, key, err) {
 			return
 		}
 		s.writeSolveError(w, err)

@@ -114,6 +114,34 @@ func NewCSRFromDense(rows, cols int, data []float64) (*CSR, error) {
 	return b.Build(), nil
 }
 
+// NewCSRSorted wraps CSR arrays that are already in Builder's output
+// form, without copying them: rowPtr holds rows+1 non-decreasing offsets
+// from 0 to len(colIdx) == len(val), each row's column indexes are
+// strictly increasing and in range, and no value is zero. It is the
+// one-pass alternative to Builder for callers that emit entries in row
+// order, and returns the matrix Builder would build from them.
+func NewCSRSorted(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || rowPtr[0] != 0 ||
+		rowPtr[rows] != len(colIdx) || len(colIdx) != len(val) {
+		return nil, fmt.Errorf("%w: csr arrays (%d row offsets, %d columns, %d values) for %dx%d",
+			ErrDimensionMismatch, len(rowPtr), len(colIdx), len(val), rows, cols)
+	}
+	for i := 0; i < rows; i++ {
+		prev := -1
+		if rowPtr[i+1] < rowPtr[i] {
+			return nil, fmt.Errorf("%w: row %d offsets decrease", ErrBadTriplet, i)
+		}
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			j := colIdx[k]
+			if j <= prev || j >= cols || val[k] == 0 {
+				return nil, fmt.Errorf("%w: row %d entry (%d, %g) out of order, range or zero", ErrBadTriplet, i, j, val[k])
+			}
+			prev = j
+		}
+	}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+}
+
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
 
@@ -212,6 +240,12 @@ func (m *CSR) Scaled(a float64) *CSR {
 
 // AddDiagonal returns a new CSR equal to m + diag(d). d must have length
 // Rows and the matrix must be square.
+//
+// It merges d into each row in one pass and yields exactly the matrix a
+// Builder fed m's entries followed by (i, i, d[i]) would: a stored zero
+// (a Scaled underflow) is dropped, the diagonal is the existing entry
+// plus d[i] in that order, a zero d[i] inserts nothing, and a diagonal
+// that sums to zero is dropped.
 func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
 	if m.rows != m.cols {
 		return nil, fmt.Errorf("%w: add diagonal to %dx%d", ErrDimensionMismatch, m.rows, m.cols)
@@ -219,14 +253,48 @@ func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
 	if len(d) != m.rows {
 		return nil, fmt.Errorf("%w: diagonal of %d for %dx%d", ErrDimensionMismatch, len(d), m.rows, m.cols)
 	}
-	b := NewBuilder(m.rows, m.cols)
+	grow := 0 // rows without a stored diagonal gain at most one entry
 	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			_ = b.Add(i, m.colIdx[k], m.val[k])
+		if m.At(i, i) == 0 {
+			grow++
 		}
-		_ = b.Add(i, i, d[i])
 	}
-	return b.Build(), nil
+	out := &CSR{
+		rows:   m.rows,
+		cols:   m.cols,
+		rowPtr: make([]int, m.rows+1),
+		colIdx: make([]int, 0, len(m.colIdx)+grow),
+		val:    make([]float64, 0, len(m.val)+grow),
+	}
+	emit := func(j int, v float64) {
+		if v != 0 {
+			out.colIdx = append(out.colIdx, j)
+			out.val = append(out.val, v)
+		}
+	}
+	for i := 0; i < m.rows; i++ {
+		k, end := m.rowPtr[i], m.rowPtr[i+1]
+		for ; k < end && m.colIdx[k] < i; k++ {
+			emit(m.colIdx[k], m.val[k])
+		}
+		// Builder sums duplicates from 0, skipping zero addends.
+		diag := 0.0
+		if k < end && m.colIdx[k] == i {
+			if v := m.val[k]; v != 0 {
+				diag += v
+			}
+			k++
+		}
+		if d[i] != 0 {
+			diag += d[i]
+		}
+		emit(i, diag)
+		for ; k < end; k++ {
+			emit(m.colIdx[k], m.val[k])
+		}
+		out.rowPtr[i+1] = len(out.val)
+	}
+	return out, nil
 }
 
 // RowSums returns the vector of row sums.

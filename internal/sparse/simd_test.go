@@ -68,10 +68,16 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 		if got := s.Kernel(); got != KernelScalar {
 			t.Fatalf("Kernel() = %q after SetNoSIMD(true), want %q", got, KernelScalar)
 		}
+		// Releasing the setter restores the default dispatch, which the
+		// process-wide switch may still hold scalar.
+		def := hw
+		if simdEnvDisabled() {
+			def = KernelScalar
+		}
 		s.SetNoSIMD(false)
 		runOrder3(t, s, 12, 1)
-		if got := s.Kernel(); got != hw {
-			t.Fatalf("Kernel() = %q after SetNoSIMD(false), want hardware default %q", got, hw)
+		if got := s.Kernel(); got != def {
+			t.Fatalf("Kernel() = %q after SetNoSIMD(false), want default %q", got, def)
 		}
 	})
 
@@ -94,10 +100,12 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 // served by the vector kernels: exactly the order-3 interleaved layouts
 // with an assembly body (band — bidiagonal padded into the window too —
 // non-empty CSR32, QBD with an interior level), scalar for everything
-// else even with the gate open.
+// else even with the gate open. With the gate closed (no AVX2, or
+// SOMRM_NOSIMD set) every shape is scalar.
 func TestSweepKernelLabel(t *testing.T) {
-	if !SIMDAvailable() {
-		t.Skip("no AVX2 support on this host; labels are pinned scalar by TestSweepSIMDKillSwitches")
+	vec := KernelAVX2
+	if !SIMDAvailable() || simdEnvDisabled() {
+		vec = KernelScalar
 	}
 	rng := rand.New(rand.NewSource(72))
 
@@ -125,10 +133,10 @@ func TestSweepKernelLabel(t *testing.T) {
 		order      int
 		want       string
 	}{
-		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, KernelAVX2},
-		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, KernelAVX2},
-		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, KernelAVX2},
-		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatQBD, FormatQBD, 3, KernelAVX2},
+		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, vec},
+		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, vec},
+		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, vec},
+		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatQBD, FormatQBD, 3, vec},
 		{"qbd-two-level", twoLevel, FormatQBD, FormatQBD, 3, KernelScalar},
 		{"planar-order2", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 2, KernelScalar},
 	}

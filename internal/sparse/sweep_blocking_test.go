@@ -256,7 +256,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SIMDAvailable() {
+	if SIMDAvailable() && !simdEnvDisabled() {
 		if T, _, _ := cs.resolveBlocking(); T != temporalBlockDefault {
 			t.Errorf("auto on large CSR state (SIMD) resolved T=%d, want %d", T, temporalBlockDefault)
 		}

@@ -14,13 +14,11 @@
 package spec
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"somrm/internal/core"
 	"somrm/internal/ctmc"
@@ -54,16 +52,22 @@ type Model struct {
 	Impulses    []Impulse    `json:"impulses,omitempty"`
 }
 
-// Parse decodes a JSON spec and rejects non-finite numeric fields.
+// Parse decodes a JSON spec and rejects non-finite numeric fields. A spec
+// in the canonical shape is decoded in a single pass; any other input
+// goes through encoding/json, which gives the same Model or the error.
 func Parse(data []byte) (*Model, error) {
-	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	s := scanner{data: data}
+	m, ok := s.model()
+	if !ok || !s.atEnd() {
+		m = &Model{}
+		if err := json.Unmarshal(data, m); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Validate rejects NaN and ±Inf anywhere in the spec's numeric fields with
@@ -72,40 +76,37 @@ func Parse(data []byte) (*Model, error) {
 // programmatically (including every request the solver service receives as
 // a Go value) can; this is the single chokepoint that keeps non-finite
 // values out of the solvers. Structural validation (index ranges, lengths,
-// distribution sums) stays in Build.
+// distribution sums) stays in Build. The field path is formatted only
+// for the offending value, so a valid spec costs one comparison per
+// number.
 func (m *Model) Validate() error {
-	check := func(path string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %s=%g is not finite", ErrBadSpec, path, v)
-		}
-		return nil
-	}
 	for i, tr := range m.Transitions {
-		if err := check(fmt.Sprintf("transitions[%d].rate", i), tr.Rate); err != nil {
-			return err
+		if !finite(tr.Rate) {
+			return notFinite(fmt.Sprintf("transitions[%d].rate", i), tr.Rate)
 		}
 	}
-	for i, r := range m.Rates {
-		if err := check(fmt.Sprintf("rates[%d]", i), r); err != nil {
-			return err
-		}
-	}
-	for i, v := range m.Variances {
-		if err := check(fmt.Sprintf("variances[%d]", i), v); err != nil {
-			return err
-		}
-	}
-	for i, p := range m.Initial {
-		if err := check(fmt.Sprintf("initial[%d]", i), p); err != nil {
-			return err
+	for _, f := range []struct {
+		name string
+		vs   []float64
+	}{{"rates", m.Rates}, {"variances", m.Variances}, {"initial", m.Initial}} {
+		for i, v := range f.vs {
+			if !finite(v) {
+				return notFinite(fmt.Sprintf("%s[%d]", f.name, i), v)
+			}
 		}
 	}
 	for i, im := range m.Impulses {
-		if err := check(fmt.Sprintf("impulses[%d].reward", i), im.Reward); err != nil {
-			return err
+		if !finite(im.Reward) {
+			return notFinite(fmt.Sprintf("impulses[%d].reward", i), im.Reward)
 		}
 	}
 	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func notFinite(path string, v float64) error {
+	return fmt.Errorf("%w: %s=%g is not finite", ErrBadSpec, path, v)
 }
 
 // Read decodes a JSON spec from a reader.
@@ -141,55 +142,6 @@ func (m *Model) Write(w io.Writer) error {
 	return nil
 }
 
-// Canonical returns a deterministic compact serialization of the spec:
-// transitions and impulses are sorted by (from, to) and the JSON is
-// emitted without whitespace, so two specs describing the same model in a
-// different entry order serialize identically. It is the basis for
-// content-addressed caching of solve results.
-func (m *Model) Canonical() ([]byte, error) {
-	c := Model{
-		States:    m.States,
-		Rates:     m.Rates,
-		Variances: m.Variances,
-		Initial:   m.Initial,
-	}
-	if len(m.Transitions) > 0 {
-		c.Transitions = append([]Transition(nil), m.Transitions...)
-		sort.Slice(c.Transitions, func(i, j int) bool {
-			a, b := c.Transitions[i], c.Transitions[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.To < b.To
-		})
-	}
-	if len(m.Impulses) > 0 {
-		c.Impulses = append([]Impulse(nil), m.Impulses...)
-		sort.Slice(c.Impulses, func(i, j int) bool {
-			a, b := c.Impulses[i], c.Impulses[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.To < b.To
-		})
-	}
-	out, err := json.Marshal(&c)
-	if err != nil {
-		return nil, fmt.Errorf("spec: canonical: %w", err)
-	}
-	return out, nil
-}
-
-// Hash returns the SHA-256 digest of the canonical serialization. Two
-// specs with the same hash describe the same model (up to entry order).
-func (m *Model) Hash() ([32]byte, error) {
-	c, err := m.Canonical()
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(c), nil
-}
-
 // Build validates the spec and constructs the reward model.
 func (m *Model) Build() (*core.Model, error) {
 	if m.States < 1 {
@@ -198,25 +150,14 @@ func (m *Model) Build() (*core.Model, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	b := sparse.NewBuilder(m.States, m.States)
-	exits := make([]float64, m.States)
-	for _, tr := range m.Transitions {
-		if tr.From == tr.To {
-			return nil, fmt.Errorf("%w: self-transition on state %d", ErrBadSpec, tr.From)
-		}
-		if err := b.Add(tr.From, tr.To, tr.Rate); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		exits[tr.From] += tr.Rate
-	}
-	for i, e := range exits {
-		if e != 0 {
-			if err := b.Add(i, i, -e); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
+	q := m.sortedGenerator()
+	if q == nil {
+		var err error
+		if q, err = m.builtGenerator(); err != nil {
+			return nil, err
 		}
 	}
-	gen, err := ctmc.NewGenerator(b.Build())
+	gen, err := ctmc.NewGenerator(q)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
@@ -237,6 +178,79 @@ func (m *Model) Build() (*core.Model, error) {
 		}
 	}
 	return model, nil
+}
+
+// builtGenerator assembles the generator matrix through the COO Builder:
+// off-diagonal rates as given, duplicates summed in input order, and each
+// row's diagonal the negated sum of its exit rates in input order.
+func (m *Model) builtGenerator() (*sparse.CSR, error) {
+	b := sparse.NewBuilder(m.States, m.States)
+	exits := make([]float64, m.States)
+	for _, tr := range m.Transitions {
+		if tr.From == tr.To {
+			return nil, fmt.Errorf("%w: self-transition on state %d", ErrBadSpec, tr.From)
+		}
+		if err := b.Add(tr.From, tr.To, tr.Rate); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		}
+		exits[tr.From] += tr.Rate
+	}
+	for i, e := range exits {
+		if e != 0 {
+			if err := b.Add(i, i, -e); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			}
+		}
+	}
+	return b.Build(), nil
+}
+
+// sortedGenerator assembles the generator matrix in one pass when the
+// transitions are strictly increasing in (from, to), in range, loop-free
+// and nonzero — the shape specs are usually written in. It returns nil for
+// any other list, which builtGenerator handles (and reports errors for).
+// The result is bitwise builtGenerator's: each row's exit rates are summed
+// in the same order and the diagonal lands in column position.
+func (m *Model) sortedGenerator() *sparse.CSR {
+	n, trs := m.States, m.Transitions
+	rowPtr := make([]int, n+1)
+	// Only rows with transitions gain a diagonal entry.
+	colIdx := make([]int, 0, len(trs)+min(n, len(trs)))
+	val := make([]float64, 0, cap(colIdx))
+	k := 0
+	for i := 0; i < n; i++ {
+		end := k
+		exit := 0.0
+		for ; end < len(trs) && trs[end].From == i; end++ {
+			exit += trs[end].Rate
+		}
+		for ; k < end && trs[k].To < i; k++ {
+			colIdx = append(colIdx, trs[k].To)
+			val = append(val, trs[k].Rate)
+		}
+		if k < end && trs[k].To == i {
+			return nil // a self-loop, an error builtGenerator reports
+		}
+		if exit != 0 {
+			colIdx = append(colIdx, i)
+			val = append(val, -exit)
+		}
+		for ; k < end; k++ {
+			colIdx = append(colIdx, trs[k].To)
+			val = append(val, trs[k].Rate)
+		}
+		rowPtr[i+1] = len(val)
+	}
+	if k != len(trs) {
+		return nil // rows out of order or out of range
+	}
+	// NewCSRSorted rejects the rest: columns out of order, repeated or
+	// out of range, and zero rates.
+	q, err := sparse.NewCSRSorted(n, n, rowPtr, colIdx, val)
+	if err != nil {
+		return nil
+	}
+	return q
 }
 
 // FromModel converts a built model back to its JSON representation (the
