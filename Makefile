@@ -108,7 +108,6 @@ fuzz:
 	$(GO) test -fuzz FuzzSolveRequestDecode -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzBandRoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzQBDRoundTrip -fuzztime 30s ./internal/sparse/
-	$(GO) test -fuzz FuzzKronSumMatVec -fuzztime 30s ./internal/sparse/
 
 clean:
 	$(GO) clean ./...

@@ -20,8 +20,9 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "999.999.999.999:0"}, &sb, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
-	// csr64 is only the reference oracle's storage label, not a format.
-	for _, f := range []string{"nope", "csr64"} {
+	// csr64 is only the reference oracle's storage label, not a format;
+	// kron named the deleted matrix-free Kronecker-sum operator.
+	for _, f := range []string{"nope", "csr64", "kron"} {
 		if err := run([]string{"-matrix-format", f}, &sb, nil); err == nil || !strings.Contains(err.Error(), "matrix-format") {
 			t.Errorf("-matrix-format %s accepted: %v", f, err)
 		}

@@ -45,20 +45,23 @@ func TestRunHappyPath(t *testing.T) {
 }
 
 // TestRunMatrixFormatFlag: every selectable storage solves the same
-// model; csr64, the reference oracle's storage label, is rejected with
-// an error naming the unsupported format.
+// model; csr64, the reference oracle's storage label, and kron, the
+// deleted Kronecker-sum operator, are rejected with an error naming the
+// unsupported format.
 func TestRunMatrixFormatFlag(t *testing.T) {
 	path := writeSpec(t, validSpec)
-	for _, f := range []string{"auto", "csr", "band", "qbd", "kron"} {
+	for _, f := range []string{"auto", "csr", "band", "qbd"} {
 		var sb strings.Builder
 		if err := run([]string{"-model", path, "-order", "3", "-matrix-format", f}, &sb); err != nil {
 			t.Errorf("-matrix-format %s: %v", f, err)
 		}
 	}
-	var sb strings.Builder
-	err := run([]string{"-model", path, "-order", "3", "-matrix-format", "csr64"}, &sb)
-	if err == nil || !strings.Contains(err.Error(), `unsupported matrix format "csr64"`) {
-		t.Errorf("-matrix-format csr64: err = %v, want an unsupported-format error", err)
+	for _, f := range []string{"csr64", "kron"} {
+		var sb strings.Builder
+		err := run([]string{"-model", path, "-order", "3", "-matrix-format", f}, &sb)
+		if err == nil || !strings.Contains(err.Error(), `unsupported matrix format "`+f+`"`) {
+			t.Errorf("-matrix-format %s: err = %v, want an unsupported-format error", f, err)
+		}
 	}
 }
 

@@ -115,10 +115,11 @@ func denseQBDModel(tb testing.TB, levels, b int) *Model {
 	})
 }
 
-// composedDenseModel composes largeTridiagModel(n) with a dense f-state
-// factor (every state reaches every other): the materialized product is
-// block-tridiagonal with level size f, the birth-death factor moving
-// between levels, the dense factor within one.
+// composedDenseModel is the product chain of largeTridiagModel(n) and a
+// dense f-state factor (every state reaches every other) as a plain
+// model, so solving it sweeps the product: block-tridiagonal with level
+// size f, the birth-death factor moving between levels, the dense factor
+// within one.
 func composedDenseModel(tb testing.TB, n, f int) *Model {
 	tb.Helper()
 	dense := rateModel(tb, f, func(i int, add func(int, float64)) {
@@ -126,7 +127,41 @@ func composedDenseModel(tb testing.TB, n, f int) *Model {
 			add(j, 1+0.25*float64(i+j))
 		}
 	})
-	m, err := Compose(largeTridiagModel(tb, n), dense)
+	joint, err := Compose(largeTridiagModel(tb, n), dense)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := New(joint.Generator(), joint.Rates(), joint.Variances(), joint.Initial())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// onOffModel is the paper's ON–OFF multiplexer of n sources with capacity
+// n·r: state i counts the ON sources (OFF→ON rate beta, ON→OFF alpha),
+// with drift (n−i)·r and variance i·s2.
+func onOffModel(tb testing.TB, n int, alpha, beta, r, s2 float64) *Model {
+	tb.Helper()
+	up := make([]float64, n)
+	down := make([]float64, n)
+	for i := range up {
+		up[i] = float64(n-i) * beta
+		down[i] = float64(i+1) * alpha
+	}
+	gen, err := ctmc.NewBirthDeath(up, down)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rates := make([]float64, n+1)
+	vars := make([]float64, n+1)
+	initial := make([]float64, n+1)
+	for i := range rates {
+		rates[i] = float64(n-i) * r
+		vars[i] = float64(i) * s2
+	}
+	initial[0] = 1
+	m, err := New(gen, rates, vars, initial)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -191,9 +226,8 @@ func BenchmarkComposePair(b *testing.B) {
 // storage policy. The N32, N2001 and N16383 rows measure the crossover
 // below the parallel threshold (see the loop's comment), the shape-*
 // rows run the storage policy on non-tridiagonal ≈65k-state shapes (see
-// that loop's comment), and the trailing kron-KxM sub-benchmarks sweep
-// matrix-free composed models through the streaming Kronecker-sum
-// operator. Apart from the cold rows, each
+// that loop's comment), and compose-3x41 solves a matrix-free composed
+// model by moment convolution. Apart from the cold rows, each
 // model is prepared once so an op measures the sweep, not the per-solve
 // uniformization and CSR assembly it shares across kernels.
 func BenchmarkSweep(b *testing.B) {
@@ -366,40 +400,26 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	}
 
-	// Matrix-free composed shapes: kron-KxM composes K constant-rate
-	// tridiagonal factors of M states each. Both shapes reach 10^6 product
-	// states — past ComposeMaterializeThreshold — so the sweep streams the
-	// Kronecker-sum operator and the product CSR is never built (it would
-	// hold ~5M nonzeros here, and OOMs outright at modestly larger shapes;
-	// the O(sum of factor sizes) memory ceiling is asserted in
-	// TestComposeMatrixFreeLarge, not here). t is shorter than the
-	// materialized runs above because the composed uniformization rate is
-	// the sum of the factor rates: q = 7K, so kronT keeps G comparable.
-	const kronT = 0.5
-	for _, shape := range []struct{ k, m int }{{2, 1000}, {3, 100}} {
-		factors := make([]*Model, shape.k)
-		for i := range factors {
-			factors[i] = largeTridiagModel(b, shape.m)
-		}
-		joint, err := ComposeAll(factors...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !joint.IsMatrixFree() {
-			b.Fatalf("kron-%dx%d: composed model unexpectedly materialized", shape.k, shape.m)
-		}
-		prep, err := Prepare(joint)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("kron-%dx%d", shape.k, shape.m), func(b *testing.B) {
-			opts := &Options{SweepWorkers: 1, MatrixFormat: "kron"}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := prep.AccumulatedReward(kronT, order, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	// compose-3x41 is the composed-kron serving shape: three 41-state
+	// ON–OFF factors (68,921 product states, matrix-free), solved by three
+	// factor sweeps and the moment convolution at t = 0.05.
+	parts := make([]*Model, 3)
+	for i, s2 := range []float64{0, 1, 10} {
+		parts[i] = onOffModel(b, 40, 4, 3, 1, s2)
 	}
+	joint, err := ComposeAll(parts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := Prepare(joint)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("compose-3x41", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := prep.AccumulatedReward(0.05, order, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -19,36 +20,19 @@ var ErrComposeImpulse = errors.New("core: composition of impulse-reward models i
 
 // ComposeMaterializeThreshold is the product state count above which
 // Compose stops materializing the joint generator as an explicit CSR and
-// returns a matrix-free model instead: the composed generator lives only
-// as its Kronecker-sum factors (O(Σ factor sizes) memory), and the
-// randomization solver streams it through the sparse.KronSum operator.
-// At or below the threshold the explicit CSR is built as before (and the
-// factor metadata is kept alongside, so the kron format remains
-// available and further compositions stay exact).
+// returns a matrix-free model instead (see Model.IsMatrixFree). Either
+// way the composed model solves by convolving its factors' moments, so
+// the threshold only bounds what the explicit product costs to keep for
+// the solvers that need Generator() (ODE, simulation, joint moments).
 const ComposeMaterializeThreshold = 1 << 16
 
-// kronSpec records a composed model's generator as a Kronecker sum: the
-// raw factor generator matrices, the tree-folded maximum exit rate, and
-// the postfix fold program (see sparse.NewKronSum) capturing the
-// parenthesization of the composition tree — the shape in which the
-// materialized builder would have float-summed the duplicate diagonal
-// contributions, which the matrix-free operator must reproduce bit for
-// bit.
-type kronSpec struct {
-	n       int
-	q       float64
-	factors []*sparse.CSR
-	fold    []byte
-}
-
-// kronParts returns a model's Kronecker decomposition: its own factors
-// when it is (or records being) a composition, else the model itself as
-// a single leaf factor.
-func (m *Model) kronParts() (factors []*sparse.CSR, fold []byte, q float64) {
-	if m.kron != nil {
-		return m.kron.factors, m.kron.fold, m.kron.q
+// leaves returns the factors a composition of m contributes: its own
+// parts when it is composed, else the model itself.
+func (m *Model) leaves() []*Model {
+	if m.parts != nil {
+		return m.parts
 	}
-	return []*sparse.CSR{m.gen.Matrix()}, []byte{sparse.KronFoldPush}, m.gen.MaxExitRate()
+	return []*Model{m}
 }
 
 // Compose builds the joint model of two *independent* second-order Markov
@@ -56,19 +40,26 @@ func (m *Model) kronParts() (factors []*sparse.CSR, fold []byte, q float64) {
 // is the product chain (generator = Kronecker sum Q1 (+) Q2), the drift
 // and variance of a joint state are the sums of the component drifts and
 // variances (independent Brownian motions add their first two cumulants),
-// and the initial distribution is the product distribution.
+// and the initial distribution is the product distribution. State (i, j)
+// has index i*b.N() + j.
 //
 // The accumulated reward of the composed model is B1(t) + B2(t) with
 // independent components, so its moments are the binomial convolution of
-// the component moments — which the test suite uses as an exact oracle.
-// The paper's ON-OFF multiplexer is a composition of N independent
-// single-source models (modulo the shared capacity offset).
+// the component moments, and that is how the randomization solver
+// computes them: the composed model keeps its leaf factors (flattened, in
+// composition order), each factor solves through its own Prepared, and
+// the per-state moment vectors fold left to right,
 //
-// Products up to ComposeMaterializeThreshold states build the explicit
-// joint CSR; larger products return a matrix-free model whose generator
-// exists only as its Kronecker-sum factors (see Model.IsMatrixFree).
-// Both carry the factor metadata, and the solver's results are bitwise
-// identical either way.
+//	V⁽ⁿ⁾(i,j) = Σₖ C(n,k) A⁽ᵏ⁾ᵢ B⁽ⁿ⁻ᵏ⁾ⱼ,
+//
+// before the initial distribution aggregates them (see Stats for how the
+// factors' statistics combine). The paper's ON-OFF multiplexer is a
+// composition of N independent single-source models (modulo the shared
+// capacity offset).
+//
+// Products up to ComposeMaterializeThreshold states also build the
+// explicit joint CSR, so solvers that need Generator() work; larger
+// products are matrix-free (see Model.IsMatrixFree).
 //
 // Impulse-reward models are rejected with ErrComposeImpulse (wrapped in
 // ErrBadModel).
@@ -85,21 +76,7 @@ func Compose(a, b *Model) (*Model, error) {
 	}
 	n := na * nb
 	idx := func(i, j int) int { return i*nb + j }
-
-	// The Kronecker metadata of the product: factor matrices concatenate,
-	// fold programs concatenate with a final add (the postfix encoding of
-	// this Compose node), and the maximum exit rate folds pairwise — the
-	// product chain's per-row exit rate is fl(e_a + e_b), which is
-	// monotone in both arguments, so its maximum sits at the component
-	// argmaxes.
-	fa, folda, qa := a.kronParts()
-	fb, foldb, qb := b.kronParts()
-	ks := &kronSpec{
-		n:       n,
-		q:       qa + qb,
-		factors: append(append(make([]*sparse.CSR, 0, len(fa)+len(fb)), fa...), fb...),
-		fold:    append(append(append(make([]byte, 0, len(folda)+len(foldb)+1), folda...), foldb...), sparse.KronFoldAdd),
-	}
+	parts := append(append(make([]*Model, 0, len(a.leaves())+len(b.leaves())), a.leaves()...), b.leaves()...)
 
 	rates := make([]float64, n)
 	vars := make([]float64, n)
@@ -114,9 +91,9 @@ func Compose(a, b *Model) (*Model, error) {
 	}
 
 	if n <= ComposeMaterializeThreshold {
-		// Small product: materialize the joint CSR exactly as before.
-		// Components this small always carry explicit generators (a
-		// matrix-free component is itself above the threshold).
+		// Small product: materialize the joint CSR. Components this small
+		// always carry explicit generators (a matrix-free component is
+		// itself above the threshold).
 		builder := sparse.NewBuilder(n, n)
 		qma := a.gen.Matrix()
 		qmb := b.gen.Matrix()
@@ -151,18 +128,12 @@ func Compose(a, b *Model) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(ks.factors) <= sparse.MaxKronFactors {
-			out.kron = ks
-		}
+		out.parts = parts
 		return out, nil
 	}
 
-	// Large product: matrix-free model. The generator exists only as the
-	// Kronecker factors; validate what New would have validated, without
-	// ever touching O(n·nnz-per-row) storage.
-	if len(ks.factors) > sparse.MaxKronFactors {
-		return nil, fmt.Errorf("%w: composed model has %d factors (limit %d)", ErrBadModel, len(ks.factors), sparse.MaxKronFactors)
-	}
+	// Large product: matrix-free model. Validate what New would have
+	// validated, without ever building O(n·nnz-per-row) storage.
 	for i, r := range rates {
 		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, fmt.Errorf("%w: composed rate r[%d]=%g", ErrBadModel, i, r)
@@ -177,7 +148,7 @@ func Compose(a, b *Model) (*Model, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 	}
 	return &Model{
-		kron:    ks,
+		parts:   parts,
 		rates:   rates,
 		vars:    vars,
 		initial: initial,
@@ -223,4 +194,130 @@ func ComposeAll(models ...*Model) (*Model, error) {
 		}
 	}
 	return out, nil
+}
+
+// solveComposed solves a composed model by moment convolution: every
+// factor solves at every time point through its own Prepared, with the
+// caller's epsilon and sweep options, and the factors' per-state moments
+// fold left to right in Compose's state layout. Callers have applied the
+// option defaults.
+func (p *Prepared) solveComposed(ctx context.Context, times []float64, order int, cfg Options) ([]*Result, error) {
+	if err := validateSolveArgs(times, order, cfg); err != nil {
+		return nil, err
+	}
+	// The product chain's rate is the sum of the factor rates.
+	var q float64
+	for _, part := range p.parts {
+		q += part.m.gen.MaxExitRate()
+	}
+	if cfg.UniformizationRate != 0 && cfg.UniformizationRate < q {
+		return nil, fmt.Errorf("%w: uniformization rate %g below max exit rate %g", ErrBadArgument, cfg.UniformizationRate, q)
+	}
+	if cfg.Resume != nil {
+		return nil, fmt.Errorf("%w: composed models do not checkpoint", ErrCheckpoint)
+	}
+	// Factors uniformize at their own rates and never capture a
+	// checkpoint: a cancelled solve returns the bare context error.
+	partCfg := cfg
+	partCfg.UniformizationRate, partCfg.Checkpoint = 0, false
+	solved := make([][]*Result, len(p.parts))
+	largest := 0
+	for k, part := range p.parts {
+		res, err := part.AccumulatedRewardAtContext(ctx, times, order, &partCfg)
+		if err != nil {
+			return nil, err
+		}
+		solved[k] = res
+		if part.m.N() > p.parts[largest].m.N() {
+			largest = k
+		}
+	}
+
+	results := make([]*Result, len(times))
+	for idx, t := range times {
+		first := solved[0][idx]
+		vm := first.VectorMoments
+		bound := make([]float64, order+1)
+		for n := range bound {
+			bound[n] = first.Stats.ErrorBound
+		}
+		var st Stats
+		for k := range p.parts {
+			fs := solved[k][idx].Stats
+			if k > 0 {
+				vm, bound = convolveStates(vm, bound, solved[k][idx].VectorMoments, fs.ErrorBound, order)
+			}
+			st.Q += fs.Q
+			st.Shift += fs.Shift
+			st.D = math.Max(st.D, fs.D)
+			st.G = max(st.G, fs.G)
+			st.MatVecs += fs.MatVecs
+			st.SweepNS += fs.SweepNS
+			st.FlopsPerIteration += fs.FlopsPerIteration
+		}
+		st.QT = st.Q * t
+		for _, e := range bound {
+			st.ErrorBound = math.Max(st.ErrorBound, e)
+		}
+		big := solved[largest][idx].Stats
+		st.MatrixFormat, st.SweepKernel, st.TemporalBlock = big.MatrixFormat, big.SweepKernel, big.TemporalBlock
+
+		res := &Result{T: t, Order: order, VectorMoments: vm, Stats: st}
+		res.finish(p.m.initial)
+		for j, v := range res.Moments {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, fmt.Errorf("%w: t=%g composed moment order %d", ErrOverflow, t, j)
+			}
+		}
+		results[idx] = res
+	}
+	return results, nil
+}
+
+// convolveStates returns the per-state moments of B_a + B_b for
+// independent B_a, B_b over the product states i·n_b + j,
+//
+//	V⁽ⁿ⁾(i,j) = Σₖ C(n,k) A⁽ᵏ⁾ᵢ B⁽ⁿ⁻ᵏ⁾ⱼ,
+//
+// and their propagated per-order error bound. ea[n] bounds the absolute
+// error of every A⁽ⁿ⁾ entry and eb that of every B⁽ⁿ⁾ entry, so by
+// |Δ(ab)| ≤ |Δa||b| + |a||Δb| + |Δa||Δb|
+//
+//	e⁽ⁿ⁾ = Σₖ C(n,k)(ea[k]·|B⁽ⁿ⁻ᵏ⁾| + |A⁽ᵏ⁾|·eb + ea[k]·eb),
+//
+// where |·| is the maximum over states.
+func convolveStates(a [][]float64, ea []float64, b [][]float64, eb float64, order int) ([][]float64, []float64) {
+	na, nb := len(a[0]), len(b[0])
+	maxA, maxB := make([]float64, order+1), make([]float64, order+1)
+	for n := 0; n <= order; n++ {
+		maxA[n], maxB[n] = maxAbs(a[n]), maxAbs(b[n])
+	}
+	out := make([][]float64, order+1)
+	bound := make([]float64, order+1)
+	for n := 0; n <= order; n++ {
+		vn := make([]float64, na*nb)
+		for k := 0; k <= n; k++ {
+			c := binomCoef(n, k)
+			ak, bk := a[k], b[n-k]
+			for i, x := range ak {
+				ci := c * x
+				row := vn[i*nb : (i+1)*nb]
+				for j, y := range bk {
+					row[j] += ci * y
+				}
+			}
+			bound[n] += c * (ea[k]*maxB[n-k] + maxA[k]*eb + ea[k]*eb)
+		}
+		out[n] = vn
+	}
+	return out, bound
+}
+
+// maxAbs returns max_i |v_i| (0 for an empty slice).
+func maxAbs(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }

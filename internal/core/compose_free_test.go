@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
+	"somrm/internal/brownian"
 	"somrm/internal/ctmc"
-	"somrm/internal/sparse"
 )
 
 // birthDeathModel builds an n-state birth-death reward model with unit
@@ -38,20 +38,6 @@ func birthDeathModel(t *testing.T, n int) *Model {
 	return mustModel(t, gen, rates, vars, pi)
 }
 
-// convolveMoments returns the binomial convolution of two raw moment
-// sequences — the exact oracle for the moments of a sum of independent
-// rewards.
-func convolveMoments(a, b []float64) []float64 {
-	order := len(a) - 1
-	out := make([]float64, order+1)
-	for n := 0; n <= order; n++ {
-		for k := 0; k <= n; k++ {
-			out[n] += binomCoef(n, k) * a[k] * b[n-k]
-		}
-	}
-	return out
-}
-
 func TestComposeImpulseSentinel(t *testing.T) {
 	m := mustModel(t, cyclic2(t, 1, 1), []float64{1, 2}, []float64{0, 0}, []float64{1, 0})
 	mi, err := m.WithImpulses(impulseMatrix(t, 2, [3]float64{0, 1, 1}))
@@ -71,154 +57,14 @@ func TestComposeImpulseSentinel(t *testing.T) {
 	}
 }
 
-// TestComposeMatrixFreeLarge is the acceptance gate for the matrix-free
-// path: a composed model of 10^6 product states solves through the
-// Kronecker-sum operator without materializing the product generator, the
-// operator's memory stays O(sum of factor sizes), and the moments match
-// the binomial-convolution oracle of the component solves.
-func TestComposeMatrixFreeLarge(t *testing.T) {
-	const nf = 100
-	a := birthDeathModel(t, nf)
-	b := birthDeathModel(t, nf)
-	c := birthDeathModel(t, nf)
-	joint, err := ComposeAll(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := joint.N(), nf*nf*nf; got != want {
-		t.Fatalf("joint.N() = %d, want %d", got, want)
-	}
-	if !joint.IsMatrixFree() {
-		t.Fatal("composed model above the threshold should be matrix-free")
-	}
-	if joint.Generator() != nil {
-		t.Fatal("matrix-free model must not carry an explicit generator")
-	}
-
-	// The operator the solver will stream: its footprint is bounded by the
-	// factor sizes, six orders of magnitude below the materialized product
-	// (~10^6 rows x ~7 entries x 16 bytes ~ 100 MB).
-	u, err := joint.uniformize(joint.maxExitRate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.kron == nil {
-		t.Fatal("uniformization of a matrix-free model must build the Kronecker operator")
-	}
-	var factorBytes int64
-	for _, f := range joint.kron.factors {
-		factorBytes += int64(f.NNZ()+f.Rows()) * 16
-	}
-	if mem := u.kron.MemoryBytes(); mem > 8*factorBytes {
-		t.Fatalf("KronSum memory %d bytes exceeds O(sum of factors) bound %d", mem, 8*factorBytes)
-	}
-	if mem := u.kron.MemoryBytes(); mem > 1<<20 {
-		t.Fatalf("KronSum memory %d bytes for three 100-state factors; expected well under 1 MiB", mem)
-	}
-
-	const tt, order = 0.2, 2
-	rj, err := joint.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rj.Stats.MatrixFormat != string(sparse.FormatKron) {
-		t.Errorf("Stats.MatrixFormat = %q, want %q", rj.Stats.MatrixFormat, sparse.FormatKron)
-	}
-
-	ra, err := a.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := c.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := convolveMoments(convolveMoments(ra.Moments, rb.Moments), rc.Moments)
-	for n := 0; n <= order; n++ {
-		if math.Abs(rj.Moments[n]-want[n]) > 1e-8*(1+math.Abs(want[n])) {
-			t.Errorf("matrix-free m%d = %.12g, convolution oracle %.12g", n, rj.Moments[n], want[n])
-		}
-	}
-
-	// The prepared path reuses the operator and must agree bitwise.
-	prep, err := Prepare(joint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := prep.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n <= order; n++ {
-		if math.Float64bits(rp.Moments[n]) != math.Float64bits(rj.Moments[n]) {
-			t.Errorf("prepared m%d = %x, model path %x", n, math.Float64bits(rp.Moments[n]), math.Float64bits(rj.Moments[n]))
-		}
-	}
-}
-
-// TestComposeKronFormatBitwise is the composed-model half of the bitwise
-// gate: a materialized composed model solved through the forced "kron"
-// format — at every worker count, including the serial reference — must
-// reproduce the default materialized solve bit for bit.
-func TestComposeKronFormatBitwise(t *testing.T) {
-	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
-	gb, err := ctmc.NewGeneratorFromDense(3, []float64{
-		-3, 2, 1,
-		0.5, -0.5, 0,
-		4, 0, -4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mustModel(t, gb, []float64{2, 0, 1}, []float64{0, 0.6, 0.2}, []float64{0.25, 0.5, 0.25})
-	joint, err := Compose(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joint.IsMatrixFree() {
-		t.Fatal("a 6-state composition should materialize")
-	}
-
-	times := []float64{0.3, 0.7}
-	const order = 3
-	ref, err := joint.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref[0].Stats.MatrixFormat != string(sparse.FormatCSR64) {
-		t.Fatalf("reference format = %q, want csr64", ref[0].Stats.MatrixFormat)
-	}
-
-	for _, workers := range []int{-1, 1, 2, 5} {
-		got, err := joint.AccumulatedRewardAt(times, order, &Options{
-			SweepWorkers: workers, MatrixFormat: string(sparse.FormatKron),
-		})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		for idx := range times {
-			if got[idx].Stats.MatrixFormat != string(sparse.FormatKron) {
-				t.Fatalf("workers %d: format = %q, want kron", workers, got[idx].Stats.MatrixFormat)
-			}
-		}
-		sameResults(t, fmt.Sprintf("workers %d", workers), got, ref)
-	}
-}
-
 // TestComposeAllAssociativity pins the spec-level associativity of
 // composition: (A∘B)∘C and A∘(B∘C) share the same state space, the same
-// factor list, and the same generator sparsity structure with exactly
-// equal off-diagonal rates. They are deliberately NOT bitwise identical:
-// the diagonal entries, drifts and variances are floating-point sums
-// folded in the shape of the composition tree ((qa+qb)+qc versus
-// qa+(qb+qc)), which differ in the last ulp for generic rates. The fold
-// programs record exactly that shape — each variant stays bitwise
-// faithful to its own materialization, which TestComposeKronFormatBitwise
-// checks through the forced kron format.
+// flattened factor list, and the same generator sparsity structure with
+// exactly equal off-diagonal rates. The product arrays are deliberately
+// NOT bitwise identical: the diagonal entries, drifts and variances are
+// floating-point sums folded in the shape of the composition tree
+// ((qa+qb)+qc versus qa+(qb+qc)), which differ in the last ulp for
+// generic rates.
 func TestComposeAllAssociativity(t *testing.T) {
 	a := mustModel(t, cyclic2(t, 0.3, 1.7), []float64{0.1, 1.3}, []float64{0.2, 0}, []float64{1, 0})
 	b := mustModel(t, cyclic2(t, 2.1, 0.9), []float64{0.7, 0.05}, []float64{0, 0.4}, []float64{0.5, 0.5})
@@ -246,23 +92,11 @@ func TestComposeAllAssociativity(t *testing.T) {
 	}
 	n := left.N()
 
-	// Both parenthesizations decompose into the same ordered factor list;
-	// only the fold program (the tree shape) differs.
-	if len(left.kron.factors) != 3 || len(right.kron.factors) != 3 {
-		t.Fatalf("factor counts %d/%d, want 3", len(left.kron.factors), len(right.kron.factors))
-	}
-	for i := range left.kron.factors {
-		if left.kron.factors[i] != right.kron.factors[i] {
-			t.Errorf("factor %d differs between parenthesizations", i)
+	// Both parenthesizations flatten into the same ordered factor list.
+	for name, m := range map[string]*Model{"left": left, "right": right} {
+		if len(m.parts) != 3 || m.parts[0] != a || m.parts[1] != b || m.parts[2] != c {
+			t.Errorf("%s parts = %v, want [a b c]", name, m.parts)
 		}
-	}
-	wantLeft := []byte{sparse.KronFoldPush, sparse.KronFoldPush, sparse.KronFoldAdd, sparse.KronFoldPush, sparse.KronFoldAdd}
-	wantRight := []byte{sparse.KronFoldPush, sparse.KronFoldPush, sparse.KronFoldPush, sparse.KronFoldAdd, sparse.KronFoldAdd}
-	if string(left.kron.fold) != string(wantLeft) {
-		t.Errorf("left fold = %v, want %v", left.kron.fold, wantLeft)
-	}
-	if string(right.kron.fold) != string(wantRight) {
-		t.Errorf("right fold = %v, want %v", right.kron.fold, wantRight)
 	}
 
 	lg, rg := left.Generator().Matrix(), right.Generator().Matrix()
@@ -355,5 +189,307 @@ func TestMatrixFreeGuards(t *testing.T) {
 	bad[0] = 2
 	if _, err := joint.WithInitial(bad); !errors.Is(err, ErrBadModel) {
 		t.Errorf("WithInitial(bad): %v, want ErrBadModel", err)
+	}
+}
+
+// constantRateChain builds an n-state birth-death chain whose states all
+// share drift r and variance s2: whatever the chain does, its reward is
+// exactly Normal(r·t, s2·t), so compositions of such chains have
+// closed-form moments.
+func constantRateChain(t *testing.T, n int, r, s2 float64) *Model {
+	t.Helper()
+	up := make([]float64, n-1)
+	down := make([]float64, n-1)
+	for i := range up {
+		up[i] = 1 + 0.5*float64(i%3)
+		down[i] = 2
+	}
+	gen, err := ctmc.NewBirthDeath(up, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := make([]float64, n)
+	vars := make([]float64, n)
+	for i := range rates {
+		rates[i] = r
+		vars[i] = s2
+	}
+	pi, err := ctmc.UnitDistribution(n, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustModel(t, gen, rates, vars, pi)
+}
+
+// productSweep returns the materialized product chain of a composed
+// model as a plain model, which the randomization solver sweeps like any
+// other: the independent oracle for the moment convolution.
+func productSweep(t *testing.T, joint *Model) *Model {
+	t.Helper()
+	if joint.Generator() == nil {
+		t.Fatal("composed model is matrix-free; no product to sweep")
+	}
+	return mustModel(t, joint.Generator(), joint.rates, joint.vars, joint.initial)
+}
+
+// requireWithinBounds checks that two solves agree within the sum of
+// their propagated error bounds plus a roundoff allowance of 1e-12
+// relative.
+func requireWithinBounds(t *testing.T, label string, got, want []*Result) {
+	t.Helper()
+	for idx := range want {
+		tol := got[idx].Stats.ErrorBound + want[idx].Stats.ErrorBound
+		for j, w := range want[idx].Moments {
+			if d := math.Abs(got[idx].Moments[j] - w); d > tol+1e-12*math.Max(1, math.Abs(w)) {
+				t.Errorf("%s: t=%g m%d = %.17g, product sweep %.17g (diff %g, bounds %g)",
+					label, want[idx].T, j, got[idx].Moments[j], w, d, tol)
+			}
+		}
+	}
+}
+
+// TestComposeMatrixFreeLarge is the acceptance gate for matrix-free
+// compositions: a composed model of 10^6 product states solves without
+// ever building the product generator, its moments match the closed form
+// of a sum of normals, and the prepared and model paths agree bitwise.
+func TestComposeMatrixFreeLarge(t *testing.T) {
+	const nf = 100
+	a := constantRateChain(t, nf, 0.5, 0.2)
+	b := constantRateChain(t, nf, -0.3, 0)
+	c := constantRateChain(t, nf, 1.1, 0.7)
+	joint, err := ComposeAll(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := joint.N(), nf*nf*nf; got != want {
+		t.Fatalf("joint.N() = %d, want %d", got, want)
+	}
+	if !joint.IsMatrixFree() {
+		t.Fatal("composed model above the threshold should be matrix-free")
+	}
+	if joint.Generator() != nil {
+		t.Fatal("matrix-free model must not carry an explicit generator")
+	}
+
+	const tt, order = 0.2, 3
+	rj, err := joint.AccumulatedReward(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := a.AccumulatedReward(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rj.Stats.MatrixFormat != ra.Stats.MatrixFormat || rj.Stats.MatrixFormat == "" {
+		t.Errorf("Stats.MatrixFormat = %q, want the factors' %q", rj.Stats.MatrixFormat, ra.Stats.MatrixFormat)
+	}
+	mean, variance := (0.5-0.3+1.1)*tt, (0.2+0+0.7)*tt
+	for n := 0; n <= order; n++ {
+		want, err := brownian.NormalRawMoment(n, mean, variance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(rj.Moments[n] - want); d > rj.Stats.ErrorBound+1e-12*math.Max(1, math.Abs(want)) {
+			t.Errorf("m%d = %.17g, closed form %.17g (diff %g, bound %g)", n, rj.Moments[n], want, d, rj.Stats.ErrorBound)
+		}
+	}
+
+	prep, err := Prepare(joint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := prep.AccumulatedReward(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "prepared vs model path", []*Result{rp}, []*Result{rj})
+}
+
+// TestComposeMatchesProductSweep is the convolution's contract against
+// the materialized product sweep: composed solves agree with it within
+// both propagated bounds, at several time points, including t = 0 and
+// factors with negative drifts (shifted).
+func TestComposeMatchesProductSweep(t *testing.T) {
+	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
+	gb, err := ctmc.NewGeneratorFromDense(3, []float64{
+		-3, 2, 1,
+		0.5, -0.5, 0,
+		4, 0, -4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mustModel(t, gb, []float64{2, 0, -1}, []float64{0, 0.6, 0.2}, []float64{0.25, 0.5, 0.25})
+	c := birthDeathModel(t, 5)
+	joint, err := ComposeAll(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0, 0.3, 1.7}
+	const order = 4
+	got, err := joint.AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := productSweep(t, joint).AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWithinBounds(t, "compose", got, want)
+	for j, m := range got[0].Moments {
+		if w := float64(1 - min(j, 1)); m != w {
+			t.Errorf("t=0 m%d = %g, want %g", j, m, w)
+		}
+	}
+}
+
+// TestComposeWithInitialNonProduct: a composed model given an initial
+// distribution that is not a product of the factors' still aggregates
+// exactly, because the convolution rebuilds every per-state moment.
+func TestComposeWithInitialNonProduct(t *testing.T) {
+	a := mustModel(t, cyclic2(t, 0.3, 1.7), []float64{0.1, 1.3}, []float64{0.2, 0}, []float64{1, 0})
+	b := birthDeathModel(t, 4)
+	joint, err := Compose(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mass on (0,3) and (1,0) only: a product distribution weighting
+	// both would also weight (0,0) and (1,3).
+	pi := make([]float64, joint.N())
+	pi[3], pi[4] = 0.3, 0.7
+	mixed, err := joint.WithInitial(pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0.4, 1.2}
+	got, err := mixed.AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := productSweep(t, mixed).AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWithinBounds(t, "non-product initial", got, want)
+}
+
+// TestComposeWithImpulsesSweepsProduct: impulses couple the factors, so
+// a composed model with impulses is an ordinary model of its product
+// chain, bit for bit.
+func TestComposeWithImpulsesSweepsProduct(t *testing.T) {
+	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
+	b := mustModel(t, cyclic2(t, 0.7, 1.1), []float64{2, 0}, []float64{0, 0.6}, []float64{0.25, 0.75})
+	joint, err := Compose(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Product state 0 = (0,0) moves to 2 = (1,0) and to 1 = (0,1).
+	imp := impulseMatrix(t, joint.N(), [3]float64{0, 2, 0.5}, [3]float64{0, 1, 0.25})
+	ji, err := joint.WithImpulses(imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := productSweep(t, joint).WithImpulses(imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0.5, 1.5}
+	got, err := ji.AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "composed with impulses", got, want)
+}
+
+// TestComposeOptions pins how solver options apply to composed models:
+// the uniformization rate is validated against the product chain's rate
+// but does not change the factor solves, checkpoints are refused or not
+// captured, and "kron" is no longer a format.
+func TestComposeOptions(t *testing.T) {
+	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
+	b := birthDeathModel(t, 6)
+	joint, err := Compose(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0.5, 2}
+	ref, err := joint.AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := a.Generator().MaxExitRate() + b.Generator().MaxExitRate()
+	if ref[1].Stats.Q != q || ref[1].Stats.QT != q*2 {
+		t.Errorf("Stats.Q, QT = %g, %g, want %g, %g", ref[1].Stats.Q, ref[1].Stats.QT, q, q*2)
+	}
+
+	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{UniformizationRate: q * 0.99}); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("uniformization rate below the product rate: %v, want ErrBadArgument", err)
+	}
+	got, err := joint.AccumulatedRewardAt(times, 3, &Options{UniformizationRate: 2 * q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "uniformization rate", got, ref)
+
+	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{MatrixFormat: "kron"}); !errors.Is(err, ErrBadArgument) {
+		t.Errorf(`MatrixFormat "kron": %v, want ErrBadArgument`, err)
+	}
+	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{Resume: &Checkpoint{}}); !errors.Is(err, ErrCheckpoint) {
+		t.Errorf("Resume: %v, want ErrCheckpoint", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	prep, err := Prepare(joint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.AccumulatedRewardAtContext(ctx, times, 3, &Options{Checkpoint: true}); err != context.Canceled {
+		t.Errorf("cancelled composed solve: %v, want the bare context error", err)
+	}
+}
+
+// TestComposeStatsFold pins how the factors' statistics combine.
+func TestComposeStatsFold(t *testing.T) {
+	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
+	b := birthDeathModel(t, 7)
+	c := mustModel(t, cyclic2(t, 0.7, 1.1), []float64{-2, 0}, []float64{0, 0.6}, []float64{0.25, 0.75})
+	joint, err := ComposeAll(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tt, order = 0.9, 3
+	got, err := joint.AccumulatedReward(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Stats
+	for _, m := range []*Model{a, b, c} {
+		r, err := m.AccumulatedReward(tt, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := r.Stats
+		want.Q += fs.Q
+		want.Shift += fs.Shift
+		want.D = math.Max(want.D, fs.D)
+		want.G = max(want.G, fs.G)
+		want.MatVecs += fs.MatVecs
+		want.FlopsPerIteration += fs.FlopsPerIteration
+		if m == b {
+			want.MatrixFormat, want.SweepKernel, want.TemporalBlock = fs.MatrixFormat, fs.SweepKernel, fs.TemporalBlock
+		}
+	}
+	want.QT = want.Q * tt
+	if got.Stats.ErrorBound <= 0 || got.Stats.SweepNS <= 0 {
+		t.Errorf("ErrorBound %g, SweepNS %d: want both positive", got.Stats.ErrorBound, got.Stats.SweepNS)
+	}
+	got.Stats.SweepNS, got.Stats.ErrorBound = 0, 0
+	if got.Stats != want {
+		t.Errorf("Stats = %+v, want %+v", got.Stats, want)
 	}
 }

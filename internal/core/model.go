@@ -43,13 +43,13 @@ var (
 // generator, per-state reward drifts, per-state reward variances, and an
 // initial distribution.
 //
-// Large composed models are matrix-free: gen is nil and the generator
-// exists only as its Kronecker-sum factors in kron (see Compose and
-// IsMatrixFree). Every solver path that needs the explicit matrix either
-// streams the factors or rejects the model with a typed error.
+// A composed model (see Compose) keeps its leaf factors in parts, and the
+// randomization solver convolves their moments. Large composed models are
+// matrix-free: gen is nil (see IsMatrixFree), and every solver path that
+// needs the explicit matrix rejects the model with a typed error.
 type Model struct {
 	gen      *ctmc.Generator
-	kron     *kronSpec // Kronecker-sum decomposition of composed models
+	parts    []*Model  // leaf factors of a composed model, in composition order
 	rates    []float64 // r_i, may be negative
 	vars     []float64 // sigma_i^2 >= 0
 	initial  []float64
@@ -108,6 +108,9 @@ func NewFirstOrder(gen *ctmc.Generator, rates, initial []float64) (*Model, error
 // i -> j transition. Impulses must be non-negative, zero on the diagonal,
 // and only present where the generator has a transition. This is the
 // extension the paper's introduction says the solution method allows.
+//
+// Impulses couple the factors of a composed model, so the result drops
+// them and sweeps the explicit product chain like any other model.
 func (m *Model) WithImpulses(imp *sparse.CSR) (*Model, error) {
 	if m.gen == nil {
 		return nil, fmt.Errorf("%w: impulse rewards require an explicit generator (matrix-free composed model)", ErrBadModel)
@@ -140,41 +143,24 @@ func (m *Model) WithImpulses(imp *sparse.CSR) (*Model, error) {
 		return nil, vErr
 	}
 	out := *m
+	out.parts = nil
 	out.impulses = imp
 	out.maxImp = maxImp
 	return &out, nil
 }
 
 // N returns the number of structure states.
-func (m *Model) N() int {
-	if m.gen != nil {
-		return m.gen.N()
-	}
-	return m.kron.n
-}
+func (m *Model) N() int { return len(m.rates) }
 
 // Generator returns the structure-state generator, or nil for a
 // matrix-free composed model (see IsMatrixFree).
 func (m *Model) Generator() *ctmc.Generator { return m.gen }
 
-// IsMatrixFree reports whether the model's generator exists only as a
-// Kronecker-sum decomposition (a composition beyond
-// ComposeMaterializeThreshold states): Generator returns nil, and the
-// randomization solver streams the sparse.KronSum operator instead of an
-// explicit matrix.
+// IsMatrixFree reports whether the model has no explicit generator (a
+// composition beyond ComposeMaterializeThreshold states): Generator
+// returns nil, and only the randomization solver, which convolves the
+// factors' moments, accepts the model.
 func (m *Model) IsMatrixFree() bool { return m.gen == nil }
-
-// maxExitRate returns q = max_i |q_ii| for explicit and matrix-free
-// generators alike; the matrix-free value is the pairwise tree fold of
-// the factor maxima, bitwise equal to what the materialized generator
-// would report (the per-row exit rate fl(e_a + e_b) is monotone in both
-// arguments, so its maximum sits at the component argmaxes).
-func (m *Model) maxExitRate() float64 {
-	if m.gen != nil {
-		return m.gen.MaxExitRate()
-	}
-	return m.kron.q
-}
 
 // Rates returns a copy of the drift vector r.
 func (m *Model) Rates() []float64 { return append([]float64(nil), m.rates...) }

@@ -41,11 +41,18 @@ func (m *Model) AccumulatedRewardAtContext(ctx context.Context, times []float64,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if m.parts != nil {
+		p, err := Prepare(m)
+		if err != nil {
+			return nil, err
+		}
+		return p.solveComposed(ctx, times, order, cfg)
+	}
 	if err := validateSolveArgs(times, order, cfg); err != nil {
 		return nil, err
 	}
 
-	q := m.maxExitRate()
+	q := m.gen.MaxExitRate()
 	if cfg.UniformizationRate != 0 {
 		if cfg.UniformizationRate < q {
 			return nil, fmt.Errorf("%w: uniformization rate %g below max exit rate %g", ErrBadArgument, cfg.UniformizationRate, q)
@@ -183,12 +190,6 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// reference path streams the generic CSR, so it builds its sweep with
 	// the reference-only csr64 storage label and skips the derived
 	// conversions.
-	//
-	// Matrix-free models (u.qPrime == nil) always stream the Kronecker-sum
-	// operator; materialized composed models stream it when the caller
-	// forces the "kron" format (impulse-free solves only — impulse
-	// matrices stay on the explicit path). The operator honors the same
-	// bitwise contract as every explicit format.
 	workers := sparse.PlanWorkers(cfg.SweepWorkers, n)
 	teamSize := workers
 	if teamSize < 1 {
@@ -198,16 +199,10 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
-	useKron := u.kron != nil && (u.qPrime == nil || (format == sparse.FormatKron && len(imp) == 0))
-	var sweep *sparse.Sweep
-	if useKron {
-		sweep, err = sparse.NewSweepOperator(u.kron, u.rPrime, u.sHalf, order, teamSize)
-	} else {
-		if workers == 0 {
-			format = sparse.FormatCSR64
-		}
-		sweep, err = sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, teamSize, format)
+	if workers == 0 {
+		format = sparse.FormatCSR64
 	}
+	sweep, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, teamSize, format)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -404,7 +399,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			G: plan.g, ErrorBound: plan.bound,
 			MatVecs:           matVecs,
 			SweepNS:           sweepNS,
-			FlopsPerIteration: (u.nnz + int64(2*n)) * int64(order+1),
+			FlopsPerIteration: (int64(u.qPrime.NNZ()) + int64(2*n)) * int64(order+1),
 			MatrixFormat:      string(sweep.Format()),
 			TemporalBlock:     sweep.TemporalBlock(),
 			SweepKernel:       sweep.Kernel(),

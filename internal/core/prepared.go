@@ -18,8 +18,9 @@ import (
 // lazily for the highest order seen so far and cached. A Prepared is safe
 // for concurrent use.
 type Prepared struct {
-	m *Model
-	u *uniformization // nil when the chain has no transitions (q == 0)
+	m     *Model
+	u     *uniformization // nil when the chain has no transitions (q == 0)
+	parts []*Prepared     // one per factor of a composed model (see Compose)
 
 	mu  sync.Mutex
 	imp []*sparse.CSR // impulse matrices for orders 1..len(imp), grown on demand
@@ -62,11 +63,23 @@ func (p *Prepared) putWorkspace(w *solveWorkspace) { p.ws.Put(w) }
 
 // Prepare validates nothing new — the model is already validated — but
 // performs the solver's model-only setup once so subsequent solves skip it.
+// A composed model prepares each of its factors instead.
 func Prepare(m *Model) (*Prepared, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadModel)
 	}
-	q := m.maxExitRate()
+	if m.parts != nil {
+		parts := make([]*Prepared, len(m.parts))
+		for k, part := range m.parts {
+			pp, err := Prepare(part)
+			if err != nil {
+				return nil, err
+			}
+			parts[k] = pp
+		}
+		return &Prepared{m: m, parts: parts, ws: new(sync.Pool)}, nil
+	}
+	q := m.gen.MaxExitRate()
 	if q == 0 {
 		return &Prepared{m: m, ws: new(sync.Pool)}, nil
 	}
@@ -113,6 +126,9 @@ func (p *Prepared) AccumulatedRewardAtContext(ctx context.Context, times []float
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if p.parts != nil {
+		return p.solveComposed(ctx, times, order, cfg)
 	}
 	if cfg.UniformizationRate != 0 && (p.u == nil || cfg.UniformizationRate != p.u.q) {
 		return p.m.AccumulatedRewardAtContext(ctx, times, order, opts)

@@ -24,7 +24,9 @@ type Options struct {
 	// DefaultEpsilon when zero.
 	Epsilon float64
 	// UniformizationRate overrides q (must be >= max_i |q_ii|). Zero means
-	// automatic (q = max exit rate).
+	// automatic (q = max exit rate). A composed model (see Compose) still
+	// validates it against the product chain's rate, the sum of its
+	// factors' rates, but its factors uniformize at their own rates.
 	UniformizationRate float64
 	// MaxG caps the iteration count. Zero means the package default.
 	MaxG int
@@ -48,19 +50,15 @@ type Options struct {
 	// kernels stream for the uniformized generator: "auto" (the default;
 	// the tridiagonal band window for birth-death structure like the
 	// paper's models — diagonal and bidiagonal included — then QBD for
-	// block-tridiagonal structure, compact-index CSR otherwise — and
-	// always the matrix-free Kronecker-sum operator for matrix-free
-	// composed models), "csr" (force compact-index CSR), "band" (force the
-	// band window; matrices wider than tridiagonal get compact CSR), "qbd"
-	// (force the block-tridiagonal representation where eligible), or
-	// "kron" (use the Kronecker-sum operator when the model carries one —
-	// composed models of any size — resolving like auto otherwise). Any
-	// other value, "csr64" included, is an ErrBadArgument. Every format
+	// block-tridiagonal structure, compact-index CSR otherwise), "csr"
+	// (force compact-index CSR), "band" (force the band window; matrices
+	// wider than tridiagonal get compact CSR), or "qbd" (force the
+	// block-tridiagonal representation where eligible). Any other value,
+	// "csr64" and "kron" included, is an ErrBadArgument. Every format
 	// produces bitwise identical moments; the knob trades only memory
 	// traffic. The serial reference oracle (SweepWorkers < 0) ignores it
-	// and always streams the generic CSR, except on matrix-free models
-	// where it streams the operator. Stats.MatrixFormat reports the
-	// resolved choice.
+	// and always streams the generic CSR. A composed model applies it to
+	// each factor's sweep. Stats.MatrixFormat reports the resolved choice.
 	MatrixFormat string
 	// TemporalBlock controls wavefront temporal blocking of the fused
 	// sweep: how many consecutive sweep iterations run over each
@@ -73,9 +71,10 @@ type Options struct {
 	//     they are already cache-resident);
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
-	//     possible (bounded-bandwidth explicit matrices with the
-	//     interleaved order-3 kernel; matrix-free Kronecker operators and
-	//     impulse models never block).
+	//     possible (bounded-bandwidth matrices with the interleaved
+	//     order-3 kernel; impulse models never block).
+	//
+	// A composed model applies it to each factor's sweep.
 	//
 	// Every setting produces bitwise identical moments. With Checkpoint,
 	// snapshots land only at blocked-iteration group boundaries; resume
@@ -101,13 +100,16 @@ type Options struct {
 	// barrier where the cancellation is observed and returns it inside an
 	// *Interrupted error instead of the bare context error. Off by
 	// default — capture copies the full state and accumulator set.
+	// Composed models (see Compose) do not capture: a cancelled composed
+	// solve returns the bare context error.
 	Checkpoint bool
 	// Resume, when non-nil, continues the interrupted sweep the checkpoint
 	// was captured from instead of starting at iteration 1. The request
 	// must describe the same solve (times, order, epsilon, model): the
 	// checkpoint's recorded parameters are validated bitwise against the
 	// recomputed ones and a mismatch fails with ErrCheckpoint. A resumed
-	// solve is bitwise identical to the uninterrupted one.
+	// solve is bitwise identical to the uninterrupted one. Composed models
+	// reject any checkpoint with ErrCheckpoint.
 	Resume *Checkpoint
 	// CancelStride overrides how many sweep iterations run between context
 	// polls (and therefore how fine-grained checkpoint capture is). Zero
@@ -133,6 +135,16 @@ func (o *Options) withDefaults() Options {
 // Stats reports the work done by one randomization solve, mirroring the
 // quantities the paper reports for its large example (q, qt, G, the
 // per-iteration cost).
+//
+// A composed model (see Compose) solves each factor and convolves their
+// moments, so its Stats combine the factors' at each time point: Q is
+// the sum of the factor rates (the product chain's rate) and QT = Q·t;
+// Shift is the sum of the factor shifts; D and G are the factor maxima;
+// MatVecs, SweepNS and FlopsPerIteration are sums over the factors; and
+// MatrixFormat, SweepKernel and TemporalBlock come from the factor with
+// the most states (the first one on ties). ErrorBound is the factors'
+// bounds propagated through the convolution (see convolveStates): the
+// largest per-order bound on the absolute error of any per-state moment.
 type Stats struct {
 	// Q is the uniformization rate, QT the Poisson parameter q*t.
 	Q, QT float64
@@ -164,10 +176,9 @@ type Stats struct {
 	FlopsPerIteration int64
 	// MatrixFormat is the storage representation the sweep streamed for
 	// the uniformized generator: "band", "qbd" or "csr32" for the fused
-	// kernels, or "kron" for the matrix-free Kronecker-sum operator. The
-	// serial reference oracle (SweepWorkers < 0) reports "csr64", the
-	// generic CSR it streams, or "kron" on matrix-free models. Empty for
-	// solves that never ran a sweep (t = 0, frozen chains, d = 0).
+	// kernels. The serial reference oracle (SweepWorkers < 0) reports
+	// "csr64", the generic CSR it streams. Empty for solves that never
+	// ran a sweep (t = 0, frozen chains, d = 0).
 	MatrixFormat string
 	// TemporalBlock is the wavefront temporal blocking depth the sweep
 	// resolved (see Options.TemporalBlock): 1 for an unblocked sweep, the
@@ -233,9 +244,7 @@ func (m *Model) AccumulatedRewardContext(ctx context.Context, t float64, order i
 // reusing it across solves (see Prepared) skips exactly that work.
 type uniformization struct {
 	q, d, shift float64
-	qPrime      *sparse.CSR     // explicit uniformized generator; nil when matrix-free
-	kron        *sparse.KronSum // matrix-free uniformized operator; set for kron-capable models
-	nnz         int64           // effective entry count of the streamed operator
+	qPrime      *sparse.CSR
 	rPrime      []float64
 	sPrime      []float64
 	// sHalf[i] = 0.5 * sPrime[i], the coefficient the recursion actually
@@ -273,27 +282,11 @@ func (m *Model) uniformize(q float64) (*uniformization, error) {
 	if d == 0 {
 		return u, nil
 	}
-	if m.gen != nil {
-		qPrime, err := m.gen.Uniformized(q)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		u.qPrime = qPrime
-		u.nnz = int64(qPrime.NNZ())
+	qPrime, err := m.gen.Uniformized(q)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if m.kron != nil {
-		// The matrix-free uniformized operator over the same q. For
-		// materialized composed models both representations exist and the
-		// format knob picks; matrix-free models have only this one.
-		kron, err := sparse.NewKronSum(m.kron.factors, m.kron.fold, q)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		u.kron = kron
-		if m.gen == nil {
-			u.nnz = kron.OpNNZ()
-		}
-	}
+	u.qPrime = qPrime
 	u.rPrime = make([]float64, n)
 	u.sPrime = make([]float64, n)
 	u.sHalf = make([]float64, n)

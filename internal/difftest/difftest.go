@@ -199,37 +199,59 @@ func GenerateComposed(rng *rand.Rand) []*spec.Model {
 }
 
 // CheckComposed builds the components, composes them, and checks the
-// joint moments against the exact oracle: the accumulated reward of a
-// composition is the sum of independent component rewards, so its raw
-// moments are the binomial convolution of the component moments.
+// composed solve — per-component solves folded by moment convolution —
+// against an independent oracle: the randomization sweep over the
+// materialized product chain (see CheckProductSweep).
 func CheckComposed(comps []*spec.Model, times []float64, order int) error {
-	models, joint, err := BuildComposed(comps)
+	_, joint, err := BuildComposed(comps)
 	if err != nil {
 		return err
 	}
-	jointRes, err := joint.AccumulatedRewardAt(times, order, nil)
+	return CheckProductSweep(joint, times, order)
+}
+
+// CheckProductSweep solves a composed model (materialized, at most
+// core.ComposeMaterializeThreshold states) and its product chain as a
+// plain model, and requires every moment to agree within the sum of the
+// two error bounds — the composed solve's propagated bound and the
+// sweep's eq. 11 bound — plus roundoff (roundRelTol).
+func CheckProductSweep(joint *core.Model, times []float64, order int) error {
+	product, err := ProductModel(joint)
 	if err != nil {
-		return fmt.Errorf("joint solve: %w", err)
+		return err
 	}
-	compRes := make([][]*core.Result, len(models))
-	for i, m := range models {
-		compRes[i], err = m.AccumulatedRewardAt(times, order, nil)
-		if err != nil {
-			return fmt.Errorf("component %d solve: %w", i, err)
-		}
+	got, err := joint.AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		return fmt.Errorf("composed solve: %w", err)
+	}
+	want, err := product.AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		return fmt.Errorf("product sweep: %w", err)
 	}
 	for k, t := range times {
-		oracle := compRes[0][k].Moments
-		for i := 1; i < len(models); i++ {
-			oracle = convolve(oracle, compRes[i][k].Moments)
-		}
+		bound := got[k].Stats.ErrorBound + want[k].Stats.ErrorBound
 		for j := 0; j <= order; j++ {
-			if err := agree(jointRes[k].Moments[j], oracle[j], composeRelTol); err != nil {
-				return fmt.Errorf("t=%g moment %d: joint vs convolution oracle: %w", t, j, err)
+			if err := within(got[k].Moments[j], want[k].Moments[j], bound); err != nil {
+				return fmt.Errorf("t=%g moment %d: composed vs product sweep: %w", t, j, err)
 			}
 		}
 	}
 	return nil
+}
+
+// ProductModel returns a materialized composed model's product chain as a
+// plain model: same generator, rewards and initial distribution, but
+// solved by sweeping the product like any other model.
+func ProductModel(joint *core.Model) (*core.Model, error) {
+	gen := joint.Generator()
+	if gen == nil {
+		return nil, fmt.Errorf("composed model of %d states is matrix-free; no product to sweep", joint.N())
+	}
+	m, err := core.New(gen, joint.Rates(), joint.Variances(), joint.Initial())
+	if err != nil {
+		return nil, fmt.Errorf("product model: %w", err)
+	}
+	return m, nil
 }
 
 // BuildComposed builds every component spec and composes the models,
@@ -250,20 +272,6 @@ func BuildComposed(comps []*spec.Model) ([]*core.Model, *core.Model, error) {
 	return models, joint, nil
 }
 
-// convolve returns the binomial convolution c_n = sum_k C(n,k) a_k b_{n-k},
-// the raw moments of a sum of independent variables.
-func convolve(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for n := range out {
-		binom := 1.0
-		for k := 0; k <= n; k++ {
-			out[n] += binom * a[k] * b[n-k]
-			binom = binom * float64(n-k) / float64(k+1)
-		}
-	}
-	return out
-}
-
 // CheckComposedSeed generates the composed corpus entry for seed and
 // cross-checks it on a small time grid drawn from the same seed.
 func CheckComposedSeed(seed int64) error {
@@ -282,12 +290,12 @@ func CheckComposedSeed(seed int64) error {
 
 // Tolerances for cross-solver agreement. The ODE baseline integrates with
 // RK4 at its automatic step count, so its error dominates; the closed-form
-// comparison is tighter. The composition oracle convolves solver outputs,
-// so it inherits their truncation error a few times over.
+// comparison is tighter. Comparisons against a provable error bound allow
+// roundRelTol on top of it for floating-point roundoff.
 const (
-	odeRelTol     = 1e-6
-	closedRelTol  = 1e-10
-	composeRelTol = 1e-8
+	odeRelTol    = 1e-6
+	closedRelTol = 1e-10
+	roundRelTol  = 1e-12
 )
 
 // CheckModel solves sp at every time in times up to moment order with the
@@ -463,6 +471,18 @@ func CheckResume(sp *spec.Model, times []float64, order int, opts core.Options) 
 		return fmt.Errorf("build: %w", err)
 	}
 	return CheckResumeModel(model, times, order, opts)
+}
+
+// within reports an error unless |a-b| <= bound + roundRelTol·max(1,|a|,|b|).
+func within(a, b, bound float64) error {
+	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return fmt.Errorf("%g vs %g", a, b)
+	}
+	tol := bound + roundRelTol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+	if math.Abs(a-b) > tol {
+		return fmt.Errorf("%g vs %g (diff %g, tol %g)", a, b, math.Abs(a-b), tol)
+	}
+	return nil
 }
 
 // agree reports whether a and b match within rel (relative to their

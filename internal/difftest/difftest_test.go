@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"somrm/internal/brownian"
 	"somrm/internal/core"
 	"somrm/internal/models"
 	"somrm/internal/sparse"
@@ -181,11 +182,10 @@ func requireBitwise(t *testing.T, label string, times []float64, order int, got,
 // compact fallback on the rest; "csr" pins the compact kernels, "auto"
 // whatever the detector picks; "qbd" forces the block-tridiagonal window
 // where a valid block exists (small corpus models always have the
-// degenerate one) and "kron" resolves like auto on explicit
-// non-composed generators — all must stay inside the bitwise contract.
-// The reference oracle's csr64 storage is not selectable; the reference
+// degenerate one) — all must stay inside the bitwise contract. The
+// reference oracle's csr64 storage is not selectable; the reference
 // solve every gate compares against covers it.
-var sweepKernelFormats = []string{"auto", "csr", "band", "qbd", "kron"}
+var sweepKernelFormats = []string{"auto", "csr", "band", "qbd"}
 
 // checkSweepKernelBitwise solves model at every sweepKernelFormats
 // format × SIMD dispatch × worker count {0, 1, 2, 5} × temporal block
@@ -200,10 +200,9 @@ var sweepKernelFormats = []string{"auto", "csr", "band", "qbd", "kron"}
 // makes ragged final groups routine. The SIMD dimension covers both
 // kernel dispatches on capable hosts: NoSIMD=true pins the pure-Go
 // loops, NoSIMD=false lets the AVX2 kernels serve the formats that have
-// one (band, csr, qbd, and whatever auto resolves). kron has no vector
-// kernel, so its forced-scalar arm would re-run the identical code path
-// and is skipped. On hosts without AVX2 (or under SOMRM_NOSIMD=1, as one
-// CI arm runs) the two arms coincide on scalar — the gate still checks
+// one (band, csr, qbd, and whatever auto resolves). On hosts without
+// AVX2 (or under SOMRM_NOSIMD=1, as one CI arm runs) the two arms
+// coincide on scalar — the gate still checks
 // every format, worker count and blocking depth against the reference.
 // Workers 0 is the production policy: automatic selection, which at
 // corpus sizes is the inline 1-worker fused team.
@@ -215,9 +214,6 @@ func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times
 	}
 	for _, format := range sweepKernelFormats {
 		for _, nosimd := range []bool{false, true} {
-			if nosimd && format == "kron" {
-				continue
-			}
 			for _, workers := range []int{0, 1, 2, 5} {
 				for _, tblock := range []int{1, 2, 4, 8} {
 					opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8, NoSIMD: nosimd}
@@ -376,8 +372,8 @@ func TestDiffCheckpointResumeAutoReference(t *testing.T) {
 
 // TestDiffComposedCorpus is the composition half of the differential
 // harness: every seed draws 2–4 independent components, composes them,
-// and checks the joint moments against the exact binomial-convolution
-// oracle of the per-component solves.
+// and checks the composed solve (moment convolution) against the sweep
+// over the materialized product chain, within both error bounds.
 func TestDiffComposedCorpus(t *testing.T) {
 	n := corpusSize / 2
 	if !testing.Short() {
@@ -390,11 +386,12 @@ func TestDiffComposedCorpus(t *testing.T) {
 	}
 }
 
-// TestDiffComposedSweepBitwise extends the fused-kernel gate to composed
-// models and the operator formats: for seeded compositions, every matrix
-// format — including the forced block-tridiagonal window and the
-// matrix-free Kronecker-sum operator — at every worker count must
-// reproduce the serial reference solve bit for bit.
+// TestDiffComposedSweepBitwise extends the fused-kernel gate to the
+// product chains of composed models (block-structured generators the
+// random corpus rarely draws): for seeded compositions, every matrix
+// format — including the forced block-tridiagonal window — at every
+// worker count must sweep the materialized product bit for bit like the
+// serial reference.
 func TestDiffComposedSweepBitwise(t *testing.T) {
 	seeds := 8
 	if !testing.Short() {
@@ -406,21 +403,22 @@ func TestDiffComposedSweepBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		product, err := ProductModel(joint)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		order := 1 + rng.Intn(3)
 		times := []float64{0, 0.3, 1.1}
-		ref, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: -1})
+		ref, err := product.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: -1})
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
 		for _, format := range sweepKernelFormats {
 			for _, workers := range []int{0, 1, 2, 5} {
 				label := fmt.Sprintf("seed %d format %s workers %d", seed, format, workers)
-				got, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: workers, MatrixFormat: format})
+				got, err := product.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: workers, MatrixFormat: format})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
-				}
-				if format == "kron" && got[1].Stats.MatrixFormat != "kron" {
-					t.Fatalf("seed %d: forced kron on a composed model resolved to %q", seed, got[1].Stats.MatrixFormat)
 				}
 				requireBitwise(t, label, times, order, got, ref)
 			}
@@ -429,11 +427,13 @@ func TestDiffComposedSweepBitwise(t *testing.T) {
 }
 
 // TestDiffComposedMatrixFree pins the matrix-free path inside the
-// differential harness: a composition too large to materialize must agree
-// with the convolution oracle of its component solves, and its bitwise
-// behaviour across worker counts must match its own serial reference.
+// differential harness: a 257×257 composition of constant-rate chains,
+// too large to materialize, must match the closed-form normal moments of
+// its reward (each factor's reward is Normal(r·t, σ²·t) whatever its
+// chain does), and its solves must agree bit for bit across worker
+// counts and the serial reference.
 func TestDiffComposedMatrixFree(t *testing.T) {
-	mk := func(n int) *spec.Model {
+	mk := func(n int, r, s2 float64) *spec.Model {
 		sp := &spec.Model{
 			States:    n,
 			Rates:     make([]float64, n),
@@ -441,63 +441,86 @@ func TestDiffComposedMatrixFree(t *testing.T) {
 			Initial:   make([]float64, n),
 		}
 		for i := 0; i < n; i++ {
-			sp.Rates[i] = 0.01 * float64(i%7)
-			sp.Variances[i] = 0.005 * float64(i%3)
+			sp.Rates[i] = r
+			sp.Variances[i] = s2
 			if i < n-1 {
-				sp.Transitions = append(sp.Transitions, spec.Transition{From: i, To: i + 1, Rate: 1})
+				sp.Transitions = append(sp.Transitions, spec.Transition{From: i, To: i + 1, Rate: 1 + 0.1*float64(i%7)})
 				sp.Transitions = append(sp.Transitions, spec.Transition{From: i + 1, To: i, Rate: 1.5})
 			}
 		}
-		sp.Initial[0] = 1
+		sp.Initial[n/3] = 1
 		return sp
 	}
-	a, err := mk(257).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mk(257).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := core.Compose(a, b)
+	_, joint, err := BuildComposed([]*spec.Model{mk(257, 0.7, 0.3), mk(257, -1.2, 1.1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !joint.IsMatrixFree() {
 		t.Fatalf("%d states should be above the materialization threshold", joint.N())
 	}
-	const tt, order = 0.4, 2
-	ref, err := joint.AccumulatedReward(tt, order, &core.Options{SweepWorkers: -1})
+	times := []float64{0.4, 1.5}
+	const order = 4
+	ref, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Stats.MatrixFormat != "kron" {
-		t.Fatalf("matrix-free reference format = %q, want kron", ref.Stats.MatrixFormat)
-	}
-	ra, err := a.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.AccumulatedReward(tt, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := convolve(ra.Moments, rb.Moments)
-	for j := 0; j <= order; j++ {
-		if err := agree(ref.Moments[j], oracle[j], composeRelTol); err != nil {
-			t.Errorf("moment %d: %v", j, err)
+	for k, tt := range times {
+		for j := 0; j <= order; j++ {
+			exact, err := brownian.NormalRawMoment(j, (0.7-1.2)*tt, (0.3+1.1)*tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := within(ref[k].Moments[j], exact, ref[k].Stats.ErrorBound); err != nil {
+				t.Errorf("t=%g moment %d: composed vs closed form: %v", tt, j, err)
+			}
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := joint.AccumulatedReward(tt, order, &core.Options{SweepWorkers: workers})
+	for _, workers := range []int{0, 1, 3} {
+		got, err := joint.AccumulatedRewardAt(times, order, &core.Options{SweepWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
-		for j := 0; j <= order; j++ {
-			if math.Float64bits(got.Moments[j]) != math.Float64bits(ref.Moments[j]) {
-				t.Fatalf("workers %d: moment %d = %x, reference %x",
-					workers, j, math.Float64bits(got.Moments[j]), math.Float64bits(ref.Moments[j]))
+		requireBitwise(t, fmt.Sprintf("workers %d", workers), times, order, got, ref)
+	}
+}
+
+// TestDiffComposedInitialDistribution: a composed model whose initial
+// distribution is not a product of the components' (set through
+// WithInitial) must still match the product sweep within both bounds,
+// because the convolution rebuilds every per-state moment before the
+// distribution aggregates them.
+func TestDiffComposedInitialDistribution(t *testing.T) {
+	seeds := 8
+	if !testing.Short() {
+		seeds = 16
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		_, joint, err := BuildComposed(GenerateComposed(rng))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		pi := make([]float64, joint.N())
+		var sum float64
+		for i := range pi {
+			if rng.Intn(3) == 0 {
+				pi[i] = rng.Float64()
+				sum += pi[i]
 			}
+		}
+		if sum == 0 {
+			pi[0], sum = 1, 1
+		}
+		for i := range pi {
+			pi[i] /= sum
+		}
+		mixed, err := joint.WithInitial(pi)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		order := 1 + rng.Intn(3)
+		if err := CheckProductSweep(mixed, []float64{0, 0.3, 1.1}, order); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -565,31 +588,6 @@ func TestDiffCheckpointResumeBlocked(t *testing.T) {
 				}
 				if err := CheckResumeAcross(model, times, order, plain, blocked); err != nil {
 					t.Fatalf("seed %d format %s workers %d unblocked capture/blocked resume: %v", seed, format, workers, err)
-				}
-			}
-		}
-	}
-}
-
-// TestDiffComposedCheckpointResume extends the resume gate to composed
-// models, covering the matrix-free Kronecker-sum operator path.
-func TestDiffComposedCheckpointResume(t *testing.T) {
-	times := []float64{0, 0.3, 1.1}
-	for seed := 0; seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		_, joint, err := BuildComposed(GenerateComposed(rng))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		order := 1 + rng.Intn(3)
-		for _, format := range []string{"auto", "kron"} {
-			for _, workers := range []int{-1, 2} {
-				if workers < 0 && format != "auto" {
-					continue
-				}
-				opts := core.Options{SweepWorkers: workers, MatrixFormat: format}
-				if err := CheckResumeModel(joint, times, order, opts); err != nil {
-					t.Fatalf("seed %d format %s workers %d: %v", seed, format, workers, err)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"somrm/internal/core"
 	"somrm/internal/spec"
 )
 
@@ -86,48 +85,42 @@ func estimateItemWorkingSet(model *spec.Model, item *BatchItem, sweepWorkers int
 // deliberate overestimate-by-a-little — admission control needs an upper
 // bound that tracks the real footprint's shape (states, density,
 // bandwidth, format), not an exact byte count.
+//
+// A composed request solves every component as a plain model and folds
+// their per-state moments over the product states, so it is charged each
+// component's estimate plus (nTimes + 1) product-sized moment blocks: one
+// result per time point and the fold's intermediate.
 func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, order, nTimes int, matrixFormat string) int64 {
-	n, nnz, bandwidth := 0, 0, 0
-	matrixFree := false
-	switch {
-	case len(compose) > 0:
-		n = 1
-		perState := 0 // summed average out-degree of the factors
+	if len(compose) > 0 {
+		var total int64
+		product := int64(1)
 		for _, c := range compose {
-			n *= c.States
-			if c.States > 0 {
-				perState += (len(c.Transitions) + c.States - 1) / c.States
+			if c == nil {
+				continue
 			}
+			total += estimateFootprint(c, nil, method, order, nTimes, matrixFormat)
+			product *= int64(c.States)
 		}
-		// Above the materialization threshold the composed generator stays
-		// matrix-free (Kronecker-sum operator): only the tiny factor
-		// matrices are stored, and the vectors dominate.
-		matrixFree = n > core.ComposeMaterializeThreshold
-		nnz = n * (perState + 1) // Kronecker sum density: one factor move per axis
-		bandwidth = n            // composition scrambles locality; assume no band
-	case model != nil:
-		n = model.States
-		nnz = len(model.Transitions) + n // off-diagonals plus the diagonal
-		for _, tr := range model.Transitions {
-			if d := tr.From - tr.To; d > bandwidth || -d > bandwidth {
-				if d < 0 {
-					d = -d
-				}
-				bandwidth = d
-			}
-		}
-	default:
+		return total + int64(nTimes+1)*product*8*int64(order+1)
+	}
+	if model == nil || model.States <= 0 {
 		return 0
 	}
-	if n <= 0 {
-		return 0
+	n := model.States
+	nnz := len(model.Transitions) + n // off-diagonals plus the diagonal
+	bandwidth := 0
+	for _, tr := range model.Transitions {
+		if d := tr.From - tr.To; d > bandwidth || -d > bandwidth {
+			if d < 0 {
+				d = -d
+			}
+			bandwidth = d
+		}
 	}
 
 	vec := int64(n) * 8
 	var matrix int64
 	switch {
-	case matrixFree:
-		matrix = 0 // factor storage is negligible next to the product vectors
 	case bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32":
 		// The tridiagonal window (band, or a 1-phase QBD when forced):
 		// three values per row, no indexes. Only such models get it.

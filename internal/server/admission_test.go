@@ -60,23 +60,21 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	if eb, ec := estimateWorkingSet(tri, 0, ""), estimateWorkingSet(tri, 0, "csr"); eb >= ec {
 		t.Fatalf("tridiagonal band estimate %d should undercut csr %d", eb, ec)
 	}
-	// A matrix-free composed product above the materialization threshold
-	// must not be charged for a materialized matrix.
-	comps := make([]*spec.Model, 0, 18)
-	for i := 0; i < 18; i++ {
-		comps = append(comps, testSpec(i))
-	}
-	// 2^18 = 262144 states > ComposeMaterializeThreshold (65536): but 18
-	// factors exceeds MaxKronFactors, so build a product from wider factors.
+	// A composed request is charged its components plus product-sized
+	// moment blocks, never a materialized product matrix.
 	wide := []*spec.Model{largeBandSpec(100, 3), largeBandSpec(100, 3), largeBandSpec(100, 3)}
 	free := &SolveRequest{Compose: wide, T: 1, Order: 1, Method: MethodRandomization}
 	matFree := estimateWorkingSet(free, 0, "")
-	n := int64(100 * 100 * 100)
-	if matFree < n*8 {
-		t.Fatalf("matrix-free estimate %d should still charge the product vectors (~%d)", matFree, n*8)
+	var want int64
+	for _, c := range wide {
+		want += estimateWorkingSet(&SolveRequest{Model: c, T: 1, Order: 1, Method: MethodRandomization}, 0, "")
 	}
-	if matFree > n*8*64 {
-		t.Fatalf("matrix-free estimate %d charges far more than vectors; materialized matrix leaked in", matFree)
+	// One result block for the single time point plus the fold's
+	// intermediate, (order+1) product vectors each.
+	n := int64(100 * 100 * 100)
+	want += 2 * n * 8 * 2
+	if matFree != want {
+		t.Fatalf("composed estimate %d, want components plus two product moment blocks = %d", matFree, want)
 	}
 }
 

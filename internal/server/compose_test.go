@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"somrm/internal/core"
 	"somrm/internal/spec"
@@ -141,8 +143,8 @@ func TestComposeRequestValidation(t *testing.T) {
 }
 
 // TestComposeMatrixFreeEndToEnd solves a composition too large to
-// materialize through the API: the response must report the kron format
-// and the sweep_formats metric must count it.
+// materialize through the API: the response must report its components'
+// sweep format and the sweep_formats metric must count the solve once.
 func TestComposeMatrixFreeEndToEnd(t *testing.T) {
 	s := New(Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -157,8 +159,8 @@ func TestComposeMatrixFreeEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("matrix-free compose: %d %s", resp.StatusCode, raw)
 	}
-	if out.Stats == nil || out.Stats.MatrixFormat != "kron" {
-		t.Fatalf("stats = %+v, want matrix_format kron", out.Stats)
+	if out.Stats == nil || out.Stats.MatrixFormat != "band" {
+		t.Fatalf("stats = %+v, want the birth-death components' matrix_format band", out.Stats)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -170,7 +172,54 @@ func TestComposeMatrixFreeEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.SweepFormats["kron"] != 1 {
-		t.Errorf("sweep_formats = %v, want one kron sweep", snap.SweepFormats)
+	if snap.SweepFormats["band"] != 1 {
+		t.Errorf("sweep_formats = %v, want one band sweep", snap.SweepFormats)
+	}
+	if _, ok := snap.SweepFormats["kron"]; ok {
+		t.Errorf("sweep_formats = %v still carries a kron label", snap.SweepFormats)
+	}
+}
+
+// TestComposeTimeoutHoldsNoCheckpoint: a composed solve that runs out of
+// time answers 504 even on a server that checkpoints, and holds no
+// checkpoint, because composed solves run one sweep per component and
+// never capture one.
+func TestComposeTimeoutHoldsNoCheckpoint(t *testing.T) {
+	s := New(Options{Workers: 1, Checkpoints: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	var noCapture atomic.Bool
+	done := make(chan struct{})
+	real := s.solve
+	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+		defer close(done)
+		noCapture.Store(len(req.Compose) > 0 && !req.checkpoint)
+		return real(ctx, req)
+	}
+	heavy := &spec.Model{States: 2, Transitions: []spec.Transition{
+		{From: 0, To: 1, Rate: 4000},
+		{From: 1, To: 0, Rate: 5000},
+	}, Rates: []float64{1, 0}, Variances: []float64{0.3, 0.3}, Initial: []float64{1, 0}}
+	// qt = 5000·40 = 2e5 randomization steps per component.
+	body := solveBody(t, &SolveRequest{Compose: []*spec.Model{heavy, heavy}, T: 40, Order: 6, TimeoutMS: 5})
+	resp, _, raw := postSolve(t, ts.URL, body)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, raw)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the composed solve never reached the solver")
+	}
+	if !noCapture.Load() {
+		t.Error("the composed solve reached the solver with checkpoint capture on")
+	}
+	if n := s.checkpoints.Len(); n != 0 {
+		t.Errorf("%d checkpoints held after a composed timeout, want 0", n)
+	}
+	if got := s.metrics.Partials.Load(); got != 0 {
+		t.Errorf("partials_total = %d, want 0", got)
 	}
 }

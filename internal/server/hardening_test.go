@@ -218,3 +218,30 @@ func TestBatchShedBeforeSingles(t *testing.T) {
 	release <- struct{}{}
 	wg.Wait()
 }
+
+// TestHostileStateCountRejected: a ~100-byte spec declaring trillions of
+// states with one-element lists must answer 400 without allocating
+// States-sized arrays, and the server keeps serving.
+func TestHostileStateCountRejected(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	body := `{"model":{"states":2036854757808,"transitions":[],"rates":[1],"variances":[0],"initial":[1]},"t":1,"order":2}`
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := readAll(resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "1 rates for 2036854757808 states") {
+		t.Errorf("error should name the length mismatch: %s", raw)
+	}
+	resp2, out, raw2 := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: testSpec(1), T: 1, Order: 2}))
+	if resp2.StatusCode != http.StatusOK || len(out.Moments) == 0 {
+		t.Fatalf("solve after the hostile spec: status %d: %s", resp2.StatusCode, raw2)
+	}
+}

@@ -97,9 +97,9 @@ type Metrics struct {
 	// the randomization sweep streamed (core.Stats.MatrixFormat, labels
 	// sweepFormatLabels) — the label operators watch to confirm the
 	// structure-adaptive engine picked the band or block-tridiagonal
-	// kernel for their models, or streamed a composed model matrix-free
-	// through the Kronecker-sum operator. "csr64" counts solves run on the
-	// serial reference oracle.
+	// kernel for their models. A composed solve counts its largest
+	// component's format. "csr64" counts solves run on the serial
+	// reference oracle.
 	SweepFormats labeledCounter
 	// SweepBlocked counts solver executions whose sweep ran temporally
 	// blocked (core.Stats.TemporalBlock > 1) — the signal operators watch
@@ -232,7 +232,7 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 // every label appears (zeros included), and observations outside the
 // set are never exported.
 var (
-	sweepFormatLabels = []string{"band", "qbd", "csr32", "csr64", "kron"}
+	sweepFormatLabels = []string{"band", "qbd", "csr32", "csr64"}
 	sweepKernelLabels = []string{"avx2", "scalar"}
 )
 
@@ -338,8 +338,8 @@ type MetricsSnapshot struct {
 
 	// SweepFormats counts solver executions by the matrix storage format
 	// the randomization sweep streamed, keyed by the core.Stats label
-	// ("band", "qbd", "csr32", "kron", and "csr64" for the serial
-	// reference oracle).
+	// ("band", "qbd", "csr32", and "csr64" for the serial reference
+	// oracle).
 	SweepFormats map[string]int64 `json:"sweep_formats"`
 	// SweepBlocked counts solver executions whose randomization sweep ran
 	// with wavefront temporal blocking engaged (depth > 1).

@@ -80,11 +80,9 @@ type Options struct {
 	// birth-death generators, the block-tridiagonal qbd window for
 	// level-structured ones, compact-index CSR otherwise); "csr", "band"
 	// and "qbd" force one where the structure allows (a band request on
-	// a wider generator gets compact CSR), and "kron" streams composed
-	// models through the matrix-free Kronecker-sum operator (matrix-free
-	// models always use it, whatever the setting). "csr64" is not a
-	// format: it is only the storage label of the SweepWorkers < 0
-	// reference oracle. Results are bitwise identical for every
+	// a wider generator gets compact CSR); composed requests apply it to
+	// each component's sweep. "csr64" is not a format: it is only the
+	// storage label of the SweepWorkers < 0 reference oracle. Results are bitwise identical for every
 	// setting, so the knob is server-wide and deliberately not part of
 	// requests or cache keys.
 	MatrixFormat string
@@ -115,7 +113,7 @@ type Options struct {
 	// checkpoint (bitwise identical to an uninterrupted solve) instead of
 	// restarting. Held checkpoints live in a bounded, TTL'd store and are
 	// included in drain handoff so in-flight work migrates to ring
-	// successors. Off by default.
+	// successors. Composed requests never checkpoint. Off by default.
 	Checkpoints bool
 	// CheckpointTTL is how long an unclaimed checkpoint is held (default
 	// 2m); CheckpointCap bounds how many are held at once (default 64,
@@ -427,8 +425,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Capture a checkpoint if the deadline lands mid-sweep, so the client
-	// can resume instead of restarting.
-	req.checkpoint = s.checkpoints != nil && req.Method == MethodRandomization
+	// can resume instead of restarting. Composed solves run one sweep per
+	// component and do not checkpoint.
+	req.checkpoint = s.checkpoints != nil && req.Method == MethodRandomization && len(req.Compose) == 0
 
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {

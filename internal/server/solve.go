@@ -13,7 +13,6 @@ import (
 	"somrm/internal/momentbounds"
 	"somrm/internal/odesolver"
 	"somrm/internal/sim"
-	"somrm/internal/sparse"
 	"somrm/internal/spec"
 )
 
@@ -30,10 +29,13 @@ const (
 	defaultSimReps = 4000
 	maxBoundsAt    = 64
 	// maxComposeStates caps the product state space of a composed solve
-	// request. Above the materialization threshold the model is
-	// matrix-free, so memory is not the binding constraint — solve time
-	// is; the cap keeps a single request from monopolizing the queue.
+	// request. The components solve separately, but their per-state
+	// moments fold over every product state, so the result's size grows
+	// with the product; the cap keeps one request from monopolizing
+	// memory and the queue.
 	maxComposeStates = 4_000_000
+	// maxComposeParts caps the component count of a composed request.
+	maxComposeParts = 16
 )
 
 // SimParams parameterizes the Monte Carlo baseline. The seed makes the
@@ -58,10 +60,10 @@ type SolveRequest struct {
 	// Model is the JSON model spec (internal/spec schema). Exactly one of
 	// Model and Compose must be set.
 	Model *spec.Model `json:"model"`
-	// Compose lists 2 or more independent component specs to solve as
+	// Compose lists 2 to 16 independent component specs to solve as
 	// their composition (additive rewards, Kronecker-sum structure
-	// process). Products above the materialization threshold solve
-	// matrix-free through the Kronecker-sum operator. Randomization only;
+	// process): each component solves on its own and the moments combine
+	// by binomial convolution. Randomization only, never checkpointed;
 	// impulse-reward components are rejected with 400.
 	Compose []*spec.Model `json:"compose,omitempty"`
 	// T is the accumulation time, Order the highest moment order.
@@ -126,9 +128,9 @@ type SolverStats struct {
 	SweepNS           int64   `json:"sweep_ns"`
 	FlopsPerIteration int64   `json:"flops_per_iteration"`
 	// MatrixFormat is the storage representation the randomization sweep
-	// streamed ("band", "qbd", "csr32", or "kron" for the matrix-free
-	// Kronecker-sum operator; "csr64" when the serial reference oracle
-	// ran it); empty for solves that never ran a sweep.
+	// streamed ("band", "qbd" or "csr32"; "csr64" when the serial
+	// reference oracle ran it); empty for solves that never ran a sweep.
+	// A composed solve reports its largest component's sweep.
 	MatrixFormat string `json:"matrix_format,omitempty"`
 	// TemporalBlock is the wavefront temporal blocking depth the sweep
 	// ran with: 1 for an unblocked sweep, the blocked-iteration group
@@ -193,8 +195,8 @@ func (r *SolveRequest) normalize(maxOrder int) error {
 		if len(r.Compose) < 2 {
 			return badRequestf("compose needs at least 2 components")
 		}
-		if len(r.Compose) > sparse.MaxKronFactors {
-			return badRequestf("%d compose components exceed the limit of %d", len(r.Compose), sparse.MaxKronFactors)
+		if len(r.Compose) > maxComposeParts {
+			return badRequestf("%d compose components exceed the limit of %d", len(r.Compose), maxComposeParts)
 		}
 		product := 1
 		for i, c := range r.Compose {
@@ -327,7 +329,9 @@ func (r *SolveRequest) modelHash() ([32]byte, error) {
 		return h, nil
 	}
 	h := sha256.New()
-	h.Write([]byte("somrm/compose/v1\n"))
+	// v2: composed results come from moment convolution, not the product
+	// sweep, so keys must not collide with cached or journalled v1 results.
+	h.Write([]byte("somrm/compose/v2\n"))
 	for i, c := range r.Compose {
 		ch, err := c.Hash()
 		if err != nil {

@@ -215,7 +215,6 @@ func TestParseMatrixFormat(t *testing.T) {
 		"csr32": FormatCSR32,
 		"band":  FormatBand,
 		"qbd":   FormatQBD,
-		"kron":  FormatKron,
 	} {
 		got, err := ParseMatrixFormat(in)
 		if err != nil || got != want {
@@ -223,8 +222,8 @@ func TestParseMatrixFormat(t *testing.T) {
 		}
 	}
 	// csr64 is the reference oracle's storage label, not a selectable
-	// format.
-	for _, in := range []string{"dense", "csr64"} {
+	// format; kron named the deleted matrix-free Kronecker-sum operator.
+	for _, in := range []string{"dense", "csr64", "kron"} {
 		if _, err := ParseMatrixFormat(in); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("ParseMatrixFormat(%q) error = %v, want ErrUnsupportedFormat", in, err)
 		}

@@ -39,14 +39,6 @@ const (
 	// traffic like band but for block-local coupling. Matrices with no
 	// valid (or no affordable) block size fall back to FormatCSR.
 	FormatQBD MatrixFormat = "qbd"
-	// FormatKron is the matrix-free Kronecker-sum operator of composed
-	// models: the sweep streams the product-space generator directly from
-	// the factor matrices, never materializing the product CSR. It cannot
-	// be forced onto an explicit matrix — as a requested format it means
-	// "use the matrix-free operator when the model carries one" and
-	// resolves like auto otherwise; it is what Sweep.Format reports for
-	// operator-backed sweeps.
-	FormatKron MatrixFormat = "kron"
 )
 
 // ErrUnsupportedFormat reports a matrix format that cannot serve the
@@ -60,10 +52,10 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 	switch f := MatrixFormat(s); f {
 	case "":
 		return FormatAuto, nil
-	case FormatAuto, FormatCSR, FormatBand, FormatCSR32, FormatQBD, FormatKron:
+	case FormatAuto, FormatCSR, FormatBand, FormatCSR32, FormatQBD:
 		return f, nil
 	default:
-		return "", fmt.Errorf("%w %q (want auto, csr, band, qbd or kron)", ErrUnsupportedFormat, s)
+		return "", fmt.Errorf("%w %q (want auto, csr, band or qbd)", ErrUnsupportedFormat, s)
 	}
 }
 
@@ -74,10 +66,9 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 // repeated sweeps (core.Prepared) convert once.
 func resolveStorage(a *CSR, format MatrixFormat) (MatrixFormat, *Band, []uint32, *QBD, error) {
 	switch format {
-	case "", FormatAuto, FormatKron, FormatBand:
-		// FormatKron on an explicit matrix means the model had no
-		// matrix-free operator to stream; it resolves like auto. A forced
-		// band that does not fit the window falls back to compact CSR.
+	case "", FormatAuto, FormatBand:
+		// A forced band that does not fit the window falls back to
+		// compact CSR.
 		if a.bandEligible() {
 			return FormatBand, a.BandRep(), nil, nil, nil
 		}

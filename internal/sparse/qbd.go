@@ -71,25 +71,6 @@ func (q *QBD) ToCSR() *CSR {
 	return bld.Build()
 }
 
-// Operator implementation, so QBD-backed sweeps share the generic
-// streaming paths (reference mode, partitioning).
-
-func (q *QBD) Rows() int                              { return q.n }
-func (q *QBD) OpNNZ() int64                           { return q.nnz }
-func (q *QBD) OpFormat() MatrixFormat                 { return FormatQBD }
-func (q *QBD) MatVecRange(lo, hi int, x, y []float64) { q.matVecRange(lo, hi, x, y) }
-
-// RowCost charges each row its streamed window (boundary levels stream
-// two blocks, interior levels three) — the QBD analogue of the CSR
-// rowPtr delta.
-func (q *QBD) RowCost(i int) int64 {
-	blk := i / q.b
-	if blk == 0 || blk == q.n/q.b-1 {
-		return int64(2 * q.b)
-	}
-	return int64(3 * q.b)
-}
-
 // QBD eligibility thresholds: the automatic policy converts only when
 // the 3b-cell window is narrow and pays for itself against the CSR's
 // value+index traffic; a forced "qbd" format is honored up to much larger

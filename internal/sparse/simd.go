@@ -17,7 +17,7 @@ const (
 	// KernelScalar: the pure-Go loops — no hardware support, a
 	// kill-switch, the serial reference sweep, or a run shape without a
 	// vector body (planar layouts, empty matrices, QBDs without an
-	// interior level, matrix-free operators).
+	// interior level).
 	KernelScalar = "scalar"
 	// KernelAVX2: the AVX2 assembly kernels served the bulk rows (QBD
 	// boundary levels and partial tiles still use the scalar loops).

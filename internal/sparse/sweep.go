@@ -66,8 +66,7 @@ type accPair struct {
 // with Run (fused kernel, the production path) or RunReference (serial
 // test oracle).
 type Sweep struct {
-	a            *CSR     // explicit sweep matrix; nil for operator-backed sweeps
-	op           Operator // matrix-free sweep operator; nil when a is set
+	a            *CSR
 	rows         int
 	diag1, diag2 []float64
 	imp          []*CSR
@@ -99,13 +98,12 @@ type Sweep struct {
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
 	// tridiagonal band window, QBD windows or compact uint32 column
 	// indexes — one interleaved kernel per structure — cutting the memory
-	// traffic of this bandwidth-bound loop; kron streams the matrix-free
-	// operator. All formats are bitwise identical.
+	// traffic of this bandwidth-bound loop. All formats are bitwise
+	// identical.
 	format MatrixFormat
 	band   *Band    // set when format == FormatBand
 	col32  []uint32 // set when format == FormatCSR32
 	qbd    *QBD     // set when format == FormatQBD
-	kron   *KronSum // set when op is a Kronecker-sum operator
 
 	// scratch4 is optional caller-lent backing for cur4/next4 (see
 	// SetScratch4), letting pooled solves skip the two largest per-run
@@ -246,65 +244,6 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 	return s, nil
 }
 
-// NewSweepOperator prepares a sweep that streams a matrix-free Operator
-// instead of an explicit CSR. Impulse matrices are not supported on this
-// path (models large enough to need a matrix-free generator cannot carry
-// explicit impulse matrices either); diag2 must already carry any
-// constant factor, as in NewSweep. The operator's bitwise contract (see
-// Operator) makes the result identical to a sweep over the materialized
-// matrix in every format and for every worker count.
-func NewSweepOperator(op Operator, diag1, diag2 []float64, order, workers int) (*Sweep, error) {
-	if op == nil {
-		return nil, fmt.Errorf("%w: nil sweep operator", ErrDimensionMismatch)
-	}
-	rows := op.Rows()
-	if rows <= 0 {
-		return nil, fmt.Errorf("%w: sweep operator with %d rows", ErrDimensionMismatch, rows)
-	}
-	if len(diag1) != rows || len(diag2) != rows {
-		return nil, fmt.Errorf("%w: diagonals %d/%d for %d rows", ErrDimensionMismatch, len(diag1), len(diag2), rows)
-	}
-	if order < 0 {
-		return nil, fmt.Errorf("%w: sweep order %d", ErrDimensionMismatch, order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > rows {
-		workers = rows
-	}
-	s := &Sweep{
-		op:        op,
-		rows:      rows,
-		diag1:     diag1,
-		diag2:     diag2,
-		order:     order,
-		workers:   workers,
-		format:    op.OpFormat(),
-		tile:      sweepTileDefault,
-		resolvedT: 1,
-	}
-	s.resolveSIMD()
-	if ks, ok := op.(*KronSum); ok {
-		s.kron = ks
-	}
-	s.initCoef()
-	if workers > 1 {
-		if s.kron != nil {
-			// Kronecker-sum sweeps have a closed-form total row cost and
-			// O(1)-amortized per-row costs along the odometer walk, so the
-			// partition is computed without the per-row coordinate decode
-			// (and its F divisions) RowCost would repeat n times.
-			s.blocks = partitionKron(s.kron, workers)
-		} else {
-			s.blocks = partitionRows(rows, workers, func(i int) int64 {
-				return rowBase + op.RowCost(i)
-			})
-		}
-	}
-	return s, nil
-}
-
 // initCoef fills coef[m] = 1/m! maintained by the same running division
 // the reference recursion uses, so fused impulse terms match it bit for
 // bit.
@@ -325,8 +264,7 @@ const rowBase = 4
 // partitionRows splits the rows into contiguous blocks of roughly equal
 // work under the given per-row cost function. Row-count splitting is
 // wrong for skewed patterns — a dense hub row costs as much as thousands
-// of tridiagonal rows — so explicit formats charge stored non-zeros and
-// matrix-free operators their RowCost.
+// of tridiagonal rows — so rows are charged their stored non-zeros.
 func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 	var total int64
 	for i := 0; i < rows; i++ {
@@ -351,25 +289,20 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 }
 
 // Format returns the resolved storage format: FormatBand, FormatQBD or
-// FormatCSR32 for the fused kernels over an explicit matrix, FormatKron
-// for Kronecker-sum operator sweeps, and FormatCSR64 for a sweep built
+// FormatCSR32 for the fused kernels, and FormatCSR64 for a sweep built
 // for the reference oracle, which only RunReference may execute. (The
-// RunReference test oracle always streams the generic CSR — or, for
-// operator sweeps, the operator itself — regardless of this setting.)
+// RunReference test oracle always streams the generic CSR regardless of
+// this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
 // Scratch4Words returns the float64 count Run would use for its
 // interleaved moment-state buffers: 0 when the run shape doesn't use
-// them (order != 3, impulse terms present, a generic operator without an
-// interleaved kernel, or the reference-only csr64 storage), otherwise
-// two buffers of 4 values per state plus, for the band window, one
-// padding state at each end.
+// them (order != 3, impulse terms present, or the reference-only csr64
+// storage), otherwise two buffers of 4 values per state plus, for the
+// band window, one padding state at each end.
 func (s *Sweep) Scratch4Words() int {
 	if s.order != 3 || len(s.imp) > 0 || s.format == FormatCSR64 {
 		return 0
-	}
-	if s.a == nil && s.kron == nil {
-		return 0 // generic operator: only the planar streaming path exists
 	}
 	pad := 0
 	if s.format == FormatBand {
@@ -450,9 +383,8 @@ const (
 
 // blockReach returns the dependency reach of the resolved storage: row i
 // of the next iteration depends on rows i-lo..i+hi of the current one.
-// ok is false when the reach is unknown or unbounded (matrix-free
-// Kronecker-sum sweeps, generic operators), which disables temporal
-// blocking.
+// ok is false when the reach is unknown (the reference-only csr64
+// storage), which disables temporal blocking.
 func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 	switch s.format {
 	case FormatBand:
@@ -656,7 +588,7 @@ func (s *Sweep) Run(ctx context.Context, gMax int, cur, next [][]float64, plans 
 // reference-only FormatCSR64 storage has no fused kernel and returns
 // ErrUnsupportedFormat.
 func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	if s.a != nil && s.format == FormatCSR64 {
+	if s.format == FormatCSR64 {
 		return 0, fmt.Errorf("%w: csr64 storage is streamed only by RunReference", ErrUnsupportedFormat)
 	}
 	if err := s.validateRun(cur, next, plans); err != nil {
@@ -677,8 +609,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	// one state of zero padding at each end, so the band kernel's per-row
 	// window never needs boundary clamping: out-of-matrix band cells
 	// multiply padding zeros, which is bitwise neutral (see band.go).
-	// The planar cur/next stay untouched scratch. Generic operators (no
-	// interleaved kernel) report Scratch4Words() == 0 and stay planar.
+	// The planar cur/next stay untouched scratch.
 	words := s.Scratch4Words()
 	interleaved := words > 0
 	s.kernel = s.resolveKernel(interleaved)
@@ -714,8 +645,8 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	}
 
 	// Temporal blocking runs only the interleaved shape: the planar path
-	// exists for rare shapes (impulses, generic operators) whose reach is
-	// unknown, and its per-term full-vector passes would defeat the
+	// exists for rare shapes (impulses, orders other than 3), and its
+	// per-term full-vector passes would defeat the
 	// cache-residency the blocking buys.
 	s.resolvedT = 1
 	if interleaved {
@@ -826,8 +757,6 @@ func (s *Sweep) stepRange(lo, hi int, cur4, next4 []float64, active []accPair) {
 			return
 		}
 		s.fuseBlock3QBD(lo, hi, cur4, next4, active)
-	case FormatKron:
-		s.fuseBlock3Kron(lo, hi, cur4, next4, active)
 	}
 }
 
@@ -1083,12 +1012,6 @@ func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
 // arms' extra zero cells contribute bitwise-neutral 0.0·x products (see
 // band.go).
 func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
-	if s.a == nil {
-		// Operator-backed sweep: the operator's MatVecRange carries the
-		// same ascending-column/+0.0 contract (see Operator).
-		s.op.MatVecRange(t0, t1, x, y)
-		return
-	}
 	switch s.format {
 	case FormatQBD:
 		s.qbd.matVecRange(t0, t1, x, y)
@@ -1305,14 +1228,8 @@ func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next
 			}
 		}
 		for j := s.order; j >= 0; j-- {
-			if s.a != nil {
-				if err := s.a.MatVec(cur[j], next[j]); err != nil {
-					return 0, err
-				}
-			} else {
-				// Matrix-free reference: the operator's contract is the
-				// CSR accumulation order, so this stays the bitwise oracle.
-				s.op.MatVecRange(0, n, cur[j], next[j])
+			if err := s.a.MatVec(cur[j], next[j]); err != nil {
+				return 0, err
 			}
 			if j >= 1 {
 				for i := 0; i < n; i++ {

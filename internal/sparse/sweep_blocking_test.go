@@ -282,22 +282,6 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("auto on wide-band CSR state resolved T=%d, want 1", T)
 	}
 
-	// Kronecker-sum sweeps have unbounded reach and never block, even when
-	// forced.
-	ks, err := NewKronSum([]*CSR{generatorFixture(t, rng, 5), generatorFixture(t, rng, 7)}, nil, 3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kd1, kd2 := make([]float64, ks.Rows()), make([]float64, ks.Rows())
-	kos, err := NewSweepOperator(ks, kd1, kd2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kos.SetTemporalBlock(8)
-	if T, _, _ := kos.resolveBlocking(); T != 1 {
-		t.Errorf("kron resolved T=%d, want 1", T)
-	}
-
 	// Planar shapes (no interleaved kernel) never block: a forced depth on
 	// an order-2 run must still report an unblocked sweep.
 	ps, err := NewSweep(tri, d1, d2, nil, 2, 1)
@@ -313,81 +297,5 @@ func TestTemporalBlockResolution(t *testing.T) {
 	}
 	if got := ps.TemporalBlock(); got != 1 {
 		t.Errorf("planar run resolved depth %d, want 1", got)
-	}
-}
-
-// TestKronPartitionBalance checks the odometer-based kron partitioner on
-// composed models with skewed factor fill: it must produce exactly the
-// cuts the generic per-row-cost partitioner would (same total, same cut
-// condition) and keep every worker's entry share near the ideal.
-func TestKronPartitionBalance(t *testing.T) {
-	rng := rand.New(rand.NewSource(229))
-	// A skewed factor: a handful of dense hub rows among sparse ones, so a
-	// row-count split would load-imbalance the product space.
-	nHub := 24
-	hb := NewBuilder(nHub, nHub)
-	for i := 0; i < nHub; i++ {
-		var rowSum float64
-		add := func(j int, v float64) {
-			rowSum += v
-			if err := hb.Add(i, j, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		add((i+1)%nHub, rng.Float64()+0.1)
-		if i < 3 {
-			for j := 0; j < nHub; j++ {
-				if j != i {
-					add(j, rng.Float64()+0.05)
-				}
-			}
-		}
-		if err := hb.Add(i, i, -rowSum); err != nil {
-			t.Fatal(err)
-		}
-	}
-	factors := []*CSR{hb.Build(), generatorFixture(t, rng, 11), generatorFixture(t, rng, 7)}
-	ks, err := NewKronSum(factors, nil, 2.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := ks.Rows()
-	for _, workers := range []int{2, 3, 4, 7, 16} {
-		got := partitionKron(ks, workers)
-		want := partitionRows(n, workers, func(i int) int64 {
-			return rowBase + ks.RowCost(i)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("workers %d: partitionKron returned %d boundaries, want %d", workers, len(got), len(want))
-		}
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("workers %d: partitionKron = %v, partitionRows = %v", workers, got, want)
-			}
-		}
-		cost := func(lo, hi int) int64 {
-			var c int64
-			for i := lo; i < hi; i++ {
-				c += rowBase + ks.RowCost(i)
-			}
-			return c
-		}
-		total := cost(0, n)
-		var maxRow int64
-		for i := 0; i < n; i++ {
-			if c := rowBase + ks.RowCost(i); c > maxRow {
-				maxRow = c
-			}
-		}
-		for w := 0; w < workers; w++ {
-			if got[w] > got[w+1] {
-				t.Fatalf("workers %d: non-monotone blocks %v", workers, got)
-			}
-			// A block stops growing as soon as it reaches its share, so it
-			// overshoots by at most one row.
-			if share := cost(got[w], got[w+1]); share > total/int64(workers)+maxRow {
-				t.Errorf("workers %d: block %d carries %d of %d (blocks %v)", workers, w, share, total, got)
-			}
-		}
 	}
 }

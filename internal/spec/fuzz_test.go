@@ -50,6 +50,9 @@ var fuzzSeeds = []string{
 	` {"states" : 1 , "rates" : [ 1.5e-3 ] }` + "\n",
 	`null`,
 	`[]`,
+	// A huge state count with one-element lists must fail on the length
+	// check before anything allocates States-sized arrays.
+	`{"states":2036854757808,"transitions":[],"rates":[1],"variances":[0],"initial":[1]}`,
 }
 
 // FuzzParseBuild ensures arbitrary JSON never panics the parser or the

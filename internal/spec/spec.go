@@ -147,6 +147,17 @@ func (m *Model) Build() (*core.Model, error) {
 	if m.States < 1 {
 		return nil, fmt.Errorf("%w: states=%d", ErrBadSpec, m.States)
 	}
+	// Every later step allocates States-sized arrays, so the per-state
+	// lists must vouch for States first: a hostile count must not be able
+	// to exhaust memory before anything compares it with the data.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"rates", len(m.Rates)}, {"variances", len(m.Variances)}, {"initial", len(m.Initial)}} {
+		if f.n != m.States {
+			return nil, fmt.Errorf("%w: %d %s for %d states", ErrBadSpec, f.n, f.name, m.States)
+		}
+	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

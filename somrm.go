@@ -377,10 +377,11 @@ func AccumulatedRewardWithContext(ctx context.Context, m *Model, t float64, orde
 }
 
 // Compose builds the joint model of two independent models with additive
-// rewards (Kronecker-sum structure process). Products above the
-// materialization threshold come back matrix-free: the joint generator
-// exists only as its Kronecker-sum factors and the solver streams it in
-// O(sum of factor sizes) memory.
+// rewards (Kronecker-sum structure process). The randomization solver
+// never sweeps the product chain: each factor solves on its own and the
+// moments combine by binomial convolution. Products above the
+// materialization threshold come back matrix-free (no explicit joint
+// generator), so only the randomization solver accepts them.
 func Compose(a, b *Model) (*Model, error) { return core.Compose(a, b) }
 
 // ComposeAll folds Compose over a list of independent models.
