@@ -70,21 +70,22 @@ bench-ingest:
 
 # The randomization-sweep kernel comparison tracked in BENCHMARKS.md:
 # serial reference vs the fused kernel at the paper's large-example shape,
-# recorded as machine-readable JSON (name, ns/op, B/op, allocs/op, cores,
-# commit) for committing and diffing across revisions.
+# recorded as machine-readable JSON (name, median ns/op with its min/max
+# over 5 runs, B/op, allocs/op, cores, commit) for committing and diffing
+# across revisions.
 bench-sweep:
-	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -run '^$$' \
-		-timeout 30m ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
+	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -count 5 -run '^$$' \
+		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	@echo wrote BENCH_sweep.json
 
 # Advisory perf-regression check: re-run the sweep benchmarks and diff
-# against the committed BENCH_sweep.json baseline (>15% ns/op growth on
-# any shared benchmark flags a regression). The leading `-` keeps the
-# target advisory — timings are machine-dependent, so read the report
-# instead of failing the build on it.
+# against the committed BENCH_sweep.json baseline (a new median more than
+# 15% above the baseline's max ns/op flags a regression). The leading `-`
+# keeps the target advisory — timings are machine-dependent, so read the
+# report instead of failing the build on it.
 bench-check:
-	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -run '^$$' \
-		-timeout 30m ./internal/core | $(GO) run ./cmd/benchjson -o /tmp/somrm_bench_new.json
+	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -count 5 -run '^$$' \
+		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o /tmp/somrm_bench_new.json
 	-$(GO) run ./cmd/benchjson -compare BENCH_sweep.json /tmp/somrm_bench_new.json -tol 0.15
 
 # CI smoke: one iteration per sweep benchmark, just to prove every kernel

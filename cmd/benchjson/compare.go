@@ -10,9 +10,10 @@ import (
 )
 
 // runCompare implements `benchjson -compare old.json new.json [-tol F]`:
-// load two reports, match benchmarks by name, and flag any whose ns/op
-// grew by more than the tolerance fraction. Returns the process exit
-// code: 0 clean, 1 at least one regression, 2 usage or I/O error.
+// load two reports, match benchmarks by name, and flag any whose median
+// ns/op exceeds the old max by more than the tolerance fraction (see
+// compareReports). Returns the process exit code: 0 clean, 1 at least
+// one regression, 2 usage or I/O error.
 //
 // The trailing -tol is scanned by hand because the flag package stops
 // parsing at the first positional argument, so a -tol written after the
@@ -102,11 +103,14 @@ func (k benchKey) label() string {
 }
 
 // compareReports prints one line per benchmark shared by both reports and
-// returns the number of regressions: benchmarks whose ns/op exceeds the
-// old value by more than the tolerance fraction. Entries are matched by
-// (name, procs), so per-core variants diff like for like. Benchmarks
-// present on only one side are noted but never count as regressions —
-// renames and new variants should not fail a perf gate on their own.
+// returns the number of regressions: benchmarks whose new median ns/op
+// exceeds the old max ns/op (the old median for a report recorded
+// without repeats) by more than the tolerance fraction, so a median
+// inside the old runs' spread never counts. The printed delta is median
+// to median. Entries are matched by (name, procs), so per-core variants
+// diff like for like. Benchmarks present on only one side are noted but
+// never count as regressions — renames and new variants should not fail
+// a perf gate on their own.
 func compareReports(oldRep, newRep *Report, tol float64, w io.Writer) int {
 	oldBy := make(map[benchKey]BenchResult, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
@@ -125,10 +129,11 @@ func compareReports(oldRep, newRep *Report, tol float64, w io.Writer) int {
 		seen[key] = true
 		compared++
 		delta := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
-		if delta > tol {
+		oldMax := max(ob.NsMax, ob.NsPerOp)
+		if nb.NsPerOp > oldMax*(1+tol) {
 			regressions++
-			fmt.Fprintf(w, "  REGRESSED %-44s %s -> %s  %+.1f%% (tolerance %.0f%%)\n",
-				key.label(), fmtNs(ob.NsPerOp), fmtNs(nb.NsPerOp), delta*100, tol*100)
+			fmt.Fprintf(w, "  REGRESSED %-44s %s -> %s  %+.1f%% (old max %s, tolerance %.0f%%)\n",
+				key.label(), fmtNs(ob.NsPerOp), fmtNs(nb.NsPerOp), delta*100, fmtNs(oldMax), tol*100)
 			continue
 		}
 		fmt.Fprintf(w, "  ok        %-44s %s -> %s  %+.1f%%\n",

@@ -5,17 +5,22 @@
 //
 // Usage:
 //
-//	go test -bench Sweep -benchmem ./internal/core/ | benchjson -o BENCH_sweep.json
+//	go test -bench Sweep -benchmem -count 5 ./internal/core/ | benchjson -o BENCH_sweep.json
 //	benchjson -compare old.json new.json -tol 0.15
+//
+// Repeated lines of one benchmark (go test -count N) fold into one entry:
+// the median ns/op, its min and max, and the run count.
 //
 // The commit hash is taken from -commit, falling back to `git rev-parse
 // HEAD`, falling back to "unknown" — the tool never fails just because
 // the tree is not a checkout.
 //
 // -compare diffs two recorded reports benchmark-by-benchmark and exits
-// nonzero when any shared benchmark's ns/op grew by more than the -tol
-// fraction (default 0.15), so `make bench-check` can flag perf
-// regressions against the committed baseline.
+// nonzero when any shared benchmark's median ns/op exceeds the old
+// report's max ns/op by more than the -tol fraction (default 0.15), so
+// `make bench-check` can flag perf regressions against the committed
+// baseline without flagging a new median that sits inside the old runs'
+// spread.
 package main
 
 import (
@@ -27,6 +32,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -38,8 +44,13 @@ type BenchResult struct {
 	// Procs is the GOMAXPROCS suffix of the line (1 when absent).
 	Procs int `json:"procs"`
 	// Iterations is the measured iteration count (b.N).
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
+	Iterations int64 `json:"iterations"`
+	// NsPerOp is the median ns/op over the Runs repeated lines of this
+	// benchmark (go test -count); NsMin and NsMax bound the runs.
+	NsPerOp float64 `json:"ns_per_op"`
+	NsMin   float64 `json:"ns_min,omitempty"`
+	NsMax   float64 `json:"ns_max,omitempty"`
+	Runs    int     `json:"runs,omitempty"`
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
@@ -143,7 +154,38 @@ func parseWithProcs(r io.Reader, procs int) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, nil
+}
+
+// fold merges repeated results of one benchmark (same name and procs, as
+// `go test -count N` prints them) into one entry, in order of first
+// appearance: the median ns/op (the mean of the middle two for an even
+// count) with the min, max and run count. Iterations, B/op and allocs/op
+// are taken from the median run (the lower middle one for an even count).
+func fold(results []BenchResult) []BenchResult {
+	var order []benchKey
+	runs := make(map[benchKey][]BenchResult)
+	for _, r := range results {
+		k := benchKey{r.Name, r.Procs}
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], r)
+	}
+	out := make([]BenchResult, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		mid := (len(rs) - 1) / 2
+		m := rs[mid]
+		if len(rs)%2 == 0 {
+			m.NsPerOp = (rs[mid].NsPerOp + rs[mid+1].NsPerOp) / 2
+		}
+		m.NsMin, m.NsMax, m.Runs = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp, len(rs)
+		out = append(out, m)
+	}
+	return out
 }
 
 // parseBenchLine parses one result line of the form

@@ -248,3 +248,57 @@ func TestParseBenchLineRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFoldsRepeatedRuns pins the -count folding: repeated lines of
+// one benchmark collapse into one entry carrying the median ns/op (the
+// mean of the middle two for an even count), the min, the max and the
+// run count, in order of first appearance, with B/op and allocs/op from
+// the median run; a single run reports itself as min and max.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	const out = `BenchmarkA-2   10   300 ns/op   64 B/op   2 allocs/op
+BenchmarkB-2   10   50 ns/op
+BenchmarkA-2   10   100 ns/op   32 B/op   1 allocs/op
+BenchmarkA-2   10   200 ns/op   48 B/op   3 allocs/op
+BenchmarkB-2   10   70 ns/op
+BenchmarkC-2   10   9 ns/op
+`
+	rep, err := parseWithProcs(strings.NewReader(out), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("folded into %d entries, want 3", len(rep.Benchmarks))
+	}
+	a, b, c := rep.Benchmarks[0], rep.Benchmarks[1], rep.Benchmarks[2]
+	if a.Name != "BenchmarkA" || a.NsPerOp != 200 || a.NsMin != 100 || a.NsMax != 300 || a.Runs != 3 {
+		t.Errorf("A: %+v, want median 200 in [100, 300] over 3 runs", a)
+	}
+	if a.BytesPerOp == nil || *a.BytesPerOp != 48 || a.AllocsPerOp == nil || *a.AllocsPerOp != 3 {
+		t.Errorf("A: B/op and allocs/op not taken from the median run: %v %v", a.BytesPerOp, a.AllocsPerOp)
+	}
+	if b.Name != "BenchmarkB" || b.NsPerOp != 60 || b.NsMin != 50 || b.NsMax != 70 || b.Runs != 2 {
+		t.Errorf("B: %+v, want median 60 in [50, 70] over 2 runs", b)
+	}
+	if c.NsPerOp != 9 || c.NsMin != 9 || c.NsMax != 9 || c.Runs != 1 {
+		t.Errorf("C: %+v, want a single run of 9", c)
+	}
+}
+
+// TestCompareUsesOldMax pins the spread-aware gate: a new median is a
+// regression only beyond the old max × (1+tol), not beyond the old
+// median.
+func TestCompareUsesOldMax(t *testing.T) {
+	oldRep := &Report{Commit: "aaa", Benchmarks: []BenchResult{
+		{Name: "BenchmarkX", Procs: 1, NsPerOp: 100e6, NsMin: 90e6, NsMax: 130e6, Runs: 5},
+	}}
+	for _, c := range []struct {
+		median float64
+		want   int
+	}{{140e6, 0}, {149e6, 0}, {150e6, 1}} {
+		newRep := &Report{Commit: "bbb", Benchmarks: []BenchResult{{Name: "BenchmarkX", Procs: 1, NsPerOp: c.median}}}
+		var out strings.Builder
+		if got := compareReports(oldRep, newRep, 0.15, &out); got != c.want {
+			t.Errorf("median %g vs old max 130e6: regressions = %d, want %d\n%s", c.median, got, c.want, out.String())
+		}
+	}
+}

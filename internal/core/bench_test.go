@@ -314,28 +314,53 @@ func BenchmarkSweep(b *testing.B) {
 	// shape, 16,383 the last row count the automatic policy runs on one
 	// worker): the serial reference oracle against the inline 1-worker
 	// fused kernel the automatic policy picks here, and a forced 2-worker
-	// team, which measures where the team starts to pay. cold-auto times
-	// the production path from scratch — Prepare (uniformization) plus the
-	// first solve, which pays structure detection and the band conversion.
-	for _, n := range []int{32, 2_001, 16_383} {
-		m := largeTridiagModel(b, n)
+	// team, which measures where the team starts to pay. N = 4,095 and
+	// 8,191 add the team crossover points in between. fused-1-unblocked
+	// turns the 1-worker band sweep's L1 temporal blocking off
+	// (Options.TemporalBlock = 1), so the blocking shows what it earns.
+	// cold-auto times the production path from scratch — Prepare
+	// (uniformization) plus the first solve, which pays structure
+	// detection and the band conversion.
+	rowOpts := map[string]*Options{
+		"reference":         {SweepWorkers: -1},
+		"fused-1":           {SweepWorkers: 1},
+		"fused-1-unblocked": {SweepWorkers: 1, TemporalBlock: 1},
+		"workers-2":         {SweepWorkers: 2},
+	}
+	full := []string{"reference", "fused-1", "fused-1-unblocked", "workers-2", "cold-auto"}
+	for _, sz := range []struct {
+		n    int
+		rows []string
+	}{
+		{32, []string{"reference", "fused-1", "workers-2", "cold-auto"}},
+		{2_001, full},
+		{4_095, []string{"fused-1", "workers-2"}},
+		{8_191, []string{"fused-1", "workers-2"}},
+		{16_383, full},
+	} {
+		m := largeTridiagModel(b, sz.n)
 		prep, err := Prepare(m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, bc := range []struct {
-			name    string
-			workers int
-		}{
-			{"reference", -1},
-			{"fused-1", 1},
-			{"workers-2", 2},
-		} {
-			b.Run(fmt.Sprintf("N%d/%s", n, bc.name), func(b *testing.B) {
-				if max := runtime.GOMAXPROCS(0); bc.workers > max {
-					b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", bc.workers, max)
+		for _, row := range sz.rows {
+			opts := rowOpts[row]
+			b.Run(fmt.Sprintf("N%d/%s", sz.n, row), func(b *testing.B) {
+				if row == "cold-auto" {
+					for i := 0; i < b.N; i++ {
+						cold, err := Prepare(m)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := cold.AccumulatedReward(tt, order, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+					return
 				}
-				opts := &Options{SweepWorkers: bc.workers}
+				if max := runtime.GOMAXPROCS(0); opts.SweepWorkers > max {
+					b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", opts.SweepWorkers, max)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := prep.AccumulatedReward(tt, order, opts); err != nil {
@@ -344,17 +369,6 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("N%d/cold-auto", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cold, err := Prepare(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cold.AccumulatedReward(tt, order, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 
 	// Non-tridiagonal shapes at ≈65k states, one worker: the storage

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -108,6 +109,45 @@ func TestSolveResumeBitwise(t *testing.T) {
 			if resumed[1].Stats.MatVecs != full[1].Stats.MatVecs {
 				t.Fatalf("resumed MatVecs %d, want %d", resumed[1].Stats.MatVecs, full[1].Stats.MatVecs)
 			}
+		}
+	}
+}
+
+// TestSolveResumeAutoBlockedBand extends the resume gate to the
+// production midsize shape: a 2,001-state tridiagonal solve under
+// default Options runs the 1-worker row-lane band kernel auto-blocked in
+// L1-sized groups, observes cancellation only at group boundaries, and
+// must resume from the captured checkpoint — blocked again, or on the
+// reference oracle — bitwise identical to the uninterrupted solve.
+func TestSolveResumeAutoBlockedBand(t *testing.T) {
+	m := largeTridiagModel(t, 2_001)
+	times := []float64{0, 2, 8}
+	const order = 3
+	full, err := m.AccumulatedRewardAt(times, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := full[1].Stats
+	if st.MatrixFormat != "band" || st.TemporalBlock != 16 {
+		t.Fatalf("auto solve ran format %q at depth %d, want band at 16", st.MatrixFormat, st.TemporalBlock)
+	}
+	// The solver polls once on entry and the blocked sweep once per
+	// group, so polls = 1+p interrupts at the p-th group boundary.
+	for _, polls := range []int{2, 3, st.G / 16} {
+		cp := interruptSolve(t, m, times, order, polls, Options{})
+		if cp.Completed == 0 || cp.Completed%16 != 0 {
+			t.Fatalf("polls=%d: completed=%d, want a positive multiple of the depth 16", polls, cp.Completed)
+		}
+		decoded, err := DecodeCheckpoint(cp.Encode())
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		for _, workers := range []int{0, -1} {
+			resumed, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: workers, Resume: decoded})
+			if err != nil {
+				t.Fatalf("resume polls=%d workers=%d: %v", polls, workers, err)
+			}
+			sameResults(t, fmt.Sprintf("resume polls=%d workers=%d", polls, workers), resumed, full)
 		}
 	}
 }

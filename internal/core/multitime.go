@@ -211,7 +211,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweep.SetNoSIMD(cfg.NoSIMD)
 
 	// Per-solve scratch comes from one arena (pooled by Prepared): the
-	// sweep state vectors, the per-time accumulators, the interleaved
+	// sweep state vectors, the per-time accumulators, the order-3
 	// kernel buffers, and — when a shift is active, so unshift rebuilds
 	// the output vectors anyway — the intermediate scaled moments. Only
 	// buffers that never escape into Results are carved here; everything

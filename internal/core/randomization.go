@@ -67,11 +67,13 @@ type Options struct {
 	// models.
 	//
 	//   - 0 (the default) tunes the depth automatically from the matrix
-	//     bandwidth and the state footprint (small models stay unblocked —
-	//     they are already cache-resident);
+	//     structure and size: band (tridiagonal) models block at depth 16
+	//     once they hold two row blocks — L1-sized 128-row blocks on one
+	//     worker, 1024-row wavefront blocks on a team — while QBD and
+	//     compact-CSR models block only once their state outgrows L2;
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
-	//     possible (bounded-bandwidth matrices with the interleaved
+	//     possible (bounded-bandwidth matrices with an order-3
 	//     order-3 kernel; impulse models never block).
 	//
 	// A composed model applies it to each factor's sweep.
@@ -84,7 +86,8 @@ type Options struct {
 	// SweepTile overrides the fused kernels' spatial row-tile width (and
 	// with it the temporally blocked driver's block width), so spatial and
 	// temporal tile shapes are tunable together. Zero or negative keeps
-	// the built-in default (1024 rows). Bitwise neutral.
+	// the built-in default (128 rows for a 1-worker band sweep, 1024
+	// otherwise). Bitwise neutral.
 	SweepTile int
 	// NoSIMD disables the runtime-dispatched AVX2 sweep kernels, forcing
 	// the pure-Go scalar loops even on hardware that supports them; the

@@ -29,14 +29,16 @@ func largeTridiagModel(tb testing.TB, n int) *Model {
 
 // TestSolveSmallModelProductionSweep pins the production sweep below the
 // parallel threshold under default Options: the paper's Table 1 ON–OFF
-// multiplexer (N = 32 sources, 33 states) and a bidiagonal pure-birth
-// chain run the inline 1-worker fused kernel on the band window; a
-// pentadiagonal chain and a birth–death chain composed with a dense
-// 4-state factor, outside the window, stream QBD or compact CSR. Each
-// storage has a vector body, so every solve reports the host's SIMD
-// dispatch, runs unblocked (the state is cache-resident), and stays
-// bitwise equal to the serial reference oracle (SweepWorkers < 0), whose
-// csr64 storage is not selectable.
+// multiplexer (N = 32 sources, 33 states), a bidiagonal pure-birth chain
+// and the 2,001-state midsize birth–death chain run the inline 1-worker
+// fused kernel on the band window; a pentadiagonal chain and a
+// birth–death chain composed with a dense 4-state factor, outside the
+// window, stream QBD or compact CSR. Each storage has a vector body, so
+// every solve reports the host's SIMD dispatch and stays bitwise equal to
+// the serial reference oracle (SweepWorkers < 0), whose csr64 storage is
+// not selectable. The non-band shapes run unblocked (their state is
+// cache-resident); band models run unblocked below two 128-row L1
+// blocks and temporally blocked at depth 16 from there.
 func TestSolveSmallModelProductionSweep(t *testing.T) {
 	wantKernel := sparse.KernelScalar
 	if v := os.Getenv("SOMRM_NOSIMD"); sparse.SIMDAvailable() && (v == "" || v == "0") {
@@ -48,11 +50,13 @@ func TestSolveSmallModelProductionSweep(t *testing.T) {
 		name     string
 		m        *Model
 		wantBand bool
+		wantT    int
 	}{
-		{"table1", benchModel(t, 33, false), true},
-		{"bidiagonal", pureBirthModel(t, 64), true},
-		{"pentadiagonal", pentadiagonalModel(t, 64), false},
-		{"composed-bd-x4", composedDenseModel(t, 50, 4), false},
+		{"table1", benchModel(t, 33, false), true, 1},
+		{"bidiagonal", pureBirthModel(t, 64), true, 1},
+		{"midsize", largeTridiagModel(t, 2_001), true, 16},
+		{"pentadiagonal", pentadiagonalModel(t, 64), false, 1},
+		{"composed-bd-x4", composedDenseModel(t, 50, 4), false, 1},
 	} {
 		def, err := c.m.AccumulatedRewardAt(times, order, nil)
 		if err != nil {
@@ -60,9 +64,9 @@ func TestSolveSmallModelProductionSweep(t *testing.T) {
 		}
 		st := def[0].Stats
 		t.Logf("%s: %d states, format %s, kernel %s", c.name, c.m.N(), st.MatrixFormat, st.SweepKernel)
-		if (st.MatrixFormat == string(sparse.FormatBand)) != c.wantBand || st.TemporalBlock != 1 || st.SweepKernel != wantKernel {
-			t.Fatalf("%s: format %q, temporal block %d, kernel %q; want band=%v, 1, %q",
-				c.name, st.MatrixFormat, st.TemporalBlock, st.SweepKernel, c.wantBand, wantKernel)
+		if (st.MatrixFormat == string(sparse.FormatBand)) != c.wantBand || st.TemporalBlock != c.wantT || st.SweepKernel != wantKernel {
+			t.Fatalf("%s: format %q, temporal block %d, kernel %q; want band=%v, %d, %q",
+				c.name, st.MatrixFormat, st.TemporalBlock, st.SweepKernel, c.wantBand, c.wantT, wantKernel)
 		}
 		ref, err := c.m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
 		if err != nil {

@@ -13,15 +13,16 @@ import (
 // BENCH_sweep.json shows is memory-bandwidth-bound. Two cheaper
 // representations are derived lazily from the immutable CSR:
 //
-//   - Band: the tridiagonal window, three values per row (sub-diagonal,
+//   - Band: the tridiagonal window stored as three planes (sub-diagonal,
 //     diagonal, super-diagonal) and no indexes. Every matrix whose
 //     entries satisfy |i-j| <= 1 qualifies; diagonal and bidiagonal
 //     matrices pad the missing cells with zeros. The kernel computes
-//     column positions instead of loading them — zero index traffic, one
-//     sequential value stream, and (for the interleaved order-3 layout) a
-//     fully contiguous 12-value gather window per row that the AVX2 body
-//     retires as three vector loads. Wider bands take QBD or
-//     compact-index CSR instead, which have their own vector bodies.
+//     column positions instead of loading them — zero index traffic —
+//     and, on the row-lane state layout (one plane per moment, see
+//     bandPlaneStride), the AVX2 body retires four consecutive rows of
+//     one moment per vector with plain contiguous loads. Wider bands take
+//     QBD or compact-index CSR instead, which have their own vector
+//     bodies.
 //   - Compact-index CSR: the same CSR structure with uint32 column
 //     indexes, halving index traffic for every matrix below 2^32
 //     columns; the general representation.
@@ -42,16 +43,25 @@ import (
 // non-finite moments propagate).
 
 // Band is the tridiagonal-window view of a square CSR matrix whose
-// stored entries all satisfy |i-j| <= 1: val[i*3+k] holds entry
-// (i, i-1+k). Cells outside the matrix or without a stored CSR entry
-// hold +0.0.
+// stored entries all satisfy |i-j| <= 1, stored as three planes of one
+// backing array: val[i], val[stride+i] and val[2*stride+i] hold entries
+// (i, i-1), (i, i) and (i, i+1). Cells outside the matrix or without a
+// stored CSR entry hold +0.0. The plane stride is bandPlaneStride(n), the
+// stride of the sweep's state planes, so the planes start at least 256
+// bytes apart modulo 4096 and one register addresses all of them.
 type Band struct {
-	n   int
-	val []float64
+	n, stride int
+	val       []float64
 }
 
 // N returns the matrix dimension.
 func (b *Band) N() int { return b.n }
+
+// planes returns the sub-diagonal, diagonal and super-diagonal planes.
+func (b *Band) planes() (sub, diag, sup []float64) {
+	st, n := b.stride, b.n
+	return b.val[:n:n], b.val[st : st+n : st+n], b.val[2*st : 2*st+n : 2*st+n]
+}
 
 // MatVec computes y = b*x with the same per-row ascending-column
 // accumulation order as CSR.MatVec; for finite x the results are bitwise
@@ -61,15 +71,15 @@ func (b *Band) MatVec(x, y []float64) { b.matVecRange(0, b.n, x, y) }
 // matVecRange computes y[i] = (b·x)[i] for lo <= i < hi, skipping the
 // window cells that fall outside the matrix at the first and last row.
 func (b *Band) matVecRange(lo, hi int, x, y []float64) {
+	sub, diag, sup := b.planes()
 	for i := lo; i < hi; i++ {
-		r := b.val[i*3 : i*3+3 : i*3+3]
 		var sum float64
 		if i > 0 {
-			sum += r[0] * x[i-1]
+			sum += sub[i] * x[i-1]
 		}
-		sum += r[1] * x[i]
+		sum += diag[i] * x[i]
 		if i+1 < b.n {
-			sum += r[2] * x[i+1]
+			sum += sup[i] * x[i+1]
 		}
 		y[i] = sum
 	}
@@ -81,11 +91,43 @@ func (b *Band) Dense() []float64 {
 	for i := 0; i < b.n; i++ {
 		for k := 0; k < 3; k++ {
 			if j := i - 1 + k; j >= 0 && j < b.n {
-				out[i*b.n+j] = b.val[i*3+k]
+				out[i*b.n+j] = b.val[k*b.stride+i]
 			}
 		}
 	}
 	return out
+}
+
+// bandPlaneStride returns the plane stride, in float64 words, of the
+// band's storage and of the row-lane state layout the order-3 band sweep
+// runs on (see Sweep.RunFrom): at least n+2 words — the state planes
+// carry one zero padding cell at each end — rounded to whole 64-byte
+// lines, then raised line by line until any two of eight consecutive
+// plane starts (the two state buffers' four moment planes each, laid
+// out back to back) lie at least 256 bytes apart modulo 4096. Without
+// the spread, sizes whose stride is close to a multiple of 4 KiB (N =
+// 16,383: 8 bytes past one) map every plane onto the same L1 sets and
+// the same 4K-aliasing addresses, and a 128-row block no longer stays
+// in L1. The search ends within 64 lines: a stride of 512 bytes modulo
+// 4096 always qualifies.
+func bandPlaneStride(n int) int {
+	st := (n + 2 + 7) &^ 7
+	for !planesSpread(st) {
+		st += 8
+	}
+	return st
+}
+
+// planesSpread reports whether plane starts p·st (p = 0..7, st in words)
+// are pairwise at least 256 bytes apart modulo 4096; the distance of
+// planes p and q depends only on |p-q|.
+func planesSpread(st int) bool {
+	for k := 1; k < 8; k++ {
+		if d := k * st * 8 % 4096; d < 256 || d > 4096-256 {
+			return false
+		}
+	}
+	return true
 }
 
 // deriv holds the lazily built derived representations of a CSR matrix.
@@ -179,10 +221,11 @@ func (m *CSR) BandRep() *Band {
 	}
 	d := m.derived()
 	d.bandOnce.Do(func() {
-		b := &Band{n: m.rows, val: make([]float64, 3*m.rows)}
+		st := bandPlaneStride(m.rows)
+		b := &Band{n: m.rows, stride: st, val: make([]float64, 3*st)}
 		for i := 0; i < m.rows; i++ {
 			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				b.val[i*3+(m.colIdx[p]-i+1)] = m.val[p]
+				b.val[(m.colIdx[p]-i+1)*st+i] = m.val[p]
 			}
 		}
 		d.band = b

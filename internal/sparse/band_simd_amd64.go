@@ -36,19 +36,28 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() (eax, edx uint32)
 
-// bandTri3AVX2 is the assembly body of fuseBlock3Band for n rows with
-// no Poisson accumulation: pointers are pre-offset to the first row's
-// band triple (bval), state window (cur, at the row's cur4[i*4]), output
-// (next, at next4[4+i*4]), and order-coupling diagonals. Each lane
-// executes exactly the scalar loop's operation sequence with the same
-// IEEE rounding (vmulpd/vaddpd, never fused), so results are bitwise
-// identical to the Go code.
+// bandLanesAVX2 is the assembly body of fuseBlock3Band for n rows (a
+// multiple of 4) with no Poisson accumulation, on the row-lane layout:
+// band is &val[lo] of the band's sub-diagonal plane, cur and next are
+// the rows' cells in state plane 0 (&cur4[1+lo]), stride is the shared
+// plane stride in words of the band and both state buffers, and d1/d2
+// are pre-offset to row lo. Each vector lane executes exactly the scalar
+// loop's operation sequence with the same IEEE rounding (vmulpd/vaddpd,
+// never fused), so results are bitwise identical to the Go code.
 //
 //go:noescape
-func bandTri3AVX2(n int, bval, cur, next, d1, d2 *float64)
+func bandLanesAVX2(n int, band, cur, next *float64, stride int, d1, d2 *float64)
 
-// bandTri3AccAVX2 is bandTri3AVX2 fused with the single-plan Poisson
-// accumulation acc[j][i] += w*s_j into the four planar accumulator rows.
+// bandLanesAccAVX2 is bandLanesAVX2 fused with the single-plan Poisson
+// accumulation acc[j][i] += w*s_j, written as vectors into the four
+// planar accumulator rows a0..a3 (pre-offset to row lo).
 //
 //go:noescape
-func bandTri3AccAVX2(n int, bval, cur, next, d1, d2, a0, a1, a2, a3 *float64, w float64)
+func bandLanesAccAVX2(n int, band, cur, next *float64, stride int, d1, d2, a0, a1, a2, a3 *float64, w float64)
+
+// planeAcc4AVX2 applies one plan's accumulation a_j[i] += w*next_j[i]
+// for n rows (a multiple of 4) of the four next planes (next at plane
+// 0's cell of the first row).
+//
+//go:noescape
+func planeAcc4AVX2(n int, next *float64, stride int, a0, a1, a2, a3 *float64, w float64)

@@ -21,67 +21,114 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// ROW3 computes one tridiagonal row of the order-3 interleaved sweep into
-// Y6 = [s0 s1 s2 s3], the vector form of fuseBlock3Band's scalar loop.
-// Lane j runs the scalar loop's exact operation sequence:
+// Row-lane AVX2 bodies of the order-3 tridiagonal band sweep (see
+// fuseBlock3Band for the layout and band_simd_amd64.go for the Go
+// contracts). Each ymm holds four consecutive rows of one moment plane,
+// so lane k of moment j executes the scalar loop's exact operation
+// sequence for row i+k:
 //
-//	s_j  = 0 + v0*cw[j]          (Y15 is kept zero)
-//	s_j += v1*cw[4+j]
-//	s_j += v2*cw[8+j]
-//	s_j += d1*cw[3+j]   lanes 1..3 only (vblendpd keeps lane 0)
-//	s_j += d2*cw[2+j]   lanes 2..3 only
+//	s  = +0 + L[i]·x_j[i-1]     (Y15 is kept zero)
+//	s += D[i]·x_j[i]
+//	s += U[i]·x_j[i+1]
+//	s += d1[i]·x_{j-1}[i]       j >= 1
+//	s += d2[i]·x_{j-2}[i]       j >= 2
 //
 // Every step is a separate vmulpd+vaddpd — never an FMA — so each lane
 // rounds exactly like the scalar mulsd/addsd chain and the results are
-// bitwise identical to the Go loop. The d1/d2 terms use vpermpd lane
-// shifts of cw[4:8]; the shifted-in low lanes are junk but blended away.
+// bitwise identical to the Go loop and the serial reference. No lane
+// permutes, no blends: the neighbour rows are plain unaligned loads one
+// cell left and right in the same plane.
 //
-// In: SI=bval row triple, DI=cur window (cur4[i*4]), R8=d1[i], R9=d2[i].
-// Uses Y1-Y8, leaves Y15 zero.
-#define ROW3 \
-	VMOVUPD      (DI), Y1         \ // cw[0:4]
-	VMOVUPD      32(DI), Y2       \ // cw[4:8]
-	VMOVUPD      64(DI), Y3       \ // cw[8:12]
-	VBROADCASTSD (SI), Y4         \
-	VMULPD       Y1, Y4, Y5       \
-	VADDPD       Y5, Y15, Y6      \
-	VBROADCASTSD 8(SI), Y4        \
-	VMULPD       Y2, Y4, Y5       \
-	VADDPD       Y5, Y6, Y6       \
-	VBROADCASTSD 16(SI), Y4       \
-	VMULPD       Y3, Y4, Y5       \
-	VADDPD       Y5, Y6, Y6       \
-	VBROADCASTSD (R8), Y4         \
-	VPERMPD      $0x90, Y2, Y7    \ // [cw4 cw4 cw5 cw6]
-	VMULPD       Y7, Y4, Y5       \
-	VADDPD       Y5, Y6, Y8       \
-	VBLENDPD     $0x0E, Y8, Y6, Y6 \
-	VBROADCASTSD (R9), Y4         \
-	VPERMPD      $0x40, Y2, Y7    \ // [cw4 cw4 cw4 cw5]
-	VMULPD       Y7, Y4, Y5       \
-	VADDPD       Y5, Y6, Y8       \
-	VBLENDPD     $0x0C, Y8, Y6, Y6
+// Registers shared by the bodies: SI = &cur plane 0 at row i, DI = &next
+// plane 0 at row i, BX = plane stride in bytes, DX = 3·BX, R8 = &sub[i]
+// (the band's diagonal and super-diagonal planes follow at BX and 2·BX),
+// R10 = d1 base, R11 = d2 base, AX = byte offset of row i into the
+// row-indexed arrays, CX = remaining 4-row groups.
 
-// func bandTri3AVX2(n int, bval, cur, next, d1, d2 *float64)
-TEXT ·bandTri3AVX2(SB), NOSPLIT, $0-48
+// LANES computes the four moment sums of rows i..i+3 into Y0..Y3 and
+// stores them to the next planes. Uses Y4-Y13; Y6-Y8 keep the centre
+// values x_0[i], x_1[i], x_2[i] for the order-coupling terms.
+#define LANES \
+	VMOVUPD (R8), Y13                \ // L
+	VMOVUPD (R8)(BX*1), Y12          \ // D
+	VMOVUPD (R8)(BX*2), Y11          \ // U
+	VMOVUPD (R10)(AX*1), Y10         \ // d1
+	VMOVUPD (R11)(AX*1), Y9          \ // d2
+	VMULPD  -8(SI), Y13, Y4          \ // moment 0
+	VADDPD  Y4, Y15, Y0              \
+	VMOVUPD (SI), Y6                 \
+	VMULPD  Y6, Y12, Y4              \
+	VADDPD  Y4, Y0, Y0               \
+	VMULPD  8(SI), Y11, Y4           \
+	VADDPD  Y4, Y0, Y0               \
+	VMOVUPD Y0, (DI)                 \
+	VMULPD  -8(SI)(BX*1), Y13, Y5    \ // moment 1
+	VADDPD  Y5, Y15, Y1              \
+	VMOVUPD (SI)(BX*1), Y7           \
+	VMULPD  Y7, Y12, Y5              \
+	VADDPD  Y5, Y1, Y1               \
+	VMULPD  8(SI)(BX*1), Y11, Y5     \
+	VADDPD  Y5, Y1, Y1               \
+	VMULPD  Y6, Y10, Y5              \
+	VADDPD  Y5, Y1, Y1               \
+	VMOVUPD Y1, (DI)(BX*1)           \
+	VMULPD  -8(SI)(BX*2), Y13, Y4    \ // moment 2
+	VADDPD  Y4, Y15, Y2              \
+	VMOVUPD (SI)(BX*2), Y8           \
+	VMULPD  Y8, Y12, Y4              \
+	VADDPD  Y4, Y2, Y2               \
+	VMULPD  8(SI)(BX*2), Y11, Y4     \
+	VADDPD  Y4, Y2, Y2               \
+	VMULPD  Y7, Y10, Y4              \
+	VADDPD  Y4, Y2, Y2               \
+	VMULPD  Y6, Y9, Y4               \
+	VADDPD  Y4, Y2, Y2               \
+	VMOVUPD Y2, (DI)(BX*2)           \
+	VMULPD  -8(SI)(DX*1), Y13, Y5    \ // moment 3
+	VADDPD  Y5, Y15, Y3              \
+	VMULPD  (SI)(DX*1), Y12, Y5      \
+	VADDPD  Y5, Y3, Y3               \
+	VMULPD  8(SI)(DX*1), Y11, Y5     \
+	VADDPD  Y5, Y3, Y3               \
+	VMULPD  Y8, Y10, Y5              \
+	VADDPD  Y5, Y3, Y3               \
+	VMULPD  Y7, Y9, Y5               \
+	VADDPD  Y5, Y3, Y3               \
+	VMOVUPD Y3, (DI)(DX*1)
+
+// ACC adds w·s into one accumulator plane, a[i..i+3] += w*s: one
+// rounding for the product and one for the sum, the scalar sequence.
+#define ACC(s, a) \
+	VMULPD  s, Y14, Y4        \
+	VADDPD  (a)(AX*1), Y4, Y4 \
+	VMOVUPD Y4, (a)(AX*1)
+
+// ADVANCE steps every row cursor to the next 4-row group.
+#define ADVANCE \
+	ADDQ $32, R8 \
+	ADDQ $32, SI \
+	ADDQ $32, DI \
+	ADDQ $32, AX
+
+// func bandLanesAVX2(n int, band, cur, next *float64, stride int, d1, d2 *float64)
+TEXT ·bandLanesAVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
-	MOVQ bval+8(FP), SI
-	MOVQ cur+16(FP), DI
-	MOVQ next+24(FP), DX
-	MOVQ d1+32(FP), R8
-	MOVQ d2+40(FP), R9
+	MOVQ band+8(FP), R8
+	MOVQ cur+16(FP), SI
+	MOVQ next+24(FP), DI
+	MOVQ stride+32(FP), BX
+	MOVQ d1+40(FP), R10
+	MOVQ d2+48(FP), R11
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), DX
+	XORQ AX, AX
 	VXORPD Y15, Y15, Y15
-	TESTQ CX, CX
+	SHRQ $2, CX
 	JZ   done
 
 loop:
-	ROW3
-	VMOVUPD Y6, (DX)
-	ADDQ $24, SI
-	ADDQ $32, DI
-	ADDQ $32, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
+	LANES
+	ADVANCE
 	DECQ CX
 	JNZ  loop
 
@@ -89,56 +136,75 @@ done:
 	VZEROUPPER
 	RET
 
-// func bandTri3AccAVX2(n int, bval, cur, next, d1, d2, a0, a1, a2, a3 *float64, w float64)
-TEXT ·bandTri3AccAVX2(SB), NOSPLIT, $0-88
+// func bandLanesAccAVX2(n int, band, cur, next *float64, stride int, d1, d2, a0, a1, a2, a3 *float64, w float64)
+TEXT ·bandLanesAccAVX2(SB), NOSPLIT, $0-96
 	MOVQ n+0(FP), CX
-	MOVQ bval+8(FP), SI
-	MOVQ cur+16(FP), DI
-	MOVQ next+24(FP), DX
-	MOVQ d1+32(FP), R8
-	MOVQ d2+40(FP), R9
-	MOVQ a0+48(FP), R10
-	MOVQ a1+56(FP), R11
-	MOVQ a2+64(FP), R12
-	MOVQ a3+72(FP), R13
-	VBROADCASTSD w+80(FP), Y14
+	MOVQ band+8(FP), R8
+	MOVQ cur+16(FP), SI
+	MOVQ next+24(FP), DI
+	MOVQ stride+32(FP), BX
+	MOVQ d1+40(FP), R10
+	MOVQ d2+48(FP), R11
+	MOVQ a0+56(FP), R9
+	MOVQ a1+64(FP), R12
+	MOVQ a2+72(FP), R13
+	MOVQ a3+80(FP), R14
+	VBROADCASTSD w+88(FP), Y14
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), DX
+	XORQ AX, AX
 	VXORPD Y15, Y15, Y15
-	TESTQ CX, CX
+	SHRQ $2, CX
 	JZ   accdone
 
 accloop:
-	ROW3
-	VMOVUPD Y6, (DX)
-
-	// Poisson accumulation a_j[i] += w*s_j: one rounding for the product
-	// (vmulpd) and one scalar add per planar accumulator lane, exactly
-	// the scalar kernel's sequence. VEX encodings throughout — a legacy
-	// movsd/addsd here would force an SSE/AVX state transition per row.
-	VMULPD       Y6, Y14, Y5      // [w*s0 w*s1 w*s2 w*s3]
-	VEXTRACTF128 $1, Y5, X7       // [w*s2 w*s3]
-	VADDSD       (R10), X5, X9
-	VMOVSD       X9, (R10)
-	VUNPCKHPD    X5, X5, X8
-	VADDSD       (R11), X8, X9
-	VMOVSD       X9, (R11)
-	VADDSD       (R12), X7, X9
-	VMOVSD       X9, (R12)
-	VUNPCKHPD    X7, X7, X8
-	VADDSD       (R13), X8, X9
-	VMOVSD       X9, (R13)
-
-	ADDQ $24, SI
-	ADDQ $32, DI
-	ADDQ $32, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
+	LANES
+	ACC(Y0, R9)
+	ACC(Y1, R12)
+	ACC(Y2, R13)
+	ACC(Y3, R14)
+	ADVANCE
 	DECQ CX
 	JNZ  accloop
 
 accdone:
+	VZEROUPPER
+	RET
+
+// func planeAcc4AVX2(n int, next *float64, stride int, a0, a1, a2, a3 *float64, w float64)
+//
+// One plan's accumulation pass over n rows (a multiple of 4) of the four
+// next planes: a_j[i] += w*next_j[i], the multi-plan companion of
+// bandLanesAVX2.
+TEXT ·planeAcc4AVX2(SB), NOSPLIT, $0-64
+	MOVQ n+0(FP), CX
+	MOVQ next+8(FP), SI
+	MOVQ stride+16(FP), BX
+	MOVQ a0+24(FP), R9
+	MOVQ a1+32(FP), R12
+	MOVQ a2+40(FP), R13
+	MOVQ a3+48(FP), R10
+	VBROADCASTSD w+56(FP), Y14
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), DX
+	XORQ AX, AX
+	SHRQ $2, CX
+	JZ   pdone
+
+ploop:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (SI)(BX*2), Y2
+	VMOVUPD (SI)(DX*1), Y3
+	ACC(Y0, R9)
+	ACC(Y1, R12)
+	ACC(Y2, R13)
+	ACC(Y3, R10)
+	ADDQ $32, SI
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  ploop
+
+pdone:
 	VZEROUPPER
 	RET

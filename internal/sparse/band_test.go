@@ -72,15 +72,16 @@ func TestBandRepKnown(t *testing.T) {
 	if bd.N() != 4 {
 		t.Fatalf("N() = %d, want 4", bd.N())
 	}
-	wantVal := []float64{
-		0, 2, 3, // row 0: column -1 padded
-		4, 5, 6,
-		0, 8, 9, // hole at (2,1) padded
-		10, 11, 0, // row 3: column 4 padded
-	}
-	for k, want := range wantVal {
-		if bd.val[k] != want {
-			t.Errorf("val[%d] = %g, want %g", k, bd.val[k], want)
+	sub, diag, sup := bd.planes()
+	for name, c := range map[string]struct{ got, want []float64 }{
+		"sub":  {sub, []float64{0, 4, 0, 10}}, // row 0: column -1 padded; hole at (2,1) padded
+		"diag": {diag, []float64{2, 5, 8, 11}},
+		"sup":  {sup, []float64{3, 6, 9, 0}}, // row 3: column 4 padded
+	} {
+		for i, want := range c.want {
+			if c.got[i] != want {
+				t.Errorf("%s[%d] = %g, want %g", name, i, c.got[i], want)
+			}
 		}
 	}
 	for i, want := range dense {
@@ -321,4 +322,30 @@ func FuzzBandRoundTrip(f *testing.F) {
 		}
 		requireBandMatchesCSR(t, fmt.Sprintf("n=%d lo=%d hi=%d", n, lo, hi), m, x)
 	})
+}
+
+// TestBandPlaneStride is the 4K-aliasing guard of the row-lane layout:
+// for sizes whose natural stride sits at or near a multiple of 4 KiB,
+// the eight plane starts of the two state buffers (plane p at
+// p·bandPlaneStride(n) words) must be pairwise at least 256 bytes apart
+// modulo 4096, and every stride must hold the n rows plus two padding
+// cells in whole 64-byte lines.
+func TestBandPlaneStride(t *testing.T) {
+	for _, n := range []int{16383, 16384, 32766, 65534, 131070, 1, 300, 2001} {
+		st := bandPlaneStride(n)
+		if st < n+2 || st%8 != 0 {
+			t.Errorf("n=%d: stride %d words, want >= %d and a multiple of 8", n, st, n+2)
+		}
+		for p := 0; p < 8; p++ {
+			for q := p + 1; q < 8; q++ {
+				d := (q*st*8 - p*st*8) % 4096
+				if d > 2048 {
+					d = 4096 - d
+				}
+				if d < 256 {
+					t.Errorf("n=%d stride %d: planes %d and %d start %d bytes apart mod 4096, want >= 256", n, st, p, q, d)
+				}
+			}
+		}
+	}
 }

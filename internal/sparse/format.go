@@ -20,7 +20,7 @@ const (
 	// half the index traffic of the generic CSR.
 	FormatCSR MatrixFormat = "csr"
 	// FormatBand forces the tridiagonal-window representation (three
-	// values per row, no index loads). Matrices with an entry more than
+	// value planes, no index loads). Matrices with an entry more than
 	// one column off the diagonal fall back to FormatCSR; the effective
 	// choice is visible via Sweep.Format.
 	FormatBand MatrixFormat = "band"

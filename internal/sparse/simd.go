@@ -3,12 +3,12 @@ package sparse
 import "os"
 
 // Runtime SIMD dispatch for the fused sweep kernels. On amd64 hosts with
-// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the order-3 interleaved
-// kernels for the band, CSR32 and QBD formats run assembly bodies that
-// replay the scalar loops' exact floating-point operation sequence, so
-// every dispatch choice is bitwise identical — the kill-switches below
-// exist for A/B measurement and for exercising both paths in tests on
-// one machine, never for correctness.
+// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the order-3 kernels for
+// the band (row-lane), CSR32 and QBD (interleaved) formats run assembly
+// bodies that replay the scalar loops' exact floating-point operation
+// sequence, so every dispatch choice is bitwise identical — the
+// kill-switches below exist for A/B measurement and for exercising both
+// paths in tests on one machine, never for correctness.
 
 // Sweep kernel labels reported by Sweep.Kernel (and from there
 // core.Stats.SweepKernel, the solver-stats JSON and the /metrics
@@ -58,17 +58,19 @@ func (s *Sweep) resolveSIMD() {
 func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
-// when the run shape reaches one of the assembly bodies — the
-// interleaved order-3 layout on a format with a vector kernel (band,
-// non-empty CSR32, or QBD with at least one interior level) and the SIMD
-// gate open.
-func (s *Sweep) resolveKernel(interleaved bool) string {
-	if !interleaved || !s.simd {
+// when the run shape reaches one of the assembly bodies — the order-3
+// layout on a format with a vector kernel (band with at least one
+// 4-row group, non-empty CSR32, or QBD with at least one interior
+// level) and the SIMD gate open.
+func (s *Sweep) resolveKernel(order3 bool) string {
+	if !order3 || !s.simd {
 		return KernelScalar
 	}
 	switch s.format {
 	case FormatBand:
-		return KernelAVX2
+		if s.rows >= 4 {
+			return KernelAVX2
+		}
 	case FormatCSR32:
 		if len(s.a.val) > 0 {
 			return KernelAVX2
@@ -82,15 +84,14 @@ func (s *Sweep) resolveKernel(interleaved bool) string {
 }
 
 // accTile3 applies the active Poisson accumulations for rows [t0, t1) of
-// the interleaved next buffer; pad4 is the layout's leading padding in
-// float64 words (band runs carry lo*4, the others 0). Splitting the
-// accumulation pass from the vector kernel is bitwise neutral: each
-// a_j[i] += w*s_j sees exactly the fused scalar switch's operands (the
-// stored s_j reloads bit-exactly), and only work between different
-// (plan, element) pairs is reordered — unobservable in float64.
-func (s *Sweep) accTile3(t0, t1 int, next4 []float64, pad4 int, active []accPair) {
+// the interleaved next buffer. Splitting the accumulation pass from the
+// vector kernel is bitwise neutral: each a_j[i] += w*s_j sees exactly the
+// fused scalar switch's operands (the stored s_j reloads bit-exactly),
+// and only work between different (plan, element) pairs is reordered —
+// unobservable in float64.
+func (s *Sweep) accTile3(t0, t1 int, next4 []float64, active []accPair) {
 	for _, ap := range active {
-		sweepAcc3AVX2(t1-t0, &next4[pad4+t0*4], &ap.acc[0][t0], &ap.acc[1][t0], &ap.acc[2][t0], &ap.acc[3][t0], ap.w)
+		sweepAcc3AVX2(t1-t0, &next4[t0*4], &ap.acc[0][t0], &ap.acc[1][t0], &ap.acc[2][t0], &ap.acc[3][t0], ap.w)
 	}
 }
 
@@ -107,7 +108,7 @@ func (s *Sweep) fuseBlock3CompactAVX2(lo, hi int, cur4, next4 []float64, active 
 			t1 = hi
 		}
 		csr32Fuse3AVX2(t1-t0, &rowPtr[t0], &col32[0], &val[0], &cur4[0], &cur4[t0*4], &next4[t0*4], &s.diag1[t0], &s.diag2[t0])
-		s.accTile3(t0, t1, next4, 0, active)
+		s.accTile3(t0, t1, next4, active)
 	}
 }
 
@@ -150,7 +151,7 @@ func (s *Sweep) fuseBlock3QBDAVX2(lo, hi int, cur4, next4 []float64, active []ac
 			t1 = ahi
 		}
 		qbd3AVX2((t1-t0)/b, b, &qb.val[t0*3*b], &cur4[(t0-b)*4], &cur4[t0*4], &next4[t0*4], &s.diag1[t0], &s.diag2[t0])
-		s.accTile3(t0, t1, next4, 0, active)
+		s.accTile3(t0, t1, next4, active)
 	}
 	if ahi < hi {
 		s.fuseBlock3QBD(ahi, hi, cur4, next4, active)

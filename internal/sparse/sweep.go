@@ -96,8 +96,8 @@ type Sweep struct {
 	kernel string
 
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
-	// tridiagonal band window, QBD windows or compact uint32 column
-	// indexes — one interleaved kernel per structure — cutting the memory
+	// tridiagonal band planes, QBD windows or compact uint32 column
+	// indexes — one order-3 kernel per structure — cutting the memory
 	// traffic of this bandwidth-bound loop. All formats are bitwise
 	// identical.
 	format MatrixFormat
@@ -118,8 +118,10 @@ type Sweep struct {
 
 	// Iteration state published by the driver before each barrier release;
 	// the channel synchronization orders these writes before the workers'
-	// reads. cur4/next4 replace cur/next when the run uses the interleaved
-	// order-3 layout (see fuseBlock3Compact).
+	// reads. cur4/next4 replace cur/next for the order-3 impulse-free
+	// shape: the row-lane plane layout on the band format (see
+	// fuseBlock3Band), the interleaved layout on CSR32 and QBD (see
+	// fuseBlock3Compact).
 	cur, next   [][]float64
 	cur4, next4 []float64
 	active      []accPair
@@ -127,13 +129,15 @@ type Sweep struct {
 
 // parallelThreshold is the row count at which automatic worker selection
 // moves from the inline 1-worker fused sweep to a GOMAXPROCS team. The
-// team pays a release and join barrier every iteration to split rows the
-// inline sweep already streams from cache, so small models gain nothing
-// from it: on a 2-core Xeon a 2-worker team is ~40% slower than the
-// inline sweep at 2,001 tridiagonal rows and draws level at 16,383
-// (BenchmarkSweep/N*/{fused-1,workers-2} in internal/core). Above the
-// threshold the sweep is memory-bound and scales with cores. Callers
-// that know better force a team size explicitly.
+// team pays a release and join barrier every iteration (or a wavefront
+// handshake per block step) to split rows the inline sweep already runs
+// from L1 in 128-row blocks, so small models gain nothing from it: on a
+// 2-core Xeon a 2-worker team takes 2.4× the inline sweep's time at
+// 2,001 tridiagonal rows, 1.3× at 4,095 and 8,191, and still 1.2× at
+// 16,383 (BenchmarkSweep/N*/{fused-1,workers-2} in internal/core,
+// medians of 5 in BENCH_sweep.json). The threshold stays where the
+// team paid off before the L1-blocked kernel, and large models keep
+// the team. Callers that know better force a team size explicitly.
 const parallelThreshold = 16_384
 
 // PlanWorkers resolves the sweep parallelism knob for a matrix with the
@@ -228,6 +232,9 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		tile:      sweepTileDefault,
 		resolvedT: 1,
 	}
+	if resolved == FormatBand && workers == 1 {
+		s.tile = bandL1Tile
+	}
 	s.resolveSIMD()
 	s.initCoef()
 	if workers > 1 {
@@ -295,24 +302,24 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 // this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
-// Scratch4Words returns the float64 count Run would use for its
-// interleaved moment-state buffers: 0 when the run shape doesn't use
-// them (order != 3, impulse terms present, or the reference-only csr64
-// storage), otherwise two buffers of 4 values per state plus, for the
-// band window, one padding state at each end.
+// Scratch4Words returns the float64 count Run would use for its order-3
+// moment-state buffers: 0 when the run shape doesn't use them (order !=
+// 3, impulse terms present, or the reference-only csr64 storage),
+// otherwise two buffers of 4 moments per state — for the band format
+// four planes of bandPlaneStride(rows) words each (padding cells
+// included), for CSR32 and QBD 4·rows interleaved words.
 func (s *Sweep) Scratch4Words() int {
 	if s.order != 3 || len(s.imp) > 0 || s.format == FormatCSR64 {
 		return 0
 	}
-	pad := 0
 	if s.format == FormatBand {
-		pad = 2
+		return 2 * 4 * s.band.stride
 	}
-	return 2 * 4 * (s.rows + pad)
+	return 2 * 4 * s.rows
 }
 
 // SetScratch4 lends Run a scratch buffer of at least Scratch4Words()
-// float64s for its interleaved state (contents need not be zeroed),
+// float64s for its order-3 state (contents need not be zeroed),
 // eliminating the two largest per-run allocations; pooled solves use it.
 // A short (or nil) buffer is ignored and Run allocates as before. The
 // buffer is used only while Run executes and may be reused afterwards.
@@ -322,8 +329,9 @@ func (s *Sweep) SetScratch4(buf []float64) { s.scratch4 = buf }
 // rows each tight vector pass covers before the next term's pass — and
 // with it the block width of the temporally blocked driver, so spatial
 // and temporal tile shapes are tunable together. Values below 1 keep the
-// default (sweepTileDefault). The tile only reorders work across rows;
-// every width is bitwise identical.
+// default (bandL1Tile for a 1-worker band sweep, sweepTileDefault
+// otherwise). The tile only reorders work across rows; every width is
+// bitwise identical.
 func (s *Sweep) SetSweepTile(w int) {
 	if w > 0 {
 		s.tile = w
@@ -332,7 +340,7 @@ func (s *Sweep) SetSweepTile(w int) {
 
 // SetTemporalBlock requests wavefront temporal blocking for Run: t
 // consecutive sweep iterations are executed over each cache-resident row
-// block before the next block is touched (see runBlockedSerial). 0 (the
+// block before the next block is touched (see runBlocked). 0 (the
 // default) tunes the depth automatically from the matrix bandwidth and
 // the state footprint; 1 or negative disables blocking; larger values
 // force that depth (capped at maxTemporalBlock) wherever blocking is
@@ -352,13 +360,20 @@ func (s *Sweep) TemporalBlock() int { return s.resolvedT }
 
 // Temporal blocking constants.
 const (
-	// sweepTileDefault is the default row-tile width (see SetSweepTile):
-	// a tile's slices of every cur/next/acc vector — roughly
-	// (3 + plans)·(order+1)·8·tile bytes — plus its matrix rows must stay
-	// cache-resident across the kernel's per-term passes. 1024 rows keeps
-	// that footprint near 100 KiB for the paper-sized order-3 case,
-	// comfortably inside L2.
+	// sweepTileDefault is the default row-tile width (see SetSweepTile)
+	// of every sweep but the 1-worker band one: a tile's slices of every
+	// cur/next/acc vector — roughly (3 + plans)·(order+1)·8·tile bytes —
+	// plus its matrix rows must stay cache-resident across the kernel's
+	// per-term passes. 1024 rows keeps that footprint near 100 KiB for
+	// the paper-sized order-3 case, comfortably inside L2, and is the
+	// block width of the multi-worker wavefront.
 	sweepTileDefault = 1024
+	// bandL1Tile is the default tile, and so the temporal block width, of
+	// a 1-worker band sweep: a 128-row block's slices of the ≈17 row-lane
+	// planes it touches (3 band, 2 diagonals, 4 cur, 4 next, 4 acc) come
+	// to ≈17 KiB and stay in L1 across a group's T inner steps, where the
+	// 1024-row block ran from L2.
+	bandL1Tile = 128
 	// temporalBlockDefault is the auto-tuned blocking depth: deep enough
 	// to cut DRAM traffic ~16x, shallow enough that the halo shift
 	// (T-1)·skew stays a small fraction of the default block width.
@@ -369,9 +384,11 @@ const (
 	// dwarfs any conceivable traffic win.
 	maxTemporalBlock = 1024
 	// temporalBlockMinWords is the interleaved-state footprint below which
-	// the automatic policy leaves blocking off: a state set this small
-	// (2 MiB for both buffers) is already cache-resident, so re-running
-	// iterations over row blocks saves nothing.
+	// the automatic policy leaves CSR32 and QBD sweeps unblocked: a state
+	// set this small (2 MiB for both buffers) is already L2-resident, and
+	// their gathering kernels gain nothing from re-running iterations over
+	// L2 blocks. The band format does not consult it: its row-lane blocks
+	// are sized for L1 and pay from two blocks up (see resolveBlocking).
 	temporalBlockMinWords = 1 << 18
 	// csrAutoBlockMaxSkew bounds the matrix bandwidth up to which the
 	// automatic policy temporally blocks the vectorized CSR32 kernel —
@@ -406,10 +423,10 @@ func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 // resolveBlocking turns the requested temporal block depth into the
 // (T, W, skew) the blocked drivers run: T inner iterations per group over
 // blocks of W rows, each inner step's row window sliding skew rows to the
-// left (the parallelogram schedule of runBlockedSerial). T == 1 means the
+// left (the parallelogram schedule of runBlocked). T == 1 means the
 // run stays unblocked. W is forced up to 2·skew — the width at which
 // concurrent wavefront tasks provably cannot touch each other's reads or
-// writes (see runBlockedParallel) — so callers may set any tile size.
+// writes (see wavefrontWorker) — so callers may set any tile size.
 func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	T, W = 1, s.tile
 	if s.tblock < 0 || s.tblock == 1 {
@@ -430,12 +447,21 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 		W = 1
 	}
 	if s.tblock == 0 {
-		if s.Scratch4Words() < temporalBlockMinWords {
+		if s.format == FormatBand {
+			// The row-lane band kernel is bound by the cache level its
+			// state streams from, so blocking pays at every size that
+			// holds two blocks: one worker runs L1-sized bandL1Tile
+			// blocks (the state otherwise streams from L2 even at 2,001
+			// rows), a team the sweepTileDefault wavefront.
+			if s.rows < 2*W {
+				return 1, W, skew
+			}
+		} else if s.Scratch4Words() < temporalBlockMinWords {
 			return 1, W, skew // state already cache-resident: blocking cannot pay
 		}
 		switch s.format {
 		case FormatBand, FormatQBD:
-			// The index-free formats are DRAM-bound and always gain.
+			// The index-free formats are memory-bound and always gain.
 		case FormatCSR32:
 			// The scalar CSR kernel gains nothing from blocking (the
 			// index-chasing row loop, not DRAM bandwidth, is the
@@ -473,8 +499,8 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 // worker joined, accumulations applied, state swapped) and iteration
 // completed+1 has not started, so the sweep state is a consistent
 // snapshot. export copies the current moment-state vectors U^(j)(completed)
-// into dst — order+1 vectors of Rows() entries each — deinterleaving the
-// order-3 layout when the run uses it. A sweep resumed from that state
+// into dst — order+1 vectors of Rows() entries each — out of the order-3
+// layout when the run uses it. A sweep resumed from that state
 // with RunFrom(ctx, completed+1, ...) is bitwise identical to the
 // uninterrupted run.
 type InterruptHook func(completed int, export func(dst [][]float64))
@@ -485,25 +511,28 @@ type InterruptHook func(completed int, export func(dst [][]float64))
 // barrier, so it may read any sweep state without synchronization.
 func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 
-// exportState copies the current moment-state vectors into dst,
-// deinterleaving the order-3 layout when active. Only called at iteration
-// barriers (see InterruptHook), where the published state is consistent.
+// exportState copies the current moment-state vectors into dst, out of
+// the band's row-lane planes or the interleaved order-3 layout when
+// active. Only called at iteration barriers (see InterruptHook), where
+// the published state is consistent.
 func (s *Sweep) exportState(dst [][]float64) {
-	if s.cur4 != nil {
-		base := 0
-		if s.format == FormatBand {
-			base = 4 // one leading padding state
+	switch {
+	case s.cur4 == nil:
+		for j := range dst {
+			copy(dst[j], s.cur[j])
 		}
+	case s.format == FormatBand:
+		st := s.band.stride
+		for j := range dst {
+			copy(dst[j], s.cur4[j*st+1:j*st+1+s.rows])
+		}
+	default:
 		for j := range dst {
 			dj := dst[j]
 			for i := 0; i < s.rows; i++ {
-				dj[i] = s.cur4[base+i*4+j]
+				dj[i] = s.cur4[i*4+j]
 			}
 		}
-		return
-	}
-	for j := range dst {
-		copy(dst[j], s.cur[j])
 	}
 }
 
@@ -603,17 +632,20 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	active := make([]accPair, 0, len(plans))
 
 	// The order-3 impulse-free shape (the paper's large example) runs the
-	// whole sweep on the interleaved state layout: cur4[(pad+i)*4+j] holds
-	// moment j of state i, so all four values a matrix entry gathers share
-	// one cache line. With the band format the buffers additionally carry
-	// one state of zero padding at each end, so the band kernel's per-row
-	// window never needs boundary clamping: out-of-matrix band cells
-	// multiply padding zeros, which is bitwise neutral (see band.go).
-	// The planar cur/next stay untouched scratch.
+	// whole sweep on a dedicated state layout. The band format uses the
+	// row-lane layout: plane j of cur4 is cur4[j*st : (j+1)*st] with st =
+	// bandPlaneStride(rows), row i at cell 1+i and one zero padding cell
+	// at each end, so a vector of four consecutive rows of one moment is
+	// one contiguous load and the first and last rows need no boundary
+	// clamping (out-of-matrix band cells multiply padding zeros, which is
+	// bitwise neutral, see band.go). CSR32 and QBD use the interleaved
+	// layout: cur4[i*4+j] holds moment j of state i, so all four values a
+	// matrix entry gathers share one cache line. The planar cur/next stay
+	// untouched scratch.
 	words := s.Scratch4Words()
-	interleaved := words > 0
-	s.kernel = s.resolveKernel(interleaved)
-	if interleaved {
+	order3 := words > 0
+	s.kernel = s.resolveKernel(order3)
+	if order3 {
 		n := s.rows
 		half := words / 2
 		if len(s.scratch4) >= words {
@@ -623,20 +655,22 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 			buf := make([]float64, words)
 			s.cur4, s.next4 = buf[:half:half], buf[half:]
 		}
-		base := 0
 		if s.format == FormatBand {
-			// Zero the boundary padding (lent scratch arrives dirty); the
-			// data cells are fully (re)written below and by every iteration.
-			base = 4
-			clear(s.cur4[:base])
-			clear(s.cur4[half-4:])
-			clear(s.next4[:base])
-			clear(s.next4[half-4:])
-		}
-		for j := 0; j <= 3; j++ {
-			cj := cur[j]
-			for i := 0; i < n; i++ {
-				s.cur4[base+i*4+j] = cj[i]
+			// Zero the padding cells (lent scratch arrives dirty); the row
+			// cells are fully (re)written here and by every iteration, and
+			// the kernels never read past cell n+1.
+			st := s.band.stride
+			for j := 0; j <= 3; j++ {
+				c, x := s.cur4[j*st:j*st+n+2], s.next4[j*st:j*st+n+2]
+				c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
+				copy(c[1:n+1], cur[j])
+			}
+		} else {
+			for j := 0; j <= 3; j++ {
+				cj := cur[j]
+				for i := 0; i < n; i++ {
+					s.cur4[i*4+j] = cj[i]
+				}
 			}
 		}
 		defer func() { s.cur4, s.next4 = nil, nil }()
@@ -644,15 +678,15 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 		s.cur, s.next = cur, next
 	}
 
-	// Temporal blocking runs only the interleaved shape: the planar path
+	// Temporal blocking runs only the order-3 shape: the planar path
 	// exists for rare shapes (impulses, orders other than 3), and its
-	// per-term full-vector passes would defeat the
-	// cache-residency the blocking buys.
+	// per-term full-vector passes would defeat the cache-residency the
+	// blocking buys.
 	s.resolvedT = 1
-	if interleaved {
+	if order3 {
 		if T, W, skew := s.resolveBlocking(); T > 1 {
 			s.resolvedT = T
-			return s.runBlocked(ctx, first, gMax, plans, T, W, skew)
+			return s.runBlocked(ctx, first, gMax, plans, active, T, W, skew)
 		}
 	}
 
@@ -666,7 +700,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 			}
 			s.active = gatherActive(plans, k, active[:0])
 			s.step(0, s.rows)
-			s.swap(interleaved)
+			s.swap(order3)
 		}
 		return s.matVecs(gMax - first + 1), nil
 	}
@@ -712,7 +746,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 		for w := 0; w < s.workers; w++ {
 			<-done
 		}
-		s.swap(interleaved)
+		s.swap(order3)
 	}
 	return s.matVecs(gMax - first + 1), nil
 }
@@ -735,7 +769,7 @@ func (s *Sweep) step(lo, hi int) {
 	s.fuseBlock(lo, hi, s.cur, s.next, s.active)
 }
 
-// stepRange runs one interleaved iteration's fused work over rows
+// stepRange runs one order-3 iteration's fused work over rows
 // [lo, hi) with explicit state buffers and accumulation targets,
 // dispatching on the resolved storage format. The temporally blocked
 // drivers call it directly so different inner iterations of a group can
@@ -761,8 +795,8 @@ func (s *Sweep) stepRange(lo, hi int, cur4, next4 []float64, active []accPair) {
 }
 
 // swap exchanges the published current/next state after an iteration.
-func (s *Sweep) swap(interleaved bool) {
-	if interleaved {
+func (s *Sweep) swap(order3 bool) {
+	if order3 {
 		s.cur4, s.next4 = s.next4, s.cur4
 		return
 	}
@@ -784,7 +818,7 @@ func (s *Sweep) swap(interleaved bool) {
 //
 // of iteration k0+t. Sliding the window s rows left per step keeps the
 // dependency cone satisfied: R(m, t) needs rows R(m, t)±reach of step
-// t−1, all of which lie in blocks ≤ m at step t−1. The two interleaved
+// t−1, all of which lie in blocks ≤ m at step t−1. The two order-3
 // state buffers alternate per inner step (odd steps read cur4 and write
 // next4, even steps the reverse), and each step's Poisson accumulations
 // are applied inside the kernel at its own iteration's weights, so the
@@ -795,12 +829,16 @@ func (s *Sweep) swap(interleaved bool) {
 // Context cancellation is observed at group boundaries only, where the
 // state is a consistent iteration snapshot (checkpoint barriers land
 // there); resume tokens from unblocked runs remain valid because groups
-// are re-based at `first`.
-func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPlan, T, W, skew int) (int64, error) {
-	activeT := make([][]accPair, T+1)
+// are re-based at `first`. The serial schedule resolves each step's
+// accumulation targets into active as it goes, so it allocates nothing
+// beyond the unblocked sweep; the wavefront gathers a group's targets
+// up front for its workers.
+func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPlan, active []accPair, T, W, skew int) (int64, error) {
+	var activeT [][]accPair
 	var start []chan struct{}
 	var done chan struct{}
 	if s.workers > 1 {
+		activeT = make([][]accPair, T+1)
 		g := &wavefrontGroup{W: W, skew: skew}
 		g.cond = sync.NewCond(&g.mu)
 		s.wf = g
@@ -816,12 +854,14 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 			s.wf = nil
 		}()
 		for w := 0; w < s.workers; w++ {
-			go func(startCh <-chan struct{}, w int) {
+			// done is passed by value: a captured variable would move to
+			// the heap on the serial path too.
+			go func(startCh <-chan struct{}, done chan<- struct{}, w int) {
 				for range startCh {
 					s.wavefrontWorker(w)
 					done <- struct{}{}
 				}
-			}(start[w], w)
+			}(start[w], done, w)
 		}
 	}
 	for k0 := first - 1; k0 < gMax; {
@@ -834,13 +874,13 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 		if rem := gMax - k0; Tg > rem {
 			Tg = rem // ragged final group when T does not divide the span
 		}
-		for t := 1; t <= Tg; t++ {
-			activeT[t] = gatherActive(plans, k0+t, activeT[t][:0])
-		}
 		// Enough blocks that the final inner step — shifted (Tg−1)·skew rows
 		// left — still covers the top of the matrix.
 		blocks := (s.rows + (Tg-1)*skew + W - 1) / W
 		if s.workers > 1 {
+			for t := 1; t <= Tg; t++ {
+				activeT[t] = gatherActive(plans, k0+t, activeT[t][:0])
+			}
 			g := s.wf
 			g.T, g.blocks, g.activeT = Tg, blocks, activeT
 			if cap(g.progress) < blocks {
@@ -871,7 +911,8 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 						r = s.rows
 					}
 					if l < r {
-						s.stepRange(l, r, cur4, next4, activeT[t])
+						active = gatherActive(plans, k0+t, active[:0])
+						s.stepRange(l, r, cur4, next4, active)
 					}
 					cur4, next4 = next4, cur4
 				}
@@ -1099,84 +1140,113 @@ func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []ac
 	}
 }
 
-// fuseBlock3Band is fuseBlock3Compact streaming the tridiagonal band
-// window on the padded interleaved layout Run sets up: row i's three band
-// values and its 12-value state window cur4[i*4 : i*4+12] (states i-1,
-// i, i+1) are fully contiguous — zero index loads, zero gathers — and
-// fully unrolled into straight-line register code. The padding state at
-// each buffer end absorbs the out-of-matrix cells of the first and last
-// row, so the loop has no boundary branches; padded cells' 0.0·x
-// products are bitwise neutral (see band.go), leaving every output
+// fuseBlock3Band is the order-3 band kernel on the row-lane layout Run
+// sets up: moment j of row i lives at cell 1+i of state plane j, and the
+// band's sub-diagonal, diagonal and super-diagonal are planes too, so
+// every operand of four consecutive rows of one moment is one contiguous
+// load — zero index loads, zero gathers, no lane shuffles. The padding
+// cell at each plane end absorbs the out-of-matrix cells of the first
+// and last row, so the loop has no boundary branches; padded cells'
+// 0.0·x products are bitwise neutral (see band.go), leaving every output
 // element with exactly the reference operation sequence.
 //
-// On AVX2 hardware the 4 moment components run as one vector lane group
-// (band_simd_amd64.s): per lane the assembly executes this loop's exact
-// operation sequence with the same IEEE rounding, so its output is
-// bitwise the scalar loop's. Multi-plan accumulation runs the plain
-// kernel plus tiled per-plan accumulation passes (see accTile3 for why
-// the split is bitwise neutral).
+// On AVX2 hardware the whole groups of four rows in [lo, hi) run the
+// assembly body (band_simd_amd64.s), whose lanes execute bandRows' exact
+// operation sequence with the same IEEE rounding; bandRows itself takes
+// the (hi-lo) mod 4 tail rows and, without AVX2, the whole range. One
+// plan's accumulation is fused into the kernel as vector adds straight
+// into the caller's planar accumulators; with several plans the kernel
+// runs unaccumulated per tile, followed by one vector accumulation pass
+// per plan (the split is bitwise neutral: each a_j[i] += w*s_j reads
+// back the stored s_j bit-exactly, and only work between different
+// (plan, element) pairs is reordered).
 func (s *Sweep) fuseBlock3Band(lo, hi int, cur4, next4 []float64, active []accPair) {
-	bval := s.band.val
+	if !s.simd || hi-lo < 4 {
+		s.bandRows(lo, hi, cur4, next4, active)
+		return
+	}
+	st, bval := s.band.stride, s.band.val
 	d1, d2 := s.diag1, s.diag2
+	vhi := lo + (hi-lo)&^3
+	switch len(active) {
+	case 0:
+		bandLanesAVX2(vhi-lo, &bval[lo], &cur4[1+lo], &next4[1+lo], st, &d1[lo], &d2[lo])
+	case 1:
+		w, acc := active[0].w, active[0].acc
+		bandLanesAccAVX2(vhi-lo, &bval[lo], &cur4[1+lo], &next4[1+lo], st, &d1[lo], &d2[lo],
+			&acc[0][lo], &acc[1][lo], &acc[2][lo], &acc[3][lo], w)
+	default:
+		tile := max(s.tile&^3, 4)
+		for t0 := lo; t0 < vhi; t0 += tile {
+			t1 := min(t0+tile, vhi)
+			bandLanesAVX2(t1-t0, &bval[t0], &cur4[1+t0], &next4[1+t0], st, &d1[t0], &d2[t0])
+			for _, ap := range active {
+				acc := ap.acc
+				planeAcc4AVX2(t1-t0, &next4[1+t0], st, &acc[0][t0], &acc[1][t0], &acc[2][t0], &acc[3][t0], ap.w)
+			}
+		}
+	}
+	s.bandRows(vhi, hi, cur4, next4, active)
+}
+
+// bandRows is the scalar body of fuseBlock3Band for rows [lo, hi): per
+// moment, the three band products in column order from a +0 sum, then
+// the d1 and d2 order-coupling terms — RunReference's sequence — and the
+// active accumulations. Every operand is re-sliced to the range first
+// (plane cells lo..hi+1 hold rows lo-1..hi), so the loop runs free of
+// bounds checks.
+func (s *Sweep) bandRows(lo, hi int, cur4, next4 []float64, active []accPair) {
+	if lo >= hi {
+		return
+	}
+	st := s.band.stride
+	sub, dg, sup := s.band.planes()
+	sub = sub[lo:hi]
+	m := len(sub)
+	dg, sup = dg[lo:hi][:m], sup[lo:hi][:m]
+	d1, d2 := s.diag1[lo:hi][:m], s.diag2[lo:hi][:m]
+	plane := func(buf []float64, j int) []float64 { return buf[j*st+lo : j*st+hi+2][:m+2] }
+	c0, c1, c2, c3 := plane(cur4, 0), plane(cur4, 1), plane(cur4, 2), plane(cur4, 3)
+	n0, n1, n2, n3 := plane(next4, 0), plane(next4, 1), plane(next4, 2), plane(next4, 3)
 	var w float64
 	var a0, a1, a2, a3 []float64
 	if len(active) == 1 {
 		w = active[0].w
-		a0, a1, a2, a3 = active[0].acc[0], active[0].acc[1], active[0].acc[2], active[0].acc[3]
+		acc := active[0].acc
+		a0, a1, a2, a3 = acc[0][lo:hi][:m], acc[1][lo:hi][:m], acc[2][lo:hi][:m], acc[3][lo:hi][:m]
 	}
-	if s.simd && hi > lo {
-		if a0 != nil {
-			bandTri3AccAVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo], &a0[lo], &a1[lo], &a2[lo], &a3[lo], w)
-			return
-		}
-		if len(active) == 0 {
-			bandTri3AVX2(hi-lo, &bval[lo*3], &cur4[lo*4], &next4[4+lo*4], &d1[lo], &d2[lo])
-			return
-		}
-		for t0 := lo; t0 < hi; t0 += s.tile {
-			t1 := t0 + s.tile
-			if t1 > hi {
-				t1 = hi
-			}
-			bandTri3AVX2(t1-t0, &bval[t0*3], &cur4[t0*4], &next4[4+t0*4], &d1[t0], &d2[t0])
-			s.accTile3(t0, t1, next4, 4, active)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		r := bval[i*3 : i*3+3 : i*3+3]
-		cw := cur4[i*4 : i*4+12 : i*4+12]
-		v0, v1, v2 := r[0], r[1], r[2]
+	for k, l := range sub {
+		d, u := dg[k], sup[k]
+		d1k, d2k := d1[k], d2[k]
+		x0, x1, x2 := c0[k+1], c1[k+1], c2[k+1]
 		var s0, s1, s2, s3 float64
-		s3 += v0 * cw[3]
-		s2 += v0 * cw[2]
-		s1 += v0 * cw[1]
-		s0 += v0 * cw[0]
-		s3 += v1 * cw[7]
-		s2 += v1 * cw[6]
-		s1 += v1 * cw[5]
-		s0 += v1 * cw[4]
-		s3 += v2 * cw[11]
-		s2 += v2 * cw[10]
-		s1 += v2 * cw[9]
-		s0 += v2 * cw[8]
-		d1i, d2i := d1[i], d2[i]
-		s3 += d1i * cw[6]
-		s3 += d2i * cw[5]
-		s2 += d1i * cw[5]
-		s2 += d2i * cw[4]
-		s1 += d1i * cw[4]
-		nv := next4[4+i*4 : 8+i*4 : 8+i*4]
-		nv[0], nv[1], nv[2], nv[3] = s0, s1, s2, s3
+		s0 += l * c0[k]
+		s0 += d * x0
+		s0 += u * c0[k+2]
+		s1 += l * c1[k]
+		s1 += d * x1
+		s1 += u * c1[k+2]
+		s1 += d1k * x0
+		s2 += l * c2[k]
+		s2 += d * x2
+		s2 += u * c2[k+2]
+		s2 += d1k * x1
+		s2 += d2k * x0
+		s3 += l * c3[k]
+		s3 += d * c3[k+1]
+		s3 += u * c3[k+2]
+		s3 += d1k * x2
+		s3 += d2k * x1
+		n0[k+1], n1[k+1], n2[k+1], n3[k+1] = s0, s1, s2, s3
 		switch {
 		case a0 != nil:
-			a0[i] += w * s0
-			a1[i] += w * s1
-			a2[i] += w * s2
-			a3[i] += w * s3
+			a0[k] += w * s0
+			a1[k] += w * s1
+			a2[k] += w * s2
+			a3[k] += w * s3
 		case len(active) > 1:
 			for _, ap := range active {
-				wp := ap.w
+				wp, i := ap.w, lo+k
 				ap.acc[0][i] += wp * s0
 				ap.acc[1][i] += wp * s1
 				ap.acc[2][i] += wp * s2

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -205,10 +206,29 @@ func TestTemporalBlockResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	band := func(n, workers int) *Sweep {
+		a, bd1, bd2 := bandedSweepFixture(t, rng, n, 1, 1, 3)
+		bs, err := NewSweep(a, bd1, bd2, nil, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bs
+	}
 
-	// Auto leaves small states unblocked: both buffers already fit in cache.
-	if T, _, _ := s.resolveBlocking(); T != 1 {
-		t.Errorf("auto on small state resolved T=%d, want 1", T)
+	// Auto blocks a 1-worker band sweep in L1-sized 128-row blocks at
+	// depth 16 as soon as two blocks fit, and leaves it unblocked below.
+	if T, W, skew := s.resolveBlocking(); T != 16 || W != 128 || skew != 1 {
+		t.Errorf("auto on 300-row band resolved (T=%d, W=%d, skew=%d), want (16, 128, 1)", T, W, skew)
+	}
+	if T, W, _ := band(255, 1).resolveBlocking(); T != 1 || W != 128 {
+		t.Errorf("auto on 255-row band resolved (T=%d, W=%d), want (1, 128)", T, W)
+	}
+	// A team keeps the 1024-row wavefront, from two such blocks up.
+	if T, W, _ := band(2047, 2).resolveBlocking(); T != 1 || W != 1024 {
+		t.Errorf("auto on 2,047-row band team resolved (T=%d, W=%d), want (1, 1024)", T, W)
+	}
+	if T, W, skew := band(2048, 2).resolveBlocking(); T != 16 || W != 1024 || skew != 1 {
+		t.Errorf("auto on 2,048-row band team resolved (T=%d, W=%d, skew=%d), want (16, 1024, 1)", T, W, skew)
 	}
 	// Off switches.
 	for _, off := range []int{1, -3} {
@@ -220,12 +240,18 @@ func TestTemporalBlockResolution(t *testing.T) {
 	// Forced depths are honored regardless of size, with the width floor
 	// W >= 2·skew enforced over any caller tile.
 	s.SetTemporalBlock(4)
-	if T, W, skew := s.resolveBlocking(); T != 4 || skew != 1 || W != sweepTileDefault {
-		t.Errorf("forced resolved (T=%d, W=%d, skew=%d), want (4, %d, 1)", T, W, skew, sweepTileDefault)
+	if T, W, skew := s.resolveBlocking(); T != 4 || skew != 1 || W != 128 {
+		t.Errorf("forced resolved (T=%d, W=%d, skew=%d), want (4, 128, 1)", T, W, skew)
 	}
 	s.SetSweepTile(1)
 	if _, W, _ := s.resolveBlocking(); W != 2 {
 		t.Errorf("tile=1 skew=1 resolved W=%d, want floor 2", W)
+	}
+	// An explicit tile also overrides the L1 block width under auto.
+	s.SetTemporalBlock(0)
+	s.SetSweepTile(64)
+	if T, W, _ := s.resolveBlocking(); T != 16 || W != 64 {
+		t.Errorf("auto with tile=64 resolved (T=%d, W=%d), want (16, 64)", T, W)
 	}
 	// Requested depths clamp at maxTemporalBlock.
 	s.SetTemporalBlock(maxTemporalBlock + 10)
@@ -233,17 +259,18 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("oversized request resolved T=%d, want %d", T, maxTemporalBlock)
 	}
 
-	// Auto blocks large banded states, clamped so the halo shift stays
-	// under half a block.
+	// Auto blocks large banded states the same way.
 	big := bandedFixture(t, rng, temporalBlockMinWords/8, 1, 1)
 	bd1, bd2 := make([]float64, big.rows), make([]float64, big.rows)
-	bs, err := NewSweep(big, bd1, bd2, nil, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if T, W, skew := bs.resolveBlocking(); T != temporalBlockDefault || W != sweepTileDefault || skew != 1 {
-		t.Errorf("auto on large state resolved (T=%d, W=%d, skew=%d), want (%d, %d, 1)",
-			T, W, skew, temporalBlockDefault, sweepTileDefault)
+	for _, c := range []struct{ workers, W int }{{1, 128}, {2, 1024}} {
+		bs, err := NewSweep(big, bd1, bd2, nil, 3, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if T, W, skew := bs.resolveBlocking(); T != 16 || W != c.W || skew != 1 {
+			t.Errorf("auto on large state, %d workers, resolved (T=%d, W=%d, skew=%d), want (16, %d, 1)",
+				c.workers, T, W, skew, c.W)
+		}
 	}
 
 	// The CSR32 auto policy splits on the dispatched kernel (re-measured
@@ -297,5 +324,90 @@ func TestTemporalBlockResolution(t *testing.T) {
 	}
 	if got := ps.TemporalBlock(); got != 1 {
 		t.Errorf("planar run resolved depth %d, want 1", got)
+	}
+}
+
+// TestSweepRowLaneBitwise is the row-lane band kernel's bitwise gate:
+// for sizes around every 4-row group edge (n mod 4 = 0..3, a single
+// row, and the 2,001-row midsize shape), every blocking mode (off, auto,
+// forced depths 2, 3 and 16), block width, plan mix and SIMD setting must
+// reproduce the serial reference sweep bit for bit, and so must the
+// 2-worker wavefront on forced small widths. The plan mixes cover a run
+// whose only plan opens at the last iteration with weight 1 (every
+// earlier iteration accumulates nothing, and the final accumulator is
+// the swept state itself), one plan opening at iteration 6 — inside a
+// group for every depth tested — and three overlapping plans with zero
+// weights sprinkled in (the unaccumulated kernel plus per-plan passes).
+// Every run gets NaN-filled lent scratch, so an unzeroed padding cell
+// shows.
+func TestSweepRowLaneBitwise(t *testing.T) {
+	const gMax = 23 // ragged against depths 2, 3 and 16
+	rng := rand.New(rand.NewSource(419))
+	mixes := []struct {
+		name          string
+		firsts, lasts []int
+	}{
+		{"last-only", []int{gMax}, []int{gMax}},
+		{"one-mid-group", []int{6}, []int{gMax}},
+		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}},
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 129, 257, 2001} {
+		a, d1, d2 := bandedSweepFixture(t, rng, n, 1, 1, 3)
+		for _, mix := range mixes {
+			weights := make([][]float64, len(mix.firsts))
+			for pi := range weights {
+				w := randWeights(rng, gMax)
+				for k := range w {
+					if pi == 2 && rng.Float64() < 0.15 {
+						w[k] = 0
+					}
+				}
+				weights[pi] = w
+			}
+			if mix.name == "last-only" {
+				weights[0][gMax] = 1
+			}
+			ref, err := NewSweep(a, d1, d2, nil, 3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
+			refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nosimd := range []bool{false, true} {
+				for _, tb := range []int{1, 0, 2, 3, 16} {
+					for _, tile := range []int{2, 5, 128} {
+						for _, workers := range []int{1, 2} {
+							if workers == 2 && (tb < 2 || tile == 128) {
+								continue // the wavefront rows: forced depths on small widths
+							}
+							fs, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, FormatBand)
+							if err != nil {
+								t.Fatal(err)
+							}
+							fs.SetNoSIMD(nosimd)
+							fs.SetTemporalBlock(tb)
+							fs.SetSweepTile(tile)
+							lendDirtyScratch(fs)
+							tag := fmt.Sprintf("n=%d %s nosimd=%v T=%d W=%d workers=%d", n, mix.name, nosimd, tb, tile, workers)
+							cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+							mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
+							if err != nil {
+								t.Fatalf("%s: %v", tag, err)
+							}
+							if mv != refMV {
+								t.Fatalf("%s: matvecs %d != reference %d", tag, mv, refMV)
+							}
+							if tb > 1 && fs.TemporalBlock() != tb {
+								t.Fatalf("%s: resolved depth %d", tag, fs.TemporalBlock())
+							}
+							requireAccBitwise(t, tag, plans, refPlans, 3, n)
+						}
+					}
+				}
+			}
+		}
 	}
 }

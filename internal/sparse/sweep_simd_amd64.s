@@ -3,10 +3,11 @@
 #include "textflag.h"
 
 // AVX2 bodies of the order-3 interleaved fused kernels for the CSR32 and
-// QBD storage formats (see sweep_simd_amd64.go for the Go contracts and
-// band_simd_amd64.s for the band-format sibling these follow).
+// QBD storage formats (see sweep_simd_amd64.go for the Go contracts; the
+// band format's row-lane bodies are in band_simd_amd64.s).
 //
-// Bitwise rules, shared with the band kernels: the interleaved layout
+// Bitwise rules (the band kernels keep the same per-lane discipline on
+// the row-lane layout, which needs no blends): the interleaved layout
 // puts the four moment sums of a row in one ymm (lane j = moment j), and
 // every lane executes the scalar loop's exact operation sequence — a
 // separate vmulpd+vaddpd per term (never an FMA), the row sum seeded

@@ -256,8 +256,11 @@ func TestSweepFormatResolution(t *testing.T) {
 	if s.Format() != FormatBand {
 		t.Errorf("tridiagonal auto format = %q, want band", s.Format())
 	}
-	if s.Scratch4Words() != 2*4*(300+2) {
-		t.Errorf("Scratch4Words = %d, want %d", s.Scratch4Words(), 2*4*(300+2))
+	// Four row-lane planes per buffer, each 300 rows + 2 padding cells
+	// rounded to 304 words and spread to 320 (2,560 bytes: no two of the
+	// eight plane starts within 256 bytes of each other mod 4096).
+	if s.Scratch4Words() != 2*4*320 {
+		t.Errorf("Scratch4Words = %d, want %d", s.Scratch4Words(), 2*4*320)
 	}
 
 	ring := randomSweepFixture(t, rng, 50, 3, false)
