@@ -12,8 +12,10 @@
 // the median ns/op, its min and max, and the run count.
 //
 // The commit hash is taken from -commit, falling back to `git rev-parse
-// HEAD`, falling back to "unknown" — the tool never fails just because
-// the tree is not a checkout.
+// HEAD` with a "-dirty" suffix when `git status --porcelain` lists any
+// change (the run measured a tree that is not that commit), falling back
+// to "unknown" — the tool never fails just because the tree is not a
+// checkout.
 //
 // -compare diffs two recorded reports benchmark-by-benchmark and exits
 // nonzero when any shared benchmark's median ns/op exceeds the old
@@ -85,7 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	rep.Commit = resolveCommit(*commit)
+	rep.Commit = resolveCommit(*commit, runGit)
 	rep.Cores = runtime.NumCPU()
 
 	w := io.Writer(os.Stdout)
@@ -107,16 +109,28 @@ func main() {
 }
 
 // resolveCommit picks the recorded commit hash: the explicit flag, then
-// the git HEAD of the working directory, then "unknown".
-func resolveCommit(flagValue string) string {
+// the git HEAD of the working directory — suffixed "-dirty" when the
+// working tree differs from it, or when its status cannot be read — then
+// "unknown". git runs one git command and returns its standard output.
+func resolveCommit(flagValue string, git func(args ...string) (string, error)) string {
 	if flagValue != "" {
 		return flagValue
 	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	head, err := git("rev-parse", "HEAD")
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(head)
+	if status, err := git("status", "--porcelain"); err != nil || strings.TrimSpace(status) != "" {
+		commit += "-dirty"
+	}
+	return commit
+}
+
+// runGit runs git with args in the working directory.
+func runGit(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	return string(out), err
 }
 
 // parse reads `go test -bench` output and collects header fields and

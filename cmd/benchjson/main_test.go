@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -299,6 +300,45 @@ func TestCompareUsesOldMax(t *testing.T) {
 		var out strings.Builder
 		if got := compareReports(oldRep, newRep, 0.15, &out); got != c.want {
 			t.Errorf("median %g vs old max 130e6: regressions = %d, want %d\n%s", c.median, got, c.want, out.String())
+		}
+	}
+}
+
+// TestResolveCommitMarksDirtyTrees pins the recorded commit label: an
+// explicit -commit wins untouched, a clean checkout records its HEAD, a
+// tree with any change `git status --porcelain` lists (modified or
+// untracked) records HEAD-dirty, an unreadable status counts as dirty,
+// and a directory outside any checkout records "unknown".
+func TestResolveCommitMarksDirtyTrees(t *testing.T) {
+	const head = "0fcfd85fcf12d0f81566b418456bd0028461b6ed"
+	fake := func(status string, statusErr, headErr error) func(...string) (string, error) {
+		return func(args ...string) (string, error) {
+			switch strings.Join(args, " ") {
+			case "rev-parse HEAD":
+				return head + "\n", headErr
+			case "status --porcelain":
+				return status, statusErr
+			}
+			t.Fatalf("unexpected git %q", args)
+			return "", nil
+		}
+	}
+	errGit := errors.New("exit status 128")
+	cases := []struct {
+		name, flag, status string
+		statusErr, headErr error
+		want               string
+	}{
+		{"flag", "abc123", " M sweep.go\n", nil, nil, "abc123"},
+		{"clean", "", "", nil, nil, head},
+		{"modified", "", " M internal/sparse/sweep.go\n", nil, nil, head + "-dirty"},
+		{"untracked", "", "?? new_test.go\n", nil, nil, head + "-dirty"},
+		{"status-error", "", "", errGit, nil, head + "-dirty"},
+		{"not-a-checkout", "", "", nil, errGit, "unknown"},
+	}
+	for _, c := range cases {
+		if got := resolveCommit(c.flag, fake(c.status, c.statusErr, c.headErr)); got != c.want {
+			t.Errorf("%s: resolveCommit = %q, want %q", c.name, got, c.want)
 		}
 	}
 }

@@ -220,11 +220,11 @@ func BenchmarkComposePair(b *testing.B) {
 // the tridiagonal band kernel (the sweep loads no indices at all), "fused-qbd" the block-tridiagonal window kernel (the
 // chain detects QBD block size 1), and "fused-auto" the production
 // policy (structure detection picks the band kernel here, workers by
-// GOMAXPROCS). The -blocked variants rerun a kernel with wavefront
-// temporal blocking forced to depth 16 (Options.TemporalBlock), and the
+// GOMAXPROCS). The -blocked variants rerun a kernel with temporal
+// blocking forced to depth 16 (Options.TemporalBlock), and the
 // workers-W[-blocked] variants sweep fused-team sizes at the production
-// storage policy. The N32, N2001 and N16383 rows measure the crossover
-// below the parallel threshold (see the loop's comment), the shape-*
+// storage policy. The N32 to N16383 rows measure the crossover around
+// the parallel threshold (see the loop's comment), the shape-*
 // rows run the storage policy on non-tridiagonal ≈65k-state shapes (see
 // that loop's comment), and compose-3x41 solves a matrix-free composed
 // model by moment convolution. Apart from the cold rows, each
@@ -253,7 +253,7 @@ func BenchmarkSweep(b *testing.B) {
 			{"fused-band", 1, "band", 1, false},
 			{"fused-qbd", 1, "qbd", 1, false},
 			{"fused-auto", 0, "auto", 0, false},
-			// Wavefront temporal blocking (Options.TemporalBlock) at the
+			// Temporal blocking (Options.TemporalBlock) at the
 			// forced depth of 16 (the auto-tuned default) against the
 			// unblocked kernels above: same arithmetic bitwise, ~T fewer
 			// DRAM sweeps over the state arrays once the state outgrows
@@ -309,13 +309,13 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	}
 
-	// Small and mid-size models, below the 16,384-row parallel threshold
+	// Small and mid-size models around the 8,191-row parallel threshold
 	// (N = 32 is the paper's Table 1 size, 2,001 the midsize serving
-	// shape, 16,383 the last row count the automatic policy runs on one
-	// worker): the serial reference oracle against the inline 1-worker
-	// fused kernel the automatic policy picks here, and a forced 2-worker
-	// team, which measures where the team starts to pay. N = 4,095 and
-	// 8,191 add the team crossover points in between. fused-1-unblocked
+	// shape, 4,095 the largest of these the automatic policy runs on one
+	// worker, 8,191 and 16,383 the smallest it hands a team): the serial
+	// reference oracle against the inline 1-worker fused kernel, and a
+	// forced 2-worker team, which measures where the team starts to pay
+	// and so places the threshold. fused-1-unblocked
 	// turns the 1-worker band sweep's L1 temporal blocking off
 	// (Options.TemporalBlock = 1), so the blocking shows what it earns.
 	// cold-auto times the production path from scratch — Prepare

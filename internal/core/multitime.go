@@ -182,7 +182,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	}
 
 	// The k = 1..G recursion runs on the sweep engine's fused kernel at
-	// every model size: inline as a 1-worker team below 16,384 states, a
+	// every model size: inline as a 1-worker team below 8,191 states, a
 	// persistent GOMAXPROCS worker team at or above it (or the team size
 	// the caller forced). Only SweepWorkers < 0 selects the serial
 	// reference kernel, the oracle the tests compare against. Both produce

@@ -34,9 +34,9 @@ type Options struct {
 	// (the k = 1..G recursion behind every solve):
 	//
 	//   - 0 (the default) selects automatically: the fused kernel at
-	//     every model size — run inline as a 1-worker team below 16,384
+	//     every model size — run inline as a 1-worker team below 8,191
 	//     states, as a persistent team of GOMAXPROCS workers at or above
-	//     it, where the state count amortizes the per-iteration barrier;
+	//     it, where the state count amortizes the team's joins;
 	//   - > 0 forces the fused kernel with exactly that many workers at
 	//     any size (tests and benchmarks use this);
 	//   - < 0 selects the serial reference sweep at any size: the
@@ -60,17 +60,19 @@ type Options struct {
 	// and always streams the generic CSR. A composed model applies it to
 	// each factor's sweep. Stats.MatrixFormat reports the resolved choice.
 	MatrixFormat string
-	// TemporalBlock controls wavefront temporal blocking of the fused
-	// sweep: how many consecutive sweep iterations run over each
-	// cache-resident row block before the next block is touched, cutting
-	// the sweep's DRAM traffic by roughly that factor on banded/QBD
-	// models.
+	// TemporalBlock controls temporal blocking of the fused sweep: how
+	// many consecutive sweep iterations run over each cache-resident row
+	// block before the next block is touched, cutting the sweep's DRAM
+	// traffic by roughly that factor on banded/QBD models. A team splits
+	// the rows into one contiguous segment per worker, each blocked on its
+	// own, and fills the few rows at each split after one join per group
+	// (split tiling).
 	//
 	//   - 0 (the default) tunes the depth automatically from the matrix
 	//     structure and size: band (tridiagonal) models block at depth 16
-	//     once they hold two row blocks — L1-sized 128-row blocks on one
-	//     worker, 1024-row wavefront blocks on a team — while QBD and
-	//     compact-CSR models block only once their state outgrows L2;
+	//     once they hold two L1-sized 128-row blocks, at every team
+	//     size, while QBD and compact-CSR models block only once their
+	//     state outgrows L2;
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
 	//     possible (bounded-bandwidth matrices with an order-3
@@ -183,7 +185,7 @@ type Stats struct {
 	// "csr64", the generic CSR it streams. Empty for solves that never
 	// ran a sweep (t = 0, frozen chains, d = 0).
 	MatrixFormat string
-	// TemporalBlock is the wavefront temporal blocking depth the sweep
+	// TemporalBlock is the temporal blocking depth the sweep
 	// resolved (see Options.TemporalBlock): 1 for an unblocked sweep, the
 	// group depth otherwise. Zero for solves that never ran a sweep.
 	TemporalBlock int

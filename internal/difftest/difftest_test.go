@@ -192,7 +192,7 @@ var sweepKernelFormats = []string{"auto", "csr", "band", "qbd"}
 // depth {1, 2, 4, 8} and requires each solve to reproduce the serial
 // reference sweep (SweepWorkers: -1) bit for bit.
 //
-// The temporal-block loop forces wavefront blocking depths over a tiny
+// The temporal-block loop forces blocking depths over a tiny
 // tile so the blocked driver engages on these small models (it still
 // resolves off where the shape is ineligible — impulses, orders other
 // than 3, unbounded reach — which keeps those shapes covered as
@@ -234,7 +234,7 @@ func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times
 // multi-worker, at every matrix storage format, temporal blocking depth,
 // and SIMD dispatch) must reproduce the serial reference sweep bit for
 // bit — moments and per-state vectors alike. The fused kernel, the
-// band/compact storage engine, the wavefront temporal blocking, and the
+// band/compact storage engine, the split-tiled temporal blocking, and the
 // AVX2 kernels are optimizations, never approximations.
 func TestDiffSweepKernelBitwise(t *testing.T) {
 	for seed := 0; seed < corpusSize; seed++ {
@@ -554,7 +554,7 @@ func TestDiffCheckpointResumeBitwise(t *testing.T) {
 	}
 }
 
-// TestDiffCheckpointResumeBlocked extends the resume gate to wavefront
+// TestDiffCheckpointResumeBlocked extends the resume gate to split-tiled
 // temporal blocking: blocked solves must survive interrupts at their
 // group-boundary barriers, and checkpoint tokens must be interchangeable
 // across blocking modes — a token captured by an unblocked solve resumes

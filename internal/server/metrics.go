@@ -103,7 +103,7 @@ type Metrics struct {
 	SweepFormats labeledCounter
 	// SweepBlocked counts solver executions whose sweep ran temporally
 	// blocked (core.Stats.TemporalBlock > 1) — the signal operators watch
-	// to confirm wavefront blocking engaged for their models.
+	// to confirm temporal blocking engaged for their models.
 	SweepBlocked atomic.Int64
 	// SweepKernels counts solver executions by the compute kernel the
 	// sweep dispatched (core.Stats.SweepKernel, labels sweepKernelLabels)
@@ -342,7 +342,7 @@ type MetricsSnapshot struct {
 	// oracle).
 	SweepFormats map[string]int64 `json:"sweep_formats"`
 	// SweepBlocked counts solver executions whose randomization sweep ran
-	// with wavefront temporal blocking engaged (depth > 1).
+	// with temporal blocking engaged (depth > 1).
 	SweepBlocked int64 `json:"sweep_blocked_total"`
 	// SweepKernels counts solver executions by the compute kernel the
 	// sweep dispatched, keyed by the core.Stats label ("avx2", "scalar").

@@ -57,7 +57,7 @@ type Options struct {
 	MaxBodyBytes int64
 	// SweepWorkers is passed through to the randomization solver
 	// (core.Options.SweepWorkers): 0 picks automatically (the fused
-	// kernel at every model size, run inline below 16,384 states and as a
+	// kernel at every model size, run inline below 8,191 states and as a
 	// GOMAXPROCS worker team at or above it), > 0 forces a team size, and
 	// < 0 selects the serial reference sweep, the test oracle rather than
 	// a production mode. Results are bitwise identical for every setting. Note the server also runs
@@ -87,8 +87,8 @@ type Options struct {
 	// requests or cache keys.
 	MatrixFormat string
 	// TemporalBlock is passed through to the randomization solver
-	// (core.Options.TemporalBlock): 0 lets the sweep auto-tune wavefront
-	// temporal blocking from the model's bandwidth and state size, 1
+	// (core.Options.TemporalBlock): 0 lets the sweep auto-tune temporal
+	// blocking from the model's bandwidth and state size, 1
 	// disables it, and N >= 2 forces N iterations per cache-resident row
 	// block. Blocking changes memory traffic only — results are bitwise
 	// identical for every setting — so, like MatrixFormat, the knob is

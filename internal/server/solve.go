@@ -132,7 +132,7 @@ type SolverStats struct {
 	// reference oracle ran it); empty for solves that never ran a sweep.
 	// A composed solve reports its largest component's sweep.
 	MatrixFormat string `json:"matrix_format,omitempty"`
-	// TemporalBlock is the wavefront temporal blocking depth the sweep
+	// TemporalBlock is the temporal blocking depth the sweep
 	// ran with: 1 for an unblocked sweep, the blocked-iteration group
 	// depth otherwise. Zero for solves that never ran a sweep.
 	TemporalBlock int `json:"temporal_block,omitempty"`

@@ -27,7 +27,8 @@ import (
 // The worker team is persistent: row ranges are partitioned once per
 // solve, balanced by non-zero count rather than row count, and the same
 // goroutines run every iteration, synchronizing on a lightweight
-// channel barrier instead of being respawned G times.
+// channel barrier instead of being respawned G times. A temporally
+// blocked team joins only once per group of iterations (see runBlocked).
 //
 // Per element, the fused kernel performs exactly the same floating-point
 // operations in exactly the same order as the serial reference sweep
@@ -84,10 +85,6 @@ type Sweep struct {
 	tblock    int
 	resolvedT int
 
-	// wf carries the per-group wavefront state of the temporally blocked
-	// parallel driver; nil for every other run shape.
-	wf *wavefrontGroup
-
 	// SIMD dispatch (see simd.go): nosimd is the per-sweep kill-switch
 	// (SetNoSIMD), simd the resolved gate (hardware support minus the
 	// kill-switches), kernel the label of the last run's dispatch.
@@ -128,17 +125,18 @@ type Sweep struct {
 }
 
 // parallelThreshold is the row count at which automatic worker selection
-// moves from the inline 1-worker fused sweep to a GOMAXPROCS team. The
-// team pays a release and join barrier every iteration (or a wavefront
-// handshake per block step) to split rows the inline sweep already runs
-// from L1 in 128-row blocks, so small models gain nothing from it: on a
-// 2-core Xeon a 2-worker team takes 2.4× the inline sweep's time at
-// 2,001 tridiagonal rows, 1.3× at 4,095 and 8,191, and still 1.2× at
-// 16,383 (BenchmarkSweep/N*/{fused-1,workers-2} in internal/core,
-// medians of 5 in BENCH_sweep.json). The threshold stays where the
-// team paid off before the L1-blocked kernel, and large models keep
-// the team. Callers that know better force a team size explicitly.
-const parallelThreshold = 16_384
+// moves from the inline 1-worker fused sweep to a GOMAXPROCS team. A
+// blocked team joins once per group of T iterations (see runBlocked), and
+// each join wakes a parked worker; below a few thousand rows a group's
+// work is too short to hide that. On a 2-core Xeon a 2-worker team takes
+// a median 0.95× the inline sweep's time at 4,095 tridiagonal rows
+// (0.83–1.15× over ten benchmark runs), 0.78× at 8,191 (0.65–0.91×)
+// and 0.74× at 16,383 (0.58–0.89×, seven runs), against 1.08–1.21×
+// at 2,001 (BenchmarkSweep/N*/{fused-1,workers-2} in internal/core), so
+// the threshold sits at the smallest of those sizes where the team wins
+// by more than 10%. Callers that know better force a team size
+// explicitly.
+const parallelThreshold = 8_191
 
 // PlanWorkers resolves the sweep parallelism knob for a matrix with the
 // given number of rows:
@@ -232,7 +230,7 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		tile:      sweepTileDefault,
 		resolvedT: 1,
 	}
-	if resolved == FormatBand && workers == 1 {
+	if resolved == FormatBand {
 		s.tile = bandL1Tile
 	}
 	s.resolveSIMD()
@@ -329,16 +327,15 @@ func (s *Sweep) SetScratch4(buf []float64) { s.scratch4 = buf }
 // rows each tight vector pass covers before the next term's pass — and
 // with it the block width of the temporally blocked driver, so spatial
 // and temporal tile shapes are tunable together. Values below 1 keep the
-// default (bandL1Tile for a 1-worker band sweep, sweepTileDefault
-// otherwise). The tile only reorders work across rows; every width is
-// bitwise identical.
+// default (bandL1Tile for a band sweep, sweepTileDefault otherwise). The
+// tile only reorders work across rows; every width is bitwise identical.
 func (s *Sweep) SetSweepTile(w int) {
 	if w > 0 {
 		s.tile = w
 	}
 }
 
-// SetTemporalBlock requests wavefront temporal blocking for Run: t
+// SetTemporalBlock requests temporal blocking for Run: t
 // consecutive sweep iterations are executed over each cache-resident row
 // block before the next block is touched (see runBlocked). 0 (the
 // default) tunes the depth automatically from the matrix bandwidth and
@@ -360,19 +357,19 @@ func (s *Sweep) TemporalBlock() int { return s.resolvedT }
 
 // Temporal blocking constants.
 const (
-	// sweepTileDefault is the default row-tile width (see SetSweepTile)
-	// of every sweep but the 1-worker band one: a tile's slices of every
-	// cur/next/acc vector — roughly (3 + plans)·(order+1)·8·tile bytes —
-	// plus its matrix rows must stay cache-resident across the kernel's
-	// per-term passes. 1024 rows keeps that footprint near 100 KiB for
-	// the paper-sized order-3 case, comfortably inside L2, and is the
-	// block width of the multi-worker wavefront.
+	// sweepTileDefault is the default row-tile width (see SetSweepTile),
+	// and so the temporal block width, of every sweep but the band one: a
+	// tile's slices of every cur/next/acc vector — roughly
+	// (3 + plans)·(order+1)·8·tile bytes — plus its matrix rows must stay
+	// cache-resident across the kernel's per-term passes. 1024 rows keeps
+	// that footprint near 100 KiB for the paper-sized order-3 case,
+	// comfortably inside L2.
 	sweepTileDefault = 1024
 	// bandL1Tile is the default tile, and so the temporal block width, of
-	// a 1-worker band sweep: a 128-row block's slices of the ≈17 row-lane
-	// planes it touches (3 band, 2 diagonals, 4 cur, 4 next, 4 acc) come
-	// to ≈17 KiB and stay in L1 across a group's T inner steps, where the
-	// 1024-row block ran from L2.
+	// a band sweep at every team size: a 128-row block's slices of the
+	// ≈17 row-lane planes it touches (3 band, 2 diagonals, 4 cur, 4 next,
+	// 4 acc) come to ≈17 KiB and stay in L1 across a group's T inner
+	// steps, where a 1024-row block ran from L2.
 	bandL1Tile = 128
 	// temporalBlockDefault is the auto-tuned blocking depth: deep enough
 	// to cut DRAM traffic ~16x, shallow enough that the halo shift
@@ -421,12 +418,11 @@ func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 }
 
 // resolveBlocking turns the requested temporal block depth into the
-// (T, W, skew) the blocked drivers run: T inner iterations per group over
+// (T, W, skew) the blocked sweep runs: T inner iterations per group over
 // blocks of W rows, each inner step's row window sliding skew rows to the
-// left (the parallelogram schedule of runBlocked). T == 1 means the
-// run stays unblocked. W is forced up to 2·skew — the width at which
-// concurrent wavefront tasks provably cannot touch each other's reads or
-// writes (see wavefrontWorker) — so callers may set any tile size.
+// left (the split-tiled schedule of runBlocked). T == 1 means the run
+// stays unblocked. The schedule is exact at every block width, so W is
+// the tile as set.
 func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	T, W = 1, s.tile
 	if s.tblock < 0 || s.tblock == 1 {
@@ -436,23 +432,14 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	if !ok {
 		return
 	}
-	skew = lo
-	if hi > skew {
-		skew = hi
-	}
-	if W < 2*skew {
-		W = 2 * skew
-	}
-	if W < 1 {
-		W = 1
-	}
+	skew = max(lo, hi)
 	if s.tblock == 0 {
 		if s.format == FormatBand {
 			// The row-lane band kernel is bound by the cache level its
 			// state streams from, so blocking pays at every size that
-			// holds two blocks: one worker runs L1-sized bandL1Tile
+			// holds two blocks: every team size runs L1-sized bandL1Tile
 			// blocks (the state otherwise streams from L2 even at 2,001
-			// rows), a team the sweepTileDefault wavefront.
+			// rows).
 			if s.rows < 2*W {
 				return 1, W, skew
 			}
@@ -465,13 +452,13 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 		case FormatCSR32:
 			// The scalar CSR kernel gains nothing from blocking (the
 			// index-chasing row loop, not DRAM bandwidth, is the
-			// bottleneck, and the wavefront bookkeeping costs ~12-29%
+			// bottleneck, and the blocking bookkeeping cost ~12-29%
 			// measured). The AVX2 kernel retires the whole gather in one
 			// load and is memory-bound like the band kernel — blocking
 			// it measured ~22% faster on the N=100,001 ablation — so it
 			// auto-blocks, but only while the bandwidth-derived skew is
-			// in the regime the measurement covered (wider reaches force
-			// W up and shrink the depth until blocking is all halo).
+			// in the regime the measurement covered (wider reaches shrink
+			// the depth until blocking is all halo).
 			// Forced depths still block every CSR shape for the difftest
 			// gates and benchmark ablations.
 			if !s.simd || skew > csrAutoBlockMaxSkew {
@@ -803,25 +790,57 @@ func (s *Sweep) swap(order3 bool) {
 	s.cur, s.next = s.next, s.cur
 }
 
-// runBlocked executes the temporally blocked sweep. Iterations are
-// processed in groups of up to T; within a group, each row block runs all
-// of the group's inner iterations back to back while its rows (state,
-// matrix values, diagonals, accumulators) are cache-resident, so every
-// per-row array streams from DRAM once per group instead of once per
-// iteration — a ~T× traffic cut for this memory-bound loop.
+// runBlocked executes the temporally blocked sweep by split tiling.
+// Iterations are processed in groups of up to T; within a group, each row
+// block runs all of the group's inner iterations back to back while its
+// rows (state, matrix values, diagonals, accumulators) are cache-resident,
+// so every per-row array streams from DRAM once per group instead of once
+// per iteration — a ~T× traffic cut for this memory-bound loop.
 //
-// The schedule is a time-skewed parallelogram. With block width W and
-// skew s = max(lo, hi) of the dependency reach, block m at inner step t
-// (1-based) computes rows
+// A group splits the rows into contiguous segments [b_w, b_{w+1}), one per
+// worker (see groupSplits), and runs in two phases. With skew s =
+// max(lo, hi) of the dependency reach, worker w computes inner step t
+// (1-based, iteration k0+t) over the trapezoid
 //
-//	R(m, t) = [m·W − (t−1)·s, (m+1)·W − (t−1)·s) ∩ [0, n)
+//	Z(w, t) = [b_w + (t−1)·s, b_{w+1} − (t−1)·s)
 //
-// of iteration k0+t. Sliding the window s rows left per step keeps the
-// dependency cone satisfied: R(m, t) needs rows R(m, t)±reach of step
-// t−1, all of which lie in blocks ≤ m at step t−1. The two order-3
-// state buffers alternate per inner step (odd steps read cur4 and write
-// next4, even steps the reverse), and each step's Poisson accumulations
-// are applied inside the kernel at its own iteration's weights, so the
+// whose outer edges at rows 0 and n do not shrink, as the serial
+// depth-first parallelogram of runTrapezoid. After one join the calling
+// goroutine fills the seam triangle at every split b,
+//
+//	S(b, t) = [b − (t−1)·s, b + (t−1)·s),  t = 2..Tg,
+//
+// in increasing t (runSeams). One worker is the one-segment case: no
+// split, no seam, no goroutine.
+//
+// Every hazard is a row range of one of the two order-3 state buffers,
+// which alternate per inner step (odd steps read cur4 and write next4,
+// even steps the reverse):
+//
+//   - Trapezoid dependencies: Z(w, t) widened by the reach lies inside
+//     Z(w, t−1), because each inner edge moves s ≥ lo, hi rows per step.
+//     A worker reads only rows it computed itself, or at step 1 the
+//     group's input state.
+//   - Cross-worker races: a worker writes only rows of its own segment.
+//     It reads past its splits only at step 1, at most s rows deep and
+//     from the input buffer, which its neighbour first writes at step 2,
+//     and then only rows at least s deep inside its own segment.
+//   - Seam dependencies: S(b, t) widened by the reach lies inside
+//     S(b, t−1) and the two neighbouring trapezoids at step t−1. Segments
+//     at least 2·(Tg−1)·s rows wide keep those trapezoids non-empty down
+//     to step Tg and the seams of adjacent splits disjoint.
+//   - Ping-pong: a trapezoid's step t+2 overwrites the buffer its step t
+//     wrote, but only rows outside [b − (t+1)·s, b + (t+1)·s), while
+//     S(b, t+1) reads the step-t rows [b − t·s − lo, b + t·s + hi),
+//     inside that range. A seam step overwrites only its own step t−2
+//     rows, which no later step reads. Inside a parallelogram, block m's
+//     step t+1 ends s − lo ≥ 0 rows below where block m+1's step t reads
+//     begin.
+//
+// Each (row, iteration) pair is therefore computed exactly once, a row's
+// iterations in increasing order (a row leaves its trapezoid for good and
+// the seam takes its remaining steps), and each step applies its Poisson
+// accumulations inside the kernel at its own iteration's weights. The
 // per-element operation sequence — and therefore every bit of the result
 // — is identical to the unblocked sweep: blocking only reorders work
 // between different (row, iteration) pairs.
@@ -829,40 +848,18 @@ func (s *Sweep) swap(order3 bool) {
 // Context cancellation is observed at group boundaries only, where the
 // state is a consistent iteration snapshot (checkpoint barriers land
 // there); resume tokens from unblocked runs remain valid because groups
-// are re-based at `first`. The serial schedule resolves each step's
-// accumulation targets into active as it goes, so it allocates nothing
-// beyond the unblocked sweep; the wavefront gathers a group's targets
-// up front for its workers.
+// are re-based at `first`. Each schedule resolves a step's accumulation
+// targets into its own buffer as it goes, so one worker allocates nothing
+// beyond the unblocked sweep.
 func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPlan, active []accPair, T, W, skew int) (int64, error) {
-	var activeT [][]accPair
-	var start []chan struct{}
+	var tasks []chan splitTask
 	var done chan struct{}
+	splits := []int{0, s.rows} // one worker: a single segment, no seam
 	if s.workers > 1 {
-		activeT = make([][]accPair, T+1)
-		g := &wavefrontGroup{W: W, skew: skew}
-		g.cond = sync.NewCond(&g.mu)
-		s.wf = g
-		start = make([]chan struct{}, s.workers)
-		for w := range start {
-			start[w] = make(chan struct{}, 1)
-		}
-		done = make(chan struct{}, s.workers)
-		defer func() {
-			for _, ch := range start {
-				close(ch)
-			}
-			s.wf = nil
-		}()
-		for w := 0; w < s.workers; w++ {
-			// done is passed by value: a captured variable would move to
-			// the heap on the serial path too.
-			go func(startCh <-chan struct{}, done chan<- struct{}, w int) {
-				for range startCh {
-					s.wavefrontWorker(w)
-					done <- struct{}{}
-				}
-			}(start[w], done, w)
-		}
+		var stop func()
+		tasks, done, stop = s.startSplitTeam(plans, W, skew)
+		defer stop()
+		splits = make([]int, 0, s.workers+1)
 	}
 	for k0 := first - 1; k0 < gMax; {
 		if err := ctx.Err(); err != nil {
@@ -874,50 +871,17 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 		if rem := gMax - k0; Tg > rem {
 			Tg = rem // ragged final group when T does not divide the span
 		}
-		// Enough blocks that the final inner step — shifted (Tg−1)·skew rows
-		// left — still covers the top of the matrix.
-		blocks := (s.rows + (Tg-1)*skew + W - 1) / W
-		if s.workers > 1 {
-			for t := 1; t <= Tg; t++ {
-				activeT[t] = gatherActive(plans, k0+t, activeT[t][:0])
-			}
-			g := s.wf
-			g.T, g.blocks, g.activeT = Tg, blocks, activeT
-			if cap(g.progress) < blocks {
-				g.progress = make([]int, blocks)
-			}
-			g.progress = g.progress[:blocks]
-			clear(g.progress)
-			for _, ch := range start {
-				ch <- struct{}{}
-			}
-			for w := 0; w < s.workers; w++ {
-				<-done
-			}
-		} else {
-			// Serial: depth-first per block — all Tg steps of block m before
-			// block m+1 touches memory. Correct because R(m, t)'s dependency
-			// cone at step t−1 ends at (m+1)·W − (t−2)·s + hi − s ≤ block m's
-			// own step-(t−1) upper edge, already computed.
-			for m := 0; m < blocks; m++ {
-				cur4, next4 := s.cur4, s.next4
-				for t := 1; t <= Tg; t++ {
-					l := m*W - (t-1)*skew
-					r := l + W
-					if l < 0 {
-						l = 0
-					}
-					if r > s.rows {
-						r = s.rows
-					}
-					if l < r {
-						active = gatherActive(plans, k0+t, active[:0])
-						s.stepRange(l, r, cur4, next4, active)
-					}
-					cur4, next4 = next4, cur4
-				}
-			}
+		if tasks != nil {
+			splits = s.groupSplits(splits, Tg, skew)
 		}
+		for w := 1; w+1 < len(splits); w++ {
+			tasks[w-1] <- splitTask{k0: k0, tg: Tg, lo: splits[w], hi: splits[w+1]}
+		}
+		active = s.runTrapezoid(plans, active, k0, Tg, splits[0], splits[1], W, skew)
+		for w := 1; w+1 < len(splits); w++ {
+			<-done
+		}
+		active = s.runSeams(plans, active, k0, Tg, splits[1:len(splits)-1], skew)
 		if Tg%2 == 1 {
 			// Odd group depth leaves the newest state in next4; swap so the
 			// group-boundary invariant (cur4 = iteration k0) holds for
@@ -929,62 +893,110 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 	return s.matVecs(gMax - first + 1), nil
 }
 
-// wavefrontGroup is the shared state of one temporally blocked group
-// executed by the worker team: the group shape, the per-inner-step
-// accumulation targets, and the progress vector the wavefront
-// synchronizes on (progress[m] = last inner step block m completed).
-// The mutex/condvar pair both orders the data accesses (a block's writes
-// happen before any dependent's reads) and keeps the schedule race-free
-// under the race detector.
-type wavefrontGroup struct {
-	T, W, skew, blocks int
-	activeT            [][]accPair
-	mu                 sync.Mutex
-	cond               *sync.Cond
-	progress           []int
+// splitTask is one worker's trapezoid of a split-tiled group: inner steps
+// 1..tg after iteration k0 over the segment [lo, hi).
+type splitTask struct{ k0, tg, lo, hi int }
+
+// startSplitTeam starts the workers−1 goroutines that run the trapezoids
+// of every segment but the first, which the calling goroutine runs. Each
+// worker runs the tasks sent on its own channel and reports each on done;
+// stop closes the channels and waits for the workers to exit, and must
+// only be called while none holds a task.
+func (s *Sweep) startSplitTeam(plans []SweepPlan, W, skew int) (tasks []chan splitTask, done chan struct{}, stop func()) {
+	tasks = make([]chan splitTask, s.workers-1)
+	done = make(chan struct{}, len(tasks))
+	var wg sync.WaitGroup
+	wg.Add(len(tasks))
+	for w := range tasks {
+		tasks[w] = make(chan splitTask, 1)
+		go func(in <-chan splitTask) {
+			defer wg.Done()
+			active := make([]accPair, 0, len(plans))
+			for tk := range in {
+				active = s.runTrapezoid(plans, active, tk.k0, tk.tg, tk.lo, tk.hi, W, skew)
+				done <- struct{}{}
+			}
+		}(tasks[w])
+	}
+	return tasks, done, func() {
+		for _, ch := range tasks {
+			close(ch)
+		}
+		wg.Wait()
+	}
 }
 
-// wavefrontWorker runs worker w's share of the current group: blocks
-// m ≡ w (mod workers), block-cyclic so the wavefront stays dense, each
-// depth-first through the group's inner steps. Block m at step t waits
-// only for progress[m−1] ≥ t−1; with W ≥ 2·skew (enforced by
-// resolveBlocking) that single constraint makes every concurrently
-// running (block, step) pair touch disjoint rows of each buffer — the
-// binding cases are a block two ahead on the same buffer parity, which
-// W ≥ skew+hi separates, and the lagging mirror, separated by
-// W ≥ skew+lo. Deadlock-free: the lowest unfinished block's predecessor
-// is complete, so its owner always progresses; empty clipped ranges
-// still bump progress so successors never stall on them.
-func (s *Sweep) wavefrontWorker(w int) {
-	g := s.wf
-	for m := w; m < g.blocks; m += s.workers {
+// groupSplits returns, in buf, the segment boundaries of a group of depth
+// tg: 0, the team's partition points that leave every segment at least
+// 2·(tg−1)·skew rows wide (and non-empty), and n. A narrower segment would
+// let its trapezoid empty out before step tg and adjacent seams overlap,
+// so a thin partition merges into its neighbour — down to the single
+// segment of the serial schedule — rather than shrinking tg, which keeps
+// forced depths and group boundaries independent of the team size.
+func (s *Sweep) groupSplits(buf []int, tg, skew int) []int {
+	minW := max(2*(tg-1)*skew, 1)
+	buf = append(buf[:0], 0)
+	for _, b := range s.blocks[1 : len(s.blocks)-1] {
+		if b-buf[len(buf)-1] >= minW && s.rows-b >= minW {
+			buf = append(buf, b)
+		}
+	}
+	return append(buf, s.rows)
+}
+
+// runTrapezoid runs inner steps 1..tg of the group after iteration k0
+// over the segment [lo, hi) as a depth-first parallelogram of W-row
+// blocks: block m at step t computes
+//
+//	[lo + m·W − (t−1)·s, lo + (m+1)·W − (t−1)·s) ∩ Z(t)
+//
+// where Z(t) is the segment's trapezoid (runBlocked), all tg steps of
+// block m before block m+1 touches memory. Sliding the window s rows left
+// per step keeps the dependency cone satisfied: block m's step-t rows
+// need step-(t−1) rows up to its upper edge + hi ≤ its own step-(t−1)
+// upper edge, and below it only rows of blocks < m, all computed. active
+// is the caller's accumulation-target buffer, returned for reuse.
+func (s *Sweep) runTrapezoid(plans []SweepPlan, active []accPair, k0, tg, lo, hi, W, skew int) []accPair {
+	blocks := (hi - lo + (tg-1)*skew + W - 1) / W
+	for m := 0; m < blocks; m++ {
 		cur4, next4 := s.cur4, s.next4
-		for t := 1; t <= g.T; t++ {
-			if m > 0 && t > 1 {
-				g.mu.Lock()
-				for g.progress[m-1] < t-1 {
-					g.cond.Wait()
-				}
-				g.mu.Unlock()
+		for t := 1; t <= tg; t++ {
+			in := (t - 1) * skew
+			zl, zr := 0, s.rows
+			if lo > 0 {
+				zl = lo + in
 			}
-			l := m*g.W - (t-1)*g.skew
-			r := l + g.W
-			if l < 0 {
-				l = 0
+			if hi < s.rows {
+				zr = hi - in
 			}
-			if r > s.rows {
-				r = s.rows
-			}
+			l := max(lo+m*W-in, zl)
+			r := min(lo+(m+1)*W-in, zr)
 			if l < r {
-				s.stepRange(l, r, cur4, next4, g.activeT[t])
+				active = gatherActive(plans, k0+t, active[:0])
+				s.stepRange(l, r, cur4, next4, active)
 			}
-			g.mu.Lock()
-			g.progress[m] = t
-			g.mu.Unlock()
-			g.cond.Broadcast()
 			cur4, next4 = next4, cur4
 		}
 	}
+	return active
+}
+
+// runSeams fills the seam triangles S(b, t) = [b − (t−1)·s, b + (t−1)·s)
+// at each split b for t = 2..tg, after every trapezoid of the group has
+// finished (see runBlocked). groupSplits keeps every seam inside [0, n).
+func (s *Sweep) runSeams(plans []SweepPlan, active []accPair, k0, tg int, splits []int, skew int) []accPair {
+	for _, b := range splits {
+		// Step 2 reads the buffer step 1 wrote (next4).
+		cur4, next4 := s.next4, s.cur4
+		for t := 2; t <= tg; t++ {
+			if in := (t - 1) * skew; in > 0 {
+				active = gatherActive(plans, k0+t, active[:0])
+				s.stepRange(b-in, b+in, cur4, next4, active)
+			}
+			cur4, next4 = next4, cur4
+		}
+	}
+	return active
 }
 
 // fuseBlock runs one fused iteration over rows [lo, hi), tiled: for each

@@ -12,7 +12,7 @@ import (
 // families, every temporal block depth × spatial tile × worker count ×
 // format must reproduce the serial reference sweep bit for bit —
 // including ragged final groups (gMax not divisible by T) and
-// wavefront-parallel schedules with more blocks than workers.
+// split-tiled teams whose segments hold several blocks each.
 func TestSweepTemporalBlockingBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	type fixture struct {
@@ -223,12 +223,12 @@ func TestTemporalBlockResolution(t *testing.T) {
 	if T, W, _ := band(255, 1).resolveBlocking(); T != 1 || W != 128 {
 		t.Errorf("auto on 255-row band resolved (T=%d, W=%d), want (1, 128)", T, W)
 	}
-	// A team keeps the 1024-row wavefront, from two such blocks up.
-	if T, W, _ := band(2047, 2).resolveBlocking(); T != 1 || W != 1024 {
-		t.Errorf("auto on 2,047-row band team resolved (T=%d, W=%d), want (1, 1024)", T, W)
+	// A team runs the same 128-row L1 blocks, from two such blocks up.
+	if T, W, _ := band(255, 2).resolveBlocking(); T != 1 || W != 128 {
+		t.Errorf("auto on 255-row band team resolved (T=%d, W=%d), want (1, 128)", T, W)
 	}
-	if T, W, skew := band(2048, 2).resolveBlocking(); T != 16 || W != 1024 || skew != 1 {
-		t.Errorf("auto on 2,048-row band team resolved (T=%d, W=%d, skew=%d), want (16, 1024, 1)", T, W, skew)
+	if T, W, skew := band(256, 2).resolveBlocking(); T != 16 || W != 128 || skew != 1 {
+		t.Errorf("auto on 256-row band team resolved (T=%d, W=%d, skew=%d), want (16, 128, 1)", T, W, skew)
 	}
 	// Off switches.
 	for _, off := range []int{1, -3} {
@@ -237,15 +237,26 @@ func TestTemporalBlockResolution(t *testing.T) {
 			t.Errorf("tblock=%d resolved T=%d, want 1", off, T)
 		}
 	}
-	// Forced depths are honored regardless of size, with the width floor
-	// W >= 2·skew enforced over any caller tile.
+	// Forced depths are honored regardless of size, and the block width
+	// is the caller's tile as set, even below the skew: the split-tiled
+	// schedule is exact at every width.
 	s.SetTemporalBlock(4)
 	if T, W, skew := s.resolveBlocking(); T != 4 || skew != 1 || W != 128 {
 		t.Errorf("forced resolved (T=%d, W=%d, skew=%d), want (4, 128, 1)", T, W, skew)
 	}
 	s.SetSweepTile(1)
-	if _, W, _ := s.resolveBlocking(); W != 2 {
-		t.Errorf("tile=1 skew=1 resolved W=%d, want floor 2", W)
+	if T, W, skew := s.resolveBlocking(); T != 4 || W != 1 || skew != 1 {
+		t.Errorf("tile=1 skew=1 resolved (T=%d, W=%d, skew=%d), want (4, 1, 1)", T, W, skew)
+	}
+	skewed, sd1, sd2 := bandedSweepFixture(t, rng, 300, 3, 2, 3)
+	ks, err := NewSweepWithFormat(skewed, sd1, sd2, nil, 3, 2, FormatCSR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks.SetTemporalBlock(4)
+	ks.SetSweepTile(4)
+	if T, W, skew := ks.resolveBlocking(); T != 4 || W != 4 || skew != 3 {
+		t.Errorf("tile=4 skew=3 team resolved (T=%d, W=%d, skew=%d), want (4, 4, 3)", T, W, skew)
 	}
 	// An explicit tile also overrides the L1 block width under auto.
 	s.SetTemporalBlock(0)
@@ -262,7 +273,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	// Auto blocks large banded states the same way.
 	big := bandedFixture(t, rng, temporalBlockMinWords/8, 1, 1)
 	bd1, bd2 := make([]float64, big.rows), make([]float64, big.rows)
-	for _, c := range []struct{ workers, W int }{{1, 128}, {2, 1024}} {
+	for _, c := range []struct{ workers, W int }{{1, 128}, {2, 128}} {
 		bs, err := NewSweep(big, bd1, bd2, nil, 3, c.workers)
 		if err != nil {
 			t.Fatal(err)
@@ -331,8 +342,8 @@ func TestTemporalBlockResolution(t *testing.T) {
 // for sizes around every 4-row group edge (n mod 4 = 0..3, a single
 // row, and the 2,001-row midsize shape), every blocking mode (off, auto,
 // forced depths 2, 3 and 16), block width, plan mix and SIMD setting must
-// reproduce the serial reference sweep bit for bit, and so must the
-// 2-worker wavefront on forced small widths. The plan mixes cover a run
+// reproduce the serial reference sweep bit for bit, on one worker and on
+// a split-tiled 2-worker team alike. The plan mixes cover a run
 // whose only plan opens at the last iteration with weight 1 (every
 // earlier iteration accumulates nothing, and the final accumulator is
 // the swept state itself), one plan opening at iteration 6 — inside a
@@ -380,9 +391,6 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 				for _, tb := range []int{1, 0, 2, 3, 16} {
 					for _, tile := range []int{2, 5, 128} {
 						for _, workers := range []int{1, 2} {
-							if workers == 2 && (tb < 2 || tile == 128) {
-								continue // the wavefront rows: forced depths on small widths
-							}
 							fs, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, FormatBand)
 							if err != nil {
 								t.Fatal(err)
@@ -404,6 +412,154 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								t.Fatalf("%s: resolved depth %d", tag, fs.TemporalBlock())
 							}
 							requireAccBitwise(t, tag, plans, refPlans, 3, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepSplitSeamBitwise is the split-tiling seam gate: teams of 2-5
+// workers at forced depths 2, 3 and 16, with every partition but one
+// exactly at, one row below or one row above the 2·(T−1)·skew width at
+// which a split is kept, must reproduce the serial reference sweep bit
+// for bit — on the band kernel, on compact CSR with an asymmetric reach
+// (lo ≠ hi, so the skew is the larger side) and on QBD, with SIMD on and
+// off, and for one plan, three overlapping plans with zero weights, and a
+// plan opening mid-group. The thin partitions sit at the top or at the
+// bottom of the rows, so both outer edges and the merging of thin
+// partitions into a neighbour are covered, and the ragged final group
+// (23 = 16 + 7 iterations) re-keeps splits a full group merged. Each
+// team is also interrupted at every group boundary and resumed, which
+// must report the boundary and reproduce the uninterrupted run.
+func TestSweepSplitSeamBitwise(t *testing.T) {
+	const gMax = 23
+	rng := rand.New(rand.NewSource(587))
+	const n = 554 // room for 5 partitions of 2·15·3 + 1 rows plus a remainder
+	type fixture struct {
+		name           string
+		a              *CSR
+		format, stored MatrixFormat
+	}
+	fixtures := []fixture{
+		{"band", bandedFixture(t, rng, n, 1, 1), FormatBand, FormatBand},
+		{"csr-lo1-hi3", bandedFixture(t, rng, n, 1, 3), FormatCSR, FormatCSR32},
+		{"qbd-b2", qbdFixture(t, rng, n/2, 2), FormatQBD, FormatQBD},
+	}
+	if lo, hi := fixtures[1].a.Bandwidth(); lo != 1 || hi != 3 {
+		t.Fatalf("csr fixture reach (%d, %d), want (1, 3)", lo, hi)
+	}
+	d1, d2 := randDiags(rng, n)
+	mixes := []struct {
+		name          string
+		firsts, lasts []int
+	}{
+		{"one", []int{0}, []int{gMax}},
+		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}},
+		{"mid-group", []int{5}, []int{gMax}},
+	}
+	for _, mix := range mixes {
+		weights := make([][]float64, len(mix.firsts))
+		for pi := range weights {
+			weights[pi] = randWeights(rng, gMax)
+			if pi == 2 {
+				for k := range weights[pi] {
+					if rng.Float64() < 0.2 {
+						weights[pi][k] = 0
+					}
+				}
+			}
+		}
+		for _, fx := range fixtures {
+			ref, err := NewSweep(fx.a, d1, d2, nil, 3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
+			refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, T := range []int{2, 3, 16} {
+				for workers := 2; workers <= 5; workers++ {
+					for _, delta := range []int{-1, 0, 1} {
+						for _, thinTop := range []bool{false, true} {
+							mk := func(nosimd bool) (*Sweep, int) {
+								fs, err := NewSweepWithFormat(fx.a, d1, d2, nil, 3, workers, fx.format)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if fs.Format() != fx.stored {
+									t.Fatalf("%s resolved format %q", fx.name, fs.Format())
+								}
+								fs.SetNoSIMD(nosimd)
+								fs.SetTemporalBlock(T)
+								fs.SetSweepTile(8)
+								_, _, skew := fs.resolveBlocking()
+								width := 2*(T-1)*skew + delta
+								// Replace the cost-balanced partition: workers−1
+								// partitions of the probed width, the remainder
+								// at the other end.
+								for w := 1; w < workers; w++ {
+									fs.blocks[w] = w * width
+									if thinTop {
+										fs.blocks[w] = n - (workers-w)*width
+									}
+								}
+								lendDirtyScratch(fs)
+								return fs, skew
+							}
+							for _, nosimd := range []bool{false, true} {
+								fs, skew := mk(nosimd)
+								tag := fmt.Sprintf("%s %s T=%d workers=%d width=2·%d·%d%+d top=%v nosimd=%v",
+									mix.name, fx.name, T, workers, T-1, skew, delta, thinTop, nosimd)
+								cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
+								if err != nil {
+									t.Fatalf("%s: %v", tag, err)
+								}
+								if mv != refMV {
+									t.Fatalf("%s: matvecs %d != reference %d", tag, mv, refMV)
+								}
+								if got := fs.TemporalBlock(); got != T {
+									t.Fatalf("%s: resolved depth %d", tag, got)
+								}
+								requireAccBitwise(t, tag, plans, refPlans, 3, n)
+							}
+							if mix.name != "mid-group" {
+								continue
+							}
+							for polls := 2; (polls-1)*T < gMax; polls++ {
+								tag := fmt.Sprintf("resume %s T=%d workers=%d width%+d top=%v polls=%d",
+									fx.name, T, workers, delta, thinTop, polls)
+								rs, _ := mk(false)
+								completed := -1
+								state := make([][]float64, 4)
+								for j := range state {
+									state[j] = make([]float64, n)
+								}
+								rs.SetInterruptHook(func(done int, export func([][]float64)) {
+									completed = done
+									export(state)
+								})
+								cur, next, plans := newRunState(rs, weights, mix.firsts, mix.lasts)
+								ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
+								if _, err := rs.Run(ctx, gMax, cur, next, plans, 1); err == nil {
+									t.Fatalf("%s: run was not interrupted", tag)
+								}
+								if completed != (polls-1)*T {
+									t.Fatalf("%s: completed = %d, want group boundary %d", tag, completed, (polls-1)*T)
+								}
+								for j := range state {
+									copy(cur[j], state[j])
+								}
+								cont, _ := mk(false)
+								if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
+									t.Fatalf("%s: resume: %v", tag, err)
+								}
+								requireAccBitwise(t, tag, plans, refPlans, 3, n)
+							}
 						}
 					}
 				}

@@ -381,10 +381,12 @@ func TestSweepWindowClipping(t *testing.T) {
 }
 
 // TestPlanWorkers pins the parallelism policy: automatic selection runs
-// the fused kernel at every size — a 1-worker team below the threshold, a
-// GOMAXPROCS team (capped at rows) at or above it — explicit requests are
-// honored (capped at rows), and only a negative request selects the
-// reference sweep (0).
+// the fused kernel at every size — a 1-worker team below the threshold,
+// which sits at 8,191 rows, the smallest benchmarked size where the
+// split-tiled team wins by more than 10% (so the 2,001-row midsize shape
+// and 4,095 rows stay inline), a GOMAXPROCS team (capped at rows) at or
+// above it — explicit requests are honored (capped at rows), and only a
+// negative request selects the reference sweep (0).
 func TestPlanWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -392,6 +394,10 @@ func TestPlanWorkers(t *testing.T) {
 	}{
 		{0, 1, 1},
 		{0, 33, 1},
+		{0, 2_001, 1},
+		{0, 4_095, 1},
+		{0, 8_190, 1},
+		{0, 8_191, min(procs, 8_191)},
 		{0, parallelThreshold - 1, 1},
 		{0, parallelThreshold, min(procs, parallelThreshold)},
 		{0, parallelThreshold * 4, procs},
