@@ -80,13 +80,15 @@ bench-sweep:
 
 # Advisory perf-regression check: re-run the sweep benchmarks and diff
 # against the committed BENCH_sweep.json baseline (a new median more than
-# 15% above the baseline's max ns/op flags a regression). The leading `-`
-# keeps the target advisory — timings are machine-dependent, so read the
-# report instead of failing the build on it.
+# 15% above the baseline's max ns/op flags a regression). The fresh
+# report stays in the checkout, under the git-ignored .bench_build/. The
+# leading `-` keeps the target advisory — timings are machine-dependent,
+# so read the report instead of failing the build on it.
 bench-check:
+	mkdir -p .bench_build
 	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -count 5 -run '^$$' \
-		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o /tmp/somrm_bench_new.json
-	-$(GO) run ./cmd/benchjson -compare BENCH_sweep.json /tmp/somrm_bench_new.json -tol 0.15
+		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o .bench_build/bench_sweep_new.json
+	-$(GO) run ./cmd/benchjson -compare BENCH_sweep.json .bench_build/bench_sweep_new.json -tol 0.15
 
 # CI smoke: one iteration per sweep benchmark, just to prove every kernel
 # variant still runs end to end at the paper shape. Output is discarded.

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"somrm/internal/ctmc"
+	"somrm/internal/poisson"
 	"somrm/internal/sparse"
 )
 
@@ -193,7 +195,9 @@ func BenchmarkSolveWithShift(b *testing.B) {
 
 func BenchmarkTruncationPoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := truncationPoint(3, 0.25, 40_000, 1e-9, false, 10_000_000); err != nil {
+		var tab poisson.Table
+		poissonTable(&tab, 40_000, 3)
+		if _, _, err := truncationPoint(&tab, 3, 0.25, 40_000, 1e-9, false, 10_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,20 +324,32 @@ func BenchmarkSweep(b *testing.B) {
 	// (Options.TemporalBlock = 1), so the blocking shows what it earns.
 	// cold-auto times the production path from scratch — Prepare
 	// (uniformization) plus the first solve, which pays structure
-	// detection and the band conversion.
+	// detection and the band conversion. The order12 rows solve moment
+	// order 12, the order of every bounds request, on the row-lane band
+	// kernel: N32/order12 under the automatic policy, as a bounds request
+	// on the Table 1 size runs, and N2001/order12-fused-1 inline on one
+	// worker.
 	rowOpts := map[string]*Options{
 		"reference":         {SweepWorkers: -1},
 		"fused-1":           {SweepWorkers: 1},
 		"fused-1-unblocked": {SweepWorkers: 1, TemporalBlock: 1},
 		"workers-2":         {SweepWorkers: 2},
+		"order12":           nil,
+		"order12-fused-1":   {SweepWorkers: 1},
+	}
+	rowOrder := func(row string) int {
+		if strings.HasPrefix(row, "order12") {
+			return 12
+		}
+		return order
 	}
 	full := []string{"reference", "fused-1", "fused-1-unblocked", "workers-2", "cold-auto"}
 	for _, sz := range []struct {
 		n    int
 		rows []string
 	}{
-		{32, []string{"reference", "fused-1", "workers-2", "cold-auto"}},
-		{2_001, full},
+		{32, []string{"reference", "fused-1", "workers-2", "cold-auto", "order12"}},
+		{2_001, append(full, "order12-fused-1")},
 		{4_095, []string{"fused-1", "workers-2"}},
 		{8_191, []string{"fused-1", "workers-2"}},
 		{16_383, full},
@@ -358,12 +374,12 @@ func BenchmarkSweep(b *testing.B) {
 					}
 					return
 				}
-				if max := runtime.GOMAXPROCS(0); opts.SweepWorkers > max {
+				if max := runtime.GOMAXPROCS(0); opts != nil && opts.SweepWorkers > max {
 					b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", opts.SweepWorkers, max)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := prep.AccumulatedReward(tt, order, opts); err != nil {
+					if _, err := prep.AccumulatedReward(tt, rowOrder(row), opts); err != nil {
 						b.Fatal(err)
 					}
 				}

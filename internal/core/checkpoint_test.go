@@ -116,38 +116,41 @@ func TestSolveResumeBitwise(t *testing.T) {
 // TestSolveResumeAutoBlockedBand extends the resume gate to the
 // production midsize shape: a 2,001-state tridiagonal solve under
 // default Options runs the 1-worker row-lane band kernel auto-blocked in
-// L1-sized groups, observes cancellation only at group boundaries, and
-// must resume from the captured checkpoint — blocked again, or on the
-// reference oracle — bitwise identical to the uninterrupted solve.
+// L1-sized groups — at order 3 and at order 12, whose exported state
+// spans all thirteen planes — observes cancellation only at group
+// boundaries, and must resume from the captured checkpoint — blocked
+// again, or on the reference oracle — bitwise identical to the
+// uninterrupted solve.
 func TestSolveResumeAutoBlockedBand(t *testing.T) {
 	m := largeTridiagModel(t, 2_001)
 	times := []float64{0, 2, 8}
-	const order = 3
-	full, err := m.AccumulatedRewardAt(times, order, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := full[1].Stats
-	if st.MatrixFormat != "band" || st.TemporalBlock != 16 {
-		t.Fatalf("auto solve ran format %q at depth %d, want band at 16", st.MatrixFormat, st.TemporalBlock)
-	}
-	// The solver polls once on entry and the blocked sweep once per
-	// group, so polls = 1+p interrupts at the p-th group boundary.
-	for _, polls := range []int{2, 3, st.G / 16} {
-		cp := interruptSolve(t, m, times, order, polls, Options{})
-		if cp.Completed == 0 || cp.Completed%16 != 0 {
-			t.Fatalf("polls=%d: completed=%d, want a positive multiple of the depth 16", polls, cp.Completed)
-		}
-		decoded, err := DecodeCheckpoint(cp.Encode())
+	for _, order := range []int{3, 12} {
+		full, err := m.AccumulatedRewardAt(times, order, nil)
 		if err != nil {
-			t.Fatalf("round trip: %v", err)
+			t.Fatal(err)
 		}
-		for _, workers := range []int{0, -1} {
-			resumed, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: workers, Resume: decoded})
-			if err != nil {
-				t.Fatalf("resume polls=%d workers=%d: %v", polls, workers, err)
+		st := full[1].Stats
+		if st.MatrixFormat != "band" || st.TemporalBlock != 16 {
+			t.Fatalf("order %d: auto solve ran format %q at depth %d, want band at 16", order, st.MatrixFormat, st.TemporalBlock)
+		}
+		// The solver polls once on entry and the blocked sweep once per
+		// group, so polls = 1+p interrupts at the p-th group boundary.
+		for _, polls := range []int{2, 3, st.G / 16} {
+			cp := interruptSolve(t, m, times, order, polls, Options{})
+			if cp.Completed == 0 || cp.Completed%16 != 0 {
+				t.Fatalf("order %d polls=%d: completed=%d, want a positive multiple of the depth 16", order, polls, cp.Completed)
 			}
-			sameResults(t, fmt.Sprintf("resume polls=%d workers=%d", polls, workers), resumed, full)
+			decoded, err := DecodeCheckpoint(cp.Encode())
+			if err != nil {
+				t.Fatalf("round trip: %v", err)
+			}
+			for _, workers := range []int{0, -1} {
+				resumed, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: workers, Resume: decoded})
+				if err != nil {
+					t.Fatalf("resume order %d polls=%d workers=%d: %v", order, polls, workers, err)
+				}
+				sameResults(t, fmt.Sprintf("resume order %d polls=%d workers=%d", order, polls, workers), resumed, full)
+			}
 		}
 	}
 }

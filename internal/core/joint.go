@@ -196,7 +196,9 @@ func (m *Model) JointMoments(t float64, order int, opts *Options) (*JointResult,
 		}
 	}
 
-	g, bound, err := truncationPoint(order, d, q*t, cfg.Epsilon, impPrime != nil, cfg.MaxG)
+	var tab poisson.Table
+	poissonTable(&tab, q*t, order)
+	g, bound, err := truncationPoint(&tab, order, d, q*t, cfg.Epsilon, impPrime != nil, cfg.MaxG)
 	if err != nil {
 		return nil, err
 	}
@@ -214,10 +216,7 @@ func (m *Model) JointMoments(t float64, order int, opts *Options) (*JointResult,
 	for i := 0; i < n; i++ {
 		cur[0][i*n+i] = 1
 	}
-	weights := make([]float64, g+1)
-	for k := 0; k <= g; k++ {
-		weights[k] = math.Exp(poisson.LogPMF(k, q*t))
-	}
+	weights, _, _ := tab.Window(g)
 	if w0 := weights[0]; w0 > 0 {
 		for i := 0; i < n; i++ {
 			acc[0][i*n+i] = w0

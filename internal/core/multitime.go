@@ -162,17 +162,21 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweepPlans := make([]sparse.SweepPlan, len(times))
 	gMax := 0
 	activePlans := 0
+	var tab poisson.Table
 	for idx, t := range times {
 		if t == 0 {
 			plans[idx] = timePlan{t: 0}
 			sweepPlans[idx] = sparse.SweepPlan{First: 0, Last: -1}
 			continue
 		}
-		g, bound, err := truncationPoint(order, d, q*t, cfg.Epsilon, imp != nil, cfg.MaxG)
+		// One pmf table per time point serves the truncation search and
+		// becomes the sweep weights.
+		poissonTable(&tab, q*t, order)
+		g, bound, err := truncationPoint(&tab, order, d, q*t, cfg.Epsilon, imp != nil, cfg.MaxG)
 		if err != nil {
 			return nil, err
 		}
-		w, first, last := poisson.PMFWindow(q*t, g)
+		w, first, last := tab.Window(g)
 		plans[idx] = timePlan{t: t, g: g, bound: bound}
 		sweepPlans[idx] = sparse.SweepPlan{First: first, Last: last, Weight: w}
 		activePlans++
@@ -211,13 +215,22 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweep.SetNoSIMD(cfg.NoSIMD)
 
 	// Per-solve scratch comes from one arena (pooled by Prepared): the
-	// sweep state vectors, the per-time accumulators, the order-3
-	// kernel buffers, and — when a shift is active, so unshift rebuilds
-	// the output vectors anyway — the intermediate scaled moments. Only
-	// buffers that never escape into Results are carved here; everything
-	// needing zeros is cleared explicitly (the arena arrives dirty).
+	// sweep state vectors, the per-time accumulators, the packed kernel
+	// state, and — when a shift is active, so unshift rebuilds the output
+	// vectors anyway — the intermediate scaled moments. Only buffers that
+	// never escape into Results are carved here; everything needing zeros
+	// is cleared explicitly (the arena arrives dirty). Each time point's
+	// accumulators start the sweep's plane stride apart, the layout the
+	// band kernel fuses its accumulation into. A packed run reads its
+	// initial state from cur once and never touches next, so next aliases
+	// cur and takes no arena.
+	ps := sweep.PlaneStride()
+	packed := sweep.ScratchWords() > 0
 	vecWords := 2 * (order + 1) * n
-	accWords := activePlans * (order + 1) * n
+	if packed {
+		vecWords = (order + 1) * n
+	}
+	accWords := activePlans * (order*ps + n)
 	vmWords := 0
 	if shift != 0 {
 		vmWords = (order + 1) * n
@@ -225,7 +238,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	if ws == nil {
 		ws = &solveWorkspace{}
 	}
-	arena := ws.ensure(vecWords + accWords + vmWords + sweep.Scratch4Words())
+	arena := ws.ensure(vecWords + accWords + vmWords + sweep.ScratchWords())
 	carve := func(k int) []float64 {
 		s := arena[:k:k]
 		arena = arena[k:]
@@ -236,15 +249,20 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	for j := 0; j <= order; j++ {
 		cur[j] = carve(n)
 		clear(cur[j])
-		next[j] = carve(n) // fully overwritten by the first iteration
+		if packed {
+			next[j] = cur[j]
+		} else {
+			next[j] = carve(n) // fully overwritten by the first iteration
+		}
 	}
 	for idx := range sweepPlans {
 		if plans[idx].t == 0 {
 			continue
 		}
 		acc := make([][]float64, order+1)
+		buf := carve(order*ps + n)
 		for j := 0; j <= order; j++ {
-			acc[j] = carve(n)
+			acc[j] = buf[j*ps : j*ps+n : j*ps+n]
 			clear(acc[j])
 		}
 		sweepPlans[idx].Acc = acc
@@ -253,7 +271,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	if vmWords > 0 {
 		vmBuf = carve(vmWords)
 	}
-	sweep.SetScratch4(carve(sweep.Scratch4Words()))
+	sweep.SetScratch(carve(sweep.ScratchWords()))
 
 	// First iteration of the sweep: 1 for a fresh solve, Completed+1 when
 	// resuming a checkpoint. A resume restores the captured state and

@@ -26,7 +26,7 @@ type Prepared struct {
 	imp []*sparse.CSR // impulse matrices for orders 1..len(imp), grown on demand
 
 	// ws pools the per-solve scratch arenas (sweep state vectors,
-	// accumulators, order-3 kernel buffers — tens of MB at the paper's
+	// accumulators, packed kernel state — tens of MB at the paper's
 	// sizes), so repeated server solves against the same model stop
 	// allocating them. Only non-escaping scratch lives in the arena; see
 	// solveAt. The pool is a separate allocation: the runtime keeps every

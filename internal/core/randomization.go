@@ -70,13 +70,13 @@ type Options struct {
 	//
 	//   - 0 (the default) tunes the depth automatically from the matrix
 	//     structure and size: band (tridiagonal) models block at depth 16
-	//     once they hold two L1-sized 128-row blocks, at every team
-	//     size, while QBD and compact-CSR models block only once their
-	//     state outgrows L2;
+	//     once they hold two L1-sized blocks (128 rows up to order 3,
+	//     48 at order 12), at every team size, while QBD and compact-CSR
+	//     models block only once their state outgrows L2;
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
-	//     possible (bounded-bandwidth matrices with an order-3
-	//     order-3 kernel; impulse models never block).
+	//     possible (band models at every order, QBD and compact-CSR
+	//     models at order 3; impulse models never block).
 	//
 	// A composed model applies it to each factor's sweep.
 	//
@@ -88,8 +88,8 @@ type Options struct {
 	// SweepTile overrides the fused kernels' spatial row-tile width (and
 	// with it the temporally blocked driver's block width), so spatial and
 	// temporal tile shapes are tunable together. Zero or negative keeps
-	// the built-in default (128 rows for a 1-worker band sweep, 1024
-	// otherwise). Bitwise neutral.
+	// the built-in default (128 rows for a band sweep up to order 3,
+	// narrower blocks at higher orders, 1024 otherwise). Bitwise neutral.
 	SweepTile int
 	// NoSIMD disables the runtime-dispatched AVX2 sweep kernels, forcing
 	// the pure-Go scalar loops even on hardware that supports them; the
@@ -350,34 +350,32 @@ func (m *Model) impulseMatrices(q, d float64, order int) ([]*sparse.CSR, error) 
 // (the recursion's generating polynomial e^x + x + x^2/2 <= e^{2x}), giving
 //
 //	(4d)^n (qt)^n P(X > G-n) < eps for G >= 2n.
-func truncationPoint(order int, d, qt, eps float64, impulses bool, maxG int) (int, float64, error) {
+//
+// tab serves every tail probability the search probes, for lambda = qt:
+// the caller then reads the sweep weights PMF(0..G) from the same table
+// (see poissonTable), so each pmf value of the solve is evaluated once.
+func truncationPoint(tab *poisson.Table, order int, d, qt, eps float64, impulses bool, maxG int) (int, float64, error) {
 	logEps := math.Log(eps)
-	logBoundAt := func(g, j int) float64 {
-		var logFactor float64
+	// The order-dependent factors do not depend on g: evaluate them once.
+	var buf [16]float64
+	logFactor := buf[:0]
+	for j := 0; j <= order; j++ {
+		var f float64
 		if impulses {
-			logFactor = float64(j) * (math.Log(4*d) + math.Log(qt))
+			f = float64(j) * (math.Log(4*d) + math.Log(qt))
 		} else {
 			lg, _ := math.Lgamma(float64(j) + 1)
-			logFactor = math.Ln2 + float64(j)*math.Log(d) + lg + float64(j)*math.Log(qt)
+			f = math.Ln2 + float64(j)*math.Log(d) + lg + float64(j)*math.Log(qt)
 		}
-		return logFactor + poisson.LogTailProb(g-j, qt)
+		logFactor = append(logFactor, f)
 	}
-	// Each logBound evaluation costs order+1 Lgamma-based pmf tails, and
-	// the exponential bracket revisits its probes during the binary search
-	// (and the final bound is re-evaluated at the found G), so memoize
-	// per-g results for the duration of the search.
-	memo := make(map[int]float64)
 	logBound := func(g int) float64 {
-		if v, ok := memo[g]; ok {
-			return v
-		}
 		worst := math.Inf(-1)
-		for j := 0; j <= order; j++ {
-			if b := logBoundAt(g, j); b > worst {
+		for j, f := range logFactor {
+			if b := f + tab.LogTailProb(g-j); b > worst {
 				worst = b
 			}
 		}
-		memo[g] = worst
 		return worst
 	}
 
@@ -385,29 +383,43 @@ func truncationPoint(order int, d, qt, eps float64, impulses bool, maxG int) (in
 	if impulses {
 		minG = 2 * order
 	}
-	if logBound(minG) < logEps {
-		return minG, math.Exp(logBound(minG)), nil
+	if b := logBound(minG); b < logEps {
+		return minG, math.Exp(b), nil
 	}
-	// Exponential search for an upper bracket, then binary search.
+	// Exponential search for an upper bracket, then binary search. hiBound
+	// tracks the bound at hi, so the result needs no re-evaluation.
 	hi := minG + 1
 	step := 1 + int(math.Sqrt(qt))
-	for logBound(hi) >= logEps {
+	hiBound := logBound(hi)
+	for hiBound >= logEps {
 		hi += step
 		step *= 2
 		if hi > maxG {
 			return 0, 0, fmt.Errorf("%w: truncation point exceeds MaxG=%d (qt=%g, order=%d)", ErrBadArgument, maxG, qt, order)
 		}
+		hiBound = logBound(hi)
 	}
 	lo := minG
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if logBound(mid) < logEps {
-			hi = mid
+		if b := logBound(mid); b < logEps {
+			hi, hiBound = mid, b
 		} else {
 			lo = mid + 1
 		}
 	}
-	return hi, math.Exp(logBound(hi)), nil
+	return hi, math.Exp(hiBound), nil
+}
+
+// poissonTable points tab at Poisson(qt) with room for the pmf up to a
+// little past the truncation point a solve of this order typically
+// reaches at ε = 1e-9 — the mean plus 9.5 standard deviations at order 3
+// and 17.5 at order 12, a few iterations more at small qt — so the
+// search and the sweep weights share one allocation. The table grows
+// once when the weights need more, and probes beyond its capacity
+// evaluate their pmf directly.
+func poissonTable(tab *poisson.Table, qt float64, order int) {
+	tab.Reset(qt, int(qt+(9+0.8*float64(order))*math.Sqrt(qt))+2*order+4)
 }
 
 // trivialMoments returns the moment vectors of B == 0: V^0 = 1, rest 0.

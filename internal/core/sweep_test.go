@@ -38,26 +38,30 @@ func largeTridiagModel(tb testing.TB, n int) *Model {
 // the serial reference oracle (SweepWorkers < 0), whose csr64 storage is
 // not selectable. The non-band shapes run unblocked (their state is
 // cache-resident); band models run unblocked below two 128-row L1
-// blocks and temporally blocked at depth 16 from there.
+// blocks and temporally blocked at depth 16 from there. The band window
+// serves every moment order, so the order-12 Table 1 solve — the shape
+// of every bounds request — reports the same SIMD dispatch.
 func TestSolveSmallModelProductionSweep(t *testing.T) {
 	wantKernel := sparse.KernelScalar
 	if v := os.Getenv("SOMRM_NOSIMD"); sparse.SIMDAvailable() && (v == "" || v == "0") {
 		wantKernel = sparse.KernelAVX2
 	}
 	times := []float64{0.5, 2}
-	const order = 3
 	for _, c := range []struct {
 		name     string
 		m        *Model
+		order    int
 		wantBand bool
 		wantT    int
 	}{
-		{"table1", benchModel(t, 33, false), true, 1},
-		{"bidiagonal", pureBirthModel(t, 64), true, 1},
-		{"midsize", largeTridiagModel(t, 2_001), true, 16},
-		{"pentadiagonal", pentadiagonalModel(t, 64), false, 1},
-		{"composed-bd-x4", composedDenseModel(t, 50, 4), false, 1},
+		{"table1", benchModel(t, 33, false), 3, true, 1},
+		{"table1-order12", benchModel(t, 33, false), 12, true, 1},
+		{"bidiagonal", pureBirthModel(t, 64), 3, true, 1},
+		{"midsize", largeTridiagModel(t, 2_001), 3, true, 16},
+		{"pentadiagonal", pentadiagonalModel(t, 64), 3, false, 1},
+		{"composed-bd-x4", composedDenseModel(t, 50, 4), 3, false, 1},
 	} {
+		order := c.order
 		def, err := c.m.AccumulatedRewardAt(times, order, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -434,8 +438,9 @@ func truncationPointNoMemo(order int, d, qt, eps float64, impulses bool, maxG in
 	return hi, math.Exp(logBound(hi)), nil
 }
 
-// TestTruncationPointMemoUnchanged checks G (and the reported bound) over
-// a representative (qt, order, eps, impulses) grid, including the paper's
+// TestTruncationPointMemoUnchanged checks G (and the reported bound) of
+// the table-backed search against a direct, untabulated one over a
+// representative (qt, order, eps, impulses) grid, including the paper's
 // qt = 40,000 large example.
 func TestTruncationPointMemoUnchanged(t *testing.T) {
 	for _, qt := range []float64{0.01, 0.5, 5, 50, 500, 5000, 40_000} {
@@ -443,7 +448,9 @@ func TestTruncationPointMemoUnchanged(t *testing.T) {
 			for _, eps := range []float64{1e-6, 1e-9, 1e-12} {
 				for _, impulses := range []bool{false, true} {
 					for _, d := range []float64{0.25, 1.5} {
-						g, bound, err := truncationPoint(order, d, qt, eps, impulses, defaultMaxG)
+						var tab poisson.Table
+						poissonTable(&tab, qt, order)
+						g, bound, err := truncationPoint(&tab, order, d, qt, eps, impulses, defaultMaxG)
 						if err != nil {
 							t.Fatalf("qt=%g order=%d eps=%g imp=%v: %v", qt, order, eps, impulses, err)
 						}

@@ -251,9 +251,9 @@ func TestDiffSweepKernelBitwise(t *testing.T) {
 
 // TestDiffBirthDeathSweepBitwise runs the fused-kernel gate over the
 // birth–death corpus (GenerateBirthDeath): tridiagonal, bidiagonal and
-// 2-state chains, with and without impulses, at orders 3 (the
-// interleaved band kernel and its AVX2 body) and 12 (the planar band
-// product). Every seed must resolve "band" to the band window — the
+// 2-state chains, with and without impulses, at orders 3 and 12 (the
+// row-lane band kernel and its AVX2 body, or the planar loop for the
+// impulse seeds). Every seed must resolve "band" to the band window — the
 // shapes Generate's ring corpus never reaches — and match the serial
 // reference bit for bit in every configuration.
 func TestDiffBirthDeathSweepBitwise(t *testing.T) {
@@ -308,8 +308,8 @@ func table1Model(t *testing.T, impulses bool) *core.Model {
 
 // TestDiffSmallModelAutoBitwise gates the production sweep on the small
 // shapes the corpus does not draw: the paper's Table 1 model at order 12
-// (the planar fused kernel, the shape a bounds request solves) and with
-// impulse rewards at order 4. Under automatic worker selection both run
+// (the row-lane band kernel, the shape a bounds request solves) and with
+// impulse rewards at order 4 (the planar fused loop). Under automatic worker selection both run
 // the inline 1-worker fused kernel on the band storage and must agree bit
 // for bit with the serial reference sweep.
 func TestDiffSmallModelAutoBitwise(t *testing.T) {

@@ -3,6 +3,7 @@ package poisson
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +246,51 @@ func TestPMFWindowAllZero(t *testing.T) {
 	_, first, last := PMFWindow(1e6, 3)
 	if last >= first {
 		t.Errorf("expected empty window, got [%d,%d]", first, last)
+	}
+}
+
+// TestTableMatchesDirect: a tabulating Table answers every query with the
+// bits of the untabulated functions, whatever order the queries come in —
+// head sums resumed from stored state, tail sums started from tabulated
+// or (past the capacity) direct pmf values, and windows that must grow
+// the table; a seeded random probe order resumes the head sums from
+// every stored position.
+func TestTableMatchesDirect(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(3))
+	for _, lambda := range []float64{0.3, 7, 56, 730, 4000, 1234.5, 97.3} {
+		for _, kmax := range []int{0, 10, int(lambda) + 40} {
+			var tab Table
+			tab.Reset(lambda, kmax)
+			probes := []int{int(lambda) + 25, 0, int(lambda) / 2, -1, int(lambda) - 1, 3, int(lambda) / 3, int(2*lambda) + 9, int(lambda)}
+			for _, g := range probes {
+				if got, want := tab.TailProb(g), TailProb(g, lambda); !same(got, want) {
+					t.Fatalf("lambda=%g kmax=%d: TailProb(%d) = %v, direct %v", lambda, kmax, g, got, want)
+				}
+				if got, want := tab.LogTailProb(g), LogTailProb(g, lambda); !same(got, want) {
+					t.Fatalf("lambda=%g kmax=%d: LogTailProb(%d) = %v, direct %v", lambda, kmax, g, got, want)
+				}
+				if got, want := tab.PMF(g), PMF(g, lambda); !same(got, want) {
+					t.Fatalf("lambda=%g kmax=%d: PMF(%d) = %v, direct %v", lambda, kmax, g, got, want)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				g := rng.Intn(int(2*lambda) + 30)
+				if got, want := tab.TailProb(g), TailProb(g, lambda); !same(got, want) {
+					t.Fatalf("lambda=%g kmax=%d: TailProb(%d) = %v, direct %v", lambda, kmax, g, got, want)
+				}
+			}
+			g := int(lambda) + 60
+			prob, first, last := tab.Window(g)
+			wp, wf, wl := PMFWindow(lambda, g)
+			if first != wf || last != wl || len(prob) != len(wp) {
+				t.Fatalf("lambda=%g kmax=%d: window [%d,%d] len %d, direct [%d,%d] len %d", lambda, kmax, first, last, len(prob), wf, wl, len(wp))
+			}
+			for k := range wp {
+				if !same(prob[k], wp[k]) {
+					t.Fatalf("lambda=%g kmax=%d: weight %d = %v, direct %v", lambda, kmax, k, prob[k], wp[k])
+				}
+			}
+		}
 	}
 }

@@ -120,8 +120,9 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 
 	vec := int64(n) * 8
 	var matrix int64
+	band := bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32"
 	switch {
-	case bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32":
+	case band:
 		// The tridiagonal window (band, or a 1-phase QBD when forced):
 		// three values per row, no indexes. Only such models get it.
 		matrix = int64(n) * 3 * 8
@@ -136,9 +137,15 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		// Point solvers keep a handful of length-n vectors per order.
 		return matrix + vec*int64(order+2)*2
 	}
-	// Randomization: cur/next coefficient blocks (order 3 runs the
-	// interleaved 4-wide layout; count the worst of the two) plus one
-	// accumulator block per time point.
+	// Randomization: the coefficient blocks plus one accumulator block per
+	// time point. A packed sweep — the band window at every order, the
+	// interleaved layout of an order-3 CSR32 or QBD sweep — keeps the
+	// planar initial-state block and two packed state buffers of
+	// (order+1) planes; a planar sweep keeps cur and next blocks.
 	perBlock := vec * int64(order+1)
-	return matrix + 2*perBlock + int64(nTimes)*perBlock
+	state := 2 * perBlock
+	if band || order == 3 {
+		state = 3 * perBlock
+	}
+	return matrix + state + int64(nTimes)*perBlock
 }

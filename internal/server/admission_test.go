@@ -56,9 +56,18 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	if eb, ec := estimateWorkingSet(big, 0, "band"), estimateWorkingSet(big, 0, "csr"); eb != ec {
 		t.Fatalf("forced band on a pentadiagonal model charged %d, want the csr estimate %d", eb, ec)
 	}
-	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
+	// At order 3 both storages run a packed state layout, so the band's
+	// cheaper window shows in the total; at order 2 only the band sweep
+	// packs its state, and is charged the row-lane planes on top.
+	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 3, Method: MethodRandomization}
 	if eb, ec := estimateWorkingSet(tri, 0, ""), estimateWorkingSet(tri, 0, "csr"); eb >= ec {
 		t.Fatalf("tridiagonal band estimate %d should undercut csr %d", eb, ec)
+	}
+	diff3 := estimateWorkingSet(tri, 0, "") - estimateWorkingSet(tri, 0, "csr")
+	tri.Order = 2
+	diff2 := estimateWorkingSet(tri, 0, "") - estimateWorkingSet(tri, 0, "csr")
+	if block := int64(5000 * 8 * 3); diff2-diff3 != block {
+		t.Fatalf("order-2 band-over-csr charge %d, order-3 %d: want one state block (%d) more at order 2", diff2, diff3, block)
 	}
 	// A composed request is charged its components plus product-sized
 	// moment blocks, never a materialized product matrix.

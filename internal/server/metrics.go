@@ -109,7 +109,10 @@ type Metrics struct {
 	// sweep dispatched (core.Stats.SweepKernel, labels sweepKernelLabels)
 	// — the signal operators watch to confirm the vectorized kernels are
 	// actually serving solves (a fleet stuck on "scalar" means missing
-	// hardware support or a forgotten SOMRM_NOSIMD/-no-simd switch).
+	// hardware support or a forgotten SOMRM_NOSIMD/-no-simd switch; band
+	// models run "avx2" at every order, while impulse models and
+	// compact-CSR or QBD models at orders other than 3 always run
+	// "scalar").
 	SweepKernels labeledCounter
 
 	// solveLatency tracks end-to-end solve time (queue wait included);

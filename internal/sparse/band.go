@@ -18,11 +18,12 @@ import (
 //     entries satisfy |i-j| <= 1 qualifies; diagonal and bidiagonal
 //     matrices pad the missing cells with zeros. The kernel computes
 //     column positions instead of loading them — zero index traffic —
-//     and, on the row-lane state layout (one plane per moment, see
-//     bandPlaneStride), the AVX2 body retires four consecutive rows of
-//     one moment per vector with plain contiguous loads. Wider bands take
-//     QBD or compact-index CSR instead, which have their own vector
-//     bodies.
+//     and, on the row-lane state layout (one plane per moment at every
+//     moment order, see bandPlaneStride), the AVX2 body retires four
+//     consecutive rows of one moment per vector with plain contiguous
+//     loads, walking the moments of each row group in one loop. Wider
+//     bands take QBD or compact-index CSR instead, which have their own
+//     order-3 vector bodies.
 //   - Compact-index CSR: the same CSR structure with uint32 column
 //     indexes, halving index traffic for every matrix below 2^32
 //     columns; the general representation.
@@ -99,12 +100,12 @@ func (b *Band) Dense() []float64 {
 }
 
 // bandPlaneStride returns the plane stride, in float64 words, of the
-// band's storage and of the row-lane state layout the order-3 band sweep
-// runs on (see Sweep.RunFrom): at least n+2 words — the state planes
-// carry one zero padding cell at each end — rounded to whole 64-byte
-// lines, then raised line by line until any two of eight consecutive
-// plane starts (the two state buffers' four moment planes each, laid
-// out back to back) lie at least 256 bytes apart modulo 4096. Without
+// band's storage and of the row-lane state layout every band sweep runs
+// on (see Sweep.RunFrom): at least n+2 words — the state planes carry
+// one zero padding cell at each end — rounded to whole 64-byte lines,
+// then raised line by line until any two of eight consecutive plane
+// starts (at order 3, the two state buffers' four moment planes each,
+// laid out back to back) lie at least 256 bytes apart modulo 4096. Without
 // the spread, sizes whose stride is close to a multiple of 4 KiB (N =
 // 16,383: 8 bytes past one) map every plane onto the same L1 sets and
 // the same 4K-aliasing addresses, and a 128-row block no longer stays

@@ -36,28 +36,26 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() (eax, edx uint32)
 
-// bandLanesAVX2 is the assembly body of fuseBlock3Band for n rows (a
-// multiple of 4) with no Poisson accumulation, on the row-lane layout:
-// band is &val[lo] of the band's sub-diagonal plane, cur and next are
-// the rows' cells in state plane 0 (&cur4[1+lo]), stride is the shared
-// plane stride in words of the band and both state buffers, and d1/d2
-// are pre-offset to row lo. Each vector lane executes exactly the scalar
-// loop's operation sequence with the same IEEE rounding (vmulpd/vaddpd,
-// never fused), so results are bitwise identical to the Go code.
+// bandLanesAVX2 is the assembly body of fuseBlockBand for n rows (a
+// multiple of 4) at every moment order, on the row-lane layout: band is
+// &val[lo] of the band's sub-diagonal plane, cur and next are the first
+// row's cells in state plane 0 (&cur[1+lo]), stride is the shared plane
+// stride in words of the band and both state buffers, order the highest
+// moment, and d1/d2 are pre-offset to row lo. acc, when non-nil, is
+// &a_0[lo] of a single plan's order+1 accumulators, which lie at the
+// same plane stride, and receives the plan's Poisson accumulation
+// a_j[i] += w*s_j fused into the body; nil leaves accumulation to the
+// caller. Each vector lane executes exactly the scalar loop's operation
+// sequence with the same IEEE rounding (vmulpd/vaddpd, never fused), so
+// results are bitwise identical to the Go code.
 //
 //go:noescape
-func bandLanesAVX2(n int, band, cur, next *float64, stride int, d1, d2 *float64)
+func bandLanesAVX2(n int, band, cur, next *float64, stride, order int, d1, d2, acc *float64, w float64)
 
-// bandLanesAccAVX2 is bandLanesAVX2 fused with the single-plan Poisson
-// accumulation acc[j][i] += w*s_j, written as vectors into the four
-// planar accumulator rows a0..a3 (pre-offset to row lo).
+// planeAccAVX2 applies one plan's accumulation a_j[i] += w*next_j[i]
+// for n rows (a multiple of 4) of planes consecutive next planes: next
+// and acc point at plane 0's first row, and the planes lie stride and
+// accStride words apart.
 //
 //go:noescape
-func bandLanesAccAVX2(n int, band, cur, next *float64, stride int, d1, d2, a0, a1, a2, a3 *float64, w float64)
-
-// planeAcc4AVX2 applies one plan's accumulation a_j[i] += w*next_j[i]
-// for n rows (a multiple of 4) of the four next planes (next at plane
-// 0's cell of the first row).
-//
-//go:noescape
-func planeAcc4AVX2(n int, next *float64, stride int, a0, a1, a2, a3 *float64, w float64)
+func planeAccAVX2(n int, next *float64, stride, planes int, acc *float64, accStride int, w float64)

@@ -21,8 +21,8 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// Row-lane AVX2 bodies of the order-3 tridiagonal band sweep (see
-// fuseBlock3Band for the layout and band_simd_amd64.go for the Go
+// Row-lane AVX2 body of the tridiagonal band sweep at every moment order
+// (see fuseBlockBand for the layout and band_simd_amd64.go for the Go
 // contracts). Each ymm holds four consecutive rows of one moment plane,
 // so lane k of moment j executes the scalar loop's exact operation
 // sequence for row i+k:
@@ -39,171 +39,283 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // permutes, no blends: the neighbour rows are plain unaligned loads one
 // cell left and right in the same plane.
 //
-// Registers shared by the bodies: SI = &cur plane 0 at row i, DI = &next
-// plane 0 at row i, BX = plane stride in bytes, DX = 3·BX, R8 = &sub[i]
-// (the band's diagonal and super-diagonal planes follow at BX and 2·BX),
-// R10 = d1 base, R11 = d2 base, AX = byte offset of row i into the
-// row-indexed arrays, CX = remaining 4-row groups.
+// Per 4-row group the band and diagonal vectors are loaded once, moments
+// 0 and 1 are peeled, and every moment j >= 2 runs the one uniform step
+// MJ, whose centre values x_{j-2}[i], x_{j-1}[i], x_j[i] stay in
+// registers so each state cell is loaded once. The moment loop takes the
+// uniform steps two at a time, so it costs one branch per pair: an odd
+// order runs (order-1)/2 pairs after the peeled moments, an even order
+// one more single step first, and orders up to 2 a short loop of their
+// own. Each loop shape is expanded twice from the same macros, with and
+// without the fused accumulation, so neither pays a branch for the
+// other.
+//
+// Registers: SI = &cur plane j at row i (it walks down the planes of a
+// group, then rewinds to plane 0 of the next), DI = the byte distance
+// from cur to next and R12 from cur to the accumulators (which lie at the
+// state plane stride), so plane j's next and accumulator cells are
+// (SI)(DI*1) and (SI)(R12*1); BX = plane stride in bytes, R9 = the
+// rewind order·stride − 32, R8 = &sub[i] (the band's diagonal and
+// super-diagonal planes follow at BX and 2·BX), R10/R11 = &d1/&d2 at the
+// first row, AX = the byte offset of row i from the first row, R14 = the
+// pairs per group (the order, for orders up to 2), R13 = the pairs left,
+// CX = the groups left. Y6-Y8 hold the centre values, Y9-Y13 the d2, d1,
+// U, D and L vectors, Y14 the weight w.
 
-// LANES computes the four moment sums of rows i..i+3 into Y0..Y3 and
-// stores them to the next planes. Uses Y4-Y13; Y6-Y8 keep the centre
-// values x_0[i], x_1[i], x_2[i] for the order-coupling terms.
-#define LANES \
-	VMOVUPD (R8), Y13                \ // L
-	VMOVUPD (R8)(BX*1), Y12          \ // D
-	VMOVUPD (R8)(BX*2), Y11          \ // U
-	VMOVUPD (R10)(AX*1), Y10         \ // d1
-	VMOVUPD (R11)(AX*1), Y9          \ // d2
-	VMULPD  -8(SI), Y13, Y4          \ // moment 0
-	VADDPD  Y4, Y15, Y0              \
-	VMOVUPD (SI), Y6                 \
-	VMULPD  Y6, Y12, Y4              \
-	VADDPD  Y4, Y0, Y0               \
-	VMULPD  8(SI), Y11, Y4           \
-	VADDPD  Y4, Y0, Y0               \
-	VMOVUPD Y0, (DI)                 \
-	VMULPD  -8(SI)(BX*1), Y13, Y5    \ // moment 1
-	VADDPD  Y5, Y15, Y1              \
-	VMOVUPD (SI)(BX*1), Y7           \
-	VMULPD  Y7, Y12, Y5              \
-	VADDPD  Y5, Y1, Y1               \
-	VMULPD  8(SI)(BX*1), Y11, Y5     \
-	VADDPD  Y5, Y1, Y1               \
-	VMULPD  Y6, Y10, Y5              \
-	VADDPD  Y5, Y1, Y1               \
-	VMOVUPD Y1, (DI)(BX*1)           \
-	VMULPD  -8(SI)(BX*2), Y13, Y4    \ // moment 2
-	VADDPD  Y4, Y15, Y2              \
-	VMOVUPD (SI)(BX*2), Y8           \
-	VMULPD  Y8, Y12, Y4              \
-	VADDPD  Y4, Y2, Y2               \
-	VMULPD  8(SI)(BX*2), Y11, Y4     \
-	VADDPD  Y4, Y2, Y2               \
-	VMULPD  Y7, Y10, Y4              \
-	VADDPD  Y4, Y2, Y2               \
-	VMULPD  Y6, Y9, Y4               \
-	VADDPD  Y4, Y2, Y2               \
-	VMOVUPD Y2, (DI)(BX*2)           \
-	VMULPD  -8(SI)(DX*1), Y13, Y5    \ // moment 3
-	VADDPD  Y5, Y15, Y3              \
-	VMULPD  (SI)(DX*1), Y12, Y5      \
-	VADDPD  Y5, Y3, Y3               \
-	VMULPD  8(SI)(DX*1), Y11, Y5     \
-	VADDPD  Y5, Y3, Y3               \
-	VMULPD  Y8, Y10, Y5              \
-	VADDPD  Y5, Y3, Y3               \
-	VMULPD  Y7, Y9, Y5               \
-	VADDPD  Y5, Y3, Y3               \
-	VMOVUPD Y3, (DI)(DX*1)
+// BANDLOAD loads the group's band and diagonal vectors.
+#define BANDLOAD \
+	VMOVUPD (R8), Y13        \ // L
+	VMOVUPD (R8)(BX*1), Y12  \ // D
+	VMOVUPD (R8)(BX*2), Y11  \ // U
+	VMOVUPD (R10)(AX*1), Y10 \ // d1
+	VMOVUPD (R11)(AX*1), Y9     // d2
 
-// ACC adds w·s into one accumulator plane, a[i..i+3] += w*s: one
-// rounding for the product and one for the sum, the scalar sequence.
-#define ACC(s, a) \
-	VMULPD  s, Y14, Y4        \
-	VADDPD  (a)(AX*1), Y4, Y4 \
-	VMOVUPD Y4, (a)(AX*1)
+// STEP computes the band sums of rows i..i+3 of the current plane into
+// Y0, loading the plane's centre cells into c.
+#define STEP(c) \
+	VMULPD  -8(SI), Y13, Y4 \
+	VADDPD  Y4, Y15, Y0     \
+	VMOVUPD (SI), c         \
+	VMULPD  c, Y12, Y4      \
+	VADDPD  Y4, Y0, Y0      \
+	VMULPD  8(SI), Y11, Y4  \
+	VADDPD  Y4, Y0, Y0
 
-// ADVANCE steps every row cursor to the next 4-row group.
-#define ADVANCE \
+// COUPLE adds one order-coupling term, Y0 += d·x.
+#define COUPLE(x, d) \
+	VMULPD x, d, Y4 \
+	VADDPD Y4, Y0, Y0
+
+// M0 computes and stores moment 0, its centre into c.
+#define M0(c) \
+	STEP(c) \
+	VMOVUPD Y0, (SI)(DI*1)
+
+// M1 steps to plane 1 and computes and stores moment 1 with centre c and
+// x_0 in p1.
+#define M1(c, p1) \
+	ADDQ    BX, SI  \
+	STEP(c)         \
+	COUPLE(p1, Y10) \
+	VMOVUPD Y0, (SI)(DI*1)
+
+// MJ steps to the next plane j >= 2 and computes and stores its moment
+// with centre c and the lower moments' centres p1 = x_{j-1}, p2 = x_{j-2}.
+#define MJ(c, p1, p2) \
+	ADDQ    BX, SI  \
+	STEP(c)         \
+	COUPLE(p1, Y10) \
+	COUPLE(p2, Y9)  \
+	VMOVUPD Y0, (SI)(DI*1)
+
+// ACC adds w·s into the current plane's accumulator, a_j[i..i+3] +=
+// w*s: one rounding for the product and one for the sum, the scalar
+// sequence.
+#define ACC \
+	VMULPD  Y0, Y14, Y4         \
+	VADDPD  (SI)(R12*1), Y4, Y4 \
+	VMOVUPD Y4, (SI)(R12*1)
+
+// PAIR runs two uniform steps from x_{j-1} in Y7 and x_{j-2} in Y6 and
+// leaves x_{j+1} in Y7 and x_j in Y6 for the next pair; PAIRACC also
+// accumulates both.
+#define PAIR \
+	MJ(Y8, Y7, Y6)  \
+	MJ(Y6, Y8, Y7)  \
+	VMOVAPD Y6, Y7  \
+	VMOVAPD Y8, Y6
+
+#define PAIRACC \
+	MJ(Y8, Y7, Y6)  \
+	ACC             \
+	MJ(Y6, Y8, Y7)  \
+	ACC             \
+	VMOVAPD Y6, Y7  \
+	VMOVAPD Y8, Y6
+
+// NEXTGROUP rewinds to plane 0, steps every row cursor to the next 4-row
+// group and loops to label while groups remain.
+#define NEXTGROUP(label) \
+	SUBQ R9, SI  \
 	ADDQ $32, R8 \
-	ADDQ $32, SI \
-	ADDQ $32, DI \
-	ADDQ $32, AX
+	ADDQ $32, AX \
+	DECQ CX      \
+	JNZ  label
 
-// func bandLanesAVX2(n int, band, cur, next *float64, stride int, d1, d2 *float64)
-TEXT ·bandLanesAVX2(SB), NOSPLIT, $0-56
+// func bandLanesAVX2(n int, band, cur, next *float64, stride, order int, d1, d2, acc *float64, w float64)
+TEXT ·bandLanesAVX2(SB), NOSPLIT, $0-80
 	MOVQ n+0(FP), CX
 	MOVQ band+8(FP), R8
 	MOVQ cur+16(FP), SI
 	MOVQ next+24(FP), DI
 	MOVQ stride+32(FP), BX
-	MOVQ d1+40(FP), R10
-	MOVQ d2+48(FP), R11
-	SHLQ $3, BX
-	LEAQ (BX)(BX*2), DX
+	MOVQ order+40(FP), R14
+	MOVQ d1+48(FP), R10
+	MOVQ d2+56(FP), R11
+	MOVQ acc+64(FP), R12
+	VBROADCASTSD w+72(FP), Y14
 	XORQ AX, AX
+	SHLQ $3, BX
+	MOVQ R14, R9
+	IMULQ BX, R9
+	SUBQ $32, R9
+	SUBQ SI, DI
+	SUBQ SI, R12
 	VXORPD Y15, Y15, Y15
 	SHRQ $2, CX
 	JZ   done
+	CMPQ R14, $2
+	JLE  low
+	MOVQ R14, DX
+	SHRQ $1, R14             // pairs: (order-1)/2 odd, order/2 - 1 even
+	TESTQ $1, DX
+	JNZ  odd
+	DECQ R14
+	MOVQ acc+64(FP), DX
+	TESTQ DX, DX
+	JNZ  aeven
 
-loop:
-	LANES
-	ADVANCE
-	DECQ CX
-	JNZ  loop
+even:
+	BANDLOAD
+	MOVQ R14, R13
+	M0(Y8)
+	M1(Y6, Y8)
+	MJ(Y7, Y6, Y8)
+
+epair:
+	PAIR
+	DECQ R13
+	JNZ  epair
+	NEXTGROUP(even)
+	JMP  done
+
+aeven:
+	BANDLOAD
+	MOVQ R14, R13
+	M0(Y8)
+	ACC
+	M1(Y6, Y8)
+	ACC
+	MJ(Y7, Y6, Y8)
+	ACC
+
+aepair:
+	PAIRACC
+	DECQ R13
+	JNZ  aepair
+	NEXTGROUP(aeven)
+	JMP  done
+
+odd:
+	MOVQ acc+64(FP), DX
+	TESTQ DX, DX
+	JNZ  aodd
+
+oloop:
+	BANDLOAD
+	MOVQ R14, R13
+	M0(Y6)
+	M1(Y7, Y6)
+
+opair:
+	PAIR
+	DECQ R13
+	JNZ  opair
+	NEXTGROUP(oloop)
+	JMP  done
+
+aodd:
+	BANDLOAD
+	MOVQ R14, R13
+	M0(Y6)
+	ACC
+	M1(Y7, Y6)
+	ACC
+
+aopair:
+	PAIRACC
+	DECQ R13
+	JNZ  aopair
+	NEXTGROUP(aodd)
+	JMP  done
+
+low:
+	MOVQ acc+64(FP), DX
+	TESTQ DX, DX
+	JNZ  alow
+
+lloop:
+	BANDLOAD
+	M0(Y6)
+	TESTQ R14, R14
+	JZ   lnext
+	M1(Y7, Y6)
+	CMPQ R14, $1
+	JEQ  lnext
+	MJ(Y8, Y7, Y6)
+
+lnext:
+	NEXTGROUP(lloop)
+	JMP  done
+
+alow:
+	BANDLOAD
+	M0(Y6)
+	ACC
+	TESTQ R14, R14
+	JZ   alnext
+	M1(Y7, Y6)
+	ACC
+	CMPQ R14, $1
+	JEQ  alnext
+	MJ(Y8, Y7, Y6)
+	ACC
+
+alnext:
+	NEXTGROUP(alow)
 
 done:
 	VZEROUPPER
 	RET
 
-// func bandLanesAccAVX2(n int, band, cur, next *float64, stride int, d1, d2, a0, a1, a2, a3 *float64, w float64)
-TEXT ·bandLanesAccAVX2(SB), NOSPLIT, $0-96
-	MOVQ n+0(FP), CX
-	MOVQ band+8(FP), R8
-	MOVQ cur+16(FP), SI
-	MOVQ next+24(FP), DI
-	MOVQ stride+32(FP), BX
-	MOVQ d1+40(FP), R10
-	MOVQ d2+48(FP), R11
-	MOVQ a0+56(FP), R9
-	MOVQ a1+64(FP), R12
-	MOVQ a2+72(FP), R13
-	MOVQ a3+80(FP), R14
-	VBROADCASTSD w+88(FP), Y14
-	SHLQ $3, BX
-	LEAQ (BX)(BX*2), DX
-	XORQ AX, AX
-	VXORPD Y15, Y15, Y15
-	SHRQ $2, CX
-	JZ   accdone
-
-accloop:
-	LANES
-	ACC(Y0, R9)
-	ACC(Y1, R12)
-	ACC(Y2, R13)
-	ACC(Y3, R14)
-	ADVANCE
-	DECQ CX
-	JNZ  accloop
-
-accdone:
-	VZEROUPPER
-	RET
-
-// func planeAcc4AVX2(n int, next *float64, stride int, a0, a1, a2, a3 *float64, w float64)
+// func planeAccAVX2(n int, next *float64, stride, planes int, acc *float64, accStride int, w float64)
 //
-// One plan's accumulation pass over n rows (a multiple of 4) of the four
-// next planes: a_j[i] += w*next_j[i], the multi-plan companion of
-// bandLanesAVX2.
-TEXT ·planeAcc4AVX2(SB), NOSPLIT, $0-64
+// One plan's accumulation pass over n rows (a multiple of 4) of planes
+// consecutive next planes, plane by plane: a_j[i] += w*next_j[i], the
+// multi-plan companion of bandLanesAVX2. next and acc point at the first
+// row of plane 0; the planes lie stride and accStride words apart.
+TEXT ·planeAccAVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
 	MOVQ next+8(FP), SI
 	MOVQ stride+16(FP), BX
-	MOVQ a0+24(FP), R9
-	MOVQ a1+32(FP), R12
-	MOVQ a2+40(FP), R13
-	MOVQ a3+48(FP), R10
-	VBROADCASTSD w+56(FP), Y14
+	MOVQ planes+24(FP), R9
+	MOVQ acc+32(FP), R12
+	MOVQ accStride+40(FP), R14
+	VBROADCASTSD w+48(FP), Y14
 	SHLQ $3, BX
-	LEAQ (BX)(BX*2), DX
-	XORQ AX, AX
+	SHLQ $3, R14
 	SHRQ $2, CX
 	JZ   pdone
+	TESTQ R9, R9
+	JZ   pdone
 
-ploop:
-	VMOVUPD (SI), Y0
-	VMOVUPD (SI)(BX*1), Y1
-	VMOVUPD (SI)(BX*2), Y2
-	VMOVUPD (SI)(DX*1), Y3
-	ACC(Y0, R9)
-	ACC(Y1, R12)
-	ACC(Y2, R13)
-	ACC(Y3, R10)
-	ADDQ $32, SI
-	ADDQ $32, AX
-	DECQ CX
-	JNZ  ploop
+pplane:
+	MOVQ SI, DI
+	MOVQ R12, DX
+	MOVQ CX, R10
+
+prow:
+	VMULPD  (DI), Y14, Y0
+	VADDPD  (DX), Y0, Y0
+	VMOVUPD Y0, (DX)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	DECQ R10
+	JNZ  prow
+	ADDQ BX, SI
+	ADDQ R14, R12
+	DECQ R9
+	JNZ  pplane
 
 pdone:
 	VZEROUPPER

@@ -3,12 +3,12 @@ package sparse
 import "os"
 
 // Runtime SIMD dispatch for the fused sweep kernels. On amd64 hosts with
-// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the order-3 kernels for
-// the band (row-lane), CSR32 and QBD (interleaved) formats run assembly
-// bodies that replay the scalar loops' exact floating-point operation
-// sequence, so every dispatch choice is bitwise identical — the
-// kill-switches below exist for A/B measurement and for exercising both
-// paths in tests on one machine, never for correctness.
+// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the band kernel at every
+// moment order (row-lane) and the order-3 CSR32 and QBD kernels
+// (interleaved) run assembly bodies that replay the scalar loops' exact
+// floating-point operation sequence, so every dispatch choice is bitwise
+// identical — the kill-switches below exist for A/B measurement and for
+// exercising both paths in tests on one machine, never for correctness.
 
 // Sweep kernel labels reported by Sweep.Kernel (and from there
 // core.Stats.SweepKernel, the solver-stats JSON and the /metrics
@@ -58,12 +58,12 @@ func (s *Sweep) resolveSIMD() {
 func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
-// when the run shape reaches one of the assembly bodies — the order-3
-// layout on a format with a vector kernel (band with at least one
-// 4-row group, non-empty CSR32, or QBD with at least one interior
-// level) and the SIMD gate open.
-func (s *Sweep) resolveKernel(order3 bool) string {
-	if !order3 || !s.simd {
+// when the run shape reaches one of the assembly bodies — a packed layout
+// on a format with a vector kernel (band with at least one 4-row group at
+// any order, non-empty order-3 CSR32, or order-3 QBD with at least one
+// interior level) and the SIMD gate open.
+func (s *Sweep) resolveKernel(layout stateLayout) string {
+	if layout == layoutPlanar || !s.simd {
 		return KernelScalar
 	}
 	switch s.format {

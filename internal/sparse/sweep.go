@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // This file implements the randomization sweep engine: the k = 1..G
@@ -93,19 +94,18 @@ type Sweep struct {
 	kernel string
 
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
-	// tridiagonal band planes, QBD windows or compact uint32 column
-	// indexes — one order-3 kernel per structure — cutting the memory
-	// traffic of this bandwidth-bound loop. All formats are bitwise
-	// identical.
+	// tridiagonal band planes (every order), QBD windows or compact uint32
+	// column indexes (order 3), cutting the memory traffic of this
+	// bandwidth-bound loop. All formats are bitwise identical.
 	format MatrixFormat
 	band   *Band    // set when format == FormatBand
 	col32  []uint32 // set when format == FormatCSR32
 	qbd    *QBD     // set when format == FormatQBD
 
-	// scratch4 is optional caller-lent backing for cur4/next4 (see
-	// SetScratch4), letting pooled solves skip the two largest per-run
+	// scratch is optional caller-lent backing for pcur/pnext (see
+	// SetScratch), letting pooled solves skip the two largest per-run
 	// allocations.
-	scratch4 []float64
+	scratch []float64
 
 	// onInterrupt, when set, is invoked at the iteration barrier where a
 	// context cancellation is observed, before Run returns the context's
@@ -115,13 +115,43 @@ type Sweep struct {
 
 	// Iteration state published by the driver before each barrier release;
 	// the channel synchronization orders these writes before the workers'
-	// reads. cur4/next4 replace cur/next for the order-3 impulse-free
-	// shape: the row-lane plane layout on the band format (see
-	// fuseBlock3Band), the interleaved layout on CSR32 and QBD (see
+	// reads. pcur/pnext, the packed state, replace cur/next for the
+	// impulse-free shapes with a dedicated layout (see stateLayout): the
+	// row-lane planes of a band sweep at every order (see fuseBlockBand),
+	// the interleaved order-3 groups of CSR32 and QBD (see
 	// fuseBlock3Compact).
 	cur, next   [][]float64
-	cur4, next4 []float64
+	pcur, pnext []float64
 	active      []accPair
+}
+
+// stateLayout is the moment-state layout a fused run uses.
+type stateLayout int
+
+const (
+	// layoutPlanar: the caller's cur/next vectors, one per moment — the
+	// impulse shapes and the CSR32/QBD orders other than 3 (fuseBlock).
+	layoutPlanar stateLayout = iota
+	// layoutRowLane: order+1 padded planes per buffer at
+	// bandPlaneStride(rows) — every impulse-free band sweep.
+	layoutRowLane
+	// layoutInterleaved: four moments per state, cur[i*4+j] — the
+	// order-3 impulse-free CSR32 and QBD sweeps.
+	layoutInterleaved
+)
+
+// stateLayout resolves the layout of a fused run from the shape. The
+// reference-only csr64 storage has none (it never runs fused).
+func (s *Sweep) stateLayout() stateLayout {
+	switch {
+	case len(s.imp) > 0 || s.format == FormatCSR64:
+		return layoutPlanar
+	case s.format == FormatBand:
+		return layoutRowLane
+	case s.order == 3:
+		return layoutInterleaved
+	}
+	return layoutPlanar
 }
 
 // parallelThreshold is the row count at which automatic worker selection
@@ -232,6 +262,9 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 	}
 	if resolved == FormatBand {
 		s.tile = bandL1Tile
+		if len(imp) == 0 {
+			s.tile = bandTile(order)
+		}
 	}
 	s.resolveSIMD()
 	s.initCoef()
@@ -300,35 +333,50 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 // this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
-// Scratch4Words returns the float64 count Run would use for its order-3
-// moment-state buffers: 0 when the run shape doesn't use them (order !=
-// 3, impulse terms present, or the reference-only csr64 storage),
-// otherwise two buffers of 4 moments per state — for the band format
-// four planes of bandPlaneStride(rows) words each (padding cells
-// included), for CSR32 and QBD 4·rows interleaved words.
-func (s *Sweep) Scratch4Words() int {
-	if s.order != 3 || len(s.imp) > 0 || s.format == FormatCSR64 {
-		return 0
+// ScratchWords returns the float64 count Run uses for its packed
+// moment-state buffers: two buffers of order+1 row-lane planes of
+// bandPlaneStride(rows) words each (padding cells included) for a band
+// sweep, two of 4·rows interleaved words for an order-3 CSR32 or QBD
+// sweep, and 0 for the planar shapes (impulse terms, other CSR32/QBD
+// orders, the reference-only csr64 storage), which run on the caller's
+// vectors.
+func (s *Sweep) ScratchWords() int {
+	switch s.stateLayout() {
+	case layoutRowLane:
+		return 2 * (s.order + 1) * s.band.stride
+	case layoutInterleaved:
+		return 2 * 4 * s.rows
 	}
-	if s.format == FormatBand {
-		return 2 * 4 * s.band.stride
-	}
-	return 2 * 4 * s.rows
+	return 0
 }
 
-// SetScratch4 lends Run a scratch buffer of at least Scratch4Words()
-// float64s for its order-3 state (contents need not be zeroed),
+// PlaneStride returns the stride, in float64 words, of the row-lane
+// planes a band sweep runs on (bandPlaneStride(rows)), and rows for
+// every other storage. A plan whose accumulators Acc[j] start j·
+// PlaneStride() words into one buffer — the layout the solver carves —
+// has its Poisson accumulation fused into the band kernel; any other
+// layout is accumulated in a separate vector pass, bitwise identically.
+func (s *Sweep) PlaneStride() int {
+	if s.stateLayout() == layoutRowLane {
+		return s.band.stride
+	}
+	return s.rows
+}
+
+// SetScratch lends Run a scratch buffer of at least ScratchWords()
+// float64s for its packed state (contents need not be zeroed),
 // eliminating the two largest per-run allocations; pooled solves use it.
 // A short (or nil) buffer is ignored and Run allocates as before. The
 // buffer is used only while Run executes and may be reused afterwards.
-func (s *Sweep) SetScratch4(buf []float64) { s.scratch4 = buf }
+func (s *Sweep) SetScratch(buf []float64) { s.scratch = buf }
 
 // SetSweepTile overrides the row-tile width of the fused kernels — the
 // rows each tight vector pass covers before the next term's pass — and
 // with it the block width of the temporally blocked driver, so spatial
 // and temporal tile shapes are tunable together. Values below 1 keep the
-// default (bandL1Tile for a band sweep, sweepTileDefault otherwise). The
-// tile only reorders work across rows; every width is bitwise identical.
+// default (bandTile(order) for a band sweep, sweepTileDefault
+// otherwise). The tile only reorders work across rows; every width is
+// bitwise identical.
 func (s *Sweep) SetSweepTile(w int) {
 	if w > 0 {
 		s.tile = w
@@ -366,10 +414,11 @@ const (
 	// comfortably inside L2.
 	sweepTileDefault = 1024
 	// bandL1Tile is the default tile, and so the temporal block width, of
-	// a band sweep at every team size: a 128-row block's slices of the
-	// ≈17 row-lane planes it touches (3 band, 2 diagonals, 4 cur, 4 next,
-	// 4 acc) come to ≈17 KiB and stay in L1 across a group's T inner
-	// steps, where a 1024-row block ran from L2.
+	// an order-3 band sweep at every team size: a 128-row block's slices
+	// of the 17 row-lane planes it touches (3 band, 2 diagonals, 4 cur,
+	// 4 next, 4 acc) come to 17 KiB and stay in L1 across a group's T
+	// inner steps, where a 1024-row block ran from L2. Higher orders
+	// touch more planes and take narrower blocks (see bandTile).
 	bandL1Tile = 128
 	// temporalBlockDefault is the auto-tuned blocking depth: deep enough
 	// to cut DRAM traffic ~16x, shallow enough that the halo shift
@@ -394,6 +443,16 @@ const (
 	// has no measurement and stays unblocked.
 	csrAutoBlockMaxSkew = 2*maxAutoQBDBlock - 1
 )
+
+// bandTile returns the default block width of a row-lane band sweep at
+// the given moment order: bandL1Tile rows up to order 3, and above it as
+// many rows as keep the block's 3(order+1)+5 planes within the order-3
+// block's 17-plane footprint, in whole 4-row groups — 48 rows at order
+// 12, where 128-row blocks (44 KiB) measured 20-30% slower than 48- or
+// 64-row ones (N = 2,001 and 100,001, one worker).
+func bandTile(order int) int {
+	return min(bandL1Tile, bandL1Tile*17/(3*(order+1)+5)&^3)
+}
 
 // blockReach returns the dependency reach of the resolved storage: row i
 // of the next iteration depends on rows i-lo..i+hi of the current one.
@@ -443,7 +502,7 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 			if s.rows < 2*W {
 				return 1, W, skew
 			}
-		} else if s.Scratch4Words() < temporalBlockMinWords {
+		} else if s.ScratchWords() < temporalBlockMinWords {
 			return 1, W, skew // state already cache-resident: blocking cannot pay
 		}
 		switch s.format {
@@ -486,8 +545,8 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 // worker joined, accumulations applied, state swapped) and iteration
 // completed+1 has not started, so the sweep state is a consistent
 // snapshot. export copies the current moment-state vectors U^(j)(completed)
-// into dst — order+1 vectors of Rows() entries each — out of the order-3
-// layout when the run uses it. A sweep resumed from that state
+// into dst — order+1 vectors of Rows() entries each — out of the packed
+// layout when the run uses one. A sweep resumed from that state
 // with RunFrom(ctx, completed+1, ...) is bitwise identical to the
 // uninterrupted run.
 type InterruptHook func(completed int, export func(dst [][]float64))
@@ -504,20 +563,20 @@ func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 // the published state is consistent.
 func (s *Sweep) exportState(dst [][]float64) {
 	switch {
-	case s.cur4 == nil:
+	case s.pcur == nil:
 		for j := range dst {
 			copy(dst[j], s.cur[j])
 		}
 	case s.format == FormatBand:
 		st := s.band.stride
 		for j := range dst {
-			copy(dst[j], s.cur4[j*st+1:j*st+1+s.rows])
+			copy(dst[j], s.pcur[j*st+1:j*st+1+s.rows])
 		}
 	default:
 		for j := range dst {
 			dj := dst[j]
 			for i := 0; i < s.rows; i++ {
-				dj[i] = s.cur4[i*4+j]
+				dj[i] = s.pcur[i*4+j]
 			}
 		}
 	}
@@ -585,7 +644,9 @@ func gatherActive(plans []SweepPlan, k int, buf []accPair) []accPair {
 // iterations, and returns the number of sparse products performed. The
 // initial state is cur; accumulations land in the plans' Acc buffers.
 // cur and next are scratch the sweep alternates between — their contents
-// after Run are unspecified.
+// after Run are unspecified. A run on a packed layout (ScratchWords > 0)
+// copies cur into its own state once and never touches next, so there
+// next may alias cur.
 //
 // With a team size of 1 the fused kernel runs inline (no goroutines);
 // larger teams run the persistent workers described in the file comment.
@@ -618,37 +679,38 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	}
 	active := make([]accPair, 0, len(plans))
 
-	// The order-3 impulse-free shape (the paper's large example) runs the
-	// whole sweep on a dedicated state layout. The band format uses the
-	// row-lane layout: plane j of cur4 is cur4[j*st : (j+1)*st] with st =
-	// bandPlaneStride(rows), row i at cell 1+i and one zero padding cell
-	// at each end, so a vector of four consecutive rows of one moment is
-	// one contiguous load and the first and last rows need no boundary
-	// clamping (out-of-matrix band cells multiply padding zeros, which is
-	// bitwise neutral, see band.go). CSR32 and QBD use the interleaved
-	// layout: cur4[i*4+j] holds moment j of state i, so all four values a
-	// matrix entry gathers share one cache line. The planar cur/next stay
-	// untouched scratch.
-	words := s.Scratch4Words()
-	order3 := words > 0
-	s.kernel = s.resolveKernel(order3)
-	if order3 {
+	// Impulse-free shapes run the whole sweep on a packed state layout
+	// (see stateLayout). Every band sweep uses the row-lane layout: plane
+	// j of pcur is pcur[j*st : (j+1)*st] with st = bandPlaneStride(rows),
+	// row i at cell 1+i and one zero padding cell at each end, so a
+	// vector of four consecutive rows of one moment is one contiguous load
+	// and the first and last rows need no boundary clamping
+	// (out-of-matrix band cells multiply padding zeros, which is bitwise
+	// neutral, see band.go). Order-3 CSR32 and QBD sweeps use the
+	// interleaved layout: pcur[i*4+j] holds moment j of state i, so all
+	// four values a matrix entry gathers share one cache line. The planar
+	// cur is read once here and next stays untouched.
+	layout := s.stateLayout()
+	s.kernel = s.resolveKernel(layout)
+	packed := layout != layoutPlanar
+	if packed {
 		n := s.rows
+		words := s.ScratchWords()
 		half := words / 2
-		if len(s.scratch4) >= words {
-			buf := s.scratch4[:words]
-			s.cur4, s.next4 = buf[:half:half], buf[half:words:words]
+		if len(s.scratch) >= words {
+			buf := s.scratch[:words]
+			s.pcur, s.pnext = buf[:half:half], buf[half:words:words]
 		} else {
 			buf := make([]float64, words)
-			s.cur4, s.next4 = buf[:half:half], buf[half:]
+			s.pcur, s.pnext = buf[:half:half], buf[half:]
 		}
-		if s.format == FormatBand {
+		if layout == layoutRowLane {
 			// Zero the padding cells (lent scratch arrives dirty); the row
 			// cells are fully (re)written here and by every iteration, and
 			// the kernels never read past cell n+1.
 			st := s.band.stride
-			for j := 0; j <= 3; j++ {
-				c, x := s.cur4[j*st:j*st+n+2], s.next4[j*st:j*st+n+2]
+			for j := 0; j <= s.order; j++ {
+				c, x := s.pcur[j*st:j*st+n+2], s.pnext[j*st:j*st+n+2]
 				c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
 				copy(c[1:n+1], cur[j])
 			}
@@ -656,21 +718,21 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 			for j := 0; j <= 3; j++ {
 				cj := cur[j]
 				for i := 0; i < n; i++ {
-					s.cur4[i*4+j] = cj[i]
+					s.pcur[i*4+j] = cj[i]
 				}
 			}
 		}
-		defer func() { s.cur4, s.next4 = nil, nil }()
+		defer func() { s.pcur, s.pnext = nil, nil }()
 	} else {
 		s.cur, s.next = cur, next
 	}
 
-	// Temporal blocking runs only the order-3 shape: the planar path
-	// exists for rare shapes (impulses, orders other than 3), and its
-	// per-term full-vector passes would defeat the cache-residency the
-	// blocking buys.
+	// Temporal blocking runs only the packed layouts: the planar path
+	// serves the impulse shapes and the CSR32/QBD orders other than 3,
+	// and its per-term full-vector passes would defeat the
+	// cache-residency the blocking buys.
 	s.resolvedT = 1
-	if order3 {
+	if packed {
 		if T, W, skew := s.resolveBlocking(); T > 1 {
 			s.resolvedT = T
 			return s.runBlocked(ctx, first, gMax, plans, active, T, W, skew)
@@ -687,7 +749,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 			}
 			s.active = gatherActive(plans, k, active[:0])
 			s.step(0, s.rows)
-			s.swap(order3)
+			s.swap(packed)
 		}
 		return s.matVecs(gMax - first + 1), nil
 	}
@@ -733,7 +795,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 		for w := 0; w < s.workers; w++ {
 			<-done
 		}
-		s.swap(order3)
+		s.swap(packed)
 	}
 	return s.matVecs(gMax - first + 1), nil
 }
@@ -749,42 +811,42 @@ func (s *Sweep) interrupted(completed int) {
 // step runs one iteration's fused work over rows [lo, hi) against the
 // published iteration state.
 func (s *Sweep) step(lo, hi int) {
-	if s.cur4 != nil {
-		s.stepRange(lo, hi, s.cur4, s.next4, s.active)
+	if s.pcur != nil {
+		s.stepRange(lo, hi, s.pcur, s.pnext, s.active)
 		return
 	}
 	s.fuseBlock(lo, hi, s.cur, s.next, s.active)
 }
 
-// stepRange runs one order-3 iteration's fused work over rows
-// [lo, hi) with explicit state buffers and accumulation targets,
+// stepRange runs one iteration's fused work on the packed state over
+// rows [lo, hi) with explicit state buffers and accumulation targets,
 // dispatching on the resolved storage format. The temporally blocked
 // drivers call it directly so different inner iterations of a group can
 // address alternating buffers and per-iteration Poisson targets without
 // republishing the shared fields.
-func (s *Sweep) stepRange(lo, hi int, cur4, next4 []float64, active []accPair) {
+func (s *Sweep) stepRange(lo, hi int, cur, next []float64, active []accPair) {
 	switch s.format {
 	case FormatBand:
-		s.fuseBlock3Band(lo, hi, cur4, next4, active)
+		s.fuseBlockBand(lo, hi, cur, next, active)
 	case FormatCSR32:
 		if s.simd && hi > lo && len(s.a.val) > 0 {
-			s.fuseBlock3CompactAVX2(lo, hi, cur4, next4, active)
+			s.fuseBlock3CompactAVX2(lo, hi, cur, next, active)
 			return
 		}
-		s.fuseBlock3Compact(lo, hi, cur4, next4, active)
+		s.fuseBlock3Compact(lo, hi, cur, next, active)
 	case FormatQBD:
 		if s.simd && hi > lo {
-			s.fuseBlock3QBDAVX2(lo, hi, cur4, next4, active)
+			s.fuseBlock3QBDAVX2(lo, hi, cur, next, active)
 			return
 		}
-		s.fuseBlock3QBD(lo, hi, cur4, next4, active)
+		s.fuseBlock3QBD(lo, hi, cur, next, active)
 	}
 }
 
 // swap exchanges the published current/next state after an iteration.
-func (s *Sweep) swap(order3 bool) {
-	if order3 {
-		s.cur4, s.next4 = s.next4, s.cur4
+func (s *Sweep) swap(packed bool) {
+	if packed {
+		s.pcur, s.pnext = s.pnext, s.pcur
 		return
 	}
 	s.cur, s.next = s.next, s.cur
@@ -813,8 +875,8 @@ func (s *Sweep) swap(order3 bool) {
 // in increasing t (runSeams). One worker is the one-segment case: no
 // split, no seam, no goroutine.
 //
-// Every hazard is a row range of one of the two order-3 state buffers,
-// which alternate per inner step (odd steps read cur4 and write next4,
+// Every hazard is a row range of one of the two packed state buffers,
+// which alternate per inner step (odd steps read pcur and write pnext,
 // even steps the reverse):
 //
 //   - Trapezoid dependencies: Z(w, t) widened by the reach lies inside
@@ -883,8 +945,8 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 		}
 		active = s.runSeams(plans, active, k0, Tg, splits[1:len(splits)-1], skew)
 		if Tg%2 == 1 {
-			// Odd group depth leaves the newest state in next4; swap so the
-			// group-boundary invariant (cur4 = iteration k0) holds for
+			// Odd group depth leaves the newest state in pnext; swap so the
+			// group-boundary invariant (pcur = iteration k0) holds for
 			// exportState and the next group.
 			s.swap(true)
 		}
@@ -959,7 +1021,7 @@ func (s *Sweep) groupSplits(buf []int, tg, skew int) []int {
 func (s *Sweep) runTrapezoid(plans []SweepPlan, active []accPair, k0, tg, lo, hi, W, skew int) []accPair {
 	blocks := (hi - lo + (tg-1)*skew + W - 1) / W
 	for m := 0; m < blocks; m++ {
-		cur4, next4 := s.cur4, s.next4
+		cur, next := s.pcur, s.pnext
 		for t := 1; t <= tg; t++ {
 			in := (t - 1) * skew
 			zl, zr := 0, s.rows
@@ -973,9 +1035,9 @@ func (s *Sweep) runTrapezoid(plans []SweepPlan, active []accPair, k0, tg, lo, hi
 			r := min(lo+(m+1)*W-in, zr)
 			if l < r {
 				active = gatherActive(plans, k0+t, active[:0])
-				s.stepRange(l, r, cur4, next4, active)
+				s.stepRange(l, r, cur, next, active)
 			}
-			cur4, next4 = next4, cur4
+			cur, next = next, cur
 		}
 	}
 	return active
@@ -986,14 +1048,14 @@ func (s *Sweep) runTrapezoid(plans []SweepPlan, active []accPair, k0, tg, lo, hi
 // finished (see runBlocked). groupSplits keeps every seam inside [0, n).
 func (s *Sweep) runSeams(plans []SweepPlan, active []accPair, k0, tg int, splits []int, skew int) []accPair {
 	for _, b := range splits {
-		// Step 2 reads the buffer step 1 wrote (next4).
-		cur4, next4 := s.next4, s.cur4
+		// Step 2 reads the buffer step 1 wrote (pnext).
+		cur, next := s.pnext, s.pcur
 		for t := 2; t <= tg; t++ {
 			if in := (t - 1) * skew; in > 0 {
 				active = gatherActive(plans, k0+t, active[:0])
-				s.stepRange(b-in, b+in, cur4, next4, active)
+				s.stepRange(b-in, b+in, cur, next, active)
 			}
-			cur4, next4 = next4, cur4
+			cur, next = next, cur
 		}
 	}
 	return active
@@ -1152,62 +1214,91 @@ func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []ac
 	}
 }
 
-// fuseBlock3Band is the order-3 band kernel on the row-lane layout Run
-// sets up: moment j of row i lives at cell 1+i of state plane j, and the
-// band's sub-diagonal, diagonal and super-diagonal are planes too, so
-// every operand of four consecutive rows of one moment is one contiguous
-// load — zero index loads, zero gathers, no lane shuffles. The padding
-// cell at each plane end absorbs the out-of-matrix cells of the first
-// and last row, so the loop has no boundary branches; padded cells'
-// 0.0·x products are bitwise neutral (see band.go), leaving every output
-// element with exactly the reference operation sequence.
+// fuseBlockBand is the band kernel at every moment order, on the
+// row-lane layout Run sets up: moment j of row i lives at cell 1+i of
+// state plane j, and the band's sub-diagonal, diagonal and super-diagonal
+// are planes too, so every operand of four consecutive rows of one moment
+// is one contiguous load — zero index loads, zero gathers, no lane
+// shuffles. The padding cell at each plane end absorbs the out-of-matrix
+// cells of the first and last row, so the loop has no boundary branches;
+// padded cells' 0.0·x products are bitwise neutral (see band.go), leaving
+// every output element with exactly the reference operation sequence.
 //
 // On AVX2 hardware the whole groups of four rows in [lo, hi) run the
 // assembly body (band_simd_amd64.s), whose lanes execute bandRows' exact
 // operation sequence with the same IEEE rounding; bandRows itself takes
 // the (hi-lo) mod 4 tail rows and, without AVX2, the whole range. One
-// plan's accumulation is fused into the kernel as vector adds straight
-// into the caller's planar accumulators; with several plans the kernel
-// runs unaccumulated per tile, followed by one vector accumulation pass
-// per plan (the split is bitwise neutral: each a_j[i] += w*s_j reads
-// back the stored s_j bit-exactly, and only work between different
-// (plan, element) pairs is reordered).
-func (s *Sweep) fuseBlock3Band(lo, hi int, cur4, next4 []float64, active []accPair) {
+// plan whose accumulators lie at the state plane stride (see
+// PlaneStride; the solver carves them so) has its accumulation fused
+// into the kernel as vector adds straight into those planes; otherwise
+// the kernel runs unaccumulated per tile, followed by one vector
+// accumulation pass per plan (the split is bitwise neutral: each
+// a_j[i] += w*s_j reads back the stored s_j bit-exactly, and only work
+// between different (plan, element) pairs is reordered).
+func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair) {
 	if !s.simd || hi-lo < 4 {
-		s.bandRows(lo, hi, cur4, next4, active)
+		s.bandRows(lo, hi, cur, next, active)
 		return
 	}
-	st, bval := s.band.stride, s.band.val
+	st, bval, order := s.band.stride, s.band.val, s.order
 	d1, d2 := s.diag1, s.diag2
 	vhi := lo + (hi-lo)&^3
-	switch len(active) {
-	case 0:
-		bandLanesAVX2(vhi-lo, &bval[lo], &cur4[1+lo], &next4[1+lo], st, &d1[lo], &d2[lo])
-	case 1:
-		w, acc := active[0].w, active[0].acc
-		bandLanesAccAVX2(vhi-lo, &bval[lo], &cur4[1+lo], &next4[1+lo], st, &d1[lo], &d2[lo],
-			&acc[0][lo], &acc[1][lo], &acc[2][lo], &acc[3][lo], w)
-	default:
+	// One plan whose accumulators lie at the state plane stride has its
+	// accumulation fused into the kernel.
+	var fused *float64
+	var w float64
+	if len(active) == 1 {
+		if a, as := planeStride(active[0].acc, lo); a != nil && (as == st || order == 0) {
+			fused, w = a, active[0].w
+		}
+	}
+	if fused != nil || len(active) == 0 {
+		bandLanesAVX2(vhi-lo, &bval[lo], &cur[1+lo], &next[1+lo], st, order, &d1[lo], &d2[lo], fused, w)
+	} else {
 		tile := max(s.tile&^3, 4)
 		for t0 := lo; t0 < vhi; t0 += tile {
 			t1 := min(t0+tile, vhi)
-			bandLanesAVX2(t1-t0, &bval[t0], &cur4[1+t0], &next4[1+t0], st, &d1[t0], &d2[t0])
+			bandLanesAVX2(t1-t0, &bval[t0], &cur[1+t0], &next[1+t0], st, order, &d1[t0], &d2[t0], nil, 0)
 			for _, ap := range active {
-				acc := ap.acc
-				planeAcc4AVX2(t1-t0, &next4[1+t0], st, &acc[0][t0], &acc[1][t0], &acc[2][t0], &acc[3][t0], ap.w)
+				if a, as := planeStride(ap.acc, t0); a != nil {
+					planeAccAVX2(t1-t0, &next[1+t0], st, order+1, a, as, ap.w)
+					continue
+				}
+				for j, a := range ap.acc {
+					planeAccAVX2(t1-t0, &next[j*st+1+t0], st, 1, &a[t0], 0, ap.w)
+				}
 			}
 		}
 	}
-	s.bandRows(vhi, hi, cur4, next4, active)
+	s.bandRows(vhi, hi, cur, next, active)
 }
 
-// bandRows is the scalar body of fuseBlock3Band for rows [lo, hi): per
-// moment, the three band products in column order from a +0 sum, then
-// the d1 and d2 order-coupling terms — RunReference's sequence — and the
-// active accumulations. Every operand is re-sliced to the range first
-// (plane cells lo..hi+1 hold rows lo-1..hi), so the loop runs free of
-// bounds checks.
-func (s *Sweep) bandRows(lo, hi int, cur4, next4 []float64, active []accPair) {
+// planeStride returns &acc[0][lo] and the distance in words between
+// consecutive accumulator planes when all of them lie at one uniform
+// stride, so a vector body can walk them from a single pointer, or nil
+// when they do not.
+func planeStride(acc [][]float64, lo int) (*float64, int) {
+	base := uintptr(unsafe.Pointer(&acc[0][0]))
+	var st uintptr
+	for j := 1; j < len(acc); j++ {
+		d := uintptr(unsafe.Pointer(&acc[j][0])) - base
+		if j == 1 {
+			st = d
+		} else if d != uintptr(j)*st {
+			return nil, 0
+		}
+	}
+	return &acc[0][lo], int(st) / 8
+}
+
+// bandRows is the scalar body of fuseBlockBand for rows [lo, hi), one
+// moment plane at a time: the three band products in column order from a
+// +0 sum, then the d1 and d2 order-coupling terms — RunReference's
+// sequence — and the active accumulations (a single plan's fused into
+// the loop, several as passes over the finished plane). Every operand is
+// re-sliced to the range first (plane cells lo..hi+1 hold rows
+// lo-1..hi), so the loops run free of bounds checks.
+func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 	if lo >= hi {
 		return
 	}
@@ -1218,51 +1309,61 @@ func (s *Sweep) bandRows(lo, hi int, cur4, next4 []float64, active []accPair) {
 	dg, sup = dg[lo:hi][:m], sup[lo:hi][:m]
 	d1, d2 := s.diag1[lo:hi][:m], s.diag2[lo:hi][:m]
 	plane := func(buf []float64, j int) []float64 { return buf[j*st+lo : j*st+hi+2][:m+2] }
-	c0, c1, c2, c3 := plane(cur4, 0), plane(cur4, 1), plane(cur4, 2), plane(cur4, 3)
-	n0, n1, n2, n3 := plane(next4, 0), plane(next4, 1), plane(next4, 2), plane(next4, 3)
+	centre := func(j int) []float64 { return plane(cur, j)[1:][:m] }
+	one := len(active) == 1
 	var w float64
-	var a0, a1, a2, a3 []float64
-	if len(active) == 1 {
-		w = active[0].w
-		acc := active[0].acc
-		a0, a1, a2, a3 = acc[0][lo:hi][:m], acc[1][lo:hi][:m], acc[2][lo:hi][:m], acc[3][lo:hi][:m]
-	}
-	for k, l := range sub {
-		d, u := dg[k], sup[k]
-		d1k, d2k := d1[k], d2[k]
-		x0, x1, x2 := c0[k+1], c1[k+1], c2[k+1]
-		var s0, s1, s2, s3 float64
-		s0 += l * c0[k]
-		s0 += d * x0
-		s0 += u * c0[k+2]
-		s1 += l * c1[k]
-		s1 += d * x1
-		s1 += u * c1[k+2]
-		s1 += d1k * x0
-		s2 += l * c2[k]
-		s2 += d * x2
-		s2 += u * c2[k+2]
-		s2 += d1k * x1
-		s2 += d2k * x0
-		s3 += l * c3[k]
-		s3 += d * c3[k+1]
-		s3 += u * c3[k+2]
-		s3 += d1k * x2
-		s3 += d2k * x1
-		n0[k+1], n1[k+1], n2[k+1], n3[k+1] = s0, s1, s2, s3
-		switch {
-		case a0 != nil:
-			a0[k] += w * s0
-			a1[k] += w * s1
-			a2[k] += w * s2
-			a3[k] += w * s3
-		case len(active) > 1:
+	for j := 0; j <= s.order; j++ {
+		c, nj := plane(cur, j), plane(next, j)[1:][:m]
+		a := nj // written only when one is set
+		if one {
+			w, a = active[0].w, active[0].acc[j][lo:hi][:m]
+		}
+		switch j {
+		case 0:
+			for k, l := range sub {
+				var sum float64
+				sum += l * c[k]
+				sum += dg[k] * c[k+1]
+				sum += sup[k] * c[k+2]
+				nj[k] = sum
+				if one {
+					a[k] += w * sum
+				}
+			}
+		case 1:
+			c1 := centre(0)
+			for k, l := range sub {
+				var sum float64
+				sum += l * c[k]
+				sum += dg[k] * c[k+1]
+				sum += sup[k] * c[k+2]
+				sum += d1[k] * c1[k]
+				nj[k] = sum
+				if one {
+					a[k] += w * sum
+				}
+			}
+		default:
+			c1, c2 := centre(j-1), centre(j-2)
+			for k, l := range sub {
+				var sum float64
+				sum += l * c[k]
+				sum += dg[k] * c[k+1]
+				sum += sup[k] * c[k+2]
+				sum += d1[k] * c1[k]
+				sum += d2[k] * c2[k]
+				nj[k] = sum
+				if one {
+					a[k] += w * sum
+				}
+			}
+		}
+		if len(active) > 1 {
 			for _, ap := range active {
-				wp, i := ap.w, lo+k
-				ap.acc[0][i] += wp * s0
-				ap.acc[1][i] += wp * s1
-				ap.acc[2][i] += wp * s2
-				ap.acc[3][i] += wp * s3
+				w, a := ap.w, ap.acc[j][lo:hi][:m]
+				for k, v := range nj {
+					a[k] += w * v
+				}
 			}
 		}
 	}

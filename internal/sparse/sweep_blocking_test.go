@@ -320,98 +320,128 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("auto on wide-band CSR state resolved T=%d, want 1", T)
 	}
 
-	// Planar shapes (no interleaved kernel) never block: a forced depth on
-	// an order-2 run must still report an unblocked sweep.
-	ps, err := NewSweep(tri, d1, d2, nil, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.SetTemporalBlock(8)
+	// Planar shapes (no packed layout) never block: a forced depth on an
+	// order-2 compact-CSR run must still report an unblocked sweep, while
+	// the same depth on the order-2 band run (row-lane at every order)
+	// engages.
 	gMax := 6
 	w := randWeights(rng, gMax)
-	cur, next, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
-	if _, err := ps.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.TemporalBlock(); got != 1 {
-		t.Errorf("planar run resolved depth %d, want 1", got)
+	for _, c := range []struct {
+		format MatrixFormat
+		want   int
+	}{{FormatCSR, 1}, {FormatBand, 8}} {
+		ps, err := NewSweepWithFormat(tri, d1, d2, nil, 2, 1, c.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps.SetTemporalBlock(8)
+		cur, next, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
+		if _, err := ps.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+			t.Fatal(err)
+		}
+		if got := ps.TemporalBlock(); got != c.want {
+			t.Errorf("order-2 %s run resolved depth %d, want %d", c.format, got, c.want)
+		}
 	}
 }
 
-// TestSweepRowLaneBitwise is the row-lane band kernel's bitwise gate:
-// for sizes around every 4-row group edge (n mod 4 = 0..3, a single
-// row, and the 2,001-row midsize shape), every blocking mode (off, auto,
-// forced depths 2, 3 and 16), block width, plan mix and SIMD setting must
-// reproduce the serial reference sweep bit for bit, on one worker and on
-// a split-tiled 2-worker team alike. The plan mixes cover a run
-// whose only plan opens at the last iteration with weight 1 (every
-// earlier iteration accumulates nothing, and the final accumulator is
-// the swept state itself), one plan opening at iteration 6 — inside a
-// group for every depth tested — and three overlapping plans with zero
-// weights sprinkled in (the unaccumulated kernel plus per-plan passes).
-// Every run gets NaN-filled lent scratch, so an unzeroed padding cell
-// shows.
+// TestSweepRowLaneBitwise is the row-lane band kernel's bitwise gate
+// across moment orders: 0, 1 and 2 run the short loop of the low orders,
+// 3 and 5 the odd-order loop with one and two pairs of uniform steps, 4
+// and 12 (every bounds solve) the even-order loop with its single step
+// before the pairs. For sizes around every 4-row group edge (n mod 4 =
+// 0..3, a single row, and the 2,001-row midsize shape), every blocking
+// mode (off, auto, forced depths 2, 3 and 16), block width, plan mix and
+// SIMD setting must reproduce the serial reference sweep bit for bit, on
+// one worker and on a split-tiled 2-worker team alike, and a SIMD run
+// over at least one 4-row group must report the AVX2 kernel. The plan
+// mixes cover a run whose only plan opens at the last iteration with
+// weight 1 (every earlier iteration accumulates nothing, and the final
+// accumulator is the swept state itself), one plan opening at iteration
+// 6 — inside a group for every depth tested — with its accumulators at
+// the plane stride (the fused accumulation) or scattered over separate
+// allocations (the unaccumulated kernel plus a per-plane pass), and
+// three overlapping plans with zero weights sprinkled in, one of them
+// scattered (the unaccumulated kernel plus per-plan passes). Every run
+// gets NaN-filled lent scratch, so an unzeroed padding cell shows.
+// Order 3 runs every size; the other orders run a subset that still
+// covers every residue mod 4.
 func TestSweepRowLaneBitwise(t *testing.T) {
 	const gMax = 23 // ragged against depths 2, 3 and 16
 	rng := rand.New(rand.NewSource(419))
 	mixes := []struct {
 		name          string
 		firsts, lasts []int
+		scatter       int // plan whose accumulators are not uniformly spaced, -1 none
 	}{
-		{"last-only", []int{gMax}, []int{gMax}},
-		{"one-mid-group", []int{6}, []int{gMax}},
-		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}},
+		{"last-only", []int{gMax}, []int{gMax}, -1},
+		{"one-mid-group", []int{6}, []int{gMax}, -1},
+		{"one-scattered", []int{6}, []int{gMax}, 0},
+		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}, 1},
 	}
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 129, 257, 2001} {
-		a, d1, d2 := bandedSweepFixture(t, rng, n, 1, 1, 3)
-		for _, mix := range mixes {
-			weights := make([][]float64, len(mix.firsts))
-			for pi := range weights {
-				w := randWeights(rng, gMax)
-				for k := range w {
-					if pi == 2 && rng.Float64() < 0.15 {
-						w[k] = 0
+	simd := SIMDAvailable() && !simdEnvDisabled()
+	for _, order := range []int{3, 0, 1, 2, 4, 5, 12} {
+		sizes := []int{1, 2, 3, 4, 5, 7, 8, 129, 257, 2001}
+		if order != 3 {
+			sizes = []int{1, 6, 7, 8, 257, 2001}
+		}
+		for _, n := range sizes {
+			a, d1, d2 := bandedSweepFixture(t, rng, n, 1, 1, order)
+			for _, mix := range mixes {
+				weights := make([][]float64, len(mix.firsts))
+				for pi := range weights {
+					w := randWeights(rng, gMax)
+					for k := range w {
+						if pi == 2 && rng.Float64() < 0.15 {
+							w[k] = 0
+						}
 					}
+					weights[pi] = w
 				}
-				weights[pi] = w
-			}
-			if mix.name == "last-only" {
-				weights[0][gMax] = 1
-			}
-			ref, err := NewSweep(a, d1, d2, nil, 3, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
-			refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, nosimd := range []bool{false, true} {
-				for _, tb := range []int{1, 0, 2, 3, 16} {
-					for _, tile := range []int{2, 5, 128} {
-						for _, workers := range []int{1, 2} {
-							fs, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, FormatBand)
-							if err != nil {
-								t.Fatal(err)
+				if mix.name == "last-only" {
+					weights[0][gMax] = 1
+				}
+				ref, err := NewSweep(a, d1, d2, nil, order, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
+				refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, nosimd := range []bool{false, true} {
+					for _, tb := range []int{1, 0, 2, 3, 16} {
+						for _, tile := range []int{2, 5, 128} {
+							for _, workers := range []int{1, 2} {
+								fs, err := NewSweepWithFormat(a, d1, d2, nil, order, workers, FormatBand)
+								if err != nil {
+									t.Fatal(err)
+								}
+								fs.SetNoSIMD(nosimd)
+								fs.SetTemporalBlock(tb)
+								fs.SetSweepTile(tile)
+								lendDirtyScratch(fs)
+								tag := fmt.Sprintf("order=%d n=%d %s nosimd=%v T=%d W=%d workers=%d", order, n, mix.name, nosimd, tb, tile, workers)
+								cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								if mix.scatter >= 0 {
+									scatterAcc(&plans[mix.scatter])
+								}
+								mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
+								if err != nil {
+									t.Fatalf("%s: %v", tag, err)
+								}
+								if mv != refMV {
+									t.Fatalf("%s: matvecs %d != reference %d", tag, mv, refMV)
+								}
+								if tb > 1 && fs.TemporalBlock() != tb {
+									t.Fatalf("%s: resolved depth %d", tag, fs.TemporalBlock())
+								}
+								if want := simd && !nosimd && n >= 4; (fs.Kernel() == KernelAVX2) != want {
+									t.Fatalf("%s: kernel %q, want avx2=%v", tag, fs.Kernel(), want)
+								}
+								requireAccBitwise(t, tag, plans, refPlans, order, n)
 							}
-							fs.SetNoSIMD(nosimd)
-							fs.SetTemporalBlock(tb)
-							fs.SetSweepTile(tile)
-							lendDirtyScratch(fs)
-							tag := fmt.Sprintf("n=%d %s nosimd=%v T=%d W=%d workers=%d", n, mix.name, nosimd, tb, tile, workers)
-							cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
-							mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
-							if err != nil {
-								t.Fatalf("%s: %v", tag, err)
-							}
-							if mv != refMV {
-								t.Fatalf("%s: matvecs %d != reference %d", tag, mv, refMV)
-							}
-							if tb > 1 && fs.TemporalBlock() != tb {
-								t.Fatalf("%s: resolved depth %d", tag, fs.TemporalBlock())
-							}
-							requireAccBitwise(t, tag, plans, refPlans, 3, n)
 						}
 					}
 				}

@@ -61,14 +61,25 @@ func newRunState(s *Sweep, weights [][]float64, firsts, lasts []int) (cur, next 
 	for i := 0; i < n; i++ {
 		cur[0][i] = 1
 	}
+	ps := s.PlaneStride()
 	for pi, w := range weights {
+		// PlaneStride apart in one allocation, as the solver carves them.
+		buf := make([]float64, s.order*ps+n)
 		acc := make([][]float64, s.order+1)
 		for j := range acc {
-			acc[j] = make([]float64, n)
+			acc[j] = buf[j*ps : j*ps+n : j*ps+n]
 		}
 		plans = append(plans, SweepPlan{First: firsts[pi], Last: lasts[pi], Weight: w, Acc: acc})
 	}
 	return cur, next, plans
+}
+
+// scatterAcc moves a plan's accumulators into separate allocations, so
+// they no longer lie at a uniform stride.
+func scatterAcc(p *SweepPlan) {
+	for j, a := range p.Acc {
+		p.Acc[j] = append(make([]float64, 0, len(a)+j+1), a...)
+	}
 }
 
 // randDiags draws the diagonal reward terms of a sweep family: diag1 of
@@ -112,11 +123,11 @@ func requireAccBitwise(t *testing.T, tag string, got, want []SweepPlan, order, n
 // lendDirtyScratch lends s a NaN-filled interleaved scratch buffer, which
 // Run must fully overwrite or zero; false when the run shape has none.
 func lendDirtyScratch(s *Sweep) bool {
-	scratch := make([]float64, s.Scratch4Words())
+	scratch := make([]float64, s.ScratchWords())
 	for i := range scratch {
 		scratch[i] = math.NaN()
 	}
-	s.SetScratch4(scratch)
+	s.SetScratch(scratch)
 	return len(scratch) > 0
 }
 
@@ -259,8 +270,8 @@ func TestSweepFormatResolution(t *testing.T) {
 	// Four row-lane planes per buffer, each 300 rows + 2 padding cells
 	// rounded to 304 words and spread to 320 (2,560 bytes: no two of the
 	// eight plane starts within 256 bytes of each other mod 4096).
-	if s.Scratch4Words() != 2*4*320 {
-		t.Errorf("Scratch4Words = %d, want %d", s.Scratch4Words(), 2*4*320)
+	if s.ScratchWords() != 2*4*320 {
+		t.Errorf("ScratchWords = %d, want %d", s.ScratchWords(), 2*4*320)
 	}
 
 	ring := randomSweepFixture(t, rng, 50, 3, false)
@@ -275,14 +286,14 @@ func TestSweepFormatResolution(t *testing.T) {
 	if s64.Format() != FormatCSR64 {
 		t.Errorf("forced csr64 format = %q", s64.Format())
 	}
-	if s64.Scratch4Words() != 0 {
-		t.Errorf("csr64 Scratch4Words = %d, want 0", s64.Scratch4Words())
+	if s64.ScratchWords() != 0 {
+		t.Errorf("csr64 ScratchWords = %d, want 0", s64.ScratchWords())
 	}
 
 	// Impulse shapes never use the interleaved buffers.
 	impl := randomSweepFixture(t, rng, 30, 3, true)
-	if impl.Scratch4Words() != 0 {
-		t.Errorf("impulse Scratch4Words = %d, want 0", impl.Scratch4Words())
+	if impl.ScratchWords() != 0 {
+		t.Errorf("impulse ScratchWords = %d, want 0", impl.ScratchWords())
 	}
 }
 
