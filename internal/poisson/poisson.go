@@ -100,11 +100,10 @@ type Table struct {
 	// pmf[k] = PMF(k, lambda); it grows on demand up to cap(pmf).
 	pmf []float64
 	// sums[k] is the compensated head sum after adding pmf[0..k], and
-	// comp the correction term after the last of them; kept only when
-	// memo is set.
+	// comp the correction term after the last of them; kept only by a
+	// tabulating table (pmf != nil).
 	sums []float64
 	comp float64
-	memo bool
 }
 
 // Reset points the table at Poisson(lambda), tabulating on demand with
@@ -117,7 +116,6 @@ func (t *Table) Reset(lambda float64, kmax int) {
 	t.pmf = make([]float64, 0, min(max(kmax, 0), maxTabulated)+1)
 	t.sums = t.sums[:0]
 	t.comp = 0
-	t.memo = true
 }
 
 // PMF returns PMF(k, lambda), from the table when k is within its
@@ -139,14 +137,15 @@ func (t *Table) PMF(k int) float64 {
 const maxTabulated = 1 << 20
 
 // headSum returns the compensated sum p_0 + ... + p_g, resuming from the
-// last stored head state and, on a memoizing table, storing the new ones
-// (head queries stop below the mean, so at most ceil(lambda) of them).
+// last stored head state and, on a tabulating table, storing the new
+// ones (head queries stop below the mean, so at most ceil(lambda) of
+// them).
 func (t *Table) headSum(g int) float64 {
 	if g < len(t.sums) {
 		return t.sums[g]
 	}
 	limit := 0
-	if t.memo {
+	if t.pmf != nil {
 		limit = int(math.Min(math.Ceil(t.lambda), maxTabulated))
 		if cap(t.sums) == 0 {
 			t.sums = make([]float64, 0, limit)
