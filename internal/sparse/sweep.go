@@ -496,7 +496,7 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 		if s.format == FormatBand {
 			// The row-lane band kernel is bound by the cache level its
 			// state streams from, so blocking pays at every size that
-			// holds two blocks: every team size runs L1-sized bandL1Tile
+			// holds two blocks: every team size runs L1-sized bandTile
 			// blocks (the state otherwise streams from L2 even at 2,001
 			// rows).
 			if s.rows < 2*W {
