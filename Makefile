@@ -70,11 +70,12 @@ bench-ingest:
 
 # The randomization-sweep kernel comparison tracked in BENCHMARKS.md:
 # serial reference vs the fused kernel at the paper's large-example shape,
+# the served small-model solves, and the eq. 11 truncation search,
 # recorded as machine-readable JSON (name, median ns/op with its min/max
 # over 5 runs, B/op, allocs/op, cores, commit) for committing and diffing
 # across revisions.
 bench-sweep:
-	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -count 5 -run '^$$' \
+	$(GO) test -bench 'BenchmarkSweep|BenchmarkTruncationPoint' -benchmem -benchtime 10x -count 5 -run '^$$' \
 		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	@echo wrote BENCH_sweep.json
 
@@ -86,7 +87,7 @@ bench-sweep:
 # so read the report instead of failing the build on it.
 bench-check:
 	mkdir -p .bench_build
-	$(GO) test -bench BenchmarkSweep -benchmem -benchtime 10x -count 5 -run '^$$' \
+	$(GO) test -bench 'BenchmarkSweep|BenchmarkTruncationPoint' -benchmem -benchtime 10x -count 5 -run '^$$' \
 		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o .bench_build/bench_sweep_new.json
 	-$(GO) run ./cmd/benchjson -compare BENCH_sweep.json .bench_build/bench_sweep_new.json -tol 0.15
 

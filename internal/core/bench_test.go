@@ -193,13 +193,23 @@ func BenchmarkSolveWithShift(b *testing.B) {
 	}
 }
 
+// BenchmarkTruncationPoint times the eq. 11 search with its pmf table:
+// the paper's large example (qt = 40,000, order 3) and the Table 1
+// model's order-12 bounds solves at t = 0.3 and 1 (q = 128, d = 0.25).
 func BenchmarkTruncationPoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var tab poisson.Table
-		poissonTable(&tab, 40_000, 3)
-		if _, _, err := truncationPoint(&tab, 3, 0.25, 40_000, 1e-9, false, 10_000_000); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		order int
+		qt    float64
+	}{{3, 40_000}, {12, 38.4}, {12, 128}} {
+		b.Run(fmt.Sprintf("qt%g/order%d", bc.qt, bc.order), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var tab poisson.Table
+				poissonTable(&tab, bc.qt, bc.order)
+				if _, _, err := truncationPoint(&tab, bc.order, 0.25, bc.qt, 1e-9, false, defaultMaxG); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -314,7 +324,8 @@ func BenchmarkSweep(b *testing.B) {
 	}
 
 	// Small and mid-size models around the 8,191-row parallel threshold
-	// (N = 32 is the paper's Table 1 size, 2,001 the midsize serving
+	// (N = 32 is a 32-state chain with no rows past its last 4-row group,
+	// not the Table 1 model — see the N33 rows below; 2,001 the midsize serving
 	// shape, 4,095 the largest of these the automatic policy runs on one
 	// worker, 8,191 and 16,383 the smallest it hands a team): the serial
 	// reference oracle against the inline 1-worker fused kernel, and a
@@ -326,9 +337,8 @@ func BenchmarkSweep(b *testing.B) {
 	// (uniformization) plus the first solve, which pays structure
 	// detection and the band conversion. The order12 rows solve moment
 	// order 12, the order of every bounds request, on the row-lane band
-	// kernel: N32/order12 under the automatic policy, as a bounds request
-	// on the Table 1 size runs, and N2001/order12-fused-1 inline on one
-	// worker.
+	// kernel: N32/order12 under the automatic policy and
+	// N2001/order12-fused-1 inline on one worker.
 	rowOpts := map[string]*Options{
 		"reference":         {SweepWorkers: -1},
 		"fused-1":           {SweepWorkers: 1},
@@ -385,6 +395,41 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			})
 		}
+	}
+
+	// The Table 1 model as small-mix serves it: onOffModel(32, 4, 3, 1,
+	// 10), 33 states (so every sweep iteration ends in one masked row
+	// group), q = 128, under the automatic policy. order3 and order12 are
+	// single solves at t = 0.3 (qt = 38.4), the shape of the single and
+	// bounds requests; grid20-* solve the paper's 20-point grid 0.05,
+	// 0.10, ..., 1.0 in one AccumulatedRewardAt call, the batch requests.
+	// Each row times the whole solve: truncation search, pmf table,
+	// sweep, scaling.
+	table1, err := Prepare(onOffModel(b, 32, 4, 3, 1, 10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := make([]float64, 20)
+	for i := range grid {
+		grid[i] = float64(i+1) / 20
+	}
+	for _, row := range []struct {
+		name  string
+		order int
+		times []float64
+	}{
+		{"order3", 3, []float64{0.3}},
+		{"order12", 12, []float64{0.3}},
+		{"grid20-order3", 3, grid},
+		{"grid20-order12", 12, grid},
+	} {
+		b.Run("N33/"+row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := table1.AccumulatedRewardAt(row.times, row.order, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 
 	// Non-tridiagonal shapes at ≈65k states, one worker: the storage

@@ -162,17 +162,31 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweepPlans := make([]sparse.SweepPlan, len(times))
 	gMax := 0
 	activePlans := 0
-	var tab poisson.Table
+	if ws == nil {
+		ws = &solveWorkspace{}
+	}
+	// One pmf table per time point serves the truncation search and
+	// becomes the sweep weights. The tables' storage is carved from the
+	// workspace, which outlives the sweep's reads of the weights, and
+	// they share the workspace table's head-sum storage.
+	pmfWords := 0
+	for _, t := range times {
+		if t != 0 {
+			pmfWords += poisson.TableWords(pmfKmax(q*t, order))
+		}
+	}
+	pmfArena := ws.ensurePMF(pmfWords)
+	tab := &ws.tab
 	for idx, t := range times {
 		if t == 0 {
 			plans[idx] = timePlan{t: 0}
 			sweepPlans[idx] = sparse.SweepPlan{First: 0, Last: -1}
 			continue
 		}
-		// One pmf table per time point serves the truncation search and
-		// becomes the sweep weights.
-		poissonTable(&tab, q*t, order)
-		g, bound, err := truncationPoint(&tab, order, d, q*t, cfg.Epsilon, imp != nil, cfg.MaxG)
+		k := poisson.TableWords(pmfKmax(q*t, order))
+		tab.ResetInto(q*t, pmfArena[:0:k])
+		pmfArena = pmfArena[k:]
+		g, bound, err := truncationPoint(tab, order, d, q*t, cfg.Epsilon, imp != nil, cfg.MaxG)
 		if err != nil {
 			return nil, err
 		}
@@ -221,22 +235,23 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// never escape into Results are carved here; everything needing zeros
 	// is cleared explicitly (the arena arrives dirty). Each time point's
 	// accumulators start the sweep's plane stride apart, the layout the
-	// band kernel fuses its accumulation into. A packed run reads its
-	// initial state from cur once and never touches next, so next aliases
-	// cur and takes no arena.
+	// band kernel fuses its accumulation into. A packed run reads cur
+	// once, to seed its planes, and writes neither cur nor next: next
+	// aliases cur, a fresh state's moments 1..order share one zero
+	// vector, and a resumed one is read straight from the checkpoint.
 	ps := sweep.PlaneStride()
 	packed := sweep.ScratchWords() > 0
-	vecWords := 2 * (order + 1) * n
-	if packed {
-		vecWords = (order + 1) * n
+	var vecWords int
+	switch {
+	case !packed:
+		vecWords = 2 * (order + 1) * n
+	case cfg.Resume == nil:
+		vecWords = 2 * n
 	}
 	accWords := activePlans * (order*ps + n)
 	vmWords := 0
 	if shift != 0 {
 		vmWords = (order + 1) * n
-	}
-	if ws == nil {
-		ws = &solveWorkspace{}
 	}
 	arena := ws.ensure(vecWords + accWords + vmWords + sweep.ScratchWords())
 	carve := func(k int) []float64 {
@@ -245,14 +260,21 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		return s
 	}
 	cur := make([][]float64, order+1)
-	next := make([][]float64, order+1)
-	for j := 0; j <= order; j++ {
-		cur[j] = carve(n)
-		clear(cur[j])
-		if packed {
-			next[j] = cur[j]
-		} else {
+	next := cur
+	switch {
+	case !packed:
+		next = make([][]float64, order+1)
+		for j := 0; j <= order; j++ {
+			cur[j] = carve(n)
+			clear(cur[j])
 			next[j] = carve(n) // fully overwritten by the first iteration
+		}
+	case cfg.Resume == nil:
+		cur[0] = carve(n) // set to 1 below
+		zeros := carve(n)
+		clear(zeros)
+		for j := 1; j <= order; j++ {
+			cur[j] = zeros
 		}
 	}
 	for idx := range sweepPlans {
@@ -284,7 +306,11 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			return nil, err
 		}
 		for j := 0; j <= order; j++ {
-			copy(cur[j], cp.State[j])
+			if packed {
+				cur[j] = cp.State[j]
+			} else {
+				copy(cur[j], cp.State[j])
+			}
 		}
 		for idx := range sweepPlans {
 			if plans[idx].t == 0 {

@@ -131,3 +131,54 @@ func TestAccumulatedRewardAtErrors(t *testing.T) {
 		t.Errorf("low rate: %v", err)
 	}
 }
+
+// TestMaxGAtTruncationPoint pins Options.MaxG as a cap on G itself: on
+// the Table 1 model (order 12, t = 0.55, G = 205) a solve with MaxG = G
+// returns the uncapped solve's G, error bound and moments, and MaxG =
+// G − 1 is an ErrBadArgument — through the vector solver (solveAt) and
+// the joint-moment path alike.
+func TestMaxGAtTruncationPoint(t *testing.T) {
+	m := onOffModel(t, 32, 4, 3, 1, 10)
+	const tt, order = 0.55, 12
+	free, err := m.AccumulatedReward(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := free.Stats.G
+	if g != 205 {
+		t.Fatalf("uncapped G = %d, want 205", g)
+	}
+	capped, err := m.AccumulatedReward(tt, order, &Options{MaxG: g})
+	if err != nil {
+		t.Fatalf("MaxG = G = %d: %v", g, err)
+	}
+	if capped.Stats.G != g || math.Float64bits(capped.Stats.ErrorBound) != math.Float64bits(free.Stats.ErrorBound) {
+		t.Fatalf("MaxG = G: G=%d bound=%g, uncapped G=%d bound=%g", capped.Stats.G, capped.Stats.ErrorBound, g, free.Stats.ErrorBound)
+	}
+	for j := range free.Moments {
+		if math.Float64bits(capped.Moments[j]) != math.Float64bits(free.Moments[j]) {
+			t.Fatalf("MaxG = G: moment %d = %g, uncapped %g", j, capped.Moments[j], free.Moments[j])
+		}
+	}
+	if _, err := m.AccumulatedReward(tt, order, &Options{MaxG: g - 1}); !errors.Is(err, ErrBadArgument) {
+		t.Fatalf("MaxG = G-1: err %v, want ErrBadArgument", err)
+	}
+
+	jfree, err := m.JointMoments(tt, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jfree.Stats.G != g {
+		t.Fatalf("joint G = %d, vector G = %d", jfree.Stats.G, g)
+	}
+	jcapped, err := m.JointMoments(tt, order, &Options{MaxG: g})
+	if err != nil {
+		t.Fatalf("joint MaxG = G: %v", err)
+	}
+	if jcapped.Stats.G != g || math.Float64bits(jcapped.Stats.ErrorBound) != math.Float64bits(jfree.Stats.ErrorBound) {
+		t.Fatalf("joint MaxG = G: G=%d bound=%g, uncapped bound=%g", jcapped.Stats.G, jcapped.Stats.ErrorBound, jfree.Stats.ErrorBound)
+	}
+	if _, err := m.JointMoments(tt, order, &Options{MaxG: g - 1}); !errors.Is(err, ErrBadArgument) {
+		t.Fatalf("joint MaxG = G-1: err %v, want ErrBadArgument", err)
+	}
+}

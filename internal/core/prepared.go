@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"somrm/internal/poisson"
 	"somrm/internal/sparse"
 )
 
@@ -27,9 +28,9 @@ type Prepared struct {
 
 	// ws pools the per-solve scratch arenas (sweep state vectors,
 	// accumulators, packed kernel state — tens of MB at the paper's
-	// sizes), so repeated server solves against the same model stop
-	// allocating them. Only non-escaping scratch lives in the arena; see
-	// solveAt. The pool is a separate allocation: the runtime keeps every
+	// sizes — and the Poisson tables), so repeated server solves against
+	// the same model stop allocating them. Only non-escaping scratch
+	// lives in the arena; see solveAt. The pool is a separate allocation: the runtime keeps every
 	// used pool reachable for up to two GC cycles, and an embedded pool
 	// would keep the whole Prepared — its matrices included — alive that
 	// long after a cache dropped it.
@@ -40,6 +41,10 @@ type Prepared struct {
 // most one solve at a time; Prepared hands them out from a sync.Pool.
 type solveWorkspace struct {
 	buf []float64
+	// pmf backs the Poisson tables of a solve's time points (see
+	// solveAt), which also share tab's head-sum storage.
+	pmf []float64
+	tab poisson.Table
 }
 
 // ensure returns an arena of exactly the given word count, growing the
@@ -50,6 +55,14 @@ func (w *solveWorkspace) ensure(words int) []float64 {
 		w.buf = make([]float64, words)
 	}
 	return w.buf[:words]
+}
+
+// ensurePMF is ensure for the pmf tables' buffer.
+func (w *solveWorkspace) ensurePMF(words int) []float64 {
+	if cap(w.pmf) < words {
+		w.pmf = make([]float64, words)
+	}
+	return w.pmf[:words]
 }
 
 func (p *Prepared) getWorkspace() *solveWorkspace {

@@ -354,6 +354,17 @@ func (m *Model) impulseMatrices(q, d float64, order int) ([]*sparse.CSR, error) 
 // tab serves every tail probability the search probes, for lambda = qt:
 // the caller then reads the sweep weights PMF(0..G) from the same table
 // (see poissonTable), so each pmf value of the solve is evaluated once.
+//
+// The bound only falls as g grows, so the smallest passing g is found by
+// bracketing and bisection. The bracket opens at truncationGuess's
+// estimate and widens outward in doubling steps until it holds one
+// missing and one passing g (or reaches minG or maxG); the bisection
+// then runs between the last missing and the first passing probe. A
+// probe stops at the first order whose term reaches eps, trying first
+// the order that decided the last miss, so only passing probes evaluate
+// every order — and the bound returned is the full maximum at G, the
+// value a linear scan would report. G above maxG is an ErrBadArgument:
+// the search fails exactly when g = maxG itself misses eps.
 func truncationPoint(tab *poisson.Table, order int, d, qt, eps float64, impulses bool, maxG int) (int, float64, error) {
 	logEps := math.Log(eps)
 	// The order-dependent factors do not depend on g: evaluate them once.
@@ -369,57 +380,112 @@ func truncationPoint(tab *poisson.Table, order int, d, qt, eps float64, impulses
 		}
 		logFactor = append(logFactor, f)
 	}
-	logBound := func(g int) float64 {
-		worst := math.Inf(-1)
-		for j, f := range logFactor {
-			if b := f + tab.LogTailProb(g-j); b > worst {
-				worst = b
-			}
-		}
-		return worst
-	}
-
 	minG := 0
 	if impulses {
 		minG = 2 * order
 	}
-	if b := logBound(minG); b < logEps {
-		return minG, math.Exp(b), nil
-	}
-	// Exponential search for an upper bracket, then binary search. hiBound
-	// tracks the bound at hi, so the result needs no re-evaluation.
-	hi := minG + 1
-	step := 1 + int(math.Sqrt(qt))
-	hiBound := logBound(hi)
-	for hiBound >= logEps {
-		hi += step
-		step *= 2
-		if hi > maxG {
-			return 0, 0, fmt.Errorf("%w: truncation point exceeds MaxG=%d (qt=%g, order=%d)", ErrBadArgument, maxG, qt, order)
+	maxG = max(maxG, minG)
+
+	g, dom := truncationGuess(logFactor, logEps, qt)
+	// miss < pass bracket the answer: miss is the largest g known to miss
+	// eps (minG-1 when none is), pass the smallest known to meet it
+	// (-1 while none is), passLog the log bound at pass.
+	miss, pass := minG-1, -1
+	var passLog float64
+	probe := func(g int) {
+		bd := logFactor[dom] + tab.LogTailProb(g-dom)
+		if bd >= logEps {
+			miss = g
+			return
 		}
-		hiBound = logBound(hi)
+		worst := bd
+		for j, f := range logFactor {
+			if j == dom {
+				continue
+			}
+			b := f + tab.LogTailProb(g-j)
+			if b >= logEps {
+				miss, dom = g, j
+				return
+			}
+			worst = max(worst, b)
+		}
+		pass, passLog = g, worst
 	}
-	lo := minG
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b := logBound(mid); b < logEps {
-			hi, hiBound = mid, b
+	probe(min(max(g, minG), maxG))
+	for step := 1; ; step *= 2 {
+		if pass < 0 {
+			if miss == maxG {
+				return 0, 0, fmt.Errorf("%w: truncation point exceeds MaxG=%d (qt=%g, order=%d)", ErrBadArgument, maxG, qt, order)
+			}
+			probe(min(miss+step, maxG))
+		} else if miss < minG && pass > minG {
+			probe(max(pass-step, minG))
 		} else {
-			lo = mid + 1
+			break
 		}
 	}
-	return hi, math.Exp(hiBound), nil
+	for pass-miss > 1 {
+		probe(miss + (pass-miss)/2)
+	}
+	return pass, math.Exp(passLog), nil
 }
 
-// poissonTable points tab at Poisson(qt) with room for the pmf up to a
-// little past the truncation point a solve of this order typically
-// reaches at ε = 1e-9 — the mean plus 9.5 standard deviations at order 3
-// and 17.5 at order 12, a few iterations more at small qt — so the
-// search and the sweep weights share one allocation. The table grows
+// truncationGuess estimates the truncation point for truncationPoint's
+// per-order log factors f_j and returns it with the order expected to
+// decide it. Term j at g is f_j + ln P(X > g-j), X ~ Poisson(qt). Above
+// the mean, ln P(X > k) falls by about ln(k/qt) per unit of k, so near the
+// answer the order with the largest f_j + j·ln(k/qt) decides; for that
+// order the guess solves ln P(X >= m) = ln(eps) - f_j for m = k+1 with
+// Stirling's pmf and the geometric tail sum,
+//
+//	-ln P(X >= m) ≈ qt - m + m·ln(m/qt) + ½·ln(2πm) + ln(1 - qt/(m+1)),
+//
+// by three Newton steps from Bernstein's bound on the quantile. The guess
+// is only a starting point: the search widens its bracket from it in
+// either direction, so an estimate off by a few iterations costs a few
+// probes and never changes the result.
+func truncationGuess(logFactor []float64, logEps, qt float64) (g, dom int) {
+	quantile := func(tau float64) float64 {
+		return qt + tau/3 + math.Sqrt(tau*tau/9+2*qt*tau)
+	}
+	slope := math.Log(quantile(max(logFactor[len(logFactor)-1]-logEps, 0)) / qt)
+	for j, f := range logFactor {
+		if f+float64(j)*slope > logFactor[dom]+float64(dom)*slope {
+			dom = j
+		}
+	}
+	tau := logFactor[dom] - logEps
+	if tau <= 0 {
+		return 0, dom
+	}
+	m := quantile(tau)
+	for range 3 {
+		r := math.Log(m / qt)
+		tail := math.Log1p(-qt / (m + 1))
+		if r <= 0 || math.IsInf(tail, 0) || math.IsNaN(tail) {
+			break
+		}
+		m = max(m-(qt-m+m*r+0.5*math.Log(2*math.Pi*m)+tail-tau)/r, qt+1)
+	}
+	return int(math.Ceil(m)) - 1 + dom, dom
+}
+
+// pmfKmax returns the last pmf index a solve's Poisson(qt) table has room
+// for: a little past the truncation point a solve of this order
+// typically reaches at ε = 1e-9 — the mean plus 9.5 standard deviations
+// at order 3 and 17.5 at order 12, a few iterations more at small qt — so
+// the search and the sweep weights share one allocation. The table grows
 // once when the weights need more, and probes beyond its capacity
 // evaluate their pmf directly.
+func pmfKmax(qt float64, order int) int {
+	return int(qt+(9+0.8*float64(order))*math.Sqrt(qt)) + 2*order + 4
+}
+
+// poissonTable points tab at Poisson(qt) with fresh pmf storage up to
+// pmfKmax(qt, order).
 func poissonTable(tab *poisson.Table, qt float64, order int) {
-	tab.Reset(qt, int(qt+(9+0.8*float64(order))*math.Sqrt(qt))+2*order+4)
+	tab.Reset(qt, pmfKmax(qt, order))
 }
 
 // trivialMoments returns the moment vectors of B == 0: V^0 = 1, rest 0.

@@ -112,11 +112,25 @@ type Table struct {
 // solver keeps its sweep weights — while the head-sum storage is reused,
 // so the time points of one solve share it.
 func (t *Table) Reset(lambda float64, kmax int) {
+	t.ResetInto(lambda, make([]float64, 0, TableWords(kmax)))
+}
+
+// ResetInto is Reset with caller-lent pmf storage: the table tabulates
+// into pmf's backing array, up to cap(pmf) entries before it has to grow
+// (pmf's contents are ignored), so a solver can carve the tables of all
+// its time points from one pooled buffer. The storage belongs to the
+// table until the caller stops reading the table and every slice Window
+// returned from it.
+func (t *Table) ResetInto(lambda float64, pmf []float64) {
 	t.lambda = lambda
-	t.pmf = make([]float64, 0, min(max(kmax, 0), maxTabulated)+1)
+	t.pmf = pmf[:0:min(cap(pmf), maxTabulated+1)]
 	t.sums = t.sums[:0]
 	t.comp = 0
 }
+
+// TableWords returns the pmf storage, in float64 words, of a table with
+// room for PMF(0..kmax): kmax+1, capped at the tabulation limit.
+func TableWords(kmax int) int { return min(max(kmax, 0), maxTabulated) + 1 }
 
 // PMF returns PMF(k, lambda), from the table when k is within its
 // capacity (extending it as needed), directly otherwise.
@@ -231,8 +245,9 @@ func (t *Table) LogTailProb(g int) float64 {
 }
 
 // Window returns the tabulated PMF(0..g) and its non-zero window, as
-// PMFWindow does; the slice aliases the table's storage, which Reset
-// never reuses. A g beyond the capacity grows the table once.
+// PMFWindow does; the slice aliases the table's storage, which a later
+// Reset never reuses (ResetInto reuses only what its caller lends). A g
+// beyond the capacity grows the table once, into fresh storage.
 func (t *Table) Window(g int) (prob []float64, first, last int) {
 	if g >= cap(t.pmf) {
 		t.pmf = append(make([]float64, 0, g+1), t.pmf...)

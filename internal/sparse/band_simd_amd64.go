@@ -36,8 +36,8 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() (eax, edx uint32)
 
-// bandLanesAVX2 is the assembly body of fuseBlockBand for n rows (a
-// multiple of 4) at every moment order, on the row-lane layout: band is
+// bandLanesAVX2 is the assembly body of fuseBlockBand for n >= 1 rows
+// at every moment order, on the row-lane layout: band is
 // &val[lo] of the band's sub-diagonal plane, cur and next are the first
 // row's cells in state plane 0 (&cur[1+lo]), stride is the shared plane
 // stride in words of the band and both state buffers, order the highest
@@ -47,15 +47,17 @@ func xgetbv0() (eax, edx uint32)
 // a_j[i] += w*s_j fused into the body; nil leaves accumulation to the
 // caller. Each vector lane executes exactly the scalar loop's operation
 // sequence with the same IEEE rounding (vmulpd/vaddpd, never fused), so
-// results are bitwise identical to the Go code.
+// results are bitwise identical to the Go code. The last n mod 4 rows run
+// as one masked group, which loads and stores no cell of a masked-off
+// lane.
 //
 //go:noescape
 func bandLanesAVX2(n int, band, cur, next *float64, stride, order int, d1, d2, acc *float64, w float64)
 
 // planeAccAVX2 applies one plan's accumulation a_j[i] += w*next_j[i]
-// for n rows (a multiple of 4) of planes consecutive next planes: next
-// and acc point at plane 0's first row, and the planes lie stride and
-// accStride words apart.
+// for n >= 1 rows (the last n mod 4 masked) of planes consecutive next
+// planes: next and acc point at plane 0's first row, and the planes lie
+// stride and accStride words apart.
 //
 //go:noescape
 func planeAccAVX2(n int, next *float64, stride, planes int, acc *float64, accStride int, w float64)

@@ -39,6 +39,14 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // permutes, no blends: the neighbour rows are plain unaligned loads one
 // cell left and right in the same plane.
 //
+// The n mod 4 rows after the last whole group run as one masked group:
+// the same per-lane sequence with every operand loaded, and every state
+// and accumulator cell stored, by vmaskmovpd under a mask of the first
+// n mod 4 lanes (Y5). Masked-off lanes neither load nor store, so the
+// group reads no cell past the range's right neighbour and writes no
+// cell outside the range: the neighbouring ranges of a team, the padding
+// cells and the caller's slices past row n stay untouched.
+//
 // Per 4-row group the band and diagonal vectors are loaded once, moments
 // 0 and 1 are peeled, and every moment j >= 2 runs the one uniform step
 // MJ, whose centre values x_{j-2}[i], x_{j-1}[i], x_j[i] stay in
@@ -61,6 +69,23 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // pairs per group (the order, for orders up to 2), R13 = the pairs left,
 // CX = the groups left. Y6-Y8 hold the centre values, Y9-Y13 the d2, d1,
 // U, D and L vectors, Y14 the weight w.
+
+// tailMask<> holds three all-ones lanes and three zero lanes: the 32
+// bytes at offset 8·(3−r) are the vmaskmovpd mask of the first r lanes.
+DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+24(SB)/8, $0
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $48
+
+// TAILMASK loads the mask of the first r lanes (r = 1..3, in register r,
+// which it clobbers) into Y5, using t as scratch.
+#define TAILMASK(r, t) \
+	NEGQ    r                     \
+	LEAQ    tailMask<>+24(SB), t  \
+	VMOVDQU (t)(r*8), Y5
 
 // BANDLOAD loads the group's band and diagonal vectors.
 #define BANDLOAD \
@@ -133,6 +158,37 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VMOVAPD Y6, Y7  \
 	VMOVAPD Y8, Y6
 
+// MBANDLOAD, MSTEP, MSTORE and MACC are BANDLOAD, STEP, the state
+// store and ACC of the masked tail group: each memory operand goes
+// through a vmaskmovpd under Y5 (Y1 holds the loaded operand), and the
+// arithmetic is unchanged.
+#define MBANDLOAD \
+	VMASKMOVPD (R8), Y5, Y13        \
+	VMASKMOVPD (R8)(BX*1), Y5, Y12  \
+	VMASKMOVPD (R8)(BX*2), Y5, Y11  \
+	VMASKMOVPD (R10)(AX*1), Y5, Y10 \
+	VMASKMOVPD (R11)(AX*1), Y5, Y9
+
+#define MSTEP(c) \
+	VMASKMOVPD -8(SI), Y5, Y1 \
+	VMULPD     Y1, Y13, Y4    \
+	VADDPD     Y4, Y15, Y0    \
+	VMASKMOVPD (SI), Y5, c    \
+	VMULPD     c, Y12, Y4     \
+	VADDPD     Y4, Y0, Y0     \
+	VMASKMOVPD 8(SI), Y5, Y1  \
+	VMULPD     Y1, Y11, Y4    \
+	VADDPD     Y4, Y0, Y0
+
+#define MSTORE \
+	VMASKMOVPD Y0, Y5, (SI)(DI*1)
+
+#define MACC \
+	VMULPD     Y0, Y14, Y4          \
+	VMASKMOVPD (SI)(R12*1), Y5, Y1  \
+	VADDPD     Y1, Y4, Y4           \
+	VMASKMOVPD Y4, Y5, (SI)(R12*1)
+
 // NEXTGROUP rewinds to plane 0, steps every row cursor to the next 4-row
 // group and loops to label while groups remain.
 #define NEXTGROUP(label) \
@@ -163,7 +219,7 @@ TEXT ·bandLanesAVX2(SB), NOSPLIT, $0-80
 	SUBQ SI, R12
 	VXORPD Y15, Y15, Y15
 	SHRQ $2, CX
-	JZ   done
+	JZ   tail
 	CMPQ R14, $2
 	JLE  low
 	MOVQ R14, DX
@@ -187,7 +243,7 @@ epair:
 	DECQ R13
 	JNZ  epair
 	NEXTGROUP(even)
-	JMP  done
+	JMP  tail
 
 aeven:
 	BANDLOAD
@@ -204,7 +260,7 @@ aepair:
 	DECQ R13
 	JNZ  aepair
 	NEXTGROUP(aeven)
-	JMP  done
+	JMP  tail
 
 odd:
 	MOVQ acc+64(FP), DX
@@ -222,7 +278,7 @@ opair:
 	DECQ R13
 	JNZ  opair
 	NEXTGROUP(oloop)
-	JMP  done
+	JMP  tail
 
 aodd:
 	BANDLOAD
@@ -237,7 +293,7 @@ aopair:
 	DECQ R13
 	JNZ  aopair
 	NEXTGROUP(aodd)
-	JMP  done
+	JMP  tail
 
 low:
 	MOVQ acc+64(FP), DX
@@ -256,7 +312,7 @@ lloop:
 
 lnext:
 	NEXTGROUP(lloop)
-	JMP  done
+	JMP  tail
 
 alow:
 	BANDLOAD
@@ -274,16 +330,66 @@ alow:
 alnext:
 	NEXTGROUP(alow)
 
+// The masked group of the last n mod 4 rows: the row cursors already
+// point at it. One moment per loop trip, the centre values rotating
+// through Y6-Y8; DX = acc selects the accumulation, R13 counts the
+// moments left.
+tail:
+	MOVQ n+0(FP), CX
+	ANDQ $3, CX
+	JZ   done
+	TAILMASK(CX, DX)
+	MOVQ order+40(FP), R13
+	MOVQ acc+64(FP), DX
+	MBANDLOAD
+	MSTEP(Y6)
+	MSTORE
+	TESTQ DX, DX
+	JZ   tm1
+	MACC
+
+tm1:
+	TESTQ R13, R13
+	JZ   done
+	ADDQ BX, SI
+	MSTEP(Y7)
+	COUPLE(Y6, Y10)
+	MSTORE
+	TESTQ DX, DX
+	JZ   tm2
+	MACC
+
+tm2:
+	DECQ R13
+	JZ   done
+
+tmj:
+	ADDQ BX, SI
+	MSTEP(Y8)
+	COUPLE(Y7, Y10)
+	COUPLE(Y6, Y9)
+	MSTORE
+	TESTQ DX, DX
+	JZ   tmnext
+	MACC
+
+tmnext:
+	VMOVAPD Y7, Y6
+	VMOVAPD Y8, Y7
+	DECQ R13
+	JNZ  tmj
+
 done:
 	VZEROUPPER
 	RET
 
 // func planeAccAVX2(n int, next *float64, stride, planes int, acc *float64, accStride int, w float64)
 //
-// One plan's accumulation pass over n rows (a multiple of 4) of planes
-// consecutive next planes, plane by plane: a_j[i] += w*next_j[i], the
-// multi-plan companion of bandLanesAVX2. next and acc point at the first
-// row of plane 0; the planes lie stride and accStride words apart.
+// One plan's accumulation pass over n rows of planes consecutive next
+// planes, plane by plane: a_j[i] += w*next_j[i], the multi-plan companion
+// of bandLanesAVX2. next and acc point at the first row of plane 0; the
+// planes lie stride and accStride words apart. The n mod 4 rows after
+// the last whole group of each plane run masked (see bandLanesAVX2).
 TEXT ·planeAccAVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
 	MOVQ next+8(FP), SI
@@ -294,15 +400,23 @@ TEXT ·planeAccAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSD w+48(FP), Y14
 	SHLQ $3, BX
 	SHLQ $3, R14
-	SHRQ $2, CX
-	JZ   pdone
 	TESTQ R9, R9
 	JZ   pdone
+	MOVQ CX, R11
+	ANDQ $3, R11
+	JZ   pgroups
+	MOVQ R11, R13
+	TAILMASK(R13, DX)
+
+pgroups:
+	SHRQ $2, CX
 
 pplane:
 	MOVQ SI, DI
 	MOVQ R12, DX
 	MOVQ CX, R10
+	TESTQ R10, R10
+	JZ   ptail
 
 prow:
 	VMULPD  (DI), Y14, Y0
@@ -312,6 +426,17 @@ prow:
 	ADDQ $32, DX
 	DECQ R10
 	JNZ  prow
+
+ptail:
+	TESTQ R11, R11
+	JZ   pnext
+	VMASKMOVPD (DI), Y5, Y1
+	VMULPD     Y1, Y14, Y0
+	VMASKMOVPD (DX), Y5, Y1
+	VADDPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y5, (DX)
+
+pnext:
 	ADDQ BX, SI
 	ADDQ R14, R12
 	DECQ R9

@@ -59,18 +59,16 @@ func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
 // when the run shape reaches one of the assembly bodies — a packed layout
-// on a format with a vector kernel (band with at least one 4-row group at
-// any order, non-empty order-3 CSR32, or order-3 QBD with at least one
-// interior level) and the SIMD gate open.
+// on a format with a vector kernel (band at any order and size,
+// non-empty order-3 CSR32, or order-3 QBD with at least one interior
+// level) and the SIMD gate open.
 func (s *Sweep) resolveKernel(layout stateLayout) string {
 	if layout == layoutPlanar || !s.simd {
 		return KernelScalar
 	}
 	switch s.format {
 	case FormatBand:
-		if s.rows >= 4 {
-			return KernelAVX2
-		}
+		return KernelAVX2
 	case FormatCSR32:
 		if len(s.a.val) > 0 {
 			return KernelAVX2

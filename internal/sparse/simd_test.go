@@ -98,8 +98,9 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 
 // TestSweepKernelLabel pins which run shapes the dispatcher labels as
 // served by the vector kernels: exactly the packed layouts with an
-// assembly body (band at every order — bidiagonal padded into the window
-// too — and order-3 non-empty CSR32 and QBD with an interior level),
+// assembly body (band at every order and size — bidiagonal padded into
+// the window too, and three rows with no whole 4-row group — and order-3
+// non-empty CSR32 and QBD with an interior level),
 // scalar for everything else even with the gate open. With the gate
 // closed (no AVX2, or SOMRM_NOSIMD set) every shape is scalar.
 func TestSweepKernelLabel(t *testing.T) {
@@ -136,6 +137,7 @@ func TestSweepKernelLabel(t *testing.T) {
 		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, vec},
 		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, vec},
 		{"band-order12", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 12, vec},
+		{"band-three-rows", bandedFixture(t, rng, 3, 1, 1), FormatBand, FormatBand, 3, vec},
 		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, vec},
 		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatQBD, FormatQBD, 3, vec},
 		{"qbd-two-level", twoLevel, FormatQBD, FormatQBD, 3, KernelScalar},

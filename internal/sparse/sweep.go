@@ -645,8 +645,9 @@ func gatherActive(plans []SweepPlan, k int, buf []accPair) []accPair {
 // initial state is cur; accumulations land in the plans' Acc buffers.
 // cur and next are scratch the sweep alternates between — their contents
 // after Run are unspecified. A run on a packed layout (ScratchWords > 0)
-// copies cur into its own state once and never touches next, so there
-// next may alias cur.
+// copies cur into its own state once and writes neither cur nor next,
+// so there next may alias cur and the vectors of cur may alias one
+// another (or a checkpoint's read-only state).
 //
 // With a team size of 1 the fused kernel runs inline (no goroutines);
 // larger teams run the persistent workers described in the file comment.
@@ -1224,11 +1225,13 @@ func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []ac
 // padded cells' 0.0·x products are bitwise neutral (see band.go), leaving
 // every output element with exactly the reference operation sequence.
 //
-// On AVX2 hardware the whole groups of four rows in [lo, hi) run the
-// assembly body (band_simd_amd64.s), whose lanes execute bandRows' exact
-// operation sequence with the same IEEE rounding; bandRows itself takes
-// the (hi-lo) mod 4 tail rows and, without AVX2, the whole range. One
-// plan whose accumulators lie at the state plane stride (see
+// On AVX2 hardware every row of [lo, hi) runs the assembly body
+// (band_simd_amd64.s), whose lanes execute bandRows' exact operation
+// sequence with the same IEEE rounding: four rows per group, the last
+// (hi-lo) mod 4 rows as one masked group that writes no cell outside the
+// range. bandRows runs only without AVX2 (no hardware support, a
+// kill-switch, arm64). One plan whose accumulators lie at the state
+// plane stride (see
 // PlaneStride; the solver carves them so) has its accumulation fused
 // into the kernel as vector adds straight into those planes; otherwise
 // the kernel runs unaccumulated per tile, followed by one vector
@@ -1236,13 +1239,15 @@ func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []ac
 // a_j[i] += w*s_j reads back the stored s_j bit-exactly, and only work
 // between different (plan, element) pairs is reordered).
 func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair) {
-	if !s.simd || hi-lo < 4 {
+	if !s.simd {
 		s.bandRows(lo, hi, cur, next, active)
+		return
+	}
+	if lo >= hi {
 		return
 	}
 	st, bval, order := s.band.stride, s.band.val, s.order
 	d1, d2 := s.diag1, s.diag2
-	vhi := lo + (hi-lo)&^3
 	// One plan whose accumulators lie at the state plane stride has its
 	// accumulation fused into the kernel.
 	var fused *float64
@@ -1253,11 +1258,13 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 		}
 	}
 	if fused != nil || len(active) == 0 {
-		bandLanesAVX2(vhi-lo, &bval[lo], &cur[1+lo], &next[1+lo], st, order, &d1[lo], &d2[lo], fused, w)
+		bandLanesAVX2(hi-lo, &bval[lo], &cur[1+lo], &next[1+lo], st, order, &d1[lo], &d2[lo], fused, w)
 	} else {
+		// Whole groups per tile, so only the range's last tile has a
+		// masked group.
 		tile := max(s.tile&^3, 4)
-		for t0 := lo; t0 < vhi; t0 += tile {
-			t1 := min(t0+tile, vhi)
+		for t0 := lo; t0 < hi; t0 += tile {
+			t1 := min(t0+tile, hi)
 			bandLanesAVX2(t1-t0, &bval[t0], &cur[1+t0], &next[1+t0], st, order, &d1[t0], &d2[t0], nil, 0)
 			for _, ap := range active {
 				if a, as := planeStride(ap.acc, t0); a != nil {
@@ -1270,7 +1277,6 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 			}
 		}
 	}
-	s.bandRows(vhi, hi, cur, next, active)
 }
 
 // planeStride returns &acc[0][lo] and the distance in words between
@@ -1291,7 +1297,8 @@ func planeStride(acc [][]float64, lo int) (*float64, int) {
 	return &acc[0][lo], int(st) / 8
 }
 
-// bandRows is the scalar body of fuseBlockBand for rows [lo, hi), one
+// bandRows is the scalar body of fuseBlockBand for rows [lo, hi) — the
+// whole band sweep without AVX2 — one
 // moment plane at a time: the three band products in column order from a
 // +0 sum, then the d1 and d2 order-coupling terms — RunReference's
 // sequence — and the active accumulations (a single plan's fused into

@@ -3,8 +3,10 @@ package sparse
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestSweepTemporalBlockingBitwise is the temporal-blocking bitwise gate:
@@ -349,12 +351,14 @@ func TestTemporalBlockResolution(t *testing.T) {
 // across moment orders: 0, 1 and 2 run the short loop of the low orders,
 // 3 and 5 the odd-order loop with one and two pairs of uniform steps, 4
 // and 12 (every bounds solve) the even-order loop with its single step
-// before the pairs. For sizes around every 4-row group edge (n mod 4 =
-// 0..3, a single row, and the 2,001-row midsize shape), every blocking
-// mode (off, auto, forced depths 2, 3 and 16), block width, plan mix and
-// SIMD setting must reproduce the serial reference sweep bit for bit, on
-// one worker and on a split-tiled 2-worker team alike, and a SIMD run
-// over at least one 4-row group must report the AVX2 kernel. The plan
+// before the pairs, and every order its masked group of the last
+// n mod 4 rows. For sizes of every residue mod 4 (a single row, 1-3
+// rows with no whole group, the paper's 33-state Table 1 chain, 41 and
+// the 2,001-row midsize shape), every blocking mode (off, auto, forced
+// depths 2, 3 and 16), block width, plan mix and SIMD setting must
+// reproduce the serial reference sweep bit for bit, on one worker and
+// on a split-tiled 2-worker team alike (whose segments and seams have
+// odd widths), and every SIMD run must report the AVX2 kernel. The plan
 // mixes cover a run whose only plan opens at the last iteration with
 // weight 1 (every earlier iteration accumulates nothing, and the final
 // accumulator is the swept state itself), one plan opening at iteration
@@ -363,9 +367,12 @@ func TestTemporalBlockResolution(t *testing.T) {
 // allocations (the unaccumulated kernel plus a per-plane pass), and
 // three overlapping plans with zero weights sprinkled in, one of them
 // scattered (the unaccumulated kernel plus per-plan passes). Every run
-// gets NaN-filled lent scratch, so an unzeroed padding cell shows.
-// Order 3 runs every size; the other orders run a subset that still
-// covers every residue mod 4.
+// gets canary-filled lent scratch, so an unzeroed padding cell shows, and
+// canaries in the accumulators' slack cells; the run must leave every
+// scratch cell past a plane's right padding cell and every slack cell as
+// it found them. Sizes up to 41 also drive single ranges directly (see
+// requireBandRangesMasked). Order 3 runs every size; the other orders a
+// subset that still covers every residue mod 4.
 func TestSweepRowLaneBitwise(t *testing.T) {
 	const gMax = 23 // ragged against depths 2, 3 and 16
 	rng := rand.New(rand.NewSource(419))
@@ -381,12 +388,15 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 	}
 	simd := SIMDAvailable() && !simdEnvDisabled()
 	for _, order := range []int{3, 0, 1, 2, 4, 5, 12} {
-		sizes := []int{1, 2, 3, 4, 5, 7, 8, 129, 257, 2001}
+		sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 33, 41, 129, 257, 2001}
 		if order != 3 {
-			sizes = []int{1, 6, 7, 8, 257, 2001}
+			sizes = []int{1, 2, 3, 5, 6, 7, 8, 33, 41, 257, 2001}
 		}
 		for _, n := range sizes {
 			a, d1, d2 := bandedSweepFixture(t, rng, n, 1, 1, order)
+			if n <= 41 {
+				requireBandRangesMasked(t, rng, a, d1, d2, order)
+			}
 			for _, mix := range mixes {
 				weights := make([][]float64, len(mix.firsts))
 				for pi := range weights {
@@ -421,11 +431,15 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								fs.SetNoSIMD(nosimd)
 								fs.SetTemporalBlock(tb)
 								fs.SetSweepTile(tile)
-								lendDirtyScratch(fs)
+								scratch := lendCanaryScratch(fs)
 								tag := fmt.Sprintf("order=%d n=%d %s nosimd=%v T=%d W=%d workers=%d", order, n, mix.name, nosimd, tb, tile, workers)
 								cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
 								if mix.scatter >= 0 {
 									scatterAcc(&plans[mix.scatter])
+								}
+								slack := accSlack(plans, mix.scatter, fs.PlaneStride(), n)
+								for _, c := range slack {
+									fillCanary(c)
 								}
 								mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
 								if err != nil {
@@ -437,15 +451,184 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								if tb > 1 && fs.TemporalBlock() != tb {
 									t.Fatalf("%s: resolved depth %d", tag, fs.TemporalBlock())
 								}
-								if want := simd && !nosimd && n >= 4; (fs.Kernel() == KernelAVX2) != want {
+								if want := simd && !nosimd; (fs.Kernel() == KernelAVX2) != want {
 									t.Fatalf("%s: kernel %q, want avx2=%v", tag, fs.Kernel(), want)
 								}
 								requireAccBitwise(t, tag, plans, refPlans, order, n)
+								st := fs.PlaneStride()
+								for p := 0; p < 2*(order+1); p++ {
+									requireCanary(t, tag+" scratch past the padding", scratch[p*st+n+2:(p+1)*st])
+								}
+								for _, c := range slack {
+									requireCanary(t, tag+" accumulator slack", c)
+								}
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// canary is the quiet-NaN payload test buffers hold in every cell a
+// kernel must not write; requireCanary compares bits, so a kernel that
+// stores any value there, a NaN included, is caught.
+var canary = math.Float64frombits(0x7ff8_dead_0000_beef)
+
+func fillCanary(buf []float64) {
+	for i := range buf {
+		buf[i] = canary
+	}
+}
+
+func requireCanary(t *testing.T, tag string, buf []float64) {
+	t.Helper()
+	for i, v := range buf {
+		if math.Float64bits(v) != math.Float64bits(canary) {
+			t.Fatalf("%s: cell %d overwritten with %x", tag, i, math.Float64bits(v))
+		}
+	}
+}
+
+// lendCanaryScratch lends s a canary-filled packed-state scratch buffer
+// and returns it.
+func lendCanaryScratch(s *Sweep) []float64 {
+	scratch := make([]float64, s.ScratchWords())
+	fillCanary(scratch)
+	s.SetScratch(scratch)
+	return scratch
+}
+
+// accSlack returns the cells of the plans' accumulator allocations that
+// lie outside every accumulator: between the planes of a plan carved at
+// plane stride ps (newRunState), and past the end of each plane of the
+// plan scattered by scatterAcc (-1 for none).
+func accSlack(plans []SweepPlan, scattered, ps, n int) [][]float64 {
+	var out [][]float64
+	for pi, p := range plans {
+		if pi == scattered {
+			for _, a := range p.Acc {
+				out = append(out, a[n:cap(a)])
+			}
+			continue
+		}
+		buf := unsafe.Slice(&p.Acc[0][0], (len(p.Acc)-1)*ps+n)
+		for j := 0; j+1 < len(p.Acc); j++ {
+			out = append(out, buf[j*ps+n:(j+1)*ps])
+		}
+	}
+	return out
+}
+
+// requireBandRangesMasked drives fuseBlockBand directly on single row
+// ranges [lo, hi) of the band — every range for n <= 8, otherwise every
+// range starting at one of the first or last five rows and ending within
+// nine rows of its start or at one of the last four rows — with no plan,
+// one plan fused at the plane stride, one scattered plan and three plans
+// (fused, scattered, fused). Every state and accumulator cell outside
+// the range holds the canary, the block tile is 4 (so ranges past four
+// rows split into tiles before the masked group), and the dispatched
+// kernel must write exactly what the scalar bandRows writes, bit for bit,
+// leaving every canary intact: no lane of a masked group stores into a
+// neighbouring row, a padding cell or an accumulator's slack.
+func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []float64, order int) {
+	t.Helper()
+	n := a.rows
+	vec, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatBand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scal, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatBand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec.SetSweepTile(4)
+	scal.SetNoSIMD(true)
+	st := vec.band.stride
+	cur := make([]float64, (order+1)*st)
+	for j := 0; j <= order; j++ {
+		for i := 0; i < n; i++ {
+			cur[j*st+1+i] = rng.Float64()*2 - 1
+		}
+	}
+	// accSet builds one plan's accumulators over canary-filled backing,
+	// with the range's cells drawn from init.
+	accSet := func(scattered bool, lo, hi int, init *rand.Rand) (acc [][]float64, backing [][]float64) {
+		acc = make([][]float64, order+1)
+		if scattered {
+			for j := range acc {
+				b := make([]float64, n+3+j)
+				fillCanary(b)
+				acc[j] = b[1 : 1+n : 1+n]
+				backing = append(backing, b)
+			}
+		} else {
+			b := make([]float64, (order+1)*st)
+			fillCanary(b)
+			for j := range acc {
+				acc[j] = b[j*st : j*st+n : j*st+n]
+			}
+			backing = append(backing, b)
+		}
+		for j := range acc {
+			for i := lo; i < hi; i++ {
+				acc[j][i] = init.Float64()
+			}
+		}
+		return acc, backing
+	}
+	var ranges [][2]int
+	for lo := 0; lo < n; lo++ {
+		if n > 8 && lo >= 5 && lo < n-5 {
+			continue
+		}
+		for hi := lo + 1; hi <= n; hi++ {
+			if n <= 8 || hi <= lo+9 || hi >= n-3 {
+				ranges = append(ranges, [2]int{lo, hi})
+			}
+		}
+	}
+	mixes := [][]bool{nil, {false}, {true}, {false, true, false}} // scattered flags
+	for _, r := range ranges {
+		lo, hi := r[0], r[1]
+		for mi, mix := range mixes {
+			tag := fmt.Sprintf("order=%d n=%d range [%d,%d) plans=%d", order, n, lo, hi, mi)
+			seed := rng.Int63()
+			run := func(s *Sweep) (next []float64, backing [][]float64) {
+				init := rand.New(rand.NewSource(seed))
+				next = make([]float64, (order+1)*st)
+				fillCanary(next)
+				var active []accPair
+				for _, scattered := range mix {
+					acc, b := accSet(scattered, lo, hi, init)
+					active = append(active, accPair{w: init.Float64(), acc: acc})
+					backing = append(backing, b...)
+				}
+				s.fuseBlockBand(lo, hi, cur, next, active)
+				return next, backing
+			}
+			gotNext, gotAcc := run(vec)
+			wantNext, wantAcc := run(scal)
+			for j := 0; j <= order; j++ {
+				plane := gotNext[j*st : (j+1)*st]
+				requireCanary(t, tag+" next before the range", plane[:1+lo])
+				requireCanary(t, tag+" next after the range", plane[1+hi:])
+			}
+			requireBitsEqual(t, tag+" next", gotNext, wantNext)
+			for b := range gotAcc {
+				requireBitsEqual(t, fmt.Sprintf("%s accumulator buffer %d", tag, b), gotAcc[b], wantAcc[b])
+			}
+		}
+	}
+}
+
+// requireBitsEqual fails unless got and want hold the same bits.
+func requireBitsEqual(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %d = %x, want %x", tag, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }
