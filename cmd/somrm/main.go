@@ -159,10 +159,11 @@ func run(args []string, out io.Writer) error {
 			head = append(head, "j="+strconv.Itoa(j))
 		}
 		pt := report.NewTable("Per-initial-state moments", head...)
+		vm := res.StateMoments()
 		for i := 0; i < model.N(); i++ {
 			vals := make([]float64, *order+1)
 			for j := 0; j <= *order; j++ {
-				vals[j] = res.VectorMoments[j][i]
+				vals[j] = vm[j][i]
 			}
 			if err := pt.AddFloatRow(strconv.Itoa(i), vals...); err != nil {
 				return err

@@ -240,8 +240,8 @@ func BenchmarkComposePair(b *testing.B) {
 // storage policy. The N32 to N16383 rows measure the crossover around
 // the parallel threshold (see the loop's comment), the shape-*
 // rows run the storage policy on non-tridiagonal ≈65k-state shapes (see
-// that loop's comment), and compose-3x41 solves a matrix-free composed
-// model by moment convolution. Apart from the cold rows, each
+// that loop's comment), and compose-3x41[-states] solve a matrix-free
+// composed model by moment convolution. Apart from the cold rows, each
 // model is prepared once so an op measures the sweep, not the per-solve
 // uniformization and CSR assembly it shares across kernels.
 func BenchmarkSweep(b *testing.B) {
@@ -477,16 +477,10 @@ func BenchmarkSweep(b *testing.B) {
 
 	// compose-3x41 is the composed-kron serving shape: three 41-state
 	// ON–OFF factors (68,921 product states, matrix-free), solved by three
-	// factor sweeps and the moment convolution at t = 0.05.
-	parts := make([]*Model, 3)
-	for i, s2 := range []float64{0, 1, 10} {
-		parts[i] = onOffModel(b, 40, 4, 3, 1, s2)
-	}
-	joint, err := ComposeAll(parts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := Prepare(joint)
+	// factor sweeps and the scalar moment fold at t = 0.05;
+	// compose-3x41-states also builds the per-state vectors
+	// (StateMoments), the fold over every product state.
+	prep, err := Prepare(compose3x41(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,6 +489,15 @@ func BenchmarkSweep(b *testing.B) {
 			if _, err := prep.AccumulatedReward(0.05, order, nil); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("compose-3x41-states", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := prep.AccumulatedReward(0.05, order, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res.StateMoments()
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"somrm/internal/momentbounds"
 )
@@ -62,8 +63,17 @@ func (m *Model) CompletionProbability(x, t float64, numMoments int, opts *Option
 
 // isMonotone reports whether every reward path is non-decreasing: zero
 // variances, non-negative drifts (impulses are non-negative by
-// construction).
+// construction). A matrix-free composition is monotone when its factors
+// are first-order and the sum of their smallest drifts, its smallest
+// drift, is non-negative.
 func (m *Model) isMonotone() bool {
+	if m.gen == nil {
+		lo := 0.0
+		for _, part := range m.parts {
+			lo += slices.Min(part.rates)
+		}
+		return m.IsFirstOrder() && lo >= 0
+	}
 	for i := range m.vars {
 		if m.vars[i] != 0 || m.rates[i] < 0 {
 			return false

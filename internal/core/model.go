@@ -45,7 +45,9 @@ var (
 //
 // A composed model (see Compose) keeps its leaf factors in parts, and the
 // randomization solver convolves their moments. Large composed models are
-// matrix-free: gen is nil (see IsMatrixFree), and every solver path that
+// matrix-free: gen is nil (see IsMatrixFree), rates and vars are nil (the
+// accessors build them from the parts), initial is nil while it is the
+// product of the parts' (see productInitial), and every solver path that
 // needs the explicit matrix rejects the model with a typed error.
 type Model struct {
 	gen      *ctmc.Generator
@@ -55,6 +57,10 @@ type Model struct {
 	initial  []float64
 	impulses *sparse.CSR // optional impulse rewards y_ij >= 0 on transitions
 	maxImp   float64
+	// productInitial records that a composed model's initial distribution
+	// is the product of its parts' (Compose sets it, WithInitial clears
+	// it), so its moments fold from the parts' scalar moments.
+	productInitial bool
 }
 
 // New validates and builds a model. rates may be negative (the solver
@@ -150,7 +156,16 @@ func (m *Model) WithImpulses(imp *sparse.CSR) (*Model, error) {
 }
 
 // N returns the number of structure states.
-func (m *Model) N() int { return len(m.rates) }
+func (m *Model) N() int {
+	if m.gen == nil {
+		n := 1
+		for _, part := range m.parts {
+			n *= part.N()
+		}
+		return n
+	}
+	return len(m.rates)
+}
 
 // Generator returns the structure-state generator, or nil for a
 // matrix-free composed model (see IsMatrixFree).
@@ -162,14 +177,33 @@ func (m *Model) Generator() *ctmc.Generator { return m.gen }
 // factors' moments, accepts the model.
 func (m *Model) IsMatrixFree() bool { return m.gen == nil }
 
-// Rates returns a copy of the drift vector r.
-func (m *Model) Rates() []float64 { return append([]float64(nil), m.rates...) }
+// Rates returns a copy of the drift vector r. A matrix-free model builds
+// it from its factors on each call.
+func (m *Model) Rates() []float64 {
+	if m.gen == nil {
+		return productVector(m.parts, (*Model).Rates, add)
+	}
+	return append([]float64(nil), m.rates...)
+}
 
-// Variances returns a copy of the variance vector sigma^2.
-func (m *Model) Variances() []float64 { return append([]float64(nil), m.vars...) }
+// Variances returns a copy of the variance vector sigma^2. A matrix-free
+// model builds it from its factors on each call.
+func (m *Model) Variances() []float64 {
+	if m.gen == nil {
+		return productVector(m.parts, (*Model).Variances, add)
+	}
+	return append([]float64(nil), m.vars...)
+}
 
-// Initial returns a copy of the initial probability vector pi.
-func (m *Model) Initial() []float64 { return append([]float64(nil), m.initial...) }
+// Initial returns a copy of the initial probability vector pi. A
+// matrix-free model with the product of its factors' distributions builds
+// it on each call.
+func (m *Model) Initial() []float64 {
+	if m.initial == nil {
+		return productVector(m.parts, (*Model).Initial, mul)
+	}
+	return append([]float64(nil), m.initial...)
+}
 
 // HasImpulses reports whether the model carries impulse rewards.
 func (m *Model) HasImpulses() bool { return m.impulses != nil }
@@ -180,6 +214,14 @@ func (m *Model) Impulses() *sparse.CSR { return m.impulses }
 
 // IsFirstOrder reports whether every state variance is zero (ordinary MRM).
 func (m *Model) IsFirstOrder() bool {
+	if m.gen == nil {
+		for _, part := range m.parts {
+			if !part.IsFirstOrder() {
+				return false
+			}
+		}
+		return true
+	}
 	for _, s := range m.vars {
 		if s != 0 {
 			return false
@@ -190,7 +232,9 @@ func (m *Model) IsFirstOrder() bool {
 
 // WithInitial returns a copy of the model with a different initial
 // distribution (the per-state moment vectors do not depend on it, but the
-// aggregated moments do).
+// aggregated moments do). A composed model given one solves through its
+// per-state moments (see Compose), since the distribution need not be a
+// product of its factors'.
 func (m *Model) WithInitial(initial []float64) (*Model, error) {
 	if m.gen != nil {
 		if err := m.gen.ValidateDistribution(initial); err != nil {
@@ -201,5 +245,6 @@ func (m *Model) WithInitial(initial []float64) (*Model, error) {
 	}
 	out := *m
 	out.initial = append([]float64(nil), initial...)
+	out.productInitial = false
 	return &out, nil
 }

@@ -150,7 +150,7 @@ func (m *Model) MeanVector(t float64, opts *Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res.VectorMoments[1], nil
+	return res.StateMoments()[1], nil
 }
 
 // SteadyStateMeanRate returns pi_ss · r, the long-run reward accumulation

@@ -148,8 +148,13 @@ func (o *Options) withDefaults() Options {
 // MatVecs, SweepNS and FlopsPerIteration are sums over the factors; and
 // MatrixFormat, SweepKernel and TemporalBlock come from the factor with
 // the most states (the first one on ties). ErrorBound is the factors'
-// bounds propagated through the convolution (see convolveStates): the
-// largest per-order bound on the absolute error of any per-state moment.
+// bounds propagated through the fold (see foldBound), and at most
+// Epsilon: the largest per-order bound on the absolute error of the
+// scalar Moments under the product initial distribution, or of any
+// per-state moment under a distribution set by WithInitial. When the
+// first fold's bound exceeds Epsilon the factors solve once more at a
+// smaller ε; G and ErrorBound then describe that solve, and MatVecs and
+// SweepNS count both.
 type Stats struct {
 	// Q is the uniformization rate, QT the Poisson parameter q*t.
 	Q, QT float64
@@ -202,12 +207,31 @@ type Result struct {
 	// T is the accumulation time, Order the highest computed moment.
 	T     float64
 	Order int
-	// VectorMoments[j][i] = E[B(t)^j | Z(0)=i] for j = 0..Order.
+	// VectorMoments[j][i] = E[B(t)^j | Z(0)=i] for j = 0..Order. It is
+	// nil on a composed result folded from its factors' scalar moments
+	// (see Compose); StateMoments builds the vectors for every result.
 	VectorMoments [][]float64
 	// Moments[j] = E[B(t)^j] under the model's initial distribution.
 	Moments []float64
 	// Stats describes the solver work.
 	Stats Stats
+
+	// states builds the per-state moments of a scalar-folded composed
+	// result from the factor vectors it keeps, once.
+	states func() [][]float64
+}
+
+// StateMoments returns the per-initial-state moment vectors,
+// StateMoments()[j][i] = E[B(t)^j | Z(0)=i]: VectorMoments when it is
+// set, otherwise (a composed result folded from scalar moments) the fold
+// of the factors' vectors over every product state, built on the first
+// call and shared by later ones. Stats.ErrorBound bounds the scalar
+// Moments of such a result, not these vectors.
+func (r *Result) StateMoments() [][]float64 {
+	if r.VectorMoments == nil && r.states != nil {
+		return r.states()
+	}
+	return r.VectorMoments
 }
 
 // cancelCheckStride is how many randomization iterations run between

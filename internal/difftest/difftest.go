@@ -452,8 +452,9 @@ func CheckResumeAcross(model *core.Model, times []float64, order int, captureOpt
 						cp.Completed, g, times[k], j,
 						math.Float64bits(resumed[k].Moments[j]), math.Float64bits(full[k].Moments[j]))
 				}
-				for i := range full[k].VectorMoments[j] {
-					if math.Float64bits(resumed[k].VectorMoments[j][i]) != math.Float64bits(full[k].VectorMoments[j][i]) {
+				fv, rv := full[k].StateMoments()[j], resumed[k].StateMoments()[j]
+				for i := range fv {
+					if math.Float64bits(rv[i]) != math.Float64bits(fv[i]) {
 						return fmt.Errorf("resume from %d/%d: t=%g vm[%d][%d] differs bitwise",
 							cp.Completed, g, times[k], j, i)
 					}

@@ -168,8 +168,9 @@ func requireBitwise(t *testing.T, label string, times []float64, order int, got,
 				t.Fatalf("%s t=%g: moment %d = %x, reference %x", label, times[k], j,
 					math.Float64bits(got[k].Moments[j]), math.Float64bits(ref[k].Moments[j]))
 			}
-			for i := range got[k].VectorMoments[j] {
-				if math.Float64bits(got[k].VectorMoments[j][i]) != math.Float64bits(ref[k].VectorMoments[j][i]) {
+			gv, rv := got[k].StateMoments()[j], ref[k].StateMoments()[j]
+			for i := range gv {
+				if math.Float64bits(gv[i]) != math.Float64bits(rv[i]) {
 					t.Fatalf("%s t=%g: vm[%d][%d] differs bitwise", label, times[k], j, i)
 				}
 			}
@@ -384,6 +385,92 @@ func TestDiffComposedCorpus(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestDiffComposedScalarFold: on the composed corpus, the moments a
+// product-initial composed solve folds from its factors' scalar moments
+// agree within roundRelTol with the per-state fold (StateMoments)
+// aggregated under the product distribution, the aggregation the solver
+// used before it folded scalars.
+func TestDiffComposedScalarFold(t *testing.T) {
+	for seed := 0; seed < corpusSize/2; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		_, joint, err := BuildComposed(GenerateComposed(rng))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		order := 1 + rng.Intn(4)
+		times := []float64{0, 0.3, 1.1}
+		res, err := joint.AccumulatedRewardAt(times, order, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		pi := joint.Initial()
+		for k, r := range res {
+			vm := r.StateMoments()
+			for j, m := range r.Moments {
+				var agg float64
+				for i, p := range pi {
+					agg += p * vm[j][i]
+				}
+				if err := agree(m, agg, roundRelTol); err != nil {
+					t.Errorf("seed %d t=%g moment %d: scalar fold vs per-state fold: %v", seed, times[k], j, err)
+				}
+			}
+		}
+	}
+}
+
+// TestComposeErrorBoundMeetsEpsilon: composed solves report a propagated
+// ErrorBound within the request's ε — across the composed corpus, under
+// the product initial distribution and under one set by WithInitial, and
+// at the composed-kron serving shape (three 41-state ON–OFF sources,
+// 68,921 product states).
+func TestComposeErrorBoundMeetsEpsilon(t *testing.T) {
+	check := func(label string, m *core.Model, times []float64, order int) {
+		t.Helper()
+		for _, eps := range []float64{1e-6, 1e-9, 1e-13} {
+			res, err := m.AccumulatedRewardAt(times, order, &core.Options{Epsilon: eps})
+			if err != nil {
+				t.Fatalf("%s ε=%g: %v", label, eps, err)
+			}
+			for _, r := range res {
+				if r.Stats.ErrorBound > eps {
+					t.Errorf("%s ε=%g t=%g: ErrorBound %g exceeds ε", label, eps, r.T, r.Stats.ErrorBound)
+				}
+			}
+		}
+	}
+	for seed := 0; seed < corpusSize/2; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		_, joint, err := BuildComposed(GenerateComposed(rng))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		order := 1 + rng.Intn(4)
+		times := []float64{0, 0.3, 1.1}
+		check(fmt.Sprintf("seed %d", seed), joint, times, order)
+		pi := make([]float64, joint.N())
+		pi[0], pi[joint.N()-1] = 0.5, 0.5
+		mixed, err := joint.WithInitial(pi)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d non-product initial", seed), mixed, times, order)
+	}
+	sources := make([]*core.Model, 3)
+	for i, s2 := range []float64{0, 1, 10} {
+		m, err := models.OnOff(models.OnOffParams{C: 40, N: 40, Alpha: 4, Beta: 3, R: 1, Sigma2: s2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[i] = m
+	}
+	joint, err := core.ComposeAll(sources...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("3x41", joint, []float64{0.03, 0.05, 0.5}, 3)
 }
 
 // TestDiffComposedSweepBitwise extends the fused-kernel gate to the

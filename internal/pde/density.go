@@ -196,10 +196,11 @@ func autoDomain(m *core.Model, t float64) (float64, float64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("pde: auto domain: %w", err)
 	}
+	vm := res.StateMoments()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < m.N(); i++ {
-		mean := res.VectorMoments[1][i]
-		v := res.VectorMoments[2][i] - mean*mean
+		mean := vm[1][i]
+		v := vm[2][i] - mean*mean
 		if v < 0 {
 			v = 0
 		}

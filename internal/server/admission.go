@@ -87,21 +87,16 @@ func estimateItemWorkingSet(model *spec.Model, item *BatchItem, sweepWorkers int
 // bandwidth, format), not an exact byte count.
 //
 // A composed request solves every component as a plain model and folds
-// their per-state moments over the product states, so it is charged each
-// component's estimate plus (nTimes + 1) product-sized moment blocks: one
-// result per time point and the fold's intermediate.
+// their scalar moments, so it is charged its components' estimates only.
 func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, order, nTimes int, matrixFormat string) int64 {
 	if len(compose) > 0 {
 		var total int64
-		product := int64(1)
 		for _, c := range compose {
-			if c == nil {
-				continue
+			if c != nil {
+				total += estimateFootprint(c, nil, method, order, nTimes, matrixFormat)
 			}
-			total += estimateFootprint(c, nil, method, order, nTimes, matrixFormat)
-			product *= int64(c.States)
 		}
-		return total + int64(nTimes+1)*product*8*int64(order+1)
+		return total
 	}
 	if model == nil || model.States <= 0 {
 		return 0
@@ -137,15 +132,9 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		// Point solvers keep a handful of length-n vectors per order.
 		return matrix + vec*int64(order+2)*2
 	}
-	// Randomization: the coefficient blocks plus one accumulator block per
-	// time point. A packed sweep — the band window at every order, the
-	// interleaved layout of an order-3 CSR32 or QBD sweep — keeps the
-	// planar initial-state block and two packed state buffers of
-	// (order+1) planes; a planar sweep keeps cur and next blocks.
+	// Randomization: two state blocks of (order+1) planes — the packed
+	// buffers of a band or order-3 CSR32/QBD sweep, cur and next of a
+	// planar one — plus one accumulator block per time point.
 	perBlock := vec * int64(order+1)
-	state := 2 * perBlock
-	if band || order == 3 {
-		state = 3 * perBlock
-	}
-	return matrix + state + int64(nTimes)*perBlock
+	return matrix + 2*perBlock + int64(nTimes)*perBlock
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -88,6 +89,38 @@ func TestComposeSolveEndToEnd(t *testing.T) {
 	}
 	if !out2.Cached {
 		t.Error("repeat composed request missed the result cache")
+	}
+}
+
+// TestComposeCacheKeyVersion: composed model hashes carry the v3 tag
+// (scalar fold, bound within epsilon), so the result cache, a restored
+// journal or a peer never serves an entry keyed under the v2 tag (the
+// per-state fold) for the same components.
+func TestComposeCacheKeyVersion(t *testing.T) {
+	req := &SolveRequest{Compose: []*spec.Model{testSpec(0), testSpec(3)}, T: 1.2, Order: 3}
+	got, err := req.modelHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagged := func(tag string) [32]byte {
+		h := sha256.New()
+		h.Write([]byte(tag))
+		for _, c := range req.Compose {
+			ch, err := c.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(ch[:])
+		}
+		var out [32]byte
+		copy(out[:], h.Sum(nil))
+		return out
+	}
+	if want := tagged("somrm/compose/v3\n"); got != want {
+		t.Errorf("composed model hash %x, want the v3-tagged %x", got, want)
+	}
+	if old := tagged("somrm/compose/v2\n"); got == old {
+		t.Error("composed model hash still equals the v2-tagged hash")
 	}
 }
 

@@ -316,6 +316,9 @@ func (r *SolveRequest) cacheKey() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// composeKeyTag domain-separates composed model hashes (see modelHash).
+const composeKeyTag = "somrm/compose/v3\n"
+
 // modelHash returns the canonical content hash of the request's model: the
 // spec hash for plain requests, and a domain-separated hash of the ordered
 // component hashes for composed requests (composition is ordered but not
@@ -329,9 +332,12 @@ func (r *SolveRequest) modelHash() ([32]byte, error) {
 		return h, nil
 	}
 	h := sha256.New()
-	// v2: composed results come from moment convolution, not the product
-	// sweep, so keys must not collide with cached or journalled v1 results.
-	h.Write([]byte("somrm/compose/v2\n"))
+	// The tag versions how composed results are computed, so a journal or
+	// a peer never serves an entry computed another way: v1 swept the
+	// product chain, v2 folded per-state moments, v3 folds scalar moments
+	// and meets the request's epsilon (moments and bounds differ in their
+	// last bits).
+	h.Write([]byte(composeKeyTag))
 	for i, c := range r.Compose {
 		ch, err := c.Hash()
 		if err != nil {
