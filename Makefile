@@ -111,7 +111,6 @@ fuzz:
 	$(GO) test -fuzz FuzzCanonicalWriter -fuzztime 30s ./internal/spec/
 	$(GO) test -fuzz FuzzSolveRequestDecode -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzBandRoundTrip -fuzztime 30s ./internal/sparse/
-	$(GO) test -fuzz FuzzQBDRoundTrip -fuzztime 30s ./internal/sparse/
 
 clean:
 	$(GO) clean ./...

@@ -8,8 +8,8 @@
 //	somrm-serve [-addr :8639] [-workers N] [-queue N] [-batch-reserve N]
 //	            [-cache N] [-prepared-cache N] [-timeout 30s]
 //	            [-max-order 12] [-drain-timeout 30s]
-//	            [-sweep-workers N] [-matrix-format auto|csr|band|qbd]
-//	            [-temporal-block N] [-sweep-tile N]
+//	            [-sweep-workers N] [-matrix-format auto|csr|band]
+//	            [-temporal-block N]
 //	            [-checkpoints] [-checkpoint-ttl 2m] [-checkpoint-cap 64]
 //	            [-cache-persist DIR] [-mem-budget BYTES]
 //	            [-self URL -peers URL,URL,...] [-peer-secret S]
@@ -94,10 +94,8 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve deadline")
 	maxOrder := fs.Int("max-order", 0, "highest accepted moment order (0 = default 12)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "per-solve randomization sweep parallelism: 0 auto (fused kernel at every size; a worker team at 8,191 states and up), N forces a fused team of N, negative selects the serial reference sweep used as the test oracle")
-	matrixFormat := fs.String("matrix-format", "", "sweep matrix storage: auto (default) picks band, qbd or compact CSR by structure; csr, band (tridiagonal models only) or qbd force one; composed requests apply it per component (all bitwise identical; server-wide, not per-request)")
+	matrixFormat := fs.String("matrix-format", "", "sweep matrix storage: auto (default) picks band for tridiagonal models and compact CSR for every other; csr or band (tridiagonal models only) force one; composed requests apply it per component (all bitwise identical; server-wide, not per-request)")
 	temporalBlock := fs.Int("temporal-block", 0, "temporal blocking depth of the sweep: 0 auto, 1 disables, N>=2 forces N iterations per cache-resident row block, each worker of a team blocking its own contiguous rows (bitwise identical; server-wide, not per-request)")
-	sweepTile := fs.Int("sweep-tile", 0, "row-tile width of the fused sweep kernels (0 = built-in default; bitwise neutral)")
-	noSIMD := fs.Bool("no-simd", false, "force the pure-Go scalar sweep kernels even on AVX2 hardware (bitwise identical; server-wide; SOMRM_NOSIMD=1 does the same)")
 	checkpoints := fs.Bool("checkpoints", true, "answer mid-sweep deadlines with a 202 partial + resume token instead of discarding progress")
 	checkpointTTL := fs.Duration("checkpoint-ttl", 0, "how long an unclaimed resume checkpoint is held (0 = default 2m)")
 	checkpointCap := fs.Int("checkpoint-cap", 0, "max held resume checkpoints, oldest evicted first (0 = default 64)")
@@ -156,8 +154,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		SweepWorkers:      *sweepWorkers,
 		MatrixFormat:      *matrixFormat,
 		TemporalBlock:     *temporalBlock,
-		SweepTile:         *sweepTile,
-		NoSIMD:            *noSIMD,
 		HandoffMax:        *handoffMax,
 		Checkpoints:       *checkpoints,
 		CheckpointTTL:     *checkpointTTL,

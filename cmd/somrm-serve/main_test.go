@@ -21,8 +21,9 @@ func TestRunBadFlags(t *testing.T) {
 		t.Error("unlistenable address accepted")
 	}
 	// csr64 is only the reference oracle's storage label, not a format;
-	// kron named the deleted matrix-free Kronecker-sum operator.
-	for _, f := range []string{"nope", "csr64", "kron"} {
+	// kron and qbd named the deleted matrix-free Kronecker-sum operator
+	// and block-tridiagonal storage.
+	for _, f := range []string{"nope", "csr64", "kron", "qbd"} {
 		if err := run([]string{"-matrix-format", f}, &sb, nil); err == nil || !strings.Contains(err.Error(), "matrix-format") {
 			t.Errorf("-matrix-format %s accepted: %v", f, err)
 		}

@@ -231,10 +231,9 @@ func BenchmarkComposePair(b *testing.B) {
 // storage engine via Options.MatrixFormat: "reference" is the serial
 // pre-fusion loop on the original 64-bit-index CSR, "fused-compact" the
 // fused kernel on one worker over uint32 column indices, "fused-band"
-// the tridiagonal band kernel (the sweep loads no indices at all), "fused-qbd" the block-tridiagonal window kernel (the
-// chain detects QBD block size 1), and "fused-auto" the production
-// policy (structure detection picks the band kernel here, workers by
-// GOMAXPROCS). The -blocked variants rerun a kernel with temporal
+// the tridiagonal band kernel (the sweep loads no indices at all), and
+// "fused-auto" the production policy (structure detection picks the
+// band kernel here, workers by GOMAXPROCS). The -blocked variants rerun a kernel with temporal
 // blocking forced to depth 16 (Options.TemporalBlock), and the
 // workers-W[-blocked] variants sweep fused-team sizes at the production
 // storage policy. The N32 to N16383 rows measure the crossover around
@@ -265,7 +264,6 @@ func BenchmarkSweep(b *testing.B) {
 			{"reference", -1, "", 0, false},
 			{"fused-compact", 1, "csr", 1, false},
 			{"fused-band", 1, "band", 1, false},
-			{"fused-qbd", 1, "qbd", 1, false},
 			{"fused-auto", 0, "auto", 0, false},
 			// Temporal blocking (Options.TemporalBlock) at the
 			// forced depth of 16 (the auto-tuned default) against the
@@ -274,16 +272,18 @@ func BenchmarkSweep(b *testing.B) {
 			// cache.
 			{"fused-compact-blocked", 1, "csr", 16, false},
 			{"fused-band-blocked", 1, "band", 16, false},
-			{"fused-qbd-blocked", 1, "qbd", 16, false},
-			// Options.NoSIMD ablation: the same kernels with the AVX2
-			// bodies switched off, isolating the vectorization win per
-			// storage engine (bitwise identical results either way).
+			// SIMD ablation: the same kernels with the AVX2 bodies
+			// switched off by SOMRM_NOSIMD, isolating the vectorization
+			// win per storage engine (bitwise identical results either
+			// way).
 			{"fused-compact-nosimd", 1, "csr", 1, true},
 			{"fused-band-nosimd", 1, "band", 1, true},
-			{"fused-qbd-nosimd", 1, "qbd", 1, true},
 		} {
 			b.Run(fmt.Sprintf("N%d/%s", n, bc.name), func(b *testing.B) {
-				opts := &Options{SweepWorkers: bc.workers, MatrixFormat: bc.format, TemporalBlock: bc.tblock, NoSIMD: bc.nosimd}
+				if bc.nosimd {
+					b.Setenv("SOMRM_NOSIMD", "1")
+				}
+				opts := &Options{SweepWorkers: bc.workers, MatrixFormat: bc.format, TemporalBlock: bc.tblock}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := prep.AccumulatedReward(tt, order, opts); err != nil {
@@ -433,25 +433,24 @@ func BenchmarkSweep(b *testing.B) {
 	}
 
 	// Non-tridiagonal shapes at ≈65k states, one worker: the storage
-	// policy's auto pick against forced compact CSR and forced QBD.
-	// composed-bd4 composes a 16,383-state birth–death chain with a dense
-	// 4-state factor (materialized: block-tridiagonal, level size 4, a
-	// hair too sparse for auto QBD); qbd-b12 is a dense-block QBD of
-	// 5,461 levels × 12 phases (auto picks QBD); penta is a pentadiagonal
-	// chain of 65,521 states (prime, so no QBD block divides it and auto
-	// picks compact CSR). Before the band storage was narrowed to the
-	// tridiagonal window, auto streamed the first and last through a
-	// scalar wide-band kernel. t is set per shape so qt = 56, as in the
-	// rows above.
+	// policy's auto pick against forced compact CSR, which auto resolves
+	// to on every one of them. composed-bd4 and composed-bd2 compose a
+	// birth–death chain (16,383 and 32,767 states) with a dense 4- and
+	// 2-state factor (materialized: block-tridiagonal, level size 4 and
+	// 2); qbd-b12 is a dense-block QBD of 5,461 levels × 12 phases;
+	// penta is a pentadiagonal chain of 65,521 states. The
+	// block-tridiagonal rows keep the cost of the retired QBD storage
+	// measured (see BENCHMARKS.md "QBD retired"). t is set per shape so
+	// qt = 56, as in the rows above.
 	const shapeQT = 56.0
 	for _, shape := range []struct {
-		name    string
-		m       *Model
-		formats []string
+		name string
+		m    *Model
 	}{
-		{"composed-bd4", composedDenseModel(b, 16_383, 4), []string{"auto", "csr", "qbd"}},
-		{"qbd-b12", denseQBDModel(b, 5_461, 12), []string{"auto", "csr", "qbd"}},
-		{"penta", pentadiagonalModel(b, 65_521), []string{"auto", "csr"}},
+		{"composed-bd4", composedDenseModel(b, 16_383, 4)},
+		{"composed-bd2", composedDenseModel(b, 32_767, 2)},
+		{"qbd-b12", denseQBDModel(b, 5_461, 12)},
+		{"penta", pentadiagonalModel(b, 65_521)},
 	} {
 		prep, err := Prepare(shape.m)
 		if err != nil {
@@ -462,7 +461,7 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		shapeT := shapeQT / probe.Stats.Q
-		for _, format := range shape.formats {
+		for _, format := range []string{"auto", "csr"} {
 			b.Run(fmt.Sprintf("shape-%s/%s", shape.name, format), func(b *testing.B) {
 				opts := &Options{SweepWorkers: 1, MatrixFormat: format}
 				b.ResetTimer()

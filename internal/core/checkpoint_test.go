@@ -155,6 +155,41 @@ func TestSolveResumeAutoBlockedBand(t *testing.T) {
 	}
 }
 
+// TestSolveResumeRetiredQBDFormat: a checkpoint records the storage
+// format of the interrupted run for information only, so a token whose
+// recorded format is "qbd" — the block-tridiagonal storage the sweep no
+// longer has — still decodes and resumes on a block-tridiagonal model,
+// which now streams compact CSR, bitwise identical to the uninterrupted
+// solve.
+func TestSolveResumeRetiredQBDFormat(t *testing.T) {
+	m := denseQBDModel(t, 10, 3)
+	times := []float64{0, 0.3, 1}
+	const order = 3
+	full, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := full[1].Stats.MatrixFormat; got != "csr32" {
+		t.Fatalf("auto solve streamed %q, want csr32", got)
+	}
+	cp := interruptSolve(t, m, times, order, full[1].Stats.G/2, Options{SweepWorkers: 1})
+	cp.Format = "qbd"
+	decoded, err := DecodeCheckpoint(cp.Encode())
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if decoded.Format != "qbd" {
+		t.Fatalf("decoded Format = %q, want qbd", decoded.Format)
+	}
+	for _, workers := range []int{0, 2, -1} {
+		resumed, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: workers, Resume: decoded})
+		if err != nil {
+			t.Fatalf("resume workers=%d: %v", workers, err)
+		}
+		sameResults(t, fmt.Sprintf("resume workers=%d", workers), resumed, full)
+	}
+}
+
 // TestCheckpointCodec pins the snapshot serialization: decode inverts
 // encode exactly, and corruption anywhere — header, state bits, digest,
 // truncation — is rejected with ErrCheckpoint.

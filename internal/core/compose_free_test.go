@@ -408,7 +408,7 @@ func TestComposeWithImpulsesSweepsProduct(t *testing.T) {
 // TestComposeOptions pins how solver options apply to composed models:
 // the uniformization rate is validated against the product chain's rate
 // but does not change the factor solves, checkpoints are refused or not
-// captured, and "kron" is no longer a format.
+// captured, and "kron" and "qbd" are no longer formats.
 func TestComposeOptions(t *testing.T) {
 	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
 	b := birthDeathModel(t, 6)
@@ -435,8 +435,10 @@ func TestComposeOptions(t *testing.T) {
 	}
 	sameResults(t, "uniformization rate", got, ref)
 
-	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{MatrixFormat: "kron"}); !errors.Is(err, ErrBadArgument) {
-		t.Errorf(`MatrixFormat "kron": %v, want ErrBadArgument`, err)
+	for _, f := range []string{"kron", "qbd"} {
+		if _, err := joint.AccumulatedRewardAt(times, 3, &Options{MatrixFormat: f}); !errors.Is(err, ErrBadArgument) {
+			t.Errorf("MatrixFormat %q: %v, want ErrBadArgument", f, err)
+		}
 	}
 	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{Resume: &Checkpoint{}}); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("Resume: %v, want ErrCheckpoint", err)

@@ -226,7 +226,6 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	}
 	sweep.SetSweepTile(cfg.SweepTile)
 	sweep.SetTemporalBlock(cfg.TemporalBlock)
-	sweep.SetNoSIMD(cfg.NoSIMD)
 
 	// Per-solve scratch comes from one arena (pooled by Prepared): the
 	// sweep state vectors, the per-time accumulators, the packed kernel

@@ -49,21 +49,19 @@ type Options struct {
 	// MatrixFormat selects the storage representation the fused sweep
 	// kernels stream for the uniformized generator: "auto" (the default;
 	// the tridiagonal band window for birth-death structure like the
-	// paper's models — diagonal and bidiagonal included — then QBD for
-	// block-tridiagonal structure, compact-index CSR otherwise), "csr"
-	// (force compact-index CSR), "band" (force the band window; matrices
-	// wider than tridiagonal get compact CSR), or "qbd" (force the
-	// block-tridiagonal representation where eligible). Any other value,
-	// "csr64" and "kron" included, is an ErrBadArgument. Every format
-	// produces bitwise identical moments; the knob trades only memory
-	// traffic. The serial reference oracle (SweepWorkers < 0) ignores it
+	// paper's models — diagonal and bidiagonal included — compact-index
+	// CSR for every other matrix), "csr" (force compact-index CSR; "csr32"
+	// is an alias), or "band" (force the band window; matrices wider than
+	// tridiagonal get compact CSR). Any other value, "csr64" included,
+	// is an ErrBadArgument. Every format produces bitwise identical
+	// moments; the knob trades only memory traffic. The serial reference oracle (SweepWorkers < 0) ignores it
 	// and always streams the generic CSR. A composed model applies it to
 	// each factor's sweep. Stats.MatrixFormat reports the resolved choice.
 	MatrixFormat string
 	// TemporalBlock controls temporal blocking of the fused sweep: how
 	// many consecutive sweep iterations run over each cache-resident row
 	// block before the next block is touched, cutting the sweep's DRAM
-	// traffic by roughly that factor on banded/QBD models. A team splits
+	// traffic by roughly that factor on banded models. A team splits
 	// the rows into one contiguous segment per worker, each blocked on its
 	// own, and fills the few rows at each split after one join per group
 	// (split tiling).
@@ -71,12 +69,12 @@ type Options struct {
 	//   - 0 (the default) tunes the depth automatically from the matrix
 	//     structure and size: band (tridiagonal) models block at depth 16
 	//     once they hold two L1-sized blocks (128 rows up to order 3,
-	//     48 at order 12), at every team size, while QBD and compact-CSR
-	//     models block only once their state outgrows L2;
+	//     48 at order 12), at every team size, while compact-CSR models
+	//     block only once their state outgrows L2;
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
-	//     possible (band models at every order, QBD and compact-CSR
-	//     models at order 3; impulse models never block).
+	//     possible (band models at every order, compact-CSR models at
+	//     order 3; impulse models never block).
 	//
 	// A composed model applies it to each factor's sweep.
 	//
@@ -86,20 +84,13 @@ type Options struct {
 	// Stats.TemporalBlock reports the depth the solve actually used.
 	TemporalBlock int
 	// SweepTile overrides the fused kernels' spatial row-tile width (and
-	// with it the temporally blocked driver's block width), so spatial and
-	// temporal tile shapes are tunable together. Zero or negative keeps
-	// the built-in default (128 rows for a band sweep up to order 3,
-	// narrower blocks at higher orders, 1024 otherwise). Bitwise neutral.
+	// with it the temporally blocked driver's block width). Zero or
+	// negative keeps the built-in default (128 rows for a band sweep up to
+	// order 3, narrower blocks at higher orders, 1024 otherwise). It
+	// exists so the bitwise tests can force multi-block and multi-group
+	// schedules on models of 2 to 40 states, which the default width
+	// would cover with one block. Bitwise neutral.
 	SweepTile int
-	// NoSIMD disables the runtime-dispatched AVX2 sweep kernels, forcing
-	// the pure-Go scalar loops even on hardware that supports them; the
-	// SOMRM_NOSIMD environment variable (any value but "" or "0") does
-	// the same process-wide. The vector kernels replay the scalar loops'
-	// exact floating-point operation sequence, so every setting is
-	// bitwise identical — the switch exists for A/B measurement and for
-	// exercising both paths in tests on one host, not for correctness.
-	// Stats.SweepKernel reports the kernel actually dispatched.
-	NoSIMD bool
 	// Checkpoint enables cooperative sweep snapshots: when the context is
 	// cancelled mid-sweep the solver captures the iteration state at the
 	// barrier where the cancellation is observed and returns it inside an
@@ -185,7 +176,7 @@ type Stats struct {
 	// iteration step, ((m+2) per moment order) * |S|, as in section 7.
 	FlopsPerIteration int64
 	// MatrixFormat is the storage representation the sweep streamed for
-	// the uniformized generator: "band", "qbd" or "csr32" for the fused
+	// the uniformized generator: "band" or "csr32" for the fused
 	// kernels. The serial reference oracle (SweepWorkers < 0) reports
 	// "csr64", the generic CSR it streams. Empty for solves that never
 	// ran a sweep (t = 0, frozen chains, d = 0).
@@ -196,9 +187,12 @@ type Stats struct {
 	TemporalBlock int
 	// SweepKernel is the compute kernel the sweep dispatched: "avx2"
 	// when the AVX2 assembly kernels served the bulk rows, "scalar" for
-	// the pure-Go loops (no hardware support, Options.NoSIMD or
-	// SOMRM_NOSIMD, the serial reference sweep, or a run shape without a
-	// vector kernel). Empty for solves that never ran a sweep.
+	// the pure-Go loops (no hardware support, the SOMRM_NOSIMD
+	// environment variable set to anything but "" or "0", the serial
+	// reference sweep, or a run shape without a vector kernel). The
+	// vector kernels replay the scalar loops' exact floating-point
+	// operation sequence, so the kernel never changes a result. Empty
+	// for solves that never ran a sweep.
 	SweepKernel string
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // TestSolveSweepKernelStats pins the solver-level SIMD plumbing: the
-// default solve reports the hardware kernel in Stats.SweepKernel,
-// Options.NoSIMD forces the scalar loops (and the stats say so), and the
-// two solves agree bit for bit — the dispatch is an optimization, never
-// an approximation.
+// default solve reports the hardware kernel in Stats.SweepKernel, the
+// SOMRM_NOSIMD kill-switch forces the scalar loops (and the stats say
+// so), and the two solves agree bit for bit — the dispatch is an
+// optimization, never an approximation.
 func TestSolveSweepKernelStats(t *testing.T) {
 	m := birthDeathModel(t, 96)
 
@@ -32,35 +32,20 @@ func TestSolveSweepKernelStats(t *testing.T) {
 			def.Stats.SweepKernel, want, sparse.SIMDAvailable(), killSwitch)
 	}
 
-	off, err := m.AccumulatedReward(1.5, 3, &Options{SweepWorkers: 1, NoSIMD: true})
+	// The switch is read when the solve builds its sweep.
+	t.Setenv("SOMRM_NOSIMD", "1")
+	off, err := m.AccumulatedReward(1.5, 3, &Options{SweepWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Stats.SweepKernel != sparse.KernelScalar {
-		t.Fatalf("Stats.SweepKernel = %q with NoSIMD, want %q",
+		t.Fatalf("Stats.SweepKernel = %q with SOMRM_NOSIMD=1, want %q",
 			off.Stats.SweepKernel, sparse.KernelScalar)
 	}
 	for j := range def.Moments {
 		if math.Float64bits(def.Moments[j]) != math.Float64bits(off.Moments[j]) {
 			t.Fatalf("moment %d: SIMD %x != scalar %x — kill-switch changed the result",
 				j, math.Float64bits(def.Moments[j]), math.Float64bits(off.Moments[j]))
-		}
-	}
-
-	// The process-wide kill-switch reaches solves that never saw an
-	// Options.NoSIMD, via the sweep's construction-time env read.
-	t.Setenv("SOMRM_NOSIMD", "1")
-	env, err := m.AccumulatedReward(1.5, 3, &Options{SweepWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Stats.SweepKernel != sparse.KernelScalar {
-		t.Fatalf("Stats.SweepKernel = %q with SOMRM_NOSIMD=1, want %q",
-			env.Stats.SweepKernel, sparse.KernelScalar)
-	}
-	for j := range def.Moments {
-		if math.Float64bits(def.Moments[j]) != math.Float64bits(env.Moments[j]) {
-			t.Fatalf("moment %d: env kill-switch changed the result", j)
 		}
 	}
 }

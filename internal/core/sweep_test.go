@@ -33,7 +33,7 @@ func largeTridiagModel(tb testing.TB, n int) *Model {
 // and the 2,001-state midsize birth–death chain run the inline 1-worker
 // fused kernel on the band window; a pentadiagonal chain and a
 // birth–death chain composed with a dense 4-state factor, outside the
-// window, stream QBD or compact CSR. Each storage has a vector body, so
+// window, stream compact CSR. Each storage has a vector body, so
 // every solve reports the host's SIMD dispatch and stays bitwise equal to
 // the serial reference oracle (SweepWorkers < 0), whose csr64 storage is
 // not selectable. The non-band shapes run unblocked (their state is
@@ -80,8 +80,50 @@ func TestSolveSmallModelProductionSweep(t *testing.T) {
 			t.Fatalf("%s: reference oracle streamed %q, want csr64", c.name, got)
 		}
 		sameResults(t, c.name, def, ref)
-		if _, err := c.m.AccumulatedRewardAt(times, order, &Options{MatrixFormat: "csr64"}); !errors.Is(err, ErrBadArgument) {
-			t.Fatalf("%s: MatrixFormat csr64: err = %v, want ErrBadArgument", c.name, err)
+		// csr64 is the oracle's storage label, qbd the deleted
+		// block-tridiagonal storage: neither is selectable.
+		for _, f := range []string{"csr64", "qbd"} {
+			if _, err := c.m.AccumulatedRewardAt(times, order, &Options{MatrixFormat: f}); !errors.Is(err, ErrBadArgument) {
+				t.Fatalf("%s: MatrixFormat %s: err = %v, want ErrBadArgument", c.name, f, err)
+			}
+		}
+	}
+}
+
+// TestSolveBlockTridiagonalAutoCSR32 pins the storage of the
+// block-tridiagonal (QBD) shapes: a dense-block QBD and a birth–death
+// chain composed with a dense 2-state factor both resolve to compact CSR
+// under the automatic policy, and match the serial reference sweep bit
+// for bit at one and two workers, unblocked and with temporal blocking
+// forced over 8-row tiles.
+func TestSolveBlockTridiagonalAutoCSR32(t *testing.T) {
+	times := []float64{0, 0.5, 2}
+	const order = 3
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{
+		{"dense-qbd-8x4", denseQBDModel(t, 8, 4)},
+		{"bd-x2", composedDenseModel(t, 30, 2)},
+	} {
+		ref, err := c.m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		for _, workers := range []int{1, 2} {
+			for _, tblock := range []int{1, 4} {
+				opts := &Options{SweepWorkers: workers, TemporalBlock: tblock, SweepTile: 8}
+				label := fmt.Sprintf("%s workers %d tblock %d", c.name, workers, tblock)
+				got, err := c.m.AccumulatedRewardAt(times, order, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				st := got[1].Stats
+				if st.MatrixFormat != string(sparse.FormatCSR32) || st.TemporalBlock != tblock {
+					t.Fatalf("%s: format %q at depth %d, want csr32 at %d", label, st.MatrixFormat, st.TemporalBlock, tblock)
+				}
+				sameResults(t, label, got, ref)
+			}
 		}
 	}
 }
@@ -118,7 +160,6 @@ func TestSweepFusedMatchesReferenceLarge(t *testing.T) {
 		{1, "band", "band"},
 		{1, "csr", "csr32"},
 		{3, "csr", "csr32"},
-		{1, "qbd", "qbd"},
 	}
 	for _, c := range cases {
 		got, err := m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: c.workers, MatrixFormat: c.format})
@@ -150,7 +191,7 @@ func TestPreparedPoolBitwise(t *testing.T) {
 	}
 	const order = 3
 	grids := [][]float64{{0.7}, {0, 0.5, 2}, {3, 0.1}}
-	formats := []string{"auto", "band", "csr", "qbd"}
+	formats := []string{"auto", "band", "csr"}
 	for rep := 0; rep < 3; rep++ {
 		for gi, times := range grids {
 			format := formats[(rep+gi)%len(formats)]
@@ -183,7 +224,7 @@ func TestSweepCancellationHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formats := []string{"auto", "band", "csr", "qbd"}
+	formats := []string{"auto", "band", "csr"}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -181,12 +182,10 @@ func requireBitwise(t *testing.T, label string, times []float64, order int, got,
 // sweepKernelFormats are the matrix formats the kernel gates force:
 // "band" covers the band kernel on every tridiagonal-window model and the
 // compact fallback on the rest; "csr" pins the compact kernels, "auto"
-// whatever the detector picks; "qbd" forces the block-tridiagonal window
-// where a valid block exists (small corpus models always have the
-// degenerate one) — all must stay inside the bitwise contract. The
-// reference oracle's csr64 storage is not selectable; the reference
-// solve every gate compares against covers it.
-var sweepKernelFormats = []string{"auto", "csr", "band", "qbd"}
+// whatever the detector picks — all must stay inside the bitwise
+// contract. The reference oracle's csr64 storage is not selectable; the
+// reference solve every gate compares against covers it.
+var sweepKernelFormats = []string{"auto", "csr", "band"}
 
 // checkSweepKernelBitwise solves model at every sweepKernelFormats
 // format × SIMD dispatch × worker count {0, 1, 2, 5} × temporal block
@@ -199,12 +198,13 @@ var sweepKernelFormats = []string{"auto", "csr", "band", "qbd"}
 // than 3, unbounded reach — which keeps those shapes covered as
 // unblocked runs of the same configurations). Depth 8 with the corpus G
 // makes ragged final groups routine. The SIMD dimension covers both
-// kernel dispatches on capable hosts: NoSIMD=true pins the pure-Go
-// loops, NoSIMD=false lets the AVX2 kernels serve the formats that have
-// one (band, csr, qbd, and whatever auto resolves). On hosts without
-// AVX2 (or under SOMRM_NOSIMD=1, as one CI arm runs) the two arms
-// coincide on scalar — the gate still checks
-// every format, worker count and blocking depth against the reference.
+// kernel dispatches on capable hosts: SOMRM_NOSIMD=1, read when each
+// solve builds its sweep, pins the pure-Go loops, and the caller's
+// setting lets the AVX2 kernels serve the formats that have one (band,
+// csr, and whatever auto resolves). On hosts without AVX2 (or under
+// SOMRM_NOSIMD=1, as one CI arm runs) the two arms coincide on scalar —
+// the gate still checks every format, worker count and blocking depth
+// against the reference.
 // Workers 0 is the production policy: automatic selection, which at
 // corpus sizes is the inline 1-worker fused team.
 func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times []float64, order int) {
@@ -213,11 +213,17 @@ func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
-	for _, format := range sweepKernelFormats {
-		for _, nosimd := range []bool{false, true} {
+	// The scalar arm runs last; the caller's setting is restored for the
+	// next model.
+	defer t.Setenv("SOMRM_NOSIMD", os.Getenv("SOMRM_NOSIMD"))
+	for _, nosimd := range []bool{false, true} {
+		if nosimd {
+			t.Setenv("SOMRM_NOSIMD", "1")
+		}
+		for _, format := range sweepKernelFormats {
 			for _, workers := range []int{0, 1, 2, 5} {
 				for _, tblock := range []int{1, 2, 4, 8} {
-					opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8, NoSIMD: nosimd}
+					opts := &core.Options{SweepWorkers: workers, MatrixFormat: format, TemporalBlock: tblock, SweepTile: 8}
 					label := fmt.Sprintf("%s format %s nosimd %v workers %d tblock %d", name, format, nosimd, workers, tblock)
 					fused, err := model.AccumulatedRewardAt(times, order, opts)
 					if err != nil {
@@ -627,7 +633,7 @@ func TestDiffCheckpointResumeBitwise(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		sp := Generate(rng)
 		order := 1 + rng.Intn(4)
-		for _, format := range []string{"auto", "csr", "band", "qbd"} {
+		for _, format := range []string{"auto", "csr", "band"} {
 			for _, workers := range []int{-1, 1, 3} {
 				opts := core.Options{SweepWorkers: workers, MatrixFormat: format}
 				if workers < 0 && format != "auto" {

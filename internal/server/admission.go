@@ -118,12 +118,11 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 	band := bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32"
 	switch {
 	case band:
-		// The tridiagonal window (band, or a 1-phase QBD when forced):
-		// three values per row, no indexes. Only such models get it.
+		// The tridiagonal band window: three values per row, no
+		// indexes. Only such models get it.
 		matrix = int64(n) * 3 * 8
 	default:
-		// Compact CSR: values + 32-bit cols + row pointers. A QBD window
-		// is picked only where it streams no more than this.
+		// Compact CSR: values + 32-bit cols + row pointers.
 		matrix = int64(nnz)*(8+4) + int64(n+1)*4
 	}
 
@@ -133,7 +132,7 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		return matrix + vec*int64(order+2)*2
 	}
 	// Randomization: two state blocks of (order+1) planes — the packed
-	// buffers of a band or order-3 CSR32/QBD sweep, cur and next of a
+	// buffers of a band or order-3 CSR32 sweep, cur and next of a
 	// planar one — plus one accumulator block per time point.
 	perBlock := vec * int64(order+1)
 	return matrix + 2*perBlock + int64(nTimes)*perBlock

@@ -320,7 +320,7 @@ func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *Ba
 		s.metrics.SweepPoints.Observe(len(item.Times))
 		results, err := prep.AccumulatedRewardAtContext(ctx, item.Times, item.Order, &core.Options{
 			Epsilon: item.Epsilon, SweepWorkers: s.opts.SweepWorkers, MatrixFormat: s.opts.MatrixFormat,
-			TemporalBlock: s.opts.TemporalBlock, SweepTile: s.opts.SweepTile, NoSIMD: s.opts.NoSIMD,
+			TemporalBlock: s.opts.TemporalBlock,
 		})
 		if err != nil {
 			return nil, err

@@ -208,8 +208,10 @@ func TestComposeMatrixFreeEndToEnd(t *testing.T) {
 	if snap.SweepFormats["band"] != 1 {
 		t.Errorf("sweep_formats = %v, want one band sweep", snap.SweepFormats)
 	}
-	if _, ok := snap.SweepFormats["kron"]; ok {
-		t.Errorf("sweep_formats = %v still carries a kron label", snap.SweepFormats)
+	for _, gone := range []string{"kron", "qbd"} {
+		if _, ok := snap.SweepFormats[gone]; ok {
+			t.Errorf("sweep_formats = %v still carries a %s label", snap.SweepFormats, gone)
+		}
 	}
 }
 

@@ -109,10 +109,9 @@ type Metrics struct {
 	// sweep dispatched (core.Stats.SweepKernel, labels sweepKernelLabels)
 	// — the signal operators watch to confirm the vectorized kernels are
 	// actually serving solves (a fleet stuck on "scalar" means missing
-	// hardware support or a forgotten SOMRM_NOSIMD/-no-simd switch; band
-	// models run "avx2" at every order, while impulse models and
-	// compact-CSR or QBD models at orders other than 3 always run
-	// "scalar").
+	// hardware support or a forgotten SOMRM_NOSIMD switch; band models
+	// run "avx2" at every order, while impulse models and compact-CSR
+	// models at orders other than 3 always run "scalar").
 	SweepKernels labeledCounter
 
 	// solveLatency tracks end-to-end solve time (queue wait included);
@@ -235,7 +234,7 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 // every label appears (zeros included), and observations outside the
 // set are never exported.
 var (
-	sweepFormatLabels = []string{"band", "qbd", "csr32", "csr64"}
+	sweepFormatLabels = []string{"band", "csr32", "csr64"}
 	sweepKernelLabels = []string{"avx2", "scalar"}
 )
 
@@ -341,8 +340,7 @@ type MetricsSnapshot struct {
 
 	// SweepFormats counts solver executions by the matrix storage format
 	// the randomization sweep streamed, keyed by the core.Stats label
-	// ("band", "qbd", "csr32", and "csr64" for the serial reference
-	// oracle).
+	// ("band", "csr32", and "csr64" for the serial reference oracle).
 	SweepFormats map[string]int64 `json:"sweep_formats"`
 	// SweepBlocked counts solver executions whose randomization sweep ran
 	// with temporal blocking engaged (depth > 1).

@@ -77,14 +77,14 @@ type Options struct {
 	// MatrixFormat is passed through to the randomization solver
 	// (core.Options.MatrixFormat): "" or "auto" picks the storage
 	// representation per model (the tridiagonal band window for
-	// birth-death generators, the block-tridiagonal qbd window for
-	// level-structured ones, compact-index CSR otherwise); "csr", "band"
-	// and "qbd" force one where the structure allows (a band request on
-	// a wider generator gets compact CSR); composed requests apply it to
-	// each component's sweep. "csr64" is not a format: it is only the
-	// storage label of the SweepWorkers < 0 reference oracle. Results are bitwise identical for every
-	// setting, so the knob is server-wide and deliberately not part of
-	// requests or cache keys.
+	// birth-death generators, compact-index CSR for every other
+	// generator); "csr" and "band" force one where the structure allows
+	// (a band request on a wider generator gets compact CSR); composed
+	// requests apply it to each component's sweep. "csr64" is not a
+	// format: it is only the storage label of the SweepWorkers < 0
+	// reference oracle. Results are bitwise identical for every setting,
+	// so the knob is server-wide and deliberately not part of requests or
+	// cache keys.
 	MatrixFormat string
 	// TemporalBlock is passed through to the randomization solver
 	// (core.Options.TemporalBlock): 0 lets the sweep auto-tune temporal
@@ -94,18 +94,6 @@ type Options struct {
 	// identical for every setting — so, like MatrixFormat, the knob is
 	// server-wide and not part of requests or cache keys.
 	TemporalBlock int
-	// SweepTile is passed through to the randomization solver
-	// (core.Options.SweepTile): the row-tile width of the fused sweep
-	// kernels and the block width of the temporally blocked driver. 0
-	// keeps the solver's built-in default. Bitwise neutral.
-	SweepTile int
-	// NoSIMD is passed through to the randomization solver
-	// (core.Options.NoSIMD): true forces the pure-Go scalar sweep
-	// kernels even on AVX2 hardware. The vector kernels are bitwise
-	// identical to the scalar loops, so — like MatrixFormat — the knob
-	// is server-wide and not part of requests or cache keys; solver
-	// stats and /metrics report the kernel each solve dispatched.
-	NoSIMD bool
 	// Checkpoints enables durable solves: a randomization solve that hits
 	// its deadline mid-sweep captures the iteration state at the barrier
 	// where the cancellation lands and answers 202 with a resume token; a

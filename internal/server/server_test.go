@@ -522,7 +522,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	// The randomization solve must have been counted under its resolved
 	// matrix storage format, whichever the detector picked.
 	var formatTotal int64
-	for _, format := range []string{"band", "qbd", "csr32", "csr64"} {
+	for _, format := range []string{"band", "csr32", "csr64"} {
 		formatTotal += snap.SweepFormats[format]
 	}
 	if formatTotal != 1 {

@@ -128,7 +128,7 @@ type SolverStats struct {
 	SweepNS           int64   `json:"sweep_ns"`
 	FlopsPerIteration int64   `json:"flops_per_iteration"`
 	// MatrixFormat is the storage representation the randomization sweep
-	// streamed ("band", "qbd" or "csr32"; "csr64" when the serial
+	// streamed ("band" or "csr32"; "csr64" when the serial
 	// reference oracle ran it); empty for solves that never ran a sweep.
 	// A composed solve reports its largest component's sweep.
 	MatrixFormat string `json:"matrix_format,omitempty"`
@@ -440,8 +440,7 @@ func (s *Server) preparedSolve(ctx context.Context, req *SolveRequest) (*SolveRe
 	}
 	return runSolvePrepared(ctx, req, prep, sweepConfig{
 		Workers: s.opts.SweepWorkers, Format: s.opts.MatrixFormat,
-		TemporalBlock: s.opts.TemporalBlock, Tile: s.opts.SweepTile,
-		NoSIMD: s.opts.NoSIMD,
+		TemporalBlock: s.opts.TemporalBlock,
 	})
 }
 
@@ -463,8 +462,6 @@ type sweepConfig struct {
 	Workers       int
 	Format        string
 	TemporalBlock int
-	Tile          int
-	NoSIMD        bool
 }
 
 // runSolvePrepared executes a normalized request against a prepared model,
@@ -478,8 +475,8 @@ func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepare
 	case MethodRandomization:
 		opts := &core.Options{
 			Epsilon: req.Epsilon, SweepWorkers: cfg.Workers, MatrixFormat: cfg.Format,
-			TemporalBlock: cfg.TemporalBlock, SweepTile: cfg.Tile, NoSIMD: cfg.NoSIMD,
-			Checkpoint: req.checkpoint, Resume: req.resume,
+			TemporalBlock: cfg.TemporalBlock,
+			Checkpoint:    req.checkpoint, Resume: req.resume,
 		}
 		res, err := prep.AccumulatedRewardContext(ctx, req.T, req.Order, opts)
 		if err != nil {

@@ -22,8 +22,8 @@ import (
 //     moment order, see bandPlaneStride), the AVX2 body retires four
 //     consecutive rows of one moment per vector with plain contiguous
 //     loads, walking the moments of each row group in one loop. Wider
-//     bands take QBD or compact-index CSR instead, which have their own
-//     order-3 vector bodies.
+//     bands take compact-index CSR instead, which has its own order-3
+//     vector body.
 //   - Compact-index CSR: the same CSR structure with uint32 column
 //     indexes, halving index traffic for every matrix below 2^32
 //     columns; the general representation.
@@ -144,12 +144,6 @@ type deriv struct {
 
 	bandOnce sync.Once
 	band     *Band
-
-	qbdOnce sync.Once
-	qbdB    int // detected QBD block size, 0 = none
-
-	qbdRepOnce sync.Once
-	qbdRep     *QBD
 }
 
 func (m *CSR) derived() *deriv { return &m.dv }

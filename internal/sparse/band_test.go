@@ -173,7 +173,7 @@ func TestBandEligible(t *testing.T) {
 		if !m.bandEligible() || m.BandRep() == nil {
 			t.Errorf("lo=%d hi=%d matrix not band-eligible", shape.lo, shape.hi)
 		}
-		if got, _, _, _, _ := resolveStorage(m, FormatBand); got != FormatBand {
+		if got, _, _, _ := resolveStorage(m, FormatBand); got != FormatBand {
 			t.Errorf("lo=%d hi=%d forced band resolved to %q", shape.lo, shape.hi, got)
 		}
 	}
@@ -194,7 +194,7 @@ func TestBandEligible(t *testing.T) {
 		if m.bandEligible() || m.BandRep() != nil {
 			t.Errorf("%s matrix band-eligible", name)
 		}
-		if got, _, _, _, _ := resolveStorage(m, FormatBand); got == FormatBand {
+		if got, _, _, _ := resolveStorage(m, FormatBand); got == FormatBand {
 			t.Errorf("%s: forced band honored", name)
 		}
 	}
@@ -215,7 +215,6 @@ func TestParseMatrixFormat(t *testing.T) {
 		"csr":   FormatCSR,
 		"csr32": FormatCSR32,
 		"band":  FormatBand,
-		"qbd":   FormatQBD,
 	} {
 		got, err := ParseMatrixFormat(in)
 		if err != nil || got != want {
@@ -223,8 +222,9 @@ func TestParseMatrixFormat(t *testing.T) {
 		}
 	}
 	// csr64 is the reference oracle's storage label, not a selectable
-	// format; kron named the deleted matrix-free Kronecker-sum operator.
-	for _, in := range []string{"dense", "csr64", "kron"} {
+	// format; kron and qbd named the deleted matrix-free Kronecker-sum
+	// operator and block-tridiagonal storage.
+	for _, in := range []string{"dense", "csr64", "kron", "qbd"} {
 		if _, err := ParseMatrixFormat(in); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("ParseMatrixFormat(%q) error = %v, want ErrUnsupportedFormat", in, err)
 		}
@@ -234,9 +234,10 @@ func TestParseMatrixFormat(t *testing.T) {
 func TestResolveStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tri := bandedFixture(t, rng, 200, 1, 1)
-	// A prime dimension leaves QBD no block size, so auto falls through to
-	// compact CSR on the wider shapes.
+	// Every shape wider than the tridiagonal window resolves to compact
+	// CSR, block-tridiagonal (QBD) structure included.
 	wide := bandedFixture(t, rng, 199, 3, 2)
+	blockTri := qbdFixture(t, rng, 50, 4)
 	b := NewBuilder(199, 199)
 	for i := 0; i < 199; i++ {
 		_ = b.Add(i, (i+1)%199, 1)
@@ -259,9 +260,11 @@ func TestResolveStorage(t *testing.T) {
 		{ring, FormatAuto, FormatCSR32},
 		{ring, FormatBand, FormatCSR32},
 		{ring, FormatCSR64, FormatCSR64},
+		{blockTri, FormatAuto, FormatCSR32},
+		{blockTri, FormatBand, FormatCSR32},
 	}
 	for _, c := range cases {
-		got, band, col32, qbd, err := resolveStorage(c.m, c.in)
+		got, band, col32, err := resolveStorage(c.m, c.in)
 		if err != nil {
 			t.Fatalf("resolveStorage(%q): %v", c.in, err)
 		}
@@ -274,11 +277,8 @@ func TestResolveStorage(t *testing.T) {
 		if (got == FormatCSR32) != (col32 != nil) {
 			t.Errorf("resolveStorage(%q): col32 presence %v for format %q", c.in, col32 != nil, got)
 		}
-		if (got == FormatQBD) != (qbd != nil) {
-			t.Errorf("resolveStorage(%q): qbd presence %v for format %q", c.in, qbd != nil, got)
-		}
 	}
-	if _, _, _, _, err := resolveStorage(tri, "bogus"); !errors.Is(err, ErrUnsupportedFormat) {
+	if _, _, _, err := resolveStorage(tri, "bogus"); !errors.Is(err, ErrUnsupportedFormat) {
 		t.Errorf("bogus format: err = %v, want ErrUnsupportedFormat", err)
 	}
 }

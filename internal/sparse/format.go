@@ -11,10 +11,9 @@ import (
 type MatrixFormat string
 
 const (
-	// FormatAuto picks the cheapest representation by structure: band for
+	// FormatAuto picks the representation by structure: band for
 	// tridiagonal-window matrices (the paper's birth-death generators),
-	// then QBD for block-tridiagonal matrices whose dense window pays for
-	// itself, otherwise compact-index CSR.
+	// compact-index CSR for every other matrix.
 	FormatAuto MatrixFormat = "auto"
 	// FormatCSR forces the compact-index CSR: uint32 column indexes,
 	// half the index traffic of the generic CSR.
@@ -34,11 +33,6 @@ const (
 	// what Sweep.Format reports when FormatCSR (or FormatAuto) picked it.
 	// It is also accepted as an input alias for FormatCSR.
 	FormatCSR32 MatrixFormat = "csr32"
-	// FormatQBD forces the block-tridiagonal (quasi-birth-death) window
-	// representation: dense 3b-cell rows addressed by level, value-only
-	// traffic like band but for block-local coupling. Matrices with no
-	// valid (or no affordable) block size fall back to FormatCSR.
-	FormatQBD MatrixFormat = "qbd"
 )
 
 // ErrUnsupportedFormat reports a matrix format that cannot serve the
@@ -52,42 +46,34 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 	switch f := MatrixFormat(s); f {
 	case "":
 		return FormatAuto, nil
-	case FormatAuto, FormatCSR, FormatBand, FormatCSR32, FormatQBD:
+	case FormatAuto, FormatCSR, FormatBand, FormatCSR32:
 		return f, nil
 	default:
-		return "", fmt.Errorf("%w %q (want auto, csr, band or qbd)", ErrUnsupportedFormat, s)
+		return "", fmt.Errorf("%w %q (want auto, csr or band)", ErrUnsupportedFormat, s)
 	}
 }
 
 // resolveStorage picks the concrete storage for a sweep over an explicit
-// matrix a: the resolved format (FormatBand, FormatQBD, FormatCSR32, or
+// matrix a: the resolved format (FormatBand, FormatCSR32, or
 // FormatCSR64 for the reference oracle) plus the derived representation
 // it streams. Derived representations are cached on the matrix, so
 // repeated sweeps (core.Prepared) convert once.
-func resolveStorage(a *CSR, format MatrixFormat) (MatrixFormat, *Band, []uint32, *QBD, error) {
+func resolveStorage(a *CSR, format MatrixFormat) (MatrixFormat, *Band, []uint32, error) {
 	switch format {
 	case "", FormatAuto, FormatBand:
-		// A forced band that does not fit the window falls back to
-		// compact CSR.
+		// Auto, and a forced band, take compact CSR outside the window.
 		if a.bandEligible() {
-			return FormatBand, a.BandRep(), nil, nil, nil
-		}
-		if format != FormatBand && a.qbdEligible(false) {
-			return FormatQBD, nil, nil, a.QBDRep(), nil
-		}
-	case FormatQBD:
-		if a.qbdEligible(true) {
-			return FormatQBD, nil, nil, a.QBDRep(), nil
+			return FormatBand, a.BandRep(), nil, nil
 		}
 	case FormatCSR, FormatCSR32:
 	case FormatCSR64:
-		return FormatCSR64, nil, nil, nil, nil
+		return FormatCSR64, nil, nil, nil
 	default:
-		return "", nil, nil, nil, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
+		return "", nil, nil, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
 	}
 	c32 := a.ColIdx32()
 	if c32 == nil {
-		return "", nil, nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
+		return "", nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
 	}
-	return FormatCSR32, nil, c32, nil, nil
+	return FormatCSR32, nil, c32, nil
 }

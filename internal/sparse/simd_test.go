@@ -21,10 +21,19 @@ func runOrder3(t *testing.T, s *Sweep, gMax int, wseed int64) [][]float64 {
 	return plans[0].Acc
 }
 
+// forceScalar closes the sweep's SIMD gate when scalar is set, as
+// building it under SOMRM_NOSIMD does, so one test run exercises both
+// dispatch arms.
+func forceScalar(s *Sweep, scalar bool) {
+	if scalar {
+		s.simd = false
+	}
+}
+
 // TestSweepSIMDKillSwitches pins the dispatch gate: the SOMRM_NOSIMD
-// environment variable and SetNoSIMD both force the scalar kernels (and
-// the Kernel label says so), "0"/unset restore the hardware default, and
-// the label flips back when the switch is released.
+// environment variable, read when the sweep is built, forces the scalar
+// kernels (and the Kernel label says so), "0"/unset restore the hardware
+// default, and the reference sweep is always scalar.
 func TestSweepSIMDKillSwitches(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a, d1, d2 := bandedSweepFixture(t, rng, 96, 1, 1, 3)
@@ -58,29 +67,6 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 		}
 	})
 
-	t.Run("setter", func(t *testing.T) {
-		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 1, FormatBand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetNoSIMD(true)
-		runOrder3(t, s, 12, 1)
-		if got := s.Kernel(); got != KernelScalar {
-			t.Fatalf("Kernel() = %q after SetNoSIMD(true), want %q", got, KernelScalar)
-		}
-		// Releasing the setter restores the default dispatch, which the
-		// process-wide switch may still hold scalar.
-		def := hw
-		if simdEnvDisabled() {
-			def = KernelScalar
-		}
-		s.SetNoSIMD(false)
-		runOrder3(t, s, 12, 1)
-		if got := s.Kernel(); got != def {
-			t.Fatalf("Kernel() = %q after SetNoSIMD(false), want default %q", got, def)
-		}
-	})
-
 	t.Run("reference-always-scalar", func(t *testing.T) {
 		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 1, FormatBand)
 		if err != nil {
@@ -100,9 +86,10 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 // served by the vector kernels: exactly the packed layouts with an
 // assembly body (band at every order and size — bidiagonal padded into
 // the window too, and three rows with no whole 4-row group — and order-3
-// non-empty CSR32 and QBD with an interior level),
-// scalar for everything else even with the gate open. With the gate
-// closed (no AVX2, or SOMRM_NOSIMD set) every shape is scalar.
+// non-empty CSR32, which block-tridiagonal (QBD) matrices resolve to
+// under auto whatever their level count), scalar for everything else
+// even with the gate open. With the gate closed (no AVX2, or
+// SOMRM_NOSIMD set) every shape is scalar.
 func TestSweepKernelLabel(t *testing.T) {
 	vec := KernelAVX2
 	if !SIMDAvailable() || simdEnvDisabled() {
@@ -110,9 +97,9 @@ func TestSweepKernelLabel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(72))
 
-	// A 2-level block-tridiagonal matrix: entry (0, 15) forces reach 15,
-	// so QBDBlock resolves b = 8 and there is no interior level for the
-	// assembly body (n < 3b).
+	// A 2-level block-tridiagonal matrix of 8-state levels (entry (0, 15)
+	// reaches across both): no interior level, which the retired QBD
+	// storage ran on its scalar loops.
 	twoLevel := func() *CSR {
 		b := NewBuilder(16, 16)
 		for i := 0; i < 16; i++ {
@@ -139,8 +126,8 @@ func TestSweepKernelLabel(t *testing.T) {
 		{"band-order12", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 12, vec},
 		{"band-three-rows", bandedFixture(t, rng, 3, 1, 1), FormatBand, FormatBand, 3, vec},
 		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, vec},
-		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatQBD, FormatQBD, 3, vec},
-		{"qbd-two-level", twoLevel, FormatQBD, FormatQBD, 3, KernelScalar},
+		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatAuto, FormatCSR32, 3, vec},
+		{"qbd-two-level", twoLevel, FormatAuto, FormatCSR32, 3, vec},
 		{"planar-order2", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 2, KernelScalar},
 	}
 	for _, tc := range cases {
@@ -162,8 +149,9 @@ func TestSweepKernelLabel(t *testing.T) {
 }
 
 // TestSweepForcedSIMDMatchesForcedScalar is the in-package half of the
-// SIMD difftest gate: over a 50-seed corpus rotating the three vector
-// formats (band, CSR32, QBD), worker counts, temporal blocking, and
+// SIMD difftest gate: over a 50-seed corpus rotating band, CSR32 and
+// block-tridiagonal (QBD) matrices under auto, worker counts, temporal
+// blocking, and
 // multi-plan windows, a forced-SIMD sweep and a forced-scalar sweep over
 // identical inputs must agree bit for bit. On hosts without AVX2 both
 // runs take the scalar path and the test degenerates to a determinism
@@ -183,7 +171,7 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 			a, format = bandedFixture(t, rng, n, rng.Intn(3), rng.Intn(3)), FormatCSR
 		default:
 			b := 2 + rng.Intn(7)
-			a, format = qbdFixture(t, rng, 3+rng.Intn(8), b), FormatQBD
+			a, format = qbdFixture(t, rng, 3+rng.Intn(8), b), FormatAuto
 		}
 		n = a.rows
 		d1, d2 := randDiags(rng, n)
@@ -212,7 +200,7 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			s.SetNoSIMD(nosimd)
+			forceScalar(s, nosimd)
 			s.SetTemporalBlock(tblock)
 			cur, next, plans := newRunState(s, weights, firsts, lasts)
 			if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {

@@ -86,21 +86,19 @@ type Sweep struct {
 	tblock    int
 	resolvedT int
 
-	// SIMD dispatch (see simd.go): nosimd is the per-sweep kill-switch
-	// (SetNoSIMD), simd the resolved gate (hardware support minus the
-	// kill-switches), kernel the label of the last run's dispatch.
-	nosimd bool
+	// SIMD dispatch (see simd.go): simd is the gate resolved at
+	// construction (hardware support minus the SOMRM_NOSIMD
+	// kill-switch), kernel the label of the last run's dispatch.
 	simd   bool
 	kernel string
 
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
-	// tridiagonal band planes (every order), QBD windows or compact uint32
-	// column indexes (order 3), cutting the memory traffic of this
+	// tridiagonal band planes (every order) or compact uint32 column
+	// indexes (order 3), cutting the memory traffic of this
 	// bandwidth-bound loop. All formats are bitwise identical.
 	format MatrixFormat
 	band   *Band    // set when format == FormatBand
 	col32  []uint32 // set when format == FormatCSR32
-	qbd    *QBD     // set when format == FormatQBD
 
 	// scratch is optional caller-lent backing for pcur/pnext (see
 	// SetScratch), letting pooled solves skip the two largest per-run
@@ -118,8 +116,7 @@ type Sweep struct {
 	// reads. pcur/pnext, the packed state, replace cur/next for the
 	// impulse-free shapes with a dedicated layout (see stateLayout): the
 	// row-lane planes of a band sweep at every order (see fuseBlockBand),
-	// the interleaved order-3 groups of CSR32 and QBD (see
-	// fuseBlock3Compact).
+	// the interleaved order-3 groups of CSR32 (see fuseBlock3Compact).
 	cur, next   [][]float64
 	pcur, pnext []float64
 	active      []accPair
@@ -130,13 +127,13 @@ type stateLayout int
 
 const (
 	// layoutPlanar: the caller's cur/next vectors, one per moment — the
-	// impulse shapes and the CSR32/QBD orders other than 3 (fuseBlock).
+	// impulse shapes and the CSR32 orders other than 3 (fuseBlock).
 	layoutPlanar stateLayout = iota
 	// layoutRowLane: order+1 padded planes per buffer at
 	// bandPlaneStride(rows) — every impulse-free band sweep.
 	layoutRowLane
 	// layoutInterleaved: four moments per state, cur[i*4+j] — the
-	// order-3 impulse-free CSR32 and QBD sweeps.
+	// order-3 impulse-free CSR32 sweeps.
 	layoutInterleaved
 )
 
@@ -241,7 +238,7 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 	if workers > a.rows {
 		workers = a.rows
 	}
-	resolved, band, col32, qbd, err := resolveStorage(a, format)
+	resolved, band, col32, err := resolveStorage(a, format)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +253,7 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		format:    resolved,
 		band:      band,
 		col32:     col32,
-		qbd:       qbd,
+		simd:      hasAVX2 && !simdEnvDisabled(),
 		tile:      sweepTileDefault,
 		resolvedT: 1,
 	}
@@ -266,7 +263,6 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 			s.tile = bandTile(order)
 		}
 	}
-	s.resolveSIMD()
 	s.initCoef()
 	if workers > 1 {
 		// Per-row work in stored non-zeros, plus the impulse matrices'
@@ -326,7 +322,7 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 	return blocks
 }
 
-// Format returns the resolved storage format: FormatBand, FormatQBD or
+// Format returns the resolved storage format: FormatBand or
 // FormatCSR32 for the fused kernels, and FormatCSR64 for a sweep built
 // for the reference oracle, which only RunReference may execute. (The
 // RunReference test oracle always streams the generic CSR regardless of
@@ -336,9 +332,9 @@ func (s *Sweep) Format() MatrixFormat { return s.format }
 // ScratchWords returns the float64 count Run uses for its packed
 // moment-state buffers: two buffers of order+1 row-lane planes of
 // bandPlaneStride(rows) words each (padding cells included) for a band
-// sweep, two of 4·rows interleaved words for an order-3 CSR32 or QBD
-// sweep, and 0 for the planar shapes (impulse terms, other CSR32/QBD
-// orders, the reference-only csr64 storage), which run on the caller's
+// sweep, two of 4·rows interleaved words for an order-3 CSR32 sweep,
+// and 0 for the planar shapes (impulse terms, other CSR32 orders, the
+// reference-only csr64 storage), which run on the caller's
 // vectors.
 func (s *Sweep) ScratchWords() int {
 	switch s.stateLayout() {
@@ -430,18 +426,21 @@ const (
 	// dwarfs any conceivable traffic win.
 	maxTemporalBlock = 1024
 	// temporalBlockMinWords is the interleaved-state footprint below which
-	// the automatic policy leaves CSR32 and QBD sweeps unblocked: a state
-	// set this small (2 MiB for both buffers) is already L2-resident, and
-	// their gathering kernels gain nothing from re-running iterations over
-	// L2 blocks. The band format does not consult it: its row-lane blocks
+	// the automatic policy leaves CSR32 sweeps unblocked: a state set
+	// this small (2 MiB for both buffers) is already L2-resident, and the
+	// gathering kernel gains nothing from re-running iterations over L2
+	// blocks. The band format does not consult it: its row-lane blocks
 	// are sized for L1 and pay from two blocks up (see resolveBlocking).
 	temporalBlockMinWords = 1 << 18
 	// csrAutoBlockMaxSkew bounds the matrix bandwidth up to which the
-	// automatic policy temporally blocks the vectorized CSR32 kernel —
-	// the same reach ceiling the auto QBD policy implies (blocks of up
-	// to maxAutoQBDBlock phases reach 2b-1 rows). Beyond it the policy
-	// has no measurement and stays unblocked.
-	csrAutoBlockMaxSkew = 2*maxAutoQBDBlock - 1
+	// automatic policy temporally blocks the vectorized CSR32 kernel.
+	// Depth 16 cut the unblocked time by 31% at skew 1 (N=100,001
+	// tridiagonal chain) and by 34% at skew 23 (the BenchmarkSweep
+	// dense-block shape of 12-state levels, 578 → 384 ms/op), and broke
+	// even at skew 4 (shape-composed-bd4); 31 is the reach of
+	// block-tridiagonal levels of 16 states (2·16−1). Beyond it the
+	// policy has no measurement and stays unblocked.
+	csrAutoBlockMaxSkew = 31
 )
 
 // bandTile returns the default block width of a row-lane band sweep at
@@ -464,11 +463,6 @@ func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 		// The window kernel reads both neighbours of every row, padded
 		// cells included, so its reach is 1 even for a diagonal matrix.
 		return 1, 1, true
-	case FormatQBD:
-		// A QBD entry couples level i/b only to adjacent levels, so the
-		// scalar reach is at most 2b-1 on both sides.
-		r := 2*s.qbd.b - 1
-		return r, r, true
 	case FormatCSR32:
 		lo, hi = s.a.Bandwidth()
 		return lo, hi, true
@@ -502,28 +496,19 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 			if s.rows < 2*W {
 				return 1, W, skew
 			}
-		} else if s.ScratchWords() < temporalBlockMinWords {
-			return 1, W, skew // state already cache-resident: blocking cannot pay
-		}
-		switch s.format {
-		case FormatBand, FormatQBD:
-			// The index-free formats are memory-bound and always gain.
-		case FormatCSR32:
-			// The scalar CSR kernel gains nothing from blocking (the
+		} else if s.ScratchWords() < temporalBlockMinWords || !s.simd || skew > csrAutoBlockMaxSkew {
+			// CSR32, the only other storage with a known reach, stays
+			// unblocked while its state is cache-resident (blocking
+			// cannot pay) and on the scalar kernel, where the
 			// index-chasing row loop, not DRAM bandwidth, is the
-			// bottleneck, and the blocking bookkeeping cost ~12-29%
+			// bottleneck (the blocking bookkeeping cost ~12-29%
 			// measured). The AVX2 kernel retires the whole gather in one
-			// load and is memory-bound like the band kernel — blocking
-			// it measured ~22% faster on the N=100,001 ablation — so it
+			// load and is memory-bound like the band kernel, so it
 			// auto-blocks, but only while the bandwidth-derived skew is
-			// in the regime the measurement covered (wider reaches shrink
-			// the depth until blocking is all halo).
-			// Forced depths still block every CSR shape for the difftest
-			// gates and benchmark ablations.
-			if !s.simd || skew > csrAutoBlockMaxSkew {
-				return 1, W, skew
-			}
-		default:
+			// in the regime the measurements covered (wider reaches
+			// shrink the depth until blocking is all halo). Forced depths
+			// still block every CSR shape for the difftest gates and
+			// benchmark ablations.
 			return 1, W, skew
 		}
 		T = temporalBlockDefault
@@ -687,7 +672,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	// vector of four consecutive rows of one moment is one contiguous load
 	// and the first and last rows need no boundary clamping
 	// (out-of-matrix band cells multiply padding zeros, which is bitwise
-	// neutral, see band.go). Order-3 CSR32 and QBD sweeps use the
+	// neutral, see band.go). Order-3 CSR32 sweeps use the
 	// interleaved layout: pcur[i*4+j] holds moment j of state i, so all
 	// four values a matrix entry gathers share one cache line. The planar
 	// cur is read once here and next stays untouched.
@@ -729,7 +714,7 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	}
 
 	// Temporal blocking runs only the packed layouts: the planar path
-	// serves the impulse shapes and the CSR32/QBD orders other than 3,
+	// serves the impulse shapes and the CSR32 orders other than 3,
 	// and its per-term full-vector passes would defeat the
 	// cache-residency the blocking buys.
 	s.resolvedT = 1
@@ -835,12 +820,6 @@ func (s *Sweep) stepRange(lo, hi int, cur, next []float64, active []accPair) {
 			return
 		}
 		s.fuseBlock3Compact(lo, hi, cur, next, active)
-	case FormatQBD:
-		if s.simd && hi > lo {
-			s.fuseBlock3QBDAVX2(lo, hi, cur, next, active)
-			return
-		}
-		s.fuseBlock3QBD(lo, hi, cur, next, active)
 	}
 }
 
@@ -1124,13 +1103,11 @@ func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
 // storage format. Every arm accumulates the row's in-matrix entries in
 // ascending column order into a sum started at +0.0, so the arms are
 // bitwise interchangeable with the reference CSR product: the compact arm
-// loads the identical values through narrower indexes, and the window
-// arms' extra zero cells contribute bitwise-neutral 0.0·x products (see
+// loads the identical values through narrower indexes, and the band
+// arm's padded zero cells contribute bitwise-neutral 0.0·x products (see
 // band.go).
 func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
 	switch s.format {
-	case FormatQBD:
-		s.qbd.matVecRange(t0, t1, x, y)
 	case FormatBand:
 		s.band.matVecRange(t0, t1, x, y)
 	case FormatCSR32:

@@ -33,7 +33,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 		fixtures := []fixture{
 			{"band", a, d1, d2, []MatrixFormat{FormatAuto, FormatBand, FormatCSR}},
 			{"wide", wa, wd1, wd2, []MatrixFormat{FormatAuto, FormatCSR}},
-			{"qbd", q, qd1, qd2, []MatrixFormat{FormatQBD}},
+			{"qbd", q, qd1, qd2, []MatrixFormat{FormatAuto}},
 		}
 		gMax := 5 + rng.Intn(11) // 5..15: ragged against every T below
 		weights := make([][]float64, 2)
@@ -301,7 +301,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 			t.Errorf("auto on large CSR state (SIMD) resolved T=%d, want %d", T, temporalBlockDefault)
 		}
 	}
-	cs.SetNoSIMD(true)
+	cs.simd = false // as built under SOMRM_NOSIMD
 	if T, _, _ := cs.resolveBlocking(); T != 1 {
 		t.Errorf("auto on large CSR state (scalar) resolved T=%d, want 1", T)
 	}
@@ -311,8 +311,6 @@ func TestTemporalBlockResolution(t *testing.T) {
 	}
 	// A reach beyond the measured ceiling keeps the SIMD auto policy
 	// unblocked too.
-	cs.SetNoSIMD(false)
-	cs.SetTemporalBlock(0)
 	wide := bandedFixture(t, rng, temporalBlockMinWords/8, csrAutoBlockMaxSkew+1, 1)
 	ws, err := NewSweepWithFormat(wide, bd1, bd2, nil, 3, 1, FormatCSR)
 	if err != nil {
@@ -428,7 +426,7 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								fs.SetNoSIMD(nosimd)
+								forceScalar(fs, nosimd)
 								fs.SetTemporalBlock(tb)
 								fs.SetSweepTile(tile)
 								scratch := lendCanaryScratch(fs)
@@ -544,7 +542,7 @@ func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []floa
 		t.Fatal(err)
 	}
 	vec.SetSweepTile(4)
-	scal.SetNoSIMD(true)
+	forceScalar(scal, true)
 	st := vec.band.stride
 	cur := make([]float64, (order+1)*st)
 	for j := 0; j <= order; j++ {
@@ -638,8 +636,9 @@ func requireBitsEqual(t *testing.T, tag string, got, want []float64) {
 // exactly at, one row below or one row above the 2·(T−1)·skew width at
 // which a split is kept, must reproduce the serial reference sweep bit
 // for bit — on the band kernel, on compact CSR with an asymmetric reach
-// (lo ≠ hi, so the skew is the larger side) and on QBD, with SIMD on and
-// off, and for one plan, three overlapping plans with zero weights, and a
+// (lo ≠ hi, so the skew is the larger side) and on a block-tridiagonal
+// (QBD) matrix, which auto streams as compact CSR, with SIMD on and off,
+// and for one plan, three overlapping plans with zero weights, and a
 // plan opening mid-group. The thin partitions sit at the top or at the
 // bottom of the rows, so both outer edges and the merging of thin
 // partitions into a neighbour are covered, and the ragged final group
@@ -658,7 +657,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 	fixtures := []fixture{
 		{"band", bandedFixture(t, rng, n, 1, 1), FormatBand, FormatBand},
 		{"csr-lo1-hi3", bandedFixture(t, rng, n, 1, 3), FormatCSR, FormatCSR32},
-		{"qbd-b2", qbdFixture(t, rng, n/2, 2), FormatQBD, FormatQBD},
+		{"qbd-b2", qbdFixture(t, rng, n/2, 2), FormatAuto, FormatCSR32},
 	}
 	if lo, hi := fixtures[1].a.Bandwidth(); lo != 1 || hi != 3 {
 		t.Fatalf("csr fixture reach (%d, %d), want (1, 3)", lo, hi)
@@ -706,7 +705,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 								if fs.Format() != fx.stored {
 									t.Fatalf("%s resolved format %q", fx.name, fs.Format())
 								}
-								fs.SetNoSIMD(nosimd)
+								forceScalar(fs, nosimd)
 								fs.SetTemporalBlock(T)
 								fs.SetSweepTile(8)
 								_, _, skew := fs.resolveBlocking()

@@ -2,9 +2,8 @@
 
 package sparse
 
-// Go contracts for the AVX2 bodies of the CSR32/QBD fused kernels and
-// the shared Poisson accumulation pass (sweep_simd_amd64.s). All three
-// replay the corresponding scalar loops' exact per-element operation
+// Go contracts for the AVX2 body of the CSR32 fused kernel and the
+// Poisson accumulation pass (sweep_simd_amd64.s). Both replay the corresponding scalar loops' exact per-element operation
 // sequence — separate vmulpd/vaddpd steps, +0 seeds, vblendpd coupling
 // masks — so their output is bitwise identical to the Go code; see the
 // assembly file's header for the full argument.
@@ -18,16 +17,6 @@ package sparse
 //
 //go:noescape
 func csr32Fuse3AVX2(n int, rowPtr *int, col32 *uint32, val *float64, cur4, self, next, d1, d2 *float64)
-
-// qbd3AVX2 computes nb consecutive full interior QBD blocks of b rows
-// each, starting at a block-aligned row r0: bval is &val[r0*3b], win the
-// first block's level-window base &cur4[(r0-b)*4], and self/next/d1/d2
-// are pre-offset to row r0. Boundary levels and block-partial ranges are
-// the caller's responsibility (fuseBlock3QBDAVX2 routes them to the
-// scalar kernel).
-//
-//go:noescape
-func qbd3AVX2(nb, b int, bval, win, self, next, d1, d2 *float64)
 
 // sweepAcc3AVX2 applies one plan's Poisson accumulation a_j[i] += w*s_j
 // for n rows of the interleaved next buffer (next pre-offset to the

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the order-3 interleaved fused kernels for the CSR32 and
-// QBD storage formats (see sweep_simd_amd64.go for the Go contracts; the
-// band format's row-lane bodies are in band_simd_amd64.s).
+// AVX2 bodies of the order-3 interleaved fused kernel for the CSR32
+// storage format and its Poisson accumulation pass (see
+// sweep_simd_amd64.go for the Go contracts; the band format's row-lane
+// bodies are in band_simd_amd64.s).
 //
 // Bitwise rules (the band kernels keep the same per-lane discipline on
 // the row-lane layout, which needs no blends): the interleaved layout
@@ -100,72 +101,13 @@ done:
 	VZEROUPPER
 	RET
 
-// func qbd3AVX2(nb, b int, bval, win, self, next, d1, d2 *float64)
-//
-// nb consecutive full interior QBD blocks of b rows each, starting at a
-// block-aligned row: every row streams its dense 3b-cell window against
-// a strided run of 32-byte state groups starting at the level window
-// base win (constant within a block, advancing one level per block).
-// Boundary levels and block-partial row ranges stay on the scalar kernel
-// (see fuseBlock3QBDAVX2).
-TEXT ·qbd3AVX2(SB), NOSPLIT, $0-64
-	MOVQ nb+0(FP), CX
-	MOVQ b+8(FP), BX
-	MOVQ bval+16(FP), SI
-	MOVQ win+24(FP), DI
-	MOVQ self+32(FP), R13
-	MOVQ next+40(FP), DX
-	MOVQ d1+48(FP), R8
-	MOVQ d2+56(FP), R9
-	LEAQ (BX)(BX*2), R12  // cells per interior row = 3b
-	TESTQ CX, CX
-	JZ   done
-
-blockloop:
-	MOVQ BX, R10          // rows left in this block
-
-rowloop:
-	MOVQ DI, AX           // state cursor = window base
-	MOVQ R12, R11         // cells left in this row
-	VXORPD Y6, Y6, Y6     // s = [+0 +0 +0 +0]
-
-cellloop:
-	VBROADCASTSD (SI), Y4
-	VMOVUPD (AX), Y1
-	VMULPD  Y1, Y4, Y5
-	VADDPD  Y5, Y6, Y6
-	ADDQ $8, SI
-	ADDQ $32, AX
-	DECQ R11
-	JNZ  cellloop
-
-	COUPLE3
-	VMOVUPD Y6, (DX)
-	ADDQ $32, R13
-	ADDQ $32, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	DECQ R10
-	JNZ  rowloop
-
-	// Next block: the level window slides down one level (b states).
-	MOVQ BX, R11
-	SHLQ $5, R11
-	ADDQ R11, DI
-	DECQ CX
-	JNZ  blockloop
-
-done:
-	VZEROUPPER
-	RET
-
 // func sweepAcc3AVX2(n int, next, a0, a1, a2, a3 *float64, w float64)
 //
 // Poisson accumulation pass a_j[i] += w*s_j over n rows of the
 // interleaved next buffer: one vmulpd rounding for the four products,
 // then one VEX scalar add per planar accumulator lane — exactly the
 // fused scalar switch's per-element sequence (the stored s_j reloads
-// bit-exactly). Shared by every vector kernel's tiled kernel+acc split.
+// bit-exactly). Run per tile after csr32Fuse3AVX2 (see fuseBlock3CompactAVX2).
 TEXT ·sweepAcc3AVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
 	MOVQ next+8(FP), DX

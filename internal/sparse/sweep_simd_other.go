@@ -11,10 +11,6 @@ func csr32Fuse3AVX2(n int, rowPtr *int, col32 *uint32, val *float64, cur4, self,
 	panic("sparse: csr32Fuse3AVX2 called without AVX2 support")
 }
 
-func qbd3AVX2(nb, b int, bval, win, self, next, d1, d2 *float64) {
-	panic("sparse: qbd3AVX2 called without AVX2 support")
-}
-
 func sweepAcc3AVX2(n int, next, a0, a1, a2, a3 *float64, w float64) {
 	panic("sparse: sweepAcc3AVX2 called without AVX2 support")
 }
