@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -56,11 +57,27 @@ var decodeSeeds = []string{
 	`[{"model":{"states":1}}]`,
 	``,
 	`{}`,
+	// Compose bodies: the scanned shape, and each way the scanner must
+	// decline to json.Decoder.
+	`{"compose":[` + decodeSeedModel + `],"t":1,"order":2}`,
+	`{"compose":[],"t":1}`,
+	`{"t":0.5,"compose":[` + decodeSeedModel + `, {"states":1,"rates":[-0],"variances":[0],"initial":[1],"impulses":[]} ,{}],"order":1,"bounds_at":[2]}`,
+	`{"Compose":[` + decodeSeedModel + `,` + decodeSeedModel + `],"t":1}`,
+	`{"compose":[` + decodeSeedModel + `,null],"t":1}`,
+	`{"compose":null,"t":1}`,
+	`{"model":` + decodeSeedModel + `,"compose":[` + decodeSeedModel + `],"t":1}`,
+	`{"compose":[{"states":1},{"st\u0061tes":2}],"t":1}`,
+	`{"compose":[{"states":1},{"states":1,"rates":[1e400]}],"t":1}`,
+	`{"compose":[` + decodeSeedModel + `],"t":1,"order":2} {"compose":[]}`,
+	`{"compose":[{"states":1}],"compose":[{"states":2}],"t":1}`,
+	`{"compose":[{"states":1}` + "\t" + `,` + "\n" + `{"states":2}],"t":1}`,
+	`{"compose":{"states":1},"t":1}`,
 }
 
 // FuzzSolveRequestDecode is the differential check of the request decode
-// against plain json.Decoder: the same decoded request — models compared
-// with reflect.DeepEqual, nil versus empty slices included — and the same
+// against plain json.Decoder, for solve and batch bodies: the same
+// decoded request — models and compose lists compared with
+// reflect.DeepEqual, nil versus empty slices included — and the same
 // error, text included, so the same 400s.
 func FuzzSolveRequestDecode(f *testing.F) {
 	for _, s := range decodeSeeds {
@@ -74,6 +91,17 @@ func FuzzSolveRequestDecode(f *testing.F) {
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decode differs:\ngot %#v\nref %#v\nbody %q", got, want, body)
+		}
+		wantBatch := new(BatchRequest)
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(wantBatch); err != nil {
+			wantBatch = nil
+			wantErr = err
+		} else {
+			wantErr = nil
+		}
+		gotBatch, err := decodeBatchRequest(body, nil)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(gotBatch, wantBatch) {
+			t.Fatalf("batch decode %#v, %v; reference %#v, %v: %q", gotBatch, err, wantBatch, wantErr, body)
 		}
 	})
 }
@@ -151,5 +179,36 @@ func TestReadBodyTrustsOnlyReceivedBytes(t *testing.T) {
 		if cap(got) > c.maxCap {
 			t.Errorf("declared %d, sent %d: buffer of %d bytes, want at most %d", c.declared, len(c.body), cap(got), c.maxCap)
 		}
+	}
+}
+
+// TestReadBodyGrowsFourfold checks the regrowth schedule: a request that
+// declares 60 MB and sends 200 KiB holds at most 1 MiB, and a body of a
+// declared 10 MB discards at most 6 MB of smaller buffers on the way.
+func TestReadBodyGrowsFourfold(t *testing.T) {
+	const limit = 64 << 20
+	sent := strings.Repeat("x", 200<<10)
+	r := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(sent))
+	r.ContentLength = 60 << 20
+	got, err := readBody(httptest.NewRecorder(), r, limit)
+	if err != nil || len(got) != len(sent) {
+		t.Fatalf("read %d bytes, %v; want %d", len(got), err, len(sent))
+	}
+	if cap(got) > 1<<20 {
+		t.Errorf("declared 60 MB, sent 200 KiB: buffer of %d bytes, want at most 1 MiB", cap(got))
+	}
+
+	body := strings.Repeat("y", 10<<20)
+	r = httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err = readBody(httptest.NewRecorder(), r, limit)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(got) != len(body) || cap(got) != len(body)+1 {
+		t.Fatalf("declared %d: read %d bytes into %d, %v", len(body), len(got), cap(got), err)
+	}
+	// 64 KiB + 256 KiB + 1 MiB + 4 MiB discarded, then the body's own.
+	if alloc, max := after.TotalAlloc-before.TotalAlloc, uint64(len(body))*8/5; alloc > max {
+		t.Errorf("reading a %d-byte body allocated %d bytes, want at most %d", len(body), alloc, max)
 	}
 }

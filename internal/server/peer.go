@@ -56,7 +56,8 @@ type HandoffEntry struct {
 	SpecHash string `json:"spec_hash"`
 	// Response is the cached solve response for result entries.
 	Response *SolveResponse `json:"response,omitempty"`
-	// SpecJSON is the canonical spec serialization for prepared entries.
+	// SpecJSON is the JSON spec of prepared entries; the receiver checks
+	// that it hashes to Key.
 	SpecJSON json.RawMessage `json:"spec,omitempty"`
 	// Token and Checkpoint carry a held interrupted-sweep snapshot: the
 	// receiver adopts it under the same resume token, so a client's
@@ -199,7 +200,7 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, e *HandoffEntry) bool {
 		s.checkpoints.adopt(e.Token, e.Key, e.SpecHash, e.Checkpoint, cp.Completed, cp.GMax)
 		return true
 	case len(e.SpecJSON) > 0:
-		// A prepared-model entry: rebuild from the canonical spec through
+		// A prepared-model entry: rebuild from the shipped spec through
 		// the prepared cache (single-flight, LRU). The key must be the
 		// spec's own canonical hash — a mismatch means a corrupted entry.
 		sp, err := spec.Parse(e.SpecJSON)

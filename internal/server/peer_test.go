@@ -5,10 +5,15 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"somrm/internal/core"
 	"somrm/internal/spec"
 )
 
@@ -64,7 +69,7 @@ func getPeerResult(t *testing.T, url, key, secret string) int {
 // specEntry builds a valid prepared-model handoff entry from a spec.
 func specEntry(t *testing.T, sp *spec.Model) HandoffEntry {
 	t.Helper()
-	canon, err := sp.Canonical()
+	js, err := json.Marshal(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func specEntry(t *testing.T, sp *spec.Model) HandoffEntry {
 		t.Fatal(err)
 	}
 	key := hex.EncodeToString(h[:])
-	return HandoffEntry{Key: key, SpecHash: key, SpecJSON: canon}
+	return HandoffEntry{Key: key, SpecHash: key, SpecJSON: js}
 }
 
 // TestPeerEndpointsAbsentWithoutCluster pins the single-node security
@@ -176,5 +181,86 @@ func TestHandoffSpecRebuildCap(t *testing.T) {
 	// Every rebuild went through the worker pool as a prepared-cache miss.
 	if got := s.metrics.PreparedMisses.Load(); got != maxHandoffSpecEntries {
 		t.Errorf("prepared misses = %d, want %d", got, maxHandoffSpecEntries)
+	}
+}
+
+// TestPreparedHandoffShipsParsedSpec checks that a cluster-mode prepared
+// miss keeps the request's parsed spec as it is — noting it serializes
+// and copies nothing — and that the entry a drain ships rebuilds on the
+// receiver under the same key.
+func TestPreparedHandoffShipsParsedSpec(t *testing.T) {
+	s := New(Options{Workers: 1, Cluster: &ClusterHooks{}})
+	defer s.Shutdown(context.Background())
+	// Unsorted edges and a negative zero: the shipped JSON must hash back
+	// to the key without any canonical reordering on the sender.
+	sp := &spec.Model{
+		States:      3,
+		Transitions: []spec.Transition{{From: 2, To: 0, Rate: 1.5}, {From: 0, To: 1, Rate: 2}, {From: 1, To: 2, Rate: 0.1}, {From: 1, To: 0, Rate: 3}},
+		Rates:       []float64{1, math.Copysign(0, -1), 0.5},
+		Variances:   []float64{0.1, 0, 2},
+		Initial:     []float64{1, 0, 0},
+		Impulses:    []spec.Impulse{{From: 1, To: 0, Reward: 0.75}, {From: 0, To: 1, Reward: 1e-300}},
+	}
+	h, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := hex.EncodeToString(h[:])
+	if _, hit, err := s.preparedFor(key, func() (*core.Prepared, error) { return buildPrepared(sp) }, sp); err != nil || hit {
+		t.Fatalf("prepared miss: hit %v, %v", hit, err)
+	}
+	s.prepared.mu.Lock()
+	held := s.prepared.items[key].Value.(*prepEntry).spec
+	s.prepared.mu.Unlock()
+	if held != sp {
+		t.Fatalf("entry holds spec %p, want the request's %p", held, sp)
+	}
+
+	// Noting a spec on a resident entry allocates nothing.
+	c := newPreparedCache(16)
+	keys := make([]string, 11)
+	for i := range keys {
+		keys[i] = fmt.Sprint(i)
+		c.GetOrBuild(keys[i], func() (*core.Prepared, error) { return nil, nil })
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(len(keys)-1, func() { c.NoteSpec(keys[next], sp); next++ }); allocs != 0 {
+		t.Errorf("NoteSpec allocated %v times per call, want 0", allocs)
+	}
+
+	// Drains may run while handlers note specs (run under -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprint(g, "/", i)
+				c.GetOrBuild(key, func() (*core.Prepared, error) { return nil, nil })
+				c.NoteSpec(key, sp)
+				if got := c.Hottest(4); len(got) == 0 {
+					t.Errorf("Hottest after noting %s: no entries", key)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	entries := s.prepared.Hottest(4)
+	if len(entries) != 1 || entries[0].Key != key || entries[0].SpecHash != key {
+		t.Fatalf("Hottest = %+v, want one entry under %s", entries, key)
+	}
+	r := New(Options{Workers: 1, Cluster: &ClusterHooks{}})
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+	defer r.Shutdown(context.Background())
+	if status, accepted := postHandoff(t, ts.URL, "", entries); status != http.StatusOK || accepted != 1 {
+		t.Fatalf("handoff: status %d, %d accepted; want 200, 1", status, accepted)
+	}
+	_, hit, err := r.prepared.GetOrBuild(key, func() (*core.Prepared, error) {
+		return nil, errors.New("handed-off entry missing")
+	})
+	if err != nil || !hit || r.prepared.Builds() != 1 {
+		t.Errorf("receiver lookup under %s: hit %v, %v, %d builds; want a hit on the one handoff build", key, hit, err, r.prepared.Builds())
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +36,11 @@ type prepEntry struct {
 	ready chan struct{} // closed when prep/err are set
 	prep  *core.Prepared
 	err   error
-	// canon is the canonical spec serialization behind the entry, recorded
-	// via NoteSpec so drain handoff can stream the model to a ring
-	// successor (which rebuilds it bitwise-identically). Guarded by the
-	// cache mutex; nil until a handler notes the spec.
-	canon []byte
+	// spec is the parsed spec behind the entry, recorded via NoteSpec so
+	// drain handoff can ship the model to a ring successor (which rebuilds
+	// it bitwise-identically). It is serialized only when a drain asks.
+	// Guarded by the cache mutex; nil until a handler notes the spec.
+	spec *spec.Model
 }
 
 func newPreparedCache(capacity int) *preparedCache {
@@ -92,50 +93,37 @@ func (c *preparedCache) GetOrBuild(key string, build func() (*core.Prepared, err
 	return e.prep, false, e.err
 }
 
-// NoteSpec attaches the canonical serialization of the spec behind key to
-// its resident entry, so drain handoff can ship the model to a successor.
-// It is a no-op when the key is not resident or the spec fails to
-// canonicalize (the entry then simply is not handed off).
+// NoteSpec attaches the spec behind key to its resident entry, so drain
+// handoff can ship the model to a successor. It is a no-op when the key
+// is not resident. The spec is kept as parsed, and must not change while
+// the entry lives.
 func (c *preparedCache) NoteSpec(key string, sp *spec.Model) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok || el.Value.(*prepEntry).canon != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	// Canonicalize outside the lock; it allocates and sorts.
-	canon, err := sp.Canonical()
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*prepEntry)
-		if e.canon == nil {
-			e.canon = canon
+		if e := el.Value.(*prepEntry); e.spec == nil {
+			e.spec = sp
 		}
 	}
 	c.mu.Unlock()
 }
 
 // Hottest returns up to n prepared-model entries in most-recently-used
-// order as drain-handoff entries (canonical specs; the receiver rebuilds).
-// Entries whose spec was never noted, or whose build failed or is still in
-// flight, are skipped.
+// order as drain-handoff entries (JSON specs; the receiver parses,
+// re-hashes and rebuilds). Entries whose spec was never noted, or whose
+// build failed or is still in flight, are skipped. The specs are
+// marshaled outside the cache lock.
 func (c *preparedCache) Hottest(n int) []HandoffEntry {
 	if c.cap <= 0 || n <= 0 {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	entries := make([]HandoffEntry, 0, min(n, c.order.Len()))
-	for el := c.order.Front(); el != nil && len(entries) < n; el = el.Next() {
+	picked := make([]*prepEntry, 0, min(n, c.order.Len()))
+	for el := c.order.Front(); el != nil && len(picked) < n; el = el.Next() {
 		e := el.Value.(*prepEntry)
-		if e.canon == nil {
+		if e.spec == nil {
 			continue
 		}
 		select {
@@ -146,7 +134,17 @@ func (c *preparedCache) Hottest(n int) []HandoffEntry {
 		default:
 			continue // still building
 		}
-		entries = append(entries, HandoffEntry{Key: e.key, SpecHash: e.key, SpecJSON: e.canon})
+		picked = append(picked, e)
+	}
+	c.mu.Unlock()
+	// A noted spec is never replaced, so it is read here without the lock.
+	entries := make([]HandoffEntry, 0, len(picked))
+	for _, e := range picked {
+		js, err := json.Marshal(e.spec)
+		if err != nil {
+			continue
+		}
+		entries = append(entries, HandoffEntry{Key: e.key, SpecHash: e.key, SpecJSON: js})
 	}
 	return entries
 }

@@ -416,7 +416,7 @@ func (s *Server) preparedFor(specHash string, build func() (*core.Prepared, erro
 		s.metrics.PreparedMisses.Add(1)
 	}
 	if s.opts.Cluster != nil && sp != nil {
-		// Remember the canonical spec so drain handoff can stream this
+		// Remember the parsed spec so drain handoff can ship this
 		// prepared model to a ring successor.
 		s.prepared.NoteSpec(specHash, sp)
 	}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash"
@@ -12,106 +13,92 @@ import (
 )
 
 // hashChunk is the size of the fixed buffer Hash streams the canonical
-// bytes through. It bounds Hash's allocation independently of the model
+// form through. It bounds Hash's allocation independently of the model
 // size; small models never fill it.
 const hashChunk = 4 << 10
 
-// canonicalWriter renders the canonical serialization into buf. With a
-// hash sink it forwards buf to h whenever it nears capacity, so the
-// output is never held whole; without one buf grows to hold it all.
-type canonicalWriter struct {
+// hashTag opens the canonical form and versions it: every result-cache
+// key, prepared-cache key, ring position, journal spec_hash and resume
+// token derives from Hash, so a change to the form must change the tag.
+// v1 was the digest of the spec's sorted json.Marshal text.
+const hashTag = "somrm/spec/v2\n"
+
+// nullList is the length word of a nil rates, variances or initial list,
+// which encoding/json writes as null and an empty one as [].
+const nullList = ^uint64(0)
+
+// hasher streams the canonical form into a digest through buf.
+type hasher struct {
 	buf []byte
 	h   hash.Hash
 }
 
-// element reserves room for one list element, flushing to the hash sink
-// first when the buffer is nearly full. The largest element, a
-// transition with two extreme ints and a 24-byte float, is under 128
-// bytes.
-func (w *canonicalWriter) element() {
-	if w.h != nil && len(w.buf) > cap(w.buf)-128 {
+// reserve makes room for n more bytes, flushing a full buffer.
+func (w *hasher) reserve(n int) {
+	if len(w.buf)+n > cap(w.buf) {
 		w.h.Write(w.buf)
 		w.buf = w.buf[:0]
 	}
 }
 
-func (w *canonicalWriter) int(v int) { w.buf = strconv.AppendInt(w.buf, int64(v), 10) }
-
-// float appends f exactly as encoding/json encodes a float64: ES6 number
-// formatting, with the exponent form below 1e-6 and from 1e21 up, and
-// "e-07" shortened to "e-7". Non-finite values are the encoder's
-// UnsupportedValueError.
-func (w *canonicalWriter) float(f float64) error {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 && (f != 0 || !math.Signbit(f)) {
-		// An integral float below 2⁵³ formats as its integer digits.
-		w.buf = strconv.AppendInt(w.buf, int64(f), 10)
-		return nil
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(w.buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	w.buf = b
-	return nil
+// word appends one little-endian 64-bit word.
+func (w *hasher) word(v uint64) {
+	w.reserve(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-// floats appends a float list: null for a nil slice, [] for an empty one.
-func (w *canonicalWriter) floats(fs []float64) error {
+// expBits masks a float64's exponent, all ones for ±Inf and NaN.
+const expBits = 0x7ff << 52
+
+// unsupported is the error for a non-finite value: encoding/json's
+// UnsupportedValueError, as it was when the form was JSON text.
+func unsupported(f float64) error {
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+}
+
+// floats appends a float list behind its length, nullList for nil. The
+// values go in runs that fill the buffer, one room check per run.
+func (w *hasher) floats(fs []float64) error {
 	if fs == nil {
-		w.buf = append(w.buf, "null"...)
+		w.word(nullList)
 		return nil
 	}
-	w.buf = append(w.buf, '[')
-	for i, f := range fs {
-		w.element()
-		if i > 0 {
-			w.buf = append(w.buf, ',')
+	w.word(uint64(len(fs)))
+	for len(fs) > 0 {
+		w.reserve(8)
+		run := fs[:min(len(fs), (cap(w.buf)-len(w.buf))/8)]
+		for _, f := range run {
+			bits := math.Float64bits(f)
+			if bits&expBits == expBits {
+				return unsupported(f)
+			}
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, bits)
 		}
-		if err := w.float(f); err != nil {
-			return err
-		}
+		fs = fs[len(run):]
 	}
-	w.buf = append(w.buf, ']')
 	return nil
 }
 
-// writeEdges appends a transition or impulse list in canonical (from, to)
-// order; value names the third field.
-func writeEdges[E any](w *canonicalWriter, es []E, value string, parts func(E) (int, int, float64)) error {
+// edges appends a transition or impulse list behind its length, in
+// canonical (from, to) order; nil and empty lists both have length 0.
+func edges[E any](w *hasher, es []E, parts func(E) (int, int, float64)) error {
+	w.word(uint64(len(es)))
 	order := canonicalOrder(es, parts)
-	w.buf = append(w.buf, '[')
 	for k := range es {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
 		from, to, v := parts(es[i])
-		w.element()
-		if k > 0 {
-			w.buf = append(w.buf, ',')
+		bits := math.Float64bits(v)
+		if bits&expBits == expBits {
+			return unsupported(v)
 		}
-		w.buf = append(w.buf, `{"from":`...)
-		w.int(from)
-		w.buf = append(w.buf, `,"to":`...)
-		w.int(to)
-		w.buf = append(w.buf, value...)
-		if err := w.float(v); err != nil {
-			return err
-		}
-		w.buf = append(w.buf, '}')
+		w.reserve(24)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(from))
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(to))
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, bits)
 	}
-	w.buf = append(w.buf, ']')
 	return nil
 }
 
@@ -148,63 +135,31 @@ func canonicalOrder[E any](es []E, parts func(E) (int, int, float64)) []int {
 func transitionParts(t Transition) (int, int, float64) { return t.From, t.To, t.Rate }
 func impulseParts(im Impulse) (int, int, float64)      { return im.From, im.To, im.Reward }
 
-// write renders the canonical serialization of m: the bytes json.Marshal
-// produces for the spec with transitions and impulses sorted by
-// (from, to), an empty transition list written as null and an empty
-// impulse list omitted.
-func (w *canonicalWriter) write(m *Model) error {
-	w.buf = append(w.buf, `{"states":`...)
-	w.int(m.States)
-	w.buf = append(w.buf, `,"transitions":`...)
-	if len(m.Transitions) == 0 {
-		w.buf = append(w.buf, "null"...)
-	} else if err := writeEdges(w, m.Transitions, `,"rate":`, transitionParts); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		key string
-		fs  []float64
-	}{{`,"rates":`, m.Rates}, {`,"variances":`, m.Variances}, {`,"initial":`, m.Initial}} {
-		w.buf = append(w.buf, f.key...)
-		if err := w.floats(f.fs); err != nil {
-			return err
-		}
-	}
-	if len(m.Impulses) > 0 {
-		w.buf = append(w.buf, `,"impulses":`...)
-		if err := writeEdges(w, m.Impulses, `,"reward":`, impulseParts); err != nil {
-			return err
-		}
-	}
-	w.buf = append(w.buf, '}')
-	return nil
-}
-
-// Canonical returns a deterministic compact serialization of the spec:
-// transitions and impulses are sorted by (from, to) and the JSON is
-// emitted without whitespace, so two specs describing the same model in a
-// different entry order serialize identically. It is the basis for
-// content-addressed caching of solve results.
-//
-// The bytes are exactly json.Marshal's for the sorted spec, float
-// formatting included, so hashes stay stable across releases. It is
-// written in one pass: the lists are neither copied nor, when already
-// strictly sorted, sorted.
-func (m *Model) Canonical() ([]byte, error) {
-	w := canonicalWriter{}
-	if err := w.write(m); err != nil {
-		return nil, fmt.Errorf("spec: canonical: %w", err)
-	}
-	return w.buf, nil
-}
-
-// Hash returns the SHA-256 digest of the canonical serialization. Two
-// specs with the same hash describe the same model (up to entry order).
-// The canonical bytes stream into the digest through a small fixed
-// buffer and are never materialized whole.
+// Hash returns the SHA-256 digest of the spec's canonical form: hashTag,
+// then 64-bit words for the state count, the transitions sorted by
+// (from, to), the rates, variances and initial distribution, and the
+// impulses sorted by (from, to), every list behind its length and every
+// float as its IEEE 754 bits. Two specs hash equal exactly when they
+// describe the same model up to entry order — exactly when json.Marshal
+// of their sorted copies is equal: -0 and 0 differ, a nil and an empty
+// transition or impulse list are equal, a nil and an empty rates,
+// variances or initial list differ. A NaN or ±Inf value is an error,
+// the first one in canonical order reported. The form streams into the
+// digest through a small fixed buffer and is never materialized whole.
 func (m *Model) Hash() ([32]byte, error) {
-	w := canonicalWriter{buf: make([]byte, 0, hashChunk), h: sha256.New()}
-	if err := w.write(m); err != nil {
+	w := hasher{buf: make([]byte, 0, hashChunk), h: sha256.New()}
+	w.buf = append(w.buf, hashTag...)
+	w.word(uint64(m.States))
+	err := edges(&w, m.Transitions, transitionParts)
+	for _, fs := range [][]float64{m.Rates, m.Variances, m.Initial} {
+		if err == nil {
+			err = w.floats(fs)
+		}
+	}
+	if err == nil {
+		err = edges(&w, m.Impulses, impulseParts)
+	}
+	if err != nil {
 		return [32]byte{}, fmt.Errorf("spec: canonical: %w", err)
 	}
 	w.h.Write(w.buf)

@@ -9,3 +9,9 @@ func GeneratorPaths(m *Model) (sorted, built *sparse.CSR, err error) {
 	built, err = m.builtGenerator()
 	return m.sortedGenerator(), built, err
 }
+
+// Hash equivalence helpers for the external property test.
+var (
+	CheckHashPair = checkHashPair
+	HashVariant   = hashVariant
+)

@@ -1,14 +1,17 @@
 package spec
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -85,7 +88,7 @@ func FuzzParseBuild(f *testing.F) {
 // against encoding/json: the scanner and Parse must agree with
 // json.Unmarshal on the error, Parse's text included, and, with
 // reflect.DeepEqual, on the decoded value — nil versus empty slices
-// included, since those change the canonical bytes.
+// included, since those change the canonical form.
 func FuzzSpecDecode(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
@@ -133,7 +136,7 @@ func TestScanAllocationFollowsLists(t *testing.T) {
 		body := []byte(`{"model":` + model + `,"pad":"` + pad + `"}`)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, rest, ok := CutModel(body)
+		m, _, rest, ok := CutModel(body)
 		runtime.ReadMemStats(&after)
 		if !ok || m.States != 4000000 || len(rest) != len(body)-len(model)+len("null") {
 			t.Fatalf("CutModel(%s...) = %v, %d bytes, %v", model, m, len(rest), ok)
@@ -145,8 +148,48 @@ func TestScanAllocationFollowsLists(t *testing.T) {
 	}
 }
 
-// referenceCanonical is the json.Marshal formulation of Canonical: sort
-// copies of the lists and marshal.
+// TestCutModelShapes pins which request bodies the cut takes — one
+// canonical spec under "model", or a list of them under "compose" — and
+// the ones it leaves to encoding/json whole.
+func TestCutModelShapes(t *testing.T) {
+	const m = `{"states":1,"rates":[1],"variances":[0],"initial":[1]}`
+	const declined, model = -2, -1 // else the compose list's length
+	for _, c := range []struct {
+		body string
+		cut  int
+		rest string
+	}{
+		{`{"model":` + m + `,"t":1}`, model, `{"model":null,"t":1}`},
+		{`{"t":1,"compose":[` + m + `, ` + m + `,{}]}`, 3, `{"t":1,"compose":null}`},
+		{`{"compose":[]}`, 0, `{"compose":null}`},
+		{`{"Compose":[` + m + `]}`, declined, ""},
+		{`{"compose":[` + m + `],"compose":[` + m + `]}`, declined, ""},
+		{`{"model":` + m + `,"compose":[` + m + `]}`, declined, ""},
+		{`{"compose":[` + m + `,null]}`, declined, ""},
+		{`{"compose":null}`, declined, ""},
+		{`{"compose":` + m + `}`, declined, ""},
+		{`{"compose":[{"st\u0061tes":1}]}`, declined, ""},
+		{`{"compose":[{"rates":[1e400]}]}`, declined, ""},
+		{`{"compose":[` + m + `]} x`, declined, ""},
+		{`{"t":1}`, declined, ""},
+	} {
+		gotM, gotC, rest, ok := CutModel([]byte(c.body))
+		got := declined
+		switch {
+		case ok && gotM != nil && gotC == nil:
+			got = model
+		case ok && gotM == nil && gotC != nil:
+			got = len(gotC)
+		}
+		if got != c.cut || ok && string(rest) != c.rest {
+			t.Errorf("%s: cut %d, rest %s; want %d, %s", c.body, got, rest, c.cut, c.rest)
+		}
+	}
+}
+
+// referenceCanonical is the canonical text, the oracle for Hash's
+// equalities: sorted copies of the edge lists, an empty transition list
+// as null, marshaled by encoding/json.
 func referenceCanonical(m *Model) ([]byte, error) {
 	c := Model{States: m.States, Rates: m.Rates, Variances: m.Variances, Initial: m.Initial}
 	if len(m.Transitions) > 0 {
@@ -215,10 +258,223 @@ func specFromBytes(data []byte) *Model {
 	return m
 }
 
-// FuzzCanonicalWriter checks the one-pass canonical writer against
-// json.Marshal of the sorted copy, byte for byte and error text for error
-// text, on specs built from raw float bits and on decoded JSON seeds, and
-// that Hash streams exactly those bytes into the digest.
+// checkHashPair checks Hash against the json.Marshal canonical text on
+// one pair of specs: each errors exactly when its reference does, with
+// the same text, and the digests are equal exactly when the texts are.
+// It reports whether both hashed and the digests are equal.
+func checkHashPair(t testing.TB, a, b *Model) bool {
+	t.Helper()
+	ra, raErr := referenceCanonical(a)
+	rb, rbErr := referenceCanonical(b)
+	ha, haErr := a.Hash()
+	hb, hbErr := b.Hash()
+	if fmt.Sprint(haErr) != fmt.Sprint(raErr) || fmt.Sprint(hbErr) != fmt.Sprint(rbErr) {
+		t.Fatalf("Hash errors %v, %v; reference errors %v, %v\na %#v\nb %#v", haErr, hbErr, raErr, rbErr, a, b)
+	}
+	if haErr != nil || hbErr != nil {
+		return false
+	}
+	if (ha == hb) != bytes.Equal(ra, rb) {
+		t.Fatalf("Hash equal %v, reference text equal %v:\na %s\nb %s", ha == hb, bytes.Equal(ra, rb), ra, rb)
+	}
+	return ha == hb
+}
+
+func clone[E any](s []E) []E {
+	if s == nil {
+		return nil
+	}
+	return append(make([]E, 0, len(s)), s...)
+}
+
+// flipNil turns a nil list into an empty one and any other into nil.
+func flipNil[E any](s []E) []E {
+	if s == nil {
+		return []E{}
+	}
+	return nil
+}
+
+// hashVariant returns a copy of m changed in ways the canonical form
+// sees through — entry order, number spelling, a nil versus an empty
+// edge list — and, one time in three, in one way it may not: a float one
+// ulp off or of the other zero sign, a nil versus an empty float list,
+// an edge changed or duplicated, another state count. m is not changed.
+func hashVariant(rng *rand.Rand, m *Model) *Model {
+	v := &Model{
+		States:      m.States,
+		Transitions: clone(m.Transitions),
+		Rates:       clone(m.Rates),
+		Variances:   clone(m.Variances),
+		Initial:     clone(m.Initial),
+		Impulses:    clone(m.Impulses),
+	}
+	coin := func() bool { return rng.Intn(2) == 0 }
+	if coin() {
+		rng.Shuffle(len(v.Transitions), func(i, j int) { v.Transitions[i], v.Transitions[j] = v.Transitions[j], v.Transitions[i] })
+	}
+	if coin() {
+		rng.Shuffle(len(v.Impulses), func(i, j int) { v.Impulses[i], v.Impulses[j] = v.Impulses[j], v.Impulses[i] })
+	}
+	if len(v.Transitions) == 0 && coin() {
+		v.Transitions = flipNil(v.Transitions)
+	}
+	if len(v.Impulses) == 0 && coin() {
+		v.Impulses = flipNil(v.Impulses)
+	}
+	if rng.Intn(3) == 0 {
+		breakVariant(rng, v)
+	}
+	if coin() {
+		if js, ok := respell(rng, v); ok {
+			p, err := Parse(js)
+			if err != nil {
+				panic(fmt.Sprintf("respelled spec %s: %v", js, err))
+			}
+			v = p
+		}
+	}
+	return v
+}
+
+// breakVariant changes v in one way that may change its canonical text.
+func breakVariant(rng *rand.Rand, v *Model) {
+	lists := []*[]float64{&v.Rates, &v.Variances, &v.Initial}
+	switch rng.Intn(5) {
+	case 0: // a float one ulp off, or a zero of the other sign
+		fs := lists[rng.Intn(3)]
+		if len(*fs) > 0 {
+			k := rng.Intn(len(*fs))
+			if f := (*fs)[k]; f == 0 {
+				(*fs)[k] = -f
+			} else {
+				(*fs)[k] = math.Nextafter(f, math.Inf(1))
+			}
+		}
+	case 1: // nil versus empty float list
+		if fs := lists[rng.Intn(3)]; len(*fs) == 0 {
+			*fs = flipNil(*fs)
+		}
+	case 2: // an edge endpoint moved
+		if len(v.Transitions) > 0 {
+			v.Transitions[rng.Intn(len(v.Transitions))].To += 1 - 2*rng.Intn(2)
+		} else if len(v.Impulses) > 0 {
+			v.Impulses[rng.Intn(len(v.Impulses))].From += 1 - 2*rng.Intn(2)
+		}
+	case 3: // an edge duplicated
+		if len(v.Transitions) > 0 {
+			v.Transitions = append(v.Transitions, v.Transitions[rng.Intn(len(v.Transitions))])
+		}
+	default:
+		v.States += 1 - 2*rng.Intn(2)
+	}
+}
+
+// respell writes v as JSON with keys in random order and every number in
+// one of the spellings that decode to it: 1, 1.0, 1e0, 10E-1, -0, -0.0
+// and the like. ok is false when v holds a value JSON cannot.
+func respell(rng *rand.Rand, v *Model) (js []byte, ok bool) {
+	num := func(b []byte, f float64) []byte {
+		switch rng.Intn(5) {
+		case 0:
+			return strconv.AppendFloat(b, f, 'e', -1, 64)
+		case 1:
+			return strconv.AppendFloat(b, f, 'E', -1, 64)
+		case 2:
+			b = strconv.AppendFloat(b, f, 'f', -1, 64)
+			if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+				b = append(b, ".0"...)
+			}
+			return b
+		case 3:
+			if f == math.Trunc(f) && math.Abs(f) < 1e14 && f != 0 {
+				return append(strconv.AppendFloat(b, f*10, 'f', -1, 64), "E-1"...)
+			}
+		}
+		return strconv.AppendFloat(b, f, 'g', -1, 64)
+	}
+	integer := func(b []byte, i int) []byte {
+		if i == 0 && rng.Intn(2) == 0 {
+			return append(b, "-0"...)
+		}
+		return strconv.AppendInt(b, int64(i), 10)
+	}
+	finite := true
+	floats := func(b []byte, fs []float64) []byte {
+		if fs == nil {
+			return append(b, "null"...)
+		}
+		b = append(b, '[')
+		for i, f := range fs {
+			finite = finite && !math.IsInf(f, 0) && !math.IsNaN(f)
+			if i > 0 {
+				b = append(b, ',')
+				if rng.Intn(2) == 0 {
+					b = append(b, ' ')
+				}
+			}
+			b = num(b, f)
+		}
+		return append(b, ']')
+	}
+	edge := func(b []byte, from, to int, key string, f float64) []byte {
+		finite = finite && !math.IsInf(f, 0) && !math.IsNaN(f)
+		b = append(b, `{"from":`...)
+		b = integer(b, from)
+		b = append(b, `,"to":`...)
+		b = integer(b, to)
+		b = append(b, `,"`+key+`":`...)
+		return append(num(b, f), '}')
+	}
+	members := []func([]byte) []byte{
+		func(b []byte) []byte { return integer(append(b, `"states":`...), v.States) },
+		func(b []byte) []byte { return floats(append(b, `"rates":`...), v.Rates) },
+		func(b []byte) []byte { return floats(append(b, `"variances":`...), v.Variances) },
+		func(b []byte) []byte { return floats(append(b, `"initial":`...), v.Initial) },
+		func(b []byte) []byte {
+			if v.Transitions == nil {
+				return append(b, `"transitions":null`...)
+			}
+			b = append(b, `"transitions":[`...)
+			for i, e := range v.Transitions {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = edge(b, e.From, e.To, "rate", e.Rate)
+			}
+			return append(b, ']')
+		},
+		func(b []byte) []byte {
+			if v.Impulses == nil {
+				return append(b, `"impulses":null`...)
+			}
+			b = append(b, `"impulses":[`...)
+			for i, e := range v.Impulses {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = edge(b, e.From, e.To, "reward", e.Reward)
+			}
+			return append(b, ']')
+		},
+	}
+	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	js = []byte{'{'}
+	for i, member := range members {
+		if i > 0 {
+			js = append(js, ',')
+		}
+		js = member(js)
+	}
+	return append(js, '}'), finite
+}
+
+// FuzzCanonicalWriter checks Hash against json.Marshal of the sorted
+// copy, the canonical text the digest used to be taken over: on specs
+// built from raw float bits, on decoded JSON seeds and on their
+// hashVariant copies, every pair must hash equal exactly when its
+// canonical texts are equal, and every spec must fail to hash exactly
+// when its text fails, with the same error.
 func FuzzCanonicalWriter(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
@@ -229,21 +485,28 @@ func FuzzCanonicalWriter(f *testing.F) {
 		binary.LittleEndian.PutUint64(rec[3:], math.Float64bits(v))
 		f.Add(rec)
 	}
+	// Pairs the canonical form must tell apart or see through.
+	for _, s := range []string{
+		`{"states":1,"rates":[0],"variances":[-0],"initial":[1]}`,
+		`{"states":1,"rates":[],"variances":null,"initial":[1e0],"transitions":[],"impulses":[]}`,
+		`{"states":2,"transitions":[{"from":1,"to":0,"rate":1},{"from":1,"to":0,"rate":2},{"from":0,"to":1,"rate":1.0}]}`,
+		`{"states":2,"impulses":[{"from":1,"to":0,"reward":5e-324},{"from":1,"to":0,"reward":-0}]}`,
+	} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs := []*Model{specFromBytes(data)}
 		var ref Model
 		if json.Unmarshal(data, &ref) == nil {
 			specs = append(specs, &ref)
 		}
-		for _, m := range specs {
-			want, wantErr := referenceCanonical(m)
-			got, err := m.Canonical()
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || string(got) != string(want) {
-				t.Fatalf("Canonical = %q, %v; json.Marshal = %q, %v", got, err, want, wantErr)
-			}
-			h, err := m.Hash()
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && h != sha256.Sum256(want)) {
-				t.Fatalf("Hash = %x, %v; want digest of %q, %v", h, err, want, wantErr)
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		for _, m := range specs[:len(specs):len(specs)] {
+			specs = append(specs, hashVariant(rng, m), hashVariant(rng, m))
+		}
+		for i := range specs {
+			for j := i; j < len(specs); j++ {
+				checkHashPair(t, specs[i], specs[j])
 			}
 		}
 	})

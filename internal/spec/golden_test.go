@@ -20,10 +20,12 @@ type goldenSpec struct {
 }
 
 // goldenSpecs lists the specs whose Hash is pinned in goldenHashes. The
-// hashes were computed with the json.Marshal-based canonical form, so
+// hashes are those of the binary canonical form tagged somrm/spec/v2, so
 // this test is the proof that result-cache keys, ring placement and
-// journal spec_hash values survive any rewrite of the canonical writer
-// or the decoder.
+// journal spec_hash values survive any rewrite of the hasher or the
+// decoder. (The v1 pins were digests of the json.Marshal text; that the
+// v2 form draws the same equalities is TestHashEquivalence's and
+// FuzzCanonicalWriter's to prove.)
 func goldenSpecs() []goldenSpec {
 	var out []goldenSpec
 	for seed := int64(1); seed <= 12; seed++ {
@@ -128,69 +130,115 @@ func TestGoldenCanonicalErrors(t *testing.T) {
 		{&spec.Model{States: 2, Transitions: []spec.Transition{{From: 1, To: 0, Rate: math.Inf(-1)}, {From: 0, To: 1, Rate: math.Inf(1)}}}, "spec: canonical: json: unsupported value: +Inf"},
 		{&spec.Model{States: 1, Initial: []float64{0}, Impulses: []spec.Impulse{{Reward: math.NaN()}}, Variances: []float64{math.Inf(-1)}}, "spec: canonical: json: unsupported value: -Inf"},
 	} {
-		if _, err := c.m.Canonical(); err == nil || err.Error() != c.want {
-			t.Errorf("Canonical error %v, want %q", err, c.want)
-		}
 		if _, err := c.m.Hash(); err == nil || err.Error() != c.want {
 			t.Errorf("Hash error %v, want %q", err, c.want)
 		}
 	}
 }
 
+// TestHashEquivalence is the property test of the binary canonical form
+// against the json.Marshal text it replaced. Over the golden corpus,
+// difftest-generated specs and non-finite specs, each paired with
+// re-spelled, permuted and perturbed variants of itself (spec.HashVariant)
+// and each variant with the one before, two specs hash equal exactly
+// when their canonical texts are equal, and a spec fails to hash exactly
+// when its text fails to marshal, with the same error.
+func TestHashEquivalence(t *testing.T) {
+	var bases []*spec.Model
+	for _, g := range goldenSpecs() {
+		m := g.m
+		if g.json != "" {
+			var err error
+			if m, err = spec.Parse([]byte(g.json)); err != nil {
+				t.Fatalf("%s: parse: %v", g.name, err)
+			}
+		}
+		bases = append(bases, m)
+	}
+	bases = append(bases,
+		&spec.Model{States: 1, Rates: []float64{math.NaN()}},
+		&spec.Model{States: 2, Transitions: []spec.Transition{{From: 1, To: 0, Rate: math.Inf(-1)}, {From: 0, To: 1, Rate: math.Inf(1)}}},
+		&spec.Model{States: 1, Initial: []float64{0}, Impulses: []spec.Impulse{{Reward: math.NaN()}}, Variances: []float64{math.Inf(-1)}},
+	)
+	rng := rand.New(rand.NewSource(25))
+	for seed := int64(100); len(bases) < 400; seed++ {
+		src := rand.New(rand.NewSource(seed))
+		bases = append(bases, difftest.Generate(src), difftest.GenerateBirthDeath(src), difftest.GenerateComponent(src))
+	}
+	pairs, equal := 0, 0
+	for _, b := range bases {
+		prev := b
+		for k := 0; k < 13; k++ {
+			v := spec.HashVariant(rng, b)
+			for _, a := range []*spec.Model{b, prev} {
+				pairs++
+				if spec.CheckHashPair(t, a, v) {
+					equal++
+				}
+			}
+			prev = v
+		}
+	}
+	t.Logf("%d pairs, %d hash equal", pairs, equal)
+	if pairs < 10000 || equal < pairs/10 || pairs-equal < pairs/10 {
+		t.Errorf("%d pairs with %d equal: want at least 10,000 pairs, a tenth of them equal and a tenth not", pairs, equal)
+	}
+}
+
 var goldenHashes = map[string]string{
-	"generate/1":           "fbb49a18f6ad7587482b105e8dc49ac38950327105fc330293ea6345588a59bd",
-	"birthdeath/1":         "adf8b6bfbc29c01c49564b699adab8b60b5dfb8ede98c1657be5b0a483b4447a",
-	"component/1":          "6eb37cd0dcebb85ccf4906bfd56299374b6b4e9f188586b74e6d216a084c02d7",
-	"generate/2":           "138c8656f04f44b7dd72f221ad5f3b38af15078a51b5b61f486be9926f0a60aa",
-	"birthdeath/2":         "56c4db7dfbcb12f46ca82c4710b3ab98120146e3559f1108a50e9599fd8abc81",
-	"component/2":          "965221932b2b4041c63810b7ad0fb7a3551b17a553fc0f55349be6839b010e0c",
-	"generate/3":           "0f9c93715454736cb46c4003c628f312a84f0e277f1ffc3d5ac28eb8696c8b31",
-	"birthdeath/3":         "3529fef10e88fb00ace40aa9b8c453207ecb321fd4010fc0dfd02e572ecad4ae",
-	"component/3":          "a28634e5edd63612185fa01d30c187bd17772c515c3611dbc0b39a003f16b09f",
-	"generate/4":           "9a2cde27fd7879d4599cdede1240283c117fd33fbc2520c2671b626ebc1e450f",
-	"birthdeath/4":         "bc636f4c48efc1381d3ca8a4d506f2f4df5a24fd65463c426c713e0069bfa07d",
-	"component/4":          "5e687e9ecd555dcbac9ba1dabb09c6beb7858e6ce96dadb11ef473b233f91851",
-	"generate/5":           "b090240691a397e050d629b1da03f18c54c3100d4ff6188726033e9a2a2819ac",
-	"birthdeath/5":         "5c6000170b7fbb0c9c7afc3bbd3e70fcc153ef324d2ce7e621c7b9b1312ee4de",
-	"component/5":          "0daeffa6ad1d54cb5d88a5ae68d8b162e8f07b1e8af8e5010b229fa9691f8d75",
-	"generate/6":           "82896aaffdc907871f59cbaa87fa3ab36d57474c0609badf1ae845b93322481b",
-	"birthdeath/6":         "2d58faf7573d6d8b842ead983fd7eda5e5e0a9e62f9069247e4a53b4068c596f",
-	"component/6":          "bfa710cd94aac86eb3322ec3a2c595aa20b38e94ccde10b407713d1fff2cb092",
-	"generate/7":           "8e3187415fa0f454fbffb8a6c1608ec5d2de96b5dd085da3f4b8a4ff21e71e3b",
-	"birthdeath/7":         "83b4875d9de23ffe9ab4a0094f3de1c8e1f2212c27aa32e55a3ab3a9bb8376b0",
-	"component/7":          "00ac1225c03d832fa144eeda960f1e4c2ecc088afedbb92d841d37ae33006c45",
-	"generate/8":           "b249cd986bfc5af16ef1c0b5bd34da39279f4ef5fd587c67d6088a2effdc8dfb",
-	"birthdeath/8":         "a6cae5cc56a0cbfaf50e0b90e9518377ba71ac3ad64e91680f6070389dd000e3",
-	"component/8":          "c1d51693518d5f005589dc2d8f10d1e3f69560d105385a52a43eba8a73f87e6f",
-	"generate/9":           "b8783cc08e0ecdcb76d96ae367f3d320c3673e3e2133c78e4116cc4906d8dae2",
-	"birthdeath/9":         "76978e0affbb5a30816e6f111721b42e5b16c1348c69d387a3095f7ea3c64c96",
-	"component/9":          "f184430b5fb240b8305081fd43fc635efd2cacc2b5725604f8269448e8bc82c8",
-	"generate/10":          "58885d9c44d3362711688619d66ee5ddd7dce2956799b9b12054840300ca8ed3",
-	"birthdeath/10":        "05c2e940d7e98a2d89e2f621bb846960eb973465cb269cd5b49d5fe5160de734",
-	"component/10":         "1a2efe0e02c39d9341dc58c4572f86fd21a2b505c6301745c8ad0a2c436631a7",
-	"generate/11":          "f6eef6ea41216ac3277900c127e94409c268bdd3fedf62dac1d3f46cf5f3c00d",
-	"birthdeath/11":        "036d5c3efcb0d336927f6ac5d4b7dcc347d438a508a32bf0f715862ba39143a0",
-	"component/11":         "ae332db779e6cfe029dd61f9d97404953e130012f65f0e72c6bae4d30a30a969",
-	"generate/12":          "37eb0f6dd7432339fb009e8933b3aa615ba7dcef298331e10d25d04b446a2fe1",
-	"birthdeath/12":        "d7da0551faa05b5420f3e088dd398c1924f0a6ba200c97466b1c73edc21d39cb",
-	"component/12":         "97e7833fd7a99bdaa4cab40098ffda3c7a6360c06e7175d6b2955214d8e35659",
-	"duplicates/5":         "7a651fb8b6181b357ac024ebe7a5fec64a80d6680489fcc4c9dd7990a785ace7",
-	"duplicates/13":        "59b9adeaa1b7cfb3988a206006c50f33984390e29755df3b082395d772888ed4",
-	"duplicates/40":        "afd55f7b765abca3e4a43436391c0c74972f387b9defa6e22677bd30c9ec82b2",
-	"duplicates/300":       "cbc1620a423aa08aad9026e3e75ce11a1fc301c7d7fd3bb7e93d74b77687ee20",
-	"unsorted":             "2adcac0bc96352f7a2c0fb99abf02f75d7a24eb19fafb62d7a885e59b9e7980e",
-	"floats":               "d0f61ac1ae3195108a4f2045120c9c1ce9e23a114a415c5f49a97c2e4ef4b666",
-	"zero":                 "bcec32cd31dfbe1c91cdcd7e135052a3d95700c6ad102ba03010a28c19d4a245",
-	"empty-lists":          "766e5226bc0f5a8aab6f0f6d34513d33657aaca9acca08f823ee0404dc58d93a",
-	"json/edges":           "26845c300f4b4fae5edbd2494e1608277f9574523072639a8618139cbbb436c4",
-	"json/null-lists":      "bc9add71aa8a40f193015b681f8b9180575c35663deec2e0841470dc2363f44f",
-	"json/empty-lists":     "766e5226bc0f5a8aab6f0f6d34513d33657aaca9acca08f823ee0404dc58d93a",
-	"json/states-only":     "0c4b309f7d57be29651bff936cd62ecb9cb8970c83b940c609dc935951d2e0e5",
-	"json/missing-fields":  "24cb124d25e52eab66d6d32b5c3d2aca6623384178d8913fad364536b3148634",
-	"json/duplicate-rates": "63c8cf39876ff5537706609db5a365e62997023628946a61c07fa430bb7b9e60",
-	"json/case-folded":     "ebdb2c77d667e4834f55431ffa76d0f9348ae5a7a7d6ab59e54fd3538fa94386",
-	"json/whitespace":      "6786fd22244fc7d3f4b95d761a97db93ab67a37a912ed6adaa8f719d76dbf349",
-	"json/impulses":        "4b52f57359c75149b1027aa1b323e8f64ed7f3bbb4c92e61d6f655e99fce7230",
-	"json/escaped-key":     "014da8b34b1b83637a6e9ab16e83e6661ed358c10beb4663afac1ae32fb78434",
-	"json/unknown-key":     "0a5e525ad9e34eb911a0a2dd912b52ecd2e6605afea33bada756537ea136b310",
+	"generate/1":           "4c513202d38c958c0fd77d17e6bfb8ffa9347e60086dd2a8017575a72943a628",
+	"birthdeath/1":         "66f5f9387c4c0ae3c58e19c5f64193392bb9adee21fefaa9ed6be12ffab960ee",
+	"component/1":          "4b246135dd22956142e0fe608bfa42ea1766d10428b0214a17cf2a71490531c9",
+	"generate/2":           "6acb0774b2a24df2f0c97e4d5fb51bf7fa0bb2a8f909b1389f265aa78b2c514b",
+	"birthdeath/2":         "60edeee163424e8e18bff796f96edb0e5c9906f839c5517133be18cbb101326e",
+	"component/2":          "b5d2eef010e1355474678f9939481d19d97b516f607ee2c25458ecbe26094107",
+	"generate/3":           "2317dfaf204d08b08840c8d66fa043749927ba3f7fb2ed3fdedc19ab58a6fd54",
+	"birthdeath/3":         "21396368dc193aba631d31a35a5c6ba1057983e8549782d589908169062f9643",
+	"component/3":          "5503dfb8df13bb3adc9011815c1a3b9539fb7ddf811e36a0dc6cca4ca1a7b46b",
+	"generate/4":           "554022e89af2ec56eddf8cc0116b2d0d0771bade0f8b8f22d4e47776c48931de",
+	"birthdeath/4":         "bbe9b5c8a80cf656b45c287b4c90f3875649ff8c475ec2e8f3912ed14e736b8d",
+	"component/4":          "733b147b28c6aabdeb76111b06315f782810fb555dfe0998519091122f0cc803",
+	"generate/5":           "685c338aef0ba7ebcaf4bdd9a01a163e60f77e8c811436348760fb16f10ff1b7",
+	"birthdeath/5":         "fea9b2b2a4fa617489a4753a6e2a5808fddafd81718872396ec2f1dfa74245a1",
+	"component/5":          "10e4d517103835454a7d59f6641bd4d5f6d55d013a4ff4111946b5b1b46b8ec0",
+	"generate/6":           "b61991a34ba77aba994121237b858797eea109800f7e4e2fa7c31120a51e0f27",
+	"birthdeath/6":         "87c68823d02134fbc4a9d15ccfd88f4386e5cfb35b879143b2c260d122a63f5c",
+	"component/6":          "25a2e24ea1975b3d6110e95a8bac8dd54f884153fe6f2328e859d670c29d3dcd",
+	"generate/7":           "bfbe137e57385f1004e91458824170254a68ccd1a1c80343372f26d752b8bac3",
+	"birthdeath/7":         "c534bd89569a916e5572897bc27a55b85fa4977aeff64a4c90c0a29579b0c53d",
+	"component/7":          "4caf82922c83a29decc3ab9711ca35d0306004c6bd029cc37fde30e0f49698e6",
+	"generate/8":           "8f8683b923234d7ee7b1c275e209a9b74f0fdc50b39fb4c5713354bf67fa8048",
+	"birthdeath/8":         "7a712920c3803ea0b723f7329407c707dc3de2ace0fc5575fc6f5a077c49c9d8",
+	"component/8":          "a178ef9490d5c78dea438f0c4b23d9554662738b2eeb62aaf7eac4ead2e5c3a6",
+	"generate/9":           "6afda8b92f5a48210e68ee66f777c24c70c6bd3476f694913b091d8fcc2f20b9",
+	"birthdeath/9":         "1e103df0c66098488d6c3064d3524fce3085a315e41cd457cd3a61f7e460acd2",
+	"component/9":          "6d35483251fedaf26b6eb91720d48848d6ba159620e86bbdf410ae1ab3aa7e11",
+	"generate/10":          "6019ce424dfca0f6207422666062198d86e2ca6e0d4c3ddf6e91a57606a48914",
+	"birthdeath/10":        "df638036900152af11f903924f87881cb5e8ad9109f05022afe374dba0564e40",
+	"component/10":         "c71f253296e1220b94f36efda1300e8e275444b227a415d910a2d997cd798e29",
+	"generate/11":          "ba22287b75470ae17db79446d81036216c0fa7c6bfb330fab39ecc4a1e0d477b",
+	"birthdeath/11":        "e0eb18d3ce9940845c569933aba3852ed530a20cd56960cccf768273aaf4e2d0",
+	"component/11":         "5ff3fbacf7d1870e085bd84bdcc2481c061cf81e6380c156c51b5306245faaeb",
+	"generate/12":          "dbbe34b7cacd94adfa16b3fddf4d1ca7b2f05d029ec097488d5df16b38821b65",
+	"birthdeath/12":        "c70263ba0b31016cca79baf4a866e9fa023a457ef300dc7551f56ac56327b840",
+	"component/12":         "1b4ed1c23bbec150ea943ff38959328382ed677ac8208062d795ae11cb6563d4",
+	"duplicates/5":         "cbd323bdaee3d2462bb6784672aebae4eee8af05f60308d4b91df98e0f660684",
+	"duplicates/13":        "d595f7f1f1f76fbedf52c2f9662bf405d7a2b142f77df477298181171138776a",
+	"duplicates/40":        "9db96afb758ac06f747e5b74f08405d1e1bc9f1136217eb4dd7d15aafdbed5a3",
+	"duplicates/300":       "bc9665adbaf3b668a54cbd6f13be8b5f68537b4f5b7c2425d030867a3051186f",
+	"unsorted":             "18e0f9156a30401e322cf43b5b432f908cd1c234815607eb54d9ae1c57018c50",
+	"floats":               "d52689eedd61c29118c29b08578f4f8f0452f604562dd1a88144d052dc5220d7",
+	"zero":                 "000abd14d1722c4cc98218e0d6b43e02af83c1a5a42041094da6fa0282170488",
+	"empty-lists":          "e34e61ea026a08c224769799028ef7a29d83d8abf942718f3f617abfd6839a68",
+	"json/edges":           "54e415ae7c773fb2095fe0028023573f0acd2d7c540afba3b86863e3d4ba06b4",
+	"json/null-lists":      "9566df8de402ebdd46261d56bd0c11ce10cb15c8dcd7783ad5b09eaa17891105",
+	"json/empty-lists":     "e34e61ea026a08c224769799028ef7a29d83d8abf942718f3f617abfd6839a68",
+	"json/states-only":     "30b335521a8e238033ec594c67ac6b4c2327c013d29804beecdfd117443c8a7d",
+	"json/missing-fields":  "543df3b73a9e2272bde9c6ed5f0905a4af6c94dc33009165ebec715ee1a71307",
+	"json/duplicate-rates": "9da9270c6631df43807d866b69b5571d0c5ca6dbb3686fef783e1b5fd52af270",
+	"json/case-folded":     "7dfa12e145bcb8855115ecf44f4f576a42510ed2ae392a7cbebfa33c25d83a75",
+	"json/whitespace":      "cf96df02ad766064598b73a4cd487d52356ad267aa740bb1fd1fe1e9ef1b4c17",
+	"json/impulses":        "f11a6d101ebec8a847795acd7423610373405fe253f45891097acce128053709",
+	"json/escaped-key":     "0e1f21c395b4e710f3e083636407ae06f7cf9381996e3619621135f2374b9c46",
+	"json/unknown-key":     "00bc4f9eab33df8664394cda3e8046afdc000286713d86099b5e950cf5bd031b",
 }

@@ -142,7 +142,8 @@ func TestFromModelRoundTrip(t *testing.T) {
 }
 
 // TestCanonicalOrderInvariance: permuting transitions/impulses must not
-// change the canonical bytes or the hash, while changing any value must.
+// change the reference canonical bytes or the hash, while changing any
+// value must.
 func TestCanonicalOrderInvariance(t *testing.T) {
 	a := &Model{
 		States: 2,
@@ -172,11 +173,11 @@ func TestCanonicalOrderInvariance(t *testing.T) {
 			{From: 0, To: 1, Reward: 0.1},
 		},
 	}
-	ca, err := a.Canonical()
+	ca, err := referenceCanonical(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := b.Canonical()
+	cb, err := referenceCanonical(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +195,9 @@ func TestCanonicalOrderInvariance(t *testing.T) {
 	if ha != hb {
 		t.Error("hash differs under permutation")
 	}
-	// Canonical must not mutate the receiver's entry order.
+	// Hash must not mutate the receiver's entry order.
 	if a.Transitions[0].From != 0 || b.Transitions[0].From != 1 {
-		t.Error("Canonical mutated receiver ordering")
+		t.Error("Hash mutated receiver ordering")
 	}
 	b.Rates[0] = 1.5000000000000002
 	hc, err := b.Hash()

@@ -404,55 +404,69 @@ func (s *scanner) atEnd() bool {
 	return s.pos == len(s.data)
 }
 
-// CutModel splits a JSON request body around its top-level "model"
-// member: it decodes the member's value with the single-pass scanner and
-// returns a copy of body with that value replaced by null, so
-// encoding/json can decode the small remainder of the envelope without
-// rescanning the model. ok is false, and the caller must decode body as a
+// CutModel splits a JSON request body around its top-level spec member,
+// "model" (one spec) or "compose" (a list of specs): it decodes the
+// member's value with the single-pass scanner and returns a copy of body
+// with that value replaced by null, so encoding/json can decode the small
+// remainder of the envelope without rescanning the specs. Exactly one of
+// m and compose is set. ok is false, and the caller must decode body as a
 // whole, unless body is one object followed only by whitespace whose keys
-// are unescaped ASCII, with exactly one key equal to "model" under case
-// folding — spelled exactly so — holding a value in the canonical shape.
-func CutModel(body []byte) (m *Model, rest []byte, ok bool) {
+// are unescaped ASCII, with exactly one key equal to "model" or "compose"
+// under case folding — spelled exactly so — holding a value in the
+// canonical shape, or an array of such values.
+func CutModel(body []byte) (m *Model, compose []*Model, rest []byte, ok bool) {
 	s := scanner{data: body}
 	if !s.consume('{') || s.consume('}') {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	start, end := -1, -1
 	for {
 		k, ok := s.key()
 		if !ok {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		for _, c := range k {
 			if c >= 0x80 {
-				return nil, nil, false
+				return nil, nil, nil, false
 			}
 		}
-		if bytes.EqualFold(k, []byte("model")) {
-			if string(k) != "model" || m != nil {
-				return nil, nil, false
+		name := ""
+		switch {
+		case bytes.EqualFold(k, []byte("model")):
+			name = "model"
+		case bytes.EqualFold(k, []byte("compose")):
+			name = "compose"
+		}
+		if name != "" {
+			if string(k) != name || start >= 0 {
+				return nil, nil, nil, false
 			}
 			s.ws()
 			start = s.pos
-			if m, ok = s.model(); !ok {
-				return nil, nil, false
+			if name == "model" {
+				m, ok = s.model()
+			} else {
+				compose, ok = list(&s, 0, s.model)
+			}
+			if !ok {
+				return nil, nil, nil, false
 			}
 			end = s.pos
 		} else if !s.skip(1) {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		more, ok := s.more('}')
 		if !ok {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		if !more {
 			break
 		}
 	}
-	if m == nil || !s.atEnd() {
-		return nil, nil, false
+	if start < 0 || !s.atEnd() {
+		return nil, nil, nil, false
 	}
 	rest = make([]byte, 0, len(body)-(end-start)+len("null"))
 	rest = append(append(append(rest, body[:start]...), "null"...), body[end:]...)
-	return m, rest, true
+	return m, compose, rest, true
 }
