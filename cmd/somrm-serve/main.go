@@ -8,8 +8,7 @@
 //	somrm-serve [-addr :8639] [-workers N] [-queue N] [-batch-reserve N]
 //	            [-cache N] [-prepared-cache N] [-timeout 30s]
 //	            [-max-order 12] [-drain-timeout 30s]
-//	            [-sweep-workers N] [-matrix-format auto|csr|band]
-//	            [-temporal-block N]
+//	            [-sweep-workers N]
 //	            [-checkpoints] [-checkpoint-ttl 2m] [-checkpoint-cap 64]
 //	            [-cache-persist DIR] [-mem-budget BYTES]
 //	            [-self URL -peers URL,URL,...] [-peer-secret S]
@@ -69,7 +68,6 @@ import (
 
 	"somrm/internal/cluster"
 	"somrm/internal/server"
-	"somrm/internal/sparse"
 )
 
 func main() {
@@ -94,8 +92,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve deadline")
 	maxOrder := fs.Int("max-order", 0, "highest accepted moment order (0 = default 12)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "per-solve randomization sweep parallelism: 0 auto (fused kernel at every size; a worker team at 8,191 states and up), N forces a fused team of N, negative selects the serial reference sweep used as the test oracle")
-	matrixFormat := fs.String("matrix-format", "", "sweep matrix storage: auto (default) picks band for tridiagonal models and compact CSR for every other; csr or band (tridiagonal models only) force one; composed requests apply it per component (all bitwise identical; server-wide, not per-request)")
-	temporalBlock := fs.Int("temporal-block", 0, "temporal blocking depth of the sweep: 0 auto, 1 disables, N>=2 forces N iterations per cache-resident row block, each worker of a team blocking its own contiguous rows (bitwise identical; server-wide, not per-request)")
 	checkpoints := fs.Bool("checkpoints", true, "answer mid-sweep deadlines with a 202 partial + resume token instead of discarding progress")
 	checkpointTTL := fs.Duration("checkpoint-ttl", 0, "how long an unclaimed resume checkpoint is held (0 = default 2m)")
 	checkpointCap := fs.Int("checkpoint-cap", 0, "max held resume checkpoints, oldest evicted first (0 = default 64)")
@@ -120,10 +116,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	// Fail at startup, not on the first solve, if the format is unknown.
-	if _, err := sparse.ParseMatrixFormat(*matrixFormat); err != nil {
-		return fmt.Errorf("-matrix-format: %w", err)
 	}
 
 	logger := log.New(logw, "somrm-serve: ", log.LstdFlags)
@@ -152,8 +144,6 @@ func run(args []string, logw io.Writer, ready chan<- string) error {
 		DefaultTimeout:    *timeout,
 		MaxOrder:          *maxOrder,
 		SweepWorkers:      *sweepWorkers,
-		MatrixFormat:      *matrixFormat,
-		TemporalBlock:     *temporalBlock,
 		HandoffMax:        *handoffMax,
 		Checkpoints:       *checkpoints,
 		CheckpointTTL:     *checkpointTTL,

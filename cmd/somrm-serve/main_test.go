@@ -20,14 +20,6 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "999.999.999.999:0"}, &sb, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
-	// csr64 is only the reference oracle's storage label, not a format;
-	// kron and qbd named the deleted matrix-free Kronecker-sum operator
-	// and block-tridiagonal storage.
-	for _, f := range []string{"nope", "csr64", "kron", "qbd"} {
-		if err := run([]string{"-matrix-format", f}, &sb, nil); err == nil || !strings.Contains(err.Error(), "matrix-format") {
-			t.Errorf("-matrix-format %s accepted: %v", f, err)
-		}
-	}
 }
 
 // bootServe starts run() with the given extra flags on an ephemeral port

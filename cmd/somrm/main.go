@@ -64,8 +64,6 @@ func run(args []string, out io.Writer) error {
 	order := fs.Int("order", 3, "highest moment order")
 	eps := fs.Float64("eps", 1e-9, "randomization truncation accuracy")
 	sweepWorkers := fs.Int("sweep-workers", 0, "randomization sweep parallelism: 0 auto (fused kernel at every size; a worker team at 8,191 states and up), N forces a fused team of N, negative selects the serial reference sweep used as the test oracle (all bitwise identical)")
-	matrixFormat := fs.String("matrix-format", "", "sweep matrix storage: auto (default) picks band for tridiagonal models and compact CSR for every other; csr forces compact indices, band the tridiagonal band window, which wider models replace with compact CSR (all bitwise identical)")
-	temporalBlock := fs.Int("temporal-block", 0, "temporal blocking depth of the sweep: 0 auto-tunes from bandwidth and state size, 1 disables, N>=2 forces N iterations per cache-resident row block; a worker team blocks its own contiguous rows and joins once per N iterations (all bitwise identical)")
 	perState := fs.Bool("per-state", false, "print per-initial-state moment vectors")
 	boundsAt := fs.String("bounds", "", "comma-separated reward levels for CDF bounds")
 	timesAt := fs.String("times", "", "comma-separated time grid: emit a CSV moment series instead of a single point")
@@ -126,14 +124,14 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bad -times: %w", err)
 		}
-		results, err := model.AccumulatedRewardAt(times, *order, &somrm.SolveOptions{Epsilon: *eps, SweepWorkers: *sweepWorkers, MatrixFormat: *matrixFormat, TemporalBlock: *temporalBlock})
+		results, err := model.AccumulatedRewardAt(times, *order, &somrm.SolveOptions{Epsilon: *eps, SweepWorkers: *sweepWorkers})
 		if err != nil {
 			return err
 		}
 		return writeSeries(results, *order, out)
 	}
 
-	res, err := model.AccumulatedReward(*t, *order, &somrm.SolveOptions{Epsilon: *eps, SweepWorkers: *sweepWorkers, MatrixFormat: *matrixFormat, TemporalBlock: *temporalBlock})
+	res, err := model.AccumulatedReward(*t, *order, &somrm.SolveOptions{Epsilon: *eps, SweepWorkers: *sweepWorkers})
 	if err != nil {
 		return err
 	}

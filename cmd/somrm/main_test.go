@@ -44,27 +44,6 @@ func TestRunHappyPath(t *testing.T) {
 	}
 }
 
-// TestRunMatrixFormatFlag: every selectable storage solves the same
-// model; csr64, the reference oracle's storage label, and kron and qbd,
-// the deleted Kronecker-sum operator and block-tridiagonal storage, are
-// rejected with an error naming the unsupported format.
-func TestRunMatrixFormatFlag(t *testing.T) {
-	path := writeSpec(t, validSpec)
-	for _, f := range []string{"auto", "csr", "band"} {
-		var sb strings.Builder
-		if err := run([]string{"-model", path, "-order", "3", "-matrix-format", f}, &sb); err != nil {
-			t.Errorf("-matrix-format %s: %v", f, err)
-		}
-	}
-	for _, f := range []string{"csr64", "kron", "qbd"} {
-		var sb strings.Builder
-		err := run([]string{"-model", path, "-order", "3", "-matrix-format", f}, &sb)
-		if err == nil || !strings.Contains(err.Error(), `unsupported matrix format "`+f+`"`) {
-			t.Errorf("-matrix-format %s: err = %v, want an unsupported-format error", f, err)
-		}
-	}
-}
-
 func TestRunMissingModel(t *testing.T) {
 	var sb strings.Builder
 	if err := run(nil, &sb); err == nil {

@@ -432,6 +432,32 @@ func BenchmarkSweep(b *testing.B) {
 		})
 	}
 
+	// N2001/impulse is the impulse-reward shape: the 2,001-state chain of
+	// the rows above with an impulse reward of 0.1 on every up transition,
+	// order 3 under the automatic policy — the planar fused kernel
+	// (impulse terms never block) inline on one worker.
+	ib := sparse.NewBuilder(2_001, 2_001)
+	for i := 0; i+1 < 2_001; i++ {
+		if err := ib.Add(i, i+1, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	impModel, err := largeTridiagModel(b, 2_001).WithImpulses(ib.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	impPrep, err := Prepare(impModel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("N2001/impulse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := impPrep.AccumulatedReward(tt, order, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// Non-tridiagonal shapes at ≈65k states, one worker: the storage
 	// policy's auto pick against forced compact CSR, which auto resolves
 	// to on every one of them. composed-bd4 and composed-bd2 compose a

@@ -200,13 +200,13 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	}
 
 	// The k = 1..G recursion runs on the sweep engine's fused kernel at
-	// every model size: inline as a 1-worker team below 8,191 states, a
-	// persistent GOMAXPROCS worker team at or above it (or the team size
-	// the caller forced). Only SweepWorkers < 0 selects the serial
-	// reference kernel, the oracle the tests compare against. Both produce
-	// bitwise identical moments, as does every matrix storage format; the
-	// reference path streams the generic CSR, so it builds its sweep with
-	// the reference-only csr64 storage label and skips the derived
+	// every model size: one worker inline below 8,191 states, a split team
+	// of GOMAXPROCS workers at or above it (or the team size the caller
+	// forced). Only SweepWorkers < 0 selects the serial reference kernel,
+	// the oracle the tests compare against. Both produce bitwise identical
+	// moments, as does every matrix storage format; the reference path
+	// streams the generic CSR, so it builds its sweep with the
+	// reference-only csr64 storage label and skips the derived
 	// conversions.
 	workers := sparse.PlanWorkers(cfg.SweepWorkers, n)
 	teamSize := workers
@@ -234,15 +234,16 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// never escape into Results are carved here; everything needing zeros
 	// is cleared explicitly (the arena arrives dirty). Each time point's
 	// accumulators start the sweep's plane stride apart, the layout the
-	// band kernel fuses its accumulation into. A packed run reads cur
-	// once, to seed its planes, and writes neither cur nor next: next
-	// aliases cur, a fresh state's moments 1..order share one zero
-	// vector, and a resumed one is read straight from the checkpoint.
+	// band kernel fuses its accumulation into. The reference sweep
+	// alternates two planar state sets of its own. A fused run reads cur
+	// once, to seed its packed state, and never writes it: a fresh
+	// state's moments 1..order share one zero vector, and a resumed one
+	// is read straight from the checkpoint.
 	ps := sweep.PlaneStride()
-	packed := sweep.ScratchWords() > 0
+	reference := workers == 0
 	var vecWords int
 	switch {
-	case !packed:
+	case reference:
 		vecWords = 2 * (order + 1) * n
 	case cfg.Resume == nil:
 		vecWords = 2 * n
@@ -259,9 +260,9 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		return s
 	}
 	cur := make([][]float64, order+1)
-	next := cur
+	var next [][]float64
 	switch {
-	case !packed:
+	case reference:
 		next = make([][]float64, order+1)
 		for j := 0; j <= order; j++ {
 			cur[j] = carve(n)
@@ -305,10 +306,10 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			return nil, err
 		}
 		for j := 0; j <= order; j++ {
-			if packed {
-				cur[j] = cp.State[j]
-			} else {
+			if reference {
 				copy(cur[j], cp.State[j])
+			} else {
+				cur[j] = cp.State[j]
 			}
 		}
 		for idx := range sweepPlans {
@@ -378,10 +379,10 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	}
 	sweepStart := time.Now()
 	var matVecs int64
-	if workers == 0 {
+	if reference {
 		matVecs, err = sweep.RunReferenceFrom(ctx, first, gMax, cur, next, sweepPlans, stride)
 	} else {
-		matVecs, err = sweep.RunFrom(ctx, first, gMax, cur, next, sweepPlans, stride)
+		matVecs, err = sweep.RunFrom(ctx, first, gMax, cur, sweepPlans, stride)
 	}
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {

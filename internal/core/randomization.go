@@ -34,9 +34,12 @@ type Options struct {
 	// (the k = 1..G recursion behind every solve):
 	//
 	//   - 0 (the default) selects automatically: the fused kernel at
-	//     every model size — run inline as a 1-worker team below 8,191
-	//     states, as a persistent team of GOMAXPROCS workers at or above
-	//     it, where the state count amortizes the team's joins;
+	//     every model size — one worker, run inline, below 8,191 states,
+	//     a split team of GOMAXPROCS workers at or above it, where the
+	//     state count amortizes the team's joins. Every fused run is the
+	//     same group schedule: each worker owns one contiguous row
+	//     segment and the team joins once per group of TemporalBlock
+	//     iterations (every iteration when unblocked);
 	//   - > 0 forces the fused kernel with exactly that many workers at
 	//     any size (tests and benchmarks use this);
 	//   - < 0 selects the serial reference sweep at any size: the
@@ -74,7 +77,8 @@ type Options struct {
 	//   - 1 or negative disables blocking;
 	//   - >= 2 forces that depth wherever blocking is structurally
 	//     possible (band models at every order, compact-CSR models at
-	//     order 3; impulse models never block).
+	//     order 3; impulse models and other compact-CSR orders never
+	//     block).
 	//
 	// A composed model applies it to each factor's sweep.
 	//

@@ -68,14 +68,14 @@ func (g *memGate) InFlight() int64 {
 
 // estimateWorkingSet is the admission-time footprint estimate for a single
 // solve request. See estimateFootprint for what is counted.
-func estimateWorkingSet(req *SolveRequest, sweepWorkers int, matrixFormat string) int64 {
-	return estimateFootprint(req.Model, req.Compose, req.Method, req.Order, 1, matrixFormat)
+func estimateWorkingSet(req *SolveRequest) int64 {
+	return estimateFootprint(req.Model, req.Compose, req.Method, req.Order, 1)
 }
 
 // estimateItemWorkingSet is the admission-time estimate for one batch item
 // against the batch's shared model.
-func estimateItemWorkingSet(model *spec.Model, item *BatchItem, sweepWorkers int, matrixFormat string) int64 {
-	return estimateFootprint(model, nil, item.Method, item.Order, len(item.Times), matrixFormat)
+func estimateItemWorkingSet(model *spec.Model, item *BatchItem) int64 {
+	return estimateFootprint(model, nil, item.Method, item.Order, len(item.Times))
 }
 
 // estimateFootprint approximates the peak solver working set of one solve
@@ -88,12 +88,12 @@ func estimateItemWorkingSet(model *spec.Model, item *BatchItem, sweepWorkers int
 //
 // A composed request solves every component as a plain model and folds
 // their scalar moments, so it is charged its components' estimates only.
-func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, order, nTimes int, matrixFormat string) int64 {
+func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, order, nTimes int) int64 {
 	if len(compose) > 0 {
 		var total int64
 		for _, c := range compose {
 			if c != nil {
-				total += estimateFootprint(c, nil, method, order, nTimes, matrixFormat)
+				total += estimateFootprint(c, nil, method, order, nTimes)
 			}
 		}
 		return total
@@ -115,13 +115,11 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 
 	vec := int64(n) * 8
 	var matrix int64
-	band := bandwidth <= 1 && matrixFormat != "csr" && matrixFormat != "csr32"
-	switch {
-	case band:
+	if bandwidth <= 1 {
 		// The tridiagonal band window: three values per row, no
 		// indexes. Only such models get it.
 		matrix = int64(n) * 3 * 8
-	default:
+	} else {
 		// Compact CSR: values + 32-bit cols + row pointers.
 		matrix = int64(nnz)*(8+4) + int64(n+1)*4
 	}
@@ -132,8 +130,8 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		return matrix + vec*int64(order+2)*2
 	}
 	// Randomization: two state blocks of (order+1) planes — the packed
-	// buffers of a band or order-3 CSR32 sweep, cur and next of a
-	// planar one — plus one accumulator block per time point.
+	// state buffers every fused sweep runs on — plus one accumulator block
+	// per time point.
 	perBlock := vec * int64(order+1)
 	return matrix + 2*perBlock + int64(nTimes)*perBlock
 }

@@ -43,37 +43,24 @@ func TestMemGateReserve(t *testing.T) {
 func TestEstimateWorkingSetShape(t *testing.T) {
 	small := &SolveRequest{Model: testSpec(0), T: 1, Order: 2, Method: MethodRandomization}
 	big := &SolveRequest{Model: largeBandSpec(5000, 2), T: 1, Order: 2, Method: MethodRandomization}
-	es, eb := estimateWorkingSet(small, 0, ""), estimateWorkingSet(big, 0, "")
+	es, eb := estimateWorkingSet(small), estimateWorkingSet(big)
 	if es <= 0 || eb <= 0 {
 		t.Fatalf("estimates must be positive: %d, %d", es, eb)
 	}
 	if eb < 100*es {
 		t.Fatalf("2500x states should dominate the estimate: small=%d big=%d", es, eb)
 	}
-	// Band storage is charged only inside the tridiagonal window: a forced
-	// band on the pentadiagonal model streams compact CSR and is charged
-	// as such, while a tridiagonal model's band costs less than its CSR.
-	if eb, ec := estimateWorkingSet(big, 0, "band"), estimateWorkingSet(big, 0, "csr"); eb != ec {
-		t.Fatalf("forced band on a pentadiagonal model charged %d, want the csr estimate %d", eb, ec)
-	}
-	// Packed (band) and planar (csr) sweeps are charged the same two state
-	// blocks at every order, so the band's cheaper window is the whole
-	// difference, whatever the order.
-	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 3, Method: MethodRandomization}
-	if eb, ec := estimateWorkingSet(tri, 0, ""), estimateWorkingSet(tri, 0, "csr"); eb >= ec {
-		t.Fatalf("tridiagonal band estimate %d should undercut csr %d", eb, ec)
-	}
-	diff3 := estimateWorkingSet(tri, 0, "") - estimateWorkingSet(tri, 0, "csr")
-	tri.Order = 2
-	diff2 := estimateWorkingSet(tri, 0, "") - estimateWorkingSet(tri, 0, "csr")
-	if diff2 != diff3 {
-		t.Fatalf("band-over-csr charge %d at order 2, %d at order 3: want the matrix difference alone at both", diff2, diff3)
-	}
 	// Randomization: two state blocks plus one accumulator block per time
-	// point, (order+1) vectors each, on top of the matrix.
-	band := estimateWorkingSet(tri, 0, "") - int64(5000*3*8)
-	if want := int64(3 * 5000 * 8 * 3); band != want {
-		t.Fatalf("order-2 band sweep charged %d B beyond its matrix, want %d (three blocks)", band, want)
+	// point, (order+1) vectors each, on top of the matrix — the band
+	// window for a tridiagonal model, compact CSR for a wider one.
+	blocks := int64(3 * 5000 * 8 * 3)
+	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
+	if got := estimateWorkingSet(tri) - int64(5000*3*8); got != blocks {
+		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, blocks)
+	}
+	csr := int64(len(big.Model.Transitions)+5000)*(8+4) + int64(5000+1)*4
+	if got := eb - csr; got != blocks {
+		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (three blocks)", got, blocks)
 	}
 	// A composed request is charged its components only: it folds scalar
 	// moments, never product-sized vectors or a product matrix.
@@ -81,9 +68,9 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	free := &SolveRequest{Compose: wide, T: 1, Order: 1, Method: MethodRandomization}
 	var want int64
 	for _, c := range wide {
-		want += estimateWorkingSet(&SolveRequest{Model: c, T: 1, Order: 1, Method: MethodRandomization}, 0, "")
+		want += estimateWorkingSet(&SolveRequest{Model: c, T: 1, Order: 1, Method: MethodRandomization})
 	}
-	if got := estimateWorkingSet(free, 0, ""); got != want {
+	if got := estimateWorkingSet(free); got != want {
 		t.Fatalf("composed estimate %d, want the components' %d", got, want)
 	}
 }
@@ -185,8 +172,8 @@ func TestBatchMemShedPerItem(t *testing.T) {
 	// Pick a budget between the two items' estimates so admission is
 	// deterministic whatever order the items land in.
 	sp := testSpec(0)
-	smallNeed := estimateItemWorkingSet(sp, small, 0, "")
-	hugeNeed := estimateItemWorkingSet(sp, huge, 0, "")
+	smallNeed := estimateItemWorkingSet(sp, small)
+	hugeNeed := estimateItemWorkingSet(sp, huge)
 	if smallNeed*2 >= hugeNeed {
 		t.Fatalf("fixture broken: small=%d huge=%d", smallNeed, hugeNeed)
 	}

@@ -12,8 +12,6 @@ import (
 
 	"somrm/internal/core"
 	"somrm/internal/momentbounds"
-	"somrm/internal/odesolver"
-	"somrm/internal/sim"
 	"somrm/internal/spec"
 )
 
@@ -256,7 +254,7 @@ func (s *Server) solveBatchItem(ctx context.Context, prep *core.Prepared, req *B
 	// whose estimated working set does not fit is shed with a typed
 	// per-item status while the rest of the batch proceeds.
 	if s.memGate != nil {
-		need := estimateItemWorkingSet(req.Model, item, s.opts.SweepWorkers, s.opts.MatrixFormat)
+		need := estimateItemWorkingSet(req.Model, item)
 		release, ok := s.memGate.Reserve(need)
 		if !ok {
 			s.metrics.MemShed.Add(1)
@@ -319,8 +317,7 @@ func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *Ba
 	case MethodRandomization:
 		s.metrics.SweepPoints.Observe(len(item.Times))
 		results, err := prep.AccumulatedRewardAtContext(ctx, item.Times, item.Order, &core.Options{
-			Epsilon: item.Epsilon, SweepWorkers: s.opts.SweepWorkers, MatrixFormat: s.opts.MatrixFormat,
-			TemporalBlock: s.opts.TemporalBlock,
+			Epsilon: item.Epsilon, SweepWorkers: s.opts.SweepWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -336,49 +333,13 @@ func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *Ba
 			s.metrics.ObserveSweepBlocking(results[0].Stats.TemporalBlock)
 			s.metrics.SweepKernels.Observe(results[0].Stats.SweepKernel)
 		}
-	case MethodODE:
-		opts := &odesolver.MomentOptions{Steps: item.ODE.Steps}
-		switch item.ODE.Method {
-		case "heun":
-			opts.Method = odesolver.MethodHeun
-		case "rk4":
-			opts.Method = odesolver.MethodRK4
-		case "rk45":
-			opts.Method = odesolver.MethodRK45
-		}
-		pi := model.Initial()
+	case MethodODE, MethodSimulation:
 		for _, t := range item.Times {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			vm, err := odesolver.MomentsByODE(model, t, item.Order, opts)
+			moments, stdErr, err := solvePoint(ctx, model, item.Method, item.ODE, item.Sim, t, item.Order)
 			if err != nil {
 				return nil, err
 			}
-			moments := make([]float64, item.Order+1)
-			for j := 0; j <= item.Order; j++ {
-				var sum float64
-				for i, p := range pi {
-					sum += p * vm[j][i]
-				}
-				moments[j] = sum
-			}
-			points = append(points, BatchPoint{T: t, Moments: moments})
-		}
-	case MethodSimulation:
-		for _, t := range item.Times {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			simulator, err := sim.New(model, item.Sim.Seed)
-			if err != nil {
-				return nil, err
-			}
-			est, err := simulator.EstimateMoments(t, item.Order, item.Sim.Reps)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, BatchPoint{T: t, Moments: est.Moments, StdErr: est.StdErr})
+			points = append(points, BatchPoint{T: t, Moments: moments, StdErr: stdErr})
 		}
 	}
 	if len(item.BoundsAt) > 0 {

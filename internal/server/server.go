@@ -74,26 +74,6 @@ type Options struct {
 	// prepared-model specs) a draining replica streams to its successors
 	// (default 128; negative disables drain handoff).
 	HandoffMax int
-	// MatrixFormat is passed through to the randomization solver
-	// (core.Options.MatrixFormat): "" or "auto" picks the storage
-	// representation per model (the tridiagonal band window for
-	// birth-death generators, compact-index CSR for every other
-	// generator); "csr" and "band" force one where the structure allows
-	// (a band request on a wider generator gets compact CSR); composed
-	// requests apply it to each component's sweep. "csr64" is not a
-	// format: it is only the storage label of the SweepWorkers < 0
-	// reference oracle. Results are bitwise identical for every setting,
-	// so the knob is server-wide and deliberately not part of requests or
-	// cache keys.
-	MatrixFormat string
-	// TemporalBlock is passed through to the randomization solver
-	// (core.Options.TemporalBlock): 0 lets the sweep auto-tune temporal
-	// blocking from the model's bandwidth and state size, 1
-	// disables it, and N >= 2 forces N iterations per cache-resident row
-	// block. Blocking changes memory traffic only — results are bitwise
-	// identical for every setting — so, like MatrixFormat, the knob is
-	// server-wide and not part of requests or cache keys.
-	TemporalBlock int
 	// Checkpoints enables durable solves: a randomization solve that hits
 	// its deadline mid-sweep captures the iteration state at the barrier
 	// where the cancellation lands and answers 202 with a resume token; a
@@ -543,7 +523,7 @@ func (s *Server) admit(req *SolveRequest) (func(), error) {
 	if s.memGate == nil {
 		return func() {}, nil
 	}
-	need := estimateWorkingSet(req, s.opts.SweepWorkers, s.opts.MatrixFormat)
+	need := estimateWorkingSet(req)
 	release, ok := s.memGate.Reserve(need)
 	if !ok {
 		s.metrics.MemShed.Add(1)

@@ -438,10 +438,7 @@ func (s *Server) preparedSolve(ctx context.Context, req *SolveRequest) (*SolveRe
 	if err != nil {
 		return nil, err
 	}
-	return runSolvePrepared(ctx, req, prep, sweepConfig{
-		Workers: s.opts.SweepWorkers, Format: s.opts.MatrixFormat,
-		TemporalBlock: s.opts.TemporalBlock,
-	})
+	return runSolvePrepared(ctx, req, prep, s.opts.SweepWorkers)
 }
 
 // runSolve executes a normalized request without a prepared-model cache:
@@ -452,31 +449,21 @@ func runSolve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runSolvePrepared(ctx, req, prep, sweepConfig{})
-}
-
-// sweepConfig bundles the server-wide randomization sweep settings
-// forwarded to the solver. None of them changes results bitwise, which is
-// why they are not part of requests or cache keys.
-type sweepConfig struct {
-	Workers       int
-	Format        string
-	TemporalBlock int
+	return runSolvePrepared(ctx, req, prep, 0)
 }
 
 // runSolvePrepared executes a normalized request against a prepared model,
 // dispatching to the selected solver and attaching distribution bounds when
-// requested. cfg carries the server's sweep settings into the
-// randomization solver.
-func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepared, cfg sweepConfig) (*SolveResponse, error) {
-	model := prep.Model()
+// requested. sweepWorkers is the server's sweep parallelism setting, which
+// never changes results bitwise and so is not part of requests or cache
+// keys.
+func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepared, sweepWorkers int) (*SolveResponse, error) {
 	resp := &SolveResponse{Method: req.Method, T: req.T, Order: req.Order}
 	switch req.Method {
 	case MethodRandomization:
 		opts := &core.Options{
-			Epsilon: req.Epsilon, SweepWorkers: cfg.Workers, MatrixFormat: cfg.Format,
-			TemporalBlock: cfg.TemporalBlock,
-			Checkpoint:    req.checkpoint, Resume: req.resume,
+			Epsilon: req.Epsilon, SweepWorkers: sweepWorkers,
+			Checkpoint: req.checkpoint, Resume: req.resume,
 		}
 		res, err := prep.AccumulatedRewardContext(ctx, req.T, req.Order, opts)
 		if err != nil {
@@ -485,48 +472,12 @@ func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepare
 		resp.Moments = res.Moments
 		resp.Stats = newSolverStats(res.Stats)
 		resp.Resumed = req.resume != nil
-	case MethodODE:
-		// The ODE integrator has no internal cancellation hook yet; honor
-		// the deadline at the dispatch boundary.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		opts := &odesolver.MomentOptions{Steps: req.ODE.Steps}
-		switch req.ODE.Method {
-		case "heun":
-			opts.Method = odesolver.MethodHeun
-		case "rk4":
-			opts.Method = odesolver.MethodRK4
-		case "rk45":
-			opts.Method = odesolver.MethodRK45
-		}
-		vm, err := odesolver.MomentsByODE(model, req.T, req.Order, opts)
+	case MethodODE, MethodSimulation:
+		moments, stdErr, err := solvePoint(ctx, prep.Model(), req.Method, req.ODE, req.Sim, req.T, req.Order)
 		if err != nil {
 			return nil, err
 		}
-		pi := model.Initial()
-		resp.Moments = make([]float64, req.Order+1)
-		for j := 0; j <= req.Order; j++ {
-			var s float64
-			for i, p := range pi {
-				s += p * vm[j][i]
-			}
-			resp.Moments[j] = s
-		}
-	case MethodSimulation:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		simulator, err := sim.New(model, req.Sim.Seed)
-		if err != nil {
-			return nil, err
-		}
-		est, err := simulator.EstimateMoments(req.T, req.Order, req.Sim.Reps)
-		if err != nil {
-			return nil, err
-		}
-		resp.Moments = est.Moments
-		resp.StdErr = est.StdErr
+		resp.Moments, resp.StdErr = moments, stdErr
 	}
 	if len(req.BoundsAt) > 0 {
 		est, err := momentbounds.New(resp.Moments)
@@ -542,4 +493,47 @@ func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepare
 		}
 	}
 	return resp, nil
+}
+
+// odeMethods maps the ODE method names a request may carry to the
+// integrators; normalization rejects every other name.
+var odeMethods = map[string]odesolver.Method{
+	"heun": odesolver.MethodHeun,
+	"rk4":  odesolver.MethodRK4,
+	"rk45": odesolver.MethodRK45,
+}
+
+// solvePoint solves one time point on the ODE or simulation baseline and
+// returns the initial-distribution-weighted moments, plus the simulation
+// estimate's standard errors. Neither solver has an internal cancellation
+// hook, so the deadline is honored at the dispatch boundary.
+func solvePoint(ctx context.Context, model *core.Model, method string, ode *ODEParams, sp *SimParams, t float64, order int) (moments, stdErr []float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if method == MethodSimulation {
+		simulator, err := sim.New(model, sp.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		est, err := simulator.EstimateMoments(t, order, sp.Reps)
+		if err != nil {
+			return nil, nil, err
+		}
+		return est.Moments, est.StdErr, nil
+	}
+	vm, err := odesolver.MomentsByODE(model, t, order, &odesolver.MomentOptions{Steps: ode.Steps, Method: odeMethods[ode.Method]})
+	if err != nil {
+		return nil, nil, err
+	}
+	pi := model.Initial()
+	moments = make([]float64, order+1)
+	for j := range moments {
+		var sum float64
+		for i, p := range pi {
+			sum += p * vm[j][i]
+		}
+		moments[j] = sum
+	}
+	return moments, nil, nil
 }

@@ -85,8 +85,8 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 					if dirtyScratch && !lendDirtyScratch(fs) {
 						continue
 					}
-					cur, next, plans := newRunState(fs, weights, firsts, lasts)
-					if _, err := fs.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+					cur, _, plans := newRunState(fs, weights, firsts, lasts)
+					if _, err := fs.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 						t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 					}
 					requireAccBitwise(t, fmt.Sprintf("trial %d workers %d T=%d dirty=%v", trial, workers, tblock, dirtyScratch), plans, refPlans, order, n)

@@ -41,20 +41,15 @@ func simdEnvDisabled() bool {
 func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
-// when the run shape reaches one of the assembly bodies — a packed layout
-// on a format with a vector kernel (band at any order and size, or
-// non-empty order-3 CSR32) and the SIMD gate open.
-func (s *Sweep) resolveKernel(layout stateLayout) string {
-	if layout == layoutPlanar || !s.simd {
+// when the run shape reaches one of the assembly bodies — a row-lane or
+// interleaved layout (band at any order and size, or non-empty order-3
+// CSR32) and the SIMD gate open.
+func (s *Sweep) resolveKernel() string {
+	if s.layout == layoutPlanar || !s.simd {
 		return KernelScalar
 	}
-	switch s.format {
-	case FormatBand:
+	if s.format == FormatBand || len(s.a.val) > 0 {
 		return KernelAVX2
-	case FormatCSR32:
-		if len(s.a.val) > 0 {
-			return KernelAVX2
-		}
 	}
 	return KernelScalar
 }

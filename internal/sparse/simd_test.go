@@ -14,8 +14,8 @@ func runOrder3(t *testing.T, s *Sweep, gMax int, wseed int64) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(wseed))
 	w := randWeights(rng, gMax)
-	cur, next, plans := newRunState(s, [][]float64{w}, []int{0}, []int{gMax})
-	if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+	cur, _, plans := newRunState(s, [][]float64{w}, []int{0}, []int{gMax})
+	if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 		t.Fatal(err)
 	}
 	return plans[0].Acc
@@ -202,8 +202,8 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 			}
 			forceScalar(s, nosimd)
 			s.SetTemporalBlock(tblock)
-			cur, next, plans := newRunState(s, weights, firsts, lasts)
-			if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+			cur, _, plans := newRunState(s, weights, firsts, lasts)
+			if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 				t.Fatalf("seed %d nosimd %v: %v", seed, nosimd, err)
 			}
 			return plans, s.Kernel()

@@ -25,19 +25,20 @@ import (
 // diagonal terms, impulse terms, accumulations) happens while the row's
 // slice of cur/next is hot in cache.
 //
-// The worker team is persistent: row ranges are partitioned once per
-// solve, balanced by non-zero count rather than row count, and the same
-// goroutines run every iteration, synchronizing on a lightweight
-// channel barrier instead of being respawned G times. A temporally
-// blocked team joins only once per group of iterations (see runBlocked).
+// Every fused run executes one schedule, the split-tiled group schedule
+// of runBlocked, on packed moment state the sweep owns (see stateLayout).
+// Iterations run in groups of T; a team of workers splits the rows once
+// per run into contiguous segments, balanced by non-zero count rather than
+// row count, and joins once per group. T = 1 (an unblocked run) is a group
+// of one inner step per segment with no seams; one worker is one segment,
+// run inline with no goroutines and no join.
 //
 // Per element, the fused kernel performs exactly the same floating-point
 // operations in exactly the same order as the serial reference sweep
-// (RunReference), so the two agree bit for bit for every worker count.
-// The fused kernel is the production path at every model size: below
-// parallelThreshold rows it runs as a 1-worker team inline, with no
-// goroutines and no barrier. The reference sweep is only the oracle the
-// regression and differential tests compare against.
+// (RunReference), so the two agree bit for bit for every worker count and
+// every group depth. The fused kernel is the production path at every
+// model size; the reference sweep is only the oracle the regression and
+// differential tests compare against.
 
 // SweepPlan describes one time point's Poisson accumulation during a
 // sweep. Weight[k] is the Poisson probability of iteration k; only
@@ -111,22 +112,22 @@ type Sweep struct {
 	// hang their snapshot capture on.
 	onInterrupt InterruptHook
 
-	// Iteration state published by the driver before each barrier release;
-	// the channel synchronization orders these writes before the workers'
-	// reads. pcur/pnext, the packed state, replace cur/next for the
-	// impulse-free shapes with a dedicated layout (see stateLayout): the
-	// row-lane planes of a band sweep at every order (see fuseBlockBand),
-	// the interleaved order-3 groups of CSR32 (see fuseBlock3Compact).
-	cur, next   [][]float64
+	// layout is the packed moment-state layout of a fused run (see
+	// stateLayout); pcur/pnext are its two buffers while Run executes.
+	// pcur holds iteration k0 at every group boundary; the task channels
+	// of the split team order the driver's writes before the workers'
+	// reads.
+	layout      stateLayout
 	pcur, pnext []float64
-	active      []accPair
 }
 
-// stateLayout is the moment-state layout a fused run uses.
+// stateLayout is the packed moment-state layout a fused run uses. Every
+// fused run copies the caller's initial state into two such buffers once
+// and never touches the caller's vectors again.
 type stateLayout int
 
 const (
-	// layoutPlanar: the caller's cur/next vectors, one per moment — the
+	// layoutPlanar: order+1 planes per buffer at stride rows — the
 	// impulse shapes and the CSR32 orders other than 3 (fuseBlock).
 	layoutPlanar stateLayout = iota
 	// layoutRowLane: order+1 padded planes per buffer at
@@ -137,9 +138,10 @@ const (
 	layoutInterleaved
 )
 
-// stateLayout resolves the layout of a fused run from the shape. The
-// reference-only csr64 storage has none (it never runs fused).
-func (s *Sweep) stateLayout() stateLayout {
+// resolveLayout picks the layout of a fused run from the shape. The
+// reference-only csr64 storage never runs fused; it gets the planar
+// label and no scratch (see ScratchWords).
+func (s *Sweep) resolveLayout() stateLayout {
 	switch {
 	case len(s.imp) > 0 || s.format == FormatCSR64:
 		return layoutPlanar
@@ -153,8 +155,8 @@ func (s *Sweep) stateLayout() stateLayout {
 
 // parallelThreshold is the row count at which automatic worker selection
 // moves from the inline 1-worker fused sweep to a GOMAXPROCS team. A
-// blocked team joins once per group of T iterations (see runBlocked), and
-// each join wakes a parked worker; below a few thousand rows a group's
+// team joins once per group of T iterations (see runBlocked), and each
+// join wakes a parked worker; below a few thousand rows a group's
 // work is too short to hide that. On a 2-core Xeon a 2-worker team takes
 // a median 0.95× the inline sweep's time at 4,095 tridiagonal rows
 // (0.83–1.15× over ten benchmark runs), 0.78× at 8,191 (0.65–0.91×)
@@ -263,6 +265,7 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 			s.tile = bandTile(order)
 		}
 	}
+	s.layout = s.resolveLayout()
 	s.initCoef()
 	if workers > 1 {
 		// Per-row work in stored non-zeros, plus the impulse matrices'
@@ -330,20 +333,16 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
 // ScratchWords returns the float64 count Run uses for its packed
-// moment-state buffers: two buffers of order+1 row-lane planes of
-// bandPlaneStride(rows) words each (padding cells included) for a band
-// sweep, two of 4·rows interleaved words for an order-3 CSR32 sweep,
-// and 0 for the planar shapes (impulse terms, other CSR32 orders, the
-// reference-only csr64 storage), which run on the caller's
-// vectors.
+// moment-state buffers: two buffers of order+1 planes of PlaneStride()
+// words each — padded row-lane planes for a band sweep, plain planes of
+// rows words for the planar shapes, and 4·rows interleaved words (the
+// same count) for an order-3 CSR32 sweep — and 0 for the reference-only
+// csr64 storage, which never runs fused.
 func (s *Sweep) ScratchWords() int {
-	switch s.stateLayout() {
-	case layoutRowLane:
-		return 2 * (s.order + 1) * s.band.stride
-	case layoutInterleaved:
-		return 2 * 4 * s.rows
+	if s.format == FormatCSR64 {
+		return 0
 	}
-	return 0
+	return 2 * (s.order + 1) * s.PlaneStride()
 }
 
 // PlaneStride returns the stride, in float64 words, of the row-lane
@@ -353,7 +352,7 @@ func (s *Sweep) ScratchWords() int {
 // has its Poisson accumulation fused into the band kernel; any other
 // layout is accumulated in a separate vector pass, bitwise identically.
 func (s *Sweep) PlaneStride() int {
-	if s.stateLayout() == layoutRowLane {
+	if s.layout == layoutRowLane {
 		return s.band.stride
 	}
 	return s.rows
@@ -475,10 +474,12 @@ func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 // blocks of W rows, each inner step's row window sliding skew rows to the
 // left (the split-tiled schedule of runBlocked). T == 1 means the run
 // stays unblocked. The schedule is exact at every block width, so W is
-// the tile as set.
+// the tile as set. The planar layout never blocks: it serves the impulse
+// shapes and the CSR32 orders other than 3, whose per-term passes would
+// defeat the cache residency the blocking buys.
 func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	T, W = 1, s.tile
-	if s.tblock < 0 || s.tblock == 1 {
+	if s.tblock < 0 || s.tblock == 1 || s.layout == layoutPlanar {
 		return
 	}
 	lo, hi, ok := s.blockReach()
@@ -531,38 +532,75 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 // completed+1 has not started, so the sweep state is a consistent
 // snapshot. export copies the current moment-state vectors U^(j)(completed)
 // into dst — order+1 vectors of Rows() entries each — out of the packed
-// layout when the run uses one. A sweep resumed from that state
-// with RunFrom(ctx, completed+1, ...) is bitwise identical to the
+// layout of a fused run. A sweep resumed from that state with
+// RunFrom(ctx, completed+1, ...) is bitwise identical to the
 // uninterrupted run.
 type InterruptHook func(completed int, export func(dst [][]float64))
 
 // SetInterruptHook installs the hook Run and RunReference invoke when a
 // context cancellation is observed mid-sweep (nil disables). The hook runs
-// on the driver goroutine while every worker is parked at the release
-// barrier, so it may read any sweep state without synchronization.
+// on the driver goroutine while every worker waits for its next task, so
+// it may read any sweep state without synchronization.
 func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 
-// exportState copies the current moment-state vectors into dst, out of
-// the band's row-lane planes or the interleaved order-3 layout when
-// active. Only called at iteration barriers (see InterruptHook), where
-// the published state is consistent.
-func (s *Sweep) exportState(dst [][]float64) {
-	switch {
-	case s.pcur == nil:
-		for j := range dst {
-			copy(dst[j], s.cur[j])
+// seedState copies the moment-state vectors cur into pcur, the packed
+// layout of the run. Row-lane planes (every band sweep) hold row i at cell
+// 1+i of plane j = pcur[j*st : (j+1)*st], st = bandPlaneStride(rows), with
+// one zero padding cell at each end, so a vector of four consecutive rows
+// of one moment is one contiguous load and the first and last rows need
+// no boundary clamping (out-of-matrix band cells multiply padding zeros,
+// which is bitwise neutral, see band.go). The interleaved layout (order-3
+// CSR32) holds moment j of state i at pcur[i*4+j], so all four values a
+// matrix entry gathers share one cache line. Planar planes hold row i at
+// cell i of plane j = pcur[j*rows : (j+1)*rows].
+func (s *Sweep) seedState(cur [][]float64) {
+	n := s.rows
+	switch s.layout {
+	case layoutInterleaved:
+		for j := 0; j <= 3; j++ {
+			cj := cur[j]
+			for i := 0; i < n; i++ {
+				s.pcur[i*4+j] = cj[i]
+			}
 		}
-	case s.format == FormatBand:
+	case layoutRowLane:
+		// Zero the padding cells (lent scratch arrives dirty); the row
+		// cells are fully (re)written here and by every iteration, and
+		// the kernels never read past cell n+1.
+		st := s.band.stride
+		for j := 0; j <= s.order; j++ {
+			c, x := s.pcur[j*st:j*st+n+2], s.pnext[j*st:j*st+n+2]
+			c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
+			copy(c[1:n+1], cur[j])
+		}
+	default:
+		for j := 0; j <= s.order; j++ {
+			copy(s.pcur[j*n:(j+1)*n], cur[j])
+		}
+	}
+}
+
+// exportState copies the current moment-state vectors out of the packed
+// layout into dst. Only called at iteration barriers (see InterruptHook),
+// where the published state is consistent.
+func (s *Sweep) exportState(dst [][]float64) {
+	n := s.rows
+	switch s.layout {
+	case layoutInterleaved:
+		for j := range dst {
+			dj := dst[j]
+			for i := 0; i < n; i++ {
+				dj[i] = s.pcur[i*4+j]
+			}
+		}
+	case layoutRowLane:
 		st := s.band.stride
 		for j := range dst {
-			copy(dst[j], s.pcur[j*st+1:j*st+1+s.rows])
+			copy(dst[j], s.pcur[j*st+1:j*st+1+n])
 		}
 	default:
 		for j := range dst {
-			dj := dst[j]
-			for i := 0; i < s.rows; i++ {
-				dj[i] = s.pcur[i*4+j]
-			}
+			copy(dst[j], s.pcur[j*n:(j+1)*n])
 		}
 	}
 }
@@ -579,15 +617,18 @@ func (s *Sweep) matVecs(g int) int64 {
 	return perIter * int64(g)
 }
 
-// validateRun checks the per-run buffers against the prepared family.
-func (s *Sweep) validateRun(cur, next [][]float64, plans []SweepPlan) error {
+// validateRun checks the per-run state vectors (cur, plus next for the
+// reference sweep) and plans against the prepared family.
+func (s *Sweep) validateRun(plans []SweepPlan, vecs ...[][]float64) error {
 	n := s.rows
-	if len(cur) != s.order+1 || len(next) != s.order+1 {
-		return fmt.Errorf("%w: %d/%d sweep vectors for order %d", ErrDimensionMismatch, len(cur), len(next), s.order)
-	}
-	for j := 0; j <= s.order; j++ {
-		if len(cur[j]) != n || len(next[j]) != n {
-			return fmt.Errorf("%w: sweep vector %d has %d/%d entries for %d rows", ErrDimensionMismatch, j, len(cur[j]), len(next[j]), n)
+	for _, v := range vecs {
+		if len(v) != s.order+1 {
+			return fmt.Errorf("%w: %d sweep vectors for order %d", ErrDimensionMismatch, len(v), s.order)
+		}
+		for j, vj := range v {
+			if len(vj) != n {
+				return fmt.Errorf("%w: sweep vector %d has %d entries for %d rows", ErrDimensionMismatch, j, len(vj), n)
+			}
 		}
 	}
 	for pi := range plans {
@@ -625,19 +666,15 @@ func gatherActive(plans []SweepPlan, k int, buf []accPair) []accPair {
 	return buf
 }
 
-// Run executes gMax fused iterations, polling ctx every cancelStride
-// iterations, and returns the number of sparse products performed. The
-// initial state is cur; accumulations land in the plans' Acc buffers.
-// cur and next are scratch the sweep alternates between — their contents
-// after Run are unspecified. A run on a packed layout (ScratchWords > 0)
-// copies cur into its own state once and writes neither cur nor next,
-// so there next may alias cur and the vectors of cur may alias one
-// another (or a checkpoint's read-only state).
-//
-// With a team size of 1 the fused kernel runs inline (no goroutines);
-// larger teams run the persistent workers described in the file comment.
-func (s *Sweep) Run(ctx context.Context, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	return s.RunFrom(ctx, 1, gMax, cur, next, plans, cancelStride)
+// Run executes gMax fused iterations and returns the number of sparse
+// products performed. The initial state is cur; accumulations land in the
+// plans' Acc buffers. Run copies cur into its own packed state once and
+// never writes it, so the vectors of cur may alias one another (or a
+// checkpoint's read-only state). Cancellation is polled every
+// cancelStride iterations of an unblocked run and at every group boundary
+// of a temporally blocked one.
+func (s *Sweep) Run(ctx context.Context, gMax int, cur [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
+	return s.RunFrom(ctx, 1, gMax, cur, plans, cancelStride)
 }
 
 // RunFrom is Run starting at iteration first instead of 1: cur must hold
@@ -650,11 +687,11 @@ func (s *Sweep) Run(ctx context.Context, gMax int, cur, next [][]float64, plans 
 // every storage format and worker count. A sweep built with the
 // reference-only FormatCSR64 storage has no fused kernel and returns
 // ErrUnsupportedFormat.
-func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
+func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
 	if s.format == FormatCSR64 {
 		return 0, fmt.Errorf("%w: csr64 storage is streamed only by RunReference", ErrUnsupportedFormat)
 	}
-	if err := s.validateRun(cur, next, plans); err != nil {
+	if err := s.validateRun(plans, cur); err != nil {
 		return 0, err
 	}
 	if first < 1 {
@@ -663,127 +700,19 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur, next [][]floa
 	if cancelStride <= 0 {
 		cancelStride = 1
 	}
-	active := make([]accPair, 0, len(plans))
-
-	// Impulse-free shapes run the whole sweep on a packed state layout
-	// (see stateLayout). Every band sweep uses the row-lane layout: plane
-	// j of pcur is pcur[j*st : (j+1)*st] with st = bandPlaneStride(rows),
-	// row i at cell 1+i and one zero padding cell at each end, so a
-	// vector of four consecutive rows of one moment is one contiguous load
-	// and the first and last rows need no boundary clamping
-	// (out-of-matrix band cells multiply padding zeros, which is bitwise
-	// neutral, see band.go). Order-3 CSR32 sweeps use the
-	// interleaved layout: pcur[i*4+j] holds moment j of state i, so all
-	// four values a matrix entry gathers share one cache line. The planar
-	// cur is read once here and next stays untouched.
-	layout := s.stateLayout()
-	s.kernel = s.resolveKernel(layout)
-	packed := layout != layoutPlanar
-	if packed {
-		n := s.rows
-		words := s.ScratchWords()
-		half := words / 2
-		if len(s.scratch) >= words {
-			buf := s.scratch[:words]
-			s.pcur, s.pnext = buf[:half:half], buf[half:words:words]
-		} else {
-			buf := make([]float64, words)
-			s.pcur, s.pnext = buf[:half:half], buf[half:]
-		}
-		if layout == layoutRowLane {
-			// Zero the padding cells (lent scratch arrives dirty); the row
-			// cells are fully (re)written here and by every iteration, and
-			// the kernels never read past cell n+1.
-			st := s.band.stride
-			for j := 0; j <= s.order; j++ {
-				c, x := s.pcur[j*st:j*st+n+2], s.pnext[j*st:j*st+n+2]
-				c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
-				copy(c[1:n+1], cur[j])
-			}
-		} else {
-			for j := 0; j <= 3; j++ {
-				cj := cur[j]
-				for i := 0; i < n; i++ {
-					s.pcur[i*4+j] = cj[i]
-				}
-			}
-		}
-		defer func() { s.pcur, s.pnext = nil, nil }()
-	} else {
-		s.cur, s.next = cur, next
+	s.kernel = s.resolveKernel()
+	words := s.ScratchWords()
+	half := words / 2
+	buf := s.scratch
+	if len(buf) < words {
+		buf = make([]float64, words)
 	}
-
-	// Temporal blocking runs only the packed layouts: the planar path
-	// serves the impulse shapes and the CSR32 orders other than 3,
-	// and its per-term full-vector passes would defeat the
-	// cache-residency the blocking buys.
-	s.resolvedT = 1
-	if packed {
-		if T, W, skew := s.resolveBlocking(); T > 1 {
-			s.resolvedT = T
-			return s.runBlocked(ctx, first, gMax, plans, active, T, W, skew)
-		}
-	}
-
-	if s.workers <= 1 {
-		for k := first; k <= gMax; k++ {
-			if k%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					s.interrupted(k - 1)
-					return 0, err
-				}
-			}
-			s.active = gatherActive(plans, k, active[:0])
-			s.step(0, s.rows)
-			s.swap(packed)
-		}
-		return s.matVecs(gMax - first + 1), nil
-	}
-
-	// Persistent team: one start channel per worker forms the release
-	// barrier, the shared done channel the join barrier. Workers exit when
-	// their start channel closes; the defer runs only while every worker
-	// is parked at its release barrier, so shutdown cannot race an
-	// iteration in flight.
-	start := make([]chan struct{}, s.workers)
-	for w := range start {
-		start[w] = make(chan struct{}, 1)
-	}
-	done := make(chan struct{}, s.workers)
-	defer func() {
-		for _, ch := range start {
-			close(ch)
-		}
-	}()
-	for w := 0; w < s.workers; w++ {
-		lo, hi := s.blocks[w], s.blocks[w+1]
-		go func(startCh <-chan struct{}, lo, hi int) {
-			for range startCh {
-				s.step(lo, hi)
-				done <- struct{}{}
-			}
-		}(start[w], lo, hi)
-	}
-
-	for k := first; k <= gMax; k++ {
-		if k%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				// Every worker is parked at its release barrier here, so
-				// the hook sees the consistent post-iteration-(k-1) state.
-				s.interrupted(k - 1)
-				return 0, err
-			}
-		}
-		s.active = gatherActive(plans, k, active[:0])
-		for _, ch := range start {
-			ch <- struct{}{}
-		}
-		for w := 0; w < s.workers; w++ {
-			<-done
-		}
-		s.swap(packed)
-	}
-	return s.matVecs(gMax - first + 1), nil
+	s.pcur, s.pnext = buf[:half:half], buf[half:words:words]
+	defer func() { s.pcur, s.pnext = nil, nil }()
+	s.seedState(cur)
+	T, W, skew := s.resolveBlocking()
+	s.resolvedT = T
+	return s.runBlocked(ctx, first, gMax, plans, cancelStride, T, W, skew)
 }
 
 // interrupted invokes the interrupt hook, if any, with the completed
@@ -794,50 +723,31 @@ func (s *Sweep) interrupted(completed int) {
 	}
 }
 
-// step runs one iteration's fused work over rows [lo, hi) against the
-// published iteration state.
-func (s *Sweep) step(lo, hi int) {
-	if s.pcur != nil {
-		s.stepRange(lo, hi, s.pcur, s.pnext, s.active)
-		return
-	}
-	s.fuseBlock(lo, hi, s.cur, s.next, s.active)
-}
-
 // stepRange runs one iteration's fused work on the packed state over
 // rows [lo, hi) with explicit state buffers and accumulation targets,
-// dispatching on the resolved storage format. The temporally blocked
-// drivers call it directly so different inner iterations of a group can
-// address alternating buffers and per-iteration Poisson targets without
-// republishing the shared fields.
+// dispatching on the resolved layout and storage format, so different
+// inner iterations of a group can address alternating buffers and
+// per-iteration Poisson targets.
 func (s *Sweep) stepRange(lo, hi int, cur, next []float64, active []accPair) {
-	switch s.format {
-	case FormatBand:
+	switch {
+	case s.layout == layoutPlanar:
+		s.fuseBlock(lo, hi, cur, next, active)
+	case s.format == FormatBand:
 		s.fuseBlockBand(lo, hi, cur, next, active)
-	case FormatCSR32:
-		if s.simd && hi > lo && len(s.a.val) > 0 {
-			s.fuseBlock3CompactAVX2(lo, hi, cur, next, active)
-			return
-		}
+	case s.simd && hi > lo && len(s.a.val) > 0:
+		s.fuseBlock3CompactAVX2(lo, hi, cur, next, active)
+	default:
 		s.fuseBlock3Compact(lo, hi, cur, next, active)
 	}
 }
 
-// swap exchanges the published current/next state after an iteration.
-func (s *Sweep) swap(packed bool) {
-	if packed {
-		s.pcur, s.pnext = s.pnext, s.pcur
-		return
-	}
-	s.cur, s.next = s.next, s.cur
-}
-
-// runBlocked executes the temporally blocked sweep by split tiling.
-// Iterations are processed in groups of up to T; within a group, each row
-// block runs all of the group's inner iterations back to back while its
-// rows (state, matrix values, diagonals, accumulators) are cache-resident,
-// so every per-row array streams from DRAM once per group instead of once
-// per iteration — a ~T× traffic cut for this memory-bound loop.
+// runBlocked executes every fused run by split tiling. Iterations are
+// processed in groups of up to T; within a group, each row block runs all
+// of the group's inner iterations back to back while its rows (state,
+// matrix values, diagonals, accumulators) are cache-resident, so every
+// per-row array streams from DRAM once per group instead of once per
+// iteration — a ~T× traffic cut for this memory-bound loop. T = 1, the
+// unblocked run, is a group of one inner step per segment with no seams.
 //
 // A group splits the rows into contiguous segments [b_w, b_{w+1}), one per
 // worker (see groupSplits), and runs in two phases. With skew s =
@@ -853,7 +763,9 @@ func (s *Sweep) swap(packed bool) {
 //	S(b, t) = [b − (t−1)·s, b + (t−1)·s),  t = 2..Tg,
 //
 // in increasing t (runSeams). One worker is the one-segment case: no
-// split, no seam, no goroutine.
+// split, no seam, no goroutine, the calling goroutine runs it. A team runs
+// every segment on its own goroutines while the calling goroutine waits
+// (see startSplitTeam).
 //
 // Every hazard is a row range of one of the two packed state buffers,
 // which alternate per inner step (odd steps read pcur and write pnext,
@@ -884,51 +796,59 @@ func (s *Sweep) swap(packed bool) {
 // the seam takes its remaining steps), and each step applies its Poisson
 // accumulations inside the kernel at its own iteration's weights. The
 // per-element operation sequence — and therefore every bit of the result
-// — is identical to the unblocked sweep: blocking only reorders work
+// — is identical to the reference sweep: blocking only reorders work
 // between different (row, iteration) pairs.
 //
-// Context cancellation is observed at group boundaries only, where the
-// state is a consistent iteration snapshot (checkpoint barriers land
-// there); resume tokens from unblocked runs remain valid because groups
+// Context cancellation is observed at group boundaries, where the state
+// is a consistent iteration snapshot (checkpoint barriers land there):
+// every cancelStride iterations when T = 1, at every group when T > 1.
+// Resume tokens from one depth remain valid at any other, because groups
 // are re-based at `first`. Each schedule resolves a step's accumulation
 // targets into its own buffer as it goes, so one worker allocates nothing
-// beyond the unblocked sweep.
-func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPlan, active []accPair, T, W, skew int) (int64, error) {
+// per iteration.
+func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPlan, cancelStride, T, W, skew int) (int64, error) {
+	active := make([]accPair, 0, len(plans))
 	var tasks []chan splitTask
 	var done chan struct{}
-	splits := []int{0, s.rows} // one worker: a single segment, no seam
+	var splits []int // a team's segment boundaries
+	splitTg := 0     // the group depth splits was resolved for
 	if s.workers > 1 {
 		var stop func()
 		tasks, done, stop = s.startSplitTeam(plans, W, skew)
 		defer stop()
-		splits = make([]int, 0, s.workers+1)
 	}
+	// An unblocked run polls before every iteration that is a multiple of
+	// cancelStride; poll is the next such boundary.
+	poll := (first+cancelStride-1)/cancelStride*cancelStride - 1
 	for k0 := first - 1; k0 < gMax; {
-		if err := ctx.Err(); err != nil {
-			// Group boundary: iteration k0 fully complete, k0+1 not started.
-			s.interrupted(k0)
-			return 0, err
+		if T > 1 || k0 == poll {
+			poll += cancelStride
+			if err := ctx.Err(); err != nil {
+				// Group boundary: iteration k0 fully complete, k0+1 not started.
+				s.interrupted(k0)
+				return 0, err
+			}
 		}
-		Tg := T
-		if rem := gMax - k0; Tg > rem {
-			Tg = rem // ragged final group when T does not divide the span
+		Tg := min(T, gMax-k0) // ragged final group when T does not divide the span
+		if tasks == nil {
+			active = s.runTrapezoid(plans, active, k0, Tg, 0, s.rows, W, skew)
+		} else {
+			if Tg != splitTg {
+				splits, splitTg = s.groupSplits(splits, Tg, skew), Tg
+			}
+			for w := 0; w+1 < len(splits); w++ {
+				tasks[w] <- splitTask{k0: k0, tg: Tg, lo: splits[w], hi: splits[w+1]}
+			}
+			for w := 0; w+1 < len(splits); w++ {
+				<-done
+			}
+			active = s.runSeams(plans, active, k0, Tg, splits[1:len(splits)-1], skew)
 		}
-		if tasks != nil {
-			splits = s.groupSplits(splits, Tg, skew)
-		}
-		for w := 1; w+1 < len(splits); w++ {
-			tasks[w-1] <- splitTask{k0: k0, tg: Tg, lo: splits[w], hi: splits[w+1]}
-		}
-		active = s.runTrapezoid(plans, active, k0, Tg, splits[0], splits[1], W, skew)
-		for w := 1; w+1 < len(splits); w++ {
-			<-done
-		}
-		active = s.runSeams(plans, active, k0, Tg, splits[1:len(splits)-1], skew)
 		if Tg%2 == 1 {
 			// Odd group depth leaves the newest state in pnext; swap so the
 			// group-boundary invariant (pcur = iteration k0) holds for
 			// exportState and the next group.
-			s.swap(true)
+			s.pcur, s.pnext = s.pnext, s.pcur
 		}
 		k0 += Tg
 	}
@@ -939,13 +859,16 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 // 1..tg after iteration k0 over the segment [lo, hi).
 type splitTask struct{ k0, tg, lo, hi int }
 
-// startSplitTeam starts the workers−1 goroutines that run the trapezoids
-// of every segment but the first, which the calling goroutine runs. Each
-// worker runs the tasks sent on its own channel and reports each on done;
-// stop closes the channels and waits for the workers to exit, and must
-// only be called while none holds a task.
+// startSplitTeam starts the goroutines that run the trapezoids of the
+// segments, one per worker. Each runs the tasks sent on its own channel
+// and reports each on done; stop closes the channels and waits for the
+// workers to exit, and must only be called while none holds a task. The
+// calling goroutine runs no segment of its own: a goroutine it readies
+// while it keeps running waits in its P's run-next slot, which an idle P
+// steals only after a backoff — on a 2-core Xeon, a 2-worker unblocked
+// sweep of 100,001 rows ran 10% slower per iteration that way.
 func (s *Sweep) startSplitTeam(plans []SweepPlan, W, skew int) (tasks []chan splitTask, done chan struct{}, stop func()) {
-	tasks = make([]chan splitTask, s.workers-1)
+	tasks = make([]chan splitTask, s.workers)
 	done = make(chan struct{}, len(tasks))
 	var wg sync.WaitGroup
 	wg.Add(len(tasks))
@@ -996,9 +919,16 @@ func (s *Sweep) groupSplits(buf []int, tg, skew int) []int {
 // block m before block m+1 touches memory. Sliding the window s rows left
 // per step keeps the dependency cone satisfied: block m's step-t rows
 // need step-(t−1) rows up to its upper edge + hi ≤ its own step-(t−1)
-// upper edge, and below it only rows of blocks < m, all computed. active
-// is the caller's accumulation-target buffer, returned for reuse.
+// upper edge, and below it only rows of blocks < m, all computed. A
+// one-step group is the whole segment in one kernel call, which the
+// kernels tile themselves. active is the caller's accumulation-target
+// buffer, returned for reuse.
 func (s *Sweep) runTrapezoid(plans []SweepPlan, active []accPair, k0, tg, lo, hi, W, skew int) []accPair {
+	if tg == 1 {
+		active = gatherActive(plans, k0+1, active[:0])
+		s.stepRange(lo, hi, s.pcur, s.pnext, active)
+		return active
+	}
 	blocks := (hi - lo + (tg-1)*skew + W - 1) / W
 	for m := 0; m < blocks; m++ {
 		cur, next := s.pcur, s.pnext
@@ -1053,23 +983,27 @@ func (s *Sweep) runSeams(plans []SweepPlan, active []accPair, k0, tg int, splits
 // and the vectors from memory once instead of once per term: the CSR rows
 // of a tile are reused across the order+1 products, and each next-vector
 // tile is produced, corrected and accumulated before it is evicted.
-func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
+//
+// cur and next are planar buffers: moment j of row i at j·rows + i.
+func (s *Sweep) fuseBlock(lo, hi int, cur, next []float64, active []accPair) {
+	n := s.rows
+	plane := func(buf []float64, j int) []float64 { return buf[j*n : (j+1)*n : (j+1)*n] }
 	for t0 := lo; t0 < hi; t0 += s.tile {
 		t1 := t0 + s.tile
 		if t1 > hi {
 			t1 = hi
 		}
 		for j := s.order; j >= 0; j-- {
-			curj, nextj := cur[j], next[j]
+			curj, nextj := plane(cur, j), plane(next, j)
 			s.productTile(t0, t1, curj, nextj)
 			if j >= 1 {
-				d1, c1 := s.diag1, cur[j-1]
+				d1, c1 := s.diag1, plane(cur, j-1)
 				for i := t0; i < t1; i++ {
 					nextj[i] += d1[i] * c1[i]
 				}
 			}
 			if j >= 2 {
-				d2, c2 := s.diag2, cur[j-2]
+				d2, c2 := s.diag2, plane(cur, j-2)
 				for i := t0; i < t1; i++ {
 					nextj[i] += d2[i] * c2[i]
 				}
@@ -1077,7 +1011,7 @@ func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
 			for m := 1; m <= j && m <= len(s.imp); m++ {
 				im := s.imp[m-1]
 				irp, icx, ivl := im.rowPtr, im.colIdx, im.val
-				cf, cm := s.coef[m], cur[j-m]
+				cf, cm := s.coef[m], plane(cur, j-m)
 				for i := t0; i < t1; i++ {
 					var impSum float64
 					for p := irp[i]; p < irp[i+1]; p++ {
@@ -1090,7 +1024,7 @@ func (s *Sweep) fuseBlock(lo, hi int, cur, next [][]float64, active []accPair) {
 		for _, ap := range active {
 			w := ap.w
 			for j := 0; j <= s.order; j++ {
-				nj, aj := next[j], ap.acc[j]
+				nj, aj := plane(next, j), ap.acc[j]
 				for i := t0; i < t1; i++ {
 					aj[i] += w * nj[i]
 				}
@@ -1367,7 +1301,7 @@ func (s *Sweep) RunReference(ctx context.Context, gMax int, cur, next [][]float6
 // same resume contract as RunFrom: cur holds U^(j)(first-1) and the Acc
 // buffers carry all accumulations of iterations below first.
 func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	if err := s.validateRun(cur, next, plans); err != nil {
+	if err := s.validateRun(plans, cur, next); err != nil {
 		return 0, err
 	}
 	if first < 1 {

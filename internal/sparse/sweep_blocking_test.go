@@ -67,8 +67,8 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 							}
 							fs.SetSweepTile(tile)
 							fs.SetTemporalBlock(tb)
-							cur, next, plans := newRunState(fs, weights, firsts, lasts)
-							mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 32)
+							cur, _, plans := newRunState(fs, weights, firsts, lasts)
+							mv, err := fs.Run(context.Background(), gMax, cur, plans, 32)
 							if err != nil {
 								t.Fatalf("trial %d %s %q T=%d tile=%d w=%d: %v",
 									trial, fx.name, format, tb, tile, workers, err)
@@ -118,8 +118,8 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 		}
 
 		full := mk(1, T)
-		fullCur, fullNext, fullPlans := newRunState(full, weights, firsts, lasts)
-		fullMV, err := full.Run(context.Background(), gMax, fullCur, fullNext, fullPlans, 1)
+		fullCur, _, fullPlans := newRunState(full, weights, firsts, lasts)
+		fullMV, err := full.Run(context.Background(), gMax, fullCur, fullPlans, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,9 +139,9 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 						completed = done
 						export(state)
 					})
-					cur, next, plans := newRunState(rs, weights, firsts, lasts)
+					cur, _, plans := newRunState(rs, weights, firsts, lasts)
 					ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-					if _, err := rs.Run(ctx, gMax, cur, next, plans, 1); err == nil {
+					if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
 						t.Fatalf("trial %d w=%d polls %d: blocked run was not interrupted", trial, workers, polls)
 					}
 					if completed != (polls-1)*T {
@@ -155,7 +155,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 					for j := range state {
 						copy(cur[j], state[j])
 					}
-					mv, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1)
+					mv, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1)
 					if err != nil {
 						t.Fatalf("trial %d w=%d polls %d blocked=%v: resume: %v", trial, workers, polls, resumeBlocked, err)
 					}
@@ -180,16 +180,16 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 					completed = done
 					export(state)
 				})
-				cur, next, plans := newRunState(us, weights, firsts, lasts)
+				cur, _, plans := newRunState(us, weights, firsts, lasts)
 				ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-				if _, err := us.Run(ctx, gMax, cur, next, plans, 1); err == nil {
+				if _, err := us.Run(ctx, gMax, cur, plans, 1); err == nil {
 					t.Fatalf("trial %d w=%d polls %d: unblocked run was not interrupted", trial, workers, polls)
 				}
 				cont := mk(workers, T)
 				for j := range state {
 					copy(cur[j], state[j])
 				}
-				if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
+				if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1); err != nil {
 					t.Fatalf("trial %d w=%d polls %d: blocked resume of unblocked token: %v", trial, workers, polls, err)
 				}
 				requireAccBitwise(t, "cross-resume", plans, fullPlans, order, n)
@@ -335,8 +335,8 @@ func TestTemporalBlockResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps.SetTemporalBlock(8)
-		cur, next, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
-		if _, err := ps.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+		cur, _, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
+		if _, err := ps.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 			t.Fatal(err)
 		}
 		if got := ps.TemporalBlock(); got != c.want {
@@ -431,7 +431,7 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								fs.SetSweepTile(tile)
 								scratch := lendCanaryScratch(fs)
 								tag := fmt.Sprintf("order=%d n=%d %s nosimd=%v T=%d W=%d workers=%d", order, n, mix.name, nosimd, tb, tile, workers)
-								cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								cur, _, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
 								if mix.scatter >= 0 {
 									scatterAcc(&plans[mix.scatter])
 								}
@@ -439,7 +439,7 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								for _, c := range slack {
 									fillCanary(c)
 								}
-								mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
+								mv, err := fs.Run(context.Background(), gMax, cur, plans, 1)
 								if err != nil {
 									t.Fatalf("%s: %v", tag, err)
 								}
@@ -726,8 +726,8 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 								fs, skew := mk(nosimd)
 								tag := fmt.Sprintf("%s %s T=%d workers=%d width=2·%d·%d%+d top=%v nosimd=%v",
 									mix.name, fx.name, T, workers, T-1, skew, delta, thinTop, nosimd)
-								cur, next, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
-								mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 1)
+								cur, _, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								mv, err := fs.Run(context.Background(), gMax, cur, plans, 1)
 								if err != nil {
 									t.Fatalf("%s: %v", tag, err)
 								}
@@ -755,9 +755,9 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 									completed = done
 									export(state)
 								})
-								cur, next, plans := newRunState(rs, weights, mix.firsts, mix.lasts)
+								cur, _, plans := newRunState(rs, weights, mix.firsts, mix.lasts)
 								ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-								if _, err := rs.Run(ctx, gMax, cur, next, plans, 1); err == nil {
+								if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
 									t.Fatalf("%s: run was not interrupted", tag)
 								}
 								if completed != (polls-1)*T {
@@ -767,7 +767,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 									copy(cur[j], state[j])
 								}
 								cont, _ := mk(false)
-								if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
+								if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1); err != nil {
 									t.Fatalf("%s: resume: %v", tag, err)
 								}
 								requireAccBitwise(t, tag, plans, refPlans, 3, n)

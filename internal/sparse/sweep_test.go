@@ -171,8 +171,8 @@ func TestSweepFusedMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, next, plans := newRunState(fs, weights, firsts, lasts)
-			mv, err := fs.Run(context.Background(), gMax, cur, next, plans, 32)
+			cur, _, plans := newRunState(fs, weights, firsts, lasts)
+			mv, err := fs.Run(context.Background(), gMax, cur, plans, 32)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -241,8 +241,8 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 					if dirtyScratch && !lendDirtyScratch(fs) {
 						continue // no interleaved path for this shape
 					}
-					cur, next, plans := newRunState(fs, weights, firsts, lasts)
-					if _, err := fs.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+					cur, _, plans := newRunState(fs, weights, firsts, lasts)
+					if _, err := fs.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 						t.Fatalf("trial %d format %q workers %d: %v", trial, format, workers, err)
 					}
 					requireAccBitwise(t, fmt.Sprintf("trial %d format %q (resolved %q) workers %d dirty=%v",
@@ -256,7 +256,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 // TestSweepFormatResolution pins what NewSweep resolves for characteristic
 // shapes: tridiagonal matrices stream the band, everything else the
 // compact CSR, and csr64 resolves only as the reference oracle's storage,
-// with no interleaved buffers.
+// with no packed buffers.
 func TestSweepFormatResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
@@ -290,10 +290,11 @@ func TestSweepFormatResolution(t *testing.T) {
 		t.Errorf("csr64 ScratchWords = %d, want 0", s64.ScratchWords())
 	}
 
-	// Impulse shapes never use the interleaved buffers.
+	// Impulse shapes run on planar planes of rows words: two buffers of
+	// four.
 	impl := randomSweepFixture(t, rng, 30, 3, true)
-	if impl.ScratchWords() != 0 {
-		t.Errorf("impulse ScratchWords = %d, want 0", impl.ScratchWords())
+	if impl.ScratchWords() != 2*4*30 {
+		t.Errorf("impulse ScratchWords = %d, want %d", impl.ScratchWords(), 2*4*30)
 	}
 }
 
@@ -311,10 +312,10 @@ func TestSweepRunRejectsCSR64(t *testing.T) {
 		}
 		w := []float64{0, 0.5, 0.5}
 		cur, next, plans := newRunState(s, [][]float64{w}, []int{0}, []int{2})
-		if _, err := s.Run(context.Background(), 2, cur, next, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
+		if _, err := s.Run(context.Background(), 2, cur, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("order %d: Run on csr64: err = %v, want ErrUnsupportedFormat", order, err)
 		}
-		if _, err := s.RunFrom(context.Background(), 2, 2, cur, next, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
+		if _, err := s.RunFrom(context.Background(), 2, 2, cur, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("order %d: RunFrom on csr64: err = %v, want ErrUnsupportedFormat", order, err)
 		}
 		if _, err := s.RunReference(context.Background(), 2, cur, next, plans, 1); err != nil {
@@ -371,8 +372,8 @@ func TestSweepWindowClipping(t *testing.T) {
 
 	// An inert plan (Last < First) must accumulate nothing and a
 	// full-range plan must accumulate something.
-	cur, next, plans := newRunState(s, [][]float64{w, w}, []int{0, 3}, []int{-1, 12})
-	if _, err := s.Run(context.Background(), gMax, cur, next, plans, 32); err != nil {
+	cur, _, plans := newRunState(s, [][]float64{w, w}, []int{0, 3}, []int{-1, 12})
+	if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 		t.Fatal(err)
 	}
 	for j := range plans[0].Acc {
@@ -501,17 +502,17 @@ func TestSweepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := [][]float64{{1, 1}, {0, 0}}
-	if _, err := s.Run(context.Background(), 1, good[:1], good, nil, 32); err == nil {
+	if _, err := s.Run(context.Background(), 1, good[:1], nil, 32); err == nil {
 		t.Error("short cur accepted")
 	}
 	badPlan := []SweepPlan{{First: 0, Last: 5, Weight: []float64{1}}}
-	if _, err := s.Run(context.Background(), 1, good, [][]float64{{0, 0}, {0, 0}}, badPlan, 32); err == nil {
+	if _, err := s.Run(context.Background(), 1, good, badPlan, 32); err == nil {
 		t.Error("window beyond weights accepted")
 	}
 }
 
 // TestSweepCancellation verifies both kernels honor context cancellation
-// and that the persistent team's goroutines drain on every exit path.
+// and that the split team's goroutines drain on every exit path.
 func TestSweepCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s2, err := NewSweep(randomSweepFixture(t, rng, 50, 2, false).a,
@@ -523,7 +524,7 @@ func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cur, next, plans := newRunState(s2, [][]float64{make([]float64, 1001)}, []int{0}, []int{1000})
-	if _, err := s2.Run(ctx, 1000, cur, next, plans, 1); err == nil {
+	if _, err := s2.Run(ctx, 1000, cur, plans, 1); err == nil {
 		t.Fatal("cancelled fused run returned no error")
 	}
 	if _, err := s2.RunReference(ctx, 1000, cur, next, plans, 1); err == nil {
@@ -558,7 +559,7 @@ func (c *countdownCtx) Err() error {
 // interrupted at every iteration barrier, state-exported through the
 // interrupt hook, and continued with RunFrom must reproduce the
 // uninterrupted run bit for bit — for every storage format, worker
-// count, and the reference kernel alike.
+// count, impulse-free and impulse shapes, and the reference kernel alike.
 func TestSweepResumeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	type build func() (*Sweep, error)
@@ -571,11 +572,12 @@ func TestSweepResumeBitwise(t *testing.T) {
 		gMax := 3 + rng.Intn(12)
 		var a *CSR
 		var d1, d2v []float64
+		var imp []*CSR
 		if trial%2 == 1 {
 			a, d1, d2v = bandedSweepFixture(t, rng, n, 1, 1, order)
 		} else {
 			f := randomSweepFixture(t, rng, n, order, trial%4 == 2)
-			a, d1, d2v = f.a, f.diag1, f.diag2
+			a, d1, d2v, imp = f.a, f.diag1, f.diag2, f.imp
 		}
 
 		w := randWeights(rng, gMax)
@@ -583,10 +585,10 @@ func TestSweepResumeBitwise(t *testing.T) {
 		firsts, lasts := []int{0}, []int{gMax}
 
 		builders := map[string]build{
-			"auto/w1": func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 1) },
-			"auto/w3": func() (*Sweep, error) { return NewSweep(a, d1, d2v, nil, order, 3) },
-			"csr/w2":  func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatCSR) },
-			"band/w2": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, nil, order, 2, FormatBand) },
+			"auto/w1": func() (*Sweep, error) { return NewSweep(a, d1, d2v, imp, order, 1) },
+			"auto/w3": func() (*Sweep, error) { return NewSweep(a, d1, d2v, imp, order, 3) },
+			"csr/w2":  func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatCSR) },
+			"band/w2": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatBand) },
 		}
 		for name, mk := range builders {
 			if name == "band/w2" && trial%2 == 0 {
@@ -596,8 +598,8 @@ func TestSweepResumeBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullCur, fullNext, fullPlans := newRunState(s, weights, firsts, lasts)
-			fullMV, err := s.Run(context.Background(), gMax, fullCur, fullNext, fullPlans, 1)
+			fullCur, _, fullPlans := newRunState(s, weights, firsts, lasts)
+			fullMV, err := s.Run(context.Background(), gMax, fullCur, fullPlans, 1)
 			if err != nil {
 				t.Fatalf("trial %d %s: full run: %v", trial, name, err)
 			}
@@ -618,9 +620,9 @@ func TestSweepResumeBitwise(t *testing.T) {
 					completed = done
 					export(state)
 				})
-				cur, next, plans := newRunState(rs, weights, firsts, lasts)
+				cur, _, plans := newRunState(rs, weights, firsts, lasts)
 				ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-				if _, err := rs.Run(ctx, gMax, cur, next, plans, 1); err == nil {
+				if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
 					t.Fatalf("trial %d %s polls %d: run was not interrupted", trial, name, polls)
 				}
 				if completed != polls-1 {
@@ -630,7 +632,7 @@ func TestSweepResumeBitwise(t *testing.T) {
 				for j := range state {
 					copy(cur[j], state[j])
 				}
-				mv, err := rs.RunFrom(context.Background(), completed+1, gMax, cur, next, plans, 1)
+				mv, err := rs.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1)
 				if err != nil {
 					t.Fatalf("trial %d %s polls %d: resume: %v", trial, name, polls, err)
 				}
