@@ -70,12 +70,13 @@ bench-ingest:
 
 # The randomization-sweep kernel comparison tracked in BENCHMARKS.md:
 # serial reference vs the fused kernel at the paper's large-example shape,
-# the served small-model solves, and the eq. 11 truncation search,
+# the served small-model solves, the eq. 11 truncation search, and warm
+# distinct-t solves on a prepared midsize model (BenchmarkWarmDistinctT),
 # recorded as machine-readable JSON (name, median ns/op with its min/max
 # over 5 runs, B/op, allocs/op, cores, commit) for committing and diffing
 # across revisions.
 bench-sweep:
-	$(GO) test -bench 'BenchmarkSweep|BenchmarkTruncationPoint' -benchmem -benchtime 10x -count 5 -run '^$$' \
+	$(GO) test -bench 'BenchmarkSweep|BenchmarkTruncationPoint|BenchmarkWarmDistinctT' -benchmem -benchtime 10x -count 5 -run '^$$' \
 		-timeout 60m ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	@echo wrote BENCH_sweep.json
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -191,6 +192,47 @@ func BenchmarkSolveWithShift(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWarmDistinctT is the midsize-warm serving shape: the
+// 2,001-state ON–OFF model (onOffModel(2000, 4, 3, 1, 10), q = 8,000),
+// prepared once and warmed like a served model, solved at order 3 at a
+// distinct t per op from a Weyl sequence over [0.02, 0.1) (q·t from 160
+// to 800, G from 273 to 1,045). Each op times the whole solve, starting
+// from the Prepared's state ladder as the served requests do; setup runs
+// one pass of 32 points first, so the ladder is in its steady state.
+// start-iter/op is the mean iteration the sweeps started from.
+func BenchmarkWarmDistinctT(b *testing.B) {
+	prep, err := Prepare(onOffModel(b, 2000, 4, 3, 1, 10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const phi = 0.6180339887498949 // the Weyl step, 1/golden ratio
+	x := 0.0
+	next := func() float64 {
+		x += phi
+		x -= math.Floor(x)
+		return 0.02 + 0.08*x
+	}
+	for i := 0; i <= 32; i++ {
+		tt := 0.01 // the served model's first solve
+		if i > 0 {
+			tt = next()
+		}
+		if _, err := prep.AccumulatedReward(tt, 3, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var starts int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := prep.AccumulatedReward(next(), 3, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		starts += res.Stats.StartIteration
+	}
+	b.ReportMetric(float64(starts)/float64(b.N), "start-iter/op")
 }
 
 // BenchmarkTruncationPoint times the eq. 11 search with its pmf table:

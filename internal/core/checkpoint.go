@@ -15,7 +15,7 @@ var ErrCheckpoint = errors.New("core: invalid checkpoint")
 
 // checkpointMagic versions the binary snapshot layout. Bump the trailing
 // digit on any incompatible change; decode rejects unknown versions.
-const checkpointMagic = "SOMRMCK1"
+const checkpointMagic = "SOMRMCK2"
 
 // Checkpoint is a versioned snapshot of an interrupted randomization
 // sweep: the moment-state vectors U^(j)(Completed), the per-time-point

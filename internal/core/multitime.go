@@ -73,7 +73,7 @@ func (m *Model) AccumulatedRewardAtContext(ctx context.Context, times []float64,
 			return nil, err
 		}
 	}
-	return m.solveAt(ctx, times, order, cfg, u, imp, nil)
+	return m.solveAt(ctx, times, order, cfg, u, imp, nil, nil)
 }
 
 // validateSolveArgs checks the user-facing solver arguments shared by every
@@ -126,8 +126,9 @@ func (m *Model) frozenResults(times []float64, order int) ([]*Result, error) {
 // solveAt runs the shared randomization sweep over a prepared
 // uniformization. It is the single implementation behind AccumulatedReward,
 // AccumulatedRewardAt and Prepared: callers have validated the arguments
-// and handled the q == 0 (frozen chain) case.
-func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Options, u *uniformization, imp []*sparse.CSR, ws *solveWorkspace) ([]*Result, error) {
+// and handled the q == 0 (frozen chain) case. lad, when non-nil, is the
+// Prepared's state ladder the sweep may start from and capture into.
+func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Options, u *uniformization, imp []*sparse.CSR, ws *solveWorkspace, lad *ladder) ([]*Result, error) {
 	n := m.N()
 	q, d, shift := u.q, u.d, u.shift
 
@@ -150,9 +151,11 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 
 	// Per-time truncation points and Poisson weights. Each plan's
 	// accumulation is clipped to the effective window of its weights —
-	// the first/last k whose pmf is non-zero in float64 — so large-qt
-	// grids skip the underflowed head of the distribution entirely
-	// instead of testing ~0.9·qt zero weights per iteration.
+	// the first/last k whose pmf is non-zero in float64 — and further to
+	// the left truncation point (see leftPoint), below which the head of
+	// the distribution adds at most ε·2⁻²⁰ to any moment: the sweep
+	// skips that head's accumulation, and a warm Prepared skips its
+	// iterations too (see ladder).
 	type timePlan struct {
 		t     float64
 		g     int
@@ -191,8 +194,9 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			return nil, err
 		}
 		w, first, last := tab.Window(g)
-		plans[idx] = timePlan{t: t, g: g, bound: bound}
-		sweepPlans[idx] = sparse.SweepPlan{First: first, Last: last, Weight: w}
+		l, left := leftPoint(tab, order, d, q*t, cfg.Epsilon, bound, imp != nil, g)
+		plans[idx] = timePlan{t: t, g: g, bound: bound + left}
+		sweepPlans[idx] = sparse.SweepPlan{First: max(first, l), Last: last, Weight: w}
 		activePlans++
 		if g > gMax {
 			gMax = g
@@ -227,6 +231,21 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweep.SetSweepTile(cfg.SweepTile)
 	sweep.SetTemporalBlock(cfg.TemporalBlock)
 
+	// A warm Prepared starts from its ladder's largest snapshot at or
+	// below the last iteration no plan accumulates (start), and may
+	// capture one there; a resume token bypasses the ladder.
+	var use ladderUse
+	if lad != nil && cfg.Resume == nil && activePlans > 0 {
+		start := gMax
+		for idx := range sweepPlans {
+			if plans[idx].t != 0 {
+				start = min(start, sweepPlans[idx].First-1)
+			}
+		}
+		use = lad.plan(start, order, n)
+	}
+	seeded := cfg.Resume != nil || use.from.state != nil
+
 	// Per-solve scratch comes from one arena (pooled by Prepared): the
 	// sweep state vectors, the per-time accumulators, the packed kernel
 	// state, and — when a shift is active, so unshift rebuilds the output
@@ -237,16 +256,15 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// band kernel fuses its accumulation into. The reference sweep
 	// alternates two planar state sets of its own. A fused run reads cur
 	// once, to seed its packed state, and never writes it: a fresh
-	// state's moments 1..order share one zero vector, and a resumed one
-	// is read straight from the checkpoint.
+	// state's moments 1..order share one zero vector, and a seeded one
+	// is read straight from the checkpoint or the ladder snapshot.
 	ps := sweep.PlaneStride()
 	reference := workers == 0
-	var vecWords int
-	switch {
-	case reference:
+	// A seeded fused run carves no state vectors, but the arena keeps a
+	// fresh run's size, so a pooled workspace serving both never regrows.
+	vecWords := 2 * n
+	if reference {
 		vecWords = 2 * (order + 1) * n
-	case cfg.Resume == nil:
-		vecWords = 2 * n
 	}
 	accWords := activePlans * (order*ps + n)
 	vmWords := 0
@@ -269,7 +287,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			clear(cur[j])
 			next[j] = carve(n) // fully overwritten by the first iteration
 		}
-	case cfg.Resume == nil:
+	case !seeded:
 		cur[0] = carve(n) // set to 1 below
 		zeros := carve(n)
 		clear(zeros)
@@ -296,12 +314,15 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweep.SetScratch(carve(sweep.ScratchWords()))
 
 	// First iteration of the sweep: 1 for a fresh solve, Completed+1 when
-	// resuming a checkpoint. A resume restores the captured state and
-	// accumulators verbatim (the k = 0 contributions are already inside
-	// them), so the remaining iterations perform the exact floating-point
-	// work of the uninterrupted run.
+	// resuming a checkpoint, k+1 when starting from a ladder snapshot at
+	// k. A resume restores the captured state and accumulators verbatim
+	// (the k = 0 contributions are already inside them), and a snapshot
+	// lies below every plan's first accumulating iteration, so the
+	// remaining iterations perform the exact floating-point work of the
+	// uninterrupted fresh run.
 	first := 1
-	if cp := cfg.Resume; cp != nil {
+	switch cp := cfg.Resume; {
+	case cp != nil:
 		if err := cp.matches(order, n, gMax, q, d, shift, cfg.Epsilon, times); err != nil {
 			return nil, err
 		}
@@ -327,7 +348,16 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			}
 		}
 		first = cp.Completed + 1
-	} else {
+	case use.from.state != nil:
+		for j := 0; j <= order; j++ {
+			if reference {
+				copy(cur[j], use.from.state[j])
+			} else {
+				cur[j] = use.from.state[j]
+			}
+		}
+		first = use.from.k + 1
+	default:
 		for i := 0; i < n; i++ {
 			cur[0][i] = 1
 		}
@@ -377,6 +407,22 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			captured = cp
 		})
 	}
+	var kept *bool // set only when capturing, so other solves allocate nothing
+	if use.capture {
+		// Capture U(start) into one fresh allocation at the forced group
+		// boundary after iteration start; the ladder publishes it only
+		// once it is fully written.
+		kept = new(bool)
+		sweep.SetBarrierHook(use.start, func(k int, export func([][]float64)) {
+			buf := make([]float64, (order+1)*n)
+			state := make([][]float64, order+1)
+			for j := range state {
+				state[j] = buf[j*n : (j+1)*n : (j+1)*n]
+			}
+			export(state)
+			*kept = lad.add(k, state, n)
+		})
+	}
 	sweepStart := time.Now()
 	var matVecs int64
 	if reference {
@@ -393,13 +439,22 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		}
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if ran := gMax - first + 1; first > 1 && ran > 0 {
-		// Stats report whole-sweep work: credit the iterations the
-		// interrupted run already performed (the per-iteration product
-		// count divides the resumed total exactly).
+	startIter := first - 1
+	if ran := gMax - first + 1; cfg.Resume != nil && ran > 0 {
+		// A resumed solve reports the whole sweep's work: credit the
+		// iterations the interrupted run already performed (the
+		// per-iteration product count divides the resumed total exactly).
 		matVecs = matVecs / int64(ran) * int64(gMax)
+		startIter = 0
 	}
 	sweepNS := time.Since(sweepStart).Nanoseconds()
+	ladderOutcome := ""
+	if use.consulted {
+		ladderOutcome = "miss"
+		if use.from.state != nil {
+			ladderOutcome = "hit"
+		}
+	}
 
 	// Scale, unshift, aggregate per time point.
 	results := make([]*Result, len(times))
@@ -443,6 +498,9 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			G: plan.g, ErrorBound: plan.bound,
 			MatVecs:           matVecs,
 			SweepNS:           sweepNS,
+			StartIteration:    startIter,
+			Ladder:            ladderOutcome,
+			LadderCaptured:    kept != nil && *kept,
 			FlopsPerIteration: (int64(u.qPrime.NNZ()) + int64(2*n)) * int64(order+1),
 			MatrixFormat:      string(sweep.Format()),
 			TemporalBlock:     sweep.TemporalBlock(),

@@ -26,6 +26,10 @@ type Prepared struct {
 	mu  sync.Mutex
 	imp []*sparse.CSR // impulse matrices for orders 1..len(imp), grown on demand
 
+	// lad holds the snapshots of the sweep state warm solves start from
+	// (see ladder).
+	lad ladder
+
 	// ws pools the per-solve scratch arenas (sweep state vectors,
 	// accumulators, packed kernel state — tens of MB at the paper's
 	// sizes — and the Poisson tables), so repeated server solves against
@@ -162,7 +166,7 @@ func (p *Prepared) AccumulatedRewardAtContext(ctx context.Context, times []float
 	}
 	ws := p.getWorkspace()
 	defer p.putWorkspace(ws)
-	return p.m.solveAt(ctx, times, order, cfg, p.u, imp, ws)
+	return p.m.solveAt(ctx, times, order, cfg, p.u, imp, ws, &p.lad)
 }
 
 // AccumulatedReward is Model.AccumulatedReward against the prepared

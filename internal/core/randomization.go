@@ -160,15 +160,34 @@ type Stats struct {
 	Shift float64
 	// G is the truncation point of the Poisson sum.
 	G int
-	// ErrorBound is the value of the provable truncation bound at G. It can
-	// underflow to zero when the bound is far below Epsilon.
+	// ErrorBound is the value of the provable truncation bound: the
+	// eq. 11 term at G plus the head term of the left truncation point
+	// (see DESIGN.md), together below Epsilon. It can underflow to zero
+	// when the bound is far below Epsilon.
 	ErrorBound float64
 	// MatVecs counts the sparse matrix-vector products performed by the
-	// solve's randomization sweep. A multi-time solve shares one sweep
-	// across every time point, so this is the whole-sweep total copied
-	// into each Result of the batch: summing it over a time grid's
-	// Results overcounts the work by the grid length.
+	// solve's randomization sweep: iterations StartIteration+1..G of the
+	// shared sweep (the whole sweep for a solve resumed from
+	// Options.Resume, crediting the interrupted run). A multi-time solve
+	// shares one sweep across every time point, so this is the
+	// whole-sweep total copied into each Result of the batch: summing it
+	// over a time grid's Results overcounts the work by the grid length.
 	MatVecs int64
+	// StartIteration is the iteration whose state the sweep started
+	// from: 0 for a fresh sweep (and a resumed one), k when a warm
+	// Prepared resumed from its ladder's snapshot of U(k), skipping
+	// iterations 1..k, which accumulate nothing once the Poisson head
+	// below the left truncation point is dropped.
+	StartIteration int
+	// Ladder reports how the solve used its Prepared's state ladder:
+	// "hit" when it started from a snapshot, "miss" when it could have
+	// skipped at least 48 iterations but no snapshot lay low enough, and
+	// "" when the ladder was not consulted (a model's first solve, a
+	// solve with less to skip, a resume, an unprepared model).
+	Ladder string
+	// LadderCaptured reports whether the solve added a snapshot to its
+	// Prepared's ladder.
+	LadderCaptured bool
 	// SweepNS is the wall-clock time of the randomization sweep in
 	// nanoseconds — the k = 1..G recursion only, excluding model setup,
 	// the truncation-point search and the final scaling/unshift. Like
@@ -273,10 +292,9 @@ type uniformization struct {
 	q, d, shift float64
 	qPrime      *sparse.CSR
 	rPrime      []float64
-	sPrime      []float64
-	// sHalf[i] = 0.5 * sPrime[i], the coefficient the recursion actually
+	// sHalf[i] = 0.5 * S'[i], the coefficient the recursion actually
 	// applies to cur[j-2]; precomputed so the sweep kernels need one load
-	// per entry instead of a multiply.
+	// per entry instead of a multiply. S' itself is not kept.
 	sHalf []float64
 }
 
@@ -315,12 +333,10 @@ func (m *Model) uniformize(q float64) (*uniformization, error) {
 	}
 	u.qPrime = qPrime
 	u.rPrime = make([]float64, n)
-	u.sPrime = make([]float64, n)
 	u.sHalf = make([]float64, n)
 	for i := 0; i < n; i++ {
 		u.rPrime[i] = shifted[i] / (q * d)
-		u.sPrime[i] = m.vars[i] / (q * d * d)
-		u.sHalf[i] = 0.5 * u.sPrime[i]
+		u.sHalf[i] = 0.5 * (m.vars[i] / (q * d * d))
 	}
 	return u, nil
 }
@@ -391,17 +407,7 @@ func truncationPoint(tab *poisson.Table, order int, d, qt, eps float64, impulses
 	logEps := math.Log(eps)
 	// The order-dependent factors do not depend on g: evaluate them once.
 	var buf [16]float64
-	logFactor := buf[:0]
-	for j := 0; j <= order; j++ {
-		var f float64
-		if impulses {
-			f = float64(j) * (math.Log(4*d) + math.Log(qt))
-		} else {
-			lg, _ := math.Lgamma(float64(j) + 1)
-			f = math.Ln2 + float64(j)*math.Log(d) + lg + float64(j)*math.Log(qt)
-		}
-		logFactor = append(logFactor, f)
-	}
+	logFactor := boundFactors(buf[:0], order, d, qt, impulses)
 	minG := 0
 	if impulses {
 		minG = 2 * order
@@ -451,6 +457,149 @@ func truncationPoint(tab *poisson.Table, order int, d, qt, eps float64, impulses
 		probe(miss + (pass-miss)/2)
 	}
 	return pass, math.Exp(passLog), nil
+}
+
+// boundFactors appends to buf the order-dependent log factors f_j of the
+// eq. 11 bound, j = 0..order: ln(2 d^j j! (qt)^j), or j·ln(4 d qt) with
+// impulses. Both truncation searches weight a Poisson tail by them.
+func boundFactors(buf []float64, order int, d, qt float64, impulses bool) []float64 {
+	for j := 0; j <= order; j++ {
+		var f float64
+		if impulses {
+			f = float64(j) * (math.Log(4*d) + math.Log(qt))
+		} else {
+			lg, _ := math.Lgamma(float64(j) + 1)
+			f = math.Ln2 + float64(j)*math.Log(d) + lg + float64(j)*math.Log(qt)
+		}
+		buf = append(buf, f)
+	}
+	return buf
+}
+
+// leftPoint finds the left truncation point L of a solve whose right
+// truncation point g has bound right: the largest L such that dropping
+// the Poisson head k < L costs every moment order j at most
+//
+//	f_j + ln P(X < L−j) < ln(budget),  budget = min(eps·2⁻²⁰, eps − right),
+//
+// with the factors f_j of eq. 11 (see boundFactors and DESIGN.md, which
+// derives the head term from the same coefficient bound on U^(j)(k)), so
+// right + left stays below eps. It returns L and the largest head term
+// at L, the left part of the solve's error bound; (0, 0) when no head
+// can be dropped. The derivation holds while L − order ≥ 2 (without
+// impulses) or ≥ max(2, 2·order·(order−1)) (with them) and L ≤ qt, so
+// only such L are candidates.
+//
+// The terms only grow with L, so the search mirrors truncationPoint's:
+// it brackets the largest passing L from leftGuess's estimate, widening
+// in doubling steps, and bisects; a probe stops at the first order whose
+// term reaches the budget, trying first the order that decided the last
+// miss. Every probe reads tab's stored head sums (LogHeadProb), so the
+// search allocates nothing, and L depends only on (qt, order, d, eps,
+// right) — never on the probe sequence.
+func leftPoint(tab *poisson.Table, order int, d, qt, eps, right float64, impulses bool, g int) (int, float64) {
+	budget := min(eps*0x1p-20, eps-right)
+	if !(budget > 0) {
+		return 0, 0
+	}
+	minL := order + 2
+	if impulses {
+		minL = order + max(2, 2*order*(order-1))
+	}
+	maxL := min(g, int(qt))
+	if maxL < minL {
+		return 0, 0
+	}
+	logBudget := math.Log(budget)
+	var buf [16]float64
+	logFactor := boundFactors(buf[:0], order, d, qt, impulses)
+	l, dom := leftGuess(logFactor, logBudget, qt)
+	// pass < miss bracket the answer: pass is the largest L known to meet
+	// the budget (minL-1 while none is), miss the smallest known to miss
+	// it (maxL+1 while none is), passLog the log of the worst term at pass.
+	pass, miss := minL-1, maxL+1
+	passLog := math.Inf(-1)
+	probe := func(l int) {
+		bd := logFactor[dom] + tab.LogHeadProb(l-dom)
+		if bd >= logBudget {
+			miss = l
+			return
+		}
+		worst := bd
+		for j, f := range logFactor {
+			if j == dom {
+				continue
+			}
+			b := f + tab.LogHeadProb(l-j)
+			if b >= logBudget {
+				miss, dom = l, j
+				return
+			}
+			worst = max(worst, b)
+		}
+		pass, passLog = l, worst
+	}
+	// The head can often not be dropped at all (small qt): settle that
+	// with one probe at minL, then bracket from the guess as if minL
+	// were unknown, since the guess lies far closer to the answer.
+	if probe(minL); pass < minL {
+		return 0, 0
+	}
+	pass = minL - 1
+	probe(min(max(l, minL), maxL))
+	for step := 1; ; step *= 2 {
+		if miss > maxL && pass < maxL {
+			probe(min(pass+step, maxL))
+		} else if pass < minL && miss > minL {
+			probe(max(miss-step, minL))
+		} else {
+			break
+		}
+	}
+	for miss-pass > 1 {
+		probe(pass + (miss-pass)/2)
+	}
+	if pass < minL {
+		return 0, 0
+	}
+	return pass, math.Exp(passLog)
+}
+
+// leftGuess estimates the left truncation point for leftPoint's factors
+// and log budget, with the order expected to decide it; the mirror of
+// truncationGuess. Term j at L is f_j + ln P(X < L−j), and below the mean
+// ln P(X < m) falls by about ln(qt/m) per unit step down, so the order
+// with the largest f_j + j·ln(m/qt) decides. For that order the guess
+// solves ln P(X <= k) = ln(budget) − f_j for k = L−j−1 with Stirling's
+// pmf and the geometric head sum,
+//
+//	-ln P(X <= k) ≈ qt - k + k·ln(k/qt) + ½·ln(2πk) + ln(1 - k/qt),
+//
+// by three Newton steps from the Chernoff bound on the lower quantile.
+// Like truncationGuess it is only the search's starting point.
+func leftGuess(logFactor []float64, logBudget, qt float64) (l, dom int) {
+	tau := max(logFactor[len(logFactor)-1]-logBudget, 0)
+	k := max(qt-math.Sqrt(2*qt*tau), 1)
+	slope := math.Log(k / qt)
+	for j, f := range logFactor {
+		if f+float64(j)*slope > logFactor[dom]+float64(dom)*slope {
+			dom = j
+		}
+	}
+	tau = logFactor[dom] - logBudget
+	k = max(qt-math.Sqrt(2*qt*max(tau, 0)), 1)
+	for range 3 {
+		r := math.Log(k / qt)
+		head := math.Log1p(-k / qt)
+		if k < 1 || r >= 0 || math.IsInf(head, 0) || math.IsNaN(head) {
+			break
+		}
+		k = min(k-(qt-k+k*r+0.5*math.Log(2*math.Pi*k)+head-tau)/r, qt-1)
+	}
+	if !(k >= 0) {
+		return 0, dom
+	}
+	return int(k) + 1 + dom, dom
 }
 
 // truncationGuess estimates the truncation point for truncationPoint's

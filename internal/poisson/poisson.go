@@ -244,6 +244,29 @@ func (t *Table) LogTailProb(g int) float64 {
 	return lead - math.Log1p(-ratio)
 }
 
+// LogHeadProb returns ln P(X < m), the head mass a left-truncated sum
+// drops when it starts at m. It reads the compensated head sum
+// p_0 + ... + p_{m-1} the table stores as it grows below the mean (see
+// TailProb), so a search probing many m sums each pmf value once. Where
+// that sum leaves the comfortably normal range (deep in the head, below
+// the mean) it returns the geometric upper bound
+// ln p_{m-1} - ln(1 - (m-1)/lambda) instead — the head terms fall by at
+// least (m-1)/lambda per step down — so a bound built on it stays
+// conservative.
+func (t *Table) LogHeadProb(m int) float64 {
+	if m <= 0 {
+		return math.Inf(-1)
+	}
+	if t.lambda == 0 {
+		return 0
+	}
+	k := m - 1
+	if s := t.headSum(k); s >= 0x1p-1000 {
+		return math.Log(s)
+	}
+	return LogPMF(k, t.lambda) - math.Log1p(-float64(k)/t.lambda)
+}
+
 // Window returns the tabulated PMF(0..g) and its non-zero window, as
 // PMFWindow does; the slice aliases the table's storage, which a later
 // Reset never reuses (ResetInto reuses only what its caller lends). A g

@@ -294,3 +294,53 @@ func TestTableMatchesDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestLogHeadProb pins Table.LogHeadProb, ln P(X < m): the same bits on
+// a tabulating and an untabulated table, within 1e-12 of the log of the
+// directly summed head where that sum is normal, an upper bound on it
+// (the geometric bound) where the head underflows, non-decreasing in m,
+// and exact at the edges (m <= 0, lambda = 0, m at or above the mean).
+func TestLogHeadProb(t *testing.T) {
+	for _, lambda := range []float64{0.5, 38.4, 400, 4000, 40000} {
+		var tab Table
+		tab.Reset(lambda, int(lambda)+10)
+		direct := Table{lambda: lambda}
+		prev, want, k := math.Inf(-1), math.Inf(-1), 0
+		step := max(1, int(lambda)/200)
+		for m := 0; m <= int(lambda)+5; m += step {
+			got := tab.LogHeadProb(m)
+			if d := direct.LogHeadProb(m); math.Float64bits(got) != math.Float64bits(d) {
+				t.Fatalf("lambda=%g m=%d: tabulated %v, untabulated %v", lambda, m, got, d)
+			}
+			if got < prev {
+				t.Fatalf("lambda=%g m=%d: %v below %v at a smaller m", lambda, m, got, prev)
+			}
+			prev = got
+			// The head p_0 + ... + p_{m-1} by log-sum-exp.
+			for ; k < m; k++ {
+				l := LogPMF(k, lambda)
+				hi, lo := max(want, l), min(want, l)
+				if !math.IsInf(hi, -1) {
+					want = hi + math.Log1p(math.Exp(lo-hi))
+				}
+			}
+			switch {
+			case m <= 0:
+				if !math.IsInf(got, -1) {
+					t.Fatalf("lambda=%g m=%d: %v, want -Inf", lambda, m, got)
+				}
+			case want > -690:
+				if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+					t.Fatalf("lambda=%g m=%d: %v, want %v", lambda, m, got, want)
+				}
+			case got < want-1e-9*math.Abs(want):
+				t.Fatalf("lambda=%g m=%d: underflowed head %v below the true %v", lambda, m, got, want)
+			}
+		}
+	}
+	var zero Table
+	zero.Reset(0, 4)
+	if got := zero.LogHeadProb(3); got != 0 {
+		t.Fatalf("lambda=0: ln P(X < 3) = %v, want 0", got)
+	}
+}

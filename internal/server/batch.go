@@ -332,6 +332,7 @@ func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *Ba
 			s.metrics.SweepFormats.Observe(results[0].Stats.MatrixFormat)
 			s.metrics.ObserveSweepBlocking(results[0].Stats.TemporalBlock)
 			s.metrics.SweepKernels.Observe(results[0].Stats.SweepKernel)
+			s.metrics.ObserveLadder(results[0].Stats.Ladder, results[0].Stats.LadderCaptured)
 		}
 	case MethodODE, MethodSimulation:
 		for _, t := range item.Times {

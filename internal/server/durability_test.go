@@ -202,6 +202,50 @@ func TestResumeTokenErrors(t *testing.T) {
 	}
 }
 
+// TestResumeTokenV1Gone: a held checkpoint in the SOMRMCK1 layout,
+// recorded before the plan windows gained the left truncation point,
+// is refused on the resume path with the 410 of any unusable held
+// token, and dropped, so the client's retry without it solves afresh.
+func TestResumeTokenV1Gone(t *testing.T) {
+	blob, err := os.ReadFile("../core/testdata/checkpoint_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, Checkpoints: true})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The fixture was interrupted solving this request.
+	req := &SolveRequest{Model: testSpec(0), T: 10, Order: 3}
+	if err := req.normalize(12); err != nil {
+		t.Fatal(err)
+	}
+	key, err := req.cacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := s.checkpoints.Put(key, req.specHash, blob, 19, 84)
+	post := func(token string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+			bytes.NewReader(solveBody(t, &SolveRequest{Model: testSpec(0), T: 10, Order: 3, ResumeToken: token})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := readAll(resp)
+		return resp.StatusCode, string(raw)
+	}
+	if code, body := post(token); code != http.StatusGone {
+		t.Fatalf("SOMRMCK1 token: status %d, want 410: %s", code, body)
+	}
+	if _, ok := s.checkpoints.Get(token); ok {
+		t.Fatal("SOMRMCK1 checkpoint still held after the refused resume")
+	}
+	if code, body := post(""); code != http.StatusOK {
+		t.Fatalf("retry without the token: status %d: %s", code, body)
+	}
+}
+
 // TestCheckpointStore pins the store's bookkeeping: stable tokens per
 // request key, monotone progress on refresh, TTL expiry, cap eviction, and
 // newest-first bounded export.

@@ -113,6 +113,12 @@ type Metrics struct {
 	// run "avx2" at every order, while impulse models and compact-CSR
 	// models at orders other than 3 always run "scalar").
 	SweepKernels labeledCounter
+	// SweepLadder counts how solves used their prepared model's state
+	// ladder (core.Stats.Ladder and LadderCaptured, labels
+	// sweepLadderLabels): "hit" when a warm solve started from a
+	// snapshot, "miss" when it could have skipped iterations but found
+	// none low enough, "capture" when it added a snapshot.
+	SweepLadder labeledCounter
 
 	// solveLatency tracks end-to-end solve time (queue wait included);
 	// sweepLatency tracks only the randomization sweep inside the solver
@@ -236,6 +242,7 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 var (
 	sweepFormatLabels = []string{"band", "csr32", "csr64"}
 	sweepKernelLabels = []string{"avx2", "scalar"}
+	sweepLadderLabels = []string{"hit", "miss", "capture"}
 )
 
 // labeledCounter counts events by label. The zero value is ready to use.
@@ -263,6 +270,17 @@ func (c *labeledCounter) snapshot(labels []string) map[string]int64 {
 	}
 	c.mu.Unlock()
 	return out
+}
+
+// ObserveLadder records one solver execution's use of its prepared
+// model's state ladder (see SweepLadder).
+func (m *Metrics) ObserveLadder(outcome string, captured bool) {
+	if outcome != "" {
+		m.SweepLadder.Observe(outcome)
+	}
+	if captured {
+		m.SweepLadder.Observe("capture")
+	}
 }
 
 // ObserveSweepBlocking records whether one solver execution ran its sweep
@@ -348,6 +366,9 @@ type MetricsSnapshot struct {
 	// SweepKernels counts solver executions by the compute kernel the
 	// sweep dispatched, keyed by the core.Stats label ("avx2", "scalar").
 	SweepKernels map[string]int64 `json:"sweep_kernels"`
+	// SweepLadder counts state-ladder hits, misses and captures of warm
+	// prepared-model solves.
+	SweepLadder map[string]int64 `json:"sweep_ladder"`
 
 	QueueDepth      int     `json:"queue_depth"`
 	Workers         int     `json:"workers"`
@@ -395,6 +416,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SweepFormats:   m.SweepFormats.snapshot(sweepFormatLabels),
 		SweepBlocked:   m.SweepBlocked.Load(),
 		SweepKernels:   m.SweepKernels.snapshot(sweepKernelLabels),
+		SweepLadder:    m.SweepLadder.snapshot(sweepLadderLabels),
 	}
 	snap.SolveLatency = m.solveLatency.snapshot()
 	snap.SweepLatency = m.sweepLatency.snapshot()

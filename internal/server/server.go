@@ -445,6 +445,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.metrics.SweepFormats.Observe(solved.Stats.MatrixFormat)
 			s.metrics.ObserveSweepBlocking(solved.Stats.TemporalBlock)
 			s.metrics.SweepKernels.Observe(solved.Stats.SweepKernel)
+			s.metrics.ObserveLadder(solved.Stats.ladder, solved.Stats.ladderCaptured)
 		}
 		return solved, nil
 	})

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -689,5 +690,36 @@ func TestLargeModelSolve(t *testing.T) {
 	}
 	if fmt.Sprintf("%d", out.Stats.G) == "0" {
 		t.Error("stats missing")
+	}
+}
+
+// TestSolveLadderStats: warm solves at distinct times on one cached
+// prepared model start from its state ladder. The solve stats report the
+// start iteration (omitted while it is 0) and /metrics counts the ladder's
+// misses, captures and hits.
+func TestSolveLadderStats(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	// q = 3, so q·t = 180..213: left truncation points near 90.
+	var starts []int
+	for _, tt := range []float64{60, 70, 71} {
+		resp, out, raw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: testSpec(0), T: tt, Order: 3}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("t=%g: status %d: %s", tt, resp.StatusCode, raw)
+		}
+		if out.Stats.StartIteration == 0 && strings.Contains(raw, "start_iteration") {
+			t.Errorf("t=%g: start_iteration 0 on the wire: %s", tt, raw)
+		}
+		starts = append(starts, out.Stats.StartIteration)
+	}
+	if starts[0] != 0 || starts[1] != 0 || starts[2] == 0 {
+		t.Fatalf("start iterations %v, want 0 (cold), 0 (miss, capture), > 0 (hit)", starts)
+	}
+	snap := s.metrics.Snapshot()
+	if want := map[string]int64{"hit": 1, "miss": 1, "capture": 1}; !reflect.DeepEqual(snap.SweepLadder, want) {
+		t.Fatalf("sweep_ladder = %v, want %v", snap.SweepLadder, want)
 	}
 }

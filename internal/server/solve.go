@@ -107,10 +107,13 @@ func newSolverStats(st core.Stats) *SolverStats {
 		Q: st.Q, QT: st.QT, D: st.D, Shift: st.Shift,
 		G: st.G, ErrorBound: st.ErrorBound,
 		MatVecs: st.MatVecs, SweepNS: st.SweepNS,
+		StartIteration:    st.StartIteration,
 		FlopsPerIteration: st.FlopsPerIteration,
 		MatrixFormat:      st.MatrixFormat,
 		TemporalBlock:     st.TemporalBlock,
 		SweepKernel:       st.SweepKernel,
+		ladder:            st.Ladder,
+		ladderCaptured:    st.LadderCaptured,
 	}
 }
 
@@ -118,15 +121,19 @@ func newSolverStats(st core.Stats) *SolverStats {
 // MatVecs and SweepNS are whole-sweep figures: for batch items solved in
 // one shared sweep, every point of the grid reports the same totals.
 type SolverStats struct {
-	Q                 float64 `json:"q"`
-	QT                float64 `json:"qt"`
-	D                 float64 `json:"d"`
-	Shift             float64 `json:"shift"`
-	G                 int     `json:"g"`
-	ErrorBound        float64 `json:"error_bound"`
-	MatVecs           int64   `json:"matvecs"`
-	SweepNS           int64   `json:"sweep_ns"`
-	FlopsPerIteration int64   `json:"flops_per_iteration"`
+	Q          float64 `json:"q"`
+	QT         float64 `json:"qt"`
+	D          float64 `json:"d"`
+	Shift      float64 `json:"shift"`
+	G          int     `json:"g"`
+	ErrorBound float64 `json:"error_bound"`
+	MatVecs    int64   `json:"matvecs"`
+	SweepNS    int64   `json:"sweep_ns"`
+	// StartIteration is the iteration the sweep started from: 0 for a
+	// fresh sweep, k when a warm prepared model resumed from its state
+	// ladder's snapshot at k (MatVecs then counts iterations k+1..G).
+	StartIteration    int   `json:"start_iteration,omitempty"`
+	FlopsPerIteration int64 `json:"flops_per_iteration"`
 	// MatrixFormat is the storage representation the randomization sweep
 	// streamed ("band" or "csr32"; "csr64" when the serial
 	// reference oracle ran it); empty for solves that never ran a sweep.
@@ -139,6 +146,11 @@ type SolverStats struct {
 	// SweepKernel is the compute kernel the sweep dispatched ("avx2" or
 	// "scalar"); empty for solves that never ran a sweep.
 	SweepKernel string `json:"sweep_kernel,omitempty"`
+
+	// ladder and ladderCaptured carry core.Stats.Ladder and
+	// LadderCaptured to the /metrics counters; not on the wire.
+	ladder         string
+	ladderCaptured bool
 }
 
 // BoundPoint is one moment-based CDF bound evaluation.

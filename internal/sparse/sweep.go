@@ -54,12 +54,19 @@ type SweepPlan struct {
 	Weight []float64
 	// Acc[j][i] accumulates Σ_k Weight[k]·U^(j)(k)[i] for j = 0..order.
 	Acc [][]float64
+
+	// accStride is Acc's uniform plane stride (see planeStride), resolved
+	// once per fused run.
+	accStride int
 }
 
-// accPair is one resolved accumulation target for the current iteration.
+// accPair is one resolved accumulation target for the current iteration:
+// weight w, accumulators acc, and their uniform plane stride in words
+// (-1 when the planes do not lie at one stride).
 type accPair struct {
-	w   float64
-	acc [][]float64
+	w      float64
+	acc    [][]float64
+	stride int
 }
 
 // Sweep is a prepared randomization sweep over a fixed matrix family:
@@ -111,6 +118,10 @@ type Sweep struct {
 	// error (see SetInterruptHook). It is the seam checkpointable solves
 	// hang their snapshot capture on.
 	onInterrupt InterruptHook
+	// onBarrier, when set, is invoked once at the barrier after iteration
+	// barrierAt (see SetBarrierHook).
+	onBarrier InterruptHook
+	barrierAt int
 
 	// layout is the packed moment-state layout of a fused run (see
 	// stateLayout); pcur/pnext are its two buffers while Run executes.
@@ -543,6 +554,16 @@ type InterruptHook func(completed int, export func(dst [][]float64))
 // it may read any sweep state without synchronization.
 func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 
+// SetBarrierHook asks Run and RunReference to invoke h at the barrier
+// after iteration k, with the same arguments and guarantees as an
+// InterruptHook: the fused schedule ends a group there (a forced group
+// boundary; every group depth is bitwise neutral), so h can export
+// U^(j)(k) and the run continues. It fires only when the run starts
+// below k and ends above it; nil disables. A blocked run also polls for
+// cancellation at that boundary, as at every group boundary. Solvers
+// hang their state snapshots on it.
+func (s *Sweep) SetBarrierHook(k int, h InterruptHook) { s.barrierAt, s.onBarrier = k, h }
+
 // seedState copies the moment-state vectors cur into pcur, the packed
 // layout of the run. Row-lane planes (every band sweep) hold row i at cell
 // 1+i of plane j = pcur[j*st : (j+1)*st], st = bandPlaneStride(rows), with
@@ -660,7 +681,7 @@ func gatherActive(plans []SweepPlan, k int, buf []accPair) []accPair {
 			continue
 		}
 		if w := p.Weight[k]; w != 0 {
-			buf = append(buf, accPair{w: w, acc: p.Acc})
+			buf = append(buf, accPair{w: w, acc: p.Acc, stride: p.accStride})
 		}
 	}
 	return buf
@@ -699,6 +720,11 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur [][]float64, p
 	}
 	if cancelStride <= 0 {
 		cancelStride = 1
+	}
+	for pi := range plans {
+		if p := &plans[pi]; p.Last >= p.First {
+			p.accStride = planeStride(p.Acc)
+		}
 	}
 	s.kernel = s.resolveKernel()
 	words := s.ScratchWords()
@@ -821,6 +847,9 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 	// cancelStride; poll is the next such boundary.
 	poll := (first+cancelStride-1)/cancelStride*cancelStride - 1
 	for k0 := first - 1; k0 < gMax; {
+		if k0 == s.barrierAt && k0 >= first && s.onBarrier != nil {
+			s.onBarrier(k0, s.exportState)
+		}
 		if T > 1 || k0 == poll {
 			poll += cancelStride
 			if err := ctx.Err(); err != nil {
@@ -830,6 +859,9 @@ func (s *Sweep) runBlocked(ctx context.Context, first, gMax int, plans []SweepPl
 			}
 		}
 		Tg := min(T, gMax-k0) // ragged final group when T does not divide the span
+		if k0 < s.barrierAt && s.onBarrier != nil {
+			Tg = min(Tg, s.barrierAt-k0)
+		}
 		if tasks == nil {
 			active = s.runTrapezoid(plans, active, k0, Tg, 0, s.rows, W, skew)
 		} else {
@@ -1164,8 +1196,8 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 	var fused *float64
 	var w float64
 	if len(active) == 1 {
-		if a, as := planeStride(active[0].acc, lo); a != nil && (as == st || order == 0) {
-			fused, w = a, active[0].w
+		if ap := &active[0]; ap.stride == st || order == 0 {
+			fused, w = &ap.acc[0][lo], ap.w
 		}
 	}
 	if fused != nil || len(active) == 0 {
@@ -1178,8 +1210,8 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 			t1 := min(t0+tile, hi)
 			bandLanesAVX2(t1-t0, &bval[t0], &cur[1+t0], &next[1+t0], st, order, &d1[t0], &d2[t0], nil, 0)
 			for _, ap := range active {
-				if a, as := planeStride(ap.acc, t0); a != nil {
-					planeAccAVX2(t1-t0, &next[1+t0], st, order+1, a, as, ap.w)
+				if ap.stride >= 0 {
+					planeAccAVX2(t1-t0, &next[1+t0], st, order+1, &ap.acc[0][t0], ap.stride, ap.w)
 					continue
 				}
 				for j, a := range ap.acc {
@@ -1190,11 +1222,13 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 	}
 }
 
-// planeStride returns &acc[0][lo] and the distance in words between
-// consecutive accumulator planes when all of them lie at one uniform
-// stride, so a vector body can walk them from a single pointer, or nil
-// when they do not.
-func planeStride(acc [][]float64, lo int) (*float64, int) {
+// planeStride returns the distance in words between consecutive
+// accumulator planes when all of them lie at one uniform stride, so a
+// vector body can walk them from a single pointer, or -1 when they do
+// not (descending planes included). A run resolves it once per plan
+// (see RunFrom): the solver fixes the accumulator layout for the whole
+// run.
+func planeStride(acc [][]float64) int {
 	base := uintptr(unsafe.Pointer(&acc[0][0]))
 	var st uintptr
 	for j := 1; j < len(acc); j++ {
@@ -1202,10 +1236,13 @@ func planeStride(acc [][]float64, lo int) (*float64, int) {
 		if j == 1 {
 			st = d
 		} else if d != uintptr(j)*st {
-			return nil, 0
+			return -1
 		}
 	}
-	return &acc[0][lo], int(st) / 8
+	if int(st) < 0 {
+		return -1
+	}
+	return int(st) / 8
 }
 
 // bandRows is the scalar body of fuseBlockBand for rows [lo, hi) — the
@@ -1313,6 +1350,13 @@ func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next
 	s.kernel = KernelScalar // the reference loops never dispatch assembly
 	n := s.rows
 	for k := first; k <= gMax; k++ {
+		if k-1 == s.barrierAt && k > first && s.onBarrier != nil {
+			s.onBarrier(k-1, func(dst [][]float64) {
+				for j := range dst {
+					copy(dst[j], cur[j])
+				}
+			})
+		}
 		if k%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				if s.onInterrupt != nil {

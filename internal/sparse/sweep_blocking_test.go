@@ -600,7 +600,7 @@ func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []floa
 				var active []accPair
 				for _, scattered := range mix {
 					acc, b := accSet(scattered, lo, hi, init)
-					active = append(active, accPair{w: init.Float64(), acc: acc})
+					active = append(active, accPair{w: init.Float64(), acc: acc, stride: planeStride(acc)})
 					backing = append(backing, b...)
 				}
 				s.fuseBlockBand(lo, hi, cur, next, active)

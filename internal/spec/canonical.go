@@ -10,11 +10,12 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // hashChunk is the size of the fixed buffer Hash streams the canonical
-// form through. It bounds Hash's allocation independently of the model
-// size; small models never fill it.
+// form through, independently of the model size; small models never fill
+// it.
 const hashChunk = 4 << 10
 
 // hashTag opens the canonical form and versions it: every result-cache
@@ -27,11 +28,19 @@ const hashTag = "somrm/spec/v2\n"
 // which encoding/json writes as null and an empty one as [].
 const nullList = ^uint64(0)
 
-// hasher streams the canonical form into a digest through buf.
+// hasher streams the canonical form into a digest through buf; sum
+// receives the digest, so it never escapes through the hash.Hash call.
 type hasher struct {
 	buf []byte
 	h   hash.Hash
+	sum [sha256.Size]byte
 }
+
+// hashers pools the chunk and SHA-256 state of Hash, so a request hashing
+// several specs (a compose list) allocates neither per call.
+var hashers = sync.Pool{New: func() any {
+	return &hasher{buf: make([]byte, 0, hashChunk), h: sha256.New()}
+}}
 
 // reserve makes room for n more bytes, flushing a full buffer.
 func (w *hasher) reserve(n int) {
@@ -145,25 +154,27 @@ func impulseParts(im Impulse) (int, int, float64)      { return im.From, im.To, 
 // transition or impulse list are equal, a nil and an empty rates,
 // variances or initial list differ. A NaN or ±Inf value is an error,
 // the first one in canonical order reported. The form streams into the
-// digest through a small fixed buffer and is never materialized whole.
+// digest through a small fixed buffer and is never materialized whole;
+// the buffer and the digest state are pooled across calls.
 func (m *Model) Hash() ([32]byte, error) {
-	w := hasher{buf: make([]byte, 0, hashChunk), h: sha256.New()}
-	w.buf = append(w.buf, hashTag...)
+	w := hashers.Get().(*hasher)
+	defer hashers.Put(w)
+	w.h.Reset()
+	w.buf = append(w.buf[:0], hashTag...)
 	w.word(uint64(m.States))
-	err := edges(&w, m.Transitions, transitionParts)
+	err := edges(w, m.Transitions, transitionParts)
 	for _, fs := range [][]float64{m.Rates, m.Variances, m.Initial} {
 		if err == nil {
 			err = w.floats(fs)
 		}
 	}
 	if err == nil {
-		err = edges(&w, m.Impulses, impulseParts)
+		err = edges(w, m.Impulses, impulseParts)
 	}
 	if err != nil {
 		return [32]byte{}, fmt.Errorf("spec: canonical: %w", err)
 	}
 	w.h.Write(w.buf)
-	var out [32]byte
-	w.h.Sum(out[:0])
-	return out, nil
+	w.h.Sum(w.sum[:0])
+	return w.sum, nil
 }
