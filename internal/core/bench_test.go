@@ -476,8 +476,8 @@ func BenchmarkSweep(b *testing.B) {
 
 	// N2001/impulse is the impulse-reward shape: the 2,001-state chain of
 	// the rows above with an impulse reward of 0.1 on every up transition,
-	// order 3 under the automatic policy — the planar fused kernel
-	// (impulse terms never block) inline on one worker.
+	// order 3 under the automatic policy — the scalar compact-CSR kernel,
+	// which impulse models always take, unblocked, inline on one worker.
 	ib := sparse.NewBuilder(2_001, 2_001)
 	for i := 0; i+1 < 2_001; i++ {
 		if err := ib.Add(i, i+1, 0.1); err != nil {
@@ -500,16 +500,18 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	})
 
-	// Non-tridiagonal shapes at ≈65k states, one worker: the storage
-	// policy's auto pick against forced compact CSR, which auto resolves
-	// to on every one of them. composed-bd4 and composed-bd2 compose a
-	// birth–death chain (16,383 and 32,767 states) with a dense 4- and
-	// 2-state factor (materialized: block-tridiagonal, level size 4 and
-	// 2); qbd-b12 is a dense-block QBD of 5,461 levels × 12 phases;
+	// Non-tridiagonal shapes at ≈65k states, one worker, on the compact
+	// CSR the automatic policy resolves every one of them to (see
+	// TestSolveBlockTridiagonalAutoCSR32). composed-bd4 and composed-bd2
+	// compose a birth–death chain (16,383 and 32,767 states) with a dense
+	// 4- and 2-state factor (materialized: block-tridiagonal, level size 4
+	// and 2); qbd-b12 is a dense-block QBD of 5,461 levels × 12 phases;
 	// penta is a pentadiagonal chain of 65,521 states. The
 	// block-tridiagonal rows keep the cost of the retired QBD storage
-	// measured (see BENCHMARKS.md "QBD retired"). t is set per shape so
-	// qt = 56, as in the rows above.
+	// measured (see BENCHMARKS.md "QBD retired"). The /csr rows solve
+	// order 3; penta also solves order 2 and order 12 (the order of every
+	// bounds request), the interleaved CSR kernel's other widths. t is
+	// set per shape so qt = 56, as in the rows above.
 	const shapeQT = 56.0
 	for _, shape := range []struct {
 		name string
@@ -529,12 +531,20 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		shapeT := shapeQT / probe.Stats.Q
-		for _, format := range []string{"auto", "csr"} {
-			b.Run(fmt.Sprintf("shape-%s/%s", shape.name, format), func(b *testing.B) {
-				opts := &Options{SweepWorkers: 1, MatrixFormat: format}
+		rows := map[string]int{"csr": order}
+		if shape.name == "penta" {
+			rows["order2"], rows["order12"] = 2, 12
+		}
+		for _, row := range []string{"csr", "order2", "order12"} {
+			rowOrder, ok := rows[row]
+			if !ok {
+				continue
+			}
+			b.Run(fmt.Sprintf("shape-%s/%s", shape.name, row), func(b *testing.B) {
+				opts := &Options{SweepWorkers: 1, MatrixFormat: "csr"}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := prep.AccumulatedReward(shapeT, order, opts); err != nil {
+					if _, err := prep.AccumulatedReward(shapeT, rowOrder, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

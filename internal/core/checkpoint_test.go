@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -279,5 +280,65 @@ func TestCheckpointResumeMismatch(t *testing.T) {
 	bad.Completed = bad.GMax
 	if _, err := m.AccumulatedRewardAt(times, 2, &Options{Resume: &bad}); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("completed=GMax: want ErrCheckpoint, got %v", err)
+	}
+}
+
+// ck2Token is one recorded SOMRMCK2 resume token: the model, time grid,
+// order and worker setting of the interrupted solve, and the context
+// poll it was cancelled at.
+type ck2Token struct {
+	file   string
+	model  func(testing.TB) *Model
+	times  []float64
+	order  int
+	opts   Options
+	polls  int
+	format string // the Format the token records
+}
+
+// ck2Tokens are the tokens under testdata/ recorded while the sweep still
+// had the planar fused layout and the csr64 reference storage: a solve on
+// the serial reference (its Format reads "csr64"), an impulse model (which
+// then ran the planar loop on the band storage) and an order-4 compact-CSR
+// solve (the planar loop on csr32).
+var ck2Tokens = []ck2Token{
+	{"checkpoint_ck2_reference.bin", func(tb testing.TB) *Model { return denseQBDModel(tb, 8, 4) },
+		[]float64{0, 0.4, 1.1}, 3, Options{SweepWorkers: -1}, 9, "csr64"},
+	{"checkpoint_ck2_impulse.bin", func(tb testing.TB) *Model { return ladderFixtures(tb)["impulse"] },
+		[]float64{0, 0.3, 1.2}, 3, Options{}, 7, "band"},
+	{"checkpoint_ck2_csr_order4.bin", func(tb testing.TB) *Model { return pentadiagonalModel(tb, 50) },
+		[]float64{0.2, 0.9}, 4, Options{SweepWorkers: 1}, 6, "csr32"},
+}
+
+// TestCheckpointCK2Compat: the recorded SOMRMCK2 tokens still decode,
+// and each resumes — on the serial reference, the automatic policy and a
+// 2-worker team — bitwise identical to the uninterrupted solve of today's
+// sweep, whatever storage and layout the capturing run used.
+func TestCheckpointCK2Compat(t *testing.T) {
+	for _, tk := range ck2Tokens {
+		blob, err := os.ReadFile("testdata/" + tk.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", tk.file, err)
+		}
+		if cp.Format != tk.format || cp.Completed != tk.polls-1 || cp.Order != tk.order {
+			t.Fatalf("%s: token records format %q, completed %d, order %d; want %q, %d, %d",
+				tk.file, cp.Format, cp.Completed, cp.Order, tk.format, tk.polls-1, tk.order)
+		}
+		m := tk.model(t)
+		full, err := m.AccumulatedRewardAt(tk.times, tk.order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{-1, 0, 2} {
+			resumed, err := m.AccumulatedRewardAt(tk.times, tk.order, &Options{SweepWorkers: workers, Resume: cp})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tk.file, workers, err)
+			}
+			sameResults(t, fmt.Sprintf("%s workers=%d", tk.file, workers), resumed, full)
+		}
 	}
 }

@@ -24,7 +24,7 @@ var ladderOrders = []int{0, 1, 2, 3, 4, 5, 12}
 
 // ladderFixtures are the 40-state tridiagonal chain of the sweep tests
 // (q = 7, negative drifts, so the shift and unshift run) and the same
-// chain with an impulse reward on every up transition, whose planar
+// chain with an impulse reward on every up transition, whose scalar
 // impulse sweeps the gate runs at orders 1 and 3 only, to stay fast
 // under the race detector.
 func ladderFixtures(tb testing.TB) map[string]*Model {
@@ -205,52 +205,58 @@ func TestLadderBitwise(t *testing.T) {
 
 // TestLadderBitwiseConcurrent is TestLadderBitwise's race gate: goroutines
 // solving distinct times concurrently on one Prepared, while its ladder
-// fills, get the fresh-Prepared bits.
+// fills (and, on the impulse fixture, while its impulse matrices align to
+// the generator's pattern), get the fresh-Prepared bits.
 func TestLadderBitwiseConcurrent(t *testing.T) {
-	m := ladderFixtures(t)["plain"]
-	for _, c := range ladderConfigs[:4] {
-		t.Run(c.name, func(t *testing.T) {
-			opts := c.opts
-			const order = 3
-			fresh := make([]*Result, len(ladderTimes))
-			for i, tt := range ladderTimes {
-				fresh[i] = freshSolve(t, m, tt, order, &opts)
-			}
-			p, err := Prepare(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const solvers = 4
-			errs := make(chan error, solvers)
-			var wg sync.WaitGroup
-			for g := 0; g < solvers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for pass := 0; pass < 3; pass++ {
-						for k := range ladderTimes {
-							i := (k + g) % len(ladderTimes)
-							res, err := p.AccumulatedReward(ladderTimes[i], order, &opts)
-							if err != nil {
-								errs <- err
-								return
-							}
-							for j := range res.Moments {
-								if math.Float64bits(res.Moments[j]) != math.Float64bits(fresh[i].Moments[j]) {
-									errs <- fmt.Errorf("solver %d t=%g moment %d = %v, want %v", g, ladderTimes[i], j, res.Moments[j], fresh[i].Moments[j])
+	for _, prefix := range []string{"", "impulse/"} {
+		m := ladderFixtures(t)["plain"]
+		if prefix != "" {
+			m = ladderFixtures(t)["impulse"]
+		}
+		for _, c := range ladderConfigs[:4] {
+			t.Run(prefix+c.name, func(t *testing.T) {
+				opts := c.opts
+				const order = 3
+				fresh := make([]*Result, len(ladderTimes))
+				for i, tt := range ladderTimes {
+					fresh[i] = freshSolve(t, m, tt, order, &opts)
+				}
+				p, err := Prepare(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const solvers = 4
+				errs := make(chan error, solvers)
+				var wg sync.WaitGroup
+				for g := 0; g < solvers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for pass := 0; pass < 3; pass++ {
+							for k := range ladderTimes {
+								i := (k + g) % len(ladderTimes)
+								res, err := p.AccumulatedReward(ladderTimes[i], order, &opts)
+								if err != nil {
+									errs <- err
 									return
+								}
+								for j := range res.Moments {
+									if math.Float64bits(res.Moments[j]) != math.Float64bits(fresh[i].Moments[j]) {
+										errs <- fmt.Errorf("solver %d t=%g moment %d = %v, want %v", g, ladderTimes[i], j, res.Moments[j], fresh[i].Moments[j])
+										return
+									}
 								}
 							}
 						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-		})
+					}(g)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

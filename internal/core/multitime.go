@@ -209,9 +209,8 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// forced). Only SweepWorkers < 0 selects the serial reference kernel,
 	// the oracle the tests compare against. Both produce bitwise identical
 	// moments, as does every matrix storage format; the reference path
-	// streams the generic CSR, so it builds its sweep with the
-	// reference-only csr64 storage label and skips the derived
-	// conversions.
+	// streams the compact CSR whatever the requested format, so it builds
+	// its sweep on csr32 and skips the band conversion.
 	workers := sparse.PlanWorkers(cfg.SweepWorkers, n)
 	teamSize := workers
 	if teamSize < 1 {
@@ -222,7 +221,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		return nil, fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
 	if workers == 0 {
-		format = sparse.FormatCSR64
+		format = sparse.FormatCSR
 	}
 	sweep, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, teamSize, format)
 	if err != nil {
@@ -254,7 +253,8 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// is cleared explicitly (the arena arrives dirty). Each time point's
 	// accumulators start the sweep's plane stride apart, the layout the
 	// band kernel fuses its accumulation into. The reference sweep
-	// alternates two planar state sets of its own. A fused run reads cur
+	// alternates two planar state sets of its own and takes no packed
+	// state. A fused run reads cur
 	// once, to seed its packed state, and never writes it: a fresh
 	// state's moments 1..order share one zero vector, and a seeded one
 	// is read straight from the checkpoint or the ladder snapshot.
@@ -262,16 +262,16 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	reference := workers == 0
 	// A seeded fused run carves no state vectors, but the arena keeps a
 	// fresh run's size, so a pooled workspace serving both never regrows.
-	vecWords := 2 * n
+	vecWords, packed := 2*n, sweep.ScratchWords()
 	if reference {
-		vecWords = 2 * (order + 1) * n
+		vecWords, packed = 2*(order+1)*n, 0
 	}
 	accWords := activePlans * (order*ps + n)
 	vmWords := 0
 	if shift != 0 {
 		vmWords = (order + 1) * n
 	}
-	arena := ws.ensure(vecWords + accWords + vmWords + sweep.ScratchWords())
+	arena := ws.ensure(vecWords + accWords + vmWords + packed)
 	carve := func(k int) []float64 {
 		s := arena[:k:k]
 		arena = arena[k:]
@@ -311,7 +311,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	if vmWords > 0 {
 		vmBuf = carve(vmWords)
 	}
-	sweep.SetScratch(carve(sweep.ScratchWords()))
+	sweep.SetScratch(carve(packed))
 
 	// First iteration of the sweep: 1 for a fresh solve, Completed+1 when
 	// resuming a checkpoint, k+1 when starting from a ladder snapshot at

@@ -55,11 +55,13 @@ type Options struct {
 	// paper's models — diagonal and bidiagonal included — compact-index
 	// CSR for every other matrix), "csr" (force compact-index CSR; "csr32"
 	// is an alias), or "band" (force the band window; matrices wider than
-	// tridiagonal get compact CSR). Any other value, "csr64" included,
-	// is an ErrBadArgument. Every format produces bitwise identical
-	// moments; the knob trades only memory traffic. The serial reference oracle (SweepWorkers < 0) ignores it
-	// and always streams the generic CSR. A composed model applies it to
-	// each factor's sweep. Stats.MatrixFormat reports the resolved choice.
+	// tridiagonal get compact CSR). Impulse-reward models always take
+	// compact CSR. Any other value is an ErrBadArgument. Every
+	// format produces bitwise identical moments; the knob trades only
+	// memory traffic. The serial reference oracle (SweepWorkers < 0)
+	// ignores it and always streams compact CSR. A composed model applies
+	// it to each factor's sweep. Stats.MatrixFormat reports the resolved
+	// choice.
 	MatrixFormat string
 	// TemporalBlock controls temporal blocking of the fused sweep: how
 	// many consecutive sweep iterations run over each cache-resident row
@@ -73,12 +75,11 @@ type Options struct {
 	//     structure and size: band (tridiagonal) models block at depth 16
 	//     once they hold two L1-sized blocks (128 rows up to order 3,
 	//     48 at order 12), at every team size, while compact-CSR models
-	//     block only once their state outgrows L2;
+	//     block only once their state outgrows L2, and only on the AVX2
+	//     kernel (impulse models run the scalar one and stay unblocked);
 	//   - 1 or negative disables blocking;
-	//   - >= 2 forces that depth wherever blocking is structurally
-	//     possible (band models at every order, compact-CSR models at
-	//     order 3; impulse models and other compact-CSR orders never
-	//     block).
+	//   - >= 2 forces that depth on every model and order, impulse
+	//     models included.
 	//
 	// A composed model applies it to each factor's sweep.
 	//
@@ -199,10 +200,11 @@ type Stats struct {
 	// iteration step, ((m+2) per moment order) * |S|, as in section 7.
 	FlopsPerIteration int64
 	// MatrixFormat is the storage representation the sweep streamed for
-	// the uniformized generator: "band" or "csr32" for the fused
-	// kernels. The serial reference oracle (SweepWorkers < 0) reports
-	// "csr64", the generic CSR it streams. Empty for solves that never
-	// ran a sweep (t = 0, frozen chains, d = 0).
+	// the uniformized generator: "band" (impulse-free tridiagonal-window
+	// models under auto or "band") or "csr32" (every other model, and
+	// every solve on the serial reference oracle, SweepWorkers < 0).
+	// Empty for solves that never ran a sweep (t = 0, frozen chains,
+	// d = 0).
 	MatrixFormat string
 	// TemporalBlock is the temporal blocking depth the sweep
 	// resolved (see Options.TemporalBlock): 1 for an unblocked sweep, the

@@ -35,8 +35,8 @@ func largeTridiagModel(tb testing.TB, n int) *Model {
 // birth–death chain composed with a dense 4-state factor, outside the
 // window, stream compact CSR. Each storage has a vector body, so
 // every solve reports the host's SIMD dispatch and stays bitwise equal to
-// the serial reference oracle (SweepWorkers < 0), whose csr64 storage is
-// not selectable. The non-band shapes run unblocked (their state is
+// the serial reference oracle (SweepWorkers < 0), which streams compact
+// CSR whatever the format asked. The non-band shapes run unblocked (their state is
 // cache-resident); band models run unblocked below two 128-row L1
 // blocks and temporally blocked at depth 16 from there. The band window
 // serves every moment order, so the order-12 Table 1 solve — the shape
@@ -76,11 +76,11 @@ func TestSolveSmallModelProductionSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		if got := ref[0].Stats.MatrixFormat; got != string(sparse.FormatCSR64) {
-			t.Fatalf("%s: reference oracle streamed %q, want csr64", c.name, got)
+		if got := ref[0].Stats.MatrixFormat; got != string(sparse.FormatCSR32) {
+			t.Fatalf("%s: reference oracle streamed %q, want csr32", c.name, got)
 		}
 		sameResults(t, c.name, def, ref)
-		// csr64 is the oracle's storage label, qbd the deleted
+		// csr64 and qbd named the deleted native-index CSR and
 		// block-tridiagonal storage: neither is selectable.
 		for _, f := range []string{"csr64", "qbd"} {
 			if _, err := c.m.AccumulatedRewardAt(times, order, &Options{MatrixFormat: f}); !errors.Is(err, ErrBadArgument) {
@@ -91,8 +91,9 @@ func TestSolveSmallModelProductionSweep(t *testing.T) {
 }
 
 // TestSolveBlockTridiagonalAutoCSR32 pins the storage of the
-// block-tridiagonal (QBD) shapes: a dense-block QBD and a birth–death
-// chain composed with a dense 2-state factor both resolve to compact CSR
+// non-tridiagonal shapes BenchmarkSweep's shape-* rows time: a
+// dense-block QBD, a birth–death chain composed with a dense 2- and
+// 4-state factor, and a pentadiagonal chain all resolve to compact CSR
 // under the automatic policy, and match the serial reference sweep bit
 // for bit at one and two workers, unblocked and with temporal blocking
 // forced over 8-row tiles.
@@ -105,6 +106,8 @@ func TestSolveBlockTridiagonalAutoCSR32(t *testing.T) {
 	}{
 		{"dense-qbd-8x4", denseQBDModel(t, 8, 4)},
 		{"bd-x2", composedDenseModel(t, 30, 2)},
+		{"bd-x4", composedDenseModel(t, 15, 4)},
+		{"penta", pentadiagonalModel(t, 61)},
 	} {
 		ref, err := c.m.AccumulatedRewardAt(times, order, &Options{SweepWorkers: -1})
 		if err != nil {
@@ -146,8 +149,8 @@ func TestSweepFusedMatchesReferenceLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ref[1].Stats.MatrixFormat; got != string(sparse.FormatCSR64) {
-		t.Fatalf("reference sweep reported format %q, want csr64", got)
+	if got := ref[1].Stats.MatrixFormat; got != string(sparse.FormatCSR32) {
+		t.Fatalf("reference sweep reported format %q, want csr32", got)
 	}
 	cases := []struct {
 		workers    int

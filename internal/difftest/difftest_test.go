@@ -180,11 +180,10 @@ func requireBitwise(t *testing.T, label string, times []float64, order int, got,
 }
 
 // sweepKernelFormats are the matrix formats the kernel gates force:
-// "band" covers the band kernel on every tridiagonal-window model and the
-// compact fallback on the rest; "csr" pins the compact kernels, "auto"
-// whatever the detector picks — all must stay inside the bitwise
-// contract. The reference oracle's csr64 storage is not selectable; the
-// reference solve every gate compares against covers it.
+// "band" covers the band kernel on every impulse-free tridiagonal-window
+// model and the compact fallback on the rest; "csr" pins the compact
+// kernels, "auto" whatever the detector picks — all must stay inside the
+// bitwise contract.
 var sweepKernelFormats = []string{"auto", "csr", "band"}
 
 // checkSweepKernelBitwise solves model at every sweepKernelFormats
@@ -193,10 +192,8 @@ var sweepKernelFormats = []string{"auto", "csr", "band"}
 // reference sweep (SweepWorkers: -1) bit for bit.
 //
 // The temporal-block loop forces blocking depths over a tiny
-// tile so the blocked driver engages on these small models (it still
-// resolves off where the shape is ineligible — impulses, orders other
-// than 3, unbounded reach — which keeps those shapes covered as
-// unblocked runs of the same configurations). Depth 8 with the corpus G
+// tile so the blocked driver engages on these small models, at every
+// order and on impulse models too. Depth 8 with the corpus G
 // makes ragged final groups routine. The SIMD dimension covers both
 // kernel dispatches on capable hosts: SOMRM_NOSIMD=1, read when each
 // solve builds its sweep, pins the pure-Go loops, and the caller's
@@ -237,10 +234,11 @@ func checkSweepKernelBitwise(t *testing.T, name string, model *core.Model, times
 }
 
 // TestDiffSweepKernelBitwise is the fused-kernel gate: across the fixed
-// seed corpus, the fused persistent-worker sweep (automatic, single- and
-// multi-worker, at every matrix storage format, temporal blocking depth,
-// and SIMD dispatch) must reproduce the serial reference sweep bit for
-// bit — moments and per-state vectors alike. The fused kernel, the
+// seed corpus, at an order drawn from {0..5, 12} per seed, the fused
+// persistent-worker sweep (automatic, single- and multi-worker, at every
+// matrix storage format, temporal blocking depth, and SIMD dispatch) must
+// reproduce the serial reference sweep bit for bit — moments and
+// per-state vectors alike. The fused kernel, the
 // band/compact storage engine, the split-tiled temporal blocking, and the
 // AVX2 kernels are optimizations, never approximations.
 func TestDiffSweepKernelBitwise(t *testing.T) {
@@ -251,18 +249,19 @@ func TestDiffSweepKernelBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
-		order := 1 + rng.Intn(4)
-		checkSweepKernelBitwise(t, fmt.Sprintf("seed %d", seed), model, []float64{0, 0.3, 1.7, 4.2}, order)
+		order := []int{0, 1, 2, 3, 4, 5, 12}[rng.Intn(7)]
+		checkSweepKernelBitwise(t, fmt.Sprintf("seed %d order %d", seed, order), model, []float64{0, 0.3, 1.7, 4.2}, order)
 	}
 }
 
 // TestDiffBirthDeathSweepBitwise runs the fused-kernel gate over the
 // birth–death corpus (GenerateBirthDeath): tridiagonal, bidiagonal and
 // 2-state chains, with and without impulses, at orders 3 and 12 (the
-// row-lane band kernel and its AVX2 body, or the planar loop for the
-// impulse seeds). Every seed must resolve "band" to the band window — the
-// shapes Generate's ring corpus never reaches — and match the serial
-// reference bit for bit in every configuration.
+// row-lane band kernel and its AVX2 body, or the interleaved CSR32 kernel
+// for the impulse seeds). A forced "band" must resolve to the band window
+// exactly on the impulse-free seeds — the shapes Generate's ring corpus
+// never reaches — and every seed must match the serial reference bit for
+// bit in every configuration.
 func TestDiffBirthDeathSweepBitwise(t *testing.T) {
 	seeds := corpusSize / 2
 	if !testing.Short() {
@@ -281,8 +280,8 @@ func TestDiffBirthDeathSweepBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := band[1].Stats.MatrixFormat; got != "band" {
-			t.Fatalf("seed %d (%d states): forced band resolved to %q", seed, sp.States, got)
+		if got := band[1].Stats.MatrixFormat; (got == "band") != (len(sp.Impulses) == 0) {
+			t.Fatalf("seed %d (%d states, %d impulses): forced band resolved to %q", seed, sp.States, len(sp.Impulses), got)
 		}
 		checkSweepKernelBitwise(t, fmt.Sprintf("birth-death seed %d (%d states, %d impulses, order %d)", seed, sp.States, len(sp.Impulses), order), model, times, order)
 	}
@@ -316,18 +315,20 @@ func table1Model(t *testing.T, impulses bool) *core.Model {
 // TestDiffSmallModelAutoBitwise gates the production sweep on the small
 // shapes the corpus does not draw: the paper's Table 1 model at order 12
 // (the row-lane band kernel, the shape a bounds request solves) and with
-// impulse rewards at order 4 (the planar fused loop). Under automatic worker selection both run
-// the inline 1-worker fused kernel on the band storage and must agree bit
-// for bit with the serial reference sweep.
+// impulse rewards at order 4 (the interleaved CSR32 kernel, two
+// four-moment groups). Under automatic worker selection both run the
+// inline 1-worker fused kernel and must agree bit for bit with the
+// serial reference sweep.
 func TestDiffSmallModelAutoBitwise(t *testing.T) {
 	times := []float64{0, 0.5, 2}
 	for _, c := range []struct {
 		name     string
 		impulses bool
 		order    int
+		format   sparse.MatrixFormat
 	}{
-		{"table1-order12", false, 12},
-		{"table1-impulse-order4", true, 4},
+		{"table1-order12", false, 12, sparse.FormatBand},
+		{"table1-impulse-order4", true, 4, sparse.FormatCSR32},
 	} {
 		model := table1Model(t, c.impulses)
 		ref, err := model.AccumulatedRewardAt(times, c.order, &core.Options{SweepWorkers: -1})
@@ -338,8 +339,8 @@ func TestDiffSmallModelAutoBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: auto: %v", c.name, err)
 		}
-		if got := auto[1].Stats.MatrixFormat; got != string(sparse.FormatBand) {
-			t.Fatalf("%s: auto solve streamed %q, want the fused band kernel", c.name, got)
+		if got := auto[1].Stats.MatrixFormat; got != string(c.format) {
+			t.Fatalf("%s: auto solve streamed %q, want %q", c.name, got, c.format)
 		}
 		requireBitwise(t, c.name, times, c.order, auto, ref)
 	}
@@ -347,10 +348,9 @@ func TestDiffSmallModelAutoBitwise(t *testing.T) {
 
 // TestDiffCheckpointResumeAutoReference pins checkpoint interchange
 // between the production sweep and the test oracle at small N: a
-// checkpoint captured by the serial reference sweep (planar state, generic
-// CSR storage) must resume under automatic selection (the fused band kernel,
-// interleaved at order 3) to the bitwise-identical result, and the
-// reverse must hold too.
+// checkpoint captured by the serial reference sweep (planar state vectors)
+// must resume under automatic selection (the fused kernel on its packed
+// state) to the bitwise-identical result, and the reverse must hold too.
 func TestDiffCheckpointResumeAutoReference(t *testing.T) {
 	times := []float64{0, 0.4, 1.3}
 	ref := core.Options{SweepWorkers: -1}

@@ -80,8 +80,9 @@ func estimateItemWorkingSet(model *spec.Model, item *BatchItem) int64 {
 
 // estimateFootprint approximates the peak solver working set of one solve
 // in bytes, from the request spec alone (nothing is built): the matrix in
-// the storage format the structure-adaptive engine will pick, plus the
-// sweep's coefficient vectors and per-time-point accumulators. It is a
+// the storage format the structure-adaptive engine will pick (with an
+// impulse model's impulse matrices), plus the sweep's packed state and
+// per-time-point accumulators. It is a
 // deliberate overestimate-by-a-little — admission control needs an upper
 // bound that tracks the real footprint's shape (states, density,
 // bandwidth, format), not an exact byte count.
@@ -115,13 +116,22 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 
 	vec := int64(n) * 8
 	var matrix int64
-	if bandwidth <= 1 {
+	// Packed state words per state: P = order+1 rounded up to a multiple
+	// of 4 on compact CSR, order+1 planes on the band.
+	lanes := int64(order+4) &^ 3
+	if bandwidth <= 1 && len(model.Impulses) == 0 {
 		// The tridiagonal band window: three values per row, no
-		// indexes. Only such models get it.
+		// indexes. Only impulse-free such models get it.
 		matrix = int64(n) * 3 * 8
+		lanes = int64(order + 1)
 	} else {
-		// Compact CSR: values + 32-bit cols + row pointers.
+		// Compact CSR: values + 32-bit cols + row pointers, plus an
+		// impulse model's order impulse matrices (generic CSR: values,
+		// int cols, int row pointers).
 		matrix = int64(nnz)*(8+4) + int64(n+1)*4
+		if imp := len(model.Impulses); imp > 0 {
+			matrix += int64(order) * (int64(imp)*(8+8) + int64(n+1)*8)
+		}
 	}
 
 	switch method {
@@ -129,9 +139,8 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		// Point solvers keep a handful of length-n vectors per order.
 		return matrix + vec*int64(order+2)*2
 	}
-	// Randomization: two state blocks of (order+1) planes — the packed
-	// state buffers every fused sweep runs on — plus one accumulator block
-	// per time point.
+	// Randomization: the two packed state buffers every fused sweep runs
+	// on, plus one accumulator block of (order+1) planes per time point.
 	perBlock := vec * int64(order+1)
-	return matrix + 2*perBlock + int64(nTimes)*perBlock
+	return matrix + 2*vec*lanes + int64(nTimes)*perBlock
 }

@@ -50,17 +50,33 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	if eb < 100*es {
 		t.Fatalf("2500x states should dominate the estimate: small=%d big=%d", es, eb)
 	}
-	// Randomization: two state blocks plus one accumulator block per time
-	// point, (order+1) vectors each, on top of the matrix — the band
-	// window for a tridiagonal model, compact CSR for a wider one.
-	blocks := int64(3 * 5000 * 8 * 3)
+	// Randomization: two packed state buffers plus one accumulator block
+	// of (order+1) vectors per time point, on top of the matrix. The band
+	// window (an impulse-free tridiagonal model) packs order+1 vectors per
+	// buffer; compact CSR (a wider model, or any impulse model) packs P,
+	// order+1 rounded up to a multiple of 4, and an impulse model carries
+	// its order impulse matrices as generic CSR.
+	vec := int64(5000 * 8)
 	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
-	if got := estimateWorkingSet(tri) - int64(5000*3*8); got != blocks {
-		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, blocks)
+	if got := estimateWorkingSet(tri) - int64(5000*3*8); got != (2*3+3)*vec {
+		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, (2*3+3)*vec)
 	}
 	csr := int64(len(big.Model.Transitions)+5000)*(8+4) + int64(5000+1)*4
-	if got := eb - csr; got != blocks {
-		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (three blocks)", got, blocks)
+	if got := eb - csr; got != (2*4+3)*vec {
+		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, (2*4+3)*vec)
+	}
+	big12 := &SolveRequest{Model: big.Model, T: 1, Order: 12, Method: MethodRandomization}
+	if got := estimateWorkingSet(big12) - csr; got != (2*16+13)*vec {
+		t.Fatalf("order-12 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 16)", got, (2*16+13)*vec)
+	}
+	imp := largeBandSpec(5000, 1)
+	for i := 0; i+1 < 5000; i++ {
+		imp.Impulses = append(imp.Impulses, spec.Impulse{From: i, To: i + 1, Reward: 0.5})
+	}
+	nnz := int64(len(imp.Transitions) + 5000)
+	impCSR := nnz*(8+4) + int64(5000+1)*4 + 2*(int64(len(imp.Impulses))*16+int64(5000+1)*8)
+	if got := estimateWorkingSet(&SolveRequest{Model: imp, T: 1, Order: 2, Method: MethodRandomization}) - impCSR; got != (2*4+3)*vec {
+		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, (2*4+3)*vec)
 	}
 	// A composed request is charged its components only: it folds scalar
 	// moments, never product-sized vectors or a product matrix.

@@ -96,10 +96,10 @@ type Metrics struct {
 	// SweepFormats counts solver executions by the matrix storage format
 	// the randomization sweep streamed (core.Stats.MatrixFormat, labels
 	// sweepFormatLabels) — the label operators watch to confirm the
-	// structure-adaptive engine picked the band or block-tridiagonal
-	// kernel for their models. A composed solve counts its largest
-	// component's format. "csr64" counts solves run on the serial
-	// reference oracle.
+	// structure-adaptive engine picked the band or compact-CSR kernel for
+	// their models. A composed solve counts its largest component's
+	// format; solves run on the serial reference oracle count as "csr32",
+	// the storage it streams.
 	SweepFormats labeledCounter
 	// SweepBlocked counts solver executions whose sweep ran temporally
 	// blocked (core.Stats.TemporalBlock > 1) — the signal operators watch
@@ -240,7 +240,7 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 // every label appears (zeros included), and observations outside the
 // set are never exported.
 var (
-	sweepFormatLabels = []string{"band", "csr32", "csr64"}
+	sweepFormatLabels = []string{"band", "csr32"}
 	sweepKernelLabels = []string{"avx2", "scalar"}
 	sweepLadderLabels = []string{"hit", "miss", "capture"}
 )
@@ -358,7 +358,7 @@ type MetricsSnapshot struct {
 
 	// SweepFormats counts solver executions by the matrix storage format
 	// the randomization sweep streamed, keyed by the core.Stats label
-	// ("band", "csr32", and "csr64" for the serial reference oracle).
+	// ("band" or "csr32"; the serial reference oracle streams "csr32").
 	SweepFormats map[string]int64 `json:"sweep_formats"`
 	// SweepBlocked counts solver executions whose randomization sweep ran
 	// with temporal blocking engaged (depth > 1).

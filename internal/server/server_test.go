@@ -523,7 +523,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	// The randomization solve must have been counted under its resolved
 	// matrix storage format, whichever the detector picked.
 	var formatTotal int64
-	for _, format := range []string{"band", "csr32", "csr64"} {
+	for _, format := range []string{"band", "csr32"} {
 		formatTotal += snap.SweepFormats[format]
 	}
 	if formatTotal != 1 {
@@ -560,7 +560,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // small N as operators see it: a default-configured server solving a
 // 33-state birth-death model (the Table 1 size, far below the parallel
 // threshold) counts the solve under the fused kernel's band storage, not
-// under the csr64 storage of the serial reference oracle.
+// under the compact CSR the serial reference oracle streams.
 func TestSmallModelSweepFormatMetric(t *testing.T) {
 	sp := birthDeathSpec(33)
 	s := New(Options{Workers: 1})
@@ -575,8 +575,8 @@ func TestSmallModelSweepFormatMetric(t *testing.T) {
 		t.Errorf("solve stats = %+v, want matrix_format band", out.Stats)
 	}
 	snap := s.metrics.Snapshot()
-	if snap.SweepFormats["band"] != 1 || snap.SweepFormats["csr64"] != 0 {
-		t.Errorf("sweep_formats = %v, want one band sweep and no csr64", snap.SweepFormats)
+	if snap.SweepFormats["band"] != 1 || snap.SweepFormats["csr32"] != 0 {
+		t.Errorf("sweep_formats = %v, want one band sweep and no csr32", snap.SweepFormats)
 	}
 }
 

@@ -135,8 +135,8 @@ type SolverStats struct {
 	StartIteration    int   `json:"start_iteration,omitempty"`
 	FlopsPerIteration int64 `json:"flops_per_iteration"`
 	// MatrixFormat is the storage representation the randomization sweep
-	// streamed ("band" or "csr32"; "csr64" when the serial
-	// reference oracle ran it); empty for solves that never ran a sweep.
+	// streamed ("band" or "csr32", which the serial reference oracle
+	// streams too); empty for solves that never ran a sweep.
 	// A composed solve reports its largest component's sweep.
 	MatrixFormat string `json:"matrix_format,omitempty"`
 	// TemporalBlock is the temporal blocking depth the sweep

@@ -22,8 +22,8 @@ import (
 //     moment order, see bandPlaneStride), the AVX2 body retires four
 //     consecutive rows of one moment per vector with plain contiguous
 //     loads, walking the moments of each row group in one loop. Wider
-//     bands take compact-index CSR instead, which has its own order-3
-//     vector body.
+//     bands and impulse sweeps take compact-index CSR instead, which has
+//     its own vector body at every order.
 //   - Compact-index CSR: the same CSR structure with uint32 column
 //     indexes, halving index traffic for every matrix below 2^32
 //     columns; the general representation.
@@ -66,14 +66,11 @@ func (b *Band) planes() (sub, diag, sup []float64) {
 
 // MatVec computes y = b*x with the same per-row ascending-column
 // accumulation order as CSR.MatVec; for finite x the results are bitwise
-// identical (see the padded-zero analysis in the file comment).
-func (b *Band) MatVec(x, y []float64) { b.matVecRange(0, b.n, x, y) }
-
-// matVecRange computes y[i] = (b·x)[i] for lo <= i < hi, skipping the
-// window cells that fall outside the matrix at the first and last row.
-func (b *Band) matVecRange(lo, hi int, x, y []float64) {
+// identical (see the padded-zero analysis in the file comment). It skips
+// the window cells that fall outside the matrix at the first and last row.
+func (b *Band) MatVec(x, y []float64) {
 	sub, diag, sup := b.planes()
-	for i := lo; i < hi; i++ {
+	for i := 0; i < b.n; i++ {
 		var sum float64
 		if i > 0 {
 			sum += sub[i] * x[i-1]

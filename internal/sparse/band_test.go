@@ -173,7 +173,7 @@ func TestBandEligible(t *testing.T) {
 		if !m.bandEligible() || m.BandRep() == nil {
 			t.Errorf("lo=%d hi=%d matrix not band-eligible", shape.lo, shape.hi)
 		}
-		if got, _, _, _ := resolveStorage(m, FormatBand); got != FormatBand {
+		if got, _, _, _ := resolveStorage(m, FormatBand, false); got != FormatBand {
 			t.Errorf("lo=%d hi=%d forced band resolved to %q", shape.lo, shape.hi, got)
 		}
 	}
@@ -194,7 +194,7 @@ func TestBandEligible(t *testing.T) {
 		if m.bandEligible() || m.BandRep() != nil {
 			t.Errorf("%s matrix band-eligible", name)
 		}
-		if got, _, _, _ := resolveStorage(m, FormatBand); got == FormatBand {
+		if got, _, _, _ := resolveStorage(m, FormatBand, false); got == FormatBand {
 			t.Errorf("%s: forced band honored", name)
 		}
 	}
@@ -221,9 +221,8 @@ func TestParseMatrixFormat(t *testing.T) {
 			t.Errorf("ParseMatrixFormat(%q) = (%q, %v), want %q", in, got, err, want)
 		}
 	}
-	// csr64 is the reference oracle's storage label, not a selectable
-	// format; kron and qbd named the deleted matrix-free Kronecker-sum
-	// operator and block-tridiagonal storage.
+	// csr64, kron and qbd named the deleted native-index CSR storage,
+	// matrix-free Kronecker-sum operator and block-tridiagonal storage.
 	for _, in := range []string{"dense", "csr64", "kron", "qbd"} {
 		if _, err := ParseMatrixFormat(in); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("ParseMatrixFormat(%q) error = %v, want ErrUnsupportedFormat", in, err)
@@ -245,26 +244,27 @@ func TestResolveStorage(t *testing.T) {
 	ring := b.Build()
 
 	cases := []struct {
-		m    *CSR
-		in   MatrixFormat
-		want MatrixFormat
+		m        *CSR
+		in       MatrixFormat
+		impulses bool
+		want     MatrixFormat
 	}{
-		{tri, FormatAuto, FormatBand},
-		{tri, "", FormatBand},
-		{tri, FormatCSR, FormatCSR32},
-		{tri, FormatCSR32, FormatCSR32},
-		{tri, FormatBand, FormatBand},
-		{tri, FormatCSR64, FormatCSR64}, // the reference oracle's storage
-		{wide, FormatAuto, FormatCSR32},
-		{wide, FormatBand, FormatCSR32}, // outside the window: compact
-		{ring, FormatAuto, FormatCSR32},
-		{ring, FormatBand, FormatCSR32},
-		{ring, FormatCSR64, FormatCSR64},
-		{blockTri, FormatAuto, FormatCSR32},
-		{blockTri, FormatBand, FormatCSR32},
+		{tri, FormatAuto, false, FormatBand},
+		{tri, "", false, FormatBand},
+		{tri, FormatCSR, false, FormatCSR32},
+		{tri, FormatCSR32, false, FormatCSR32},
+		{tri, FormatBand, false, FormatBand},
+		{tri, FormatAuto, true, FormatCSR32}, // impulse terms ride the CSR pattern
+		{tri, FormatBand, true, FormatCSR32},
+		{wide, FormatAuto, false, FormatCSR32},
+		{wide, FormatBand, false, FormatCSR32}, // outside the window: compact
+		{ring, FormatAuto, false, FormatCSR32},
+		{ring, FormatBand, false, FormatCSR32},
+		{blockTri, FormatAuto, false, FormatCSR32},
+		{blockTri, FormatBand, false, FormatCSR32},
 	}
 	for _, c := range cases {
-		got, band, col32, err := resolveStorage(c.m, c.in)
+		got, band, col32, err := resolveStorage(c.m, c.in, c.impulses)
 		if err != nil {
 			t.Fatalf("resolveStorage(%q): %v", c.in, err)
 		}
@@ -278,7 +278,7 @@ func TestResolveStorage(t *testing.T) {
 			t.Errorf("resolveStorage(%q): col32 presence %v for format %q", c.in, col32 != nil, got)
 		}
 	}
-	if _, _, _, err := resolveStorage(tri, "bogus"); !errors.Is(err, ErrUnsupportedFormat) {
+	if _, _, _, err := resolveStorage(tri, "bogus", false); !errors.Is(err, ErrUnsupportedFormat) {
 		t.Errorf("bogus format: err = %v, want ErrUnsupportedFormat", err)
 	}
 }

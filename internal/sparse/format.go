@@ -12,23 +12,18 @@ type MatrixFormat string
 
 const (
 	// FormatAuto picks the representation by structure: band for
-	// tridiagonal-window matrices (the paper's birth-death generators),
-	// compact-index CSR for every other matrix.
+	// impulse-free sweeps over tridiagonal-window matrices (the paper's
+	// birth-death generators), compact-index CSR for every other sweep.
 	FormatAuto MatrixFormat = "auto"
 	// FormatCSR forces the compact-index CSR: uint32 column indexes,
 	// half the index traffic of the generic CSR.
 	FormatCSR MatrixFormat = "csr"
 	// FormatBand forces the tridiagonal-window representation (three
 	// value planes, no index loads). Matrices with an entry more than
-	// one column off the diagonal fall back to FormatCSR; the effective
-	// choice is visible via Sweep.Format.
+	// one column off the diagonal, and sweeps with impulse matrices,
+	// fall back to FormatCSR; the effective choice is visible via
+	// Sweep.Format.
 	FormatBand MatrixFormat = "band"
-	// FormatCSR64 labels the generic CSR with native int column indexes.
-	// It is not a selectable format (ParseMatrixFormat rejects it): it is
-	// the storage RunReference streams, and the serial reference oracle
-	// (core's SweepWorkers < 0) builds its sweep with it so no derived
-	// representation is converted. Run refuses it.
-	FormatCSR64 MatrixFormat = "csr64"
 	// FormatCSR32 is the resolved name of the compact-index CSR; it is
 	// what Sweep.Format reports when FormatCSR (or FormatAuto) picked it.
 	// It is also accepted as an input alias for FormatCSR.
@@ -36,8 +31,8 @@ const (
 )
 
 // ErrUnsupportedFormat reports a matrix format that cannot serve the
-// request: an unknown format name, a matrix whose columns do not fit the
-// compact 32-bit indexes, or Run on the reference-only csr64 storage.
+// request: an unknown format name, or a matrix whose columns do not fit
+// the compact 32-bit indexes.
 var ErrUnsupportedFormat = errors.New("sparse: unsupported matrix format")
 
 // ParseMatrixFormat validates a user-facing matrix format string. The
@@ -54,20 +49,18 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 }
 
 // resolveStorage picks the concrete storage for a sweep over an explicit
-// matrix a: the resolved format (FormatBand, FormatCSR32, or
-// FormatCSR64 for the reference oracle) plus the derived representation
-// it streams. Derived representations are cached on the matrix, so
+// matrix a: the resolved format (FormatBand or FormatCSR32) plus the
+// derived representation it streams. The band window serves only
+// impulse-free sweeps. Derived representations are cached on the matrix, so
 // repeated sweeps (core.Prepared) convert once.
-func resolveStorage(a *CSR, format MatrixFormat) (MatrixFormat, *Band, []uint32, error) {
+func resolveStorage(a *CSR, format MatrixFormat, impulses bool) (MatrixFormat, *Band, []uint32, error) {
 	switch format {
 	case "", FormatAuto, FormatBand:
 		// Auto, and a forced band, take compact CSR outside the window.
-		if a.bandEligible() {
+		if !impulses && a.bandEligible() {
 			return FormatBand, a.BandRep(), nil, nil
 		}
 	case FormatCSR, FormatCSR32:
-	case FormatCSR64:
-		return FormatCSR64, nil, nil, nil
 	default:
 		return "", nil, nil, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
 	}

@@ -3,12 +3,13 @@ package sparse
 import "os"
 
 // Runtime SIMD dispatch for the fused sweep kernels. On amd64 hosts with
-// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the band kernel at every
-// moment order (row-lane) and the order-3 CSR32 kernel (interleaved) run
-// assembly bodies that replay the scalar loops' exact floating-point
-// operation sequence, so every dispatch choice is bitwise identical — the
-// SOMRM_NOSIMD kill-switch exists for A/B measurement and for exercising
-// both paths in tests on one machine, never for correctness.
+// AVX2 (hasAVX2, detected once via CPUID/XGETBV) the band kernel
+// (row-lane) and the impulse-free CSR32 kernel (interleaved) run assembly
+// bodies at every moment order that replay the scalar loops' exact
+// floating-point operation sequence, so every dispatch choice is bitwise
+// identical — the SOMRM_NOSIMD kill-switch exists for A/B measurement
+// and for exercising both paths in tests on one machine, never for
+// correctness.
 
 // Sweep kernel labels reported by Sweep.Kernel (and from there
 // core.Stats.SweepKernel, the solver-stats JSON and the /metrics
@@ -16,7 +17,7 @@ import "os"
 const (
 	// KernelScalar: the pure-Go loops — no hardware support, the
 	// kill-switch, the serial reference sweep, or a run shape without a
-	// vector body (planar layouts, empty matrices).
+	// vector body (impulse sweeps, empty matrices).
 	KernelScalar = "scalar"
 	// KernelAVX2: the AVX2 assembly kernels served the rows.
 	KernelAVX2 = "avx2"
@@ -41,38 +42,12 @@ func simdEnvDisabled() bool {
 func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
-// when the run shape reaches one of the assembly bodies — a row-lane or
-// interleaved layout (band at any order and size, or non-empty order-3
-// CSR32) and the SIMD gate open.
+// when the run shape reaches one of the assembly bodies — a band sweep,
+// or an impulse-free sweep over a non-empty CSR32 matrix, at any order —
+// and the SIMD gate is open.
 func (s *Sweep) resolveKernel() string {
-	if s.layout == layoutPlanar || !s.simd {
-		return KernelScalar
-	}
-	if s.format == FormatBand || len(s.a.val) > 0 {
+	if s.simd && (s.format == FormatBand || len(s.imp) == 0 && len(s.a.val) > 0) {
 		return KernelAVX2
 	}
 	return KernelScalar
-}
-
-// fuseBlock3CompactAVX2 is the AVX2 dispatch of fuseBlock3Compact:
-// tiles of s.tile rows run the assembly recursion body, then the
-// accumulation passes while the tile's next values are cache-hot. Only
-// called with s.simd set and a non-empty matrix. Splitting the
-// accumulation pass from the vector kernel is bitwise neutral: each
-// a_j[i] += w*s_j sees exactly the fused scalar switch's operands (the
-// stored s_j reloads bit-exactly), and only work between different
-// (plan, element) pairs is reordered — unobservable in float64.
-func (s *Sweep) fuseBlock3CompactAVX2(lo, hi int, cur4, next4 []float64, active []accPair) {
-	rowPtr, val := s.a.rowPtr, s.a.val
-	col32 := s.col32
-	for t0 := lo; t0 < hi; t0 += s.tile {
-		t1 := t0 + s.tile
-		if t1 > hi {
-			t1 = hi
-		}
-		csr32Fuse3AVX2(t1-t0, &rowPtr[t0], &col32[0], &val[0], &cur4[0], &cur4[t0*4], &next4[t0*4], &s.diag1[t0], &s.diag2[t0])
-		for _, ap := range active {
-			sweepAcc3AVX2(t1-t0, &next4[t0*4], &ap.acc[0][t0], &ap.acc[1][t0], &ap.acc[2][t0], &ap.acc[3][t0], ap.w)
-		}
-	}
 }

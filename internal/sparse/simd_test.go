@@ -83,13 +83,13 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 }
 
 // TestSweepKernelLabel pins which run shapes the dispatcher labels as
-// served by the vector kernels: exactly the packed layouts with an
-// assembly body (band at every order and size — bidiagonal padded into
-// the window too, and three rows with no whole 4-row group — and order-3
-// non-empty CSR32, which block-tridiagonal (QBD) matrices resolve to
-// under auto whatever their level count), scalar for everything else
-// even with the gate open. With the gate closed (no AVX2, or
-// SOMRM_NOSIMD set) every shape is scalar.
+// served by the vector kernels: exactly the shapes with an assembly body
+// (band at every order and size — bidiagonal padded into the window too,
+// and three rows with no whole 4-row group — and impulse-free non-empty
+// CSR32 at every order, which block-tridiagonal (QBD) matrices resolve to
+// under auto whatever their level count), scalar for impulse sweeps even
+// with the gate open. With the gate closed (no AVX2, or SOMRM_NOSIMD set)
+// every shape is scalar.
 func TestSweepKernelLabel(t *testing.T) {
 	vec := KernelAVX2
 	if !SIMDAvailable() || simdEnvDisabled() {
@@ -120,20 +120,35 @@ func TestSweepKernelLabel(t *testing.T) {
 		wantFormat MatrixFormat
 		order      int
 		want       string
+		impulses   bool
 	}{
-		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, vec},
-		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, vec},
-		{"band-order12", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 12, vec},
-		{"band-three-rows", bandedFixture(t, rng, 3, 1, 1), FormatBand, FormatBand, 3, vec},
-		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, vec},
-		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatAuto, FormatCSR32, 3, vec},
-		{"qbd-two-level", twoLevel, FormatAuto, FormatCSR32, 3, vec},
-		{"planar-order2", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 2, KernelScalar},
+		{"band-tridiagonal", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 3, vec, false},
+		{"band-bidiagonal", bandedFixture(t, rng, 96, 0, 1), FormatAuto, FormatBand, 3, vec, false},
+		{"band-order12", bandedFixture(t, rng, 96, 1, 1), FormatBand, FormatBand, 12, vec, false},
+		{"band-three-rows", bandedFixture(t, rng, 3, 1, 1), FormatBand, FormatBand, 3, vec, false},
+		{"csr32", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 3, vec, false},
+		{"qbd-interior", qbdFixture(t, rng, 12, 8), FormatAuto, FormatCSR32, 3, vec, false},
+		{"qbd-two-level", twoLevel, FormatAuto, FormatCSR32, 3, vec, false},
+		{"csr32-order0", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 0, vec, false},
+		{"csr32-order1", bandedFixture(t, rng, 96, 2, 1), FormatAuto, FormatCSR32, 1, vec, false},
+		{"csr32-order2", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 2, vec, false},
+		{"csr32-order4", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 4, vec, false},
+		{"csr32-order5", bandedFixture(t, rng, 96, 1, 3), FormatAuto, FormatCSR32, 5, vec, false},
+		{"csr32-order12", bandedFixture(t, rng, 96, 1, 1), FormatCSR, FormatCSR32, 12, vec, false},
+		{"impulse-order3", bandedFixture(t, rng, 96, 1, 1), FormatAuto, FormatCSR32, 3, KernelScalar, true},
+		{"impulse-order12", bandedFixture(t, rng, 96, 2, 2), FormatCSR, FormatCSR32, 12, KernelScalar, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d1, d2 := randDiags(rng, tc.a.rows)
-			s, err := NewSweepWithFormat(tc.a, d1, d2, nil, tc.order, 1, tc.format)
+			var imp []*CSR
+			if tc.impulses {
+				// The matrix itself as every impulse matrix: all on its pattern.
+				for m := 0; m < tc.order; m++ {
+					imp = append(imp, tc.a)
+				}
+			}
+			s, err := NewSweepWithFormat(tc.a, d1, d2, imp, tc.order, 1, tc.format)
 			if err != nil {
 				t.Fatal(err)
 			}

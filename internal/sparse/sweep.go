@@ -101,12 +101,14 @@ type Sweep struct {
 	kernel string
 
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
-	// tridiagonal band planes (every order) or compact uint32 column
-	// indexes (order 3), cutting the memory traffic of this
-	// bandwidth-bound loop. All formats are bitwise identical.
+	// tridiagonal band planes or compact uint32 column indexes, cutting
+	// the memory traffic of this bandwidth-bound loop. lanes is P, the
+	// words per state of the CSR32 layout (see seedState). All formats
+	// are bitwise identical.
 	format MatrixFormat
 	band   *Band    // set when format == FormatBand
 	col32  []uint32 // set when format == FormatCSR32
+	lanes  int
 
 	// scratch is optional caller-lent backing for pcur/pnext (see
 	// SetScratch), letting pooled solves skip the two largest per-run
@@ -123,45 +125,11 @@ type Sweep struct {
 	onBarrier InterruptHook
 	barrierAt int
 
-	// layout is the packed moment-state layout of a fused run (see
-	// stateLayout); pcur/pnext are its two buffers while Run executes.
-	// pcur holds iteration k0 at every group boundary; the task channels
-	// of the split team order the driver's writes before the workers'
-	// reads.
-	layout      stateLayout
+	// pcur/pnext are the packed moment-state buffers of a fused run (see
+	// seedState) while Run executes. pcur holds iteration k0 at every
+	// group boundary; the task channels of the split team order the
+	// driver's writes before the workers' reads.
 	pcur, pnext []float64
-}
-
-// stateLayout is the packed moment-state layout a fused run uses. Every
-// fused run copies the caller's initial state into two such buffers once
-// and never touches the caller's vectors again.
-type stateLayout int
-
-const (
-	// layoutPlanar: order+1 planes per buffer at stride rows — the
-	// impulse shapes and the CSR32 orders other than 3 (fuseBlock).
-	layoutPlanar stateLayout = iota
-	// layoutRowLane: order+1 padded planes per buffer at
-	// bandPlaneStride(rows) — every impulse-free band sweep.
-	layoutRowLane
-	// layoutInterleaved: four moments per state, cur[i*4+j] — the
-	// order-3 impulse-free CSR32 sweeps.
-	layoutInterleaved
-)
-
-// resolveLayout picks the layout of a fused run from the shape. The
-// reference-only csr64 storage never runs fused; it gets the planar
-// label and no scratch (see ScratchWords).
-func (s *Sweep) resolveLayout() stateLayout {
-	switch {
-	case len(s.imp) > 0 || s.format == FormatCSR64:
-		return layoutPlanar
-	case s.format == FormatBand:
-		return layoutRowLane
-	case s.order == 3:
-		return layoutInterleaved
-	}
-	return layoutPlanar
 }
 
 // parallelThreshold is the row count at which automatic worker selection
@@ -221,9 +189,9 @@ func NewSweep(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int) (*
 }
 
 // NewSweepWithFormat is NewSweep with an explicit storage format for the
-// sweep matrix. Impulse matrices always stay generic CSR — they are rare
-// and never dominate the traffic. Every format yields bitwise identical
-// results; Format reports the resolved choice.
+// sweep matrix. A sweep with impulse matrices resolves to compact CSR;
+// the impulse matrices stay generic CSR. Every format yields bitwise
+// identical results; Format reports the resolved choice.
 func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int, format MatrixFormat) (*Sweep, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil sweep matrix", ErrDimensionMismatch)
@@ -251,7 +219,7 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 	if workers > a.rows {
 		workers = a.rows
 	}
-	resolved, band, col32, err := resolveStorage(a, format)
+	resolved, band, col32, err := resolveStorage(a, format, len(imp) > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -266,17 +234,14 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		format:    resolved,
 		band:      band,
 		col32:     col32,
+		lanes:     (order + 4) &^ 3,
 		simd:      hasAVX2 && !simdEnvDisabled(),
 		tile:      sweepTileDefault,
 		resolvedT: 1,
 	}
 	if resolved == FormatBand {
-		s.tile = bandL1Tile
-		if len(imp) == 0 {
-			s.tile = bandTile(order)
-		}
+		s.tile = bandTile(order)
 	}
-	s.layout = s.resolveLayout()
 	s.initCoef()
 	if workers > 1 {
 		// Per-row work in stored non-zeros, plus the impulse matrices'
@@ -337,23 +302,17 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 }
 
 // Format returns the resolved storage format: FormatBand or
-// FormatCSR32 for the fused kernels, and FormatCSR64 for a sweep built
-// for the reference oracle, which only RunReference may execute. (The
-// RunReference test oracle always streams the generic CSR regardless of
-// this setting.)
+// FormatCSR32. (The RunReference test oracle streams the compact CSR
+// whatever this setting.)
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
-// ScratchWords returns the float64 count Run uses for its packed
-// moment-state buffers: two buffers of order+1 planes of PlaneStride()
-// words each — padded row-lane planes for a band sweep, plain planes of
-// rows words for the planar shapes, and 4·rows interleaved words (the
-// same count) for an order-3 CSR32 sweep — and 0 for the reference-only
-// csr64 storage, which never runs fused.
+// ScratchWords returns the float64 count Run uses for its two packed
+// moment-state buffers (see seedState).
 func (s *Sweep) ScratchWords() int {
-	if s.format == FormatCSR64 {
-		return 0
+	if s.format == FormatBand {
+		return 2 * (s.order + 1) * s.band.stride
 	}
-	return 2 * (s.order + 1) * s.PlaneStride()
+	return 2 * s.lanes * s.rows
 }
 
 // PlaneStride returns the stride, in float64 words, of the row-lane
@@ -363,7 +322,7 @@ func (s *Sweep) ScratchWords() int {
 // has its Poisson accumulation fused into the band kernel; any other
 // layout is accumulated in a separate vector pass, bitwise identically.
 func (s *Sweep) PlaneStride() int {
-	if s.layout == layoutRowLane {
+	if s.format == FormatBand {
 		return s.band.stride
 	}
 	return s.rows
@@ -412,12 +371,10 @@ func (s *Sweep) TemporalBlock() int { return s.resolvedT }
 // Temporal blocking constants.
 const (
 	// sweepTileDefault is the default row-tile width (see SetSweepTile),
-	// and so the temporal block width, of every sweep but the band one: a
-	// tile's slices of every cur/next/acc vector — roughly
-	// (3 + plans)·(order+1)·8·tile bytes — plus its matrix rows must stay
-	// cache-resident across the kernel's per-term passes. 1024 rows keeps
-	// that footprint near 100 KiB for the paper-sized order-3 case,
-	// comfortably inside L2.
+	// and so the temporal block width, of a CSR32 sweep: a tile's next
+	// rows must stay cache-resident until its accumulation pass, 32 KiB
+	// per group of four moments. 1024-row blocks of the order-12
+	// pentadiagonal shape ran as fast as 256- or 512-row ones.
 	sweepTileDefault = 1024
 	// bandL1Tile is the default tile, and so the temporal block width, of
 	// an order-3 band sweep at every team size: a 128-row block's slices
@@ -464,20 +421,20 @@ func bandTile(order int) int {
 }
 
 // blockReach returns the dependency reach of the resolved storage: row i
-// of the next iteration depends on rows i-lo..i+hi of the current one.
-// ok is false when the reach is unknown (the reference-only csr64
-// storage), which disables temporal blocking.
-func (s *Sweep) blockReach() (lo, hi int, ok bool) {
-	switch s.format {
-	case FormatBand:
+// of the next iteration depends on rows i-lo..i+hi of the current one,
+// through the sweep matrix or an impulse matrix.
+func (s *Sweep) blockReach() (lo, hi int) {
+	if s.format == FormatBand {
 		// The window kernel reads both neighbours of every row, padded
 		// cells included, so its reach is 1 even for a diagonal matrix.
-		return 1, 1, true
-	case FormatCSR32:
-		lo, hi = s.a.Bandwidth()
-		return lo, hi, true
+		return 1, 1
 	}
-	return 0, 0, false
+	lo, hi = s.a.Bandwidth()
+	for _, im := range s.imp {
+		l, h := im.Bandwidth()
+		lo, hi = max(lo, l), max(hi, h)
+	}
+	return lo, hi
 }
 
 // resolveBlocking turns the requested temporal block depth into the
@@ -485,18 +442,13 @@ func (s *Sweep) blockReach() (lo, hi int, ok bool) {
 // blocks of W rows, each inner step's row window sliding skew rows to the
 // left (the split-tiled schedule of runBlocked). T == 1 means the run
 // stays unblocked. The schedule is exact at every block width, so W is
-// the tile as set. The planar layout never blocks: it serves the impulse
-// shapes and the CSR32 orders other than 3, whose per-term passes would
-// defeat the cache residency the blocking buys.
+// the tile as set.
 func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	T, W = 1, s.tile
-	if s.tblock < 0 || s.tblock == 1 || s.layout == layoutPlanar {
+	if s.tblock < 0 || s.tblock == 1 {
 		return
 	}
-	lo, hi, ok := s.blockReach()
-	if !ok {
-		return
-	}
+	lo, hi := s.blockReach()
 	skew = max(lo, hi)
 	if s.tblock == 0 {
 		if s.format == FormatBand {
@@ -508,10 +460,10 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 			if s.rows < 2*W {
 				return 1, W, skew
 			}
-		} else if s.ScratchWords() < temporalBlockMinWords || !s.simd || skew > csrAutoBlockMaxSkew {
-			// CSR32, the only other storage with a known reach, stays
-			// unblocked while its state is cache-resident (blocking
-			// cannot pay) and on the scalar kernel, where the
+		} else if s.ScratchWords() < temporalBlockMinWords || s.resolveKernel() != KernelAVX2 || skew > csrAutoBlockMaxSkew {
+			// CSR32, the only other storage, stays unblocked while its
+			// state is cache-resident (blocking cannot pay) and on the
+			// scalar kernel (impulse sweeps included), where the
 			// index-chasing row loop, not DRAM bandwidth, is the
 			// bottleneck (the blocking bookkeeping cost ~12-29%
 			// measured). The AVX2 kernel retires the whole gather in one
@@ -565,26 +517,21 @@ func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 func (s *Sweep) SetBarrierHook(k int, h InterruptHook) { s.barrierAt, s.onBarrier = k, h }
 
 // seedState copies the moment-state vectors cur into pcur, the packed
-// layout of the run. Row-lane planes (every band sweep) hold row i at cell
+// layout of the run; every fused run copies the caller's initial state
+// once and never touches its vectors again. Row-lane planes (every band
+// sweep, order+1 per buffer) hold row i at cell
 // 1+i of plane j = pcur[j*st : (j+1)*st], st = bandPlaneStride(rows), with
 // one zero padding cell at each end, so a vector of four consecutive rows
 // of one moment is one contiguous load and the first and last rows need
 // no boundary clamping (out-of-matrix band cells multiply padding zeros,
-// which is bitwise neutral, see band.go). The interleaved layout (order-3
-// CSR32) holds moment j of state i at pcur[i*4+j], so all four values a
-// matrix entry gathers share one cache line. Planar planes hold row i at
-// cell i of plane j = pcur[j*rows : (j+1)*rows].
+// which is bitwise neutral, see band.go). The interleaved layout (every
+// CSR32 sweep) holds moment j of state i at pcur[i*P+j], P = lanes =
+// order+1 rounded up to a multiple of 4, so each four-moment group a
+// matrix entry gathers is one contiguous load. The padding lanes j >
+// order start at zero, and no moment reads them (see fuseBlockCSR).
 func (s *Sweep) seedState(cur [][]float64) {
 	n := s.rows
-	switch s.layout {
-	case layoutInterleaved:
-		for j := 0; j <= 3; j++ {
-			cj := cur[j]
-			for i := 0; i < n; i++ {
-				s.pcur[i*4+j] = cj[i]
-			}
-		}
-	case layoutRowLane:
+	if s.format == FormatBand {
 		// Zero the padding cells (lent scratch arrives dirty); the row
 		// cells are fully (re)written here and by every iteration, and
 		// the kernels never read past cell n+1.
@@ -594,9 +541,15 @@ func (s *Sweep) seedState(cur [][]float64) {
 			c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
 			copy(c[1:n+1], cur[j])
 		}
-	default:
-		for j := 0; j <= s.order; j++ {
-			copy(s.pcur[j*n:(j+1)*n], cur[j])
+		return
+	}
+	P := s.lanes
+	for i := 0; i < n; i++ {
+		clear(s.pcur[i*P+s.order+1 : i*P+P])
+	}
+	for j, cj := range cur {
+		for i, v := range cj {
+			s.pcur[i*P+j] = v
 		}
 	}
 }
@@ -605,23 +558,17 @@ func (s *Sweep) seedState(cur [][]float64) {
 // layout into dst. Only called at iteration barriers (see InterruptHook),
 // where the published state is consistent.
 func (s *Sweep) exportState(dst [][]float64) {
-	n := s.rows
-	switch s.layout {
-	case layoutInterleaved:
-		for j := range dst {
-			dj := dst[j]
-			for i := 0; i < n; i++ {
-				dj[i] = s.pcur[i*4+j]
-			}
-		}
-	case layoutRowLane:
-		st := s.band.stride
+	if s.format == FormatBand {
+		st, n := s.band.stride, s.rows
 		for j := range dst {
 			copy(dst[j], s.pcur[j*st+1:j*st+1+n])
 		}
-	default:
-		for j := range dst {
-			copy(dst[j], s.pcur[j*n:(j+1)*n])
+		return
+	}
+	P := s.lanes
+	for j, dj := range dst {
+		for i := range dj {
+			dj[i] = s.pcur[i*P+j]
 		}
 	}
 }
@@ -705,13 +652,8 @@ func (s *Sweep) Run(ctx context.Context, gMax int, cur [][]float64, plans []Swee
 // iterations k < first. Because each iteration's floating-point work
 // depends only on the incoming state and its own Poisson weights, a run
 // resumed this way is bitwise identical to the uninterrupted sweep, for
-// every storage format and worker count. A sweep built with the
-// reference-only FormatCSR64 storage has no fused kernel and returns
-// ErrUnsupportedFormat.
+// every storage format and worker count.
 func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	if s.format == FormatCSR64 {
-		return 0, fmt.Errorf("%w: csr64 storage is streamed only by RunReference", ErrUnsupportedFormat)
-	}
 	if err := s.validateRun(plans, cur); err != nil {
 		return 0, err
 	}
@@ -749,22 +691,16 @@ func (s *Sweep) interrupted(completed int) {
 	}
 }
 
-// stepRange runs one iteration's fused work on the packed state over
-// rows [lo, hi) with explicit state buffers and accumulation targets,
-// dispatching on the resolved layout and storage format, so different
-// inner iterations of a group can address alternating buffers and
+// stepRange runs one iteration's fused work over rows [lo, hi) with
+// explicit state buffers and accumulation targets, so different inner
+// iterations of a group can address alternating buffers and
 // per-iteration Poisson targets.
 func (s *Sweep) stepRange(lo, hi int, cur, next []float64, active []accPair) {
-	switch {
-	case s.layout == layoutPlanar:
-		s.fuseBlock(lo, hi, cur, next, active)
-	case s.format == FormatBand:
+	if s.format == FormatBand {
 		s.fuseBlockBand(lo, hi, cur, next, active)
-	case s.simd && hi > lo && len(s.a.val) > 0:
-		s.fuseBlock3CompactAVX2(lo, hi, cur, next, active)
-	default:
-		s.fuseBlock3Compact(lo, hi, cur, next, active)
+		return
 	}
+	s.fuseBlockCSR(lo, hi, cur, next, active)
 }
 
 // runBlocked executes every fused run by split tiling. Iterations are
@@ -1003,156 +939,130 @@ func (s *Sweep) runSeams(plans []SweepPlan, active []accPair, k0, tg int, splits
 	return active
 }
 
-// fuseBlock runs one fused iteration over rows [lo, hi), tiled: for each
-// row tile it computes every moment order's recursion term and immediately
-// applies the active Poisson accumulations while the tile is hot in cache.
-// The inner loops are the same shape as CSR.MatVec (hoisted slice headers,
-// streaming index ranges); the tiling only reorders work across rows, so
-// the floating-point operation sequence per element is identical to
-// RunReference's — the fused kernel is bitwise exact by construction.
-//
-// Relative to the reference sweep, one iteration here streams the matrix
-// and the vectors from memory once instead of once per term: the CSR rows
-// of a tile are reused across the order+1 products, and each next-vector
-// tile is produced, corrected and accumulated before it is evicted.
-//
-// cur and next are planar buffers: moment j of row i at j·rows + i.
-func (s *Sweep) fuseBlock(lo, hi int, cur, next []float64, active []accPair) {
-	n := s.rows
-	plane := func(buf []float64, j int) []float64 { return buf[j*n : (j+1)*n : (j+1)*n] }
+// fuseBlockCSR is the CSR32 kernel at every moment order, on the
+// interleaved layout (see seedState). Tiles of s.tile rows run the
+// recursion — csrLanesAVX2 when the kernel is AVX2, else csrRows and an
+// impulse sweep's impulseRows — then one accumulation pass per plan while
+// the tile is cache-hot. The split is bitwise neutral: each
+// a_j[i] += w*s_j reloads the stored s_j bit-exactly, and only work of
+// different (plan, element) pairs is reordered.
+func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) {
+	P, vec := s.lanes, s.kernel == KernelAVX2
 	for t0 := lo; t0 < hi; t0 += s.tile {
-		t1 := t0 + s.tile
-		if t1 > hi {
-			t1 = hi
-		}
-		for j := s.order; j >= 0; j-- {
-			curj, nextj := plane(cur, j), plane(next, j)
-			s.productTile(t0, t1, curj, nextj)
-			if j >= 1 {
-				d1, c1 := s.diag1, plane(cur, j-1)
-				for i := t0; i < t1; i++ {
-					nextj[i] += d1[i] * c1[i]
-				}
-			}
-			if j >= 2 {
-				d2, c2 := s.diag2, plane(cur, j-2)
-				for i := t0; i < t1; i++ {
-					nextj[i] += d2[i] * c2[i]
-				}
-			}
-			for m := 1; m <= j && m <= len(s.imp); m++ {
-				im := s.imp[m-1]
-				irp, icx, ivl := im.rowPtr, im.colIdx, im.val
-				cf, cm := s.coef[m], plane(cur, j-m)
-				for i := t0; i < t1; i++ {
-					var impSum float64
-					for p := irp[i]; p < irp[i+1]; p++ {
-						impSum += ivl[p] * cm[icx[p]]
-					}
-					nextj[i] += cf * impSum
-				}
+		t1 := min(t0+s.tile, hi)
+		if vec {
+			csrLanesAVX2(t1-t0, &s.a.rowPtr[t0], &s.col32[0], &s.a.val[0], &cur[0], &cur[t0*P], &next[t0*P], &s.diag1[t0], &s.diag2[t0], P/4)
+		} else {
+			s.csrRows(t0, t1, cur, next)
+			if len(s.imp) > 0 {
+				s.impulseRows(t0, t1, cur, next)
 			}
 		}
 		for _, ap := range active {
+			if vec && ap.stride >= 0 {
+				csrAccAVX2(t1-t0, &next[t0*P], P/4, s.order+1, &ap.acc[0][t0], ap.stride, ap.w)
+				continue
+			}
 			w := ap.w
-			for j := 0; j <= s.order; j++ {
-				nj, aj := plane(next, j), ap.acc[j]
-				for i := t0; i < t1; i++ {
-					aj[i] += w * nj[i]
+			for j, a := range ap.acc {
+				a, x := a[t0:t1], next[t0*P+j:]
+				for k := range a {
+					a[k] += w * x[k*P]
 				}
 			}
 		}
 	}
 }
 
-// productTile computes y[i] = (A·x)[i] for rows [t0, t1) with the resolved
-// storage format. Every arm accumulates the row's in-matrix entries in
-// ascending column order into a sum started at +0.0, so the arms are
-// bitwise interchangeable with the reference CSR product: the compact arm
-// loads the identical values through narrower indexes, and the band
-// arm's padded zero cells contribute bitwise-neutral 0.0·x products (see
-// band.go).
-func (s *Sweep) productTile(t0, t1 int, x, y []float64) {
-	switch s.format {
-	case FormatBand:
-		s.band.matVecRange(t0, t1, x, y)
-	case FormatCSR32:
-		rowPtr, col32, val := s.a.rowPtr, s.col32, s.a.val
-		for i := t0; i < t1; i++ {
-			var sum float64
-			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-				sum += val[p] * x[col32[p]]
-			}
-			y[i] = sum
-		}
-	}
-}
-
-// fuseBlock3Compact is the register-resident specialization of the fused
-// kernel for the hot shape: moment order 3 (the paper's large example)
-// without impulse matrices. It operates on the interleaved state layout
-// set up by Run — cur4[i*4+j] is moment j of state i — so each matrix
-// entry's four gathered values share one cache line and cost a single
-// bounds check.
-// Each row's four recursion sums live in registers across a single walk
-// of the row's entries — the matrix streams once per iteration instead of
-// order+1 times — and the diagonal corrections and Poisson accumulations
-// are applied before the sums are ever reloaded from memory.
-//
-// Bitwise contract: every output element sees the identical operation
-// sequence as RunReference — per sum, the row products in entry order,
-// then the diag1 term, then the diag2 term; each accumulation multiplies
-// the same stored value. Only work belonging to *different* elements is
-// interleaved, which float64 cannot observe.
-//
-// Each gather address comes from a uint32 column load — half the index
-// traffic of the generic CSR in a loop that is memory-bandwidth-bound at
-// the paper's sizes.
-func (s *Sweep) fuseBlock3Compact(lo, hi int, cur4, next4 []float64, active []accPair) {
-	rowPtr, val := s.a.rowPtr, s.a.val
-	col32 := s.col32
-	d1, d2 := s.diag1, s.diag2
-	var w float64
-	var a0, a1, a2, a3 []float64
-	if len(active) == 1 {
-		w = active[0].w
-		a0, a1, a2, a3 = active[0].acc[0], active[0].acc[1], active[0].acc[2], active[0].acc[3]
-	}
+// csrRows is the scalar recursion body of fuseBlockCSR for rows
+// [lo, hi). It walks each row's entries once per four-moment group (the
+// matrix streams from memory once per iteration; later walks hit L1),
+// the group's sums in registers seeded +0, then adds the d1 and d2
+// coupling terms: each moment sees RunReference's exact operation
+// sequence, the row products in entry order, then d1, then d2. Padding
+// lanes j > order run the same recursion; a lane reads only lanes at or
+// below it, so no moment reads one, and none is accumulated or exported.
+// csrLanesAVX2 replays the body lane for lane.
+func (s *Sweep) csrRows(lo, hi int, cur, next []float64) {
+	P := s.lanes
+	rowPtr, val, col32 := s.a.rowPtr, s.a.val, s.col32
 	for i := lo; i < hi; i++ {
 		rv := val[rowPtr[i]:rowPtr[i+1]]
 		rc := col32[rowPtr[i]:rowPtr[i+1]]
 		rc = rc[:len(rv)] // bounds-check elimination for rc[p]
-		var s0, s1, s2, s3 float64
-		for p, v := range rv {
-			c4 := int(rc[p]) * 4
-			cv := cur4[c4 : c4+4 : c4+4]
-			s3 += v * cv[3]
-			s2 += v * cv[2]
-			s1 += v * cv[1]
-			s0 += v * cv[0]
+		civ := cur[i*P : i*P+P : i*P+P]
+		nv := next[i*P : i*P+P : i*P+P]
+		d1i, d2i := s.diag1[i], s.diag2[i]
+		for g := 0; g < P; g += 4 {
+			var s0, s1, s2, s3 float64
+			for p, v := range rv {
+				c := int(rc[p])*P + g
+				cv := cur[c : c+4 : c+4]
+				s3 += v * cv[3]
+				s2 += v * cv[2]
+				s1 += v * cv[1]
+				s0 += v * cv[0]
+			}
+			if g == 0 {
+				s3 += d1i * civ[2]
+				s3 += d2i * civ[1]
+				s2 += d1i * civ[1]
+				s2 += d2i * civ[0]
+				s1 += d1i * civ[0]
+			} else {
+				cw := civ[g-2 : g+3 : g+3] // lanes g-2..g+2
+				s3 += d1i * cw[4]
+				s3 += d2i * cw[3]
+				s2 += d1i * cw[3]
+				s2 += d2i * cw[2]
+				s1 += d1i * cw[2]
+				s1 += d2i * cw[1]
+				s0 += d1i * cw[1]
+				s0 += d2i * cw[0]
+			}
+			gv := nv[g : g+4 : g+4]
+			gv[0], gv[1], gv[2], gv[3] = s0, s1, s2, s3
 		}
-		civ := cur4[i*4 : i*4+4 : i*4+4]
-		d1i, d2i := d1[i], d2[i]
-		s3 += d1i * civ[2]
-		s3 += d2i * civ[1]
-		s2 += d1i * civ[1]
-		s2 += d2i * civ[0]
-		s1 += d1i * civ[0]
-		nv := next4[i*4 : i*4+4 : i*4+4]
-		nv[0], nv[1], nv[2], nv[3] = s0, s1, s2, s3
-		switch {
-		case a0 != nil:
-			a0[i] += w * s0
-			a1[i] += w * s1
-			a2[i] += w * s2
-			a3[i] += w * s3
-		case len(active) > 1:
-			for _, ap := range active {
-				wp := ap.w
-				ap.acc[0][i] += wp * s0
-				ap.acc[1][i] += wp * s1
-				ap.acc[2][i] += wp * s2
-				ap.acc[3][i] += wp * s3
+	}
+}
+
+// impulseRows adds the impulse terms Σ_m coef[m]·(imp[m-1]·cur[j-m]) to
+// rows [lo, hi) of next, one impulse matrix at a time: walks of a row of
+// imp[m-1] keep one sum per pair (j, m), j = m..order, four pairs at a
+// time in registers, adding u·cur[c·P + j−m] for each stored entry (c, u)
+// — CSR.MatVecAdd's terms, in its order, from +0 — and moment j takes
+// coef[m]·sum. Each moment thus takes its terms in increasing m after its
+// coupling terms, as in RunReference.
+func (s *Sweep) impulseRows(lo, hi int, cur, next []float64) {
+	P, order := s.lanes, s.order
+	for m, im := range s.imp[:order] {
+		cf, rowPtr, colIdx, val := s.coef[m+1], im.rowPtr, im.colIdx, im.val
+		for i := lo; i < hi; i++ {
+			p0, p1 := rowPtr[i], rowPtr[i+1]
+			for g := 0; g < order-m; g += 4 {
+				var t0, t1, t2, t3 float64
+				for p := p0; p < p1; p++ {
+					u, c := val[p], colIdx[p]*P+g
+					x := cur[c : c+4 : c+4]
+					t3 += u * x[3]
+					t2 += u * x[2]
+					t1 += u * x[1]
+					t0 += u * x[0]
+				}
+				k := i*P + m + 1 + g
+				switch order - m - g {
+				default:
+					next[k+3] += cf * t3
+					fallthrough
+				case 3:
+					next[k+2] += cf * t2
+					fallthrough
+				case 2:
+					next[k+1] += cf * t1
+					fallthrough
+				case 1:
+					next[k] += cf * t0
+				}
 			}
 		}
 	}
@@ -1325,8 +1235,9 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 }
 
 // RunReference executes the sweep with the serial reference kernel: one
-// full-vector pass per term, exactly the operation structure of the
-// original solver loop. It is the oracle the fused kernel is tested
+// full-vector pass per term on planar state vectors, exactly the
+// operation structure of the original solver loop (the sweep matrix
+// through its uint32 columns whatever the format). It is the oracle the fused kernel is tested
 // against, not a production path: automatic worker selection runs the
 // fused kernel at every size, and only an explicit negative worker
 // request (see PlanWorkers) reaches this loop.
@@ -1347,8 +1258,13 @@ func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next
 	if cancelStride <= 0 {
 		cancelStride = 1
 	}
+	col32 := s.a.ColIdx32()
+	if col32 == nil {
+		return 0, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, s.a.rows, s.a.cols)
+	}
 	s.kernel = KernelScalar // the reference loops never dispatch assembly
 	n := s.rows
+	rowPtr, val := s.a.rowPtr, s.a.val
 	for k := first; k <= gMax; k++ {
 		if k-1 == s.barrierAt && k > first && s.onBarrier != nil {
 			s.onBarrier(k-1, func(dst [][]float64) {
@@ -1373,8 +1289,13 @@ func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next
 			}
 		}
 		for j := s.order; j >= 0; j-- {
-			if err := s.a.MatVec(cur[j], next[j]); err != nil {
-				return 0, err
+			x, y := cur[j], next[j]
+			for i := range y {
+				var sum float64
+				for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+					sum += val[p] * x[col32[p]]
+				}
+				y[i] = sum
 			}
 			if j >= 1 {
 				for i := 0; i < n; i++ {

@@ -10,30 +10,39 @@ import (
 )
 
 // TestSweepTemporalBlockingBitwise is the temporal-blocking bitwise gate:
-// for tridiagonal-window, wider-banded and block-tridiagonal order-3
-// families, every temporal block depth × spatial tile × worker count ×
-// format must reproduce the serial reference sweep bit for bit —
-// including ragged final groups (gMax not divisible by T) and
-// split-tiled teams whose segments hold several blocks each.
+// for tridiagonal-window, wider-banded and block-tridiagonal families,
+// and an impulse family whose impulse matrices reach further than its
+// sweep matrix (so the blocked schedule must widen its skew), at moment
+// orders 0, 2, 3 (twice), 4 and 12, every temporal block depth × spatial
+// tile × worker count × format must reproduce the serial reference sweep
+// bit for bit — including ragged final groups (gMax not divisible by T)
+// and split-tiled teams whose segments hold several blocks each.
 func TestSweepTemporalBlockingBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	type fixture struct {
 		name    string
 		a       *CSR
 		d1, d2  []float64
+		imp     []*CSR
 		formats []MatrixFormat
 	}
-	for trial := 0; trial < 4; trial++ {
+	for trial, order := range []int{3, 0, 2, 3, 4, 12} {
 		n := 40 + rng.Intn(80)
-		a, d1, d2 := bandedSweepFixture(t, rng, n, rng.Intn(2), rng.Intn(2), 3)
-		wa, wd1, wd2 := bandedSweepFixture(t, rng, n, 2+rng.Intn(2), 1+rng.Intn(3), 3)
+		a, d1, d2 := bandedSweepFixture(t, rng, n, rng.Intn(2), rng.Intn(2), order)
+		wa, wd1, wd2 := bandedSweepFixture(t, rng, n, 2+rng.Intn(2), 1+rng.Intn(3), order)
 		qn := 4 * (10 + rng.Intn(8))
 		q := qbdFixture(t, rng, qn/4, 4)
 		qd1, qd2 := randDiags(rng, qn)
+		var imp []*CSR
+		wide := bandedFixture(t, rng, n, 4, 5)
+		for m := 1; m <= order; m++ {
+			imp = append(imp, wide.Scaled(0.5/float64(m)))
+		}
 		fixtures := []fixture{
-			{"band", a, d1, d2, []MatrixFormat{FormatAuto, FormatBand, FormatCSR}},
-			{"wide", wa, wd1, wd2, []MatrixFormat{FormatAuto, FormatCSR}},
-			{"qbd", q, qd1, qd2, []MatrixFormat{FormatAuto}},
+			{"band", a, d1, d2, nil, []MatrixFormat{FormatAuto, FormatBand, FormatCSR}},
+			{"wide", wa, wd1, wd2, nil, []MatrixFormat{FormatAuto, FormatCSR}},
+			{"qbd", q, qd1, qd2, nil, []MatrixFormat{FormatAuto}},
+			{"impulse", wa, wd1, wd2, imp, []MatrixFormat{FormatBand, FormatCSR}},
 		}
 		gMax := 5 + rng.Intn(11) // 5..15: ragged against every T below
 		weights := make([][]float64, 2)
@@ -47,7 +56,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 
 		for _, fx := range fixtures {
 			rows := len(fx.d1)
-			ref, err := NewSweep(fx.a, fx.d1, fx.d2, nil, 3, 1)
+			ref, err := NewSweep(fx.a, fx.d1, fx.d2, fx.imp, order, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +70,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 				for _, tb := range []int{2, 3, 4, 8} {
 					for _, tile := range []int{8, 32} {
 						for _, workers := range []int{1, 2, 3, 8} {
-							fs, err := NewSweepWithFormat(fx.a, fx.d1, fx.d2, nil, 3, workers, format)
+							fs, err := NewSweepWithFormat(fx.a, fx.d1, fx.d2, fx.imp, order, workers, format)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -80,8 +89,8 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 							if got := fs.TemporalBlock(); got != tb {
 								t.Fatalf("trial %d %s %q T=%d: resolved depth %d", trial, fx.name, format, tb, got)
 							}
-							tag := fx.name + "/" + string(format)
-							requireAccBitwise(t, tag, plans, refPlans, 3, rows)
+							tag := fmt.Sprintf("order %d %s/%s", order, fx.name, format)
+							requireAccBitwise(t, tag, plans, refPlans, order, rows)
 						}
 					}
 				}
@@ -199,8 +208,8 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 }
 
 // TestTemporalBlockResolution pins the blocking policy: what shapes block
-// automatically, how forced depths and the width floor resolve, and which
-// shapes never block.
+// automatically, how forced depths and the width floor resolve, and that
+// a forced depth engages on every shape.
 func TestTemporalBlockResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
@@ -320,17 +329,24 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("auto on wide-band CSR state resolved T=%d, want 1", T)
 	}
 
-	// Planar shapes (no packed layout) never block: a forced depth on an
-	// order-2 compact-CSR run must still report an unblocked sweep, while
-	// the same depth on the order-2 band run (row-lane at every order)
-	// engages.
+	// A forced depth engages at every order and on impulse sweeps too:
+	// order-2 compact-CSR and band runs, and an order-2 impulse run.
+	// Under auto the impulse sweep, on the scalar kernel, stays unblocked
+	// even where the AVX2 CSR32 kernel blocks.
+	is, err := NewSweepWithFormat(big, bd1, bd2, []*CSR{big, big, big}, 3, 1, FormatCSR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if T, _, _ := is.resolveBlocking(); T != 1 {
+		t.Errorf("auto on large impulse state resolved T=%d, want 1", T)
+	}
 	gMax := 6
 	w := randWeights(rng, gMax)
 	for _, c := range []struct {
 		format MatrixFormat
-		want   int
-	}{{FormatCSR, 1}, {FormatBand, 8}} {
-		ps, err := NewSweepWithFormat(tri, d1, d2, nil, 2, 1, c.format)
+		imp    []*CSR
+	}{{FormatCSR, nil}, {FormatBand, nil}, {FormatAuto, []*CSR{tri, tri}}} {
+		ps, err := NewSweepWithFormat(tri, d1, d2, c.imp, 2, 1, c.format)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,8 +355,8 @@ func TestTemporalBlockResolution(t *testing.T) {
 		if _, err := ps.Run(context.Background(), gMax, cur, plans, 32); err != nil {
 			t.Fatal(err)
 		}
-		if got := ps.TemporalBlock(); got != c.want {
-			t.Errorf("order-2 %s run resolved depth %d, want %d", c.format, got, c.want)
+		if got := ps.TemporalBlock(); got != 8 {
+			t.Errorf("order-2 %s run (%d impulse matrices) resolved depth %d, want 8", c.format, len(c.imp), got)
 		}
 	}
 }

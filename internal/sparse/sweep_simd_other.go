@@ -7,10 +7,10 @@ package sparse
 // the compiler removes the dispatch branches — these bodies exist only
 // so the package compiles on every GOARCH.
 
-func csr32Fuse3AVX2(n int, rowPtr *int, col32 *uint32, val *float64, cur4, self, next, d1, d2 *float64) {
-	panic("sparse: csr32Fuse3AVX2 called without AVX2 support")
+func csrLanesAVX2(n int, rowPtr *int, col32 *uint32, val *float64, cur, self, next, d1, d2 *float64, groups int) {
+	panic("sparse: csrLanesAVX2 called without AVX2 support")
 }
 
-func sweepAcc3AVX2(n int, next, a0, a1, a2, a3 *float64, w float64) {
-	panic("sparse: sweepAcc3AVX2 called without AVX2 support")
+func csrAccAVX2(n int, next *float64, groups, lanes int, acc *float64, accStride int, w float64) {
+	panic("sparse: csrAccAVX2 called without AVX2 support")
 }

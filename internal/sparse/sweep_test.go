@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -120,26 +119,31 @@ func requireAccBitwise(t *testing.T, tag string, got, want []SweepPlan, order, n
 	}
 }
 
-// lendDirtyScratch lends s a NaN-filled interleaved scratch buffer, which
-// Run must fully overwrite or zero; false when the run shape has none.
-func lendDirtyScratch(s *Sweep) bool {
+// lendDirtyScratch lends s a NaN-filled packed scratch buffer, which Run
+// must fully overwrite or zero.
+func lendDirtyScratch(s *Sweep) {
 	scratch := make([]float64, s.ScratchWords())
 	for i := range scratch {
 		scratch[i] = math.NaN()
 	}
 	s.SetScratch(scratch)
-	return len(scratch) > 0
 }
 
+// sweepOrders are the moment orders the engine-level gates cover: every
+// interleaved width up to two four-moment groups, and order 12, the order
+// of every bounds request (four groups).
+var sweepOrders = []int{0, 1, 2, 3, 4, 5, 12}
+
 // TestSweepFusedMatchesReference is the engine-level bitwise gate: for
-// random matrix families (with and without impulses) and every worker
-// count, the fused kernel must reproduce the serial reference sweep bit
-// for bit — accumulators and product counts alike.
+// random matrix families at every order of sweepOrders, with and without
+// impulses (twice each), and every worker count, the fused kernel must
+// reproduce the serial reference sweep bit for bit — accumulators and
+// product counts alike.
 func TestSweepFusedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 4*len(sweepOrders); trial++ {
 		n := 3 + rng.Intn(60)
-		order := rng.Intn(5)
+		order := sweepOrders[trial/2%len(sweepOrders)]
 		impulses := trial%2 == 1
 		gMax := 1 + rng.Intn(40)
 		s := randomSweepFixture(t, rng, n, order, impulses)
@@ -197,7 +201,7 @@ func bandedSweepFixture(t *testing.T, rng *rand.Rand, n, lo, hi, order int) (*CS
 // TestSweepFormatsMatchReference is the storage-engine bitwise gate: for
 // banded matrix families, every storage format (auto, compact, band) at
 // every worker count must reproduce the serial reference sweep bit for
-// bit — including the order-3 interleaved kernels with both fresh and
+// bit — including the interleaved CSR32 kernels with both fresh and
 // dirty lent scratch.
 func TestSweepFormatsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -238,8 +242,8 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 					if blo, bhi := a.Bandwidth(); format == FormatBand && (fs.Format() == FormatBand) != (blo <= 1 && bhi <= 1) {
 						t.Fatalf("trial %d: forced band resolved to %q (bandwidth lo=%d hi=%d n=%d)", trial, fs.Format(), blo, bhi, n)
 					}
-					if dirtyScratch && !lendDirtyScratch(fs) {
-						continue // no interleaved path for this shape
+					if dirtyScratch {
+						lendDirtyScratch(fs)
 					}
 					cur, _, plans := newRunState(fs, weights, firsts, lasts)
 					if _, err := fs.Run(context.Background(), gMax, cur, plans, 32); err != nil {
@@ -254,9 +258,9 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 }
 
 // TestSweepFormatResolution pins what NewSweep resolves for characteristic
-// shapes: tridiagonal matrices stream the band, everything else the
-// compact CSR, and csr64 resolves only as the reference oracle's storage,
-// with no packed buffers.
+// shapes — impulse-free tridiagonal matrices stream the band, everything
+// else the compact CSR, impulse sweeps included — and the packed buffers
+// each runs on.
 func TestSweepFormatResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
@@ -279,50 +283,32 @@ func TestSweepFormatResolution(t *testing.T) {
 		t.Errorf("ring auto format = %q, want csr32", ring.Format())
 	}
 
-	s64, err := NewSweepWithFormat(tri, d1, d2, nil, 3, 1, FormatCSR64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s64.Format() != FormatCSR64 {
-		t.Errorf("forced csr64 format = %q", s64.Format())
-	}
-	if s64.ScratchWords() != 0 {
-		t.Errorf("csr64 ScratchWords = %d, want 0", s64.ScratchWords())
-	}
-
-	// Impulse shapes run on planar planes of rows words: two buffers of
-	// four.
-	impl := randomSweepFixture(t, rng, 30, 3, true)
-	if impl.ScratchWords() != 2*4*30 {
-		t.Errorf("impulse ScratchWords = %d, want %d", impl.ScratchWords(), 2*4*30)
-	}
-}
-
-// TestSweepRunRejectsCSR64 pins the reference-only contract of the csr64
-// storage: Run and RunFrom refuse it with ErrUnsupportedFormat (there is
-// no fused csr64 kernel, and a silent no-op would leave all-zero
-// accumulators), while RunReference still streams it.
-func TestSweepRunRejectsCSR64(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	for _, order := range []int{2, 3} {
-		a, d1, d2 := bandedSweepFixture(t, rng, 40, 1, 1, order)
-		s, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatCSR64)
+	// CSR32 sweeps run on two interleaved buffers of P words per state,
+	// order+1 rounded up to whole four-moment groups, impulse sweeps
+	// included.
+	for _, c := range []struct{ order, p int }{{0, 4}, {2, 4}, {3, 4}, {4, 8}, {7, 8}, {12, 16}} {
+		cs, err := NewSweepWithFormat(tri, d1, d2, nil, c.order, 1, FormatCSR)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := []float64{0, 0.5, 0.5}
-		cur, next, plans := newRunState(s, [][]float64{w}, []int{0}, []int{2})
-		if _, err := s.Run(context.Background(), 2, cur, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
-			t.Errorf("order %d: Run on csr64: err = %v, want ErrUnsupportedFormat", order, err)
+		if cs.ScratchWords() != 2*c.p*300 {
+			t.Errorf("order-%d csr32 ScratchWords = %d, want %d", c.order, cs.ScratchWords(), 2*c.p*300)
 		}
-		if _, err := s.RunFrom(context.Background(), 2, 2, cur, plans, 1); !errors.Is(err, ErrUnsupportedFormat) {
-			t.Errorf("order %d: RunFrom on csr64: err = %v, want ErrUnsupportedFormat", order, err)
+		impl := randomSweepFixture(t, rng, 30, c.order, true)
+		if impl.ScratchWords() != 2*c.p*30 {
+			t.Errorf("order-%d impulse ScratchWords = %d, want %d", c.order, impl.ScratchWords(), 2*c.p*30)
 		}
-		if _, err := s.RunReference(context.Background(), 2, cur, next, plans, 1); err != nil {
-			t.Errorf("order %d: RunReference on csr64: %v", order, err)
+	}
+
+	// An impulse sweep over a tridiagonal matrix resolves to compact CSR
+	// under every format.
+	for _, f := range []MatrixFormat{FormatAuto, FormatBand, FormatCSR} {
+		is, err := NewSweepWithFormat(tri, d1, d2, []*CSR{tri, tri}, 2, 1, f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if plans[0].Acc[0][0] == 0 {
-			t.Errorf("order %d: reference run accumulated nothing", order)
+		if is.Format() != FormatCSR32 {
+			t.Errorf("impulse sweep under %q resolved to %q, want csr32", f, is.Format())
 		}
 	}
 }
