@@ -284,18 +284,17 @@ func BenchmarkComposePair(b *testing.B) {
 // that loop's comment), and compose-3x41[-states] solve a matrix-free
 // composed model by moment convolution. Apart from the cold rows, each
 // model is prepared once so an op measures the sweep, not the per-solve
-// uniformization and CSR assembly it shares across kernels.
+// uniformization and CSR assembly it shares across kernels. Each group
+// builds and prepares its model inside the first of its rows that runs
+// (see lazy), so a -bench filter builds only the models of the rows it
+// selects.
 func BenchmarkSweep(b *testing.B) {
 	const (
 		order = 3
 		tt    = 8.0 // q = 7 -> qt = 56
 	)
 	for _, n := range []int{100_001, 200_001} {
-		m := largeTridiagModel(b, n)
-		prep, err := Prepare(m)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prepared := lazyPrepared(func(b *testing.B) *Model { return largeTridiagModel(b, n) })
 		for _, bc := range []struct {
 			name    string
 			workers int
@@ -322,6 +321,7 @@ func BenchmarkSweep(b *testing.B) {
 			{"fused-band-nosimd", 1, "band", 1, true},
 		} {
 			b.Run(fmt.Sprintf("N%d/%s", n, bc.name), func(b *testing.B) {
+				prep := prepared(b)
 				if bc.nosimd {
 					b.Setenv("SOMRM_NOSIMD", "1")
 				}
@@ -353,6 +353,7 @@ func BenchmarkSweep(b *testing.B) {
 					if max := runtime.GOMAXPROCS(0); w > max {
 						b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", w, max)
 					}
+					prep := prepared(b)
 					opts := &Options{SweepWorkers: w, MatrixFormat: "auto", TemporalBlock: tb}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -406,15 +407,14 @@ func BenchmarkSweep(b *testing.B) {
 		{8_191, []string{"fused-1", "workers-2"}},
 		{16_383, full},
 	} {
-		m := largeTridiagModel(b, sz.n)
-		prep, err := Prepare(m)
-		if err != nil {
-			b.Fatal(err)
-		}
+		model := lazy(func(b *testing.B) *Model { return largeTridiagModel(b, sz.n) })
+		prepared := lazyPrepared(model)
 		for _, row := range sz.rows {
 			opts := rowOpts[row]
 			b.Run(fmt.Sprintf("N%d/%s", sz.n, row), func(b *testing.B) {
 				if row == "cold-auto" {
+					m := model(b)
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						cold, err := Prepare(m)
 						if err != nil {
@@ -429,6 +429,7 @@ func BenchmarkSweep(b *testing.B) {
 				if max := runtime.GOMAXPROCS(0); opts != nil && opts.SweepWorkers > max {
 					b.Skipf("worker count %d exceeds GOMAXPROCS=%d; skipping rather than measuring oversubscription", opts.SweepWorkers, max)
 				}
+				prep := prepared(b)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := prep.AccumulatedReward(tt, rowOrder(row), opts); err != nil {
@@ -447,10 +448,7 @@ func BenchmarkSweep(b *testing.B) {
 	// 0.10, ..., 1.0 in one AccumulatedRewardAt call, the batch requests.
 	// Each row times the whole solve: truncation search, pmf table,
 	// sweep, scaling.
-	table1, err := Prepare(onOffModel(b, 32, 4, 3, 1, 10))
-	if err != nil {
-		b.Fatal(err)
-	}
+	table1 := lazyPrepared(func(b *testing.B) *Model { return onOffModel(b, 32, 4, 3, 1, 10) })
 	grid := make([]float64, 20)
 	for i := range grid {
 		grid[i] = float64(i+1) / 20
@@ -466,8 +464,10 @@ func BenchmarkSweep(b *testing.B) {
 		{"grid20-order12", 12, grid},
 	} {
 		b.Run("N33/"+row.name, func(b *testing.B) {
+			prep := table1(b)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := table1.AccumulatedRewardAt(row.times, row.order, nil); err != nil {
+				if _, err := prep.AccumulatedRewardAt(row.times, row.order, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -478,21 +478,22 @@ func BenchmarkSweep(b *testing.B) {
 	// the rows above with an impulse reward of 0.1 on every up transition,
 	// order 3 under the automatic policy — the scalar compact-CSR kernel,
 	// which impulse models always take, unblocked, inline on one worker.
-	ib := sparse.NewBuilder(2_001, 2_001)
-	for i := 0; i+1 < 2_001; i++ {
-		if err := ib.Add(i, i+1, 0.1); err != nil {
+	b.Run("N2001/impulse", func(b *testing.B) {
+		ib := sparse.NewBuilder(2_001, 2_001)
+		for i := 0; i+1 < 2_001; i++ {
+			if err := ib.Add(i, i+1, 0.1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		impModel, err := largeTridiagModel(b, 2_001).WithImpulses(ib.Build())
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	impModel, err := largeTridiagModel(b, 2_001).WithImpulses(ib.Build())
-	if err != nil {
-		b.Fatal(err)
-	}
-	impPrep, err := Prepare(impModel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("N2001/impulse", func(b *testing.B) {
+		impPrep, err := Prepare(impModel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := impPrep.AccumulatedReward(tt, order, nil); err != nil {
 				b.Fatal(err)
@@ -514,23 +515,27 @@ func BenchmarkSweep(b *testing.B) {
 	// set per shape so qt = 56, as in the rows above.
 	const shapeQT = 56.0
 	for _, shape := range []struct {
-		name string
-		m    *Model
+		name  string
+		build func(b *testing.B) *Model
 	}{
-		{"composed-bd4", composedDenseModel(b, 16_383, 4)},
-		{"composed-bd2", composedDenseModel(b, 32_767, 2)},
-		{"qbd-b12", denseQBDModel(b, 5_461, 12)},
-		{"penta", pentadiagonalModel(b, 65_521)},
+		{"composed-bd4", func(b *testing.B) *Model { return composedDenseModel(b, 16_383, 4) }},
+		{"composed-bd2", func(b *testing.B) *Model { return composedDenseModel(b, 32_767, 2) }},
+		{"qbd-b12", func(b *testing.B) *Model { return denseQBDModel(b, 5_461, 12) }},
+		{"penta", func(b *testing.B) *Model { return pentadiagonalModel(b, 65_521) }},
 	} {
-		prep, err := Prepare(shape.m)
-		if err != nil {
-			b.Fatal(err)
+		type probed struct {
+			prep *Prepared
+			t    float64
 		}
-		probe, err := prep.AccumulatedReward(1, order, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shapeT := shapeQT / probe.Stats.Q
+		prepared := lazyPrepared(shape.build)
+		setup := lazy(func(b *testing.B) probed {
+			prep := prepared(b)
+			probe, err := prep.AccumulatedReward(1, order, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return probed{prep, shapeQT / probe.Stats.Q}
+		})
 		rows := map[string]int{"csr": order}
 		if shape.name == "penta" {
 			rows["order2"], rows["order12"] = 2, 12
@@ -541,6 +546,8 @@ func BenchmarkSweep(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("shape-%s/%s", shape.name, row), func(b *testing.B) {
+				sh := setup(b)
+				prep, shapeT := sh.prep, sh.t
 				opts := &Options{SweepWorkers: 1, MatrixFormat: "csr"}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -557,11 +564,10 @@ func BenchmarkSweep(b *testing.B) {
 	// factor sweeps and the scalar moment fold at t = 0.05;
 	// compose-3x41-states also builds the per-state vectors
 	// (StateMoments), the fold over every product state.
-	prep, err := Prepare(compose3x41(b))
-	if err != nil {
-		b.Fatal(err)
-	}
+	composed := lazyPrepared(func(b *testing.B) *Model { return compose3x41(b) })
 	b.Run("compose-3x41", func(b *testing.B) {
+		prep := composed(b)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := prep.AccumulatedReward(0.05, order, nil); err != nil {
 				b.Fatal(err)
@@ -569,6 +575,8 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	})
 	b.Run("compose-3x41-states", func(b *testing.B) {
+		prep := composed(b)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := prep.AccumulatedReward(0.05, order, nil)
 			if err != nil {
@@ -576,5 +584,30 @@ func BenchmarkSweep(b *testing.B) {
 			}
 			res.StateMoments()
 		}
+	})
+}
+
+// lazy returns get, which builds its value with build on the first call
+// and returns that value on every call, so a group of sub-benchmarks
+// builds a shared model only once one of its rows runs.
+func lazy[T any](build func(b *testing.B) T) (get func(b *testing.B) T) {
+	var v T
+	built := false
+	return func(b *testing.B) T {
+		if !built {
+			v, built = build(b), true
+		}
+		return v
+	}
+}
+
+// lazyPrepared is lazy for the Prepared of the model build returns.
+func lazyPrepared(build func(b *testing.B) *Model) func(b *testing.B) *Prepared {
+	return lazy(func(b *testing.B) *Prepared {
+		p, err := Prepare(build(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
 	})
 }

@@ -368,6 +368,10 @@ func windowMoments(tb testing.TB, m *Model, times []float64, order int) (moments
 		tb.Fatal(err)
 	}
 	n := m.N()
+	sw, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, nil, order, 1, sparse.FormatAuto)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	plans := make([]sparse.SweepPlan, len(times))
 	ls, left = make([]int, len(times)), make([]float64, len(times))
 	gMax := 0
@@ -389,12 +393,9 @@ func windowMoments(tb testing.TB, m *Model, times []float64, order int) (moments
 				acc[0][i] = w[0]
 			}
 		}
-		plans[idx] = sparse.SweepPlan{First: first, Last: last, Weight: w, Acc: acc}
+		plans[idx] = sparse.SweepPlan{First: first, Last: last, Weight: w, Acc: make([]float64, sw.AccWords())}
+		sw.PackAcc(plans[idx].Acc, acc)
 		gMax = max(gMax, g)
-	}
-	sw, err := sparse.NewSweep(u.qPrime, u.rPrime, u.sHalf, nil, order, 1)
-	if err != nil {
-		tb.Fatal(err)
 	}
 	cur := make([][]float64, order+1)
 	for j := range cur {
@@ -403,18 +404,21 @@ func windowMoments(tb testing.TB, m *Model, times []float64, order int) (moments
 	for i := range cur[0] {
 		cur[0][i] = 1
 	}
-	if _, err := sw.Run(context.Background(), gMax, cur, plans, cancelCheckStride); err != nil {
+	if _, err := sw.RunFrom(context.Background(), 1, gMax, cur, plans, cancelCheckStride); err != nil {
 		tb.Fatal(err)
 	}
 	for idx, tt := range times {
 		vm := make([][]float64, order+1)
+		for j := range vm {
+			vm[j] = make([]float64, n)
+		}
+		sw.UnpackAcc(vm, plans[idx].Acc)
 		scale := 1.0
 		for j := range vm {
 			if j > 0 {
 				scale *= float64(j) * u.d
 			}
-			vm[j] = make([]float64, n)
-			for i, a := range plans[idx].Acc[j] {
+			for i, a := range vm[j] {
 				vm[j][i] = scale * a
 			}
 		}

@@ -206,24 +206,16 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// The k = 1..G recursion runs on the sweep engine's fused kernel at
 	// every model size: one worker inline below 8,191 states, a split team
 	// of GOMAXPROCS workers at or above it (or the team size the caller
-	// forced). Only SweepWorkers < 0 selects the serial reference kernel,
-	// the oracle the tests compare against. Both produce bitwise identical
-	// moments, as does every matrix storage format; the reference path
-	// streams the compact CSR whatever the requested format, so it builds
-	// its sweep on csr32 and skips the band conversion.
+	// forced). Only SweepWorkers < 0 selects the serial reference kernel
+	// (0 workers), the oracle the tests compare against; it streams the
+	// compact CSR whatever the requested format. Every choice produces
+	// bitwise identical moments, as does every matrix storage format.
 	workers := sparse.PlanWorkers(cfg.SweepWorkers, n)
-	teamSize := workers
-	if teamSize < 1 {
-		teamSize = 1
-	}
 	format, err := sparse.ParseMatrixFormat(cfg.MatrixFormat)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
-	if workers == 0 {
-		format = sparse.FormatCSR
-	}
-	sweep, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, teamSize, format)
+	sweep, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, workers, format)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -243,75 +235,6 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		}
 		use = lad.plan(start, order, n)
 	}
-	seeded := cfg.Resume != nil || use.from.state != nil
-
-	// Per-solve scratch comes from one arena (pooled by Prepared): the
-	// sweep state vectors, the per-time accumulators, the packed kernel
-	// state, and — when a shift is active, so unshift rebuilds the output
-	// vectors anyway — the intermediate scaled moments. Only buffers that
-	// never escape into Results are carved here; everything needing zeros
-	// is cleared explicitly (the arena arrives dirty). Each time point's
-	// accumulators start the sweep's plane stride apart, the layout the
-	// band kernel fuses its accumulation into. The reference sweep
-	// alternates two planar state sets of its own and takes no packed
-	// state. A fused run reads cur
-	// once, to seed its packed state, and never writes it: a fresh
-	// state's moments 1..order share one zero vector, and a seeded one
-	// is read straight from the checkpoint or the ladder snapshot.
-	ps := sweep.PlaneStride()
-	reference := workers == 0
-	// A seeded fused run carves no state vectors, but the arena keeps a
-	// fresh run's size, so a pooled workspace serving both never regrows.
-	vecWords, packed := 2*n, sweep.ScratchWords()
-	if reference {
-		vecWords, packed = 2*(order+1)*n, 0
-	}
-	accWords := activePlans * (order*ps + n)
-	vmWords := 0
-	if shift != 0 {
-		vmWords = (order + 1) * n
-	}
-	arena := ws.ensure(vecWords + accWords + vmWords + packed)
-	carve := func(k int) []float64 {
-		s := arena[:k:k]
-		arena = arena[k:]
-		return s
-	}
-	cur := make([][]float64, order+1)
-	var next [][]float64
-	switch {
-	case reference:
-		next = make([][]float64, order+1)
-		for j := 0; j <= order; j++ {
-			cur[j] = carve(n)
-			clear(cur[j])
-			next[j] = carve(n) // fully overwritten by the first iteration
-		}
-	case !seeded:
-		cur[0] = carve(n) // set to 1 below
-		zeros := carve(n)
-		clear(zeros)
-		for j := 1; j <= order; j++ {
-			cur[j] = zeros
-		}
-	}
-	for idx := range sweepPlans {
-		if plans[idx].t == 0 {
-			continue
-		}
-		acc := make([][]float64, order+1)
-		buf := carve(order*ps + n)
-		for j := 0; j <= order; j++ {
-			acc[j] = buf[j*ps : j*ps+n : j*ps+n]
-			clear(acc[j])
-		}
-		sweepPlans[idx].Acc = acc
-	}
-	var vmBuf []float64
-	if vmWords > 0 {
-		vmBuf = carve(vmWords)
-	}
-	sweep.SetScratch(carve(packed))
 
 	// First iteration of the sweep: 1 for a fresh solve, Completed+1 when
 	// resuming a checkpoint, k+1 when starting from a ladder snapshot at
@@ -321,17 +244,10 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// remaining iterations perform the exact floating-point work of the
 	// uninterrupted fresh run.
 	first := 1
-	switch cp := cfg.Resume; {
-	case cp != nil:
+	cp := cfg.Resume
+	if cp != nil {
 		if err := cp.matches(order, n, gMax, q, d, shift, cfg.Epsilon, times); err != nil {
 			return nil, err
-		}
-		for j := 0; j <= order; j++ {
-			if reference {
-				copy(cur[j], cp.State[j])
-			} else {
-				cur[j] = cp.State[j]
-			}
 		}
 		for idx := range sweepPlans {
 			if plans[idx].t == 0 {
@@ -344,34 +260,78 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 				if len(cp.Acc[idx][j]) != n {
 					return nil, fmt.Errorf("%w: accumulator %d/%d has %d entries for %d states", ErrCheckpoint, idx, j, len(cp.Acc[idx][j]), n)
 				}
-				copy(sweepPlans[idx].Acc[j], cp.Acc[idx][j])
 			}
 		}
 		first = cp.Completed + 1
-	case use.from.state != nil:
-		for j := 0; j <= order; j++ {
-			if reference {
-				copy(cur[j], use.from.state[j])
-			} else {
-				cur[j] = use.from.state[j]
-			}
-		}
+	} else if use.from.state != nil {
 		first = use.from.k + 1
-	default:
-		for i := 0; i < n; i++ {
-			cur[0][i] = 1
+	}
+
+	// Per-solve scratch comes from one arena (pooled by Prepared): two
+	// state vectors, each time point's accumulator block, the packed
+	// kernel state, and — when a shift is active, so unshift rebuilds the
+	// output vectors anyway — the intermediate scaled moments. Only
+	// buffers that never escape into Results are carved here; everything
+	// needing zeros is cleared explicitly (the arena arrives dirty). The
+	// accumulator blocks are in the sweep's packed layout, written and read
+	// only through PackAcc and UnpackAcc. The sweep reads cur once, to seed
+	// its packed state, and never writes it: a fresh state's moments
+	// 1..order share one zero vector, and a seeded one is read straight
+	// from the checkpoint or the ladder snapshot.
+	accWords := sweep.AccWords()
+	vmWords := 0
+	if shift != 0 {
+		vmWords = (order + 1) * n
+	}
+	arena := ws.ensure(2*n + activePlans*accWords + vmWords + sweep.ScratchWords())
+	carve := func(k int) []float64 {
+		s := arena[:k:k]
+		arena = arena[k:]
+		return s
+	}
+	// vec holds each plan's k = 0 term while the blocks are packed, then
+	// U^(0)(0) = 1 of a fresh state.
+	vec, zeros := carve(n), carve(n)
+	clear(zeros)
+	zeroAcc := make([][]float64, order+1)
+	for j := range zeroAcc {
+		zeroAcc[j] = zeros
+	}
+	term0 := append([][]float64{vec}, zeroAcc[1:]...)
+	for idx := range sweepPlans {
+		p := &sweepPlans[idx]
+		if plans[idx].t == 0 {
+			continue
 		}
-		// k = 0 contributions: U^(0)(0) = 1, higher orders 0.
-		for idx := range sweepPlans {
-			p := &sweepPlans[idx]
-			if plans[idx].t == 0 || p.First > 0 {
-				continue
+		src := zeroAcc
+		switch {
+		case cp != nil:
+			src = cp.Acc[idx]
+		case use.from.state == nil && p.First == 0 && p.Weight[0] > 0:
+			// The k = 0 contribution of a fresh solve: U^(0)(0) = 1,
+			// higher orders 0.
+			for i := range vec {
+				vec[i] = p.Weight[0]
 			}
-			if w0 := p.Weight[0]; w0 > 0 {
-				for i := 0; i < n; i++ {
-					p.Acc[0][i] = w0
-				}
-			}
+			src = term0
+		}
+		p.Acc = carve(accWords)
+		sweep.PackAcc(p.Acc, src)
+	}
+	var vmBuf []float64
+	if vmWords > 0 {
+		vmBuf = carve(vmWords)
+	}
+	sweep.SetScratch(carve(sweep.ScratchWords()))
+	cur := term0 // a fresh state: U^(0)(0) = 1, higher orders 0
+	switch {
+	case cp != nil:
+		cur = cp.State
+	case use.from.state != nil:
+		cur = use.from.state[:order+1] // a snapshot may carry higher orders
+	default:
+		for i := range vec {
+			vec[i] = 1
 		}
 	}
 
@@ -386,7 +346,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 				Order: order, N: n, Completed: completed, GMax: gMax,
 				Q: q, D: d, Shift: shift, Epsilon: cfg.Epsilon,
 				Times:  append([]float64(nil), times...),
-				Format: string(sweep.Format()), Workers: teamSize,
+				Format: string(sweep.Format()), Workers: max(workers, 1),
 			}
 			cp.State = make([][]float64, order+1)
 			for j := range cp.State {
@@ -400,8 +360,9 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 				}
 				acc := make([][]float64, order+1)
 				for j := range acc {
-					acc[j] = append([]float64(nil), sweepPlans[idx].Acc[j]...)
+					acc[j] = make([]float64, n)
 				}
+				sweep.UnpackAcc(acc, sweepPlans[idx].Acc)
 				cp.Acc[idx] = acc
 			}
 			captured = cp
@@ -424,12 +385,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 		})
 	}
 	sweepStart := time.Now()
-	var matVecs int64
-	if reference {
-		matVecs, err = sweep.RunReferenceFrom(ctx, first, gMax, cur, next, sweepPlans, stride)
-	} else {
-		matVecs, err = sweep.RunFrom(ctx, first, gMax, cur, sweepPlans, stride)
-	}
+	matVecs, err := sweep.RunFrom(ctx, first, gMax, cur, sweepPlans, stride)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			if captured != nil {
@@ -467,14 +423,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			continue
 		}
 		vm := make([][]float64, order+1)
-		scale := 1.0
-		for j := 0; j <= order; j++ {
-			if j > 0 {
-				scale *= float64(j) * d
-			}
-			if math.IsInf(scale, 0) {
-				return nil, fmt.Errorf("%w: scale j!*d^j at order %d", ErrOverflow, j)
-			}
+		for j := range vm {
 			if vmBuf != nil {
 				// A non-zero shift means unshift builds fresh output
 				// vectors, so the scaled moments are scratch the arena can
@@ -484,10 +433,19 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			} else {
 				vm[j] = make([]float64, n)
 			}
-			acc := sweepPlans[idx].Acc[j]
-			for i := 0; i < n; i++ {
-				vm[j][i] = scale * acc[i]
-				if math.IsInf(vm[j][i], 0) || math.IsNaN(vm[j][i]) {
+		}
+		sweep.UnpackAcc(vm, sweepPlans[idx].Acc)
+		scale := 1.0
+		for j, v := range vm {
+			if j > 0 {
+				scale *= float64(j) * d
+			}
+			if math.IsInf(scale, 0) {
+				return nil, fmt.Errorf("%w: scale j!*d^j at order %d", ErrOverflow, j)
+			}
+			for i := range v {
+				v[i] *= scale
+				if math.IsInf(v[i], 0) || math.IsNaN(v[i]) {
 					return nil, fmt.Errorf("%w: t=%g moment order %d", ErrOverflow, plan.t, j)
 				}
 			}

@@ -44,7 +44,9 @@ type Options struct {
 	//     any size (tests and benchmarks use this);
 	//   - < 0 selects the serial reference sweep at any size: the
 	//     unfused oracle the tests compare the fused kernel against, not
-	//     a production mode.
+	//     a production mode. It runs through the same sweep entry on
+	//     plain planes of its own, streaming compact CSR whatever
+	//     MatrixFormat asks for.
 	//
 	// Every setting produces bitwise identical moments; the knob trades
 	// only wall time and goroutines.
@@ -214,7 +216,8 @@ type Stats struct {
 	// when the AVX2 assembly kernels served the bulk rows, "scalar" for
 	// the pure-Go loops (no hardware support, the SOMRM_NOSIMD
 	// environment variable set to anything but "" or "0", the serial
-	// reference sweep, or a run shape without a vector kernel). The
+	// reference sweep, or an impulse model, whose recursion has no
+	// vector body). The
 	// vector kernels replay the scalar loops' exact floating-point
 	// operation sequence, so the kernel never changes a result. Empty
 	// for solves that never ran a sweep.

@@ -140,7 +140,7 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		return matrix + vec*int64(order+2)*2
 	}
 	// Randomization: the two packed state buffers every fused sweep runs
-	// on, plus one accumulator block of (order+1) planes per time point.
-	perBlock := vec * int64(order+1)
-	return matrix + 2*vec*lanes + int64(nTimes)*perBlock
+	// on, plus one accumulator block per time point in the same packed
+	// layout.
+	return matrix + int64(2+nTimes)*vec*lanes
 }

@@ -51,23 +51,33 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 		t.Fatalf("2500x states should dominate the estimate: small=%d big=%d", es, eb)
 	}
 	// Randomization: two packed state buffers plus one accumulator block
-	// of (order+1) vectors per time point, on top of the matrix. The band
-	// window (an impulse-free tridiagonal model) packs order+1 vectors per
-	// buffer; compact CSR (a wider model, or any impulse model) packs P,
-	// order+1 rounded up to a multiple of 4, and an impulse model carries
-	// its order impulse matrices as generic CSR.
+	// per time point, all in the sweep's packed layout, on top of the
+	// matrix. The band window (an impulse-free tridiagonal model) packs
+	// order+1 vectors per block; compact CSR (a wider model, or any
+	// impulse model) packs P, order+1 rounded up to a multiple of 4, and
+	// an impulse model carries its order impulse matrices as generic CSR.
 	vec := int64(5000 * 8)
 	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
 	if got := estimateWorkingSet(tri) - int64(5000*3*8); got != (2*3+3)*vec {
 		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, (2*3+3)*vec)
 	}
 	csr := int64(len(big.Model.Transitions)+5000)*(8+4) + int64(5000+1)*4
-	if got := eb - csr; got != (2*4+3)*vec {
-		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, (2*4+3)*vec)
+	if got := eb - csr; got != (2*4+4)*vec {
+		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, (2*4+4)*vec)
 	}
 	big12 := &SolveRequest{Model: big.Model, T: 1, Order: 12, Method: MethodRandomization}
-	if got := estimateWorkingSet(big12) - csr; got != (2*16+13)*vec {
-		t.Fatalf("order-12 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 16)", got, (2*16+13)*vec)
+	if got := estimateWorkingSet(big12) - csr; got != (2*16+16)*vec {
+		t.Fatalf("order-12 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 16)", got, (2*16+16)*vec)
+	}
+	// An order-12 CSR batch item of three time points: three accumulator
+	// blocks of P = 16 words per state.
+	item12 := &BatchItem{Times: []float64{1, 2, 3}, Order: 12, Method: MethodRandomization}
+	if got := estimateItemWorkingSet(big.Model, item12) - csr; got != (2+3)*16*vec {
+		t.Fatalf("order-12 pentadiagonal 3-point item charged %d B beyond its CSR, want %d (P = 16)", got, (2+3)*16*vec)
+	}
+	tri12 := &BatchItem{Times: []float64{1, 2, 3}, Order: 12, Method: MethodRandomization}
+	if got := estimateItemWorkingSet(tri.Model, tri12) - int64(5000*3*8); got != (2+3)*13*vec {
+		t.Fatalf("order-12 band 3-point item charged %d B beyond its band, want %d (13 planes)", got, (2+3)*13*vec)
 	}
 	imp := largeBandSpec(5000, 1)
 	for i := 0; i+1 < 5000; i++ {
@@ -75,8 +85,8 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	}
 	nnz := int64(len(imp.Transitions) + 5000)
 	impCSR := nnz*(8+4) + int64(5000+1)*4 + 2*(int64(len(imp.Impulses))*16+int64(5000+1)*8)
-	if got := estimateWorkingSet(&SolveRequest{Model: imp, T: 1, Order: 2, Method: MethodRandomization}) - impCSR; got != (2*4+3)*vec {
-		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, (2*4+3)*vec)
+	if got := estimateWorkingSet(&SolveRequest{Model: imp, T: 1, Order: 2, Method: MethodRandomization}) - impCSR; got != (2*4+4)*vec {
+		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, (2*4+4)*vec)
 	}
 	// A composed request is charged its components only: it folds scalar
 	// moments, never product-sized vectors or a product matrix.

@@ -109,9 +109,9 @@ type Metrics struct {
 	// sweep dispatched (core.Stats.SweepKernel, labels sweepKernelLabels)
 	// — the signal operators watch to confirm the vectorized kernels are
 	// actually serving solves (a fleet stuck on "scalar" means missing
-	// hardware support or a forgotten SOMRM_NOSIMD switch; band models
-	// run "avx2" at every order, while impulse models and compact-CSR
-	// models at orders other than 3 always run "scalar").
+	// hardware support or a forgotten SOMRM_NOSIMD switch; band and
+	// compact-CSR models run "avx2" at every order, while impulse models
+	// always run "scalar").
 	SweepKernels labeledCounter
 	// SweepLadder counts how solves used their prepared model's state
 	// ladder (core.Stats.Ladder and LadderCaptured, labels

@@ -41,11 +41,11 @@ func xgetbv0() (eax, edx uint32)
 // &val[lo] of the band's sub-diagonal plane, cur and next are the first
 // row's cells in state plane 0 (&cur[1+lo]), stride is the shared plane
 // stride in words of the band and both state buffers, order the highest
-// moment, and d1/d2 are pre-offset to row lo. acc, when non-nil, is
-// &a_0[lo] of a single plan's order+1 accumulators, which lie at the
-// same plane stride, and receives the plan's Poisson accumulation
-// a_j[i] += w*s_j fused into the body; nil leaves accumulation to the
-// caller. Each vector lane executes exactly the scalar loop's operation
+// moment, and d1/d2 are pre-offset to row lo. acc, when non-nil, is the
+// first row's cell in plane 0 of a single plan's accumulator block
+// (&acc[1+lo]), which shares the state's row-lane layout, and receives
+// the plan's Poisson accumulation a_j[i] += w*s_j fused into the body;
+// nil leaves accumulation to the caller. Each vector lane executes exactly the scalar loop's operation
 // sequence with the same IEEE rounding (vmulpd/vaddpd, never fused), so
 // results are bitwise identical to the Go code. The last n mod 4 rows run
 // as one masked group, which loads and stores no cell of a masked-off
@@ -57,7 +57,8 @@ func bandLanesAVX2(n int, band, cur, next *float64, stride, order int, d1, d2, a
 // planeAccAVX2 applies one plan's accumulation a_j[i] += w*next_j[i]
 // for n >= 1 rows (the last n mod 4 masked) of planes consecutive next
 // planes: next and acc point at plane 0's first row, and the planes lie
-// stride and accStride words apart.
+// stride and accStride words apart. A CSR32 tile is one plane of P words
+// per row.
 //
 //go:noescape
 func planeAccAVX2(n int, next *float64, stride, planes int, acc *float64, accStride int, w float64)

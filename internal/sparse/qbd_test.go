@@ -61,19 +61,12 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
-		ref, err := NewSweep(a, diag1, diag2, nil, order, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refCur, refNext, refPlans := newRunState(ref, weights, firsts, lasts)
-		if _, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 32); err != nil {
-			t.Fatal(err)
-		}
+		_, refAcc := runReference(t, a, diag1, diag2, nil, order, gMax, weights, firsts, lasts)
 
 		for _, workers := range []int{1, 2, 5} {
 			for _, tblock := range []int{1, 4} {
 				for _, dirtyScratch := range []bool{false, true} {
-					fs, err := NewSweep(a, diag1, diag2, nil, order, workers)
+					fs, err := NewSweepWithFormat(a, diag1, diag2, nil, order, workers, FormatAuto)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -85,11 +78,11 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 					if dirtyScratch {
 						lendDirtyScratch(fs)
 					}
-					cur, _, plans := newRunState(fs, weights, firsts, lasts)
-					if _, err := fs.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+					cur, plans := newRunState(fs, weights, firsts, lasts)
+					if _, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 						t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 					}
-					requireAccBitwise(t, fmt.Sprintf("trial %d workers %d T=%d dirty=%v", trial, workers, tblock, dirtyScratch), plans, refPlans, order, n)
+					requireAccBitwise(t, fmt.Sprintf("trial %d workers %d T=%d dirty=%v", trial, workers, tblock, dirtyScratch), fs, plans, refAcc)
 				}
 			}
 		}

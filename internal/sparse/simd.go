@@ -5,7 +5,8 @@ import "os"
 // Runtime SIMD dispatch for the fused sweep kernels. On amd64 hosts with
 // AVX2 (hasAVX2, detected once via CPUID/XGETBV) the band kernel
 // (row-lane) and the impulse-free CSR32 kernel (interleaved) run assembly
-// bodies at every moment order that replay the scalar loops' exact
+// bodies at every moment order, and every fused run accumulates through
+// planeAccAVX2; each replays the scalar loops' exact
 // floating-point operation sequence, so every dispatch choice is bitwise
 // identical — the SOMRM_NOSIMD kill-switch exists for A/B measurement
 // and for exercising both paths in tests on one machine, never for
@@ -15,9 +16,10 @@ import "os"
 // core.Stats.SweepKernel, the solver-stats JSON and the /metrics
 // kernel counters).
 const (
-	// KernelScalar: the pure-Go loops — no hardware support, the
-	// kill-switch, the serial reference sweep, or a run shape without a
-	// vector body (impulse sweeps, empty matrices).
+	// KernelScalar: the pure-Go recursion loops — no hardware support,
+	// the kill-switch, the serial reference sweep, or a run shape without
+	// a vector recursion body (impulse sweeps, empty matrices; their
+	// accumulation passes still vectorize behind the open gate).
 	KernelScalar = "scalar"
 	// KernelAVX2: the AVX2 assembly kernels served the rows.
 	KernelAVX2 = "avx2"
@@ -37,16 +39,16 @@ func simdEnvDisabled() bool {
 	return v != "" && v != "0"
 }
 
-// Kernel reports the compute kernel the last Run or RunReference
-// dispatched: KernelAVX2 or KernelScalar. Empty before the first run.
+// Kernel reports the compute kernel the last run dispatched: KernelAVX2
+// or KernelScalar. Empty before the first run.
 func (s *Sweep) Kernel() string { return s.kernel }
 
 // resolveKernel labels the coming run's dispatch: KernelAVX2 exactly
-// when the run shape reaches one of the assembly bodies — a band sweep,
-// or an impulse-free sweep over a non-empty CSR32 matrix, at any order —
-// and the SIMD gate is open.
+// when the run shape reaches one of the assembly recursion bodies — a
+// band sweep, or a fused impulse-free sweep over a non-empty CSR32
+// matrix, at any order — and the SIMD gate is open.
 func (s *Sweep) resolveKernel() string {
-	if s.simd && (s.format == FormatBand || len(s.imp) == 0 && len(s.a.val) > 0) {
+	if s.simd && (s.format == FormatBand || !s.reference() && len(s.imp) == 0 && len(s.a.val) > 0) {
 		return KernelAVX2
 	}
 	return KernelScalar

@@ -7,18 +7,16 @@ import (
 	"testing"
 )
 
-// runOrder3 runs one order-3 impulse-free sweep (the interleaved hot
-// shape) with a single full-window plan and returns the accumulators, so
-// the kernel-label and forced-dispatch tests share a body.
-func runOrder3(t *testing.T, s *Sweep, gMax int, wseed int64) [][]float64 {
+// runOnePlan runs s for gMax iterations with a single full-window plan,
+// so the kernel-label and kill-switch tests share a body.
+func runOnePlan(t *testing.T, s *Sweep, gMax int, wseed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(wseed))
 	w := randWeights(rng, gMax)
-	cur, _, plans := newRunState(s, [][]float64{w}, []int{0}, []int{gMax})
-	if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+	cur, plans := newRunState(s, [][]float64{w}, []int{0}, []int{gMax})
+	if _, err := s.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 		t.Fatal(err)
 	}
-	return plans[0].Acc
 }
 
 // forceScalar closes the sweep's SIMD gate when scalar is set, as
@@ -49,7 +47,7 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runOrder3(t, s, 12, 1)
+		runOnePlan(t, s, 12, 1)
 		if got := s.Kernel(); got != KernelScalar {
 			t.Fatalf("Kernel() = %q with SOMRM_NOSIMD=1, want %q", got, KernelScalar)
 		}
@@ -61,23 +59,20 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runOrder3(t, s, 12, 1)
+		runOnePlan(t, s, 12, 1)
 		if got := s.Kernel(); got != hw {
 			t.Fatalf("Kernel() = %q with SOMRM_NOSIMD=0, want hardware default %q", got, hw)
 		}
 	})
 
 	t.Run("reference-always-scalar", func(t *testing.T) {
-		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 1, FormatBand)
+		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 0, FormatBand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, next, plans := newRunState(s, [][]float64{make([]float64, 13)}, []int{0}, []int{12})
-		if _, err := s.RunReference(context.Background(), 12, cur, next, plans, 32); err != nil {
-			t.Fatal(err)
-		}
+		runOnePlan(t, s, 12, 1)
 		if got := s.Kernel(); got != KernelScalar {
-			t.Fatalf("Kernel() = %q after RunReference, want %q", got, KernelScalar)
+			t.Fatalf("Kernel() = %q after a reference run, want %q", got, KernelScalar)
 		}
 	})
 }
@@ -155,7 +150,7 @@ func TestSweepKernelLabel(t *testing.T) {
 			if s.Format() != tc.wantFormat {
 				t.Fatalf("format %q resolved to %q, want %q", tc.format, s.Format(), tc.wantFormat)
 			}
-			runOrder3(t, s, 10, 2)
+			runOnePlan(t, s, 10, 2)
 			if got := s.Kernel(); got != tc.want {
 				t.Fatalf("Kernel() = %q, want %q", got, tc.want)
 			}
@@ -210,26 +205,26 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 		workers := 1 + rng.Intn(4)
 		tblock := []int{0, 1, 4}[rng.Intn(3)]
 
-		run := func(nosimd bool) ([]SweepPlan, string) {
+		run := func(nosimd bool) (*Sweep, []SweepPlan) {
 			s, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, format)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			forceScalar(s, nosimd)
 			s.SetTemporalBlock(tblock)
-			cur, _, plans := newRunState(s, weights, firsts, lasts)
-			if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+			cur, plans := newRunState(s, weights, firsts, lasts)
+			if _, err := s.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 				t.Fatalf("seed %d nosimd %v: %v", seed, nosimd, err)
 			}
-			return plans, s.Kernel()
+			return s, plans
 		}
 
-		simdPlans, simdKernel := run(false)
-		scalarPlans, scalarKernel := run(true)
-		if scalarKernel != KernelScalar {
-			t.Fatalf("seed %d: forced-scalar run reported kernel %q", seed, scalarKernel)
+		simd, simdPlans := run(false)
+		scalar, scalarPlans := run(true)
+		if scalar.Kernel() != KernelScalar {
+			t.Fatalf("seed %d: forced-scalar run reported kernel %q", seed, scalar.Kernel())
 		}
 		requireAccBitwise(t, fmt.Sprintf("seed %d format %q workers %d tblock %d (simd kernel %q) vs scalar",
-			seed, format, workers, tblock, simdKernel), simdPlans, scalarPlans, 3, n)
+			seed, format, workers, tblock, simd.Kernel()), simd, simdPlans, unpackPlans(scalar, scalarPlans))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"unsafe"
 )
 
 // This file implements the randomization sweep engine: the k = 1..G
@@ -35,10 +34,10 @@ import (
 //
 // Per element, the fused kernel performs exactly the same floating-point
 // operations in exactly the same order as the serial reference sweep
-// (RunReference), so the two agree bit for bit for every worker count and
-// every group depth. The fused kernel is the production path at every
-// model size; the reference sweep is only the oracle the regression and
-// differential tests compare against.
+// (referenceStep, a sweep built for zero workers), so the two agree bit
+// for bit for every worker count and every group depth. The fused kernel
+// is the production path at every model size; the reference sweep is
+// only the oracle the regression and differential tests compare against.
 
 // SweepPlan describes one time point's Poisson accumulation during a
 // sweep. Weight[k] is the Poisson probability of iteration k; only
@@ -52,29 +51,25 @@ type SweepPlan struct {
 	First, Last int
 	// Weight[k] is the Poisson pmf at k; len(Weight) must exceed Last.
 	Weight []float64
-	// Acc[j][i] accumulates Σ_k Weight[k]·U^(j)(k)[i] for j = 0..order.
-	Acc [][]float64
-
-	// accStride is Acc's uniform plane stride (see planeStride), resolved
-	// once per fused run.
-	accStride int
+	// Acc accumulates Σ_k Weight[k]·U^(j)(k) for j = 0..order in the
+	// sweep's packed state layout: AccWords() words, written with PackAcc
+	// and read with UnpackAcc.
+	Acc []float64
 }
 
 // accPair is one resolved accumulation target for the current iteration:
-// weight w, accumulators acc, and their uniform plane stride in words
-// (-1 when the planes do not lie at one stride).
+// weight w and the plan's packed accumulator block acc.
 type accPair struct {
-	w      float64
-	acc    [][]float64
-	stride int
+	w   float64
+	acc []float64
 }
 
 // Sweep is a prepared randomization sweep over a fixed matrix family:
 // the uniformized generator a, the diagonal first- and second-order
 // reward terms, and optional impulse matrices imp[m-1] applied with
-// coefficient 1/m!. Build one per solve with NewSweep, then execute it
-// with Run (fused kernel, the production path) or RunReference (serial
-// test oracle).
+// coefficient 1/m!. Build one per solve with NewSweepWithFormat — for a
+// fused team (the production path) or for the serial reference oracle —
+// then execute it with RunFrom.
 type Sweep struct {
 	a            *CSR
 	rows         int
@@ -82,7 +77,7 @@ type Sweep struct {
 	imp          []*CSR
 	coef         []float64 // coef[m] = 1/m!, the impulse term coefficients
 	order        int
-	workers      int
+	workers      int   // team size; 0 for the serial reference sweep
 	blocks       []int // blocks[w]..blocks[w+1] is worker w's row range
 
 	// Tuning knobs (see SetSweepTile / SetTemporalBlock): tile is the
@@ -125,8 +120,8 @@ type Sweep struct {
 	onBarrier InterruptHook
 	barrierAt int
 
-	// pcur/pnext are the packed moment-state buffers of a fused run (see
-	// seedState) while Run executes. pcur holds iteration k0 at every
+	// pcur/pnext are the packed moment-state buffers of a run (see
+	// seedState) while RunFrom executes. pcur holds iteration k0 at every
 	// group boundary; the task channels of the split team order the
 	// driver's writes before the workers' reads.
 	pcur, pnext []float64
@@ -157,8 +152,9 @@ const parallelThreshold = 8_191
 //   - requested < 0 selects the serial reference sweep (returns 0), the
 //     oracle tests compare the fused kernel against.
 //
-// The returned count is 0 for "use RunReference" and >= 1 for "use Run
-// with this team size". Every choice yields bitwise identical results.
+// The returned count is 0 for the reference sweep and >= 1 for a fused
+// team of that size; NewSweepWithFormat takes either. Every choice yields
+// bitwise identical results.
 func PlanWorkers(requested, rows int) int {
 	if requested < 0 {
 		return 0
@@ -178,20 +174,16 @@ func PlanWorkers(requested, rows int) int {
 	return requested
 }
 
-// NewSweep validates the matrix family and partitions the rows for a team
-// of the given size. diag2 must already carry any constant factor (the
-// solver passes ½·S'). imp may be empty; when present it must hold at
-// least order matrices (imp[m-1] multiplies cur[j-m] for every m <= j).
-// The sweep matrix's storage is selected automatically (FormatAuto); use
-// NewSweepWithFormat to force a representation.
-func NewSweep(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int) (*Sweep, error) {
-	return NewSweepWithFormat(a, diag1, diag2, imp, order, workers, FormatAuto)
-}
-
-// NewSweepWithFormat is NewSweep with an explicit storage format for the
-// sweep matrix. A sweep with impulse matrices resolves to compact CSR;
-// the impulse matrices stay generic CSR. Every format yields bitwise
-// identical results; Format reports the resolved choice.
+// NewSweepWithFormat validates the matrix family and partitions the rows
+// for a fused team of the given size, or builds the serial reference
+// sweep when workers < 1 (PlanWorkers returns 0 for it). diag2 must
+// already carry any constant factor (the solver passes ½·S'). imp may be
+// empty; when present it must hold at least order matrices (imp[m-1]
+// multiplies cur[j-m] for every m <= j). format selects the sweep
+// matrix's storage (see MatrixFormat); a sweep with impulse matrices, and
+// the reference sweep, resolve to compact CSR, and the impulse matrices
+// stay generic CSR. Every format yields bitwise identical results; Format
+// reports the resolved choice.
 func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int, format MatrixFormat) (*Sweep, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil sweep matrix", ErrDimensionMismatch)
@@ -214,11 +206,9 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		}
 	}
 	if workers < 1 {
-		workers = 1
+		workers, format = 0, FormatCSR // the reference streams the compact CSR
 	}
-	if workers > a.rows {
-		workers = a.rows
-	}
+	workers = min(workers, max(a.rows, 1))
 	resolved, band, col32, err := resolveStorage(a, format, len(imp) > 0)
 	if err != nil {
 		return nil, err
@@ -302,37 +292,31 @@ func partitionRows(rows, workers int, rowCost func(int) int64) []int {
 }
 
 // Format returns the resolved storage format: FormatBand or
-// FormatCSR32. (The RunReference test oracle streams the compact CSR
-// whatever this setting.)
+// FormatCSR32 (always FormatCSR32 for the reference sweep).
 func (s *Sweep) Format() MatrixFormat { return s.format }
 
-// ScratchWords returns the float64 count Run uses for its two packed
-// moment-state buffers (see seedState).
-func (s *Sweep) ScratchWords() int {
-	if s.format == FormatBand {
-		return 2 * (s.order + 1) * s.band.stride
+// reference reports whether the sweep runs the serial reference oracle.
+func (s *Sweep) reference() bool { return s.workers == 0 }
+
+// AccWords returns the float64 count of one packed buffer of the run's
+// layout (see planes): one plan's accumulator block (SweepPlan.Acc), or
+// one set of moment-state vectors, padding included.
+func (s *Sweep) AccWords() int {
+	if st, _ := s.planes(); st > 0 {
+		return (s.order + 1) * st
 	}
-	return 2 * s.lanes * s.rows
+	return s.lanes * s.rows
 }
 
-// PlaneStride returns the stride, in float64 words, of the row-lane
-// planes a band sweep runs on (bandPlaneStride(rows)), and rows for
-// every other storage. A plan whose accumulators Acc[j] start j·
-// PlaneStride() words into one buffer — the layout the solver carves —
-// has its Poisson accumulation fused into the band kernel; any other
-// layout is accumulated in a separate vector pass, bitwise identically.
-func (s *Sweep) PlaneStride() int {
-	if s.format == FormatBand {
-		return s.band.stride
-	}
-	return s.rows
-}
+// ScratchWords returns the float64 count RunFrom uses for its two packed
+// moment-state buffers.
+func (s *Sweep) ScratchWords() int { return 2 * s.AccWords() }
 
-// SetScratch lends Run a scratch buffer of at least ScratchWords()
+// SetScratch lends RunFrom a scratch buffer of at least ScratchWords()
 // float64s for its packed state (contents need not be zeroed),
 // eliminating the two largest per-run allocations; pooled solves use it.
-// A short (or nil) buffer is ignored and Run allocates as before. The
-// buffer is used only while Run executes and may be reused afterwards.
+// A short (or nil) buffer is ignored and RunFrom allocates as before. The
+// buffer is used only while RunFrom executes and may be reused afterwards.
 func (s *Sweep) SetScratch(buf []float64) { s.scratch = buf }
 
 // SetSweepTile overrides the row-tile width of the fused kernels — the
@@ -348,14 +332,14 @@ func (s *Sweep) SetSweepTile(w int) {
 	}
 }
 
-// SetTemporalBlock requests temporal blocking for Run: t
+// SetTemporalBlock requests temporal blocking for RunFrom: t
 // consecutive sweep iterations are executed over each cache-resident row
 // block before the next block is touched (see runBlocked). 0 (the
 // default) tunes the depth automatically from the matrix bandwidth and
 // the state footprint; 1 or negative disables blocking; larger values
 // force that depth (capped at maxTemporalBlock) wherever blocking is
 // structurally possible. Every setting is bitwise identical to the
-// unblocked sweep; TemporalBlock reports what the last Run resolved.
+// unblocked sweep; TemporalBlock reports what the last run resolved.
 func (s *Sweep) SetTemporalBlock(t int) {
 	if t > maxTemporalBlock {
 		t = maxTemporalBlock
@@ -363,8 +347,8 @@ func (s *Sweep) SetTemporalBlock(t int) {
 	s.tblock = t
 }
 
-// TemporalBlock returns the temporal blocking depth the last Run
-// resolved: 1 for an unblocked run (including every RunReference), the
+// TemporalBlock returns the temporal blocking depth the last run
+// resolved: 1 for an unblocked run (including every reference run), the
 // group depth T otherwise.
 func (s *Sweep) TemporalBlock() int { return s.resolvedT }
 
@@ -441,11 +425,11 @@ func (s *Sweep) blockReach() (lo, hi int) {
 // (T, W, skew) the blocked sweep runs: T inner iterations per group over
 // blocks of W rows, each inner step's row window sliding skew rows to the
 // left (the split-tiled schedule of runBlocked). T == 1 means the run
-// stays unblocked. The schedule is exact at every block width, so W is
-// the tile as set.
+// stays unblocked, as the reference sweep always does. The schedule is
+// exact at every block width, so W is the tile as set.
 func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	T, W = 1, s.tile
-	if s.tblock < 0 || s.tblock == 1 {
+	if s.tblock < 0 || s.tblock == 1 || s.reference() {
 		return
 	}
 	lo, hi := s.blockReach()
@@ -495,61 +479,114 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 // completed+1 has not started, so the sweep state is a consistent
 // snapshot. export copies the current moment-state vectors U^(j)(completed)
 // into dst — order+1 vectors of Rows() entries each — out of the packed
-// layout of a fused run. A sweep resumed from that state with
+// layout of the run. A sweep resumed from that state with
 // RunFrom(ctx, completed+1, ...) is bitwise identical to the
 // uninterrupted run.
 type InterruptHook func(completed int, export func(dst [][]float64))
 
-// SetInterruptHook installs the hook Run and RunReference invoke when a
-// context cancellation is observed mid-sweep (nil disables). The hook runs
-// on the driver goroutine while every worker waits for its next task, so
-// it may read any sweep state without synchronization.
+// SetInterruptHook installs the hook RunFrom invokes when a context
+// cancellation is observed mid-sweep (nil disables). The hook runs on the
+// driver goroutine while every worker waits for its next task, so it may
+// read any sweep state, the plans' accumulators included, without
+// synchronization.
 func (s *Sweep) SetInterruptHook(h InterruptHook) { s.onInterrupt = h }
 
-// SetBarrierHook asks Run and RunReference to invoke h at the barrier
-// after iteration k, with the same arguments and guarantees as an
-// InterruptHook: the fused schedule ends a group there (a forced group
-// boundary; every group depth is bitwise neutral), so h can export
-// U^(j)(k) and the run continues. It fires only when the run starts
-// below k and ends above it; nil disables. A blocked run also polls for
-// cancellation at that boundary, as at every group boundary. Solvers
-// hang their state snapshots on it.
+// SetBarrierHook asks RunFrom to invoke h at the barrier after iteration
+// k, with the same arguments and guarantees as an InterruptHook: the
+// fused schedule ends a group there (a forced group boundary; every group
+// depth is bitwise neutral), so h can export U^(j)(k) and the run
+// continues. It fires only when the run starts below k and ends above it;
+// nil disables. A blocked run also polls for cancellation at that
+// boundary, as at every group boundary. Solvers hang their state
+// snapshots on it.
 func (s *Sweep) SetBarrierHook(k int, h InterruptHook) { s.barrierAt, s.onBarrier = k, h }
 
-// seedState copies the moment-state vectors cur into pcur, the packed
-// layout of the run; every fused run copies the caller's initial state
-// once and never touches its vectors again. Row-lane planes (every band
-// sweep, order+1 per buffer) hold row i at cell
-// 1+i of plane j = pcur[j*st : (j+1)*st], st = bandPlaneStride(rows), with
-// one zero padding cell at each end, so a vector of four consecutive rows
-// of one moment is one contiguous load and the first and last rows need
-// no boundary clamping (out-of-matrix band cells multiply padding zeros,
-// which is bitwise neutral, see band.go). The interleaved layout (every
-// CSR32 sweep) holds moment j of state i at pcur[i*P+j], P = lanes =
-// order+1 rounded up to a multiple of 4, so each four-moment group a
-// matrix entry gathers is one contiguous load. The padding lanes j >
-// order start at zero, and no moment reads them (see fuseBlockCSR).
-func (s *Sweep) seedState(cur [][]float64) {
+// planes returns the plane stride and the first row's cell of a planar
+// packed layout, or (0, 0) for the interleaved one. Every buffer of a run
+// — both state buffers and each plan's accumulator block — has the same
+// layout:
+//
+//   - Row-lane planes (every band sweep) hold row i of moment j at cell
+//     1+i of plane j = buf[j*st : (j+1)*st], st = bandPlaneStride(rows),
+//     with one zero padding cell at each end, so a vector of four
+//     consecutive rows of one moment is one contiguous load and the first
+//     and last rows need no boundary clamping (out-of-matrix band cells
+//     multiply padding zeros, which is bitwise neutral, see band.go).
+//   - The reference sweep's plain planes hold row i of moment j at
+//     buf[j*rows+i].
+//   - The interleaved layout (every fused CSR32 sweep) holds moment j of
+//     state i at buf[i*P+j], P = lanes = order+1 rounded up to a multiple
+//     of 4, so each four-moment group a matrix entry gathers is one
+//     contiguous load. The padding lanes j > order start at zero; no
+//     moment reads them (see csrRows) and UnpackAcc never returns them.
+func (s *Sweep) planes() (st, off int) {
+	switch {
+	case s.format == FormatBand:
+		return s.band.stride, 1
+	case s.reference():
+		return s.rows, 0
+	}
+	return 0, 0
+}
+
+// PackAcc writes the order+1 vectors of src, Rows() entries each, into
+// buf, one buffer of the run's packed layout (see planes) — a plan's
+// accumulator block of AccWords() words, which may arrive dirty, or a
+// state buffer — and zeroes its padding cells or lanes; a plane's cells
+// past its right padding cell are left as they are. For a plan,
+// src[j][i] holds Σ_k Weight[k]·U^(j)(k)[i] over the iterations already
+// accumulated: all zero for a fresh plan.
+func (s *Sweep) PackAcc(buf []float64, src [][]float64) {
 	n := s.rows
-	if s.format == FormatBand {
-		// Zero the padding cells (lent scratch arrives dirty); the row
-		// cells are fully (re)written here and by every iteration, and
-		// the kernels never read past cell n+1.
-		st := s.band.stride
-		for j := 0; j <= s.order; j++ {
-			c, x := s.pcur[j*st:j*st+n+2], s.pnext[j*st:j*st+n+2]
-			c[0], c[n+1], x[0], x[n+1] = 0, 0, 0, 0
-			copy(c[1:n+1], cur[j])
+	if st, off := s.planes(); st > 0 {
+		for j, v := range src {
+			p := buf[j*st : j*st+n+2*off]
+			clear(p[:off])
+			copy(p[off:], v)
+			clear(p[off+n:])
 		}
 		return
 	}
 	P := s.lanes
 	for i := 0; i < n; i++ {
-		clear(s.pcur[i*P+s.order+1 : i*P+P])
+		clear(buf[i*P+s.order+1 : i*P+P])
 	}
-	for j, cj := range cur {
-		for i, v := range cj {
-			s.pcur[i*P+j] = v
+	for j, v := range src {
+		for i, x := range v {
+			buf[i*P+j] = x
+		}
+	}
+}
+
+// UnpackAcc copies the order+1 moment vectors of buf, a plan's
+// accumulator block or a state buffer, into dst, order+1 vectors of
+// Rows() entries each. Padding never reaches dst.
+func (s *Sweep) UnpackAcc(dst [][]float64, buf []float64) {
+	if st, off := s.planes(); st > 0 {
+		for j, d := range dst {
+			copy(d, buf[j*st+off:])
+		}
+		return
+	}
+	P := s.lanes
+	for j, d := range dst {
+		for i := range d {
+			d[i] = buf[i*P+j]
+		}
+	}
+}
+
+// seedState copies the moment-state vectors cur into pcur; every run
+// copies the caller's initial state once and never touches its vectors
+// again. A band run also zeroes pnext's padding cells (lent scratch
+// arrives dirty): the row cells are rewritten by every iteration, and the
+// kernels never read past cell n+1.
+func (s *Sweep) seedState(cur [][]float64) {
+	s.PackAcc(s.pcur, cur)
+	if s.format == FormatBand {
+		st, n := s.band.stride, s.rows
+		for j := 0; j <= s.order; j++ {
+			s.pnext[j*st], s.pnext[j*st+n+1] = 0, 0
 		}
 	}
 }
@@ -557,21 +594,7 @@ func (s *Sweep) seedState(cur [][]float64) {
 // exportState copies the current moment-state vectors out of the packed
 // layout into dst. Only called at iteration barriers (see InterruptHook),
 // where the published state is consistent.
-func (s *Sweep) exportState(dst [][]float64) {
-	if s.format == FormatBand {
-		st, n := s.band.stride, s.rows
-		for j := range dst {
-			copy(dst[j], s.pcur[j*st+1:j*st+1+n])
-		}
-		return
-	}
-	P := s.lanes
-	for j, dj := range dst {
-		for i := range dj {
-			dj[i] = s.pcur[i*P+j]
-		}
-	}
-}
+func (s *Sweep) exportState(dst [][]float64) { s.UnpackAcc(dst, s.pcur) }
 
 // matVecs returns the sparse product count of g completed iterations,
 // matching the reference recursion's bookkeeping: order+1 products with
@@ -585,18 +608,16 @@ func (s *Sweep) matVecs(g int) int64 {
 	return perIter * int64(g)
 }
 
-// validateRun checks the per-run state vectors (cur, plus next for the
-// reference sweep) and plans against the prepared family.
-func (s *Sweep) validateRun(plans []SweepPlan, vecs ...[][]float64) error {
+// validateRun checks the initial state vectors and the plans against the
+// prepared family.
+func (s *Sweep) validateRun(plans []SweepPlan, cur [][]float64) error {
 	n := s.rows
-	for _, v := range vecs {
-		if len(v) != s.order+1 {
-			return fmt.Errorf("%w: %d sweep vectors for order %d", ErrDimensionMismatch, len(v), s.order)
-		}
-		for j, vj := range v {
-			if len(vj) != n {
-				return fmt.Errorf("%w: sweep vector %d has %d entries for %d rows", ErrDimensionMismatch, j, len(vj), n)
-			}
+	if len(cur) != s.order+1 {
+		return fmt.Errorf("%w: %d sweep vectors for order %d", ErrDimensionMismatch, len(cur), s.order)
+	}
+	for j, v := range cur {
+		if len(v) != n {
+			return fmt.Errorf("%w: sweep vector %d has %d entries for %d rows", ErrDimensionMismatch, j, len(v), n)
 		}
 	}
 	for pi := range plans {
@@ -607,13 +628,8 @@ func (s *Sweep) validateRun(plans []SweepPlan, vecs ...[][]float64) error {
 		if p.First < 0 || p.Last >= len(p.Weight) {
 			return fmt.Errorf("%w: plan %d window [%d,%d] outside %d weights", ErrDimensionMismatch, pi, p.First, p.Last, len(p.Weight))
 		}
-		if len(p.Acc) != s.order+1 {
-			return fmt.Errorf("%w: plan %d has %d accumulators for order %d", ErrDimensionMismatch, pi, len(p.Acc), s.order)
-		}
-		for j := range p.Acc {
-			if len(p.Acc[j]) != n {
-				return fmt.Errorf("%w: plan %d accumulator %d has %d entries for %d rows", ErrDimensionMismatch, pi, j, len(p.Acc[j]), n)
-			}
+		if len(p.Acc) != s.AccWords() {
+			return fmt.Errorf("%w: plan %d accumulator block has %d words, want %d", ErrDimensionMismatch, pi, len(p.Acc), s.AccWords())
 		}
 	}
 	return nil
@@ -628,31 +644,25 @@ func gatherActive(plans []SweepPlan, k int, buf []accPair) []accPair {
 			continue
 		}
 		if w := p.Weight[k]; w != 0 {
-			buf = append(buf, accPair{w: w, acc: p.Acc, stride: p.accStride})
+			buf = append(buf, accPair{w: w, acc: p.Acc})
 		}
 	}
 	return buf
 }
 
-// Run executes gMax fused iterations and returns the number of sparse
-// products performed. The initial state is cur; accumulations land in the
-// plans' Acc buffers. Run copies cur into its own packed state once and
-// never writes it, so the vectors of cur may alias one another (or a
-// checkpoint's read-only state). Cancellation is polled every
-// cancelStride iterations of an unblocked run and at every group boundary
-// of a temporally blocked one.
-func (s *Sweep) Run(ctx context.Context, gMax int, cur [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	return s.RunFrom(ctx, 1, gMax, cur, plans, cancelStride)
-}
-
-// RunFrom is Run starting at iteration first instead of 1: cur must hold
-// the moment-state vectors U^(j)(first-1) — for first == 1 the caller's
-// initial state, for larger first a state exported by an InterruptHook —
-// and the plans' Acc buffers must already carry every accumulation of
-// iterations k < first. Because each iteration's floating-point work
-// depends only on the incoming state and its own Poisson weights, a run
-// resumed this way is bitwise identical to the uninterrupted sweep, for
-// every storage format and worker count.
+// RunFrom executes iterations first..gMax and returns the number of
+// sparse products performed. cur must hold the moment-state vectors
+// U^(j)(first-1) — for first == 1 the caller's initial state, for larger
+// first a state exported by an InterruptHook — and the plans' Acc blocks
+// must already carry every accumulation of iterations k < first (see
+// PackAcc). RunFrom copies cur into its own packed state once and never
+// writes it, so the vectors of cur may alias one another (or a
+// checkpoint's read-only state). Because each iteration's floating-point
+// work depends only on the incoming state and its own Poisson weights, a
+// run resumed this way is bitwise identical to the uninterrupted sweep,
+// for every storage format and worker count, the reference sweep
+// included. Cancellation is polled every cancelStride iterations of an
+// unblocked run and at every group boundary of a temporally blocked one.
 func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
 	if err := s.validateRun(plans, cur); err != nil {
 		return 0, err
@@ -662,11 +672,6 @@ func (s *Sweep) RunFrom(ctx context.Context, first, gMax int, cur [][]float64, p
 	}
 	if cancelStride <= 0 {
 		cancelStride = 1
-	}
-	for pi := range plans {
-		if p := &plans[pi]; p.Last >= p.First {
-			p.accStride = planeStride(p.Acc)
-		}
 	}
 	s.kernel = s.resolveKernel()
 	words := s.ScratchWords()
@@ -691,19 +696,23 @@ func (s *Sweep) interrupted(completed int) {
 	}
 }
 
-// stepRange runs one iteration's fused work over rows [lo, hi) with
-// explicit state buffers and accumulation targets, so different inner
-// iterations of a group can address alternating buffers and
-// per-iteration Poisson targets.
+// stepRange runs one iteration's work over rows [lo, hi) with explicit
+// state buffers and accumulation targets, so different inner iterations
+// of a group can address alternating buffers and per-iteration Poisson
+// targets. The reference sweep, never blocked and never split, always
+// steps all rows at once.
 func (s *Sweep) stepRange(lo, hi int, cur, next []float64, active []accPair) {
-	if s.format == FormatBand {
+	switch {
+	case s.format == FormatBand:
 		s.fuseBlockBand(lo, hi, cur, next, active)
-		return
+	case s.reference():
+		s.referenceStep(cur, next, active)
+	default:
+		s.fuseBlockCSR(lo, hi, cur, next, active)
 	}
-	s.fuseBlockCSR(lo, hi, cur, next, active)
 }
 
-// runBlocked executes every fused run by split tiling. Iterations are
+// runBlocked executes every run by split tiling. Iterations are
 // processed in groups of up to T; within a group, each row block runs all
 // of the group's inner iterations back to back while its rows (state,
 // matrix values, diagonals, accumulators) are cache-resident, so every
@@ -940,17 +949,19 @@ func (s *Sweep) runSeams(plans []SweepPlan, active []accPair, k0, tg int, splits
 }
 
 // fuseBlockCSR is the CSR32 kernel at every moment order, on the
-// interleaved layout (see seedState). Tiles of s.tile rows run the
+// interleaved layout (see planes). Tiles of s.tile rows run the
 // recursion — csrLanesAVX2 when the kernel is AVX2, else csrRows and an
 // impulse sweep's impulseRows — then one accumulation pass per plan while
-// the tile is cache-hot. The split is bitwise neutral: each
-// a_j[i] += w*s_j reloads the stored s_j bit-exactly, and only work of
-// different (plan, element) pairs is reordered.
+// the tile is cache-hot: a += w·x over the tile's P·rows contiguous
+// words, padding lanes included, as planeAccAVX2 on one plane wherever
+// the SIMD gate is open and a plain loop otherwise. The split is bitwise
+// neutral: each a += w·x reloads the stored x bit-exactly, and only work
+// of different (plan, element) pairs is reordered.
 func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) {
-	P, vec := s.lanes, s.kernel == KernelAVX2
+	P := s.lanes
 	for t0 := lo; t0 < hi; t0 += s.tile {
 		t1 := min(t0+s.tile, hi)
-		if vec {
+		if s.kernel == KernelAVX2 {
 			csrLanesAVX2(t1-t0, &s.a.rowPtr[t0], &s.col32[0], &s.a.val[0], &cur[0], &cur[t0*P], &next[t0*P], &s.diag1[t0], &s.diag2[t0], P/4)
 		} else {
 			s.csrRows(t0, t1, cur, next)
@@ -958,17 +969,15 @@ func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) 
 				s.impulseRows(t0, t1, cur, next)
 			}
 		}
+		x := next[t0*P : t1*P]
 		for _, ap := range active {
-			if vec && ap.stride >= 0 {
-				csrAccAVX2(t1-t0, &next[t0*P], P/4, s.order+1, &ap.acc[0][t0], ap.stride, ap.w)
+			a := ap.acc[t0*P : t1*P][:len(x)]
+			if s.simd {
+				planeAccAVX2(len(x), &x[0], 0, 1, &a[0], 0, ap.w)
 				continue
 			}
-			w := ap.w
-			for j, a := range ap.acc {
-				a, x := a[t0:t1], next[t0*P+j:]
-				for k := range a {
-					a[k] += w * x[k*P]
-				}
+			for k, v := range x {
+				a[k] += ap.w * v
 			}
 		}
 	}
@@ -978,7 +987,7 @@ func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) 
 // [lo, hi). It walks each row's entries once per four-moment group (the
 // matrix streams from memory once per iteration; later walks hit L1),
 // the group's sums in registers seeded +0, then adds the d1 and d2
-// coupling terms: each moment sees RunReference's exact operation
+// coupling terms: each moment sees referenceStep's exact operation
 // sequence, the row products in entry order, then d1, then d2. Padding
 // lanes j > order run the same recursion; a lane reads only lanes at or
 // below it, so no moment reads one, and none is accumulated or exported.
@@ -1032,7 +1041,7 @@ func (s *Sweep) csrRows(lo, hi int, cur, next []float64) {
 // time in registers, adding u·cur[c·P + j−m] for each stored entry (c, u)
 // — CSR.MatVecAdd's terms, in its order, from +0 — and moment j takes
 // coef[m]·sum. Each moment thus takes its terms in increasing m after its
-// coupling terms, as in RunReference.
+// coupling terms, as in referenceStep.
 func (s *Sweep) impulseRows(lo, hi int, cur, next []float64) {
 	P, order := s.lanes, s.order
 	for m, im := range s.imp[:order] {
@@ -1069,7 +1078,7 @@ func (s *Sweep) impulseRows(lo, hi int, cur, next []float64) {
 }
 
 // fuseBlockBand is the band kernel at every moment order, on the
-// row-lane layout Run sets up: moment j of row i lives at cell 1+i of
+// row-lane layout (see planes): moment j of row i lives at cell 1+i of
 // state plane j, and the band's sub-diagonal, diagonal and super-diagonal
 // are planes too, so every operand of four consecutive rows of one moment
 // is one contiguous load — zero index loads, zero gathers, no lane
@@ -1083,14 +1092,13 @@ func (s *Sweep) impulseRows(lo, hi int, cur, next []float64) {
 // sequence with the same IEEE rounding: four rows per group, the last
 // (hi-lo) mod 4 rows as one masked group that writes no cell outside the
 // range. bandRows runs only without AVX2 (no hardware support, a
-// kill-switch, arm64). One plan whose accumulators lie at the state
-// plane stride (see
-// PlaneStride; the solver carves them so) has its accumulation fused
-// into the kernel as vector adds straight into those planes; otherwise
-// the kernel runs unaccumulated per tile, followed by one vector
-// accumulation pass per plan (the split is bitwise neutral: each
-// a_j[i] += w*s_j reads back the stored s_j bit-exactly, and only work
-// between different (plan, element) pairs is reordered).
+// kill-switch, arm64). Accumulators share the state's row-lane layout, so
+// a single plan's accumulation is fused into the kernel as vector adds
+// straight into its planes; with several plans the kernel runs
+// unaccumulated per tile, followed by one planeAccAVX2 pass per plan (the
+// split is bitwise neutral: each a_j[i] += w*s_j reads back the stored
+// s_j bit-exactly, and only work between different (plan, element) pairs
+// is reordered).
 func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair) {
 	if !s.simd {
 		s.bandRows(lo, hi, cur, next, active)
@@ -1101,68 +1109,35 @@ func (s *Sweep) fuseBlockBand(lo, hi int, cur, next []float64, active []accPair)
 	}
 	st, bval, order := s.band.stride, s.band.val, s.order
 	d1, d2 := s.diag1, s.diag2
-	// One plan whose accumulators lie at the state plane stride has its
-	// accumulation fused into the kernel.
-	var fused *float64
-	var w float64
-	if len(active) == 1 {
-		if ap := &active[0]; ap.stride == st || order == 0 {
-			fused, w = &ap.acc[0][lo], ap.w
+	if len(active) <= 1 {
+		var acc *float64
+		var w float64
+		if len(active) == 1 {
+			acc, w = &active[0].acc[1+lo], active[0].w
+		}
+		bandLanesAVX2(hi-lo, &bval[lo], &cur[1+lo], &next[1+lo], st, order, &d1[lo], &d2[lo], acc, w)
+		return
+	}
+	// Whole groups per tile, so only the range's last tile has a masked
+	// group.
+	tile := max(s.tile&^3, 4)
+	for t0 := lo; t0 < hi; t0 += tile {
+		t1 := min(t0+tile, hi)
+		bandLanesAVX2(t1-t0, &bval[t0], &cur[1+t0], &next[1+t0], st, order, &d1[t0], &d2[t0], nil, 0)
+		for _, ap := range active {
+			planeAccAVX2(t1-t0, &next[1+t0], st, order+1, &ap.acc[1+t0], st, ap.w)
 		}
 	}
-	if fused != nil || len(active) == 0 {
-		bandLanesAVX2(hi-lo, &bval[lo], &cur[1+lo], &next[1+lo], st, order, &d1[lo], &d2[lo], fused, w)
-	} else {
-		// Whole groups per tile, so only the range's last tile has a
-		// masked group.
-		tile := max(s.tile&^3, 4)
-		for t0 := lo; t0 < hi; t0 += tile {
-			t1 := min(t0+tile, hi)
-			bandLanesAVX2(t1-t0, &bval[t0], &cur[1+t0], &next[1+t0], st, order, &d1[t0], &d2[t0], nil, 0)
-			for _, ap := range active {
-				if ap.stride >= 0 {
-					planeAccAVX2(t1-t0, &next[1+t0], st, order+1, &ap.acc[0][t0], ap.stride, ap.w)
-					continue
-				}
-				for j, a := range ap.acc {
-					planeAccAVX2(t1-t0, &next[j*st+1+t0], st, 1, &a[t0], 0, ap.w)
-				}
-			}
-		}
-	}
-}
-
-// planeStride returns the distance in words between consecutive
-// accumulator planes when all of them lie at one uniform stride, so a
-// vector body can walk them from a single pointer, or -1 when they do
-// not (descending planes included). A run resolves it once per plan
-// (see RunFrom): the solver fixes the accumulator layout for the whole
-// run.
-func planeStride(acc [][]float64) int {
-	base := uintptr(unsafe.Pointer(&acc[0][0]))
-	var st uintptr
-	for j := 1; j < len(acc); j++ {
-		d := uintptr(unsafe.Pointer(&acc[j][0])) - base
-		if j == 1 {
-			st = d
-		} else if d != uintptr(j)*st {
-			return -1
-		}
-	}
-	if int(st) < 0 {
-		return -1
-	}
-	return int(st) / 8
 }
 
 // bandRows is the scalar body of fuseBlockBand for rows [lo, hi) — the
-// whole band sweep without AVX2 — one
-// moment plane at a time: the three band products in column order from a
-// +0 sum, then the d1 and d2 order-coupling terms — RunReference's
-// sequence — and the active accumulations (a single plan's fused into
-// the loop, several as passes over the finished plane). Every operand is
-// re-sliced to the range first (plane cells lo..hi+1 hold rows
-// lo-1..hi), so the loops run free of bounds checks.
+// whole band sweep without AVX2 — one moment plane at a time: the three
+// band products in column order from a +0 sum, then the d1 and d2
+// order-coupling terms — referenceStep's sequence — and the active
+// accumulations (a single plan's fused into the loop, several as passes
+// over the finished plane). Every operand is re-sliced to the range
+// first (plane cells lo..hi+1 hold rows lo-1..hi), so the loops run free
+// of bounds checks.
 func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 	if lo >= hi {
 		return
@@ -1174,14 +1149,14 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 	dg, sup = dg[lo:hi][:m], sup[lo:hi][:m]
 	d1, d2 := s.diag1[lo:hi][:m], s.diag2[lo:hi][:m]
 	plane := func(buf []float64, j int) []float64 { return buf[j*st+lo : j*st+hi+2][:m+2] }
-	centre := func(j int) []float64 { return plane(cur, j)[1:][:m] }
+	rows := func(buf []float64, j int) []float64 { return plane(buf, j)[1:][:m] }
 	one := len(active) == 1
 	var w float64
 	for j := 0; j <= s.order; j++ {
-		c, nj := plane(cur, j), plane(next, j)[1:][:m]
+		c, nj := plane(cur, j), rows(next, j)
 		a := nj // written only when one is set
 		if one {
-			w, a = active[0].w, active[0].acc[j][lo:hi][:m]
+			w, a = active[0].w, rows(active[0].acc, j)
 		}
 		switch j {
 		case 0:
@@ -1196,7 +1171,7 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 				}
 			}
 		case 1:
-			c1 := centre(0)
+			c1 := rows(cur, 0)
 			for k, l := range sub {
 				var sum float64
 				sum += l * c[k]
@@ -1209,7 +1184,7 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 				}
 			}
 		default:
-			c1, c2 := centre(j-1), centre(j-2)
+			c1, c2 := rows(cur, j-1), rows(cur, j-2)
 			for k, l := range sub {
 				var sum float64
 				sum += l * c[k]
@@ -1225,7 +1200,7 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 		}
 		if len(active) > 1 {
 			for _, ap := range active {
-				w, a := ap.w, ap.acc[j][lo:hi][:m]
+				w, a := ap.w, rows(ap.acc, j)
 				for k, v := range nj {
 					a[k] += w * v
 				}
@@ -1234,105 +1209,46 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 	}
 }
 
-// RunReference executes the sweep with the serial reference kernel: one
-// full-vector pass per term on planar state vectors, exactly the
-// operation structure of the original solver loop (the sweep matrix
-// through its uint32 columns whatever the format). It is the oracle the fused kernel is tested
-// against, not a production path: automatic worker selection runs the
-// fused kernel at every size, and only an explicit negative worker
-// request (see PlanWorkers) reaches this loop.
-func (s *Sweep) RunReference(ctx context.Context, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	return s.RunReferenceFrom(ctx, 1, gMax, cur, next, plans, cancelStride)
-}
-
-// RunReferenceFrom is RunReference starting at iteration first, with the
-// same resume contract as RunFrom: cur holds U^(j)(first-1) and the Acc
-// buffers carry all accumulations of iterations below first.
-func (s *Sweep) RunReferenceFrom(ctx context.Context, first, gMax int, cur, next [][]float64, plans []SweepPlan, cancelStride int) (int64, error) {
-	if err := s.validateRun(plans, cur, next); err != nil {
-		return 0, err
-	}
-	if first < 1 {
-		return 0, fmt.Errorf("%w: resume iteration %d < 1", ErrDimensionMismatch, first)
-	}
-	if cancelStride <= 0 {
-		cancelStride = 1
-	}
-	col32 := s.a.ColIdx32()
-	if col32 == nil {
-		return 0, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, s.a.rows, s.a.cols)
-	}
-	s.kernel = KernelScalar // the reference loops never dispatch assembly
+// referenceStep is one iteration of the serial reference sweep, the
+// oracle the fused kernels are tested against and not a production path
+// (only an explicit negative worker request, see PlanWorkers, reaches
+// it): one full-vector pass per term on plain planes (see planes),
+// exactly the operation structure of the original solver loop, the sweep
+// matrix through its uint32 columns, then each active plan's
+// accumulation over the finished state.
+func (s *Sweep) referenceStep(cur, next []float64, active []accPair) {
 	n := s.rows
-	rowPtr, val := s.a.rowPtr, s.a.val
-	for k := first; k <= gMax; k++ {
-		if k-1 == s.barrierAt && k > first && s.onBarrier != nil {
-			s.onBarrier(k-1, func(dst [][]float64) {
-				for j := range dst {
-					copy(dst[j], cur[j])
-				}
-			})
+	rowPtr, val, col32 := s.a.rowPtr, s.a.val, s.col32
+	plane := func(buf []float64, j int) []float64 { return buf[j*n : (j+1)*n] }
+	for j := s.order; j >= 0; j-- {
+		x, y := plane(cur, j), plane(next, j)
+		for i := range y {
+			var sum float64
+			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+				sum += val[p] * x[col32[p]]
+			}
+			y[i] = sum
 		}
-		if k%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				if s.onInterrupt != nil {
-					// The reference sweep alternates local slices, so export
-					// from the loop's own current state rather than the
-					// fused path's published fields.
-					s.onInterrupt(k-1, func(dst [][]float64) {
-						for j := range dst {
-							copy(dst[j], cur[j])
-						}
-					})
-				}
-				return 0, err
+		if j >= 1 {
+			for i, v := range plane(cur, j-1) {
+				y[i] += s.diag1[i] * v
 			}
 		}
-		for j := s.order; j >= 0; j-- {
-			x, y := cur[j], next[j]
-			for i := range y {
-				var sum float64
-				for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-					sum += val[p] * x[col32[p]]
-				}
-				y[i] = sum
-			}
-			if j >= 1 {
-				for i := 0; i < n; i++ {
-					next[j][i] += s.diag1[i] * cur[j-1][i]
-				}
-			}
-			if j >= 2 {
-				for i := 0; i < n; i++ {
-					next[j][i] += s.diag2[i] * cur[j-2][i]
-				}
-			}
-			if len(s.imp) > 0 {
-				for m := 1; m <= j; m++ {
-					if err := s.imp[m-1].MatVecAdd(s.coef[m], cur[j-m], next[j]); err != nil {
-						return 0, err
-					}
-				}
+		if j >= 2 {
+			for i, v := range plane(cur, j-2) {
+				y[i] += s.diag2[i] * v
 			}
 		}
-		cur, next = next, cur
-		for pi := range plans {
-			p := &plans[pi]
-			if k < p.First || k > p.Last {
-				continue
-			}
-			w := p.Weight[k]
-			if w == 0 {
-				continue
-			}
-			for j := 0; j <= s.order; j++ {
-				cj := cur[j]
-				aj := p.Acc[j]
-				for i := 0; i < n; i++ {
-					aj[i] += w * cj[i]
-				}
+		if len(s.imp) > 0 {
+			for m := 1; m <= j; m++ {
+				// The dimensions were validated when the sweep was built.
+				_ = s.imp[m-1].MatVecAdd(s.coef[m], plane(cur, j-m), y)
 			}
 		}
 	}
-	return s.matVecs(gMax - first + 1), nil
+	for _, ap := range active {
+		for i, v := range next[:(s.order+1)*n] {
+			ap.acc[i] += ap.w * v
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // TestSweepTemporalBlockingBitwise is the temporal-blocking bitwise gate:
@@ -55,16 +54,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 		}
 
 		for _, fx := range fixtures {
-			rows := len(fx.d1)
-			ref, err := NewSweep(fx.a, fx.d1, fx.d2, fx.imp, order, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCur, refNext, refPlans := newRunState(ref, weights, firsts, lasts)
-			refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
+			refMV, refAcc := runReference(t, fx.a, fx.d1, fx.d2, fx.imp, order, gMax, weights, firsts, lasts)
 
 			for _, format := range fx.formats {
 				for _, tb := range []int{2, 3, 4, 8} {
@@ -76,8 +66,8 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 							}
 							fs.SetSweepTile(tile)
 							fs.SetTemporalBlock(tb)
-							cur, _, plans := newRunState(fs, weights, firsts, lasts)
-							mv, err := fs.Run(context.Background(), gMax, cur, plans, 32)
+							cur, plans := newRunState(fs, weights, firsts, lasts)
+							mv, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 32)
 							if err != nil {
 								t.Fatalf("trial %d %s %q T=%d tile=%d w=%d: %v",
 									trial, fx.name, format, tb, tile, workers, err)
@@ -90,7 +80,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 								t.Fatalf("trial %d %s %q T=%d: resolved depth %d", trial, fx.name, format, tb, got)
 							}
 							tag := fmt.Sprintf("order %d %s/%s", order, fx.name, format)
-							requireAccBitwise(t, tag, plans, refPlans, order, rows)
+							requireAccBitwise(t, tag, fs, plans, refAcc)
 						}
 					}
 				}
@@ -117,7 +107,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 		firsts, lasts := []int{0}, []int{gMax}
 
 		mk := func(workers, tblock int) *Sweep {
-			s, err := NewSweep(a, d1, d2, nil, order, workers)
+			s, err := NewSweepWithFormat(a, d1, d2, nil, order, workers, FormatAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +117,12 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 		}
 
 		full := mk(1, T)
-		fullCur, _, fullPlans := newRunState(full, weights, firsts, lasts)
-		fullMV, err := full.Run(context.Background(), gMax, fullCur, fullPlans, 1)
+		fullCur, fullPlans := newRunState(full, weights, firsts, lasts)
+		fullMV, err := full.RunFrom(context.Background(), 1, gMax, fullCur, fullPlans, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fullAcc := unpackPlans(full, fullPlans)
 
 		for _, workers := range []int{1, 3} {
 			// polls = p interrupts a blocked run at its p-th group boundary:
@@ -148,9 +139,9 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 						completed = done
 						export(state)
 					})
-					cur, _, plans := newRunState(rs, weights, firsts, lasts)
+					cur, plans := newRunState(rs, weights, firsts, lasts)
 					ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-					if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
+					if _, err := rs.RunFrom(ctx, 1, gMax, cur, plans, 1); err == nil {
 						t.Fatalf("trial %d w=%d polls %d: blocked run was not interrupted", trial, workers, polls)
 					}
 					if completed != (polls-1)*T {
@@ -161,17 +152,14 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 					if !resumeBlocked {
 						cont = mk(workers, 1) // cross-mode: blocked token, unblocked resume
 					}
-					for j := range state {
-						copy(cur[j], state[j])
-					}
-					mv, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1)
+					mv, err := cont.RunFrom(context.Background(), completed+1, gMax, state, plans, 1)
 					if err != nil {
 						t.Fatalf("trial %d w=%d polls %d blocked=%v: resume: %v", trial, workers, polls, resumeBlocked, err)
 					}
 					if want := fullMV - cont.matVecs(completed); mv != want {
 						t.Fatalf("trial %d w=%d polls %d: resumed matvecs %d, want %d", trial, workers, polls, mv, want)
 					}
-					requireAccBitwise(t, "resume", plans, fullPlans, order, n)
+					requireAccBitwise(t, "resume", cont, plans, fullAcc)
 				}
 			}
 
@@ -189,19 +177,16 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 					completed = done
 					export(state)
 				})
-				cur, _, plans := newRunState(us, weights, firsts, lasts)
+				cur, plans := newRunState(us, weights, firsts, lasts)
 				ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-				if _, err := us.Run(ctx, gMax, cur, plans, 1); err == nil {
+				if _, err := us.RunFrom(ctx, 1, gMax, cur, plans, 1); err == nil {
 					t.Fatalf("trial %d w=%d polls %d: unblocked run was not interrupted", trial, workers, polls)
 				}
 				cont := mk(workers, T)
-				for j := range state {
-					copy(cur[j], state[j])
-				}
-				if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1); err != nil {
+				if _, err := cont.RunFrom(context.Background(), completed+1, gMax, state, plans, 1); err != nil {
 					t.Fatalf("trial %d w=%d polls %d: blocked resume of unblocked token: %v", trial, workers, polls, err)
 				}
-				requireAccBitwise(t, "cross-resume", plans, fullPlans, order, n)
+				requireAccBitwise(t, "cross-resume", cont, plans, fullAcc)
 			}
 		}
 	}
@@ -213,13 +198,13 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 func TestTemporalBlockResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
-	s, err := NewSweep(tri, d1, d2, nil, 3, 1)
+	s, err := NewSweepWithFormat(tri, d1, d2, nil, 3, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	band := func(n, workers int) *Sweep {
 		a, bd1, bd2 := bandedSweepFixture(t, rng, n, 1, 1, 3)
-		bs, err := NewSweep(a, bd1, bd2, nil, 3, workers)
+		bs, err := NewSweepWithFormat(a, bd1, bd2, nil, 3, workers, FormatAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +270,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	big := bandedFixture(t, rng, temporalBlockMinWords/8, 1, 1)
 	bd1, bd2 := make([]float64, big.rows), make([]float64, big.rows)
 	for _, c := range []struct{ workers, W int }{{1, 128}, {2, 128}} {
-		bs, err := NewSweep(big, bd1, bd2, nil, 3, c.workers)
+		bs, err := NewSweepWithFormat(big, bd1, bd2, nil, 3, c.workers, FormatAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,6 +314,13 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("auto on wide-band CSR state resolved T=%d, want 1", T)
 	}
 
+	// The reference sweep never blocks, not even at a forced depth.
+	rs := newReference(t, big, bd1, bd2, nil, 3)
+	rs.SetTemporalBlock(4)
+	if T, _, _ := rs.resolveBlocking(); T != 1 {
+		t.Errorf("forced depth on the reference sweep resolved T=%d, want 1", T)
+	}
+
 	// A forced depth engages at every order and on impulse sweeps too:
 	// order-2 compact-CSR and band runs, and an order-2 impulse run.
 	// Under auto the impulse sweep, on the scalar kernel, stays unblocked
@@ -351,8 +343,8 @@ func TestTemporalBlockResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps.SetTemporalBlock(8)
-		cur, _, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
-		if _, err := ps.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+		cur, plans := newRunState(ps, [][]float64{w}, []int{0}, []int{gMax})
+		if _, err := ps.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 			t.Fatal(err)
 		}
 		if got := ps.TemporalBlock(); got != 8 {
@@ -376,29 +368,26 @@ func TestTemporalBlockResolution(t *testing.T) {
 // mixes cover a run whose only plan opens at the last iteration with
 // weight 1 (every earlier iteration accumulates nothing, and the final
 // accumulator is the swept state itself), one plan opening at iteration
-// 6 — inside a group for every depth tested — with its accumulators at
-// the plane stride (the fused accumulation) or scattered over separate
-// allocations (the unaccumulated kernel plus a per-plane pass), and
-// three overlapping plans with zero weights sprinkled in, one of them
-// scattered (the unaccumulated kernel plus per-plan passes). Every run
-// gets canary-filled lent scratch, so an unzeroed padding cell shows, and
-// canaries in the accumulators' slack cells; the run must leave every
-// scratch cell past a plane's right padding cell and every slack cell as
-// it found them. Sizes up to 41 also drive single ranges directly (see
-// requireBandRangesMasked). Order 3 runs every size; the other orders a
-// subset that still covers every residue mod 4.
+// 6 — inside a group for every depth tested — whose accumulation the
+// kernel fuses, and three overlapping plans with zero weights sprinkled
+// in (the unaccumulated kernel plus one pass per plan). Every run gets
+// canary-filled lent scratch, so an unzeroed padding cell shows, and
+// accumulator blocks whose padding cells all hold canaries; the run must
+// leave every scratch cell past a plane's right padding cell and every
+// accumulator padding cell as it found them. Sizes up to 41 also drive
+// single ranges directly (see requireBandRangesMasked). Order 3 runs
+// every size; the other orders a subset that still covers every residue
+// mod 4.
 func TestSweepRowLaneBitwise(t *testing.T) {
 	const gMax = 23 // ragged against depths 2, 3 and 16
 	rng := rand.New(rand.NewSource(419))
 	mixes := []struct {
 		name          string
 		firsts, lasts []int
-		scatter       int // plan whose accumulators are not uniformly spaced, -1 none
 	}{
-		{"last-only", []int{gMax}, []int{gMax}, -1},
-		{"one-mid-group", []int{6}, []int{gMax}, -1},
-		{"one-scattered", []int{6}, []int{gMax}, 0},
-		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}, 1},
+		{"last-only", []int{gMax}, []int{gMax}},
+		{"one-mid-group", []int{6}, []int{gMax}},
+		{"three", []int{0, 6, 3}, []int{gMax, gMax - 1, 9}},
 	}
 	simd := SIMDAvailable() && !simdEnvDisabled()
 	for _, order := range []int{3, 0, 1, 2, 4, 5, 12} {
@@ -425,15 +414,7 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 				if mix.name == "last-only" {
 					weights[0][gMax] = 1
 				}
-				ref, err := NewSweep(a, d1, d2, nil, order, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
-				refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
+				refMV, refAcc := runReference(t, a, d1, d2, nil, order, gMax, weights, mix.firsts, mix.lasts)
 				for _, nosimd := range []bool{false, true} {
 					for _, tb := range []int{1, 0, 2, 3, 16} {
 						for _, tile := range []int{2, 5, 128} {
@@ -447,15 +428,15 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								fs.SetSweepTile(tile)
 								scratch := lendCanaryScratch(fs)
 								tag := fmt.Sprintf("order=%d n=%d %s nosimd=%v T=%d W=%d workers=%d", order, n, mix.name, nosimd, tb, tile, workers)
-								cur, _, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
-								if mix.scatter >= 0 {
-									scatterAcc(&plans[mix.scatter])
+								cur, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								st := fs.band.stride
+								for _, p := range plans {
+									fillCanary(p.Acc)
+									for j := 0; j <= order; j++ {
+										clear(p.Acc[j*st+1 : j*st+1+n])
+									}
 								}
-								slack := accSlack(plans, mix.scatter, fs.PlaneStride(), n)
-								for _, c := range slack {
-									fillCanary(c)
-								}
-								mv, err := fs.Run(context.Background(), gMax, cur, plans, 1)
+								mv, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 1)
 								if err != nil {
 									t.Fatalf("%s: %v", tag, err)
 								}
@@ -468,13 +449,15 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 								if want := simd && !nosimd; (fs.Kernel() == KernelAVX2) != want {
 									t.Fatalf("%s: kernel %q, want avx2=%v", tag, fs.Kernel(), want)
 								}
-								requireAccBitwise(t, tag, plans, refPlans, order, n)
-								st := fs.PlaneStride()
+								requireAccBitwise(t, tag, fs, plans, refAcc)
 								for p := 0; p < 2*(order+1); p++ {
 									requireCanary(t, tag+" scratch past the padding", scratch[p*st+n+2:(p+1)*st])
 								}
-								for _, c := range slack {
-									requireCanary(t, tag+" accumulator slack", c)
+								for _, p := range plans {
+									for j := 0; j <= order; j++ {
+										requireCanary(t, tag+" accumulator padding", p.Acc[j*st:j*st+1])
+										requireCanary(t, tag+" accumulator padding", p.Acc[j*st+1+n:(j+1)*st])
+									}
 								}
 							}
 						}
@@ -514,38 +497,17 @@ func lendCanaryScratch(s *Sweep) []float64 {
 	return scratch
 }
 
-// accSlack returns the cells of the plans' accumulator allocations that
-// lie outside every accumulator: between the planes of a plan carved at
-// plane stride ps (newRunState), and past the end of each plane of the
-// plan scattered by scatterAcc (-1 for none).
-func accSlack(plans []SweepPlan, scattered, ps, n int) [][]float64 {
-	var out [][]float64
-	for pi, p := range plans {
-		if pi == scattered {
-			for _, a := range p.Acc {
-				out = append(out, a[n:cap(a)])
-			}
-			continue
-		}
-		buf := unsafe.Slice(&p.Acc[0][0], (len(p.Acc)-1)*ps+n)
-		for j := 0; j+1 < len(p.Acc); j++ {
-			out = append(out, buf[j*ps+n:(j+1)*ps])
-		}
-	}
-	return out
-}
-
 // requireBandRangesMasked drives fuseBlockBand directly on single row
 // ranges [lo, hi) of the band — every range for n <= 8, otherwise every
 // range starting at one of the first or last five rows and ending within
 // nine rows of its start or at one of the last four rows — with no plan,
-// one plan fused at the plane stride, one scattered plan and three plans
-// (fused, scattered, fused). Every state and accumulator cell outside
-// the range holds the canary, the block tile is 4 (so ranges past four
-// rows split into tiles before the masked group), and the dispatched
-// kernel must write exactly what the scalar bandRows writes, bit for bit,
-// leaving every canary intact: no lane of a masked group stores into a
-// neighbouring row, a padding cell or an accumulator's slack.
+// one plan (fused into the kernel) and three plans (one pass each).
+// Every state and accumulator cell outside the range holds the canary,
+// the block tile is 4 (so ranges past four rows split into tiles before
+// the masked group), and the dispatched kernel must write exactly what
+// the scalar bandRows writes, bit for bit, leaving every canary intact:
+// no lane of a masked group stores into a neighbouring row or a padding
+// cell.
 func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []float64, order int) {
 	t.Helper()
 	n := a.rows
@@ -566,32 +528,6 @@ func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []floa
 			cur[j*st+1+i] = rng.Float64()*2 - 1
 		}
 	}
-	// accSet builds one plan's accumulators over canary-filled backing,
-	// with the range's cells drawn from init.
-	accSet := func(scattered bool, lo, hi int, init *rand.Rand) (acc [][]float64, backing [][]float64) {
-		acc = make([][]float64, order+1)
-		if scattered {
-			for j := range acc {
-				b := make([]float64, n+3+j)
-				fillCanary(b)
-				acc[j] = b[1 : 1+n : 1+n]
-				backing = append(backing, b)
-			}
-		} else {
-			b := make([]float64, (order+1)*st)
-			fillCanary(b)
-			for j := range acc {
-				acc[j] = b[j*st : j*st+n : j*st+n]
-			}
-			backing = append(backing, b)
-		}
-		for j := range acc {
-			for i := lo; i < hi; i++ {
-				acc[j][i] = init.Float64()
-			}
-		}
-		return acc, backing
-	}
 	var ranges [][2]int
 	for lo := 0; lo < n; lo++ {
 		if n > 8 && lo >= 5 && lo < n-5 {
@@ -603,35 +539,44 @@ func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []floa
 			}
 		}
 	}
-	mixes := [][]bool{nil, {false}, {true}, {false, true, false}} // scattered flags
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		for mi, mix := range mixes {
-			tag := fmt.Sprintf("order=%d n=%d range [%d,%d) plans=%d", order, n, lo, hi, mi)
+		for _, nPlans := range []int{0, 1, 3} {
+			tag := fmt.Sprintf("order=%d n=%d range [%d,%d) plans=%d", order, n, lo, hi, nPlans)
 			seed := rng.Int63()
-			run := func(s *Sweep) (next []float64, backing [][]float64) {
+			run := func(s *Sweep) (next []float64, accs [][]float64) {
 				init := rand.New(rand.NewSource(seed))
 				next = make([]float64, (order+1)*st)
 				fillCanary(next)
 				var active []accPair
-				for _, scattered := range mix {
-					acc, b := accSet(scattered, lo, hi, init)
-					active = append(active, accPair{w: init.Float64(), acc: acc, stride: planeStride(acc)})
-					backing = append(backing, b...)
+				for p := 0; p < nPlans; p++ {
+					// A canary-filled block with the range's cells drawn
+					// from init.
+					acc := make([]float64, (order+1)*st)
+					fillCanary(acc)
+					for j := 0; j <= order; j++ {
+						for i := lo; i < hi; i++ {
+							acc[j*st+1+i] = init.Float64()
+						}
+					}
+					active = append(active, accPair{w: init.Float64(), acc: acc})
+					accs = append(accs, acc)
 				}
 				s.fuseBlockBand(lo, hi, cur, next, active)
-				return next, backing
+				return next, accs
 			}
 			gotNext, gotAcc := run(vec)
 			wantNext, wantAcc := run(scal)
 			for j := 0; j <= order; j++ {
-				plane := gotNext[j*st : (j+1)*st]
-				requireCanary(t, tag+" next before the range", plane[:1+lo])
-				requireCanary(t, tag+" next after the range", plane[1+hi:])
+				for _, buf := range append([][]float64{gotNext}, gotAcc...) {
+					plane := buf[j*st : (j+1)*st]
+					requireCanary(t, tag+" cells before the range", plane[:1+lo])
+					requireCanary(t, tag+" cells after the range", plane[1+hi:])
+				}
 			}
 			requireBitsEqual(t, tag+" next", gotNext, wantNext)
-			for b := range gotAcc {
-				requireBitsEqual(t, fmt.Sprintf("%s accumulator buffer %d", tag, b), gotAcc[b], wantAcc[b])
+			for p := range gotAcc {
+				requireBitsEqual(t, fmt.Sprintf("%s accumulator block %d", tag, p), gotAcc[p], wantAcc[p])
 			}
 		}
 	}
@@ -700,15 +645,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 			}
 		}
 		for _, fx := range fixtures {
-			ref, err := NewSweep(fx.a, d1, d2, nil, 3, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCur, refNext, refPlans := newRunState(ref, weights, mix.firsts, mix.lasts)
-			refMV, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			refMV, refAcc := runReference(t, fx.a, d1, d2, nil, 3, gMax, weights, mix.firsts, mix.lasts)
 			for _, T := range []int{2, 3, 16} {
 				for workers := 2; workers <= 5; workers++ {
 					for _, delta := range []int{-1, 0, 1} {
@@ -742,8 +679,8 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 								fs, skew := mk(nosimd)
 								tag := fmt.Sprintf("%s %s T=%d workers=%d width=2·%d·%d%+d top=%v nosimd=%v",
 									mix.name, fx.name, T, workers, T-1, skew, delta, thinTop, nosimd)
-								cur, _, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
-								mv, err := fs.Run(context.Background(), gMax, cur, plans, 1)
+								cur, plans := newRunState(fs, weights, mix.firsts, mix.lasts)
+								mv, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 1)
 								if err != nil {
 									t.Fatalf("%s: %v", tag, err)
 								}
@@ -753,7 +690,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 								if got := fs.TemporalBlock(); got != T {
 									t.Fatalf("%s: resolved depth %d", tag, got)
 								}
-								requireAccBitwise(t, tag, plans, refPlans, 3, n)
+								requireAccBitwise(t, tag, fs, plans, refAcc)
 							}
 							if mix.name != "mid-group" {
 								continue
@@ -771,22 +708,19 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 									completed = done
 									export(state)
 								})
-								cur, _, plans := newRunState(rs, weights, mix.firsts, mix.lasts)
+								cur, plans := newRunState(rs, weights, mix.firsts, mix.lasts)
 								ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-								if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
+								if _, err := rs.RunFrom(ctx, 1, gMax, cur, plans, 1); err == nil {
 									t.Fatalf("%s: run was not interrupted", tag)
 								}
 								if completed != (polls-1)*T {
 									t.Fatalf("%s: completed = %d, want group boundary %d", tag, completed, (polls-1)*T)
 								}
-								for j := range state {
-									copy(cur[j], state[j])
-								}
 								cont, _ := mk(false)
-								if _, err := cont.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1); err != nil {
+								if _, err := cont.RunFrom(context.Background(), completed+1, gMax, state, plans, 1); err != nil {
 									t.Fatalf("%s: resume: %v", tag, err)
 								}
-								requireAccBitwise(t, tag, plans, refPlans, 3, n)
+								requireAccBitwise(t, tag, cont, plans, refAcc)
 							}
 						}
 					}

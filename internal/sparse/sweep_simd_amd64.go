@@ -2,9 +2,9 @@
 
 package sparse
 
-// Go contracts for the AVX2 body of the CSR32 fused kernel and its
-// Poisson accumulation pass (sweep_simd_amd64.s), bitwise identical to
-// the scalar loops; see the assembly file's header for the argument.
+// Go contract for the AVX2 body of the CSR32 fused kernel
+// (sweep_simd_amd64.s), bitwise identical to the scalar loops; see the
+// assembly file's header for the argument.
 
 // csrLanesAVX2 computes n >= 1 rows of the interleaved recursion over
 // the compact-index CSR, P = 4·groups words per state: rowPtr is
@@ -14,11 +14,3 @@ package sparse
 //
 //go:noescape
 func csrLanesAVX2(n int, rowPtr *int, col32 *uint32, val *float64, cur, self, next, d1, d2 *float64, groups int)
-
-// csrAccAVX2 applies one plan's Poisson accumulation a_j[i] += w*s_j for
-// the moments j < lanes of n >= 1 rows of the interleaved next buffer
-// (pre-offset to the first row) into accumulator planes accStride words
-// apart (acc pre-offset to plane 0's first row).
-//
-//go:noescape
-func csrAccAVX2(n int, next *float64, groups, lanes int, acc *float64, accStride int, w float64)

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the CSR32 fused kernel at every moment order and its
-// Poisson accumulation pass (Go contracts in sweep_simd_amd64.go; the
-// band format's bodies are in band_simd_amd64.s, under the same rules).
+// AVX2 body of the CSR32 fused kernel at every moment order (Go contract
+// in sweep_simd_amd64.go; the band format's bodies, and planeAccAVX2,
+// which accumulates both formats, are in band_simd_amd64.s, under the
+// same rules).
 //
 // Bitwise rules: one ymm holds the sums of four moments 4g+l of a row,
 // and every lane executes the scalar loop's exact operation sequence —
@@ -134,65 +135,5 @@ nextrow:
 	ADDQ $8, R9
 	DECQ R10
 	JNZ  rowloop
-	VZEROUPPER
-	RET
-
-// func csrAccAVX2(n int, next *float64, groups, lanes int, acc *float64, accStride int, w float64)
-//
-// Poisson accumulation pass a_j[i] += w*s_j over n rows of the
-// interleaved next buffer, moments j < lanes: one vmulpd rounding for a
-// group's four products, then one VEX scalar add per planar accumulator
-// cell — exactly the scalar kernel's per-element sequence (the stored
-// s_j reloads bit-exactly). Run per tile after csrLanesAVX2 (see
-// fuseBlockCSR).
-TEXT ·csrAccAVX2(SB), NOSPLIT, $0-56
-	MOVQ n+0(FP), CX
-	MOVQ next+8(FP), DX
-	MOVQ groups+16(FP), R15
-	MOVQ lanes+24(FP), R14
-	MOVQ acc+32(FP), R10
-	MOVQ accStride+40(FP), R11
-	VBROADCASTSD w+48(FP), Y14
-	SHLQ $5, R15          // bytes per state
-	SHLQ $3, R11          // accumulator plane stride in bytes
-
-row:
-	MOVQ R10, R12         // moment 0's accumulator cell of this row
-	MOVQ DX, BX           // the row's group 0
-	MOVQ R14, SI          // moments left
-
-group:
-	VMOVUPD (BX), Y6
-	VMULPD  Y6, Y14, Y5   // [w*s0 w*s1 w*s2 w*s3] of the group
-	VEXTRACTF128 $1, Y5, X7
-	VADDSD  (R12), X5, X9
-	VMOVSD  X9, (R12)
-	ADDQ R11, R12
-	DECQ SI
-	JZ   rowdone
-	VUNPCKHPD X5, X5, X8
-	VADDSD  (R12), X8, X9
-	VMOVSD  X9, (R12)
-	ADDQ R11, R12
-	DECQ SI
-	JZ   rowdone
-	VADDSD  (R12), X7, X9
-	VMOVSD  X9, (R12)
-	ADDQ R11, R12
-	DECQ SI
-	JZ   rowdone
-	VUNPCKHPD X7, X7, X8
-	VADDSD  (R12), X8, X9
-	VMOVSD  X9, (R12)
-	ADDQ R11, R12
-	ADDQ $32, BX
-	DECQ SI
-	JNZ  group
-
-rowdone:
-	ADDQ R15, DX
-	ADDQ $8, R10
-	DECQ CX
-	JNZ  row
 	VZEROUPPER
 	RET

@@ -40,45 +40,66 @@ func randomSweepFixture(t *testing.T, rng *rand.Rand, n, order int, impulses boo
 			imp = append(imp, ib.Build())
 		}
 	}
-	s, err := NewSweep(a, diag1, diag2, imp, order, 1)
+	s, err := NewSweepWithFormat(a, diag1, diag2, imp, order, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// newRunState allocates cur/next with the standard initial condition
-// (cur[0] = 1) and fresh plan accumulators over the given weights.
-func newRunState(s *Sweep, weights [][]float64, firsts, lasts []int) (cur, next [][]float64, plans []SweepPlan) {
-	n := s.rows
+// newRunState allocates the standard initial state (cur[0] = 1) and one
+// plan per weight vector, each with a fresh accumulator block in the
+// sweep's packed layout.
+func newRunState(s *Sweep, weights [][]float64, firsts, lasts []int) (cur [][]float64, plans []SweepPlan) {
 	cur = make([][]float64, s.order+1)
-	next = make([][]float64, s.order+1)
-	for j := 0; j <= s.order; j++ {
-		cur[j] = make([]float64, n)
-		next[j] = make([]float64, n)
+	for j := range cur {
+		cur[j] = make([]float64, s.rows)
 	}
-	for i := 0; i < n; i++ {
+	for i := range cur[0] {
 		cur[0][i] = 1
 	}
-	ps := s.PlaneStride()
 	for pi, w := range weights {
-		// PlaneStride apart in one allocation, as the solver carves them.
-		buf := make([]float64, s.order*ps+n)
-		acc := make([][]float64, s.order+1)
-		for j := range acc {
-			acc[j] = buf[j*ps : j*ps+n : j*ps+n]
-		}
-		plans = append(plans, SweepPlan{First: firsts[pi], Last: lasts[pi], Weight: w, Acc: acc})
+		plans = append(plans, SweepPlan{First: firsts[pi], Last: lasts[pi], Weight: w, Acc: make([]float64, s.AccWords())})
 	}
-	return cur, next, plans
+	return cur, plans
 }
 
-// scatterAcc moves a plan's accumulators into separate allocations, so
-// they no longer lie at a uniform stride.
-func scatterAcc(p *SweepPlan) {
-	for j, a := range p.Acc {
-		p.Acc[j] = append(make([]float64, 0, len(a)+j+1), a...)
+// unpackPlans returns the plans' accumulators as order+1 vectors of
+// Rows() entries each, unpacked from the layout of s.
+func unpackPlans(s *Sweep, plans []SweepPlan) [][][]float64 {
+	out := make([][][]float64, len(plans))
+	for pi, p := range plans {
+		out[pi] = make([][]float64, s.order+1)
+		for j := range out[pi] {
+			out[pi][j] = make([]float64, s.rows)
+		}
+		s.UnpackAcc(out[pi], p.Acc)
 	}
+	return out
+}
+
+// newReference builds the serial reference sweep over a matrix family.
+func newReference(t testing.TB, a *CSR, diag1, diag2 []float64, imp []*CSR, order int) *Sweep {
+	t.Helper()
+	s, err := NewSweepWithFormat(a, diag1, diag2, imp, order, 0, FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runReference runs the serial reference sweep over a matrix family for
+// gMax iterations from the standard initial state, and returns its
+// product count and the plans' unpacked accumulators.
+func runReference(t testing.TB, a *CSR, diag1, diag2 []float64, imp []*CSR, order, gMax int, weights [][]float64, firsts, lasts []int) (int64, [][][]float64) {
+	t.Helper()
+	ref := newReference(t, a, diag1, diag2, imp, order)
+	cur, plans := newRunState(ref, weights, firsts, lasts)
+	mv, err := ref.RunFrom(context.Background(), 1, gMax, cur, plans, 32)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return mv, unpackPlans(ref, plans)
 }
 
 // randDiags draws the diagonal reward terms of a sweep family: diag1 of
@@ -102,15 +123,14 @@ func randWeights(rng *rand.Rand, gMax int) []float64 {
 	return w
 }
 
-// requireAccBitwise fails unless every plan's accumulators in got match
-// want bit for bit.
-func requireAccBitwise(t *testing.T, tag string, got, want []SweepPlan, order, n int) {
+// requireAccBitwise fails unless every plan's accumulators in got, in the
+// packed layout of s, match want bit for bit.
+func requireAccBitwise(t *testing.T, tag string, s *Sweep, got []SweepPlan, want [][][]float64) {
 	t.Helper()
-	for pi := range want {
-		for j := 0; j <= order; j++ {
-			for i := 0; i < n; i++ {
-				g, w := got[pi].Acc[j][i], want[pi].Acc[j][i]
-				if math.Float64bits(g) != math.Float64bits(w) {
+	for pi, acc := range unpackPlans(s, got) {
+		for j, a := range acc {
+			for i, g := range a {
+				if w := want[pi][j][i]; math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%s: plan %d acc[%d][%d] = %x, reference %x",
 						tag, pi, j, i, math.Float64bits(g), math.Float64bits(w))
 				}
@@ -119,8 +139,8 @@ func requireAccBitwise(t *testing.T, tag string, got, want []SweepPlan, order, n
 	}
 }
 
-// lendDirtyScratch lends s a NaN-filled packed scratch buffer, which Run
-// must fully overwrite or zero.
+// lendDirtyScratch lends s a NaN-filled packed scratch buffer, which
+// RunFrom must fully overwrite or zero.
 func lendDirtyScratch(s *Sweep) {
 	scratch := make([]float64, s.ScratchWords())
 	for i := range scratch {
@@ -164,26 +184,22 @@ func TestSweepFusedMatchesReference(t *testing.T) {
 			lasts[pi] = firsts[pi] + rng.Intn(gMax+1-firsts[pi])
 		}
 
-		refCur, refNext, refPlans := newRunState(s, weights, firsts, lasts)
-		refMV, err := s.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 32)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
+		refMV, refAcc := runReference(t, s.a, s.diag1, s.diag2, s.imp, order, gMax, weights, firsts, lasts)
 
 		for _, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0) + 2} {
-			fs, err := NewSweep(s.a, s.diag1, s.diag2, s.imp, order, workers)
+			fs, err := NewSweepWithFormat(s.a, s.diag1, s.diag2, s.imp, order, workers, FormatAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, _, plans := newRunState(fs, weights, firsts, lasts)
-			mv, err := fs.Run(context.Background(), gMax, cur, plans, 32)
+			cur, plans := newRunState(fs, weights, firsts, lasts)
+			mv, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 32)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
 			if mv != refMV {
 				t.Fatalf("trial %d workers %d: matvecs %d != reference %d", trial, workers, mv, refMV)
 			}
-			requireAccBitwise(t, fmt.Sprintf("trial %d workers %d", trial, workers), plans, refPlans, order, fs.a.rows)
+			requireAccBitwise(t, fmt.Sprintf("trial %d workers %d", trial, workers), fs, plans, refAcc)
 		}
 	}
 }
@@ -223,14 +239,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
 
-		ref, err := NewSweep(a, diag1, diag2, nil, order, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refCur, refNext, refPlans := newRunState(ref, weights, firsts, lasts)
-		if _, err := ref.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 32); err != nil {
-			t.Fatal(err)
-		}
+		_, refAcc := runReference(t, a, diag1, diag2, nil, order, gMax, weights, firsts, lasts)
 
 		for _, format := range formats {
 			for _, workers := range []int{1, 3} {
@@ -245,26 +254,31 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 					if dirtyScratch {
 						lendDirtyScratch(fs)
 					}
-					cur, _, plans := newRunState(fs, weights, firsts, lasts)
-					if _, err := fs.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+					cur, plans := newRunState(fs, weights, firsts, lasts)
+					if _, err := fs.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 						t.Fatalf("trial %d format %q workers %d: %v", trial, format, workers, err)
 					}
 					requireAccBitwise(t, fmt.Sprintf("trial %d format %q (resolved %q) workers %d dirty=%v",
-						trial, format, fs.Format(), workers, dirtyScratch), plans, refPlans, order, n)
+						trial, format, fs.Format(), workers, dirtyScratch), fs, plans, refAcc)
 				}
 			}
 		}
 	}
 }
 
-// TestSweepFormatResolution pins what NewSweep resolves for characteristic
-// shapes — impulse-free tridiagonal matrices stream the band, everything
-// else the compact CSR, impulse sweeps included — and the packed buffers
-// each runs on.
+// TestSweepFormatResolution pins what NewSweepWithFormat resolves for
+// characteristic shapes — impulse-free tridiagonal matrices stream the
+// band, everything else the compact CSR, impulse sweeps and the
+// reference sweep included — and the packed buffers each runs on, whose
+// layout every accumulator block shares: at every order of sweepOrders,
+// on the row-lane, interleaved and plain-plane layouts, PackAcc must zero
+// the padding of a canary-filled block and UnpackAcc must return the
+// packed vectors bit for bit, with junk in every cell that holds no
+// moment (padding never reaches the output).
 func TestSweepFormatResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
-	s, err := NewSweep(tri, d1, d2, nil, 3, 1)
+	s, err := NewSweepWithFormat(tri, d1, d2, nil, 3, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +288,8 @@ func TestSweepFormatResolution(t *testing.T) {
 	// Four row-lane planes per buffer, each 300 rows + 2 padding cells
 	// rounded to 304 words and spread to 320 (2,560 bytes: no two of the
 	// eight plane starts within 256 bytes of each other mod 4096).
-	if s.ScratchWords() != 2*4*320 {
-		t.Errorf("ScratchWords = %d, want %d", s.ScratchWords(), 2*4*320)
+	if s.AccWords() != 4*320 || s.ScratchWords() != 2*4*320 {
+		t.Errorf("AccWords, ScratchWords = %d, %d, want %d, %d", s.AccWords(), s.ScratchWords(), 4*320, 2*4*320)
 	}
 
 	ring := randomSweepFixture(t, rng, 50, 3, false)
@@ -285,18 +299,26 @@ func TestSweepFormatResolution(t *testing.T) {
 
 	// CSR32 sweeps run on two interleaved buffers of P words per state,
 	// order+1 rounded up to whole four-moment groups, impulse sweeps
-	// included.
+	// included; the reference sweep on plain planes of the compact CSR
+	// whatever the requested format.
 	for _, c := range []struct{ order, p int }{{0, 4}, {2, 4}, {3, 4}, {4, 8}, {7, 8}, {12, 16}} {
 		cs, err := NewSweepWithFormat(tri, d1, d2, nil, c.order, 1, FormatCSR)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs.ScratchWords() != 2*c.p*300 {
-			t.Errorf("order-%d csr32 ScratchWords = %d, want %d", c.order, cs.ScratchWords(), 2*c.p*300)
+		if cs.AccWords() != c.p*300 || cs.ScratchWords() != 2*c.p*300 {
+			t.Errorf("order-%d csr32 AccWords, ScratchWords = %d, %d, want %d, %d", c.order, cs.AccWords(), cs.ScratchWords(), c.p*300, 2*c.p*300)
 		}
 		impl := randomSweepFixture(t, rng, 30, c.order, true)
 		if impl.ScratchWords() != 2*c.p*30 {
 			t.Errorf("order-%d impulse ScratchWords = %d, want %d", c.order, impl.ScratchWords(), 2*c.p*30)
+		}
+		rs, err := NewSweepWithFormat(tri, d1, d2, nil, c.order, 0, FormatBand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Format() != FormatCSR32 || rs.AccWords() != (c.order+1)*300 {
+			t.Errorf("order-%d reference: format %q, AccWords %d, want csr32, %d", c.order, rs.Format(), rs.AccWords(), (c.order+1)*300)
 		}
 	}
 
@@ -309,6 +331,84 @@ func TestSweepFormatResolution(t *testing.T) {
 		}
 		if is.Format() != FormatCSR32 {
 			t.Errorf("impulse sweep under %q resolved to %q, want csr32", f, is.Format())
+		}
+	}
+
+	// Pack/unpack round trips. moment reports the block cell of moment j
+	// of row i in the layout of s.
+	moment := func(s *Sweep, j, i int) int {
+		if st, off := s.planes(); st > 0 {
+			return j*st + off + i
+		}
+		return i*s.lanes + j
+	}
+	for _, order := range sweepOrders {
+		for _, c := range []struct {
+			format  MatrixFormat
+			workers int
+		}{{FormatBand, 1}, {FormatCSR, 1}, {FormatAuto, 0}} {
+			for _, n := range []int{1, 5, 33} {
+				a, bd1, bd2 := bandedSweepFixture(t, rng, n, 1, 1, order)
+				ps, err := NewSweepWithFormat(a, bd1, bd2, nil, order, c.workers, c.format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("order %d %s/w%d n=%d", order, ps.Format(), c.workers, n)
+				src := make([][]float64, order+1)
+				for j := range src {
+					src[j] = make([]float64, n)
+					for i := range src[j] {
+						src[j][i] = rng.NormFloat64()
+					}
+				}
+				block := make([]float64, ps.AccWords())
+				fillCanary(block)
+				ps.PackAcc(block, src)
+				isMoment := make([]bool, len(block))
+				for j := range src {
+					for i, v := range src[j] {
+						k := moment(ps, j, i)
+						isMoment[k] = true
+						if math.Float64bits(block[k]) != math.Float64bits(v) {
+							t.Fatalf("%s: packed moment %d row %d = %x, want %x", tag, j, i, math.Float64bits(block[k]), math.Float64bits(v))
+						}
+					}
+				}
+				// The padding the kernels read or accumulate into is zeroed:
+				// a row-lane plane's two edge cells, an interleaved state's
+				// lanes past order.
+				var pad []int
+				switch st, off := ps.planes(); {
+				case off == 1:
+					for j := 0; j <= order; j++ {
+						pad = append(pad, j*st, j*st+n+1)
+					}
+				case st == 0:
+					for i := 0; i < n; i++ {
+						for l := order + 1; l < ps.lanes; l++ {
+							pad = append(pad, i*ps.lanes+l)
+						}
+					}
+				}
+				for _, k := range pad {
+					if math.Float64bits(block[k]) != 0 {
+						t.Fatalf("%s: padding cell %d = %x after PackAcc, want +0", tag, k, math.Float64bits(block[k]))
+					}
+				}
+				for k := range block {
+					if !isMoment[k] {
+						block[k] = math.Inf(1)
+					}
+				}
+				got := make([][]float64, order+1)
+				for j := range got {
+					got[j] = make([]float64, n)
+				}
+				ps.UnpackAcc(got, block)
+				for j := range src {
+					requireBitsEqual(t, fmt.Sprintf("%s moment %d", tag, j), got[j], src[j])
+				}
+			}
 		}
 	}
 }
@@ -326,11 +426,8 @@ func TestSweepWindowClipping(t *testing.T) {
 	}
 
 	full := func(first, last int) [][]float64 {
-		cur, next, plans := newRunState(s, [][]float64{w}, []int{first}, []int{last})
-		if _, err := s.RunReference(context.Background(), gMax, cur, next, plans, 32); err != nil {
-			t.Fatal(err)
-		}
-		return plans[0].Acc
+		_, acc := runReference(t, s.a, s.diag1, s.diag2, nil, 2, gMax, [][]float64{w}, []int{first}, []int{last})
+		return acc[0]
 	}
 
 	clipped := full(5, 9)
@@ -358,19 +455,20 @@ func TestSweepWindowClipping(t *testing.T) {
 
 	// An inert plan (Last < First) must accumulate nothing and a
 	// full-range plan must accumulate something.
-	cur, _, plans := newRunState(s, [][]float64{w, w}, []int{0, 3}, []int{-1, 12})
-	if _, err := s.Run(context.Background(), gMax, cur, plans, 32); err != nil {
+	cur, plans := newRunState(s, [][]float64{w, w}, []int{0, 3}, []int{-1, 12})
+	if _, err := s.RunFrom(context.Background(), 1, gMax, cur, plans, 32); err != nil {
 		t.Fatal(err)
 	}
-	for j := range plans[0].Acc {
-		for i, v := range plans[0].Acc[j] {
+	acc := unpackPlans(s, plans)
+	for j := range acc[0] {
+		for i, v := range acc[0][j] {
 			if v != 0 {
 				t.Fatalf("inert plan accumulated acc[%d][%d] = %g", j, i, v)
 			}
 		}
 	}
 	var nonzero bool
-	for _, v := range plans[1].Acc[0] {
+	for _, v := range acc[1][0] {
 		nonzero = nonzero || v != 0
 	}
 	if !nonzero {
@@ -467,33 +565,44 @@ func TestSweepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := []float64{1, 2}
-	if _, err := NewSweep(nil, d2, d2, nil, 1, 1); err == nil {
+	mk := func(a *CSR, d1 []float64, imp []*CSR, order int) error {
+		_, err := NewSweepWithFormat(a, d1, d2, imp, order, 1, FormatAuto)
+		return err
+	}
+	if mk(nil, d2, nil, 1) == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := NewSweep(rect, d2, d2, nil, 1, 1); err == nil {
+	if mk(rect, d2, nil, 1) == nil {
 		t.Error("rectangular matrix accepted")
 	}
-	if _, err := NewSweep(a, []float64{1}, d2, nil, 1, 1); err == nil {
+	if mk(a, []float64{1}, nil, 1) == nil {
 		t.Error("short diagonal accepted")
 	}
-	if _, err := NewSweep(a, d2, d2, nil, -1, 1); err == nil {
+	if mk(a, d2, nil, -1) == nil {
 		t.Error("negative order accepted")
 	}
-	if _, err := NewSweep(a, d2, d2, []*CSR{a}, 2, 1); err == nil {
+	if mk(a, d2, []*CSR{a}, 2) == nil {
 		t.Error("too few impulse matrices accepted")
 	}
 
-	s, err := NewSweep(a, d2, d2, nil, 1, 1)
+	s, err := NewSweepWithFormat(a, d2, d2, nil, 1, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := [][]float64{{1, 1}, {0, 0}}
-	if _, err := s.Run(context.Background(), 1, good[:1], nil, 32); err == nil {
+	if _, err := s.RunFrom(context.Background(), 1, 1, good[:1], nil, 32); err == nil {
 		t.Error("short cur accepted")
 	}
-	badPlan := []SweepPlan{{First: 0, Last: 5, Weight: []float64{1}}}
-	if _, err := s.Run(context.Background(), 1, good, badPlan, 32); err == nil {
+	if _, err := s.RunFrom(context.Background(), 0, 1, good, nil, 32); err == nil {
+		t.Error("resume iteration 0 accepted")
+	}
+	badPlan := []SweepPlan{{First: 0, Last: 5, Weight: []float64{1}, Acc: make([]float64, s.AccWords())}}
+	if _, err := s.RunFrom(context.Background(), 1, 1, good, badPlan, 32); err == nil {
 		t.Error("window beyond weights accepted")
+	}
+	shortAcc := []SweepPlan{{First: 0, Last: 1, Weight: []float64{1, 1}, Acc: make([]float64, s.AccWords()-1)}}
+	if _, err := s.RunFrom(context.Background(), 1, 1, good, shortAcc, 32); err == nil {
+		t.Error("short accumulator block accepted")
 	}
 }
 
@@ -501,20 +610,19 @@ func TestSweepValidation(t *testing.T) {
 // and that the split team's goroutines drain on every exit path.
 func TestSweepCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s2, err := NewSweep(randomSweepFixture(t, rng, 50, 2, false).a,
-		make([]float64, 50), make([]float64, 50), nil, 2, 4)
+	a, zero := randomSweepFixture(t, rng, 50, 2, false).a, make([]float64, 50)
+	s2, err := NewSweepWithFormat(a, zero, zero, nil, 2, 4, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cur, next, plans := newRunState(s2, [][]float64{make([]float64, 1001)}, []int{0}, []int{1000})
-	if _, err := s2.Run(ctx, 1000, cur, plans, 1); err == nil {
-		t.Fatal("cancelled fused run returned no error")
-	}
-	if _, err := s2.RunReference(ctx, 1000, cur, next, plans, 1); err == nil {
-		t.Fatal("cancelled reference run returned no error")
+	for _, s := range []*Sweep{s2, newReference(t, a, zero, zero, nil, 2)} {
+		cur, plans := newRunState(s, [][]float64{make([]float64, 1001)}, []int{0}, []int{1000})
+		if _, err := s.RunFrom(ctx, 1, 1000, cur, plans, 1); err == nil {
+			t.Fatalf("cancelled run (%d workers) returned no error", s.workers)
+		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -544,8 +652,9 @@ func (c *countdownCtx) Err() error {
 // TestSweepResumeBitwise is the engine-level resume gate: a sweep
 // interrupted at every iteration barrier, state-exported through the
 // interrupt hook, and continued with RunFrom must reproduce the
-// uninterrupted run bit for bit — for every storage format, worker
-// count, impulse-free and impulse shapes, and the reference kernel alike.
+// uninterrupted reference run bit for bit — for every storage format,
+// worker count, impulse-free and impulse shapes, and the reference
+// kernel alike.
 func TestSweepResumeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	type build func() (*Sweep, error)
@@ -569,12 +678,14 @@ func TestSweepResumeBitwise(t *testing.T) {
 		w := randWeights(rng, gMax)
 		weights := [][]float64{w}
 		firsts, lasts := []int{0}, []int{gMax}
+		refMV, refAcc := runReference(t, a, d1, d2v, imp, order, gMax, weights, firsts, lasts)
 
 		builders := map[string]build{
-			"auto/w1": func() (*Sweep, error) { return NewSweep(a, d1, d2v, imp, order, 1) },
-			"auto/w3": func() (*Sweep, error) { return NewSweep(a, d1, d2v, imp, order, 3) },
-			"csr/w2":  func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatCSR) },
-			"band/w2": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatBand) },
+			"auto/w1":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 1, FormatAuto) },
+			"auto/w3":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 3, FormatAuto) },
+			"csr/w2":       func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatCSR) },
+			"band/w2":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatBand) },
+			"reference/w0": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 0, FormatAuto) },
 		}
 		for name, mk := range builders {
 			if name == "band/w2" && trial%2 == 0 {
@@ -584,11 +695,15 @@ func TestSweepResumeBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullCur, _, fullPlans := newRunState(s, weights, firsts, lasts)
-			fullMV, err := s.Run(context.Background(), gMax, fullCur, fullPlans, 1)
+			fullCur, fullPlans := newRunState(s, weights, firsts, lasts)
+			fullMV, err := s.RunFrom(context.Background(), 1, gMax, fullCur, fullPlans, 1)
 			if err != nil {
 				t.Fatalf("trial %d %s: full run: %v", trial, name, err)
 			}
+			if fullMV != refMV {
+				t.Fatalf("trial %d %s: matvecs %d != reference %d", trial, name, fullMV, refMV)
+			}
+			requireAccBitwise(t, fmt.Sprintf("trial %d %s: full run", trial, name), s, fullPlans, refAcc)
 
 			// Interrupt at every barrier k = 1..gMax (completed = k-1) and
 			// resume; the combined run must match the uninterrupted one.
@@ -606,68 +721,24 @@ func TestSweepResumeBitwise(t *testing.T) {
 					completed = done
 					export(state)
 				})
-				cur, _, plans := newRunState(rs, weights, firsts, lasts)
+				cur, plans := newRunState(rs, weights, firsts, lasts)
 				ctx := &countdownCtx{Context: context.Background(), polls: polls - 1}
-				if _, err := rs.Run(ctx, gMax, cur, plans, 1); err == nil {
+				if _, err := rs.RunFrom(ctx, 1, gMax, cur, plans, 1); err == nil {
 					t.Fatalf("trial %d %s polls %d: run was not interrupted", trial, name, polls)
 				}
 				if completed != polls-1 {
 					t.Fatalf("trial %d %s polls %d: completed = %d", trial, name, polls, completed)
 				}
 				rs.SetInterruptHook(nil)
-				for j := range state {
-					copy(cur[j], state[j])
-				}
-				mv, err := rs.RunFrom(context.Background(), completed+1, gMax, cur, plans, 1)
+				mv, err := rs.RunFrom(context.Background(), completed+1, gMax, state, plans, 1)
 				if err != nil {
 					t.Fatalf("trial %d %s polls %d: resume: %v", trial, name, polls, err)
 				}
 				if want := fullMV - rs.matVecs(completed); mv != want {
 					t.Fatalf("trial %d %s polls %d: resumed matvecs %d, want %d", trial, name, polls, mv, want)
 				}
-				requireAccBitwise(t, fmt.Sprintf("trial %d %s polls %d", trial, name, polls), plans, fullPlans, order, n)
+				requireAccBitwise(t, fmt.Sprintf("trial %d %s polls %d", trial, name, polls), rs, plans, refAcc)
 			}
-
-			// The reference kernel honors the same contract.
-			rr, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCur, refNext, refPlans := newRunState(rr, weights, firsts, lasts)
-			refMV, err := rr.RunReference(context.Background(), gMax, refCur, refNext, refPlans, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name == "auto/w1" && refMV != fullMV {
-				t.Fatalf("trial %d: reference matvecs %d != fused %d", trial, refMV, fullMV)
-			}
-			ri, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var completed = -1
-			state := make([][]float64, order+1)
-			for j := range state {
-				state[j] = make([]float64, n)
-			}
-			ri.SetInterruptHook(func(done int, export func([][]float64)) {
-				completed = done
-				export(state)
-			})
-			cur, next, plans := newRunState(ri, weights, firsts, lasts)
-			half := gMax/2 + 1
-			ctx := &countdownCtx{Context: context.Background(), polls: half - 1}
-			if _, err := ri.RunReference(ctx, gMax, cur, next, plans, 1); err == nil {
-				t.Fatalf("trial %d %s: reference run was not interrupted", trial, name)
-			}
-			ri.SetInterruptHook(nil)
-			for j := range state {
-				copy(cur[j], state[j])
-			}
-			if _, err := ri.RunReferenceFrom(context.Background(), completed+1, gMax, cur, next, plans, 1); err != nil {
-				t.Fatal(err)
-			}
-			requireAccBitwise(t, fmt.Sprintf("trial %d %s: reference resume", trial, name), plans, refPlans, order, n)
 		}
 	}
 }
