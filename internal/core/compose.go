@@ -238,7 +238,8 @@ func validateDistribution(pi []float64, n int) error {
 // solveComposed solves a composed model by moment convolution: every
 // factor solves at every time point through its own Prepared, with the
 // caller's sweep options, and the factors' moments fold left to right
-// (see Compose). Callers have applied the option defaults.
+// (see Compose). Callers have applied the option defaults and checked
+// the arguments.
 //
 // The fold's error bound can exceed the factors' ε. It is a sum of terms
 // of degree one or more in the factors' bounds with non-negative
@@ -249,9 +250,6 @@ func validateDistribution(pi []float64, n int) error {
 // moments' magnitudes, its coefficients, move between the two solves
 // only by their error bounds).
 func (p *Prepared) solveComposed(ctx context.Context, times []float64, order int, cfg Options) ([]*Result, error) {
-	if err := validateSolveArgs(times, order, cfg); err != nil {
-		return nil, err
-	}
 	// The product chain's rate is the sum of the factor rates.
 	var q float64
 	largest := 0

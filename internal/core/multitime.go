@@ -35,45 +35,25 @@ func (m *Model) AccumulatedRewardAt(times []float64, order int, opts *Options) (
 // observed.
 func (m *Model) AccumulatedRewardAtContext(ctx context.Context, times []float64, order int, opts *Options) ([]*Result, error) {
 	cfg := opts.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
+	if err := checkSolve(ctx, times, order, cfg); err != nil {
 		return nil, err
 	}
-	if m.parts != nil {
-		p, err := Prepare(m)
-		if err != nil {
-			return nil, err
-		}
-		return p.solveComposed(ctx, times, order, cfg)
-	}
-	if err := validateSolveArgs(times, order, cfg); err != nil {
-		return nil, err
-	}
-
-	q := m.gen.MaxExitRate()
-	if cfg.UniformizationRate != 0 {
-		if cfg.UniformizationRate < q {
-			return nil, fmt.Errorf("%w: uniformization rate %g below max exit rate %g", ErrBadArgument, cfg.UniformizationRate, q)
-		}
-		q = cfg.UniformizationRate
-	}
-	if q == 0 {
-		return m.frozenResults(times, order)
-	}
-	u, err := m.uniformize(q)
+	p, err := m.prepare(cfg.UniformizationRate)
 	if err != nil {
 		return nil, err
 	}
-	var imp []*sparse.CSR
-	if m.impulses != nil && order >= 1 && u.d > 0 {
-		imp, err = m.impulseMatrices(q, u.d, order)
-		if err != nil {
-			return nil, err
+	return p.solve(ctx, times, order, cfg)
+}
+
+// checkSolve is the entry check of every solve, made before any matrix
+// work: a live context and valid arguments.
+func checkSolve(ctx context.Context, times []float64, order int, cfg Options) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
-	return m.solveAt(ctx, times, order, cfg, u, imp, nil, nil)
+	return validateSolveArgs(times, order, cfg)
 }
 
 // validateSolveArgs checks the user-facing solver arguments shared by every
@@ -124,10 +104,11 @@ func (m *Model) frozenResults(times []float64, order int) ([]*Result, error) {
 }
 
 // solveAt runs the shared randomization sweep over a prepared
-// uniformization. It is the single implementation behind AccumulatedReward,
-// AccumulatedRewardAt and Prepared: callers have validated the arguments
-// and handled the q == 0 (frozen chain) case. lad, when non-nil, is the
-// Prepared's state ladder the sweep may start from and capture into.
+// uniformization. It is the single implementation behind every solve
+// entry, all of which reach it through Prepared.solve: the arguments are
+// checked and the q == 0 (frozen chain) case handled. ws is the solve's
+// scratch workspace, and lad the Prepared's state ladder the sweep may
+// start from and capture into.
 func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Options, u *uniformization, imp []*sparse.CSR, ws *solveWorkspace, lad *ladder) ([]*Result, error) {
 	n := m.N()
 	q, d, shift := u.q, u.d, u.shift
@@ -165,9 +146,6 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	sweepPlans := make([]sparse.SweepPlan, len(times))
 	gMax := 0
 	activePlans := 0
-	if ws == nil {
-		ws = &solveWorkspace{}
-	}
 	// One pmf table per time point serves the truncation search and
 	// becomes the sweep weights. The tables' storage is carved from the
 	// workspace, which outlives the sweep's reads of the weights, and
@@ -226,7 +204,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// below the last iteration no plan accumulates (start), and may
 	// capture one there; a resume token bypasses the ladder.
 	var use ladderUse
-	if lad != nil && cfg.Resume == nil && activePlans > 0 {
+	if cfg.Resume == nil && activePlans > 0 {
 		start := gMax
 		for idx := range sweepPlans {
 			if plans[idx].t != 0 {

@@ -85,26 +85,42 @@ func Prepare(m *Model) (*Prepared, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadModel)
 	}
+	return m.prepare(0)
+}
+
+// prepare performs the model-only setup at uniformization rate rate, or
+// at the model's maximum exit rate when rate is 0. A composed model
+// prepares each factor at its own rate (solveComposed checks a custom
+// rate against the product chain's).
+func (m *Model) prepare(rate float64) (*Prepared, error) {
+	p := &Prepared{m: m, ws: new(sync.Pool)}
 	if m.parts != nil {
-		parts := make([]*Prepared, len(m.parts))
+		p.parts = make([]*Prepared, len(m.parts))
 		for k, part := range m.parts {
-			pp, err := Prepare(part)
+			pp, err := part.prepare(0)
 			if err != nil {
 				return nil, err
 			}
-			parts[k] = pp
+			p.parts[k] = pp
 		}
-		return &Prepared{m: m, parts: parts, ws: new(sync.Pool)}, nil
+		return p, nil
 	}
 	q := m.gen.MaxExitRate()
+	if rate != 0 {
+		if rate < q {
+			return nil, fmt.Errorf("%w: uniformization rate %g below max exit rate %g", ErrBadArgument, rate, q)
+		}
+		q = rate
+	}
 	if q == 0 {
-		return &Prepared{m: m, ws: new(sync.Pool)}, nil
+		return p, nil
 	}
 	u, err := m.uniformize(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{m: m, u: u, ws: new(sync.Pool)}, nil
+	p.u = u
+	return p, nil
 }
 
 // Model returns the underlying model (shared; treat as read-only).
@@ -134,24 +150,30 @@ func (p *Prepared) AccumulatedRewardAt(times []float64, order int, opts *Options
 
 // AccumulatedRewardAtContext is Model.AccumulatedRewardAtContext against
 // the prepared matrices: identical results, minus the per-call setup. A
-// custom Options.UniformizationRate different from the prepared rate falls
-// back to the model path (the prepared matrices assume the automatic rate).
+// custom Options.UniformizationRate different from the prepared rate
+// prepares the model afresh at that rate (the prepared matrices assume the
+// automatic rate).
 func (p *Prepared) AccumulatedRewardAtContext(ctx context.Context, times []float64, order int, opts *Options) ([]*Result, error) {
 	cfg := opts.withDefaults()
+	if err := checkSolve(ctx, times, order, cfg); err != nil {
+		return nil, err
+	}
+	if r := cfg.UniformizationRate; p.parts == nil && r != 0 && (p.u == nil || r != p.u.q) {
+		var err error
+		if p, err = p.m.prepare(r); err != nil {
+			return nil, err
+		}
+	}
+	return p.solve(ctx, times, order, cfg)
+}
+
+// solve runs a checked solve against the prepared matrices.
+func (p *Prepared) solve(ctx context.Context, times []float64, order int, cfg Options) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if p.parts != nil {
 		return p.solveComposed(ctx, times, order, cfg)
-	}
-	if cfg.UniformizationRate != 0 && (p.u == nil || cfg.UniformizationRate != p.u.q) {
-		return p.m.AccumulatedRewardAtContext(ctx, times, order, opts)
-	}
-	if err := validateSolveArgs(times, order, cfg); err != nil {
-		return nil, err
 	}
 	if p.u == nil {
 		return p.m.frozenResults(times, order)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"somrm/internal/sparse"
 	"somrm/internal/spec"
 )
 
@@ -66,35 +67,40 @@ func (g *memGate) InFlight() int64 {
 	return g.inFlight
 }
 
-// estimateWorkingSet is the admission-time footprint estimate for a single
-// solve request. See estimateFootprint for what is counted.
-func estimateWorkingSet(req *SolveRequest) int64 {
-	return estimateFootprint(req.Model, req.Compose, req.Method, req.Order, 1)
+// admit reserves an item's estimated working set (see estimateFootprint)
+// against the memory budget; the returned release must run when the solve
+// finishes. A nil memGate admits everything. A refusal is a
+// *MemShedError, counted by countFailure.
+func (s *Server) admit(model *spec.Model, compose []*spec.Model, item *BatchItem) (func(), error) {
+	if s.memGate == nil {
+		return func() {}, nil
+	}
+	need := estimateFootprint(model, compose, item)
+	release, ok := s.memGate.Reserve(need)
+	if !ok {
+		return nil, &MemShedError{Need: need, Budget: s.opts.MemBudget, InFlight: s.memGate.InFlight()}
+	}
+	return release, nil
 }
 
-// estimateItemWorkingSet is the admission-time estimate for one batch item
-// against the batch's shared model.
-func estimateItemWorkingSet(model *spec.Model, item *BatchItem) int64 {
-	return estimateFootprint(model, nil, item.Method, item.Order, len(item.Times))
-}
-
-// estimateFootprint approximates the peak solver working set of one solve
-// in bytes, from the request spec alone (nothing is built): the matrix in
-// the storage format the structure-adaptive engine will pick (with an
-// impulse model's impulse matrices), plus the sweep's packed state and
-// per-time-point accumulators. It is a
-// deliberate overestimate-by-a-little — admission control needs an upper
-// bound that tracks the real footprint's shape (states, density,
-// bandwidth, format), not an exact byte count.
+// estimateFootprint approximates the peak solver working set of one item
+// in bytes, from its spec alone (nothing is built): the matrix in the
+// storage format the structure-adaptive engine will pick (with an impulse
+// model's impulse matrices), plus the sweep's two packed state buffers
+// and one accumulator block per time point, each of the size
+// sparse.PackedLayout gives the sweep itself. It is a deliberate
+// overestimate-by-a-little — admission control needs an upper bound that
+// tracks the real footprint's shape (states, density, bandwidth, format),
+// not an exact byte count.
 //
-// A composed request solves every component as a plain model and folds
-// their scalar moments, so it is charged its components' estimates only.
-func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, order, nTimes int) int64 {
+// A composed item solves every component as a plain model and folds their
+// scalar moments, so it is charged its components' estimates only.
+func estimateFootprint(model *spec.Model, compose []*spec.Model, item *BatchItem) int64 {
 	if len(compose) > 0 {
 		var total int64
 		for _, c := range compose {
 			if c != nil {
-				total += estimateFootprint(c, nil, method, order, nTimes)
+				total += estimateFootprint(c, nil, item)
 			}
 		}
 		return total
@@ -106,24 +112,16 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 	nnz := len(model.Transitions) + n // off-diagonals plus the diagonal
 	bandwidth := 0
 	for _, tr := range model.Transitions {
-		if d := tr.From - tr.To; d > bandwidth || -d > bandwidth {
-			if d < 0 {
-				d = -d
-			}
-			bandwidth = d
-		}
+		bandwidth = max(bandwidth, tr.From-tr.To, tr.To-tr.From)
 	}
+	order := item.Order
+	// FormatAuto always resolves.
+	format, words, _ := sparse.PackedLayout(sparse.FormatAuto, n, bandwidth, order, len(model.Impulses) > 0)
 
-	vec := int64(n) * 8
 	var matrix int64
-	// Packed state words per state: P = order+1 rounded up to a multiple
-	// of 4 on compact CSR, order+1 planes on the band.
-	lanes := int64(order+4) &^ 3
-	if bandwidth <= 1 && len(model.Impulses) == 0 {
-		// The tridiagonal band window: three values per row, no
-		// indexes. Only impulse-free such models get it.
+	if format == sparse.FormatBand {
+		// The tridiagonal band window: three values per row, no indexes.
 		matrix = int64(n) * 3 * 8
-		lanes = int64(order + 1)
 	} else {
 		// Compact CSR: values + 32-bit cols + row pointers, plus an
 		// impulse model's order impulse matrices (generic CSR: values,
@@ -134,13 +132,12 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, method string, 
 		}
 	}
 
-	switch method {
+	switch item.Method {
 	case MethodODE, MethodSimulation:
 		// Point solvers keep a handful of length-n vectors per order.
-		return matrix + vec*int64(order+2)*2
+		return matrix + int64(n)*8*int64(order+2)*2
 	}
 	// Randomization: the two packed state buffers every fused sweep runs
-	// on, plus one accumulator block per time point in the same packed
-	// layout.
-	return matrix + int64(2+nTimes)*vec*lanes
+	// on, plus one accumulator block per time point in the same layout.
+	return matrix + int64(2+len(item.Times))*int64(words)*8
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"somrm/internal/sparse"
 	"somrm/internal/spec"
 )
 
@@ -41,9 +42,20 @@ func TestMemGateReserve(t *testing.T) {
 }
 
 func TestEstimateWorkingSetShape(t *testing.T) {
-	small := &SolveRequest{Model: testSpec(0), T: 1, Order: 2, Method: MethodRandomization}
-	big := &SolveRequest{Model: largeBandSpec(5000, 2), T: 1, Order: 2, Method: MethodRandomization}
-	es, eb := estimateWorkingSet(small), estimateWorkingSet(big)
+	// est charges a randomization item of nTimes points.
+	est := func(sp *spec.Model, order, nTimes int) int64 {
+		return estimateFootprint(sp, nil, &BatchItem{Times: make([]float64, nTimes), Order: order, Method: MethodRandomization})
+	}
+	// block is one packed buffer of the sweep's own layout, in bytes.
+	block := func(sp *spec.Model, bandwidth, order int) int64 {
+		_, words, err := sparse.PackedLayout(sparse.FormatAuto, sp.States, bandwidth, order, len(sp.Impulses) > 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(words) * 8
+	}
+	small, big := testSpec(0), largeBandSpec(5000, 2)
+	es, eb := est(small, 2, 1), est(big, 2, 1)
 	if es <= 0 || eb <= 0 {
 		t.Fatalf("estimates must be positive: %d, %d", es, eb)
 	}
@@ -51,33 +63,34 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 		t.Fatalf("2500x states should dominate the estimate: small=%d big=%d", es, eb)
 	}
 	// Randomization: two packed state buffers plus one accumulator block
-	// per time point, all in the sweep's packed layout, on top of the
-	// matrix. The band window (an impulse-free tridiagonal model) packs
-	// order+1 vectors per block; compact CSR (a wider model, or any
-	// impulse model) packs P, order+1 rounded up to a multiple of 4, and
-	// an impulse model carries its order impulse matrices as generic CSR.
+	// per time point, each the size sparse.PackedLayout gives the sweep,
+	// on top of the matrix. The band window (an impulse-free tridiagonal
+	// model) packs order+1 row-lane planes of at least n+2 words; compact
+	// CSR (a wider model, or any impulse model) packs P, order+1 rounded
+	// up to a multiple of 4, words per state, and an impulse model carries
+	// its order impulse matrices as generic CSR.
 	vec := int64(5000 * 8)
-	tri := &SolveRequest{Model: largeBandSpec(5000, 1), T: 1, Order: 2, Method: MethodRandomization}
-	if got := estimateWorkingSet(tri) - int64(5000*3*8); got != (2*3+3)*vec {
-		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, (2*3+3)*vec)
+	tri := largeBandSpec(5000, 1)
+	if b := block(tri, 1, 2); b < 3*(vec+2*8) {
+		t.Fatalf("order-2 band block %d B, want at least three planes of n+2 words", b)
 	}
-	csr := int64(len(big.Model.Transitions)+5000)*(8+4) + int64(5000+1)*4
-	if got := eb - csr; got != (2*4+4)*vec {
-		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, (2*4+4)*vec)
+	if got, want := est(tri, 2, 1)-int64(5000*3*8), 3*block(tri, 1, 2); got != want {
+		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, want)
 	}
-	big12 := &SolveRequest{Model: big.Model, T: 1, Order: 12, Method: MethodRandomization}
-	if got := estimateWorkingSet(big12) - csr; got != (2*16+16)*vec {
-		t.Fatalf("order-12 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 16)", got, (2*16+16)*vec)
+	csr := int64(len(big.Transitions)+5000)*(8+4) + int64(5000+1)*4
+	if got, want := eb-csr, 3*block(big, 2, 2); got != want || want != 3*4*vec {
+		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, want)
+	}
+	if got, want := est(big, 12, 1)-csr, 3*block(big, 2, 12); got != want || want != 3*16*vec {
+		t.Fatalf("order-12 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 16)", got, want)
 	}
 	// An order-12 CSR batch item of three time points: three accumulator
 	// blocks of P = 16 words per state.
-	item12 := &BatchItem{Times: []float64{1, 2, 3}, Order: 12, Method: MethodRandomization}
-	if got := estimateItemWorkingSet(big.Model, item12) - csr; got != (2+3)*16*vec {
-		t.Fatalf("order-12 pentadiagonal 3-point item charged %d B beyond its CSR, want %d (P = 16)", got, (2+3)*16*vec)
+	if got, want := est(big, 12, 3)-csr, (2+3)*block(big, 2, 12); got != want {
+		t.Fatalf("order-12 pentadiagonal 3-point item charged %d B beyond its CSR, want %d (P = 16)", got, want)
 	}
-	tri12 := &BatchItem{Times: []float64{1, 2, 3}, Order: 12, Method: MethodRandomization}
-	if got := estimateItemWorkingSet(tri.Model, tri12) - int64(5000*3*8); got != (2+3)*13*vec {
-		t.Fatalf("order-12 band 3-point item charged %d B beyond its band, want %d (13 planes)", got, (2+3)*13*vec)
+	if got, want := est(tri, 12, 3)-int64(5000*3*8), (2+3)*block(tri, 1, 12); got != want {
+		t.Fatalf("order-12 band 3-point item charged %d B beyond its band, want %d (13 planes)", got, want)
 	}
 	imp := largeBandSpec(5000, 1)
 	for i := 0; i+1 < 5000; i++ {
@@ -85,18 +98,18 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	}
 	nnz := int64(len(imp.Transitions) + 5000)
 	impCSR := nnz*(8+4) + int64(5000+1)*4 + 2*(int64(len(imp.Impulses))*16+int64(5000+1)*8)
-	if got := estimateWorkingSet(&SolveRequest{Model: imp, T: 1, Order: 2, Method: MethodRandomization}) - impCSR; got != (2*4+4)*vec {
-		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, (2*4+4)*vec)
+	if got, want := est(imp, 2, 1)-impCSR, 3*block(imp, 1, 2); got != want || want != 3*4*vec {
+		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, want)
 	}
-	// A composed request is charged its components only: it folds scalar
+	// A composed item is charged its components only: it folds scalar
 	// moments, never product-sized vectors or a product matrix.
 	wide := []*spec.Model{largeBandSpec(100, 3), largeBandSpec(100, 3), largeBandSpec(100, 3)}
-	free := &SolveRequest{Compose: wide, T: 1, Order: 1, Method: MethodRandomization}
+	item := &BatchItem{Times: []float64{1}, Order: 1, Method: MethodRandomization}
 	var want int64
 	for _, c := range wide {
-		want += estimateWorkingSet(&SolveRequest{Model: c, T: 1, Order: 1, Method: MethodRandomization})
+		want += estimateFootprint(c, nil, item)
 	}
-	if got := estimateWorkingSet(free); got != want {
+	if got := estimateFootprint(nil, wide, item); got != want {
 		t.Fatalf("composed estimate %d, want the components' %d", got, want)
 	}
 }
@@ -198,8 +211,8 @@ func TestBatchMemShedPerItem(t *testing.T) {
 	// Pick a budget between the two items' estimates so admission is
 	// deterministic whatever order the items land in.
 	sp := testSpec(0)
-	smallNeed := estimateItemWorkingSet(sp, small)
-	hugeNeed := estimateItemWorkingSet(sp, huge)
+	smallNeed := estimateFootprint(sp, nil, small)
+	hugeNeed := estimateFootprint(sp, nil, huge)
 	if smallNeed*2 >= hugeNeed {
 		t.Fatalf("fixture broken: small=%d huge=%d", smallNeed, hugeNeed)
 	}

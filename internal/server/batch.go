@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"somrm/internal/core"
-	"somrm/internal/momentbounds"
 	"somrm/internal/spec"
 )
 
@@ -41,6 +39,14 @@ type BatchItem struct {
 	// TimeoutMS caps this item's solve time; it overrides the batch-level
 	// timeout and is clamped to the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+
+	// checkpoint enables mid-sweep snapshot capture on cancellation, so a
+	// deadline-exceeded solve returns a resumable partial status; resume
+	// is the checkpoint a resume token named. Only a /v1/solve request's
+	// item (see SolveRequest.item) sets them: batch items never
+	// checkpoint.
+	checkpoint bool
+	resume     *core.Checkpoint
 }
 
 // BatchRequest is the body of POST /v1/solve/batch: one model, many solves.
@@ -193,7 +199,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	// Resolve the prepared model once for the whole batch (single-flight
 	// against concurrent batches and single solves of the same model).
-	prep, hit, err := s.preparedFor(req.specHash, func() (*core.Prepared, error) { return buildPrepared(req.Model) }, req.Model)
+	// A cold build is batch work on the pool, under the batch timeout.
+	ctx, cancel := s.withTimeout(r.Context(), req.TimeoutMS)
+	prep, hit, err := s.prepare(ctx, req.specHash, func() (*core.Prepared, error) { return buildPrepared(req.Model) }, req.Model, s.opts.BatchQueueReserve)
+	cancel()
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
@@ -206,20 +215,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// A panic in the item runner itself (outside the pool, which
-			// has its own recovery) must not kill the process: convert it
-			// to a sanitized per-item error like any other failure.
+			itemStarted := time.Now()
+			// A panic outside the pool (which has its own recovery) must
+			// not kill the process: convert it to a sanitized per-item
+			// error like any other failure.
 			defer func() {
 				if v := recover(); v != nil {
 					s.metrics.Panics.Add(1)
-					s.metrics.Failures.Add(1)
-					results[i] = BatchItemResult{
-						Status: BatchStatusError,
-						Error:  (&PanicError{Value: v}).Error(),
-					}
+					results[i] = s.itemResult(nil, &PanicError{Value: v}, itemStarted)
 				}
 			}()
-			results[i] = s.solveBatchItem(r.Context(), prep, req, i)
+			item := &req.Items[i]
+			ms := req.TimeoutMS
+			if item.TimeoutMS > 0 {
+				ms = item.TimeoutMS
+			}
+			ctx, cancel := s.withTimeout(r.Context(), ms)
+			defer cancel()
+			if item.Method == MethodRandomization {
+				s.metrics.SweepPoints.Observe(len(item.Times))
+			}
+			// Batch items enqueue with the configured reserve: when the
+			// queue is nearly saturated they are shed (per item) while
+			// single solves may still use the remaining headroom.
+			points, err := s.solve(ctx, prep, req.Model, nil, item, s.opts.BatchQueueReserve)
+			results[i] = s.itemResult(points, err, itemStarted)
 		}(i)
 	}
 	wg.Wait()
@@ -231,132 +251,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// solveBatchItem runs one item through the worker pool with its own
-// timeout and maps the outcome to a per-item status.
-func (s *Server) solveBatchItem(ctx context.Context, prep *core.Prepared, req *BatchRequest, i int) BatchItemResult {
-	item := &req.Items[i]
-	started := time.Now()
-
-	timeout := s.opts.DefaultTimeout
-	ms := req.TimeoutMS
-	if item.TimeoutMS > 0 {
-		ms = item.TimeoutMS
-	}
-	if ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	itemCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// Memory admission mirrors the single-solve gate, per item: an item
-	// whose estimated working set does not fit is shed with a typed
-	// per-item status while the rest of the batch proceeds.
-	if s.memGate != nil {
-		need := estimateItemWorkingSet(req.Model, item)
-		release, ok := s.memGate.Reserve(need)
-		if !ok {
-			s.metrics.MemShed.Add(1)
-			s.metrics.Rejected.Add(1)
-			shed := &MemShedError{Need: need, Budget: s.opts.MemBudget, InFlight: s.memGate.InFlight()}
-			return BatchItemResult{
-				Status: BatchStatusShedMemory, Error: shed.Error(), ElapsedMS: msSince(started),
-			}
-		}
-		defer release()
-	}
-
-	var points []BatchPoint
-	var solveErr error
-	// Batch items enqueue with the configured reserve: when the queue is
-	// nearly saturated they are shed (503 per item) while single solves
-	// may still use the remaining headroom.
-	poolErr := s.pool.DoReserved(itemCtx, func(ctx context.Context) {
-		s.metrics.Solves.Add(1)
-		points, solveErr = s.solveItem(ctx, prep, item)
-	}, s.opts.BatchQueueReserve)
-	err := poolErr
-	if err == nil {
-		err = solveErr
-	}
+// itemResult maps one item's outcome to its per-item status.
+func (s *Server) itemResult(points []BatchPoint, err error, started time.Time) BatchItemResult {
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrShed):
-			s.metrics.BatchShed.Add(1)
-			s.metrics.Rejected.Add(1)
-		case errors.Is(err, ErrQueueFull):
-			s.metrics.ShedQueueFull.Add(1)
-			s.metrics.Rejected.Add(1)
-		case errors.Is(err, ErrShuttingDown):
-			s.metrics.Rejected.Add(1)
-		case errors.As(err, new(*QueueDeadlineError)):
-			s.metrics.ShedDeadline.Add(1)
-			s.metrics.Failures.Add(1)
-		default:
-			s.metrics.Failures.Add(1)
+		s.countFailure(err)
+		status := BatchStatusError
+		if errors.As(err, new(*MemShedError)) {
+			status = BatchStatusShedMemory
 		}
-		return BatchItemResult{
-			Status: BatchStatusError, Error: err.Error(), ElapsedMS: msSince(started),
-		}
+		return BatchItemResult{Status: status, Error: err.Error(), ElapsedMS: msSince(started)}
 	}
 	s.metrics.ObserveLatency(time.Since(started))
-	return BatchItemResult{
-		Status: BatchStatusOK, Points: points, ElapsedMS: msSince(started),
-	}
-}
-
-// runBatchItem executes one normalized batch item against the prepared
-// model. Randomization solves the whole grid in one shared sweep; ode and
-// simulation iterate the grid point by point, checking the deadline between
-// points.
-func (s *Server) runBatchItem(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
-	model := prep.Model()
-	points := make([]BatchPoint, 0, len(item.Times))
-	switch item.Method {
-	case MethodRandomization:
-		s.metrics.SweepPoints.Observe(len(item.Times))
-		results, err := prep.AccumulatedRewardAtContext(ctx, item.Times, item.Order, &core.Options{
-			Epsilon: item.Epsilon, SweepWorkers: s.opts.SweepWorkers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
-			points = append(points, BatchPoint{T: res.T, Moments: res.Moments, Stats: newSolverStats(res.Stats)})
-		}
-		// SweepNS is a whole-sweep figure copied into every result; observe
-		// it once per item, not once per grid point.
-		if len(results) > 0 && results[0].Stats.SweepNS > 0 {
-			s.metrics.ObserveSweep(time.Duration(results[0].Stats.SweepNS))
-			s.metrics.SweepFormats.Observe(results[0].Stats.MatrixFormat)
-			s.metrics.ObserveSweepBlocking(results[0].Stats.TemporalBlock)
-			s.metrics.SweepKernels.Observe(results[0].Stats.SweepKernel)
-			s.metrics.ObserveLadder(results[0].Stats.Ladder, results[0].Stats.LadderCaptured)
-		}
-	case MethodODE, MethodSimulation:
-		for _, t := range item.Times {
-			moments, stdErr, err := solvePoint(ctx, model, item.Method, item.ODE, item.Sim, t, item.Order)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, BatchPoint{T: t, Moments: moments, StdErr: stdErr})
-		}
-	}
-	if len(item.BoundsAt) > 0 {
-		for pi := range points {
-			est, err := momentbounds.New(points[pi].Moments)
-			if err != nil {
-				return nil, badRequestf("distribution bounds at t=%g: %v", points[pi].T, err)
-			}
-			for _, x := range item.BoundsAt {
-				b, err := est.CDFBounds(x)
-				if err != nil {
-					return nil, badRequestf("distribution bounds at t=%g, x=%g: %v", points[pi].T, x, err)
-				}
-				points[pi].Bounds = append(points[pi].Bounds, BoundPoint{X: x, Lower: b.Lower, Upper: b.Upper})
-			}
-		}
-	}
-	return points, nil
+	return BatchItemResult{Status: BatchStatusOK, Points: points, ElapsedMS: msSince(started)}
 }

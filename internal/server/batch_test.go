@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -41,6 +42,20 @@ func postBatch(t *testing.T, url string, req *BatchRequest) (*http.Response, *Ba
 		}
 	}
 	return resp, &out, buf.String()
+}
+
+// prewarm puts sp's prepared model in s's prepared-model cache, so a later
+// batch on it builds nothing: a cold batch's build is a pool task, which
+// a test holding every worker would block.
+func prewarm(t *testing.T, s *Server, sp *spec.Model) {
+	t.Helper()
+	h, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.prepare(context.Background(), hex.EncodeToString(h[:]), func() (*core.Prepared, error) { return buildPrepared(sp) }, sp, 0); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBatchEndToEnd(t *testing.T) {
@@ -183,7 +198,7 @@ func TestBatchPartialResults(t *testing.T) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		return s.runBatchItem(ctx, prep, item)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -223,7 +238,7 @@ func TestBatchOversizedRejectedUpFront(t *testing.T) {
 	var executed atomic.Int64
 	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		executed.Add(1)
-		return s.runBatchItem(ctx, prep, item)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -272,14 +287,15 @@ func TestBatchItemQueueFull(t *testing.T) {
 	s := New(Options{Workers: 1, QueueSize: 4})
 	gate := make(chan struct{})
 	var started atomic.Int64
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		started.Add(1)
 		<-gate
-		return runSolve(ctx, req)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown(context.Background())
+	prewarm(t, s, testSpec(9))
 
 	// Occupy the worker and fill the whole queue with single solves.
 	var wg sync.WaitGroup
@@ -348,8 +364,13 @@ func TestBatchBadRequests(t *testing.T) {
 
 // TestBatchMatchesLoopedSingleSolves is the quick property: for random
 // models and grids, the batch response is bitwise identical to looping
-// POST /v1/solve over the grid's points — both go through the same shared
-// solver engine, so not even the last ulp may differ.
+// POST /v1/solve over the grid's points, because a single solve is a
+// one-point batch item through the same pipeline. Each single solve
+// matches the batch's one-point item at its t in moments, stats (all but
+// the wall-clock sweep_ns) and bounds, and the grid item's point at that
+// t in all of them except matvecs, the shared sweep's total. A grid whose
+// bounds fail (order 1 has too few moments for them) fails each item with
+// the text of the first failing single solve's 400.
 func TestBatchMatchesLoopedSingleSolves(t *testing.T) {
 	s := New(Options{Workers: 4, CacheSize: -1}) // no result cache: every single solve runs
 	ts := httptest.NewServer(s.Handler())
@@ -364,26 +385,69 @@ func TestBatchMatchesLoopedSingleSolves(t *testing.T) {
 		for i := range grid {
 			grid[i] = rng.Float64() * 4
 		}
+		boundsAt := []float64{rng.Float64() * 2, 2 + rng.Float64()*6}
+		items := []BatchItem{{Times: grid, Order: order, BoundsAt: boundsAt}}
+		for _, tt := range grid {
+			items = append(items, BatchItem{Times: []float64{tt}, Order: order, BoundsAt: boundsAt})
+		}
 
-		resp, out, raw := postBatch(t, ts.URL, &BatchRequest{Model: sp, Items: []BatchItem{{Times: grid, Order: order}}})
+		resp, out, raw := postBatch(t, ts.URL, &BatchRequest{Model: sp, Items: items})
 		if resp.StatusCode != http.StatusOK {
 			t.Logf("batch status %d: %s", resp.StatusCode, raw)
 			return false
 		}
-		if out.Items[0].Status != BatchStatusOK {
-			t.Logf("batch item: %s", out.Items[0].Error)
-			return false
+		// same reports whether a single solve's point matches a batch point.
+		same := func(tt float64, single *SolveResponse, pt BatchPoint, matVecs bool) bool {
+			if !reflect.DeepEqual(single.Moments, pt.Moments) || !reflect.DeepEqual(single.Bounds, pt.Bounds) {
+				t.Logf("seed %d t=%g: batch %v %v != single %v %v", seed, tt, pt.Moments, pt.Bounds, single.Moments, single.Bounds)
+				return false
+			}
+			if single.Stats == nil || pt.Stats == nil {
+				t.Logf("seed %d t=%g: missing stats", seed, tt)
+				return false
+			}
+			a, b := *single.Stats, *pt.Stats
+			a.SweepNS, b.SweepNS = 0, 0
+			if !matVecs {
+				a.MatVecs = b.MatVecs
+			}
+			if a != b {
+				t.Logf("seed %d t=%g: batch stats %+v != single %+v", seed, tt, b, a)
+				return false
+			}
+			return true
 		}
+		gridItem := out.Items[0]
+		firstErr := ""
 		for k, tt := range grid {
-			sresp, single, sraw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: sp, T: tt, Order: order}))
+			point := out.Items[1+k]
+			sresp, single, sraw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: sp, T: tt, Order: order, BoundsAt: boundsAt}))
 			if sresp.StatusCode != http.StatusOK {
-				t.Logf("single status %d: %s", sresp.StatusCode, sraw)
+				var e struct{ Error string }
+				if sresp.StatusCode != http.StatusBadRequest || json.Unmarshal([]byte(sraw), &e) != nil {
+					t.Logf("single status %d: %s", sresp.StatusCode, sraw)
+					return false
+				}
+				if point.Status != BatchStatusError || point.Error != e.Error {
+					t.Logf("seed %d t=%g: one-point item %q %q, single error %q", seed, tt, point.Status, point.Error, e.Error)
+					return false
+				}
+				if firstErr == "" {
+					firstErr = e.Error
+				}
+				continue
+			}
+			if point.Status != BatchStatusOK || !same(tt, single, point.Points[0], true) {
+				t.Logf("seed %d t=%g: one-point item %q %q", seed, tt, point.Status, point.Error)
 				return false
 			}
-			if !reflect.DeepEqual(single.Moments, out.Items[0].Points[k].Moments) {
-				t.Logf("seed %d t=%g: batch %v != single %v", seed, tt, out.Items[0].Points[k].Moments, single.Moments)
+			if gridItem.Status == BatchStatusOK && !same(tt, single, gridItem.Points[k], false) {
 				return false
 			}
+		}
+		if (gridItem.Status != BatchStatusOK || firstErr != "") && gridItem.Error != firstErr {
+			t.Logf("seed %d: grid item error %q, first single error %q", seed, gridItem.Error, firstErr)
+			return false
 		}
 		return true
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"somrm/internal/core"
 	"somrm/internal/resilience"
 	"somrm/internal/testutil"
 )
@@ -225,13 +226,13 @@ func TestChaosServerSideSolverPanics(t *testing.T) {
 
 	s := New(Options{Workers: 2, QueueSize: 64})
 	var panics atomic.Int64
-	real := s.solve
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	real := s.solveItem
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		// Panic on every third request, spread across workers.
 		if panics.Add(1)%3 == 0 {
 			panic("chaos: solver blew up")
 		}
-		return real(ctx, req)
+		return real(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -227,11 +227,11 @@ func TestComposeTimeoutHoldsNoCheckpoint(t *testing.T) {
 
 	var noCapture atomic.Bool
 	done := make(chan struct{})
-	real := s.solve
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	real := s.solveItem
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		defer close(done)
-		noCapture.Store(len(req.Compose) > 0 && !req.checkpoint)
-		return real(ctx, req)
+		noCapture.Store(!item.checkpoint)
+		return real(ctx, prep, item)
 	}
 	heavy := &spec.Model{States: 2, Transitions: []spec.Transition{
 		{From: 0, To: 1, Rate: 4000},

@@ -54,6 +54,20 @@ func interruptRequest(t *testing.T, req *SolveRequest, polls int) error {
 	return err
 }
 
+// directSolve solves a normalized randomization request without a server.
+func directSolve(t *testing.T, req *SolveRequest) *core.Result {
+	t.Helper()
+	prep, err := req.buildFor()()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.AccumulatedReward(req.T, req.Order, &core.Options{Epsilon: req.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSolvePartialAndResume drives the full durable-solve loop over HTTP:
 // a deadline mid-sweep answers 202 with a resume token, the re-POST with
 // the token completes from the checkpoint, the final moments are bitwise
@@ -62,25 +76,22 @@ func TestSolvePartialAndResume(t *testing.T) {
 	s := New(Options{Workers: 2, Checkpoints: true})
 	defer s.Shutdown(context.Background())
 
-	calls := 0
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-		calls++
-		if calls == 1 {
-			return nil, interruptRequest(t, req, 4)
-		}
-		return runSolve(ctx, req)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	req := &SolveRequest{Model: testSpec(1), T: 1.2, Order: 3}
 	if err := req.normalize(12); err != nil {
 		t.Fatal(err)
 	}
-	full, err := runSolve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	calls := 0
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
+		calls++
+		if calls == 1 {
+			return nil, interruptRequest(t, req, 4)
+		}
+		return s.runItem(ctx, prep, item)
 	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	full := directSolve(t, req)
 
 	body := solveBody(t, &SolveRequest{Model: testSpec(1), T: 1.2, Order: 3})
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
@@ -353,10 +364,7 @@ func TestCheckpointHandoff(t *testing.T) {
 	// The client's original token resumes on the successor.
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	full, err := runSolve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := directSolve(t, req)
 	hresp, out, raw := postSolve(t, ts2.URL, solveBody(t, &SolveRequest{Model: testSpec(3), T: 1.1, Order: 3, ResumeToken: token}))
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("resume on successor: status %d: %s", hresp.StatusCode, raw)

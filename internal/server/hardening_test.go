@@ -25,12 +25,12 @@ func TestSolvePanicIsolated(t *testing.T) {
 
 	var panicking atomic.Bool
 	panicking.Store(true)
-	real := s.solve
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	real := s.solveItem
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		if panicking.Load() {
 			panic(secretPanicValue)
 		}
-		return real(ctx, req)
+		return real(ctx, prep, item)
 	}
 
 	resp, _, raw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: testSpec(0), T: 1, Order: 2}))
@@ -77,12 +77,12 @@ func TestWorkerSurvivesRepeatedPanics(t *testing.T) {
 
 	var panicking atomic.Bool
 	panicking.Store(true)
-	real := s.solve
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	real := s.solveItem
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		if panicking.Load() {
 			panic("boom")
 		}
-		return real(ctx, req)
+		return real(ctx, prep, item)
 	}
 
 	const n = 5
@@ -155,15 +155,13 @@ func TestBatchShedBeforeSingles(t *testing.T) {
 
 	release := make(chan struct{})
 	var started atomic.Int64
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		started.Add(1)
 		<-release
-		return &SolveResponse{Method: MethodRandomization, Moments: []float64{1}}, nil
-	}
-	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		return []BatchPoint{{T: item.Times[0], Moments: []float64{1}}}, nil
 	}
 	defer close(release)
+	prewarm(t, s, testSpec(9))
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()

@@ -72,7 +72,9 @@ type Metrics struct {
 	PreparedHits   atomic.Int64
 	PreparedMisses atomic.Int64
 	// BatchItems is the items-per-batch histogram; SweepPoints is the
-	// time-points-per-shared-sweep histogram (randomization items only).
+	// time-points-per-shared-sweep histogram of the randomization batch
+	// items the batch handler dispatches (a single solve, a grid of one,
+	// is not counted).
 	BatchItems  sizeHistogram
 	SweepPoints sizeHistogram
 

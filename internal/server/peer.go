@@ -212,16 +212,11 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, e *HandoffEntry) bool {
 			return false
 		}
 		// The rebuild is real CPU work (validation, uniformization, matrix
-		// scaling), so it runs on the worker pool like any solve: queue
+		// scaling), so it runs on the worker pool like any build: queue
 		// admission control applies, and a full queue or expired deadline
 		// skips the entry instead of pinning the handler goroutine.
-		var prepErr error
-		if poolErr := s.pool.Do(ctx, func(context.Context) {
-			_, _, prepErr = s.preparedFor(e.Key, func() (*core.Prepared, error) { return buildPrepared(sp) }, sp)
-		}); poolErr != nil {
-			return false
-		}
-		return prepErr == nil
+		_, _, err = s.prepare(ctx, e.Key, func() (*core.Prepared, error) { return buildPrepared(sp) }, sp, 0)
+		return err == nil
 	default:
 		return false
 	}

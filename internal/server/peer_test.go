@@ -206,7 +206,7 @@ func TestPreparedHandoffShipsParsedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := hex.EncodeToString(h[:])
-	if _, hit, err := s.preparedFor(key, func() (*core.Prepared, error) { return buildPrepared(sp) }, sp); err != nil || hit {
+	if _, hit, err := s.prepare(context.Background(), key, func() (*core.Prepared, error) { return buildPrepared(sp) }, sp, 0); err != nil || hit {
 		t.Fatalf("prepared miss: hit %v, %v", hit, err)
 	}
 	s.prepared.mu.Lock()

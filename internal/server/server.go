@@ -4,6 +4,27 @@
 // requests, and concurrent identical requests are deduplicated onto a
 // single solve. The package is stdlib-only, like the rest of the module.
 //
+// Every solve takes one path. A /v1/solve request is converted into a
+// one-point batch item — a time grid of one, which the solver treats
+// exactly as it treats each point of a grid — and then it, like each item
+// of a batch:
+//
+//   - resolves its prepared model (Server.prepare) through the
+//     prepared-model cache, whose single-flight collapses concurrent
+//     misses onto one build;
+//   - reserves its estimated working set against the memory budget
+//     (Server.admit);
+//   - runs the one executor (Server.runItem: the solver, the sweep
+//     counters, the distribution bounds) on a pool worker;
+//   - on failure, goes through one failure accounting
+//     (Server.countFailure).
+//
+// Only a cache miss's build does work, and it runs as its own pool task,
+// so every build counts against the worker bound. prepare must therefore
+// never be called from inside a pool task, where the build would wait for
+// a worker its caller holds; a request that joins another request's
+// in-flight build waits for it outside the pool, holding no worker.
+//
 // Endpoints:
 //
 //	POST /v1/solve        — solve one model (see SolveRequest / SolveResponse)
@@ -165,10 +186,9 @@ type Server struct {
 	start       time.Time
 	draining    atomic.Bool
 
-	// solve is the request executor; tests substitute it to control
-	// timing and count executions.
-	solve func(ctx context.Context, req *SolveRequest) (*SolveResponse, error)
-	// solveItem is the batch-item executor; tests substitute it likewise.
+	// solveItem is the executor every solve runs on a pool worker
+	// (runItem); tests substitute it to control timing and count
+	// executions.
 	solveItem func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error)
 }
 
@@ -201,8 +221,7 @@ func NewWithPersistence(opts Options) (*Server, error) {
 		start:    time.Now(),
 	}
 	s.pool = newPool(o.Workers, o.QueueSize, func(any) { s.metrics.Panics.Add(1) })
-	s.solve = s.preparedSolve
-	s.solveItem = s.runBatchItem
+	s.solveItem = s.runItem
 	if o.Checkpoints {
 		s.checkpoints = newCheckpointStore(o.CheckpointCap, o.CheckpointTTL)
 	}
@@ -386,8 +405,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve the resume token before dispatch, so a dead token fails fast
 	// with a typed status instead of burning a solve from scratch.
+	var resume *core.Checkpoint
 	if req.ResumeToken != "" {
-		if err := s.resolveResume(req, key); err != nil {
+		if resume, err = s.resolveResume(req, key); err != nil {
 			s.writeSolveError(w, err)
 			return
 		}
@@ -395,15 +415,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Capture a checkpoint if the deadline lands mid-sweep, so the client
 	// can resume instead of restarting. Composed solves run one sweep per
 	// component and do not checkpoint.
-	req.checkpoint = s.checkpoints != nil && req.Method == MethodRandomization && len(req.Compose) == 0
+	item := req.item(s.checkpoints != nil && req.Method == MethodRandomization && len(req.Compose) == 0, resume)
 
-	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.withTimeout(r.Context(), req.TimeoutMS)
 	defer cancel()
 
 	resp, shared, err := s.flight.Do(ctx, key, func() (*SolveResponse, error) {
@@ -415,38 +429,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return filled, nil
 			}
 		}
-		// Memory admission: refuse work whose estimated solver working set
-		// does not fit the remaining budget, before it can occupy a worker.
-		release, admitErr := s.admit(req)
-		if admitErr != nil {
-			return nil, admitErr
+		prep, _, err := s.prepare(ctx, req.specHash, req.buildFor(), req.Model, 0)
+		if err != nil {
+			return nil, err
 		}
-		defer release()
-		var solved *SolveResponse
-		var solveErr error
-		if poolErr := s.pool.Do(ctx, func(ctx context.Context) {
-			s.metrics.Solves.Add(1)
-			solved, solveErr = s.solve(ctx, req)
-		}); poolErr != nil {
-			return nil, poolErr
+		points, err := s.solve(ctx, prep, req.Model, req.Compose, item, 0)
+		if err != nil {
+			return nil, err
 		}
-		if solveErr != nil {
-			return nil, solveErr
+		p := &points[0]
+		solved := &SolveResponse{
+			Method: req.Method, T: req.T, Order: req.Order,
+			Moments: p.Moments, Stats: p.Stats, StdErr: p.StdErr, Bounds: p.Bounds,
+			Resumed: resume != nil, ElapsedMS: msSince(started),
 		}
-		if req.resume != nil {
+		if resume != nil {
 			s.metrics.Resumes.Add(1)
 			s.checkpoints.Remove(req.ResumeToken)
 		}
-		solved.ElapsedMS = msSince(started)
 		s.cache.Put(key, req.specHash, solved)
 		s.metrics.ObserveLatency(time.Since(started))
-		if solved.Stats != nil && solved.Stats.SweepNS > 0 {
-			s.metrics.ObserveSweep(time.Duration(solved.Stats.SweepNS))
-			s.metrics.SweepFormats.Observe(solved.Stats.MatrixFormat)
-			s.metrics.ObserveSweepBlocking(solved.Stats.TemporalBlock)
-			s.metrics.SweepKernels.Observe(solved.Stats.SweepKernel)
-			s.metrics.ObserveLadder(solved.Stats.ladder, solved.Stats.ladderCaptured)
-		}
 		return solved, nil
 	})
 	if shared {
@@ -469,30 +471,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveResume validates the request's resume token against the held
-// checkpoint store and attaches the decoded checkpoint to the request. The
-// token must name a checkpoint captured for this exact request key —
-// model, t, order, epsilon, method — so a token cannot be replayed against
-// a different solve.
-func (s *Server) resolveResume(req *SolveRequest, key string) error {
+// checkpoint store and returns the decoded checkpoint. The token must name
+// a checkpoint captured for this exact request key — model, t, order,
+// epsilon, method — so a token cannot be replayed against a different
+// solve.
+func (s *Server) resolveResume(req *SolveRequest, key string) (*core.Checkpoint, error) {
 	if s.checkpoints == nil {
-		return badRequestf("resume_token set but checkpoints are disabled on this server")
+		return nil, badRequestf("resume_token set but checkpoints are disabled on this server")
 	}
 	e, ok := s.checkpoints.Get(req.ResumeToken)
 	if !ok {
-		return errResumeTokenGone
+		return nil, errResumeTokenGone
 	}
 	if e.key != key {
-		return badRequestf("resume_token was issued for a different request")
+		return nil, badRequestf("resume_token was issued for a different request")
 	}
 	cp, err := core.DecodeCheckpoint(e.blob)
 	if err != nil {
 		// A corrupt held checkpoint is unrecoverable; drop it so the
 		// client's retry-without-token path solves from scratch.
 		s.checkpoints.Remove(req.ResumeToken)
-		return errResumeTokenGone
+		return nil, errResumeTokenGone
 	}
-	req.resume = cp
-	return nil
+	return cp, nil
 }
 
 // writePartial answers an interrupted checkpoint-enabled solve with a 202
@@ -517,67 +518,33 @@ func (s *Server) writePartial(w http.ResponseWriter, req *SolveRequest, key stri
 	return true
 }
 
-// admit reserves the request's estimated working set against the memory
-// budget; the returned release must be called when the solve finishes. A
-// nil memGate admits everything.
-func (s *Server) admit(req *SolveRequest) (func(), error) {
-	if s.memGate == nil {
-		return func() {}, nil
-	}
-	need := estimateWorkingSet(req)
-	release, ok := s.memGate.Reserve(need)
-	if !ok {
-		s.metrics.MemShed.Add(1)
-		s.metrics.Rejected.Add(1)
-		return nil, &MemShedError{Need: need, Budget: s.opts.MemBudget, InFlight: s.memGate.InFlight()}
-	}
-	return release, nil
-}
-
-// writeSolveError maps solve failures to HTTP statuses: capacity and
-// shutdown to 503 (memory shed included), deadlines to 504, malformed
-// input to 400, dead resume tokens to 410, checkpoint/request mismatches
-// to 409, recovered panics to a sanitized 500, anything else to 500.
+// writeSolveError counts a failed solve (see countFailure) and maps it to
+// an HTTP status: capacity and shutdown to 503 (memory shed included),
+// deadlines to 504, malformed input to 400, dead resume tokens to 410,
+// checkpoint/request mismatches to 409, recovered panics to a sanitized
+// 500, anything else to 500.
 func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
+	s.countFailure(err)
 	var bad *errBadRequest
 	var pe *PanicError
-	var shed *MemShedError
 	switch {
-	case errors.As(err, &shed):
-		// Counted (mem_shed_total and rejected) at the admission gate.
-		writeError(w, http.StatusServiceUnavailable, shed.Error())
+	case errors.As(err, new(*MemShedError)), errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, errResumeTokenGone):
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusGone, err.Error())
 	case errors.Is(err, core.ErrCheckpoint):
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusConflict, err.Error())
-	case errors.Is(err, ErrQueueFull):
-		s.metrics.ShedQueueFull.Add(1)
-		s.metrics.Rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, ErrShuttingDown):
-		s.metrics.Rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.As(err, new(*QueueDeadlineError)):
-		// Still a 504 to the client, but counted as queue pressure, not
-		// solver slowness.
-		s.metrics.ShedDeadline.Add(1)
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "solve deadline exceeded")
 	case errors.As(err, &bad):
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.As(err, &pe):
 		// PanicError.Error() is sanitized by construction: no panic value,
 		// no stack, nothing internal crosses the wire.
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusInternalServerError, pe.Error())
 	default:
-		s.metrics.Failures.Add(1)
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
 }

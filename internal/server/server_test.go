@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"somrm/internal/core"
 	"somrm/internal/spec"
 )
 
@@ -133,9 +134,9 @@ func TestConcurrentDedup(t *testing.T) {
 
 	s := New(Options{Workers: 4, QueueSize: total})
 	gate := make(chan struct{})
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		<-gate // hold solves until the whole wave is in flight
-		return runSolve(ctx, req)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -242,10 +243,10 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	s := New(Options{Workers: workers, QueueSize: 16})
 	gate := make(chan struct{})
 	var started atomic.Int64
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		started.Add(1)
 		<-gate
-		return runSolve(ctx, req)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -320,10 +321,10 @@ func TestQueueFullRejects(t *testing.T) {
 	s := New(Options{Workers: 1, QueueSize: 1})
 	gate := make(chan struct{})
 	var started atomic.Int64
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		started.Add(1)
 		<-gate
-		return runSolve(ctx, req)
+		return s.runItem(ctx, prep, item)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -370,7 +371,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 func TestSolveTimeout(t *testing.T) {
 	s := New(Options{Workers: 1})
-	s.solve = func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+	s.solveItem = func(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}

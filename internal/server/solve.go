@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"somrm/internal/core"
 	"somrm/internal/momentbounds"
@@ -93,12 +94,18 @@ type SolveRequest struct {
 	// specHash memoizes the canonical model hash (hex) once cacheKey has
 	// computed it, so the prepared-model cache does not re-canonicalize.
 	specHash string
-	// resume is the decoded checkpoint resolved from ResumeToken by the
-	// handler (randomization only); nil for fresh solves.
-	resume *core.Checkpoint
-	// checkpoint enables mid-sweep snapshot capture on cancellation, so
-	// deadline-exceeded solves return a resumable partial status.
-	checkpoint bool
+}
+
+// item converts a normalized request into the one-point batch item the
+// solve pipeline runs (see Server.solve): a single solve is a time grid
+// of one. checkpoint and resume are the request's capture flag and the
+// checkpoint its resume token named.
+func (r *SolveRequest) item(checkpoint bool, resume *core.Checkpoint) *BatchItem {
+	return &BatchItem{
+		Times: []float64{r.T}, Order: r.Order, Epsilon: r.Epsilon, Method: r.Method,
+		Sim: r.Sim, ODE: r.ODE, BoundsAt: r.BoundsAt,
+		checkpoint: checkpoint, resume: resume,
+	}
 }
 
 // newSolverStats copies core solver statistics onto the wire type.
@@ -112,8 +119,6 @@ func newSolverStats(st core.Stats) *SolverStats {
 		MatrixFormat:      st.MatrixFormat,
 		TemporalBlock:     st.TemporalBlock,
 		SweepKernel:       st.SweepKernel,
-		ladder:            st.Ladder,
-		ladderCaptured:    st.LadderCaptured,
 	}
 }
 
@@ -146,11 +151,6 @@ type SolverStats struct {
 	// SweepKernel is the compute kernel the sweep dispatched ("avx2" or
 	// "scalar"); empty for solves that never ran a sweep.
 	SweepKernel string `json:"sweep_kernel,omitempty"`
-
-	// ladder and ladderCaptured carry core.Stats.Ladder and
-	// LadderCaptured to the /metrics counters; not on the wire.
-	ladder         string
-	ladderCaptured bool
 }
 
 // BoundPoint is one moment-based CDF bound evaluation.
@@ -413,12 +413,22 @@ func (r *SolveRequest) buildFor() func() (*core.Prepared, error) {
 	return func() (*core.Prepared, error) { return buildPrepared(sp) }
 }
 
-// preparedFor resolves the prepared model for a request's spec through the
-// single-flight LRU, counting hits and misses. sp may be nil (composed
-// requests), in which case the model is not offered for drain handoff —
-// peers rebuild it from the request on demand.
-func (s *Server) preparedFor(specHash string, build func() (*core.Prepared, error), sp *spec.Model) (*core.Prepared, bool, error) {
-	prep, hit, err := s.prepared.GetOrBuild(specHash, build)
+// prepare resolves the prepared model for specHash through the
+// single-flight LRU, counting hits and misses. Only a miss's build does
+// work, and it runs as a pool task enqueued with the given queue reserve
+// (see pool.DoReserved), so prepare must never be called from inside a
+// pool task: the build would wait for a worker its caller holds.
+// Requests joining another's in-flight build wait for it here, outside
+// the pool. sp may be nil (composed requests), in which case the model is
+// not offered for drain handoff — peers rebuild it from the request on
+// demand.
+func (s *Server) prepare(ctx context.Context, specHash string, build func() (*core.Prepared, error), sp *spec.Model, reserve int) (*core.Prepared, bool, error) {
+	prep, hit, err := s.prepared.GetOrBuild(specHash, func() (prep *core.Prepared, err error) {
+		if poolErr := s.pool.DoReserved(ctx, func(context.Context) { prep, err = build() }, reserve); poolErr != nil {
+			return nil, poolErr
+		}
+		return prep, err
+	})
 	if err != nil {
 		return nil, hit, err
 	}
@@ -435,76 +445,116 @@ func (s *Server) preparedFor(specHash string, build func() (*core.Prepared, erro
 	return prep, hit, nil
 }
 
-// preparedSolve is the default request executor: it resolves the prepared
-// model through the cache and solves against it.
-func (s *Server) preparedSolve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	specHash := req.specHash
-	if specHash == "" {
-		h, err := req.modelHash()
-		if err != nil {
-			return nil, err
-		}
-		specHash = hex.EncodeToString(h[:])
-	}
-	prep, _, err := s.preparedFor(specHash, req.buildFor(), req.Model)
+// solve runs one item against its prepared model: it reserves the item's
+// estimated working set (model or compose is the item's spec), then runs
+// the executor on a pool worker enqueued with the given queue reserve.
+func (s *Server) solve(ctx context.Context, prep *core.Prepared, model *spec.Model, compose []*spec.Model, item *BatchItem, reserve int) ([]BatchPoint, error) {
+	release, err := s.admit(model, compose, item)
 	if err != nil {
 		return nil, err
 	}
-	return runSolvePrepared(ctx, req, prep, s.opts.SweepWorkers)
-}
-
-// runSolve executes a normalized request without a prepared-model cache:
-// it builds and prepares the model from scratch. Tests substitute it for
-// the server's cached executor to control timing and count executions.
-func runSolve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	prep, err := req.buildFor()()
-	if err != nil {
+	defer release()
+	var points []BatchPoint
+	var solveErr error
+	if err := s.pool.DoReserved(ctx, func(ctx context.Context) {
+		s.metrics.Solves.Add(1)
+		points, solveErr = s.solveItem(ctx, prep, item)
+	}, reserve); err != nil {
 		return nil, err
 	}
-	return runSolvePrepared(ctx, req, prep, 0)
+	return points, solveErr
 }
 
-// runSolvePrepared executes a normalized request against a prepared model,
-// dispatching to the selected solver and attaching distribution bounds when
-// requested. sweepWorkers is the server's sweep parallelism setting, which
-// never changes results bitwise and so is not part of requests or cache
-// keys.
-func runSolvePrepared(ctx context.Context, req *SolveRequest, prep *core.Prepared, sweepWorkers int) (*SolveResponse, error) {
-	resp := &SolveResponse{Method: req.Method, T: req.T, Order: req.Order}
-	switch req.Method {
+// runItem is the executor: it solves one normalized item against the
+// prepared model, counting the sweep in the /metrics sweep counters, and
+// attaches distribution bounds when requested. Randomization solves the
+// whole grid in one shared sweep; ode and simulation iterate the grid
+// point by point, checking the deadline between points. The server's
+// sweep parallelism never changes results bitwise and so is not part of
+// items or cache keys.
+func (s *Server) runItem(ctx context.Context, prep *core.Prepared, item *BatchItem) ([]BatchPoint, error) {
+	points := make([]BatchPoint, 0, len(item.Times))
+	switch item.Method {
 	case MethodRandomization:
-		opts := &core.Options{
-			Epsilon: req.Epsilon, SweepWorkers: sweepWorkers,
-			Checkpoint: req.checkpoint, Resume: req.resume,
-		}
-		res, err := prep.AccumulatedRewardContext(ctx, req.T, req.Order, opts)
+		results, err := prep.AccumulatedRewardAtContext(ctx, item.Times, item.Order, &core.Options{
+			Epsilon: item.Epsilon, SweepWorkers: s.opts.SweepWorkers,
+			Checkpoint: item.checkpoint, Resume: item.resume,
+		})
 		if err != nil {
 			return nil, err
 		}
-		resp.Moments = res.Moments
-		resp.Stats = newSolverStats(res.Stats)
-		resp.Resumed = req.resume != nil
+		for _, res := range results {
+			points = append(points, BatchPoint{T: res.T, Moments: res.Moments, Stats: newSolverStats(res.Stats)})
+		}
+		// The sweep figures are whole-sweep totals copied into every
+		// result; observe them once per item, not once per grid point.
+		if st := results[0].Stats; st.SweepNS > 0 {
+			s.metrics.ObserveSweep(time.Duration(st.SweepNS))
+			s.metrics.SweepFormats.Observe(st.MatrixFormat)
+			s.metrics.ObserveSweepBlocking(st.TemporalBlock)
+			s.metrics.SweepKernels.Observe(st.SweepKernel)
+			s.metrics.ObserveLadder(st.Ladder, st.LadderCaptured)
+		}
 	case MethodODE, MethodSimulation:
-		moments, stdErr, err := solvePoint(ctx, prep.Model(), req.Method, req.ODE, req.Sim, req.T, req.Order)
-		if err != nil {
-			return nil, err
-		}
-		resp.Moments, resp.StdErr = moments, stdErr
-	}
-	if len(req.BoundsAt) > 0 {
-		est, err := momentbounds.New(resp.Moments)
-		if err != nil {
-			return nil, badRequestf("distribution bounds: %v", err)
-		}
-		for _, x := range req.BoundsAt {
-			b, err := est.CDFBounds(x)
+		for _, t := range item.Times {
+			moments, stdErr, err := solvePoint(ctx, prep.Model(), item.Method, item.ODE, item.Sim, t, item.Order)
 			if err != nil {
-				return nil, badRequestf("distribution bounds at %g: %v", x, err)
+				return nil, err
 			}
-			resp.Bounds = append(resp.Bounds, BoundPoint{X: x, Lower: b.Lower, Upper: b.Upper})
+			points = append(points, BatchPoint{T: t, Moments: moments, StdErr: stdErr})
 		}
 	}
-	return resp, nil
+	if len(item.BoundsAt) > 0 {
+		for pi := range points {
+			est, err := momentbounds.New(points[pi].Moments)
+			if err != nil {
+				return nil, badRequestf("distribution bounds at t=%g: %v", points[pi].T, err)
+			}
+			for _, x := range item.BoundsAt {
+				b, err := est.CDFBounds(x)
+				if err != nil {
+					return nil, badRequestf("distribution bounds at t=%g, x=%g: %v", points[pi].T, x, err)
+				}
+				points[pi].Bounds = append(points[pi].Bounds, BoundPoint{X: x, Lower: b.Lower, Upper: b.Upper})
+			}
+		}
+	}
+	return points, nil
+}
+
+// countFailure does the failure accounting of one failed solve, single
+// or batch item: queue and memory sheds and shutdown count as
+// rejections, everything else as a failure.
+func (s *Server) countFailure(err error) {
+	switch {
+	case errors.As(err, new(*MemShedError)):
+		s.metrics.MemShed.Add(1)
+		s.metrics.Rejected.Add(1)
+	case errors.Is(err, ErrShed):
+		s.metrics.BatchShed.Add(1)
+		s.metrics.Rejected.Add(1)
+	case errors.Is(err, ErrQueueFull):
+		s.metrics.ShedQueueFull.Add(1)
+		s.metrics.Rejected.Add(1)
+	case errors.Is(err, ErrShuttingDown):
+		s.metrics.Rejected.Add(1)
+	case errors.As(err, new(*QueueDeadlineError)):
+		// Queue pressure, not solver slowness.
+		s.metrics.ShedDeadline.Add(1)
+		s.metrics.Failures.Add(1)
+	default:
+		s.metrics.Failures.Add(1)
+	}
+}
+
+// withTimeout derives a solve context bounded by the server's default
+// timeout, or by ms milliseconds when a request asks for less.
+func (s *Server) withTimeout(ctx context.Context, ms int64) (context.Context, context.CancelFunc) {
+	timeout := s.opts.DefaultTimeout
+	if ms > 0 && ms <= timeout.Milliseconds() {
+		timeout = min(timeout, time.Duration(ms)*time.Millisecond)
+	}
+	return context.WithTimeout(ctx, timeout)
 }
 
 // odeMethods maps the ODE method names a request may carry to the

@@ -173,7 +173,7 @@ func TestBandEligible(t *testing.T) {
 		if !m.bandEligible() || m.BandRep() == nil {
 			t.Errorf("lo=%d hi=%d matrix not band-eligible", shape.lo, shape.hi)
 		}
-		if got, _, _, _ := resolveStorage(m, FormatBand, false); got != FormatBand {
+		if got, _, _, _, _ := resolveStorage(m, FormatBand, 3, false); got != FormatBand {
 			t.Errorf("lo=%d hi=%d forced band resolved to %q", shape.lo, shape.hi, got)
 		}
 	}
@@ -194,7 +194,7 @@ func TestBandEligible(t *testing.T) {
 		if m.bandEligible() || m.BandRep() != nil {
 			t.Errorf("%s matrix band-eligible", name)
 		}
-		if got, _, _, _ := resolveStorage(m, FormatBand, false); got == FormatBand {
+		if got, _, _, _, _ := resolveStorage(m, FormatBand, 3, false); got == FormatBand {
 			t.Errorf("%s: forced band honored", name)
 		}
 	}
@@ -264,12 +264,21 @@ func TestResolveStorage(t *testing.T) {
 		{blockTri, FormatBand, false, FormatCSR32},
 	}
 	for _, c := range cases {
-		got, band, col32, err := resolveStorage(c.m, c.in, c.impulses)
+		got, words, band, col32, err := resolveStorage(c.m, c.in, 3, c.impulses)
 		if err != nil {
 			t.Fatalf("resolveStorage(%q): %v", c.in, err)
 		}
 		if got != c.want {
 			t.Errorf("resolveStorage(%q) = %q, want %q", c.in, got, c.want)
+		}
+		// One packed buffer: four row-lane planes on the band, P = 4
+		// interleaved words per state on compact CSR.
+		wantWords := 4 * c.m.rows
+		if got == FormatBand {
+			wantWords = 4 * bandPlaneStride(c.m.rows)
+		}
+		if words != wantWords {
+			t.Errorf("resolveStorage(%q): %d packed words, want %d", c.in, words, wantWords)
 		}
 		if (got == FormatBand) != (band != nil) {
 			t.Errorf("resolveStorage(%q): band presence %v for format %q", c.in, band != nil, got)
@@ -278,7 +287,7 @@ func TestResolveStorage(t *testing.T) {
 			t.Errorf("resolveStorage(%q): col32 presence %v for format %q", c.in, col32 != nil, got)
 		}
 	}
-	if _, _, _, err := resolveStorage(tri, "bogus", false); !errors.Is(err, ErrUnsupportedFormat) {
+	if _, _, _, _, err := resolveStorage(tri, "bogus", 3, false); !errors.Is(err, ErrUnsupportedFormat) {
 		t.Errorf("bogus format: err = %v, want ErrUnsupportedFormat", err)
 	}
 }

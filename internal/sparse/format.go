@@ -48,25 +48,52 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 	}
 }
 
-// resolveStorage picks the concrete storage for a sweep over an explicit
-// matrix a: the resolved format (FormatBand or FormatCSR32) plus the
-// derived representation it streams. The band window serves only
-// impulse-free sweeps. Derived representations are cached on the matrix, so
-// repeated sweeps (core.Prepared) convert once.
-func resolveStorage(a *CSR, format MatrixFormat, impulses bool) (MatrixFormat, *Band, []uint32, error) {
+// PackedLayout resolves the storage a fused sweep of the given order runs
+// on under format, for an n-row square matrix whose entries lie at most
+// bandwidth columns off the diagonal, with or without impulse matrices. It
+// returns the resolved format (FormatBand or FormatCSR32) and the float64
+// words of one packed buffer of its layout — one plan's accumulator block
+// or one set of moment-state vectors, padding included (see
+// Sweep.planes): order+1 row-lane planes of bandPlaneStride(n) words on
+// the band, P words per state on compact CSR. The band window serves only
+// impulse-free sweeps. This is the one place those choices are made: the
+// sweep's own resolution uses it, and so can a caller that knows the
+// matrix only by its shape, such as an admission estimate.
+func PackedLayout(format MatrixFormat, n, bandwidth, order int, impulses bool) (MatrixFormat, int, error) {
 	switch format {
 	case "", FormatAuto, FormatBand:
 		// Auto, and a forced band, take compact CSR outside the window.
-		if !impulses && a.bandEligible() {
-			return FormatBand, a.BandRep(), nil, nil
+		if !impulses && n > 0 && bandwidth <= 1 {
+			return FormatBand, (order + 1) * bandPlaneStride(n), nil
 		}
 	case FormatCSR, FormatCSR32:
 	default:
-		return "", nil, nil, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
+		return "", 0, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
+	}
+	return FormatCSR32, packedLanes(order) * n, nil
+}
+
+// packedLanes is P, the words per state of the interleaved CSR32 layout:
+// order+1 rounded up to a multiple of 4.
+func packedLanes(order int) int { return (order + 4) &^ 3 }
+
+// resolveStorage picks the concrete storage for a sweep of the given order
+// over an explicit square matrix a (see PackedLayout): the resolved
+// format, the words of one packed buffer, and the derived representation
+// it streams. Derived representations are cached on the matrix, so
+// repeated sweeps (core.Prepared) convert once.
+func resolveStorage(a *CSR, format MatrixFormat, order int, impulses bool) (MatrixFormat, int, *Band, []uint32, error) {
+	lo, hi := a.Bandwidth()
+	resolved, words, err := PackedLayout(format, a.rows, max(lo, hi), order, impulses)
+	if err != nil {
+		return "", 0, nil, nil, err
+	}
+	if resolved == FormatBand {
+		return resolved, words, a.BandRep(), nil, nil
 	}
 	c32 := a.ColIdx32()
 	if c32 == nil {
-		return "", nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
+		return "", 0, nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
 	}
-	return FormatCSR32, nil, c32, nil
+	return resolved, words, nil, c32, nil
 }

@@ -98,12 +98,14 @@ type Sweep struct {
 	// Resolved storage (see MatrixFormat): the fused kernels stream the
 	// tridiagonal band planes or compact uint32 column indexes, cutting
 	// the memory traffic of this bandwidth-bound loop. lanes is P, the
-	// words per state of the CSR32 layout (see seedState). All formats
-	// are bitwise identical.
-	format MatrixFormat
-	band   *Band    // set when format == FormatBand
-	col32  []uint32 // set when format == FormatCSR32
-	lanes  int
+	// words per state of the CSR32 layout (see seedState), and accWords
+	// the size of one packed buffer (see AccWords). All formats are
+	// bitwise identical.
+	format   MatrixFormat
+	band     *Band    // set when format == FormatBand
+	col32    []uint32 // set when format == FormatCSR32
+	lanes    int
+	accWords int
 
 	// scratch is optional caller-lent backing for pcur/pnext (see
 	// SetScratch), letting pooled solves skip the two largest per-run
@@ -209,9 +211,12 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		workers, format = 0, FormatCSR // the reference streams the compact CSR
 	}
 	workers = min(workers, max(a.rows, 1))
-	resolved, band, col32, err := resolveStorage(a, format, len(imp) > 0)
+	resolved, words, band, col32, err := resolveStorage(a, format, order, len(imp) > 0)
 	if err != nil {
 		return nil, err
+	}
+	if workers == 0 {
+		words = (order + 1) * a.rows // the reference runs on plain planes
 	}
 	s := &Sweep{
 		a:         a,
@@ -224,7 +229,8 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 		format:    resolved,
 		band:      band,
 		col32:     col32,
-		lanes:     (order + 4) &^ 3,
+		lanes:     packedLanes(order),
+		accWords:  words,
 		simd:      hasAVX2 && !simdEnvDisabled(),
 		tile:      sweepTileDefault,
 		resolvedT: 1,
@@ -301,12 +307,7 @@ func (s *Sweep) reference() bool { return s.workers == 0 }
 // AccWords returns the float64 count of one packed buffer of the run's
 // layout (see planes): one plan's accumulator block (SweepPlan.Acc), or
 // one set of moment-state vectors, padding included.
-func (s *Sweep) AccWords() int {
-	if st, _ := s.planes(); st > 0 {
-		return (s.order + 1) * st
-	}
-	return s.lanes * s.rows
-}
+func (s *Sweep) AccWords() int { return s.accWords }
 
 // ScratchWords returns the float64 count RunFrom uses for its two packed
 // moment-state buffers.
