@@ -368,7 +368,7 @@ func windowMoments(tb testing.TB, m *Model, times []float64, order int) (moments
 		tb.Fatal(err)
 	}
 	n := m.N()
-	sw, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, nil, order, 1, sparse.FormatAuto)
+	sw, err := sparse.NewSweep(u.qPrime, u.rPrime, u.sHalf, nil, order, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

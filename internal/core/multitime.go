@@ -187,13 +187,24 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 	// forced). Only SweepWorkers < 0 selects the serial reference kernel
 	// (0 workers), the oracle the tests compare against; it streams the
 	// compact CSR whatever the requested format. Every choice produces
-	// bitwise identical moments, as does every matrix storage format.
+	// bitwise identical moments, as does every matrix storage format. A
+	// solve whose storage differs from the prepared one — a forced format,
+	// the reference, an impulse model at order 0 — builds its own.
 	workers := sparse.PlanWorkers(cfg.SweepWorkers, n)
 	format, err := sparse.ParseMatrixFormat(cfg.MatrixFormat)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
-	sweep, err := sparse.NewSweepWithFormat(u.qPrime, u.rPrime, u.sHalf, imp, order, workers, format)
+	if workers == 0 {
+		format = sparse.FormatCSR
+	}
+	qPrime := u.qPrime
+	if want, _, _ := sparse.PackedLayout(format, n, qPrime.Bandwidth(), order, imp != nil); want != qPrime.Format() {
+		if qPrime, err = sparse.Uniformize(m.gen.Matrix(), 1/q, want, imp != nil); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	sweep, err := sparse.NewSweep(qPrime, u.rPrime, u.sHalf, imp, order, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -437,7 +448,7 @@ func (m *Model) solveAt(ctx context.Context, times []float64, order int, cfg Opt
 			StartIteration:    startIter,
 			Ladder:            ladderOutcome,
 			LadderCaptured:    kept != nil && *kept,
-			FlopsPerIteration: (int64(u.qPrime.NNZ()) + int64(2*n)) * int64(order+1),
+			FlopsPerIteration: (int64(qPrime.NNZ()) + int64(2*n)) * int64(order+1),
 			MatrixFormat:      string(sweep.Format()),
 			TemporalBlock:     sweep.TemporalBlock(),
 			SweepKernel:       sweep.Kernel(),

@@ -46,7 +46,8 @@ type Options struct {
 	//     unfused oracle the tests compare the fused kernel against, not
 	//     a production mode. It runs through the same sweep entry on
 	//     plain planes of its own, streaming compact CSR whatever
-	//     MatrixFormat asks for.
+	//     MatrixFormat asks for; on a model prepared with the band, it
+	//     builds that CSR for the one solve.
 	//
 	// Every setting produces bitwise identical moments; the knob trades
 	// only wall time and goroutines.
@@ -54,13 +55,15 @@ type Options struct {
 	// MatrixFormat selects the storage representation the fused sweep
 	// kernels stream for the uniformized generator: "auto" (the default;
 	// the tridiagonal band window for birth-death structure like the
-	// paper's models — diagonal and bidiagonal included — compact-index
-	// CSR for every other matrix), "csr" (force compact-index CSR; "csr32"
+	// paper's models — diagonal and bidiagonal included — compact
+	// CSR for every other matrix), "csr" (force compact CSR; "csr32"
 	// is an alias), or "band" (force the band window; matrices wider than
 	// tridiagonal get compact CSR). Impulse-reward models always take
 	// compact CSR. Any other value is an ErrBadArgument. Every
 	// format produces bitwise identical moments; the knob trades only
-	// memory traffic. The serial reference oracle (SweepWorkers < 0)
+	// memory traffic. A prepared model holds only the auto storage, so a
+	// solve whose format resolves otherwise builds its own storage for
+	// that one solve. The serial reference oracle (SweepWorkers < 0)
 	// ignores it and always streams compact CSR. A composed model applies
 	// it to each factor's sweep. Stats.MatrixFormat reports the resolved
 	// choice.
@@ -291,11 +294,12 @@ func (m *Model) AccumulatedRewardContext(ctx context.Context, t float64, order i
 // uniformization holds the time- and order-independent precomputation of
 // the randomization solver: the drift shift, the scaling constant d, and
 // the scaled matrices Q' (uniformized generator), R', S' of Theorem 3.
-// Building one costs a pass over the model plus a copy of the generator;
-// reusing it across solves (see Prepared) skips exactly that work.
+// Q' is held only in the storage the sweep streams. Building one costs a
+// pass over the model plus two over the generator; reusing it across
+// solves (see Prepared) skips exactly that work.
 type uniformization struct {
 	q, d, shift float64
-	qPrime      *sparse.CSR
+	qPrime      *sparse.Storage
 	rPrime      []float64
 	// sHalf[i] = 0.5 * S'[i], the coefficient the recursion actually
 	// applies to cur[j-2]; precomputed so the sweep kernels need one load
@@ -304,8 +308,10 @@ type uniformization struct {
 }
 
 // uniformize computes the shift transformation and the substochastic
-// matrices of Theorem 3 for uniformization rate q > 0. When d == 0 (the
-// shifted process is identically zero) the matrices are left nil.
+// matrices of Theorem 3 for uniformization rate q > 0, Q' in the storage
+// an automatic-format sweep streams (compact CSR for an impulse model).
+// When d == 0 (the shifted process is identically zero) the matrices are
+// left nil.
 func (m *Model) uniformize(q float64) (*uniformization, error) {
 	n := m.N()
 	shift := 0.0
@@ -332,7 +338,7 @@ func (m *Model) uniformize(q float64) (*uniformization, error) {
 	if d == 0 {
 		return u, nil
 	}
-	qPrime, err := m.gen.Uniformized(q)
+	qPrime, err := sparse.Uniformize(m.gen.Matrix(), 1/q, sparse.FormatAuto, m.impulses != nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

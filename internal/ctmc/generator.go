@@ -130,8 +130,9 @@ func (g *Generator) MaxExitRate() float64 { return g.q }
 func (g *Generator) At(i, j int) float64 { return g.m.At(i, j) }
 
 // Uniformized returns the DTMC matrix Q' = Q/q + I for the given
-// uniformization rate q >= MaxExitRate (q = 0 is rejected). The result is
-// stochastic up to rounding.
+// uniformization rate q >= MaxExitRate (q = 0 is rejected), built in one
+// pass as compact CSR (see sparse.Uniformize). The result is stochastic up
+// to rounding.
 func (g *Generator) Uniformized(q float64) (*sparse.CSR, error) {
 	if q <= 0 {
 		return nil, fmt.Errorf("ctmc: uniformization rate must be positive, got %g", q)
@@ -139,16 +140,11 @@ func (g *Generator) Uniformized(q float64) (*sparse.CSR, error) {
 	if q < g.q*(1-1e-12) {
 		return nil, fmt.Errorf("ctmc: uniformization rate %g below max exit rate %g", q, g.q)
 	}
-	scaled := g.m.Scaled(1 / q)
-	ones := make([]float64, g.N())
-	for i := range ones {
-		ones[i] = 1
-	}
-	p, err := scaled.AddDiagonal(ones)
+	p, err := sparse.Uniformize(g.m, 1/q, sparse.FormatCSR, false)
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: %w", err)
 	}
-	return p, nil
+	return p.CSR(), nil
 }
 
 // ValidateDistribution checks that pi is a probability vector over the

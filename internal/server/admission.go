@@ -108,30 +108,8 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, item *BatchItem
 	if model == nil || model.States <= 0 {
 		return 0
 	}
-	n := model.States
-	nnz := len(model.Transitions) + n // off-diagonals plus the diagonal
-	bandwidth := 0
-	for _, tr := range model.Transitions {
-		bandwidth = max(bandwidth, tr.From-tr.To, tr.To-tr.From)
-	}
-	order := item.Order
-	// FormatAuto always resolves.
-	format, words, _ := sparse.PackedLayout(sparse.FormatAuto, n, bandwidth, order, len(model.Impulses) > 0)
-
-	var matrix int64
-	if format == sparse.FormatBand {
-		// The tridiagonal band window: three values per row, no indexes.
-		matrix = int64(n) * 3 * 8
-	} else {
-		// Compact CSR: values + 32-bit cols + row pointers, plus an
-		// impulse model's order impulse matrices (generic CSR: values,
-		// int cols, int row pointers).
-		matrix = int64(nnz)*(8+4) + int64(n+1)*4
-		if imp := len(model.Impulses); imp > 0 {
-			matrix += int64(order) * (int64(imp)*(8+8) + int64(n+1)*8)
-		}
-	}
-
+	n, order := model.States, item.Order
+	matrix, words := sweepShape(model, order)
 	switch item.Method {
 	case MethodODE, MethodSimulation:
 		// Point solvers keep a handful of length-n vectors per order.
@@ -140,4 +118,25 @@ func estimateFootprint(model *spec.Model, compose []*spec.Model, item *BatchItem
 	// Randomization: the two packed state buffers every fused sweep runs
 	// on, plus one accumulator block per time point in the same layout.
 	return matrix + int64(2+len(item.Times))*int64(words)*8
+}
+
+// sweepShape sizes a randomization sweep over model at the given order
+// from its spec: the bytes of the matrices it streams — Q' in the storage
+// the prepared model builds (sparse.StorageBytes, for the off-diagonal
+// transitions plus the diagonal), and an impulse model's order impulse
+// matrices in compact CSR — and the float64 words of one packed buffer.
+func sweepShape(model *spec.Model, order int) (matrix int64, words int) {
+	n := model.States
+	bandwidth := 0
+	for _, tr := range model.Transitions {
+		bandwidth = max(bandwidth, tr.From-tr.To, tr.To-tr.From)
+	}
+	imp := len(model.Impulses)
+	// FormatAuto always resolves.
+	format, words, _ := sparse.PackedLayout(sparse.FormatAuto, n, bandwidth, order, imp > 0)
+	matrix = sparse.StorageBytes(format, n, len(model.Transitions)+n)
+	if imp > 0 {
+		matrix += int64(order) * sparse.StorageBytes(sparse.FormatCSR32, n, imp)
+	}
+	return matrix, words
 }

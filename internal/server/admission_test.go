@@ -65,19 +65,21 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	// Randomization: two packed state buffers plus one accumulator block
 	// per time point, each the size sparse.PackedLayout gives the sweep,
 	// on top of the matrix. The band window (an impulse-free tridiagonal
-	// model) packs order+1 row-lane planes of at least n+2 words; compact
-	// CSR (a wider model, or any impulse model) packs P, order+1 rounded
-	// up to a multiple of 4, words per state, and an impulse model carries
-	// its order impulse matrices as generic CSR.
+	// model) packs order+1 row-lane planes of at least n+2 words and is
+	// itself three such planes; compact CSR (a wider model, or any impulse
+	// model) packs P, order+1 rounded up to a multiple of 4, words per
+	// state, and stores int row offsets, uint32 columns and float64
+	// values, as do an impulse model's order impulse matrices.
 	vec := int64(5000 * 8)
 	tri := largeBandSpec(5000, 1)
 	if b := block(tri, 1, 2); b < 3*(vec+2*8) {
 		t.Fatalf("order-2 band block %d B, want at least three planes of n+2 words", b)
 	}
-	if got, want := est(tri, 2, 1)-int64(5000*3*8), 3*block(tri, 1, 2); got != want {
+	band := 3 * block(tri, 1, 0)
+	if got, want := est(tri, 2, 1)-band, 3*block(tri, 1, 2); got != want {
 		t.Fatalf("order-2 band sweep charged %d B beyond its band, want %d (three blocks)", got, want)
 	}
-	csr := int64(len(big.Transitions)+5000)*(8+4) + int64(5000+1)*4
+	csr := int64(len(big.Transitions)+5000)*(8+4) + int64(5000+1)*8
 	if got, want := eb-csr, 3*block(big, 2, 2); got != want || want != 3*4*vec {
 		t.Fatalf("order-2 pentadiagonal sweep charged %d B beyond its CSR, want %d (P = 4)", got, want)
 	}
@@ -89,7 +91,7 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	if got, want := est(big, 12, 3)-csr, (2+3)*block(big, 2, 12); got != want {
 		t.Fatalf("order-12 pentadiagonal 3-point item charged %d B beyond its CSR, want %d (P = 16)", got, want)
 	}
-	if got, want := est(tri, 12, 3)-int64(5000*3*8), (2+3)*block(tri, 1, 12); got != want {
+	if got, want := est(tri, 12, 3)-band, (2+3)*block(tri, 1, 12); got != want {
 		t.Fatalf("order-12 band 3-point item charged %d B beyond its band, want %d (13 planes)", got, want)
 	}
 	imp := largeBandSpec(5000, 1)
@@ -97,7 +99,7 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 		imp.Impulses = append(imp.Impulses, spec.Impulse{From: i, To: i + 1, Reward: 0.5})
 	}
 	nnz := int64(len(imp.Transitions) + 5000)
-	impCSR := nnz*(8+4) + int64(5000+1)*4 + 2*(int64(len(imp.Impulses))*16+int64(5000+1)*8)
+	impCSR := nnz*(8+4) + int64(5000+1)*8 + 2*(int64(len(imp.Impulses))*(8+4)+int64(5000+1)*8)
 	if got, want := est(imp, 2, 1)-impCSR, 3*block(imp, 1, 2); got != want || want != 3*4*vec {
 		t.Fatalf("order-2 tridiagonal impulse sweep charged %d B beyond its CSR and impulse matrices, want %d (P = 4)", got, want)
 	}
@@ -111,6 +113,53 @@ func TestEstimateWorkingSetShape(t *testing.T) {
 	}
 	if got := estimateFootprint(nil, wide, item); got != want {
 		t.Fatalf("composed estimate %d, want the components' %d", got, want)
+	}
+}
+
+// TestEstimateMatrixTermMatchesStorage: the estimate's matrix term is the
+// bytes the solver builds — Q' in the storage its sweep streams, and an
+// impulse model's order impulse matrices — for a band, a compact CSR and
+// an impulse model. Above the maximum exit rate every diagonal of Q' is
+// stored and the two agree to the byte; at it (the prepared rate), the
+// rows attaining it may cancel their diagonal, which the estimate still
+// charges.
+func TestEstimateMatrixTermMatchesStorage(t *testing.T) {
+	const n, order = 300, 3
+	imp := largeBandSpec(n, 1)
+	for i := 0; i+1 < n; i++ {
+		imp.Impulses = append(imp.Impulses, spec.Impulse{From: i, To: i + 1, Reward: 0.5})
+	}
+	for _, c := range []struct {
+		name   string
+		sp     *spec.Model
+		format sparse.MatrixFormat
+	}{
+		{"band", largeBandSpec(n, 1), sparse.FormatBand},
+		{"csr", largeBandSpec(n, 2), sparse.FormatCSR32},
+		{"impulse", imp, sparse.FormatCSR32},
+	} {
+		m, err := c.sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := sweepShape(c.sp, order)
+		gen := m.Generator()
+		for _, q := range []float64{2 * gen.MaxExitRate(), gen.MaxExitRate()} {
+			st, err := sparse.Uniformize(gen.Matrix(), 1/q, sparse.FormatAuto, m.HasImpulses())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Format() != c.format {
+				t.Fatalf("%s: storage %q, want %q", c.name, st.Format(), c.format)
+			}
+			built := st.Bytes()
+			if m.HasImpulses() {
+				built += order * m.Impulses().Bytes()
+			}
+			if q > gen.MaxExitRate() && got != built || got < built {
+				t.Errorf("%s at q=%g: matrix term %d B, built storage %d B", c.name, q, got, built)
+			}
+		}
 	}
 }
 

@@ -221,7 +221,7 @@ func TestPreparedHandoffShipsParsedSpec(t *testing.T) {
 	keys := make([]string, 11)
 	for i := range keys {
 		keys[i] = fmt.Sprint(i)
-		c.GetOrBuild(keys[i], func() (*core.Prepared, error) { return nil, nil })
+		c.GetOrBuild(context.Background(), keys[i], func() (*core.Prepared, error) { return nil, nil })
 	}
 	next := 0
 	if allocs := testing.AllocsPerRun(len(keys)-1, func() { c.NoteSpec(keys[next], sp); next++ }); allocs != 0 {
@@ -236,7 +236,7 @@ func TestPreparedHandoffShipsParsedSpec(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprint(g, "/", i)
-				c.GetOrBuild(key, func() (*core.Prepared, error) { return nil, nil })
+				c.GetOrBuild(context.Background(), key, func() (*core.Prepared, error) { return nil, nil })
 				c.NoteSpec(key, sp)
 				if got := c.Hottest(4); len(got) == 0 {
 					t.Errorf("Hottest after noting %s: no entries", key)
@@ -257,7 +257,7 @@ func TestPreparedHandoffShipsParsedSpec(t *testing.T) {
 	if status, accepted := postHandoff(t, ts.URL, "", entries); status != http.StatusOK || accepted != 1 {
 		t.Fatalf("handoff: status %d, %d accepted; want 200, 1", status, accepted)
 	}
-	_, hit, err := r.prepared.GetOrBuild(key, func() (*core.Prepared, error) {
+	_, hit, err := r.prepared.GetOrBuild(context.Background(), key, func() (*core.Prepared, error) {
 		return nil, errors.New("handed-off entry missing")
 	})
 	if err != nil || !hit || r.prepared.Builds() != 1 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -270,5 +271,54 @@ func TestHugeTimeoutClampedToDefault(t *testing.T) {
 		if item.Status != BatchStatusOK {
 			t.Errorf("item %d: %q (%s)", i, item.Status, item.Error)
 		}
+	}
+}
+
+// TestPreparedFollowerFailsAtOwnDeadline: a request that joins another
+// request's in-flight model build gives up at its own deadline with a
+// 504, long before the leader's build runs, and the leader still builds
+// the model once and answers.
+func TestPreparedFollowerFailsAtOwnDeadline(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	sp, other := testSpec(4), testSpec(5)
+	prewarm(t, s, sp)
+	release := holdWorker(t, s, ts.URL, sp)
+	defer release()
+	var released atomic.Bool
+	timer := time.AfterFunc(2*time.Second, func() { released.Store(true); release() })
+	defer timer.Stop()
+
+	// The leader's build of a new model queues behind the held worker.
+	leader := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+			bytes.NewReader(solveBody(t, &SolveRequest{Model: other, T: 1, Order: 2})))
+		if err != nil {
+			leader <- 0
+			return
+		}
+		resp.Body.Close()
+		leader <- resp.StatusCode
+	}()
+	waitUntil(t, "the leader's build to queue", func() bool { return s.pool.Depth() == 1 })
+
+	start := time.Now()
+	resp, _, raw := postSolve(t, ts.URL, solveBody(t, &SolveRequest{Model: other, T: 2, Order: 2, TimeoutMS: 20}))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("follower: status %d, want 504: %s", resp.StatusCode, raw)
+	}
+	if released.Load() {
+		t.Errorf("follower answered after %v, once the leader was released; want its own 20ms deadline", time.Since(start))
+	}
+	timer.Stop()
+	release()
+	if code := <-leader; code != http.StatusOK {
+		t.Errorf("leader: status %d, want 200", code)
+	}
+	if got := s.prepared.Builds(); got != 2 {
+		t.Errorf("builds = %d, want 2 (the prewarmed model and the leader's)", got)
 	}
 }

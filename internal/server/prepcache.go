@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
@@ -14,16 +15,18 @@ import (
 // canonical spec hash. It is the layer that lets repeated requests against
 // the same model skip parsing, validation, and the solver's matrix scaling.
 //
-// Concurrent misses on the same key are collapsed onto a single build
-// (single-flight): followers wait for the leader's result instead of
-// preparing the same model again. Failed builds are not cached, so a later
-// request retries. A zero or negative capacity disables caching; every
-// caller then builds its own prepared model.
+// Concurrent misses on the same key are collapsed onto a single build by
+// the server's single-flight (flightGroup): followers wait for the
+// leader's result, or until their own deadline, instead of preparing the
+// same model again. Only a successful build enters the LRU, so a failed
+// one is retried by the next request. A zero or negative capacity
+// disables caching; every caller then builds its own prepared model.
 type preparedCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	mu     sync.Mutex
+	cap    int
+	order  *list.List // front = most recently used
+	items  map[string]*list.Element
+	flight *flightGroup[*core.Prepared]
 
 	// builds counts actual Prepare executions — the quantity the
 	// single-flight guarantee bounds (at most one per distinct key while the
@@ -32,10 +35,8 @@ type preparedCache struct {
 }
 
 type prepEntry struct {
-	key   string
-	ready chan struct{} // closed when prep/err are set
-	prep  *core.Prepared
-	err   error
+	key  string
+	prep *core.Prepared
 	// spec is the parsed spec behind the entry, recorded via NoteSpec so
 	// drain handoff can ship the model to a ring successor (which rebuilds
 	// it bitwise-identically). It is serialized only when a drain asks.
@@ -45,52 +46,68 @@ type prepEntry struct {
 
 func newPreparedCache(capacity int) *preparedCache {
 	return &preparedCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
+		cap:    capacity,
+		order:  list.New(),
+		items:  make(map[string]*list.Element),
+		flight: newFlightGroup[*core.Prepared](),
 	}
 }
 
 // GetOrBuild returns the prepared model for key, building it with build at
-// most once among concurrent callers. hit reports whether the key was
-// already resident (possibly still building; the call then waits for the
-// in-flight build instead of duplicating it).
-func (c *preparedCache) GetOrBuild(key string, build func() (*core.Prepared, error)) (prep *core.Prepared, hit bool, err error) {
+// most once among concurrent callers. hit reports whether the model was
+// resident or came from another caller's in-flight build; a caller
+// joining such a build gives up when ctx ends.
+func (c *preparedCache) GetOrBuild(ctx context.Context, key string, build func() (*core.Prepared, error)) (prep *core.Prepared, hit bool, err error) {
 	if c.cap <= 0 {
 		c.builds.Add(1)
 		prep, err = build()
 		return prep, false, err
 	}
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*prepEntry)
-		c.mu.Unlock()
-		<-e.ready
-		return e.prep, true, e.err
+	if prep, ok := c.lookup(key); ok {
+		return prep, true, nil
 	}
-	e := &prepEntry{key: key, ready: make(chan struct{})}
-	c.items[key] = c.order.PushFront(e)
+	resident := false
+	prep, shared, err := c.flight.Do(ctx, key, func() (*core.Prepared, error) {
+		// A build that finished since the lookup above is resident now:
+		// it enters the LRU before its flight ends.
+		if prep, ok := c.lookup(key); ok {
+			resident = true
+			return prep, nil
+		}
+		c.builds.Add(1)
+		prep, err := build()
+		if err == nil {
+			c.insert(key, prep)
+		}
+		return prep, err
+	})
+	return prep, shared || resident, err
+}
+
+// lookup returns the resident model under key, marking it most recently
+// used.
+func (c *preparedCache) lookup(key string) (*core.Prepared, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*prepEntry).prep, true
+}
+
+// insert makes prep resident under key, evicting the least recently used
+// entry beyond capacity.
+func (c *preparedCache) insert(key string, prep *core.Prepared) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.items[key] = c.order.PushFront(&prepEntry{key: key, prep: prep})
 	if c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*prepEntry).key)
 	}
-	c.mu.Unlock()
-
-	c.builds.Add(1)
-	e.prep, e.err = build()
-	if e.err != nil {
-		// Drop failed builds (only if the slot still holds this entry).
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok && el.Value.(*prepEntry) == e {
-			c.order.Remove(el)
-			delete(c.items, key)
-		}
-		c.mu.Unlock()
-	}
-	close(e.ready)
-	return e.prep, false, e.err
 }
 
 // NoteSpec attaches the spec behind key to its resident entry, so drain
@@ -112,9 +129,8 @@ func (c *preparedCache) NoteSpec(key string, sp *spec.Model) {
 
 // Hottest returns up to n prepared-model entries in most-recently-used
 // order as drain-handoff entries (JSON specs; the receiver parses,
-// re-hashes and rebuilds). Entries whose spec was never noted, or whose
-// build failed or is still in flight, are skipped. The specs are
-// marshaled outside the cache lock.
+// re-hashes and rebuilds). Entries whose spec was never noted are
+// skipped. The specs are marshaled outside the cache lock.
 func (c *preparedCache) Hottest(n int) []HandoffEntry {
 	if c.cap <= 0 || n <= 0 {
 		return nil
@@ -122,19 +138,9 @@ func (c *preparedCache) Hottest(n int) []HandoffEntry {
 	c.mu.Lock()
 	picked := make([]*prepEntry, 0, min(n, c.order.Len()))
 	for el := c.order.Front(); el != nil && len(picked) < n; el = el.Next() {
-		e := el.Value.(*prepEntry)
-		if e.spec == nil {
-			continue
+		if e := el.Value.(*prepEntry); e.spec != nil {
+			picked = append(picked, e)
 		}
-		select {
-		case <-e.ready:
-			if e.err != nil {
-				continue
-			}
-		default:
-			continue // still building
-		}
-		picked = append(picked, e)
 	}
 	c.mu.Unlock()
 	// A noted spec is never replaced, so it is read here without the lock.
@@ -149,8 +155,7 @@ func (c *preparedCache) Hottest(n int) []HandoffEntry {
 	return entries
 }
 
-// Len returns the current number of cached entries (including in-flight
-// builds).
+// Len returns the current number of resident prepared models.
 func (c *preparedCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

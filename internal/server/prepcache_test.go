@@ -29,7 +29,7 @@ func TestPreparedCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			prep, _, err := c.GetOrBuild("k", func() (*core.Prepared, error) {
+			prep, _, err := c.GetOrBuild(context.Background(), "k", func() (*core.Prepared, error) {
 				<-release // hold the leader's build until all followers arrive
 				return core.Prepare(model)
 			})
@@ -54,7 +54,7 @@ func TestPreparedCacheSingleFlight(t *testing.T) {
 func TestPreparedCacheFailedBuildRetries(t *testing.T) {
 	c := newPreparedCache(4)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrBuild("k", func() (*core.Prepared, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrBuild(context.Background(), "k", func() (*core.Prepared, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
@@ -64,7 +64,7 @@ func TestPreparedCacheFailedBuildRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, hit, err := c.GetOrBuild("k", func() (*core.Prepared, error) { return core.Prepare(model) })
+	prep, hit, err := c.GetOrBuild(context.Background(), "k", func() (*core.Prepared, error) { return core.Prepare(model) })
 	if err != nil || prep == nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
@@ -85,20 +85,20 @@ func TestPreparedCacheEvictionAndDisable(t *testing.T) {
 
 	c := newPreparedCache(2)
 	for _, k := range []string{"a", "b", "c"} { // c evicts a
-		if _, _, err := c.GetOrBuild(k, build); err != nil {
+		if _, _, err := c.GetOrBuild(context.Background(), k, build); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())
 	}
-	if _, hit, _ := c.GetOrBuild("a", build); hit {
+	if _, hit, _ := c.GetOrBuild(context.Background(), "a", build); hit {
 		t.Error("evicted key reported a hit")
 	}
 
 	d := newPreparedCache(-1)
 	for i := 0; i < 3; i++ {
-		if _, hit, err := d.GetOrBuild("k", build); err != nil || hit {
+		if _, hit, err := d.GetOrBuild(context.Background(), "k", build); err != nil || hit {
 			t.Fatalf("disabled cache: hit=%v err=%v", hit, err)
 		}
 	}

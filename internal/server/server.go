@@ -23,7 +23,8 @@
 // so every build counts against the worker bound. prepare must therefore
 // never be called from inside a pool task, where the build would wait for
 // a worker its caller holds; a request that joins another request's
-// in-flight build waits for it outside the pool, holding no worker.
+// in-flight build waits for it outside the pool, holding no worker, and
+// gives up at its own deadline.
 //
 // Endpoints:
 //
@@ -178,7 +179,7 @@ type Server struct {
 	pool        *pool
 	cache       *lruCache
 	prepared    *preparedCache
-	flight      *flightGroup
+	flight      *flightGroup[*SolveResponse]
 	metrics     *Metrics
 	checkpoints *checkpointStore // nil unless Options.Checkpoints
 	persist     *cachePersister  // nil unless Options.PersistDir
@@ -216,7 +217,7 @@ func NewWithPersistence(opts Options) (*Server, error) {
 		opts:     o,
 		cache:    newLRU(o.CacheSize),
 		prepared: newPreparedCache(o.PreparedCacheSize),
-		flight:   newFlightGroup(),
+		flight:   newFlightGroup[*SolveResponse](),
 		metrics:  &Metrics{},
 		start:    time.Now(),
 	}

@@ -419,11 +419,11 @@ func (r *SolveRequest) buildFor() func() (*core.Prepared, error) {
 // (see pool.DoReserved), so prepare must never be called from inside a
 // pool task: the build would wait for a worker its caller holds.
 // Requests joining another's in-flight build wait for it here, outside
-// the pool. sp may be nil (composed requests), in which case the model is
+// the pool, until it lands or their own ctx ends. sp may be nil (composed requests), in which case the model is
 // not offered for drain handoff — peers rebuild it from the request on
 // demand.
 func (s *Server) prepare(ctx context.Context, specHash string, build func() (*core.Prepared, error), sp *spec.Model, reserve int) (*core.Prepared, bool, error) {
-	prep, hit, err := s.prepared.GetOrBuild(specHash, func() (prep *core.Prepared, err error) {
+	prep, hit, err := s.prepared.GetOrBuild(ctx, specHash, func() (prep *core.Prepared, err error) {
 		if poolErr := s.pool.DoReserved(ctx, func(context.Context) { prep, err = build() }, reserve); poolErr != nil {
 			return nil, poolErr
 		}

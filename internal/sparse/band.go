@@ -1,17 +1,11 @@
 package sparse
 
-import (
-	"math"
-	"sync"
-)
-
-// This file implements the structure-adaptive storage engine behind the
-// randomization sweep. The paper's flagship example — the ON-OFF
-// multiplexer, 200,001 states — has a tridiagonal birth-death generator,
-// and for such matrices the generic CSR kernel wastes half its memory
-// traffic on column indexes (8 bytes of index per 8-byte value) in a loop
-// BENCH_sweep.json shows is memory-bandwidth-bound. Two cheaper
-// representations are derived lazily from the immutable CSR:
+// This file implements the tridiagonal band storage of the randomization
+// sweep. The paper's flagship example — the ON-OFF multiplexer, 200,001
+// states — has a tridiagonal birth-death generator, and for such matrices
+// the CSR kernel spends a third of its memory traffic on column indexes in
+// a loop BENCH_sweep.json shows is memory-bandwidth-bound. A sweep streams
+// exactly one of two storages (see Storage):
 //
 //   - Band: the tridiagonal window stored as three planes (sub-diagonal,
 //     diagonal, super-diagonal) and no indexes. Every matrix whose
@@ -22,15 +16,14 @@ import (
 //     moment order, see bandPlaneStride), the AVX2 body retires four
 //     consecutive rows of one moment per vector with plain contiguous
 //     loads, walking the moments of each row group in one loop. Wider
-//     bands and impulse sweeps take compact-index CSR instead, which has
-//     its own vector body at every order.
-//   - Compact-index CSR: the same CSR structure with uint32 column
-//     indexes, halving index traffic for every matrix below 2^32
-//     columns; the general representation.
+//     bands and impulse sweeps take compact CSR instead, which has its
+//     own vector body at every order.
+//   - Compact CSR: the CSR type itself, whose column indexes are uint32;
+//     the general representation.
 //
-// Both are caches on the CSR value: built once under sync.Once, shared by
-// every sweep over the same matrix (core.Prepared reuses the matrix across
-// solves, so the conversion cost amortizes to zero).
+// The storage is decided and built once, straight from the generator, by
+// Uniformize (core.Prepare calls it), so no other representation of the
+// matrix is derived or kept.
 //
 // Bitwise contract: band kernels add padded cells as 0.0·x products into
 // running sums built from +0.0 by successive +=. In round-to-nearest such
@@ -47,7 +40,7 @@ import (
 // stored entries all satisfy |i-j| <= 1, stored as three planes of one
 // backing array: val[i], val[stride+i] and val[2*stride+i] hold entries
 // (i, i-1), (i, i) and (i, i+1). Cells outside the matrix or without a
-// stored CSR entry hold +0.0. The plane stride is bandPlaneStride(n), the
+// stored entry hold +0.0. The plane stride is bandPlaneStride(n), the
 // stride of the sweep's state planes, so the planes start at least 256
 // bytes apart modulo 4096 and one register addresses all of them.
 type Band struct {
@@ -128,99 +121,19 @@ func planesSpread(st int) bool {
 	return true
 }
 
-// deriv holds the lazily built derived representations of a CSR matrix.
-// The zero value is ready to use; each representation is built at most
-// once under its sync.Once, so concurrent sweeps over a shared matrix
-// (core.Prepared) race-freely share the conversions.
-type deriv struct {
-	bwOnce     sync.Once
-	bwLo, bwHi int
-
-	col32Once sync.Once
-	col32     []uint32
-
-	bandOnce sync.Once
-	band     *Band
-}
-
-func (m *CSR) derived() *deriv { return &m.dv }
-
 // Bandwidth returns the smallest (lo, hi) such that every stored entry
-// (i, j) satisfies i-lo <= j <= i+hi. The result is computed once and
-// cached. An empty matrix reports (0, 0).
+// (i, j) satisfies i-lo <= j <= i+hi, computed from the structure on each
+// call. An empty matrix reports (0, 0).
 func (m *CSR) Bandwidth() (lo, hi int) {
-	d := m.derived()
-	d.bwOnce.Do(func() {
-		for i := 0; i < m.rows; i++ {
-			s, e := m.rowPtr[i], m.rowPtr[i+1]
-			if s == e {
-				continue
-			}
-			// Columns are sorted ascending within a row, so the first and
-			// last entries bound the row's band.
-			if b := i - m.colIdx[s]; b > d.bwLo {
-				d.bwLo = b
-			}
-			if b := m.colIdx[e-1] - i; b > d.bwHi {
-				d.bwHi = b
-			}
+	for i := 0; i < m.rows; i++ {
+		s, e := m.rowPtr[i], m.rowPtr[i+1]
+		if s == e {
+			continue
 		}
-	})
-	return d.bwLo, d.bwHi
-}
-
-// ColIdx32 returns the column indexes narrowed to uint32 — the
-// compact-index CSR representation, halving index traffic in
-// bandwidth-bound kernels — or nil when the matrix is too wide for 32-bit
-// columns. Each index is checked against the width at build time; the
-// result is cached.
-func (m *CSR) ColIdx32() []uint32 {
-	if m.cols > math.MaxUint32 {
-		return nil
+		// Columns are sorted ascending within a row, so the first and
+		// last entries bound the row's band.
+		lo = max(lo, i-int(m.colIdx[s]))
+		hi = max(hi, int(m.colIdx[e-1])-i)
 	}
-	d := m.derived()
-	d.col32Once.Do(func() {
-		c32 := make([]uint32, len(m.colIdx))
-		for k, j := range m.colIdx {
-			if j < 0 || j >= m.cols {
-				return // corrupt structure; leave col32 nil
-			}
-			c32[k] = uint32(j)
-		}
-		d.col32 = c32
-	})
-	return d.col32
-}
-
-// bandEligible reports whether the matrix fits the tridiagonal window:
-// square, non-empty, and every stored entry within one column of the
-// diagonal. The window is three cells per row whatever the fill, so no
-// density rule applies — the policy is the same whether "band" was
-// forced or picked automatically.
-func (m *CSR) bandEligible() bool {
-	if m.rows != m.cols || m.rows == 0 {
-		return false
-	}
-	lo, hi := m.Bandwidth()
-	return lo <= 1 && hi <= 1
-}
-
-// BandRep returns the cached tridiagonal-window representation, building
-// it on first call, or nil when the matrix is not band-eligible.
-func (m *CSR) BandRep() *Band {
-	if !m.bandEligible() {
-		return nil
-	}
-	d := m.derived()
-	d.bandOnce.Do(func() {
-		st := bandPlaneStride(m.rows)
-		b := &Band{n: m.rows, stride: st, val: make([]float64, 3*st)}
-		for i := 0; i < m.rows; i++ {
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				b.val[(m.colIdx[p]-i+1)*st+i] = m.val[p]
-			}
-		}
-		d.band = b
-	})
-	return d.band
+	return lo, hi
 }

@@ -68,7 +68,7 @@ func TestBandRepKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := m.BandRep()
+	bd := bandOf(t, m)
 	if bd.N() != 4 {
 		t.Fatalf("N() = %d, want 4", bd.N())
 	}
@@ -89,9 +89,19 @@ func TestBandRepKnown(t *testing.T) {
 			t.Errorf("Dense()[%d] = %g, want %g", i, got, want)
 		}
 	}
-	if again := m.BandRep(); again != bd {
-		t.Error("BandRep not cached")
+}
+
+// bandOf returns the band storage of m, failing unless m resolves to one.
+func bandOf(t testing.TB, m *CSR) *Band {
+	t.Helper()
+	st, err := newStorage(m, 1, false, FormatBand, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.band == nil {
+		t.Fatalf("%dx%d matrix has no band", m.rows, m.cols)
+	}
+	return st.band
 }
 
 // requireBandMatchesCSR fails unless m's band representation expands to
@@ -99,10 +109,7 @@ func TestBandRepKnown(t *testing.T) {
 // bit.
 func requireBandMatchesCSR(t *testing.T, tag string, m *CSR, x []float64) {
 	t.Helper()
-	bd := m.BandRep()
-	if bd == nil {
-		t.Fatalf("%s: matrix has no band", tag)
-	}
+	bd := bandOf(t, m)
 	md, bdd := m.Dense(), bd.Dense()
 	for i := range md {
 		if md[i] != bdd[i] {
@@ -140,24 +147,34 @@ func TestBandMatVecBoundary(t *testing.T) {
 	}
 }
 
-func TestColIdx32(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := bandedFixture(t, rng, 40, 3, 5)
-	c32 := m.ColIdx32()
-	if c32 == nil {
-		t.Fatal("ColIdx32 returned nil for a small matrix")
-	}
-	if len(c32) != m.NNZ() {
-		t.Fatalf("len = %d, want %d", len(c32), m.NNZ())
-	}
-	for k, j := range m.colIdx {
-		if int(c32[k]) != j {
-			t.Fatalf("col32[%d] = %d, want %d", k, c32[k], j)
+// TestBuilderRejectsTooWide pins the uint32 column index bound: a
+// builder wider than 2^32 columns rejects every entry with ErrTooWide,
+// and costs nothing per column on the way.
+func TestBuilderRejectsTooWide(t *testing.T) {
+	const wide = 1<<32 + 1
+	allocs := testing.AllocsPerRun(10, func() {
+		b := NewBuilder(2, wide)
+		for _, j := range []int{0, 1 << 32} {
+			if err := b.Add(1, j, 1); !errors.Is(err, ErrTooWide) {
+				t.Fatalf("Add(1, %d) on %d columns: err = %v, want ErrTooWide", j, wide, err)
+			}
 		}
+		if m := b.Build(); m.NNZ() != 0 {
+			t.Fatalf("too-wide builder stored %d entries", m.NNZ())
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("too-wide builder made %v allocations, want a handful", allocs)
 	}
-	// Cached: same backing array on the second call.
-	if again := m.ColIdx32(); &again[0] != &c32[0] {
-		t.Error("ColIdx32 not cached")
+	b := NewBuilder(1, 1<<32)
+	if err := b.Add(0, 1<<32-1, 2); err != nil {
+		t.Fatalf("last column of a 2^32-column matrix: %v", err)
+	}
+	if m := b.Build(); m.At(0, 1<<32-1) != 2 || m.At(0, 0) != 0 {
+		t.Errorf("2^32-column matrix stores %g at the last column", m.At(0, 1<<32-1))
+	}
+	if _, err := NewCSRSorted(1, wide, []int{0, 0}, nil, nil); !errors.Is(err, ErrTooWide) {
+		t.Errorf("NewCSRSorted on %d columns: err = %v, want ErrTooWide", wide, err)
 	}
 }
 
@@ -170,11 +187,10 @@ func TestBandEligible(t *testing.T) {
 
 	for _, shape := range []struct{ lo, hi int }{{1, 1}, {1, 0}, {0, 1}, {0, 0}} {
 		m := bandedFixture(t, rng, 500, shape.lo, shape.hi)
-		if !m.bandEligible() || m.BandRep() == nil {
-			t.Errorf("lo=%d hi=%d matrix not band-eligible", shape.lo, shape.hi)
-		}
-		if got, _, _, _, _ := resolveStorage(m, FormatBand, 3, false); got != FormatBand {
-			t.Errorf("lo=%d hi=%d forced band resolved to %q", shape.lo, shape.hi, got)
+		for _, f := range []MatrixFormat{FormatAuto, FormatBand} {
+			if got := storageFormat(t, m, f); got != FormatBand {
+				t.Errorf("lo=%d hi=%d matrix under %q resolved to %q", shape.lo, shape.hi, f, got)
+			}
 		}
 	}
 
@@ -191,10 +207,7 @@ func TestBandEligible(t *testing.T) {
 		_ = b.Add(i, (i+1)%100, 1)
 	}
 	for name, m := range map[string]*CSR{"pentadiagonal": penta.Build(), "ring": b.Build()} {
-		if m.bandEligible() || m.BandRep() != nil {
-			t.Errorf("%s matrix band-eligible", name)
-		}
-		if got, _, _, _, _ := resolveStorage(m, FormatBand, 3, false); got == FormatBand {
+		if got := storageFormat(t, m, FormatBand); got == FormatBand {
 			t.Errorf("%s: forced band honored", name)
 		}
 	}
@@ -203,9 +216,19 @@ func TestBandEligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rect.bandEligible() {
-		t.Error("rectangular matrix band-eligible")
+	if _, err := newStorage(rect, 1, false, FormatBand, false); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("rectangular matrix: err = %v, want ErrDimensionMismatch", err)
 	}
+}
+
+// storageFormat returns the storage format m resolves to under format.
+func storageFormat(t *testing.T, m *CSR, format MatrixFormat) MatrixFormat {
+	t.Helper()
+	st, err := newStorage(m, 1, false, format, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Format()
 }
 
 func TestParseMatrixFormat(t *testing.T) {
@@ -264,30 +287,40 @@ func TestResolveStorage(t *testing.T) {
 		{blockTri, FormatBand, false, FormatCSR32},
 	}
 	for _, c := range cases {
-		got, words, band, col32, err := resolveStorage(c.m, c.in, 3, c.impulses)
+		st, err := newStorage(c.m, 1, false, c.in, c.impulses)
 		if err != nil {
-			t.Fatalf("resolveStorage(%q): %v", c.in, err)
+			t.Fatalf("storage %q: %v", c.in, err)
 		}
+		got := st.Format()
 		if got != c.want {
-			t.Errorf("resolveStorage(%q) = %q, want %q", c.in, got, c.want)
+			t.Errorf("storage %q = %q, want %q", c.in, got, c.want)
 		}
-		// One packed buffer: four row-lane planes on the band, P = 4
+		lo, hi := c.m.Bandwidth()
+		if st.NNZ() != c.m.NNZ() || st.Bandwidth() != max(lo, hi) {
+			t.Errorf("storage %q: nnz %d, bandwidth %d, want %d, %d", c.in, st.NNZ(), st.Bandwidth(), c.m.NNZ(), max(lo, hi))
+		}
+		if (got == FormatBand) != (st.band != nil) || (got == FormatCSR32) != (st.csr != nil) {
+			t.Errorf("storage %q: band %v, csr %v for format %q", c.in, st.band != nil, st.csr != nil, got)
+		}
+		if want := StorageBytes(got, c.m.rows, c.m.NNZ()); st.Bytes() != want {
+			t.Errorf("storage %q: %d bytes, StorageBytes says %d", c.in, st.Bytes(), want)
+		}
+		// PackedLayout resolves the same format from the shape alone. One
+		// packed buffer: four row-lane planes on the band, P = 4
 		// interleaved words per state on compact CSR.
+		layout, words, err := PackedLayout(c.in, c.m.rows, st.Bandwidth(), 3, c.impulses)
+		if err != nil || layout != got {
+			t.Errorf("PackedLayout(%q) = %q, %v, want %q", c.in, layout, err, got)
+		}
 		wantWords := 4 * c.m.rows
 		if got == FormatBand {
 			wantWords = 4 * bandPlaneStride(c.m.rows)
 		}
 		if words != wantWords {
-			t.Errorf("resolveStorage(%q): %d packed words, want %d", c.in, words, wantWords)
-		}
-		if (got == FormatBand) != (band != nil) {
-			t.Errorf("resolveStorage(%q): band presence %v for format %q", c.in, band != nil, got)
-		}
-		if (got == FormatCSR32) != (col32 != nil) {
-			t.Errorf("resolveStorage(%q): col32 presence %v for format %q", c.in, col32 != nil, got)
+			t.Errorf("PackedLayout(%q): %d packed words, want %d", c.in, words, wantWords)
 		}
 	}
-	if _, _, _, _, err := resolveStorage(tri, "bogus", 3, false); !errors.Is(err, ErrUnsupportedFormat) {
+	if _, err := newStorage(tri, 1, false, "bogus", false); !errors.Is(err, ErrUnsupportedFormat) {
 		t.Errorf("bogus format: err = %v, want ErrUnsupportedFormat", err)
 	}
 }

@@ -4,11 +4,19 @@
 // tractable with a sparse representation; the iteration cost is
 // (m+2) vector-vector multiplications where m is the mean number of
 // non-zeros per row.
+//
+// A CSR stores uint32 column indexes, so construction rejects a matrix
+// wider than 2^32 columns with ErrTooWide. The randomization sweep
+// streams the uniformized generator Q' = Q/q + I in exactly one storage,
+// built straight from the generator by Uniformize: the tridiagonal band
+// planes or a compact CSR (see Storage). No other representation is
+// derived or cached on a matrix.
 package sparse
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,16 +26,25 @@ var ErrDimensionMismatch = errors.New("sparse: dimension mismatch")
 // ErrBadTriplet is returned when a COO triplet lies outside the matrix.
 var ErrBadTriplet = errors.New("sparse: triplet index out of range")
 
-// CSR is an immutable compressed-sparse-row matrix.
+// ErrTooWide is returned when a matrix has more columns than its uint32
+// column indexes can address.
+var ErrTooWide = errors.New("sparse: matrix too wide for 32-bit column indexes")
+
+// maxCols is the widest matrix a CSR stores: its column indexes are
+// uint32, half the index traffic of native ints in the bandwidth-bound
+// sweep kernels.
+const maxCols = 1 << 32
+
+// tooWide reports whether cols exceeds maxCols.
+func tooWide(cols int) bool { return uint64(cols) > maxCols }
+
+// CSR is an immutable compressed-sparse-row matrix with uint32 column
+// indexes.
 type CSR struct {
 	rows, cols int
-	rowPtr     []int // len rows+1
-	colIdx     []int // len nnz
+	rowPtr     []int    // len rows+1
+	colIdx     []uint32 // len nnz
 	val        []float64
-
-	// dv caches derived representations (bandwidth, compact 32-bit column
-	// indexes, the band form) built lazily from the immutable structure.
-	dv deriv
 }
 
 // Triplet is a single (row, col, value) entry used to build a CSR matrix.
@@ -50,7 +67,11 @@ func NewBuilder(rows, cols int) *Builder {
 }
 
 // Add records value v at (i, j). Zero values are kept out of the structure.
+// A builder wider than 2^32 columns rejects every entry with ErrTooWide.
 func (b *Builder) Add(i, j int, v float64) error {
+	if tooWide(b.cols) {
+		return fmt.Errorf("%w: %d columns", ErrTooWide, b.cols)
+	}
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
 		return fmt.Errorf("%w: (%d,%d) in %dx%d", ErrBadTriplet, i, j, b.rows, b.cols)
 	}
@@ -85,7 +106,7 @@ func (b *Builder) Build() *CSR {
 			sum += ents[k].Val
 		}
 		if sum != 0 {
-			m.colIdx = append(m.colIdx, col)
+			m.colIdx = append(m.colIdx, uint32(col))
 			m.val = append(m.val, sum)
 			m.rowPtr[row+1]++
 		}
@@ -119,8 +140,12 @@ func NewCSRFromDense(rows, cols int, data []float64) (*CSR, error) {
 // from 0 to len(colIdx) == len(val), each row's column indexes are
 // strictly increasing and in range, and no value is zero. It is the
 // one-pass alternative to Builder for callers that emit entries in row
-// order, and returns the matrix Builder would build from them.
-func NewCSRSorted(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
+// order, and returns the matrix Builder would build from them. A matrix
+// wider than 2^32 columns is rejected with ErrTooWide.
+func NewCSRSorted(rows, cols int, rowPtr []int, colIdx []uint32, val []float64) (*CSR, error) {
+	if tooWide(cols) {
+		return nil, fmt.Errorf("%w: %d columns", ErrTooWide, cols)
+	}
 	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || rowPtr[0] != 0 ||
 		rowPtr[rows] != len(colIdx) || len(colIdx) != len(val) {
 		return nil, fmt.Errorf("%w: csr arrays (%d row offsets, %d columns, %d values) for %dx%d",
@@ -132,7 +157,7 @@ func NewCSRSorted(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, er
 			return nil, fmt.Errorf("%w: row %d offsets decrease", ErrBadTriplet, i)
 		}
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			j := colIdx[k]
+			j := int(colIdx[k])
 			if j <= prev || j >= cols || val[k] == 0 {
 				return nil, fmt.Errorf("%w: row %d entry (%d, %g) out of order, range or zero", ErrBadTriplet, i, j, val[k])
 			}
@@ -151,13 +176,21 @@ func (m *CSR) Cols() int { return m.cols }
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.val) }
 
+// Bytes returns the bytes the matrix's arrays hold: int row offsets,
+// uint32 column indexes and float64 values (see StorageBytes).
+func (m *CSR) Bytes() int64 {
+	return int64(len(m.rowPtr))*8 + int64(len(m.colIdx))*4 + int64(len(m.val))*8
+}
+
 // At returns element (i, j) with a binary search over the row. It is meant
 // for tests and assembly checks, not hot loops.
 func (m *CSR) At(i, j int) float64 {
+	if j < 0 || j >= m.cols {
+		return 0
+	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
-		return m.val[k]
+	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], uint32(j)); ok {
+		return m.val[lo+k]
 	}
 	return 0
 }
@@ -165,7 +198,7 @@ func (m *CSR) At(i, j int) float64 {
 // Range calls fn for every stored entry of row i.
 func (m *CSR) Range(i int, fn func(j int, v float64)) {
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.val[k])
+		fn(int(m.colIdx[k]), m.val[k])
 	}
 }
 
@@ -223,80 +256,6 @@ func (m *CSR) VecMat(x, y []float64) error {
 	return nil
 }
 
-// Scaled returns a new CSR equal to a*m.
-func (m *CSR) Scaled(a float64) *CSR {
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		val:    make([]float64, len(m.val)),
-	}
-	for i, v := range m.val {
-		out.val[i] = a * v
-	}
-	return out
-}
-
-// AddDiagonal returns a new CSR equal to m + diag(d). d must have length
-// Rows and the matrix must be square.
-//
-// It merges d into each row in one pass and yields exactly the matrix a
-// Builder fed m's entries followed by (i, i, d[i]) would: a stored zero
-// (a Scaled underflow) is dropped, the diagonal is the existing entry
-// plus d[i] in that order, a zero d[i] inserts nothing, and a diagonal
-// that sums to zero is dropped.
-func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("%w: add diagonal to %dx%d", ErrDimensionMismatch, m.rows, m.cols)
-	}
-	if len(d) != m.rows {
-		return nil, fmt.Errorf("%w: diagonal of %d for %dx%d", ErrDimensionMismatch, len(d), m.rows, m.cols)
-	}
-	grow := 0 // rows without a stored diagonal gain at most one entry
-	for i := 0; i < m.rows; i++ {
-		if m.At(i, i) == 0 {
-			grow++
-		}
-	}
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: make([]int, m.rows+1),
-		colIdx: make([]int, 0, len(m.colIdx)+grow),
-		val:    make([]float64, 0, len(m.val)+grow),
-	}
-	emit := func(j int, v float64) {
-		if v != 0 {
-			out.colIdx = append(out.colIdx, j)
-			out.val = append(out.val, v)
-		}
-	}
-	for i := 0; i < m.rows; i++ {
-		k, end := m.rowPtr[i], m.rowPtr[i+1]
-		for ; k < end && m.colIdx[k] < i; k++ {
-			emit(m.colIdx[k], m.val[k])
-		}
-		// Builder sums duplicates from 0, skipping zero addends.
-		diag := 0.0
-		if k < end && m.colIdx[k] == i {
-			if v := m.val[k]; v != 0 {
-				diag += v
-			}
-			k++
-		}
-		if d[i] != 0 {
-			diag += d[i]
-		}
-		emit(i, diag)
-		for ; k < end; k++ {
-			emit(m.colIdx[k], m.val[k])
-		}
-		out.rowPtr[i+1] = len(out.val)
-	}
-	return out, nil
-}
-
 // RowSums returns the vector of row sums.
 func (m *CSR) RowSums() []float64 {
 	sums := make([]float64, m.rows)
@@ -333,7 +292,7 @@ func (m *CSR) Dense() []float64 {
 	out := make([]float64, m.rows*m.cols)
 	for i := 0; i < m.rows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[i*m.cols+m.colIdx[k]] = m.val[k]
+			out[i*m.cols+int(m.colIdx[k])] = m.val[k]
 		}
 	}
 	return out

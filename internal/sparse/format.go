@@ -15,8 +15,7 @@ const (
 	// impulse-free sweeps over tridiagonal-window matrices (the paper's
 	// birth-death generators), compact-index CSR for every other sweep.
 	FormatAuto MatrixFormat = "auto"
-	// FormatCSR forces the compact-index CSR: uint32 column indexes,
-	// half the index traffic of the generic CSR.
+	// FormatCSR forces the compact CSR (uint32 column indexes).
 	FormatCSR MatrixFormat = "csr"
 	// FormatBand forces the tridiagonal-window representation (three
 	// value planes, no index loads). Matrices with an entry more than
@@ -24,15 +23,15 @@ const (
 	// fall back to FormatCSR; the effective choice is visible via
 	// Sweep.Format.
 	FormatBand MatrixFormat = "band"
-	// FormatCSR32 is the resolved name of the compact-index CSR; it is
-	// what Sweep.Format reports when FormatCSR (or FormatAuto) picked it.
+	// FormatCSR32 is the resolved name of the compact CSR; it is what
+	// Sweep.Format reports when FormatCSR (or FormatAuto) picked it.
 	// It is also accepted as an input alias for FormatCSR.
 	FormatCSR32 MatrixFormat = "csr32"
 )
 
 // ErrUnsupportedFormat reports a matrix format that cannot serve the
-// request: an unknown format name, or a matrix whose columns do not fit
-// the compact 32-bit indexes.
+// request: an unknown format name, or a storage the sweep cannot stream
+// (a band for an impulse or reference sweep).
 var ErrUnsupportedFormat = errors.New("sparse: unsupported matrix format")
 
 // ParseMatrixFormat validates a user-facing matrix format string. The
@@ -48,52 +47,53 @@ func ParseMatrixFormat(s string) (MatrixFormat, error) {
 	}
 }
 
-// PackedLayout resolves the storage a fused sweep of the given order runs
-// on under format, for an n-row square matrix whose entries lie at most
-// bandwidth columns off the diagonal, with or without impulse matrices. It
-// returns the resolved format (FormatBand or FormatCSR32) and the float64
-// words of one packed buffer of its layout — one plan's accumulator block
-// or one set of moment-state vectors, padding included (see
-// Sweep.planes): order+1 row-lane planes of bandPlaneStride(n) words on
-// the band, P words per state on compact CSR. The band window serves only
-// impulse-free sweeps. This is the one place those choices are made: the
-// sweep's own resolution uses it, and so can a caller that knows the
-// matrix only by its shape, such as an admission estimate.
-func PackedLayout(format MatrixFormat, n, bandwidth, order int, impulses bool) (MatrixFormat, int, error) {
+// resolveFormat resolves the storage of an n-row square matrix whose
+// entries lie at most bandwidth columns off the diagonal under format:
+// FormatBand for an impulse-free sweep inside the tridiagonal window when
+// format is auto or band, FormatCSR32 otherwise. This is the one place
+// that choice is made: the storage builder (see Uniformize) and
+// PackedLayout both use it.
+func resolveFormat(format MatrixFormat, n, bandwidth int, impulses bool) (MatrixFormat, error) {
 	switch format {
 	case "", FormatAuto, FormatBand:
 		// Auto, and a forced band, take compact CSR outside the window.
 		if !impulses && n > 0 && bandwidth <= 1 {
-			return FormatBand, (order + 1) * bandPlaneStride(n), nil
+			return FormatBand, nil
 		}
 	case FormatCSR, FormatCSR32:
 	default:
-		return "", 0, fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
+		return "", fmt.Errorf("%w %q", ErrUnsupportedFormat, format)
 	}
-	return FormatCSR32, packedLanes(order) * n, nil
+	return FormatCSR32, nil
+}
+
+// PackedLayout resolves the storage a fused sweep of the given order runs
+// on under format, for an n-row square matrix whose entries lie at most
+// bandwidth columns off the diagonal, with or without impulse matrices
+// (see resolveFormat). It returns the resolved format (FormatBand or
+// FormatCSR32) and the float64 words of one packed buffer of its layout —
+// one plan's accumulator block or one set of moment-state vectors,
+// padding included (see Sweep.planes): order+1 row-lane planes of
+// bandPlaneStride(n) words on the band, P words per state on compact CSR.
+// A caller that knows the matrix only by its shape, such as an admission
+// estimate, sizes the sweep with it; StorageBytes sizes the matrix.
+func PackedLayout(format MatrixFormat, n, bandwidth, order int, impulses bool) (MatrixFormat, int, error) {
+	resolved, err := resolveFormat(format, n, bandwidth, impulses)
+	if err != nil {
+		return "", 0, err
+	}
+	return resolved, packedWords(resolved, n, order), nil
+}
+
+// packedWords is the float64 count of one packed buffer of a fused
+// sweep's layout on the resolved storage (see PackedLayout).
+func packedWords(resolved MatrixFormat, n, order int) int {
+	if resolved == FormatBand {
+		return (order + 1) * bandPlaneStride(n)
+	}
+	return packedLanes(order) * n
 }
 
 // packedLanes is P, the words per state of the interleaved CSR32 layout:
 // order+1 rounded up to a multiple of 4.
 func packedLanes(order int) int { return (order + 4) &^ 3 }
-
-// resolveStorage picks the concrete storage for a sweep of the given order
-// over an explicit square matrix a (see PackedLayout): the resolved
-// format, the words of one packed buffer, and the derived representation
-// it streams. Derived representations are cached on the matrix, so
-// repeated sweeps (core.Prepared) convert once.
-func resolveStorage(a *CSR, format MatrixFormat, order int, impulses bool) (MatrixFormat, int, *Band, []uint32, error) {
-	lo, hi := a.Bandwidth()
-	resolved, words, err := PackedLayout(format, a.rows, max(lo, hi), order, impulses)
-	if err != nil {
-		return "", 0, nil, nil, err
-	}
-	if resolved == FormatBand {
-		return resolved, words, a.BandRep(), nil, nil
-	}
-	c32 := a.ColIdx32()
-	if c32 == nil {
-		return "", 0, nil, nil, fmt.Errorf("%w: %dx%d matrix has no 32-bit column index", ErrUnsupportedFormat, a.rows, a.cols)
-	}
-	return resolved, words, nil, c32, nil
-}

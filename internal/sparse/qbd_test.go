@@ -66,7 +66,7 @@ func TestSweepQBDMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 5} {
 			for _, tblock := range []int{1, 4} {
 				for _, dirtyScratch := range []bool{false, true} {
-					fs, err := NewSweepWithFormat(a, diag1, diag2, nil, order, workers, FormatAuto)
+					fs, err := newTestSweep(a, diag1, diag2, nil, order, workers, FormatAuto)
 					if err != nil {
 						t.Fatal(err)
 					}

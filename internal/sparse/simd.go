@@ -48,7 +48,7 @@ func (s *Sweep) Kernel() string { return s.kernel }
 // band sweep, or a fused impulse-free sweep over a non-empty CSR32
 // matrix, at any order — and the SIMD gate is open.
 func (s *Sweep) resolveKernel() string {
-	if s.simd && (s.format == FormatBand || !s.reference() && len(s.imp) == 0 && len(s.a.val) > 0) {
+	if s.simd && (s.format == FormatBand || !s.reference() && len(s.imp) == 0 && s.nnz > 0) {
 		return KernelAVX2
 	}
 	return KernelScalar

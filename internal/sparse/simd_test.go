@@ -43,7 +43,7 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 
 	t.Run("env-set", func(t *testing.T) {
 		t.Setenv("SOMRM_NOSIMD", "1")
-		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 1, FormatBand)
+		s, err := newTestSweep(a, d1, d2, nil, 3, 1, FormatBand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 
 	t.Run("env-zero", func(t *testing.T) {
 		t.Setenv("SOMRM_NOSIMD", "0")
-		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 1, FormatBand)
+		s, err := newTestSweep(a, d1, d2, nil, 3, 1, FormatBand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestSweepSIMDKillSwitches(t *testing.T) {
 	})
 
 	t.Run("reference-always-scalar", func(t *testing.T) {
-		s, err := NewSweepWithFormat(a, d1, d2, nil, 3, 0, FormatBand)
+		s, err := newTestSweep(a, d1, d2, nil, 3, 0, FormatBand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestSweepKernelLabel(t *testing.T) {
 					imp = append(imp, tc.a)
 				}
 			}
-			s, err := NewSweepWithFormat(tc.a, d1, d2, imp, tc.order, 1, tc.format)
+			s, err := newTestSweep(tc.a, d1, d2, imp, tc.order, 1, tc.format)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestSweepForcedSIMDMatchesForcedScalar(t *testing.T) {
 		tblock := []int{0, 1, 4}[rng.Intn(3)]
 
 		run := func(nosimd bool) (*Sweep, []SweepPlan) {
-			s, err := NewSweepWithFormat(a, d1, d2, nil, 3, workers, format)
+			s, err := newTestSweep(a, d1, d2, nil, 3, workers, format)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

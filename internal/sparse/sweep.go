@@ -65,14 +65,13 @@ type accPair struct {
 }
 
 // Sweep is a prepared randomization sweep over a fixed matrix family:
-// the uniformized generator a, the diagonal first- and second-order
-// reward terms, and optional impulse matrices imp[m-1] applied with
-// coefficient 1/m!. Build one per solve with NewSweepWithFormat — for a
-// fused team (the production path) or for the serial reference oracle —
+// the uniformized generator in its storage, the diagonal first- and
+// second-order reward terms, and optional impulse matrices imp[m-1]
+// applied with coefficient 1/m!. Build one per solve with NewSweep — for
+// a fused team (the production path) or for the serial reference oracle —
 // then execute it with RunFrom.
 type Sweep struct {
-	a            *CSR
-	rows         int
+	rows, nnz    int
 	diag1, diag2 []float64
 	imp          []*CSR
 	coef         []float64 // coef[m] = 1/m!, the impulse term coefficients
@@ -95,15 +94,17 @@ type Sweep struct {
 	simd   bool
 	kernel string
 
-	// Resolved storage (see MatrixFormat): the fused kernels stream the
-	// tridiagonal band planes or compact uint32 column indexes, cutting
-	// the memory traffic of this bandwidth-bound loop. lanes is P, the
-	// words per state of the CSR32 layout (see seedState), and accWords
-	// the size of one packed buffer (see AccWords). All formats are
-	// bitwise identical.
+	// The sweep matrix's storage (see Storage): the tridiagonal band
+	// planes or the compact CSR, cutting the memory traffic of this
+	// bandwidth-bound loop. reach is the farthest row any row of the next
+	// iteration depends on (see resolveBlocking), lanes is P, the words
+	// per state of the CSR32 layout (see seedState), and accWords the
+	// size of one packed buffer (see AccWords). All formats are bitwise
+	// identical.
 	format   MatrixFormat
-	band     *Band    // set when format == FormatBand
-	col32    []uint32 // set when format == FormatCSR32
+	band     *Band // set when format == FormatBand
+	csr      *CSR  // set when format == FormatCSR32
+	reach    int
 	lanes    int
 	accWords int
 
@@ -155,7 +156,7 @@ const parallelThreshold = 8_191
 //     oracle tests compare the fused kernel against.
 //
 // The returned count is 0 for the reference sweep and >= 1 for a fused
-// team of that size; NewSweepWithFormat takes either. Every choice yields
+// team of that size; NewSweep takes either. Every choice yields
 // bitwise identical results.
 func PlanWorkers(requested, rows int) int {
 	if requested < 0 {
@@ -176,25 +177,22 @@ func PlanWorkers(requested, rows int) int {
 	return requested
 }
 
-// NewSweepWithFormat validates the matrix family and partitions the rows
-// for a fused team of the given size, or builds the serial reference
-// sweep when workers < 1 (PlanWorkers returns 0 for it). diag2 must
-// already carry any constant factor (the solver passes ½·S'). imp may be
-// empty; when present it must hold at least order matrices (imp[m-1]
-// multiplies cur[j-m] for every m <= j). format selects the sweep
-// matrix's storage (see MatrixFormat); a sweep with impulse matrices, and
-// the reference sweep, resolve to compact CSR, and the impulse matrices
-// stay generic CSR. Every format yields bitwise identical results; Format
-// reports the resolved choice.
-func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int, format MatrixFormat) (*Sweep, error) {
+// NewSweep validates the matrix family and partitions the rows for a
+// fused team of the given size, or builds the serial reference sweep when
+// workers < 1 (PlanWorkers returns 0 for it). a is the sweep matrix in
+// the storage the sweep streams (see Uniformize); a band storage serves
+// neither the reference sweep nor an impulse sweep, which stream compact
+// CSR. diag2 must already carry any constant factor (the solver passes
+// ½·S'). imp may be empty; when present it must hold at least order
+// matrices (imp[m-1] multiplies cur[j-m] for every m <= j). Every storage
+// yields bitwise identical results; Format reports the one streamed.
+func NewSweep(a *Storage, diag1, diag2 []float64, imp []*CSR, order, workers int) (*Sweep, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil sweep matrix", ErrDimensionMismatch)
 	}
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: sweep matrix %dx%d not square", ErrDimensionMismatch, a.rows, a.cols)
-	}
-	if len(diag1) != a.rows || len(diag2) != a.rows {
-		return nil, fmt.Errorf("%w: diagonals %d/%d for %d rows", ErrDimensionMismatch, len(diag1), len(diag2), a.rows)
+	n := a.n
+	if len(diag1) != n || len(diag2) != n {
+		return nil, fmt.Errorf("%w: diagonals %d/%d for %d rows", ErrDimensionMismatch, len(diag1), len(diag2), n)
 	}
 	if order < 0 {
 		return nil, fmt.Errorf("%w: sweep order %d", ErrDimensionMismatch, order)
@@ -202,48 +200,55 @@ func NewSweepWithFormat(a *CSR, diag1, diag2 []float64, imp []*CSR, order, worke
 	if len(imp) > 0 && len(imp) < order {
 		return nil, fmt.Errorf("%w: %d impulse matrices for order %d", ErrDimensionMismatch, len(imp), order)
 	}
+	reach := a.bandwidth
 	for m, im := range imp {
-		if im == nil || im.rows != a.rows || im.cols != a.cols {
+		if im == nil || im.rows != n || im.cols != n {
 			return nil, fmt.Errorf("%w: impulse matrix %d", ErrDimensionMismatch, m+1)
 		}
+		lo, hi := im.Bandwidth()
+		reach = max(reach, lo, hi)
 	}
-	if workers < 1 {
-		workers, format = 0, FormatCSR // the reference streams the compact CSR
+	workers = min(max(workers, 0), max(n, 1))
+	if a.band != nil && (workers == 0 || len(imp) > 0) {
+		return nil, fmt.Errorf("%w: the reference and impulse sweeps stream compact CSR, not a band", ErrUnsupportedFormat)
 	}
-	workers = min(workers, max(a.rows, 1))
-	resolved, words, band, col32, err := resolveStorage(a, format, order, len(imp) > 0)
-	if err != nil {
-		return nil, err
-	}
+	words := packedWords(a.format, n, order)
 	if workers == 0 {
-		words = (order + 1) * a.rows // the reference runs on plain planes
+		words = (order + 1) * n // the reference runs on plain planes
 	}
 	s := &Sweep{
-		a:         a,
-		rows:      a.rows,
+		csr:       a.csr,
+		band:      a.band,
+		rows:      n,
+		nnz:       a.nnz,
 		diag1:     diag1,
 		diag2:     diag2,
 		imp:       imp,
 		order:     order,
 		workers:   workers,
-		format:    resolved,
-		band:      band,
-		col32:     col32,
+		format:    a.format,
+		reach:     reach,
 		lanes:     packedLanes(order),
 		accWords:  words,
 		simd:      hasAVX2 && !simdEnvDisabled(),
 		tile:      sweepTileDefault,
 		resolvedT: 1,
 	}
-	if resolved == FormatBand {
-		s.tile = bandTile(order)
+	if a.band != nil {
+		// The window kernel reads both neighbours of every row, padded
+		// cells included, so its reach is 1 even for a diagonal matrix.
+		s.tile, s.reach = bandTile(order), 1
 	}
 	s.initCoef()
 	if workers > 1 {
-		// Per-row work in stored non-zeros, plus the impulse matrices'
-		// entries and the constant rowBase charge.
-		s.blocks = partitionRows(a.rows, workers, func(i int) int64 {
-			c := int64(rowBase + a.rowPtr[i+1] - a.rowPtr[i])
+		// Per-row work in stored non-zeros (a band row streams three
+		// cells), plus the impulse matrices' entries and the constant
+		// rowBase charge.
+		s.blocks = partitionRows(n, workers, func(i int) int64 {
+			c := int64(rowBase + 3)
+			if a.csr != nil {
+				c = int64(rowBase + a.csr.rowPtr[i+1] - a.csr.rowPtr[i])
+			}
 			for _, im := range imp {
 				c += int64(im.rowPtr[i+1] - im.rowPtr[i])
 			}
@@ -405,23 +410,6 @@ func bandTile(order int) int {
 	return min(bandL1Tile, bandL1Tile*17/(3*(order+1)+5)&^3)
 }
 
-// blockReach returns the dependency reach of the resolved storage: row i
-// of the next iteration depends on rows i-lo..i+hi of the current one,
-// through the sweep matrix or an impulse matrix.
-func (s *Sweep) blockReach() (lo, hi int) {
-	if s.format == FormatBand {
-		// The window kernel reads both neighbours of every row, padded
-		// cells included, so its reach is 1 even for a diagonal matrix.
-		return 1, 1
-	}
-	lo, hi = s.a.Bandwidth()
-	for _, im := range s.imp {
-		l, h := im.Bandwidth()
-		lo, hi = max(lo, l), max(hi, h)
-	}
-	return lo, hi
-}
-
 // resolveBlocking turns the requested temporal block depth into the
 // (T, W, skew) the blocked sweep runs: T inner iterations per group over
 // blocks of W rows, each inner step's row window sliding skew rows to the
@@ -433,8 +421,7 @@ func (s *Sweep) resolveBlocking() (T, W, skew int) {
 	if s.tblock < 0 || s.tblock == 1 || s.reference() {
 		return
 	}
-	lo, hi := s.blockReach()
-	skew = max(lo, hi)
+	skew = s.reach
 	if s.tblock == 0 {
 		if s.format == FormatBand {
 			// The row-lane band kernel is bound by the cache level its
@@ -963,7 +950,7 @@ func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) 
 	for t0 := lo; t0 < hi; t0 += s.tile {
 		t1 := min(t0+s.tile, hi)
 		if s.kernel == KernelAVX2 {
-			csrLanesAVX2(t1-t0, &s.a.rowPtr[t0], &s.col32[0], &s.a.val[0], &cur[0], &cur[t0*P], &next[t0*P], &s.diag1[t0], &s.diag2[t0], P/4)
+			csrLanesAVX2(t1-t0, &s.csr.rowPtr[t0], &s.csr.colIdx[0], &s.csr.val[0], &cur[0], &cur[t0*P], &next[t0*P], &s.diag1[t0], &s.diag2[t0], P/4)
 		} else {
 			s.csrRows(t0, t1, cur, next)
 			if len(s.imp) > 0 {
@@ -995,10 +982,10 @@ func (s *Sweep) fuseBlockCSR(lo, hi int, cur, next []float64, active []accPair) 
 // csrLanesAVX2 replays the body lane for lane.
 func (s *Sweep) csrRows(lo, hi int, cur, next []float64) {
 	P := s.lanes
-	rowPtr, val, col32 := s.a.rowPtr, s.a.val, s.col32
+	rowPtr, val, colIdx := s.csr.rowPtr, s.csr.val, s.csr.colIdx
 	for i := lo; i < hi; i++ {
 		rv := val[rowPtr[i]:rowPtr[i+1]]
-		rc := col32[rowPtr[i]:rowPtr[i+1]]
+		rc := colIdx[rowPtr[i]:rowPtr[i+1]]
 		rc = rc[:len(rv)] // bounds-check elimination for rc[p]
 		civ := cur[i*P : i*P+P : i*P+P]
 		nv := next[i*P : i*P+P : i*P+P]
@@ -1052,7 +1039,7 @@ func (s *Sweep) impulseRows(lo, hi int, cur, next []float64) {
 			for g := 0; g < order-m; g += 4 {
 				var t0, t1, t2, t3 float64
 				for p := p0; p < p1; p++ {
-					u, c := val[p], colIdx[p]*P+g
+					u, c := val[p], int(colIdx[p])*P+g
 					x := cur[c : c+4 : c+4]
 					t3 += u * x[3]
 					t2 += u * x[2]
@@ -1215,18 +1202,18 @@ func (s *Sweep) bandRows(lo, hi int, cur, next []float64, active []accPair) {
 // (only an explicit negative worker request, see PlanWorkers, reaches
 // it): one full-vector pass per term on plain planes (see planes),
 // exactly the operation structure of the original solver loop, the sweep
-// matrix through its uint32 columns, then each active plan's
+// matrix through its compact CSR, then each active plan's
 // accumulation over the finished state.
 func (s *Sweep) referenceStep(cur, next []float64, active []accPair) {
 	n := s.rows
-	rowPtr, val, col32 := s.a.rowPtr, s.a.val, s.col32
+	rowPtr, val, colIdx := s.csr.rowPtr, s.csr.val, s.csr.colIdx
 	plane := func(buf []float64, j int) []float64 { return buf[j*n : (j+1)*n] }
 	for j := s.order; j >= 0; j-- {
 		x, y := plane(cur, j), plane(next, j)
 		for i := range y {
 			var sum float64
 			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-				sum += val[p] * x[col32[p]]
+				sum += val[p] * x[colIdx[p]]
 			}
 			y[i] = sum
 		}

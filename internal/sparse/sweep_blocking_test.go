@@ -60,7 +60,7 @@ func TestSweepTemporalBlockingBitwise(t *testing.T) {
 				for _, tb := range []int{2, 3, 4, 8} {
 					for _, tile := range []int{8, 32} {
 						for _, workers := range []int{1, 2, 3, 8} {
-							fs, err := NewSweepWithFormat(fx.a, fx.d1, fx.d2, fx.imp, order, workers, format)
+							fs, err := newTestSweep(fx.a, fx.d1, fx.d2, fx.imp, order, workers, format)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -107,7 +107,7 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 		firsts, lasts := []int{0}, []int{gMax}
 
 		mk := func(workers, tblock int) *Sweep {
-			s, err := NewSweepWithFormat(a, d1, d2, nil, order, workers, FormatAuto)
+			s, err := newTestSweep(a, d1, d2, nil, order, workers, FormatAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,13 +198,13 @@ func TestSweepTemporalBlockingResume(t *testing.T) {
 func TestTemporalBlockResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
-	s, err := NewSweepWithFormat(tri, d1, d2, nil, 3, 1, FormatAuto)
+	s, err := newTestSweep(tri, d1, d2, nil, 3, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	band := func(n, workers int) *Sweep {
 		a, bd1, bd2 := bandedSweepFixture(t, rng, n, 1, 1, 3)
-		bs, err := NewSweepWithFormat(a, bd1, bd2, nil, 3, workers, FormatAuto)
+		bs, err := newTestSweep(a, bd1, bd2, nil, 3, workers, FormatAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 		t.Errorf("tile=1 skew=1 resolved (T=%d, W=%d, skew=%d), want (4, 1, 1)", T, W, skew)
 	}
 	skewed, sd1, sd2 := bandedSweepFixture(t, rng, 300, 3, 2, 3)
-	ks, err := NewSweepWithFormat(skewed, sd1, sd2, nil, 3, 2, FormatCSR)
+	ks, err := newTestSweep(skewed, sd1, sd2, nil, 3, 2, FormatCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	big := bandedFixture(t, rng, temporalBlockMinWords/8, 1, 1)
 	bd1, bd2 := make([]float64, big.rows), make([]float64, big.rows)
 	for _, c := range []struct{ workers, W int }{{1, 128}, {2, 128}} {
-		bs, err := NewSweepWithFormat(big, bd1, bd2, nil, 3, c.workers, FormatAuto)
+		bs, err := newTestSweep(big, bd1, bd2, nil, 3, c.workers, FormatAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	// while the AVX2 kernel is memory-bound like the band kernel and
 	// auto-blocks (~22% faster) up to the measured skew ceiling. A forced
 	// depth engages either way.
-	cs, err := NewSweepWithFormat(big, bd1, bd2, nil, 3, 1, FormatCSR)
+	cs, err := newTestSweep(big, bd1, bd2, nil, 3, 1, FormatCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	// A reach beyond the measured ceiling keeps the SIMD auto policy
 	// unblocked too.
 	wide := bandedFixture(t, rng, temporalBlockMinWords/8, csrAutoBlockMaxSkew+1, 1)
-	ws, err := NewSweepWithFormat(wide, bd1, bd2, nil, 3, 1, FormatCSR)
+	ws, err := newTestSweep(wide, bd1, bd2, nil, 3, 1, FormatCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 	// order-2 compact-CSR and band runs, and an order-2 impulse run.
 	// Under auto the impulse sweep, on the scalar kernel, stays unblocked
 	// even where the AVX2 CSR32 kernel blocks.
-	is, err := NewSweepWithFormat(big, bd1, bd2, []*CSR{big, big, big}, 3, 1, FormatCSR)
+	is, err := newTestSweep(big, bd1, bd2, []*CSR{big, big, big}, 3, 1, FormatCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTemporalBlockResolution(t *testing.T) {
 		format MatrixFormat
 		imp    []*CSR
 	}{{FormatCSR, nil}, {FormatBand, nil}, {FormatAuto, []*CSR{tri, tri}}} {
-		ps, err := NewSweepWithFormat(tri, d1, d2, c.imp, 2, 1, c.format)
+		ps, err := newTestSweep(tri, d1, d2, c.imp, 2, 1, c.format)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func TestSweepRowLaneBitwise(t *testing.T) {
 					for _, tb := range []int{1, 0, 2, 3, 16} {
 						for _, tile := range []int{2, 5, 128} {
 							for _, workers := range []int{1, 2} {
-								fs, err := NewSweepWithFormat(a, d1, d2, nil, order, workers, FormatBand)
+								fs, err := newTestSweep(a, d1, d2, nil, order, workers, FormatBand)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -511,11 +511,11 @@ func lendCanaryScratch(s *Sweep) []float64 {
 func requireBandRangesMasked(t *testing.T, rng *rand.Rand, a *CSR, d1, d2 []float64, order int) {
 	t.Helper()
 	n := a.rows
-	vec, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatBand)
+	vec, err := newTestSweep(a, d1, d2, nil, order, 1, FormatBand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := NewSweepWithFormat(a, d1, d2, nil, order, 1, FormatBand)
+	scal, err := newTestSweep(a, d1, d2, nil, order, 1, FormatBand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +651,7 @@ func TestSweepSplitSeamBitwise(t *testing.T) {
 					for _, delta := range []int{-1, 0, 1} {
 						for _, thinTop := range []bool{false, true} {
 							mk := func(nosimd bool) (*Sweep, int) {
-								fs, err := NewSweepWithFormat(fx.a, d1, d2, nil, 3, workers, fx.format)
+								fs, err := newTestSweep(fx.a, d1, d2, nil, 3, workers, fx.format)
 								if err != nil {
 									t.Fatal(err)
 								}

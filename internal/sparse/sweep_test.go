@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,7 +41,7 @@ func randomSweepFixture(t *testing.T, rng *rand.Rand, n, order int, impulses boo
 			imp = append(imp, ib.Build())
 		}
 	}
-	s, err := NewSweepWithFormat(a, diag1, diag2, imp, order, 1, FormatAuto)
+	s, err := newTestSweep(a, diag1, diag2, imp, order, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +79,24 @@ func unpackPlans(s *Sweep, plans []SweepPlan) [][][]float64 {
 	return out
 }
 
+// newTestSweep builds the sweep of matrix a, stored as format resolves
+// for it (see newStorage), for a team of workers; the reference sweep
+// (workers < 1) streams compact CSR, as prepared solves give it.
+func newTestSweep(a *CSR, diag1, diag2 []float64, imp []*CSR, order, workers int, format MatrixFormat) (*Sweep, error) {
+	if workers < 1 {
+		format = FormatCSR
+	}
+	st, err := newStorage(a, 1, false, format, len(imp) > 0)
+	if err != nil {
+		return nil, err
+	}
+	return NewSweep(st, diag1, diag2, imp, order, workers)
+}
+
 // newReference builds the serial reference sweep over a matrix family.
 func newReference(t testing.TB, a *CSR, diag1, diag2 []float64, imp []*CSR, order int) *Sweep {
 	t.Helper()
-	s, err := NewSweepWithFormat(a, diag1, diag2, imp, order, 0, FormatAuto)
+	s, err := newTestSweep(a, diag1, diag2, imp, order, 0, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +199,10 @@ func TestSweepFusedMatchesReference(t *testing.T) {
 			lasts[pi] = firsts[pi] + rng.Intn(gMax+1-firsts[pi])
 		}
 
-		refMV, refAcc := runReference(t, s.a, s.diag1, s.diag2, s.imp, order, gMax, weights, firsts, lasts)
+		refMV, refAcc := runReference(t, s.csr, s.diag1, s.diag2, s.imp, order, gMax, weights, firsts, lasts)
 
 		for _, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0) + 2} {
-			fs, err := NewSweepWithFormat(s.a, s.diag1, s.diag2, s.imp, order, workers, FormatAuto)
+			fs, err := newTestSweep(s.csr, s.diag1, s.diag2, s.imp, order, workers, FormatAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +259,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 		for _, format := range formats {
 			for _, workers := range []int{1, 3} {
 				for _, dirtyScratch := range []bool{false, true} {
-					fs, err := NewSweepWithFormat(a, diag1, diag2, nil, order, workers, format)
+					fs, err := newTestSweep(a, diag1, diag2, nil, order, workers, format)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -266,7 +281,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSweepFormatResolution pins what NewSweepWithFormat resolves for
+// TestSweepFormatResolution pins what a sweep resolves for
 // characteristic shapes — impulse-free tridiagonal matrices stream the
 // band, everything else the compact CSR, impulse sweeps and the
 // reference sweep included — and the packed buffers each runs on, whose
@@ -278,7 +293,7 @@ func TestSweepFormatsMatchReference(t *testing.T) {
 func TestSweepFormatResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tri, d1, d2 := bandedSweepFixture(t, rng, 300, 1, 1, 3)
-	s, err := NewSweepWithFormat(tri, d1, d2, nil, 3, 1, FormatAuto)
+	s, err := newTestSweep(tri, d1, d2, nil, 3, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,7 @@ func TestSweepFormatResolution(t *testing.T) {
 	// included; the reference sweep on plain planes of the compact CSR
 	// whatever the requested format.
 	for _, c := range []struct{ order, p int }{{0, 4}, {2, 4}, {3, 4}, {4, 8}, {7, 8}, {12, 16}} {
-		cs, err := NewSweepWithFormat(tri, d1, d2, nil, c.order, 1, FormatCSR)
+		cs, err := newTestSweep(tri, d1, d2, nil, c.order, 1, FormatCSR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +328,7 @@ func TestSweepFormatResolution(t *testing.T) {
 		if impl.ScratchWords() != 2*c.p*30 {
 			t.Errorf("order-%d impulse ScratchWords = %d, want %d", c.order, impl.ScratchWords(), 2*c.p*30)
 		}
-		rs, err := NewSweepWithFormat(tri, d1, d2, nil, c.order, 0, FormatBand)
+		rs, err := newTestSweep(tri, d1, d2, nil, c.order, 0, FormatBand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,13 +340,24 @@ func TestSweepFormatResolution(t *testing.T) {
 	// An impulse sweep over a tridiagonal matrix resolves to compact CSR
 	// under every format.
 	for _, f := range []MatrixFormat{FormatAuto, FormatBand, FormatCSR} {
-		is, err := NewSweepWithFormat(tri, d1, d2, []*CSR{tri, tri}, 2, 1, f)
+		is, err := newTestSweep(tri, d1, d2, []*CSR{tri, tri}, 2, 1, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if is.Format() != FormatCSR32 {
 			t.Errorf("impulse sweep under %q resolved to %q, want csr32", f, is.Format())
 		}
+	}
+	// A band storage serves neither an impulse sweep nor the reference.
+	band, err := newStorage(tri, 1, false, FormatBand, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSweep(band, d1, d2, []*CSR{tri, tri}, 2, 1); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Errorf("impulse sweep over a band: err = %v, want ErrUnsupportedFormat", err)
+	}
+	if _, err := NewSweep(band, d1, d2, nil, 2, 0); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Errorf("reference sweep over a band: err = %v, want ErrUnsupportedFormat", err)
 	}
 
 	// Pack/unpack round trips. moment reports the block cell of moment j
@@ -349,7 +375,7 @@ func TestSweepFormatResolution(t *testing.T) {
 		}{{FormatBand, 1}, {FormatCSR, 1}, {FormatAuto, 0}} {
 			for _, n := range []int{1, 5, 33} {
 				a, bd1, bd2 := bandedSweepFixture(t, rng, n, 1, 1, order)
-				ps, err := NewSweepWithFormat(a, bd1, bd2, nil, order, c.workers, c.format)
+				ps, err := newTestSweep(a, bd1, bd2, nil, order, c.workers, c.format)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -426,7 +452,7 @@ func TestSweepWindowClipping(t *testing.T) {
 	}
 
 	full := func(first, last int) [][]float64 {
-		_, acc := runReference(t, s.a, s.diag1, s.diag2, nil, 2, gMax, [][]float64{w}, []int{first}, []int{last})
+		_, acc := runReference(t, s.csr, s.diag1, s.diag2, nil, 2, gMax, [][]float64{w}, []int{first}, []int{last})
 		return acc[0]
 	}
 
@@ -566,10 +592,10 @@ func TestSweepValidation(t *testing.T) {
 	}
 	d2 := []float64{1, 2}
 	mk := func(a *CSR, d1 []float64, imp []*CSR, order int) error {
-		_, err := NewSweepWithFormat(a, d1, d2, imp, order, 1, FormatAuto)
+		_, err := newTestSweep(a, d1, d2, imp, order, 1, FormatAuto)
 		return err
 	}
-	if mk(nil, d2, nil, 1) == nil {
+	if _, err := NewSweep(nil, d2, d2, nil, 1, 1); err == nil {
 		t.Error("nil matrix accepted")
 	}
 	if mk(rect, d2, nil, 1) == nil {
@@ -585,7 +611,7 @@ func TestSweepValidation(t *testing.T) {
 		t.Error("too few impulse matrices accepted")
 	}
 
-	s, err := NewSweepWithFormat(a, d2, d2, nil, 1, 1, FormatAuto)
+	s, err := newTestSweep(a, d2, d2, nil, 1, 1, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,8 +636,8 @@ func TestSweepValidation(t *testing.T) {
 // and that the split team's goroutines drain on every exit path.
 func TestSweepCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a, zero := randomSweepFixture(t, rng, 50, 2, false).a, make([]float64, 50)
-	s2, err := NewSweepWithFormat(a, zero, zero, nil, 2, 4, FormatAuto)
+	a, zero := randomSweepFixture(t, rng, 50, 2, false).csr, make([]float64, 50)
+	s2, err := newTestSweep(a, zero, zero, nil, 2, 4, FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +698,7 @@ func TestSweepResumeBitwise(t *testing.T) {
 			a, d1, d2v = bandedSweepFixture(t, rng, n, 1, 1, order)
 		} else {
 			f := randomSweepFixture(t, rng, n, order, trial%4 == 2)
-			a, d1, d2v, imp = f.a, f.diag1, f.diag2, f.imp
+			a, d1, d2v, imp = f.csr, f.diag1, f.diag2, f.imp
 		}
 
 		w := randWeights(rng, gMax)
@@ -681,11 +707,11 @@ func TestSweepResumeBitwise(t *testing.T) {
 		refMV, refAcc := runReference(t, a, d1, d2v, imp, order, gMax, weights, firsts, lasts)
 
 		builders := map[string]build{
-			"auto/w1":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 1, FormatAuto) },
-			"auto/w3":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 3, FormatAuto) },
-			"csr/w2":       func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatCSR) },
-			"band/w2":      func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 2, FormatBand) },
-			"reference/w0": func() (*Sweep, error) { return NewSweepWithFormat(a, d1, d2v, imp, order, 0, FormatAuto) },
+			"auto/w1":      func() (*Sweep, error) { return newTestSweep(a, d1, d2v, imp, order, 1, FormatAuto) },
+			"auto/w3":      func() (*Sweep, error) { return newTestSweep(a, d1, d2v, imp, order, 3, FormatAuto) },
+			"csr/w2":       func() (*Sweep, error) { return newTestSweep(a, d1, d2v, imp, order, 2, FormatCSR) },
+			"band/w2":      func() (*Sweep, error) { return newTestSweep(a, d1, d2v, imp, order, 2, FormatBand) },
+			"reference/w0": func() (*Sweep, error) { return newTestSweep(a, d1, d2v, imp, order, 0, FormatAuto) },
 		}
 		for name, mk := range builders {
 			if name == "band/w2" && trial%2 == 0 {

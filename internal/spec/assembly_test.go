@@ -45,14 +45,13 @@ func requireSameBits(t *testing.T, what string, got, want *sparse.CSR) {
 	}
 }
 
-// builderUniformized is Q' = Q/q + I formed the way ctmc did before the
-// row-merge AddDiagonal: Scaled, then every entry and the unit diagonal
-// through a COO Builder.
+// builderUniformized is Q' = Q/q + I formed through a COO Builder: every
+// entry scaled by 1/q, then the unit diagonal.
 func builderUniformized(q *sparse.CSR, rate float64) *sparse.CSR {
-	scaled := q.Scaled(1 / rate)
+	scale := 1 / rate
 	b := sparse.NewBuilder(q.Rows(), q.Cols())
 	for i := 0; i < q.Rows(); i++ {
-		scaled.Range(i, func(j int, v float64) { _ = b.Add(i, j, v) })
+		q.Range(i, func(j int, v float64) { _ = b.Add(i, j, float64(v*scale)) })
 		_ = b.Add(i, i, 1)
 	}
 	return b.Build()

@@ -226,7 +226,7 @@ func (m *Model) sortedGenerator() *sparse.CSR {
 	n, trs := m.States, m.Transitions
 	rowPtr := make([]int, n+1)
 	// Only rows with transitions gain a diagonal entry.
-	colIdx := make([]int, 0, len(trs)+min(n, len(trs)))
+	colIdx := make([]uint32, 0, len(trs)+min(n, len(trs)))
 	val := make([]float64, 0, cap(colIdx))
 	k := 0
 	for i := 0; i < n; i++ {
@@ -236,18 +236,24 @@ func (m *Model) sortedGenerator() *sparse.CSR {
 			exit += trs[end].Rate
 		}
 		for ; k < end && trs[k].To < i; k++ {
-			colIdx = append(colIdx, trs[k].To)
+			if trs[k].To < 0 {
+				return nil // out of range, an error builtGenerator reports
+			}
+			colIdx = append(colIdx, uint32(trs[k].To))
 			val = append(val, trs[k].Rate)
 		}
 		if k < end && trs[k].To == i {
 			return nil // a self-loop, an error builtGenerator reports
 		}
 		if exit != 0 {
-			colIdx = append(colIdx, i)
+			colIdx = append(colIdx, uint32(i))
 			val = append(val, -exit)
 		}
 		for ; k < end; k++ {
-			colIdx = append(colIdx, trs[k].To)
+			if trs[k].To >= n {
+				return nil // out of range, an error builtGenerator reports
+			}
+			colIdx = append(colIdx, uint32(trs[k].To))
 			val = append(val, trs[k].Rate)
 		}
 		rowPtr[i+1] = len(val)
