@@ -93,10 +93,13 @@ bench-check:
 	-$(GO) run ./cmd/benchjson -compare BENCH_sweep.json .bench_build/bench_sweep_new.json -tol 0.15
 
 # CI smoke: one iteration per sweep benchmark, just to prove every kernel
-# variant still runs end to end at the paper shape. Output is discarded.
+# variant still runs end to end at the paper shape, and one composed
+# request through the server handler. Output is discarded.
 bench-sweep-smoke:
 	$(GO) test -bench BenchmarkSweep -benchtime 1x -run '^$$' \
 		-timeout 30m ./internal/core | $(GO) run ./cmd/benchjson -o /dev/null
+	$(GO) test -bench BenchmarkServerSolve/compose-miss -benchtime 1x -run '^$$' \
+		./internal/server | $(GO) run ./cmd/benchjson -o /dev/null
 
 cover:
 	$(GO) test -cover ./...

@@ -56,6 +56,9 @@ type BenchResult struct {
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	// Metrics holds the line's other values by unit, the ones a
+	// benchmark adds with b.ReportMetric (e.g. "matvecs/op").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the emitted JSON document.
@@ -204,7 +207,7 @@ func fold(results []BenchResult) []BenchResult {
 
 // parseBenchLine parses one result line of the form
 //
-//	BenchmarkName[-P] <iters> <ns> ns/op [<bytes> B/op] [<allocs> allocs/op]
+//	BenchmarkName[-P] <iters> <ns> ns/op [<bytes> B/op] [<allocs> allocs/op] [<v> <unit>]...
 func parseBenchLine(line string, procs int) (BenchResult, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -241,6 +244,11 @@ func parseBenchLine(line string, procs int) (BenchResult, bool) {
 		case "allocs/op":
 			a := v
 			res.AllocsPerOp = &a
+		default:
+			if res.Metrics == nil {
+				res.Metrics = make(map[string]float64)
+			}
+			res.Metrics[fields[i+1]] = v
 		}
 	}
 	if res.NsPerOp == 0 && res.BytesPerOp == nil {

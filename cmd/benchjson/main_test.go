@@ -342,3 +342,22 @@ func TestResolveCommitMarksDirtyTrees(t *testing.T) {
 		}
 	}
 }
+
+// TestParseKeepsReportedMetrics: values a benchmark adds with
+// b.ReportMetric are kept by unit next to the standard columns.
+func TestParseKeepsReportedMetrics(t *testing.T) {
+	res, ok := parseBenchLine("BenchmarkSweep/compose-3x41-2 10 95000 ns/op 492 matvecs/op 16000 B/op 140 allocs/op", 2)
+	if !ok {
+		t.Fatal("line not parsed")
+	}
+	if res.NsPerOp != 95000 || res.AllocsPerOp == nil || *res.AllocsPerOp != 140 {
+		t.Errorf("standard columns: ns=%g allocs=%v", res.NsPerOp, res.AllocsPerOp)
+	}
+	if len(res.Metrics) != 1 || res.Metrics["matvecs/op"] != 492 {
+		t.Errorf("metrics = %v, want matvecs/op 492", res.Metrics)
+	}
+	plain, _ := parseBenchLine("BenchmarkX 10 5 ns/op", 1)
+	if plain.Metrics != nil {
+		t.Errorf("a line without extra units has metrics %v", plain.Metrics)
+	}
+}

@@ -563,28 +563,31 @@ func BenchmarkSweep(b *testing.B) {
 	// ON–OFF factors (68,921 product states, matrix-free), solved by three
 	// factor sweeps and the scalar moment fold at t = 0.05;
 	// compose-3x41-states also builds the per-state vectors
-	// (StateMoments), the fold over every product state.
+	// (StateMoments), the fold over every product state. Both report the
+	// factor sweeps' matrix-vector products as matvecs/op.
 	composed := lazyPrepared(func(b *testing.B) *Model { return compose3x41(b) })
-	b.Run("compose-3x41", func(b *testing.B) {
-		prep := composed(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := prep.AccumulatedReward(0.05, order, nil); err != nil {
-				b.Fatal(err)
-			}
+	for _, states := range []bool{false, true} {
+		name := "compose-3x41"
+		if states {
+			name += "-states"
 		}
-	})
-	b.Run("compose-3x41-states", func(b *testing.B) {
-		prep := composed(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := prep.AccumulatedReward(0.05, order, nil)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			prep := composed(b)
+			var matvecs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := prep.AccumulatedReward(0.05, order, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if states {
+					res.StateMoments()
+				}
+				matvecs += res.Stats.MatVecs
 			}
-			res.StateMoments()
-		}
-	})
+			b.ReportMetric(float64(matvecs)/float64(b.N), "matvecs/op")
+		})
+	}
 }
 
 // lazy returns get, which builds its value with build on the first call

@@ -28,6 +28,13 @@ var ErrComposeImpulse = errors.New("core: composition of impulse-reward models i
 // the solvers that need Generator() (ODE, simulation, joint moments).
 const ComposeMaterializeThreshold = 1 << 16
 
+// ComposeMaterializeEntries caps the stored entries of a materialized
+// product generator, Σₖ nnzₖ·n/nₖ over the factors (n product states, nₖ
+// and nnzₖ the states and entries of factor k), which Compose knows
+// before it builds anything: a product of few states but dense factors
+// (two dense 256-state factors make 3.4·10⁷ entries) stays matrix-free.
+const ComposeMaterializeEntries = 16 * ComposeMaterializeThreshold
+
 // leaves returns the factors a composition of m contributes: its own
 // parts when it is composed, else the model itself.
 func (m *Model) leaves() []*Model {
@@ -64,10 +71,11 @@ func (m *Model) leaves() []*Model {
 // multiplexer is a composition of N independent single-source models
 // (modulo the shared capacity offset).
 //
-// Products up to ComposeMaterializeThreshold states also build the
-// explicit joint CSR and product-length drift, variance and initial
-// arrays, so solvers that need Generator() work; larger products are
-// matrix-free (see Model.IsMatrixFree) and store none of them.
+// Products up to ComposeMaterializeThreshold states and
+// ComposeMaterializeEntries generator entries also build the explicit
+// joint CSR and product-length drift, variance and initial arrays, so
+// solvers that need Generator() work; larger products are matrix-free
+// (see Model.IsMatrixFree) and store none of them.
 //
 // Impulse-reward models are rejected with ErrComposeImpulse (wrapped in
 // ErrBadModel).
@@ -78,7 +86,8 @@ func Compose(a, b *Model) (*Model, error) {
 // ComposeAll composes a list of independent models (at least one) as a
 // left fold of Compose would, in one step: state counts multiply, and
 // only the final product is materialized (at most
-// ComposeMaterializeThreshold states) or left matrix-free.
+// ComposeMaterializeThreshold states and ComposeMaterializeEntries
+// entries) or left matrix-free.
 func ComposeAll(models ...*Model) (*Model, error) {
 	switch {
 	case len(models) == 0:
@@ -118,7 +127,7 @@ func compose(models []*Model) (*Model, error) {
 		initial = productVector(models, (*Model).Initial, mul)
 	}
 
-	if n > ComposeMaterializeThreshold {
+	if n > ComposeMaterializeThreshold || productEntries(parts, n) > ComposeMaterializeEntries {
 		// Matrix-free: validate what New would have validated of the
 		// product arrays, without building them.
 		if err := validateProduct(parts); err != nil {
@@ -170,6 +179,17 @@ func compose(models []*Model) (*Model, error) {
 	}
 	out.parts, out.productInitial = parts, product
 	return out, nil
+}
+
+// productEntries returns Σₖ nnzₖ·n/nₖ, the entries the Kronecker sum of
+// parts stores at most (the factors' diagonals share the product's), for
+// a product of n ≤ ComposeMaterializeThreshold states.
+func productEntries(parts []*Model, n int) int {
+	var entries int
+	for _, part := range parts {
+		entries += part.gen.Matrix().NNZ() * (n / part.N())
+	}
+	return entries
 }
 
 func add(x, y float64) float64 { return x + y }
@@ -241,14 +261,8 @@ func validateDistribution(pi []float64, n int) error {
 // (see Compose). Callers have applied the option defaults and checked
 // the arguments.
 //
-// The fold's error bound can exceed the factors' ε. It is a sum of terms
-// of degree one or more in the factors' bounds with non-negative
-// coefficients, so when it exceeds cfg.Epsilon the factors solve once
-// more at ε·ε/B, where B is the largest over the time points of the
-// fold's bound with every factor bound set to ε: scaling every factor
-// bound by ε/B scales the fold's by at most ε/B, to ε or below (the
-// moments' magnitudes, its coefficients, move between the two solves
-// only by their error bounds).
+// The fold's error bound can exceed the factors' ε, so the factors solve
+// once, at the ε factorEpsilon fixes before any sweep runs.
 func (p *Prepared) solveComposed(ctx context.Context, times []float64, order int, cfg Options) ([]*Result, error) {
 	// The product chain's rate is the sum of the factor rates.
 	var q float64
@@ -269,43 +283,20 @@ func (p *Prepared) solveComposed(ctx context.Context, times []float64, order int
 	// checkpoint: a cancelled solve returns the bare context error.
 	partCfg := cfg
 	partCfg.UniformizationRate, partCfg.Checkpoint = 0, false
-	results, atEps, err := p.foldParts(ctx, times, order, partCfg, largest)
+	eps, err := factorEpsilon(p.m.parts, slices.Max(times), order, cfg.Epsilon)
 	if err != nil {
 		return nil, err
 	}
-	var worst float64
-	for _, res := range results {
-		worst = math.Max(worst, res.Stats.ErrorBound)
-	}
-	if worst <= cfg.Epsilon {
-		return results, nil
-	}
-	partCfg.Epsilon = cfg.Epsilon * (cfg.Epsilon / atEps)
-	first := results
-	if results, _, err = p.foldParts(ctx, times, order, partCfg, largest); err != nil {
-		return nil, err
-	}
-	for idx, res := range results {
-		res.Stats.MatVecs += first[idx].Stats.MatVecs
-		res.Stats.SweepNS += first[idx].Stats.SweepNS
-	}
-	return results, nil
-}
-
-// foldParts solves every factor at cfg.Epsilon and folds their results at
-// each time point. It also returns the largest bound the fold would
-// report if every factor's bound were cfg.Epsilon.
-func (p *Prepared) foldParts(ctx context.Context, times []float64, order int, cfg Options, largest int) ([]*Result, float64, error) {
+	partCfg.Epsilon = eps
 	solved := make([][]*Result, len(p.parts))
 	for k, part := range p.parts {
-		res, err := part.AccumulatedRewardAtContext(ctx, times, order, &cfg)
+		res, err := part.AccumulatedRewardAtContext(ctx, times, order, &partCfg)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		solved[k] = res
 	}
 	results := make([]*Result, len(times))
-	var atEps float64
 	for idx, t := range times {
 		factors := make([]*Result, len(p.parts))
 		var st Stats
@@ -325,9 +316,9 @@ func (p *Prepared) foldParts(ctx context.Context, times []float64, order int, cf
 		st.MatrixFormat, st.SweepKernel, st.TemporalBlock = big.MatrixFormat, big.SweepKernel, big.TemporalBlock
 
 		res := &Result{T: t, Order: order, Stats: st}
-		var bound, eps []float64
+		var bound []float64
 		if p.m.productInitial {
-			res.Moments, bound, eps = foldMoments(factors, cfg.Epsilon)
+			res.Moments, bound = foldMoments(factors)
 			res.states = sync.OnceValue(func() [][]float64 {
 				vm := factors[0].VectorMoments
 				for _, f := range factors[1:] {
@@ -336,49 +327,103 @@ func (p *Prepared) foldParts(ctx context.Context, times []float64, order int, cf
 				return vm
 			})
 		} else {
-			res.VectorMoments, bound, eps = foldStates(factors, cfg.Epsilon)
+			res.VectorMoments, bound = foldStates(factors)
 			res.finish(p.m.initial)
 		}
 		for j, v := range res.Moments {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, 0, fmt.Errorf("%w: t=%g composed moment order %d", ErrOverflow, t, j)
+				return nil, fmt.Errorf("%w: t=%g composed moment order %d", ErrOverflow, t, j)
 			}
 			res.Stats.ErrorBound = math.Max(res.Stats.ErrorBound, bound[j])
-			atEps = math.Max(atEps, eps[j])
 		}
 		results[idx] = res
 	}
-	return results, atEps, nil
+	return results, nil
+}
+
+// factorEpsilon returns the ε every factor of a composition solves at so
+// that the fold's propagated bound (see foldBound) stays within eps at
+// every time up to tmax: eps·min(1, eps/B), where B is the largest
+// per-order bound the fold would report with every factor bound at eps
+// and every factor moment at its a-priori magnitude (see momentBound).
+// The fold's bound is a sum of terms of degree one or more in the factor
+// bounds with non-negative coefficients, non-decreasing in the
+// magnitudes, so scaling every factor bound by eps/B scales it to eps or
+// below (see DESIGN.md). A result that is not a positive normal float
+// (B overflowed) is an ErrOverflow.
+func factorEpsilon(parts []*Model, tmax float64, order int, eps float64) (float64, error) {
+	mag := momentBound(parts[0], tmax, order, eps)
+	bound := uniform(order+1, eps)
+	for _, part := range parts[1:] {
+		u := momentBound(part, tmax, order, eps)
+		bound = foldBound(bound, mag, eps, u)
+		mag = convolve(mag, u)
+	}
+	out := eps * math.Min(1, eps/slices.Max(bound))
+	if !(out >= 0x1p-1022) {
+		return 0, fmt.Errorf("%w: composed factor epsilon %g at t=%g, order %d (fold bound %g at ε=%g)", ErrOverflow, out, tmax, order, slices.Max(bound), eps)
+	}
+	return out, nil
+}
+
+// momentBound returns, for every order n, the a-priori bound
+//
+//	Uₙ = Σᵢ C(n,i) (ρt)ⁿ⁻ⁱ E|N(0, σ²t)|ⁱ + eps
+//
+// on |E[B(t)ⁿ | Z(0)=s]| + eps from every initial state s of an
+// impulse-free model, with ρ the largest |drift| and σ² the largest
+// variance: given the chain's path, B(t) = ∫r + N(0, V) with |∫r| ≤ ρt
+// and V ≤ σ²t.
+func momentBound(m *Model, t float64, order int, eps float64) []float64 {
+	var rho float64
+	for _, r := range m.rates {
+		rho = math.Max(rho, math.Abs(r))
+	}
+	drift := powTable(rho*t, order)
+	// E|N(0, s²)| = s·√(2/π), and E|N|ⁱ = (i−1)·s²·E|N|ⁱ⁻² for i ≥ 2.
+	s2 := slices.Max(m.vars) * t
+	abs := make([]float64, order+1)
+	abs[0] = 1
+	if order >= 1 {
+		abs[1] = math.Sqrt(s2 * 2 / math.Pi)
+	}
+	for i := 2; i <= order; i++ {
+		abs[i] = float64(i-1) * s2 * abs[i-2]
+	}
+	out := make([]float64, order+1)
+	for n := range out {
+		for i := 0; i <= n; i++ {
+			out[n] += binomCoef(n, i) * drift[n-i] * abs[i]
+		}
+		out[n] += eps
+	}
+	return out
 }
 
 // foldMoments folds the factors' scalar moments left to right (see
 // convolve) and propagates their error bounds through the fold (see
-// foldBound): bound with the factors' own bounds, atEps with each at eps.
-func foldMoments(factors []*Result, eps float64) (moments, bound, atEps []float64) {
+// foldBound).
+func foldMoments(factors []*Result) (moments, bound []float64) {
 	moments = factors[0].Moments
-	bound, atEps = uniform(len(moments), factors[0].Stats.ErrorBound), uniform(len(moments), eps)
+	bound = uniform(len(moments), factors[0].Stats.ErrorBound)
 	for _, f := range factors[1:] {
-		a, b := absAll(moments), absAll(f.Moments)
-		bound = foldBound(bound, a, f.Stats.ErrorBound, b)
-		atEps = foldBound(atEps, a, eps, b)
+		bound = foldBound(bound, absAll(moments), f.Stats.ErrorBound, absAll(f.Moments))
 		moments = convolve(moments, f.Moments)
 	}
-	return moments, bound, atEps
+	return moments, bound
 }
 
 // foldStates is foldMoments over the per-state moment vectors (see
 // convolveStates), with the largest magnitude over the states of each
 // order in place of the scalar moment.
-func foldStates(factors []*Result, eps float64) (vm [][]float64, bound, atEps []float64) {
+func foldStates(factors []*Result) (vm [][]float64, bound []float64) {
 	vm = factors[0].VectorMoments
-	bound, atEps = uniform(len(vm), factors[0].Stats.ErrorBound), uniform(len(vm), eps)
+	bound = uniform(len(vm), factors[0].Stats.ErrorBound)
 	for _, f := range factors[1:] {
-		a, b := maxAbsAll(vm), maxAbsAll(f.VectorMoments)
-		bound = foldBound(bound, a, f.Stats.ErrorBound, b)
-		atEps = foldBound(atEps, a, eps, b)
+		bound = foldBound(bound, maxAbsAll(vm), f.Stats.ErrorBound, maxAbsAll(f.VectorMoments))
 		vm = convolveStates(vm, f.VectorMoments)
 	}
-	return vm, bound, atEps
+	return vm, bound
 }
 
 // convolve returns the raw moments of A + B for independent A, B with raw

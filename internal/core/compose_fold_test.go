@@ -1,36 +1,30 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 )
 
 // factorSolves solves every factor at tt the way a composed solve does:
-// at ε, and once more at ε·ε/B when the fold's bound exceeds ε (B: the
-// fold's bound with every factor bound at ε). It returns the final
-// solves, and the first ones when there was a second.
-func factorSolves(t *testing.T, parts []*Model, tt float64, order int, eps float64) (final, first []*Result) {
+// once, at the ε factorEpsilon fixes from eps before the sweep.
+func factorSolves(t *testing.T, parts []*Model, tt float64, order int, eps float64) []*Result {
 	t.Helper()
-	solve := func(e float64) []*Result {
-		out := make([]*Result, len(parts))
-		for k, m := range parts {
-			r, err := m.AccumulatedReward(tt, order, &Options{Epsilon: e})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[k] = r
+	e, err := factorEpsilon(parts, tt, order, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*Result, len(parts))
+	for k, m := range parts {
+		r, err := m.AccumulatedReward(tt, order, &Options{Epsilon: e})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		out[k] = r
 	}
-	final = solve(eps)
-	_, bound, atEps := foldMoments(final, eps)
-	if slices.Max(bound) <= eps {
-		return final, nil
-	}
-	return solve(eps * eps / slices.Max(atEps)), final
+	return out
 }
 
 // compose3x41 is the composed-kron serving shape: three 41-state ON–OFF
@@ -66,7 +60,7 @@ func TestComposeStateMomentsBitwise(t *testing.T) {
 	if got.VectorMoments != nil {
 		t.Fatal("scalar-folded composed result carries VectorMoments")
 	}
-	factors, _ := factorSolves(t, []*Model{a, b, c}, tt, order, DefaultEpsilon)
+	factors := factorSolves(t, []*Model{a, b, c}, tt, order, DefaultEpsilon)
 	want := convolveStates(convolveStates(factors[0].VectorMoments, factors[1].VectorMoments), factors[2].VectorMoments)
 	vm := got.StateMoments()
 	if len(vm) != order+1 {
@@ -122,7 +116,7 @@ func TestComposeSolveAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	solve() // fill the factors' workspace pools
+	solve() // fill the workspace pool
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -170,5 +164,64 @@ func TestMatrixFreeAccessors(t *testing.T) {
 	}
 	if !first.IsFirstOrder() || !first.isMonotone() {
 		t.Error("first-order factors whose smallest drifts sum to 0 make a monotone composition")
+	}
+}
+
+// TestComposeOnePassMatVecs pins the work of one composed-kron solve: the
+// three factors sweep once, at the ε fixed before the sweep (G = 41 at
+// t = 0.05), 492 matrix-vector products where solving at ε and again at
+// ε·ε/B took 432 + 480; the bound still meets ε.
+func TestComposeOnePassMatVecs(t *testing.T) {
+	prep, err := Prepare(compose3x41(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.AccumulatedReward(0.05, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.MatVecs > 500 || st.ErrorBound > DefaultEpsilon {
+		t.Errorf("G %d, MatVecs %d, ErrorBound %g: want at most 500 products and a bound within ε", st.G, st.MatVecs, st.ErrorBound)
+	}
+}
+
+// TestComposeMaxGAtFactorG: Options.MaxG caps the factors' truncation
+// point at the ε the composed solve fixes, so MaxG equal to the reported
+// G solves and one less fails with ErrBadArgument.
+func TestComposeMaxGAtFactorG(t *testing.T) {
+	joint := compose3x41(t)
+	times := []float64{0.02, 0.05}
+	res, err := joint.AccumulatedRewardAt(times, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := res[1].Stats.G
+	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{MaxG: g}); err != nil {
+		t.Errorf("MaxG = G = %d: %v", g, err)
+	}
+	if _, err := joint.AccumulatedRewardAt(times, 3, &Options{MaxG: g - 1}); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("MaxG = G-1 = %d: %v, want ErrBadArgument", g-1, err)
+	}
+}
+
+// TestComposeFactorEpsilonNotNormal: when the a-priori fold bound is so
+// large that the factors' ε is not a positive normal float — subnormal
+// (drifts of ±10²⁴ at order 12) or zero (the bound overflows) — the
+// composed solve fails with ErrOverflow before any factor sweeps.
+func TestComposeFactorEpsilonNotNormal(t *testing.T) {
+	for _, r := range []float64{1e24, 1e30} {
+		a := mustModel(t, cyclic2(t, 2, 3), []float64{r, -r}, []float64{0.4, 1}, []float64{1, 0})
+		b := mustModel(t, cyclic2(t, 0.7, 1.1), []float64{-r, 0}, []float64{0, 0.6}, []float64{0.25, 0.75})
+		joint, err := Compose(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps, err := factorEpsilon(joint.parts, 10, 12, DefaultEpsilon)
+		if !errors.Is(err, ErrOverflow) {
+			t.Errorf("drift %g: factor ε %g, %v; want ErrOverflow", r, eps, err)
+		}
+		if _, err := joint.AccumulatedReward(10, 12, nil); !errors.Is(err, ErrOverflow) {
+			t.Errorf("drift %g: composed solve: %v, want ErrOverflow", r, err)
+		}
 	}
 }

@@ -455,10 +455,9 @@ func TestComposeOptions(t *testing.T) {
 	}
 }
 
-// TestComposeStatsFold pins how the factors' statistics combine. At the
-// default ε the fold's bound here exceeds ε, so the factors solve a
-// second time at ε·ε/B (B: the fold's bound with every factor bound at
-// ε): G comes from the second solves, MatVecs counts both.
+// TestComposeStatsFold pins how the factors' statistics combine: the
+// factors solve once, at the ε factorEpsilon fixes before the sweep, so
+// G, MatVecs and the bound come from those solves alone.
 func TestComposeStatsFold(t *testing.T) {
 	a := mustModel(t, cyclic2(t, 2, 3), []float64{1, -0.5}, []float64{0.4, 1}, []float64{1, 0})
 	b := birthDeathModel(t, 7)
@@ -472,10 +471,7 @@ func TestComposeStatsFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, first := factorSolves(t, []*Model{a, b, c}, tt, order, DefaultEpsilon)
-	if first == nil {
-		t.Fatal("the first fold's bound is within ε: the test no longer reaches the second solve")
-	}
+	final := factorSolves(t, []*Model{a, b, c}, tt, order, DefaultEpsilon)
 	var want Stats
 	for k, r := range final {
 		fs := r.Stats
@@ -483,7 +479,7 @@ func TestComposeStatsFold(t *testing.T) {
 		want.Shift += fs.Shift
 		want.D = math.Max(want.D, fs.D)
 		want.G = max(want.G, fs.G)
-		want.MatVecs += fs.MatVecs + first[k].Stats.MatVecs
+		want.MatVecs += fs.MatVecs
 		want.FlopsPerIteration += fs.FlopsPerIteration
 		if k == 1 {
 			want.MatrixFormat, want.SweepKernel, want.TemporalBlock = fs.MatrixFormat, fs.SweepKernel, fs.TemporalBlock
@@ -496,5 +492,49 @@ func TestComposeStatsFold(t *testing.T) {
 	got.Stats.SweepNS, got.Stats.ErrorBound = 0, 0
 	if got.Stats != want {
 		t.Errorf("Stats = %+v, want %+v", got.Stats, want)
+	}
+}
+
+// TestComposeMaterializeByEntries: compose materializes a product of at
+// most ComposeMaterializeThreshold states only when its generator's
+// entries, Σₖ nnzₖ·n/nₖ, fit ComposeMaterializeEntries too: two
+// birth–death chains of 256 states (3.9·10⁵ entries) materialize, two
+// dense 256-state chains (3.4·10⁷) stay matrix-free.
+func TestComposeMaterializeByEntries(t *testing.T) {
+	const n = 256
+	dense := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				dense[i*n+j] = 1
+			}
+		}
+		dense[i*n+i] = 1 - n
+	}
+	gen, err := ctmc.NewGeneratorFromDense(n, dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := ctmc.UnitDistribution(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := mustModel(t, gen, make([]float64, n), make([]float64, n), pi)
+	b := birthDeathModel(t, n)
+	for _, tc := range []struct {
+		a, b       *Model
+		matrixFree bool
+	}{{b, b, false}, {d, d, true}} {
+		joint, err := Compose(tc.a, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := productEntries([]*Model{tc.a, tc.b}, n*n)
+		if joint.IsMatrixFree() != tc.matrixFree {
+			t.Errorf("%d entries: IsMatrixFree = %v, want %v", entries, joint.IsMatrixFree(), tc.matrixFree)
+		}
+		if !tc.matrixFree && joint.Generator().Matrix().NNZ() > entries {
+			t.Errorf("product stores %d entries, above the %d counted", joint.Generator().Matrix().NNZ(), entries)
+		}
 	}
 }

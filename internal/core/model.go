@@ -172,9 +172,10 @@ func (m *Model) N() int {
 func (m *Model) Generator() *ctmc.Generator { return m.gen }
 
 // IsMatrixFree reports whether the model has no explicit generator (a
-// composition beyond ComposeMaterializeThreshold states): Generator
-// returns nil, and only the randomization solver, which convolves the
-// factors' moments, accepts the model.
+// composition beyond ComposeMaterializeThreshold states or
+// ComposeMaterializeEntries generator entries): Generator returns nil,
+// and only the randomization solver, which convolves the factors'
+// moments, accepts the model.
 func (m *Model) IsMatrixFree() bool { return m.gen == nil }
 
 // Rates returns a copy of the drift vector r. A matrix-free model builds

@@ -29,20 +29,18 @@ type Prepared struct {
 	// lad holds the snapshots of the sweep state warm solves start from
 	// (see ladder).
 	lad ladder
-
-	// ws pools the per-solve scratch arenas (sweep state vectors,
-	// accumulators, packed kernel state — tens of MB at the paper's
-	// sizes — and the Poisson tables), so repeated server solves against
-	// the same model stop allocating them. Only non-escaping scratch
-	// lives in the arena; see solveAt. The pool is a separate allocation: the runtime keeps every
-	// used pool reachable for up to two GC cycles, and an embedded pool
-	// would keep the whole Prepared — its matrices included — alive that
-	// long after a cache dropped it.
-	ws *sync.Pool
 }
 
+// workspaces pools the per-solve scratch arenas (sweep state vectors,
+// accumulators, packed kernel state — tens of MB at the paper's sizes —
+// and the Poisson tables) across every prepared model, so repeated
+// solves, of one model or of many, stop allocating them: an arena too
+// small for a solve grows (see ensure). Only non-escaping scratch lives
+// in the arena; see solveAt.
+var workspaces = sync.Pool{New: func() any { return new(solveWorkspace) }}
+
 // solveWorkspace is one solve's scratch arena. A workspace is used by at
-// most one solve at a time; Prepared hands them out from a sync.Pool.
+// most one solve at a time; solves take them from workspaces.
 type solveWorkspace struct {
 	buf []float64
 	// pmf backs the Poisson tables of a solve's time points (see
@@ -69,15 +67,6 @@ func (w *solveWorkspace) ensurePMF(words int) []float64 {
 	return w.pmf[:words]
 }
 
-func (p *Prepared) getWorkspace() *solveWorkspace {
-	if v := p.ws.Get(); v != nil {
-		return v.(*solveWorkspace)
-	}
-	return &solveWorkspace{}
-}
-
-func (p *Prepared) putWorkspace(w *solveWorkspace) { p.ws.Put(w) }
-
 // Prepare validates nothing new — the model is already validated — but
 // performs the solver's model-only setup once so subsequent solves skip it.
 // A composed model prepares each of its factors instead.
@@ -93,7 +82,7 @@ func Prepare(m *Model) (*Prepared, error) {
 // prepares each factor at its own rate (solveComposed checks a custom
 // rate against the product chain's).
 func (m *Model) prepare(rate float64) (*Prepared, error) {
-	p := &Prepared{m: m, ws: new(sync.Pool)}
+	p := &Prepared{m: m}
 	if m.parts != nil {
 		p.parts = make([]*Prepared, len(m.parts))
 		for k, part := range m.parts {
@@ -186,8 +175,8 @@ func (p *Prepared) solve(ctx context.Context, times []float64, order int, cfg Op
 			return nil, err
 		}
 	}
-	ws := p.getWorkspace()
-	defer p.putWorkspace(ws)
+	ws := workspaces.Get().(*solveWorkspace)
+	defer workspaces.Put(ws)
 	return p.m.solveAt(ctx, times, order, cfg, p.u, imp, ws, &p.lad)
 }
 

@@ -152,10 +152,10 @@ func (o *Options) withDefaults() Options {
 // bounds propagated through the fold (see foldBound), and at most
 // Epsilon: the largest per-order bound on the absolute error of the
 // scalar Moments under the product initial distribution, or of any
-// per-state moment under a distribution set by WithInitial. When the
-// first fold's bound exceeds Epsilon the factors solve once more at a
-// smaller ε; G and ErrorBound then describe that solve, and MatVecs and
-// SweepNS count both.
+// per-state moment under a distribution set by WithInitial. The factors
+// solve once, at an ε below Epsilon fixed before the sweep from a-priori
+// bounds on their moments (see factorEpsilon), so G is the truncation
+// point of that smaller ε.
 type Stats struct {
 	// Q is the uniformization rate, QT the Poisson parameter q*t.
 	Q, QT float64

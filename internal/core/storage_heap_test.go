@@ -28,9 +28,6 @@ func TestPrepareHoldsOnlySweepStorage(t *testing.T) {
 	if _, err := p.AccumulatedReward(1e-4, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	// The solve's pooled workspace is scratch, not prepared state; a
-	// dropped pool's contents survive one collection as victims.
-	p.ws = nil
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)

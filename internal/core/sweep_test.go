@@ -182,34 +182,76 @@ func TestSweepFusedMatchesReferenceLarge(t *testing.T) {
 	}
 }
 
-// TestPreparedPoolBitwise proves the pooled workspace cannot leak state
-// between solves: repeated solves through one Prepared — different time
-// grids and formats interleaved, so arenas are reused at different
-// carvings — must stay bitwise identical to the fresh-model path.
+// TestPreparedPoolBitwise proves the process-wide workspace pool cannot
+// leak state between solves: repeated solves through two Prepared models
+// of different sizes — different time grids and formats interleaved, so
+// arenas are reused at different carvings and handed from one model to
+// the other, serially and then from several goroutines at once — must
+// stay bitwise identical to the fresh-model path.
 func TestPreparedPoolBitwise(t *testing.T) {
-	m := largeTridiagModel(t, 4_000)
-	prep, err := Prepare(m)
-	if err != nil {
-		t.Fatal(err)
+	models := []*Model{largeTridiagModel(t, 4_000), largeTridiagModel(t, 300)}
+	preps := make([]*Prepared, len(models))
+	for i, m := range models {
+		p, err := Prepare(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preps[i] = p
 	}
 	const order = 3
 	grids := [][]float64{{0.7}, {0, 0.5, 2}, {3, 0.1}}
 	formats := []string{"auto", "band", "csr"}
+	type solveCase struct {
+		label string
+		model int
+		times []float64
+		opts  *Options
+		want  []*Result
+	}
+	var cases []solveCase
 	for rep := 0; rep < 3; rep++ {
 		for gi, times := range grids {
-			format := formats[(rep+gi)%len(formats)]
-			opts := &Options{SweepWorkers: 2, MatrixFormat: format}
-			want, err := m.AccumulatedRewardAt(times, order, opts)
-			if err != nil {
-				t.Fatal(err)
+			for mi, m := range models {
+				format := formats[(rep+gi+mi)%len(formats)]
+				opts := &Options{SweepWorkers: 2, MatrixFormat: format}
+				want, err := m.AccumulatedRewardAt(times, order, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("model %d rep %d grid %d format %s", mi, rep, gi, format)
+				cases = append(cases, solveCase{label, mi, times, opts, want})
 			}
-			got, err := prep.AccumulatedRewardAt(times, order, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, fmt.Sprintf("rep %d grid %d format %s", rep, gi, format), got, want)
 		}
 	}
+	solveAll := func(report func(string, ...any)) {
+		for _, c := range cases {
+			got, err := preps[c.model].AccumulatedRewardAt(c.times, order, c.opts)
+			if err != nil {
+				report("%s: %v", c.label, err)
+				return
+			}
+			for k, w := range c.want {
+				for j, vw := range w.VectorMoments {
+					for i, x := range vw {
+						if y := got[k].VectorMoments[j][i]; math.Float64bits(x) != math.Float64bits(y) {
+							report("%s t=%g vm[%d][%d] = %x, fresh model %x", c.label, c.times[k], j, i, math.Float64bits(y), math.Float64bits(x))
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+	solveAll(t.Fatalf)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			solveAll(t.Errorf)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSweepCancellationHammer races the persistent worker team against

@@ -431,18 +431,21 @@ func TestDiffComposedScalarFold(t *testing.T) {
 // ErrorBound within the request's ε — across the composed corpus, under
 // the product initial distribution and under one set by WithInitial, and
 // at the composed-kron serving shape (three 41-state ON–OFF sources,
-// 68,921 product states).
+// 68,921 product states) — at a drawn low order and at order 12, for t
+// up to 10.
 func TestComposeErrorBoundMeetsEpsilon(t *testing.T) {
-	check := func(label string, m *core.Model, times []float64, order int) {
+	check := func(label string, m *core.Model, times []float64, orders ...int) {
 		t.Helper()
-		for _, eps := range []float64{1e-6, 1e-9, 1e-13} {
-			res, err := m.AccumulatedRewardAt(times, order, &core.Options{Epsilon: eps})
-			if err != nil {
-				t.Fatalf("%s ε=%g: %v", label, eps, err)
-			}
-			for _, r := range res {
-				if r.Stats.ErrorBound > eps {
-					t.Errorf("%s ε=%g t=%g: ErrorBound %g exceeds ε", label, eps, r.T, r.Stats.ErrorBound)
+		for _, order := range orders {
+			for _, eps := range []float64{1e-6, 1e-9, 1e-13} {
+				res, err := m.AccumulatedRewardAt(times, order, &core.Options{Epsilon: eps})
+				if err != nil {
+					t.Fatalf("%s order %d ε=%g: %v", label, order, eps, err)
+				}
+				for _, r := range res {
+					if r.Stats.ErrorBound > eps {
+						t.Errorf("%s order %d ε=%g t=%g: ErrorBound %g exceeds ε", label, order, eps, r.T, r.Stats.ErrorBound)
+					}
 				}
 			}
 		}
@@ -454,15 +457,15 @@ func TestComposeErrorBoundMeetsEpsilon(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		order := 1 + rng.Intn(4)
-		times := []float64{0, 0.3, 1.1}
-		check(fmt.Sprintf("seed %d", seed), joint, times, order)
+		times := []float64{0, 0.3, 1.1, 10}
+		check(fmt.Sprintf("seed %d", seed), joint, times, order, 12)
 		pi := make([]float64, joint.N())
 		pi[0], pi[joint.N()-1] = 0.5, 0.5
 		mixed, err := joint.WithInitial(pi)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		check(fmt.Sprintf("seed %d non-product initial", seed), mixed, times, order)
+		check(fmt.Sprintf("seed %d non-product initial", seed), mixed, times, order, 12)
 	}
 	sources := make([]*core.Model, 3)
 	for i, s2 := range []float64{0, 1, 10} {
@@ -476,7 +479,7 @@ func TestComposeErrorBoundMeetsEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("3x41", joint, []float64{0.03, 0.05, 0.5}, 3)
+	check("3x41", joint, []float64{0.03, 0.05, 0.5, 2, 10}, 3, 12)
 }
 
 // TestDiffComposedSweepBitwise extends the fused-kernel gate to the

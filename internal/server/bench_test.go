@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"somrm/internal/models"
 	"somrm/internal/spec"
 )
 
@@ -42,9 +45,12 @@ func post(b *testing.B, h http.Handler, body []byte) *httptest.ResponseRecorder 
 	return rec
 }
 
-// BenchmarkServerSolve records the serving baseline on the two paths every
-// later scaling PR cares about: cache hits (pure service overhead) and
-// cache misses (service overhead + a real two-state randomization solve).
+// BenchmarkServerSolve records the serving baseline on the paths every
+// later scaling change cares about: cache hits (pure service overhead),
+// cache misses (service overhead + a real two-state randomization solve),
+// and composed misses (the composed-kron body: three 41-state ON–OFF
+// components, a distinct t in [0.045, 0.06) per request, three factor
+// sweeps and the moment fold).
 func BenchmarkServerSolve(b *testing.B) {
 	b.Run("cache-hit", func(b *testing.B) {
 		s, h := benchServer(b)
@@ -76,6 +82,42 @@ func BenchmarkServerSolve(b *testing.B) {
 		b.StopTimer()
 		if int(s.metrics.Solves.Load()) != b.N {
 			b.Fatalf("cache-miss path solved %d times for %d requests", s.metrics.Solves.Load(), b.N)
+		}
+	})
+	b.Run("compose-miss", func(b *testing.B) {
+		s, h := benchServer(b)
+		comps := make([]*spec.Model, 3)
+		for i, s2 := range []float64{0, 1, 10} {
+			m, err := models.OnOff(models.OnOffParams{C: 40, N: 40, Alpha: 4, Beta: 3, R: 1, Sigma2: s2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if comps[i], err = spec.FromModel(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frag, err := json.Marshal(comps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The body carries only the keys a composed-kron client sends
+		// (json.Marshal of a SolveRequest would add "model":null).
+		body := func(t float64) []byte {
+			return fmt.Appendf(nil, `{"compose":%s,"t":%s,"order":3}`, frag, strconv.FormatFloat(t, 'g', -1, 64))
+		}
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			bodies[i] = body(0.045 + 0.015*float64(i)/float64(b.N))
+		}
+		post(b, h, body(0.03)) // prepare the composed model
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, h, bodies[i])
+		}
+		b.StopTimer()
+		if int(s.metrics.Solves.Load()) != b.N+1 {
+			b.Fatalf("compose-miss path solved %d times for %d requests", s.metrics.Solves.Load(), b.N+1)
 		}
 	})
 }

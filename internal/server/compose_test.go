@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -116,11 +118,11 @@ func TestComposeCacheKeyVersion(t *testing.T) {
 		copy(out[:], h.Sum(nil))
 		return out
 	}
-	if want := tagged("somrm/compose/v3\n"); got != want {
-		t.Errorf("composed model hash %x, want the v3-tagged %x", got, want)
+	if want := tagged("somrm/compose/v4\n"); got != want {
+		t.Errorf("composed model hash %x, want the v4-tagged %x", got, want)
 	}
-	if old := tagged("somrm/compose/v2\n"); got == old {
-		t.Error("composed model hash still equals the v2-tagged hash")
+	if old := tagged("somrm/compose/v3\n"); got == old {
+		t.Error("composed model hash still equals the v3-tagged hash")
 	}
 }
 
@@ -159,7 +161,7 @@ func TestComposeRequestValidation(t *testing.T) {
 		{"single component", &SolveRequest{Compose: []*spec.Model{testSpec(0)}, T: 1, Order: 1}, "at least 2"},
 		{"model and compose", &SolveRequest{Model: testSpec(0), Compose: []*spec.Model{testSpec(0), testSpec(1)}, T: 1, Order: 1}, "mutually exclusive"},
 		{"wrong method", &SolveRequest{Compose: []*spec.Model{testSpec(0), testSpec(1)}, T: 1, Order: 1, Method: MethodODE}, "randomization"},
-		{"state blowup", &SolveRequest{Compose: []*spec.Model{{States: 3000}, {States: 3000}}, T: 1, Order: 1}, "state space exceeds"},
+		{"state blowup", &SolveRequest{Compose: repeatSpec(birthDeathSpec(41), 16), T: 1, Order: 1}, "overflows"},
 		{"nil component", &SolveRequest{Compose: []*spec.Model{testSpec(0), nil}, T: 1, Order: 1}, "component 1 missing"},
 	}
 	for _, tc := range cases {
@@ -256,5 +258,80 @@ func TestComposeTimeoutHoldsNoCheckpoint(t *testing.T) {
 	}
 	if got := s.metrics.Partials.Load(); got != 0 {
 		t.Errorf("partials_total = %d, want 0", got)
+	}
+}
+
+// repeatSpec returns a compose list of n copies of sp.
+func repeatSpec(sp *spec.Model, n int) []*spec.Model {
+	out := make([]*spec.Model, n)
+	for i := range out {
+		out[i] = sp
+	}
+	return out
+}
+
+// denseSpec returns an n-state spec whose generator is dense: every
+// state moves to every other at rate 1.
+func denseSpec(n int) *spec.Model {
+	sp := &spec.Model{
+		States:    n,
+		Rates:     make([]float64, n),
+		Variances: make([]float64, n),
+		Initial:   make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		sp.Rates[i] = float64(i%7) - 3
+		sp.Variances[i] = 0.1 * float64(i%4)
+		for j := 0; j < n; j++ {
+			if j != i {
+				sp.Transitions = append(sp.Transitions, spec.Transition{From: i, To: j, Rate: 1})
+			}
+		}
+	}
+	sp.Initial[0] = 1
+	return sp
+}
+
+// TestComposeDenseProductStaysMatrixFree: two dense 256-state
+// components make a 65,536-state product within the state threshold but
+// with 3.4·10⁷ generator entries, so compose leaves it matrix-free and
+// the request, a 3.8 MB body, answers 200 allocating under 64 MB.
+func TestComposeDenseProductStaysMatrixFree(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	body := solveBody(t, &SolveRequest{Compose: []*spec.Model{denseSpec(256), denseSpec(256)}, T: 0.05, Order: 3})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte body: %.1f MB allocated", len(body), float64(alloc)/(1<<20))
+	if alloc >= 64<<20 {
+		t.Errorf("a %d-byte dense compose request allocated %.1f MB, want under 64 MB", len(body), float64(alloc)/(1<<20))
+	}
+}
+
+// TestComposeManyComponentsSolve: with no product-state cap, a
+// composition of five 41-state components (1.16·10⁸ product states)
+// solves, since nothing of product length is built.
+func TestComposeManyComponentsSolve(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	body := solveBody(t, &SolveRequest{Compose: repeatSpec(birthDeathSpec(41), 5), T: 0.05, Order: 3})
+	resp, out, raw := postSolve(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("5x41 compose: %d %s", resp.StatusCode, raw)
+	}
+	if len(out.Moments) != 4 || math.Abs(out.Moments[0]-1) > core.DefaultEpsilon {
+		t.Errorf("moments = %v, want 4 orders with E[B^0] = 1 within ε", out.Moments)
 	}
 }

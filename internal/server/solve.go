@@ -29,12 +29,6 @@ const (
 	maxSimReps     = 1_000_000
 	defaultSimReps = 4000
 	maxBoundsAt    = 64
-	// maxComposeStates caps the product state space of a composed solve
-	// request. The components solve separately, but their per-state
-	// moments fold over every product state, so the result's size grows
-	// with the product; the cap keeps one request from monopolizing
-	// memory and the queue.
-	maxComposeStates = 4_000_000
 	// maxComposeParts caps the component count of a composed request.
 	maxComposeParts = 16
 )
@@ -210,7 +204,6 @@ func (r *SolveRequest) normalize(maxOrder int) error {
 		if len(r.Compose) > maxComposeParts {
 			return badRequestf("%d compose components exceed the limit of %d", len(r.Compose), maxComposeParts)
 		}
-		product := 1
 		for i, c := range r.Compose {
 			if c == nil {
 				return badRequestf("compose component %d missing", i)
@@ -218,10 +211,6 @@ func (r *SolveRequest) normalize(maxOrder int) error {
 			if c.States <= 0 {
 				return badRequestf("compose component %d has %d states", i, c.States)
 			}
-			if product > maxComposeStates/c.States {
-				return badRequestf("composed state space exceeds the limit of %d states", maxComposeStates)
-			}
-			product *= c.States
 		}
 		if r.Method != "" && r.Method != MethodRandomization {
 			return badRequestf("compose supports only the randomization method")
@@ -329,7 +318,7 @@ func (r *SolveRequest) cacheKey() (string, error) {
 }
 
 // composeKeyTag domain-separates composed model hashes (see modelHash).
-const composeKeyTag = "somrm/compose/v3\n"
+const composeKeyTag = "somrm/compose/v4\n"
 
 // modelHash returns the canonical content hash of the request's model: the
 // spec hash for plain requests, and a domain-separated hash of the ordered
@@ -346,9 +335,10 @@ func (r *SolveRequest) modelHash() ([32]byte, error) {
 	h := sha256.New()
 	// The tag versions how composed results are computed, so a journal or
 	// a peer never serves an entry computed another way: v1 swept the
-	// product chain, v2 folded per-state moments, v3 folds scalar moments
-	// and meets the request's epsilon (moments and bounds differ in their
-	// last bits).
+	// product chain, v2 folded per-state moments, v3 folded scalar
+	// moments and met the request's epsilon by re-solving, v4 solves the
+	// components once at an epsilon fixed before the sweep (moments and
+	// bounds differ in their last bits).
 	h.Write([]byte(composeKeyTag))
 	for i, c := range r.Compose {
 		ch, err := c.Hash()
